@@ -115,9 +115,9 @@ fn build_step_tape(tape: &mut Tape, d: usize, rows: usize, rng: &mut StdRng) {
     tape.backward(loss);
 }
 
-/// Backward alloc behaviour before/after the pool: `pool_off` allocates
-/// every gradient fresh (the pre-rewrite behaviour); `pool_warm` carries
-/// one warm pool across steps, so steady-state backward allocates nothing.
+/// Per-step alloc behaviour with and without the pool: `pool_off`
+/// allocates every value and gradient fresh; `pool_warm` carries one warm
+/// pool across steps, so a step of repeating shapes allocates nothing.
 fn bench_backward_alloc_ab(c: &mut Criterion) {
     let (d, rows) = (128usize, 64usize);
     let mut group = c.benchmark_group("widen_backward_kernels/alloc_per_step");

@@ -106,7 +106,7 @@ pub(crate) fn run_chunk(
 /// chunk. Downsampling still sees exactly the per-node artefacts it
 /// needs — attention rows come out of the padded matrices via the
 /// node→row-range maps, and relay packs/edges (Eq. 8) are read from the
-/// flat `M▷`/`E▷` through each walk's span.
+/// flat `M▷` and the deduplicated `E▷` through each walk's span.
 fn run_chunk_batched(
     ctx: &ChunkCtx<'_>,
     chunk: &[NodeId],
@@ -201,11 +201,14 @@ fn run_chunk_batched(
                         // Eq. 8: maxpool(e_{s'+1,s'}, m_{s'}); within the
                         // walk, pack row s+1 and edge row s+2 (row 0 is
                         // the target's self loop) — offset by the walk's
-                        // start row in the flat matrices.
+                        // start row in the flat layout, the edge row read
+                        // through the dedup index.
                         let packs = tape.value(db.packs);
-                        let edges = tape.value(db.edges);
-                        let relay_vec =
-                            relay_edge(edges.row(wstart + s + 2), packs.row(wstart + s + 1));
+                        let edges = tape.value(db.unique_edges);
+                        let relay_vec = relay_edge(
+                            edges.row(db.flat_index[wstart + s + 2]),
+                            packs.row(wstart + s + 1),
+                        );
                         Some((s + 1, relay_vec))
                     }
                     _ => None,
@@ -229,16 +232,17 @@ fn run_chunk_batched(
     timings.downsample_nanos = sw.elapsed_nanos();
     drop(span);
 
-    let pool = tape.take_pool();
+    // Read the loss first: handing the pool on ends the tape.
+    let loss = f64::from(tape.value(loss).get(0, 0));
     (
         ChunkResult {
-            loss: f64::from(tape.value(loss).get(0, 0)),
+            loss,
             grads,
             outcomes,
             profile: tape.take_profile(),
             timings,
         },
-        pool,
+        tape.take_pool(),
     )
 }
 
@@ -361,16 +365,17 @@ fn run_chunk_per_node(
     timings.downsample_nanos = sw.elapsed_nanos();
     drop(span);
 
-    let pool = tape.take_pool();
+    // Read the loss first: handing the pool on ends the tape.
+    let loss = f64::from(tape.value(loss).get(0, 0));
     (
         ChunkResult {
-            loss: f64::from(tape.value(loss).get(0, 0)),
+            loss,
             grads,
             outcomes,
             profile: tape.take_profile(),
             timings,
         },
-        pool,
+        tape.take_pool(),
     )
 }
 

@@ -1,6 +1,7 @@
 //! The WIDEN model: parameters, the wide/deep attentive forward pass
 //! (Eq. 3–7), the classification head (Eq. 10) and inductive inference.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -9,7 +10,8 @@ use rustc_hash::FxHashMap;
 use widen_graph::{HeteroGraph, NodeId};
 use widen_sampling::{hash_seed, sample_deep_multi, sample_wide};
 use widen_tensor::{
-    he_normal, xavier_uniform, zeros_init, CheckpointError, ParamId, ParamStore, Tape, Tensor, Var,
+    he_normal, xavier_uniform, zeros_init, BufferPool, CheckpointError, ParamId, ParamStore, Tape,
+    Tensor, Var,
 };
 
 use crate::config::{Execution, WidenConfig};
@@ -148,9 +150,12 @@ pub struct DeepBatch {
     pub attention: Var,
     /// Flat raw pack matrix `M▷` (all walks concatenated).
     pub packs: Var,
-    /// Flat edge-representation matrix `E▷` (same layout).
-    pub edges: Var,
-    /// Walk → `(start, len)` row range into `packs` / `edges`.
+    /// Deduplicated edge-representation matrix: row `flat_index[r]` is the
+    /// `E▷` row of flat pack row `r`.
+    pub unique_edges: Var,
+    /// Flat pack row → `unique_edges` row.
+    pub flat_index: Vec<usize>,
+    /// Walk → `(start, len)` row range into `packs`.
     pub walk_spans: Vec<(usize, usize)>,
     /// Node → `(first walk index, walk count)`; a node's walks are
     /// consecutive in `walk_spans` / `attention` rows.
@@ -354,20 +359,20 @@ impl WidenModel {
         let p = &self.params;
         let i = &self.ids;
         ParamVars {
-            g_node: tape.leaf(p.get(i.g_node).clone()),
-            g_edge: tape.leaf(p.get(i.g_edge).clone()),
-            wide_q: tape.leaf(p.get(i.wide_q).clone()),
-            wide_k: tape.leaf(p.get(i.wide_k).clone()),
-            wide_v: tape.leaf(p.get(i.wide_v).clone()),
-            deep_q1: tape.leaf(p.get(i.deep_q1).clone()),
-            deep_k1: tape.leaf(p.get(i.deep_k1).clone()),
-            deep_v1: tape.leaf(p.get(i.deep_v1).clone()),
-            deep_q2: tape.leaf(p.get(i.deep_q2).clone()),
-            deep_k2: tape.leaf(p.get(i.deep_k2).clone()),
-            deep_v2: tape.leaf(p.get(i.deep_v2).clone()),
-            fuse_w: tape.leaf(p.get(i.fuse_w).clone()),
-            fuse_b: tape.leaf(p.get(i.fuse_b).clone()),
-            classifier: tape.leaf(p.get(i.classifier).clone()),
+            g_node: tape.leaf_copy(p.get(i.g_node)),
+            g_edge: tape.leaf_copy(p.get(i.g_edge)),
+            wide_q: tape.leaf_copy(p.get(i.wide_q)),
+            wide_k: tape.leaf_copy(p.get(i.wide_k)),
+            wide_v: tape.leaf_copy(p.get(i.wide_v)),
+            deep_q1: tape.leaf_copy(p.get(i.deep_q1)),
+            deep_k1: tape.leaf_copy(p.get(i.deep_k1)),
+            deep_v1: tape.leaf_copy(p.get(i.deep_v1)),
+            deep_q2: tape.leaf_copy(p.get(i.deep_q2)),
+            deep_k2: tape.leaf_copy(p.get(i.deep_k2)),
+            deep_v2: tape.leaf_copy(p.get(i.deep_v2)),
+            fuse_w: tape.leaf_copy(p.get(i.fuse_w)),
+            fuse_b: tape.leaf_copy(p.get(i.fuse_b)),
+            classifier: tape.leaf_copy(p.get(i.classifier)),
         }
     }
 
@@ -412,7 +417,7 @@ impl WidenModel {
             let values = tape.matmul(packs, pv.wide_v);
             tape.matmul(attn, values)
         } else {
-            tape.leaf(Tensor::zeros(1, d))
+            zeros_leaf(tape, 1, d)
         };
 
         // Deep branch (Eq. 2, 4–6), one pass per sampled walk.
@@ -469,7 +474,7 @@ impl WidenModel {
                 tape.mean_rows(stacked)
             }
         } else {
-            tape.leaf(Tensor::zeros(1, d))
+            zeros_leaf(tape, 1, d)
         };
 
         // Eq. 7: fuse, feed-forward, L2 normalise.
@@ -553,7 +558,7 @@ impl WidenModel {
             });
             h
         } else {
-            tape.leaf(Tensor::zeros(b, d))
+            zeros_leaf(tape, b, d)
         };
 
         // Deep branch (Eq. 2, 4–6): all walks of all nodes in one flat
@@ -576,8 +581,8 @@ impl WidenModel {
             );
             let crate::packaging::PackedBatch {
                 packs,
-                edges,
                 unique_packs,
+                unique_edges,
                 flat_index,
                 spans: walk_spans,
             } = batch;
@@ -637,13 +642,14 @@ impl WidenModel {
             deep_batch = Some(DeepBatch {
                 attention: attn,
                 packs,
-                edges,
+                unique_edges,
+                flat_index,
                 walk_spans,
                 node_walks,
             });
             h
         } else {
-            tape.leaf(Tensor::zeros(b, d))
+            zeros_leaf(tape, b, d)
         };
 
         // Eq. 7: fuse, feed-forward, L2 normalise — already row-wise, so
@@ -692,24 +698,24 @@ impl WidenModel {
     }
 
     /// Embeds the listed nodes (`len × d`), sampling fresh neighbourhoods
-    /// with `seed`. Parallelised over chunks of nodes; each chunk runs one
-    /// fused [`WidenModel::forward_batch`] (or per-node passes when the
-    /// config selects [`Execution::PerNode`]).
+    /// with `seed`. Runs in chunks of [`WidenConfig::batch_size`] nodes;
+    /// each chunk is one fused [`WidenModel::forward_batch`] (or per-node
+    /// passes when the config selects [`Execution::PerNode`]).
     pub fn embed_nodes(&self, graph: &HeteroGraph, nodes: &[NodeId], seed: u64) -> Tensor {
-        let rows = self.infer_rows(graph, nodes, seed, InferOutput::Embedding);
-        let mut out = Tensor::zeros(nodes.len(), self.config.d);
-        for (i, row) in rows.into_iter().enumerate() {
-            out.set_row(i, &row);
-        }
-        out
+        self.infer(
+            graph,
+            &self_keyed(nodes.iter().map(|&n| (n, seed))),
+            InferOutput::Embedding,
+        )
     }
 
     /// Predicts class labels for the listed nodes.
     pub fn predict(&self, graph: &HeteroGraph, nodes: &[NodeId], seed: u64) -> Vec<usize> {
-        self.infer_rows(graph, nodes, seed, InferOutput::Logits)
-            .iter()
-            .map(|row| argmax(row))
-            .collect()
+        argmax_rows(&self.infer(
+            graph,
+            &self_keyed(nodes.iter().map(|&n| (n, seed))),
+            InferOutput::Logits,
+        ))
     }
 
     /// Predicts by averaging logits over `rounds` independently sampled
@@ -723,18 +729,11 @@ impl WidenModel {
         seed: u64,
         rounds: usize,
     ) -> Vec<usize> {
-        assert!(rounds >= 1, "need at least one round");
-        let mut sums: Vec<Vec<f32>> = vec![vec![0.0; self.num_classes]; nodes.len()];
-        for r in 0..rounds as u64 {
-            let logits =
-                self.infer_rows(graph, nodes, hash_seed(seed, &[40, r]), InferOutput::Logits);
-            for (sum, row) in sums.iter_mut().zip(logits) {
-                for (s, v) in sum.iter_mut().zip(row) {
-                    *s += v;
-                }
-            }
-        }
-        sums.iter().map(|row| argmax(row)).collect()
+        argmax_rows(&self.ensemble_sums(
+            graph,
+            &self_keyed(nodes.iter().map(|&n| (n, seed))),
+            rounds,
+        ))
     }
 
     /// Embeds a coalesced batch of serving requests in one fused forward
@@ -748,12 +747,7 @@ impl WidenModel {
     /// # Panics
     /// Panics if `items` is empty.
     pub fn embed_requests(&self, graph: &HeteroGraph, items: &[(NodeId, u64)]) -> Tensor {
-        assert!(!items.is_empty(), "embed_requests needs at least one item");
-        let keyed: Vec<(NodeId, NodeId, u64)> = items
-            .iter()
-            .map(|&(node, seed)| (node, node, seed))
-            .collect();
-        self.embed_requests_keyed(graph, &keyed)
+        self.embed_requests_keyed(graph, &self_keyed(items.iter().copied()))
     }
 
     /// Like [`WidenModel::embed_requests`], but each `(node, ident, seed)`
@@ -772,18 +766,13 @@ impl WidenModel {
         items: &[(NodeId, NodeId, u64)],
     ) -> Tensor {
         assert!(!items.is_empty(), "embed_requests needs at least one item");
-        let rows = self.request_rows(graph, items, InferOutput::Embedding);
-        let mut out = Tensor::zeros(items.len(), self.config.d);
-        for (i, row) in rows.into_iter().enumerate() {
-            out.set_row(i, &row);
-        }
-        out
+        self.infer(graph, items, InferOutput::Embedding)
     }
 
     /// Ensemble logits for a coalesced batch of serving requests: per item,
     /// the logits summed over `rounds` independently sampled neighbourhoods
-    /// — the same accumulation [`WidenModel::predict_ensemble`] computes
-    /// internally, so `argmax` of row `i` equals
+    /// — the accumulation behind [`WidenModel::predict_ensemble`], so
+    /// `argmax` of row `i` equals
     /// `predict_ensemble(graph, &[node_i], seed_i, rounds)[0]`.
     ///
     /// # Panics
@@ -794,11 +783,7 @@ impl WidenModel {
         items: &[(NodeId, u64)],
         rounds: usize,
     ) -> Tensor {
-        let keyed: Vec<(NodeId, NodeId, u64)> = items
-            .iter()
-            .map(|&(node, seed)| (node, node, seed))
-            .collect();
-        self.ensemble_logits_keyed(graph, &keyed, rounds)
+        self.ensemble_logits_keyed(graph, &self_keyed(items.iter().copied()), rounds)
     }
 
     /// Ensemble logits with per-item stream identities — the classify
@@ -814,6 +799,17 @@ impl WidenModel {
         rounds: usize,
     ) -> Tensor {
         assert!(!items.is_empty(), "ensemble_logits needs at least one item");
+        self.ensemble_sums(graph, items, rounds)
+    }
+
+    /// Logits summed over `rounds` sampling rounds, round `r` drawing item
+    /// seeds from `hash_seed(seed, &[40, r])`.
+    fn ensemble_sums(
+        &self,
+        graph: &HeteroGraph,
+        items: &[(NodeId, NodeId, u64)],
+        rounds: usize,
+    ) -> Tensor {
         assert!(rounds >= 1, "need at least one round");
         let mut sums = Tensor::zeros(items.len(), self.num_classes);
         for r in 0..rounds as u64 {
@@ -821,123 +817,101 @@ impl WidenModel {
                 .iter()
                 .map(|&(node, ident, seed)| (node, ident, hash_seed(seed, &[40, r])))
                 .collect();
-            let rows = self.request_rows(graph, &round_items, InferOutput::Logits);
-            for (i, row) in rows.iter().enumerate() {
-                for (j, v) in row.iter().enumerate() {
-                    sums.set(i, j, sums.get(i, j) + v);
-                }
-            }
+            sums.add_scaled(1.0, &self.infer(graph, &round_items, InferOutput::Logits));
         }
         sums
     }
 
-    /// One forward pass over `(node, ident, seed)` items on the configured
-    /// engine, returning one output row per item. Runs as a single chunk —
-    /// request batches are already server-sized.
-    fn request_rows(
+    /// The one inference worker behind every entry point above: forward
+    /// passes over `(node, ident, seed)` items on the configured engine,
+    /// one output row per item. Long lists run in chunks of
+    /// [`WidenConfig::batch_size`] items (a chunk's tape holds about a
+    /// megabyte per node; rows do not depend on what shares their chunk).
+    ///
+    /// Each chunk's tape draws its buffers from the calling thread's
+    /// [`INFER_ARENA`] and returns them to it, so a serving batch worker, an
+    /// evaluation loop or an example that calls in repeatedly stops
+    /// allocating after its first few batches.
+    fn infer(
         &self,
         graph: &HeteroGraph,
         items: &[(NodeId, NodeId, u64)],
         output: InferOutput,
-    ) -> Vec<Vec<f32>> {
-        let mut tape = self.new_tape();
-        let pv = self.insert_params(&mut tape);
-        match self.config.execution {
-            Execution::Batched => {
-                let states: Vec<NodeState> = items
+    ) -> Tensor {
+        use rayon::prelude::*;
+        let width = match output {
+            InferOutput::Embedding => self.config.d,
+            InferOutput::Logits => self.num_classes,
+        };
+        let mut out = Tensor::zeros(items.len(), width);
+        let chunk_len = self.config.batch_size.max(1);
+        items
+            .par_chunks(chunk_len)
+            .zip(out.as_mut_slice().par_chunks_mut(chunk_len * width))
+            .for_each(|(chunk, out_rows)| {
+                let mut tape = self.new_tape();
+                tape.install_pool(INFER_ARENA.take());
+                let pv = self.insert_params(&mut tape);
+                let states: Vec<NodeState> = chunk
                     .iter()
                     .map(|&(node, ident, seed)| self.sample_state_as(graph, node, ident, seed))
                     .collect();
-                let refs: Vec<&NodeState> = states.iter().collect();
-                let fw = self.forward_batch(&mut tape, &pv, graph, &refs);
-                let var = match output {
-                    InferOutput::Embedding => fw.embeddings,
-                    InferOutput::Logits => fw.logits,
-                };
-                let out = tape.value(var);
-                (0..items.len()).map(|i| out.row(i).to_vec()).collect()
-            }
-            Execution::PerNode => {
-                let masks = MaskCache::new();
-                items
-                    .iter()
-                    .map(|&(node, ident, seed)| {
-                        let state = self.sample_state_as(graph, node, ident, seed);
-                        let fw = self.forward_node(&mut tape, &pv, graph, &state, &masks);
-                        let var = match output {
-                            InferOutput::Embedding => fw.embedding,
-                            InferOutput::Logits => fw.logits,
-                        };
-                        tape.value(var).row(0).to_vec()
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// Runs inference forward passes for many nodes in parallel chunks and
-    /// returns one embedding or logits row per node. Each chunk runs on the
-    /// engine selected by [`WidenConfig::execution`].
-    fn infer_rows(
-        &self,
-        graph: &HeteroGraph,
-        nodes: &[NodeId],
-        seed: u64,
-        output: InferOutput,
-    ) -> Vec<Vec<f32>> {
-        use rayon::prelude::*;
-        let chunk = nodes
-            .len()
-            .div_ceil(rayon::current_num_threads().max(1))
-            .max(1);
-        nodes
-            .par_chunks(chunk)
-            .flat_map_iter(|chunk_nodes| {
-                let mut tape = self.new_tape();
-                let pv = self.insert_params(&mut tape);
                 match self.config.execution {
                     Execution::Batched => {
-                        let states: Vec<NodeState> = chunk_nodes
-                            .iter()
-                            .map(|&node| self.sample_state(graph, node, seed))
-                            .collect();
                         let refs: Vec<&NodeState> = states.iter().collect();
                         let fw = self.forward_batch(&mut tape, &pv, graph, &refs);
                         let var = match output {
                             InferOutput::Embedding => fw.embeddings,
                             InferOutput::Logits => fw.logits,
                         };
-                        let out = tape.value(var);
-                        (0..chunk_nodes.len())
-                            .map(|i| out.row(i).to_vec())
-                            .collect::<Vec<_>>()
+                        out_rows.copy_from_slice(tape.value(var).as_slice());
                     }
                     Execution::PerNode => {
                         let masks = MaskCache::new();
-                        chunk_nodes
-                            .iter()
-                            .map(|&node| {
-                                let state = self.sample_state(graph, node, seed);
-                                let fw = self.forward_node(&mut tape, &pv, graph, &state, &masks);
-                                let var = match output {
-                                    InferOutput::Embedding => fw.embedding,
-                                    InferOutput::Logits => fw.logits,
-                                };
-                                tape.value(var).row(0).to_vec()
-                            })
-                            .collect::<Vec<_>>()
+                        for (state, out_row) in states.iter().zip(out_rows.chunks_mut(width)) {
+                            let fw = self.forward_node(&mut tape, &pv, graph, state, &masks);
+                            let var = match output {
+                                InferOutput::Embedding => fw.embedding,
+                                InferOutput::Logits => fw.logits,
+                            };
+                            out_row.copy_from_slice(tape.value(var).row(0));
+                        }
                     }
                 }
-            })
-            .collect()
+                INFER_ARENA.set(tape.take_pool());
+            });
+        out
     }
 }
 
-/// Which tensor [`WidenModel::infer_rows`] extracts per node.
+thread_local! {
+    /// The calling thread's buffer arena for inference tapes (see
+    /// [`WidenModel::infer`]); it holds at most what the largest chunk this
+    /// thread has run needed, and dies with the thread.
+    static INFER_ARENA: RefCell<BufferPool> = RefCell::new(BufferPool::new());
+}
+
+/// Which tensor [`WidenModel::infer`] extracts per item.
 #[derive(Clone, Copy)]
 enum InferOutput {
     Embedding,
     Logits,
+}
+
+/// `(node, node, seed)` items: every node keys its own sampling stream.
+fn self_keyed(items: impl Iterator<Item = (NodeId, u64)>) -> Vec<(NodeId, NodeId, u64)> {
+    items.map(|(node, seed)| (node, node, seed)).collect()
+}
+
+/// An all-zero `rows × cols` leaf in a pooled buffer (a disabled branch's
+/// contribution to Eq. 7).
+fn zeros_leaf(tape: &mut Tape, rows: usize, cols: usize) -> Var {
+    tape.leaf_with(rows, cols, |t| t.as_mut_slice().fill(0.0))
+}
+
+/// Row-wise [`argmax`].
+fn argmax_rows(logits: &Tensor) -> Vec<usize> {
+    (0..logits.rows()).map(|r| argmax(logits.row(r))).collect()
 }
 
 /// Index of the largest entry (ties break toward the first).
@@ -1359,6 +1333,62 @@ mod tests {
         for (i, &item) in items.iter().enumerate() {
             let alone = model.ensemble_logits(&g, &[item], 3);
             assert_eq!(logits_together.row(i), alone.row(0));
+        }
+    }
+
+    #[test]
+    fn dirty_arena_never_leaks_into_another_requests_rows() {
+        // One thread (one arena) serves batches of 32, 1, 8 and 32 items,
+        // every parked buffer poisoned with NaN in between; each batch's
+        // rows must equal, bit for bit, the same batch served on a thread
+        // of its own, whose arena starts empty.
+        let ds = widen_data::acm_like(widen_data::Scale::Smoke, 5);
+        let g = &ds.graph;
+        let model = WidenModel::for_graph(g, small_config());
+        let nodes = g.labeled_nodes();
+        let mut next = 0;
+        let batches: Vec<Vec<(u32, u64)>> = [32, 1, 8, 32]
+            .iter()
+            .map(|&len| {
+                let items = (next..next + len)
+                    .map(|i| (nodes[i % nodes.len()], 1000 + i as u64))
+                    .collect();
+                next += len;
+                items
+            })
+            .collect();
+        let serve = |items: &[(u32, u64)]| {
+            (
+                model.embed_requests(g, items),
+                model.ensemble_logits(g, items, 2),
+            )
+        };
+        let (fresh, warm) = std::thread::scope(|s| {
+            let fresh: Vec<_> = batches
+                .iter()
+                .map(|items| s.spawn(|| serve(items)).join().unwrap())
+                .collect();
+            let warm = s
+                .spawn(|| {
+                    let served: Vec<_> = batches
+                        .iter()
+                        .map(|items| {
+                            let out = serve(items);
+                            INFER_ARENA.with_borrow_mut(|arena| arena.fill_parked(f32::NAN));
+                            out
+                        })
+                        .collect();
+                    let stats = INFER_ARENA.with_borrow(|arena| arena.stats());
+                    assert!(stats.hits > stats.misses, "the arena must be reused");
+                    served
+                })
+                .join()
+                .unwrap();
+            (fresh, warm)
+        });
+        for (i, (fresh, warm)) in fresh.iter().zip(&warm).enumerate() {
+            assert_eq!(fresh.0.as_slice(), warm.0.as_slice(), "embeddings {i}");
+            assert_eq!(fresh.1.as_slice(), warm.1.as_slice(), "logits {i}");
         }
     }
 

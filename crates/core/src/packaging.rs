@@ -10,7 +10,7 @@ use std::sync::{Arc, OnceLock};
 use rustc_hash::FxHashMap;
 use widen_graph::HeteroGraph;
 use widen_obs::{Counter, Stopwatch};
-use widen_tensor::{Tape, Tensor, Var};
+use widen_tensor::{Tape, Var};
 
 use crate::state::DeepState;
 use widen_sampling::WideSet;
@@ -114,8 +114,7 @@ pub fn pack_deep(
         .chain(deep.set.entries.iter().map(|e| e.node))
         .collect();
 
-    let features = gather_features(graph, &ids);
-    let x = tape.leaf(features);
+    let x = features_leaf(tape, graph, &ids);
     let v = tape.matmul(x, g_node);
 
     let has_override = deep.edge_override.iter().any(Option::is_some);
@@ -127,7 +126,7 @@ pub fn pack_deep(
         rows.push(tape.select_rows(g_edge, &[self_loop]));
         for (s, entry) in deep.set.entries.iter().enumerate() {
             match &deep.edge_override[s] {
-                Some(relay) => rows.push(tape.leaf(Tensor::row_vector(relay))),
+                Some(relay) => rows.push(tape.leaf_with(1, relay.len(), |t| t.set_row(0, relay))),
                 None => rows.push(tape.select_rows(g_edge, &[edge_index(entry.edge_type)])),
             }
         }
@@ -147,29 +146,31 @@ pub fn pack_deep(
     Packed { packs, edges }
 }
 
-/// Batched `PACK` output: one flat pack/edge matrix for many wide sets or
-/// deep walks, plus the per-unit row spans needed to address it.
+/// Batched `PACK` output: one flat pack matrix for many wide sets or deep
+/// walks, plus the per-unit row spans needed to address it.
 ///
 /// A pack row is fully determined by its `(node, edge-vocab-row)` pair, and
 /// those pairs repeat heavily inside a chunk, so the batch is assembled in
 /// two layers: `unique_packs` holds each distinct pair once, and the flat
-/// matrices are cheap [`Tape::gather_rows`] views of it. Projection matmuls
+/// matrix is a cheap [`Tape::gather_rows`] view of it. Projection matmuls
 /// should run on `unique_packs` (via [`PackedBatch::project`]) — that is
 /// where the batched engine's FLOP savings over the per-node path live.
 pub struct PackedBatch {
     /// Flat pack matrix (`(Σ(|set_i|+1)) × d`); each unit's rows are
     /// consecutive with its own `m_t` first.
     pub packs: Var,
-    /// Flat edge-representation matrix (same shape); unit-local row `s+1`
-    /// is the edge representation of local position `s` (Eq. 8 relays).
-    pub edges: Var,
     /// Deduplicated pack matrix (`U × d`): one row per distinct
     /// `(node, edge-row)` pair (relay-overridden rows are never shared).
     pub unique_packs: Var,
-    /// Flat row → `unique_packs` row: `packs[r] == unique_packs[flat_index[r]]`.
+    /// Deduplicated edge-representation matrix (`U × d`, same row order as
+    /// `unique_packs`). Nothing multiplies it, so it is never gathered
+    /// flat: flat row `r`'s edge representation — unit-local row `s+1` is
+    /// that of local position `s` (Eq. 8 relays) — is row `flat_index[r]`.
+    pub unique_edges: Var,
+    /// Flat row → unique row: `packs[r] == unique_packs[flat_index[r]]`.
     pub flat_index: Vec<usize>,
-    /// Per-unit `(start, len)` row ranges into `packs` / `edges`. This is
-    /// the node→row-range (or walk→row-range) map that keeps downsampling
+    /// Per-unit `(start, len)` row ranges into `packs`. This is the
+    /// node→row-range (or walk→row-range) map that keeps downsampling
     /// outcomes extractable per node from the batched tensors.
     pub spans: Vec<(usize, usize)>,
 }
@@ -324,33 +325,36 @@ fn assemble_batch(
         })
         .collect();
 
-    let x = tape.leaf(gather_features(graph, &unique_nodes));
+    let x = features_leaf(tape, graph, &unique_nodes);
     let projected = tape.matmul(x, g_node);
     let v = tape.gather_rows(projected, &node_of);
 
     let gathered = tape.gather_rows(g_edge, &u_edge_rows);
-    let edges_unique = if u_overrides.is_empty() {
+    let unique_edges = if u_overrides.is_empty() {
         gathered
     } else {
         let d = tape.value(gathered).cols();
-        let mut mask = Tensor::full(unique, d, 1.0);
-        let mut constants = Tensor::zeros(unique, d);
-        for &(row, relay) in &u_overrides {
-            mask.row_mut(row).fill(0.0);
-            constants.set_row(row, relay);
-        }
-        let mask = tape.leaf(mask);
-        let constants = tape.leaf(constants);
+        let mask = tape.leaf_with(unique, d, |mask| {
+            mask.as_mut_slice().fill(1.0);
+            for &(row, _) in &u_overrides {
+                mask.row_mut(row).fill(0.0);
+            }
+        });
+        let constants = tape.leaf_with(unique, d, |constants| {
+            constants.as_mut_slice().fill(0.0);
+            for &(row, relay) in &u_overrides {
+                constants.set_row(row, relay);
+            }
+        });
         let kept = tape.mul(gathered, mask);
         tape.add(kept, constants)
     };
-    let unique_packs = tape.mul(v, edges_unique);
+    let unique_packs = tape.mul(v, unique_edges);
     let packs = tape.gather_rows(unique_packs, &flat_index);
-    let edges = tape.gather_rows(edges_unique, &flat_index);
     PackedBatch {
         packs,
-        edges,
         unique_packs,
+        unique_edges,
         flat_index,
         spans,
     }
@@ -364,20 +368,20 @@ fn pack_from_ids(
     g_node: Var,
     g_edge: Var,
 ) -> Packed {
-    let x = tape.leaf(gather_features(graph, ids));
+    let x = features_leaf(tape, graph, ids);
     let v = tape.matmul(x, g_node);
     let edges = tape.select_rows(g_edge, edge_rows);
     let packs = tape.mul(v, edges);
     Packed { packs, edges }
 }
 
-/// Gathers raw feature rows for the listed nodes into a `(len, d₀)` tensor.
-fn gather_features(graph: &HeteroGraph, ids: &[u32]) -> Tensor {
-    let mut out = Tensor::zeros(ids.len(), graph.feature_dim());
-    for (i, &id) in ids.iter().enumerate() {
-        out.set_row(i, graph.feature_row(id));
-    }
-    out
+/// Gathers raw feature rows for the listed nodes into a `(len, d₀)` leaf.
+fn features_leaf(tape: &mut Tape, graph: &HeteroGraph, ids: &[u32]) -> Var {
+    tape.leaf_with(ids.len(), graph.feature_dim(), |out| {
+        for (i, &id) in ids.iter().enumerate() {
+            out.set_row(i, graph.feature_row(id));
+        }
+    })
 }
 
 #[cfg(test)]
@@ -544,7 +548,9 @@ mod tests {
         let batch = pack_deep_batch(&mut tape, &g, &[&d0, &d1], g_node, g_edge, 1);
         assert_eq!(batch.spans, vec![(0, 3), (3, 2)]);
         let flat_packs = tape.value(batch.packs).clone();
-        let flat_edges = tape.value(batch.edges).clone();
+        let flat_edges = tape
+            .value(batch.unique_edges)
+            .select_rows(&batch.flat_index);
         for (deep, &(start, len)) in [&d0, &d1].iter().zip(&batch.spans) {
             let single = pack_deep(&mut tape, &g, deep, g_node, g_edge, 1);
             let m = tape.value(single.packs);

@@ -56,7 +56,7 @@ const REFINEMENT_PASSES: usize = 2;
 
 /// One shard: a halo-expanded induced subgraph, the global→local node
 /// mapping, the persistent wide/deep states of its core training nodes
-/// (keyed by *local* id), and a warm gradient-buffer pool.
+/// (keyed by *local* id), and a warm tape-buffer pool.
 struct Shard {
     graph: HeteroGraph,
     mapping: NodeMapping,

@@ -160,11 +160,12 @@ pub struct Trainer<'g> {
     tracer: Option<Tracer>,
     profiling: bool,
     skip_nonfinite_steps: bool,
-    /// Warm gradient-buffer pools, one checked out per in-flight chunk
-    /// (rayon workers run chunks concurrently via `&self`), returned with
-    /// their free lists grown after each chunk. Steady state holds one
-    /// pool per worker and backward passes allocate nothing.
-    grad_pools: Mutex<Vec<BufferPool>>,
+    /// Warm tape-buffer pools (forward values, leaves and gradients), one
+    /// checked out per in-flight chunk (rayon workers run chunks
+    /// concurrently via `&self`) and returned holding that chunk's
+    /// buffers. Steady state holds one pool per worker, each no larger
+    /// than the biggest chunk it has run.
+    pools: Mutex<Vec<BufferPool>>,
 }
 
 impl<'g> Trainer<'g> {
@@ -191,7 +192,7 @@ impl<'g> Trainer<'g> {
             tracer: None,
             profiling: false,
             skip_nonfinite_steps: false,
-            grad_pools: Mutex::new(Vec::new()),
+            pools: Mutex::new(Vec::new()),
         }
     }
 
@@ -515,12 +516,12 @@ impl<'g> Trainer<'g> {
             .par_chunks(chunk_size)
             .map(|chunk| {
                 // The warm pool round trip stays inside the worker closure
-                // so a chunk's pool is parked (free lists grown) before the
+                // so a chunk's pool is parked (holding its buffers) before the
                 // next chunk on the same worker checks one out.
                 let pool = self
-                    .grad_pools
+                    .pools
                     .lock()
-                    .expect("grad pool lock")
+                    .expect("pool lock")
                     .pop()
                     .unwrap_or_default();
                 let before = pool.stats();
@@ -532,7 +533,7 @@ impl<'g> Trainer<'g> {
                 self.phase
                     .pool_bytes_reused
                     .add(after.bytes_reused - before.bytes_reused);
-                self.grad_pools.lock().expect("grad pool lock").push(pool);
+                self.pools.lock().expect("pool lock").push(pool);
                 self.phase.forward.add(result.timings.forward_nanos);
                 self.phase.backward.add(result.timings.backward_nanos);
                 self.phase.downsample.add(result.timings.downsample_nanos);
@@ -682,6 +683,62 @@ mod tests {
                 assert!(d.is_empty() || d.len() >= cfg.k_deep.min(cfg.n_d));
             }
         }
+    }
+
+    #[test]
+    fn pruning_fit_keeps_the_pool_warm_and_bounded() {
+        let dataset = acm_like(Scale::Smoke, 6);
+        let train: Vec<u32> = dataset.transductive.train[..32].to_vec();
+        let mut cfg = tiny_config();
+        cfg.n_w = 12;
+        cfg.n_d = 12;
+        cfg.batch_size = 32;
+        cfg.r_wide = 10.0; // always trigger
+        cfg.r_deep = 10.0;
+        let model = WidenModel::for_graph(&dataset.graph, cfg);
+        let mut trainer = Trainer::new(model, &dataset.graph, &train);
+        let before = trainer.neighbor_volume();
+        let masks = MaskCache::new();
+        let mut report = TrainReport::default();
+        // Cumulative (takes, misses) and parked bytes after each epoch.
+        let mut epochs: Vec<(u64, u64, u64)> = Vec::new();
+        for epoch in 1..=10 {
+            let mut stats = EpochStats::default();
+            let (_, outcomes) =
+                trainer.train_batch(&train, epoch, &masks, None, &mut stats, &mut None);
+            trainer.apply_outcomes(outcomes, &mut report, &mut stats);
+            let pools = trainer.pools.lock().unwrap();
+            let resident: u64 = pools.iter().map(|p| p.stats().resident_bytes).sum();
+            let bound: u64 = pools.iter().map(|p| p.stats().peak_live_bytes).sum();
+            assert!(
+                resident <= bound,
+                "epoch {epoch}: {resident} parked > {bound}"
+            );
+            let misses = trainer.phase.pool_misses.get();
+            epochs.push((trainer.phase.pool_hits.get() + misses, misses, resident));
+        }
+        let after = trainer.neighbor_volume();
+        assert!(
+            2 * (after.0 + after.1) < before.0 + before.1 + after.0 + after.1,
+            "every epoch after the first must prune: {before:?} -> {after:?}"
+        );
+
+        // Every epoch sees shapes no epoch before it saw. A pool keyed by
+        // shape parks each of them for good and misses on the next; this
+        // one keeps serving the shrinking matrices from the buffers epoch 1
+        // allocated. What still allocates is what genuinely grows: relay
+        // edges give pruned walks private rows in the deduplicated matrices.
+        let (first_takes, first_misses, first_resident) = epochs[0];
+        let (takes, misses, _) = epochs[epochs.len() - 1];
+        assert!(
+            (misses - first_misses) * 20 <= takes - first_takes,
+            "epochs 2.. must run ≥ 95 % warm: {epochs:?}"
+        );
+        let largest = epochs.iter().map(|e| e.2).max().unwrap();
+        assert!(
+            largest * 4 <= first_resident * 5,
+            "parked bytes must stay near epoch 1's {first_resident}: {epochs:?}"
+        );
     }
 
     #[test]

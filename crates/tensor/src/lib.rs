@@ -52,7 +52,7 @@ pub use kernels::{
 pub use op::{Op, OP_KIND_COUNT};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
 pub use params::{ParamId, ParamStore};
-pub use pool::{BufferPool, PoolStats, MAX_BUFFERS_PER_SHAPE};
+pub use pool::{BufferPool, PoolStats};
 pub use profile::{OpProfile, ProfileReport};
 pub use serialize::{digest64, load_params, save_params, CheckpointError};
 pub use sparse::CsrMatrix;

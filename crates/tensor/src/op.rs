@@ -434,7 +434,7 @@ pub(crate) fn backward_step(
             let (rows, cols) = logits.shape();
             let g = grad_out.get(0, 0) / rows as f32;
             // Recompute probabilities into a pooled scratch buffer.
-            let mut probs = pool.take_zeroed(rows, cols);
+            let mut probs = pool.take(rows, cols);
             probs.as_mut_slice().copy_from_slice(logits.as_slice());
             for r in 0..rows {
                 crate::tensor::softmax_inplace(probs.row_mut(r));

@@ -1,22 +1,28 @@
-//! Shape-keyed buffer pool for backward-pass gradient tensors.
+//! Capacity-keyed buffer arena under the autograd tape.
 //!
-//! Every [`crate::Tape::backward`] sweep needs one gradient buffer per
-//! touched node. Before the pool those buffers were freshly allocated each
-//! backward pass and dropped with the tape — for the training hot loop that
-//! meant thousands of identical-shape heap allocations per epoch. The pool
-//! keeps returned buffers in per-shape free lists so a steady-state
-//! backward pass performs **zero** gradient allocations: every
-//! `take_zeroed` is a pop + memset.
+//! Every tensor a [`crate::Tape`] creates — forward values, leaf copies
+//! and gradients — is drawn from the tape's [`BufferPool`] and handed back
+//! when the tape ends ([`crate::Tape::reset`] / [`crate::Tape::take_pool`]).
+//! WIDEN's shapes are ragged and rarely repeat (freshly sampled serving
+//! batches differ by a few rows, pruned epochs shrink), so buffers are
+//! keyed by **capacity**, not shape: a request for `n` elements reuses the
+//! smallest parked buffer holding at least `n` and at most
+//! `MAX_WASTE × n` elements, and a request nothing fits allocates
+//! `n + n / HEADROOM_DIVISOR` so the next, slightly larger one does fit.
 //!
-//! The pool lives on the tape ([`crate::Tape::take_pool`] /
-//! [`crate::Tape::install_pool`] move it between tapes) so a trainer can
-//! keep one pool per worker across chunks and epochs. Residency is capped
-//! per shape ([`MAX_BUFFERS_PER_SHAPE`]) — recycling beyond the cap drops
-//! the buffer, so a pathological shape mix cannot leak memory.
+//! Residency is bounded by the largest set of buffers that was ever checked
+//! out at once (`peak_live_bytes`, the pool's own high-water mark): when a
+//! returning buffer pushes the parked bytes past it, the buffers parked
+//! longest ago are dropped first. A pool moved from tape to tape
+//! ([`crate::Tape::install_pool`]) therefore never holds more than the
+//! biggest tape needed, however many distinct shapes it has seen. And a
+//! request that outgrew its buffer (a parked one holds between
+//! `n / MAX_WASTE` and `n` elements) frees that buffer as it allocates the
+//! larger one, so a batch a little bigger than any before does not hold two
+//! sets at once.
 
 use std::cell::RefCell;
-
-use rustc_hash::FxHashMap;
+use std::collections::BTreeMap;
 
 use crate::tensor::Tensor;
 
@@ -29,12 +35,11 @@ thread_local! {
 
 /// Runs `f` with a thread-local `len`-element scratch slice.
 ///
-/// This is the kernel backends' side of the buffer-reuse story: gradient
-/// tensors cycle through the shape-keyed [`BufferPool`] on the tape, while
-/// the packed-GEMM B panels — which live only for the duration of one
-/// kernel call and have a per-thread lifetime, not a per-tape one — reuse
-/// this thread-local arena. Together a steady-state training step performs
-/// zero kernel-side allocations.
+/// This is the kernel backends' side of the buffer-reuse story: tape
+/// tensors cycle through the capacity-keyed [`BufferPool`], while the
+/// packed-GEMM B panels — which live only for the duration of one kernel
+/// call and have a per-thread lifetime, not a per-tape one — reuse this
+/// thread-local scratch.
 ///
 /// The slice is **not** zeroed between calls; callers must overwrite every
 /// element they read. Nested calls on one thread would double-borrow and
@@ -50,43 +55,66 @@ pub(crate) fn with_pack_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) 
     })
 }
 
-/// Free-list cap per distinct shape; recycles beyond it are dropped.
-///
-/// One backward pass needs at most one live buffer per tape node of a
-/// given shape, and the WIDEN training graphs reuse a handful of shapes
-/// (d×d weight grads, pack-matrix grads), so a small cap holds the
-/// steady-state working set while bounding worst-case residency.
-pub const MAX_BUFFERS_PER_SHAPE: usize = 64;
+/// A parked buffer of capacity `c` serves requests of `n` elements with
+/// `n ≤ c ≤ MAX_WASTE × n`. Wide enough that a serving batch of 8 rows
+/// runs in the buffers a batch of 32 left behind and a walk matrix pruned
+/// to a quarter keeps its buffer (memory already touched, either way);
+/// narrow enough that a small request does not take the buffer a large one
+/// is about to need and force a second large allocation. At 2 the refill
+/// batches of `serve_hot_rw` (8 to 32 rows as they coalesce) each kept a
+/// set of their own: peak RSS 57–59 MiB in four runs of ten, 46–51 in the
+/// others; at 4 all ten stay under 49.
+const MAX_WASTE: usize = 4;
+
+/// A fresh buffer for `n` elements is allocated with `n / HEADROOM_DIVISOR`
+/// spare capacity (never written, so never resident, until a larger request
+/// reuses the buffer): two serving batches that differ by a few rows share
+/// buffers from the second batch on.
+const HEADROOM_DIVISOR: usize = 16;
+
+const F32_BYTES: u64 = std::mem::size_of::<f32>() as u64;
 
 /// Monotonic counters describing pool behaviour (snapshot semantics: take
-/// two snapshots and subtract for a per-region delta).
+/// two snapshots and subtract for a per-region delta), plus current
+/// residency.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// `take_zeroed` calls served from a free list.
+    /// Takes served by a parked buffer.
     pub hits: u64,
-    /// `take_zeroed` calls that had to heap-allocate.
+    /// Takes that had to heap-allocate.
     pub misses: u64,
-    /// Buffers accepted back into a free list.
+    /// Buffers accepted back into the pool.
     pub recycled: u64,
-    /// Buffers rejected at recycle time (pool disabled or shape cap hit).
+    /// Buffers freed instead of kept: returned to a disabled pool, or
+    /// evicted to hold the residency bound.
     pub dropped: u64,
-    /// Bytes served from free lists (4 × elements over all hits).
+    /// Bytes served from parked buffers (4 × elements over all hits).
     pub bytes_reused: u64,
-    /// Buffers currently parked in free lists.
+    /// Buffers currently parked.
     pub resident_buffers: u64,
-    /// Bytes currently parked in free lists.
+    /// Bytes (of capacity) currently parked.
     pub resident_bytes: u64,
+    /// Most bytes (of capacity) ever checked out at once — the residency
+    /// bound.
+    pub peak_live_bytes: u64,
 }
 
-/// A shape-keyed recycler of `f32` buffers for gradient tensors.
+/// A capacity-keyed recycler of `f32` buffers for tape tensors.
 ///
 /// Enabled by default on every [`crate::Tape`]; a disabled pool (see
 /// [`BufferPool::disabled`]) degrades to plain allocation — used by the
-/// differential tests that pin pooled gradients to the alloc-per-op path.
+/// differential tests that pin pooled results to the alloc-per-op path.
 #[derive(Debug)]
 pub struct BufferPool {
     enabled: bool,
-    free: FxHashMap<(u32, u32), Vec<Vec<f32>>>,
+    /// Parked buffers in best-fit order: `(capacity, park stamp)`.
+    by_size: BTreeMap<(usize, u64), Vec<f32>>,
+    /// The same buffers oldest first: park stamp → capacity.
+    by_age: BTreeMap<u64, usize>,
+    next_stamp: u64,
+    resident_bytes: u64,
+    live_bytes: u64,
+    peak_live_bytes: u64,
     hits: u64,
     misses: u64,
     recycled: u64,
@@ -105,7 +133,12 @@ impl BufferPool {
     pub fn new() -> Self {
         Self {
             enabled: true,
-            free: FxHashMap::default(),
+            by_size: BTreeMap::new(),
+            by_age: BTreeMap::new(),
+            next_stamp: 0,
+            resident_bytes: 0,
+            live_bytes: 0,
+            peak_live_bytes: 0,
             hits: 0,
             misses: 0,
             recycled: 0,
@@ -123,12 +156,7 @@ impl BufferPool {
         }
     }
 
-    /// Whether this pool retains buffers.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Free-list hits so far (cheap accessor for per-op profiling deltas).
+    /// Parked-buffer hits so far (cheap accessor for per-op profiling deltas).
     #[inline]
     pub fn hits(&self) -> u64 {
         self.hits
@@ -140,63 +168,119 @@ impl BufferPool {
         self.misses
     }
 
-    /// A zero-filled `rows × cols` tensor, reusing a parked buffer of the
-    /// same shape when one is available.
-    pub fn take_zeroed(&mut self, rows: usize, cols: usize) -> Tensor {
-        let key = (rows as u32, cols as u32);
-        if let Some(mut buf) = self.free.get_mut(&key).and_then(Vec::pop) {
-            debug_assert_eq!(buf.len(), rows * cols);
-            buf.fill(0.0);
-            self.hits += 1;
-            self.bytes_reused += (buf.len() * std::mem::size_of::<f32>()) as u64;
-            Tensor::from_vec(rows, cols, buf)
-        } else {
-            self.misses += 1;
-            Tensor::zeros(rows, cols)
-        }
+    /// A `rows × cols` tensor with **unspecified contents** (whatever the
+    /// recycled buffer last held): for callers that overwrite every element
+    /// and so need no memset.
+    pub fn take(&mut self, rows: usize, cols: usize) -> Tensor {
+        let n = rows * cols;
+        let mut buf = self.take_buffer(n);
+        // Cuts a longer buffer down; zero-extends a shorter one into its
+        // spare capacity. What was there below `n` stays as it is.
+        buf.resize(n, 0.0);
+        Tensor::from_vec(rows, cols, buf)
     }
 
-    /// Returns a tensor's buffer to the free list of its shape. Drops it
-    /// instead when the pool is disabled or the shape's cap is reached.
+    /// A zero-filled `rows × cols` tensor: for accumulating kernels
+    /// (`*_acc` GEMMs, gradient slots, segment sums).
+    pub fn take_zeroed(&mut self, rows: usize, cols: usize) -> Tensor {
+        let mut t = self.take(rows, cols);
+        t.as_mut_slice().fill(0.0);
+        t
+    }
+
+    /// The smallest parked buffer whose capacity fits `n` within the slack,
+    /// or a fresh zeroed allocation with headroom.
+    fn take_buffer(&mut self, n: usize) -> Vec<f32> {
+        let window = (n, 0)..=(n * MAX_WASTE, u64::MAX);
+        let fit = self.by_size.range(window).next().map(|(&key, _)| key);
+        let buf = match fit {
+            Some(key) => {
+                self.hits += 1;
+                self.bytes_reused += n as u64 * F32_BYTES;
+                self.unpark(key)
+            }
+            None => {
+                self.misses += 1;
+                // A parked buffer just too small for `n` is, most likely,
+                // the one this request's op used on the last tape and has
+                // outgrown: replace it instead of holding both until the
+                // tape ends.
+                let outgrown = (n.div_ceil(MAX_WASTE), 0)..(n, 0);
+                if let Some((&key, _)) = self.by_size.range(outgrown).next_back() {
+                    self.unpark(key);
+                    self.dropped += 1;
+                }
+                // `vec![0.0; _]` is a calloc: the spare capacity costs
+                // address space, not memory, until something writes it.
+                let mut buf = vec![0.0; n + n / HEADROOM_DIVISOR];
+                buf.truncate(n);
+                buf
+            }
+        };
+        self.live_bytes += buf.capacity() as u64 * F32_BYTES;
+        self.peak_live_bytes = self.peak_live_bytes.max(self.live_bytes);
+        buf
+    }
+
+    /// Removes the parked buffer `key = (capacity, stamp)` from both indexes.
+    fn unpark(&mut self, key: (usize, u64)) -> Vec<f32> {
+        self.by_age.remove(&key.1);
+        self.resident_bytes -= key.0 as u64 * F32_BYTES;
+        self.by_size.remove(&key).expect("parked under this key")
+    }
+
+    /// Returns a tensor's buffer to the pool (dropping it when the pool is
+    /// disabled), then evicts the longest-parked buffers while the parked
+    /// bytes exceed the residency bound.
+    ///
+    /// Buffers this pool never handed out are welcome; they do not raise
+    /// the bound, so they displace older buffers rather than grow the pool.
     pub fn recycle(&mut self, t: Tensor) {
-        if !self.enabled || t.is_empty() {
+        let buf = t.into_vec();
+        let capacity = buf.capacity();
+        let bytes = capacity as u64 * F32_BYTES;
+        self.live_bytes = self.live_bytes.saturating_sub(bytes);
+        if !self.enabled || capacity == 0 {
             self.dropped += 1;
             return;
         }
-        let key = (t.rows() as u32, t.cols() as u32);
-        let bucket = self.free.entry(key).or_default();
-        if bucket.len() >= MAX_BUFFERS_PER_SHAPE {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.by_size.insert((capacity, stamp), buf);
+        self.by_age.insert(stamp, capacity);
+        self.resident_bytes += bytes;
+        self.recycled += 1;
+        while self.resident_bytes > self.peak_live_bytes {
+            let (&stamp, &capacity) = self
+                .by_age
+                .first_key_value()
+                .expect("resident bytes imply a buffer");
+            self.unpark((capacity, stamp));
             self.dropped += 1;
-        } else {
-            bucket.push(t.into_vec());
-            self.recycled += 1;
         }
     }
 
-    /// Drops every parked buffer, keeping counters.
-    pub fn clear(&mut self) {
-        self.free.clear();
+    /// Overwrites every parked buffer, spare capacity included, with
+    /// `value`. Differential tests poison a warm pool with NaN to prove no
+    /// op reads what a recycled buffer last held.
+    pub fn fill_parked(&mut self, value: f32) {
+        for buf in self.by_size.values_mut() {
+            buf.clear();
+            buf.resize(buf.capacity(), value);
+        }
     }
 
     /// Current counters plus residency.
     pub fn stats(&self) -> PoolStats {
-        let mut resident_buffers = 0u64;
-        let mut resident_bytes = 0u64;
-        for (&(r, c), bucket) in &self.free {
-            resident_buffers += bucket.len() as u64;
-            resident_bytes += bucket.len() as u64
-                * u64::from(r)
-                * u64::from(c)
-                * std::mem::size_of::<f32>() as u64;
-        }
         PoolStats {
             hits: self.hits,
             misses: self.misses,
             recycled: self.recycled,
             dropped: self.dropped,
             bytes_reused: self.bytes_reused,
-            resident_buffers,
-            resident_bytes,
+            resident_buffers: self.by_size.len() as u64,
+            resident_bytes: self.resident_bytes,
+            peak_live_bytes: self.peak_live_bytes,
         }
     }
 }
@@ -204,6 +288,14 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One "tape": takes every shape, then hands everything back.
+    fn cycle(pool: &mut BufferPool, shapes: &[(usize, usize)]) {
+        let live: Vec<Tensor> = shapes.iter().map(|&(r, c)| pool.take(r, c)).collect();
+        for t in live {
+            pool.recycle(t);
+        }
+    }
 
     #[test]
     fn take_recycle_take_reuses_the_buffer() {
@@ -221,45 +313,118 @@ mod tests {
     }
 
     #[test]
-    fn shape_mismatch_never_crosses_buckets() {
+    fn capacity_not_shape_is_the_key() {
         let mut pool = BufferPool::new();
-        pool.recycle(Tensor::zeros(2, 2));
-        let t = pool.take_zeroed(4, 1);
-        assert_eq!(t.shape(), (4, 1));
-        // 2×2 stayed parked; 4×1 was a miss.
-        let s = pool.stats();
-        assert_eq!(s.hits, 0);
-        assert_eq!(s.resident_buffers, 1);
+        let a = pool.take(6, 4);
+        pool.recycle(a);
+        // Same element count, other shape; then a smaller request inside
+        // the slack: both reuse the one parked buffer.
+        let b = pool.take(3, 8);
+        assert_eq!(b.shape(), (3, 8));
+        pool.recycle(b);
+        let c = pool.take(4, 5);
+        assert_eq!(c.shape(), (4, 5));
+        assert_eq!(pool.stats().hits, 2);
+        pool.recycle(c);
+        // Far smaller than the parked capacity: allocates instead of
+        // wasting the big buffer.
+        let d = pool.take(1, 2);
+        assert_eq!(d.shape(), (1, 2));
+        assert_eq!(pool.stats().misses, 2);
     }
 
     #[test]
-    fn recycled_dirty_buffer_comes_back_zeroed() {
+    fn recycled_dirty_buffer_comes_back_zeroed_on_request() {
         let mut pool = BufferPool::new();
-        pool.recycle(Tensor::full(2, 3, 7.5));
+        let mut a = pool.take(2, 3);
+        a.as_mut_slice().fill(7.5);
+        pool.recycle(a);
+        pool.fill_parked(f32::NAN);
         let t = pool.take_zeroed(2, 3);
         assert!(t.as_slice().iter().all(|&x| x == 0.0));
     }
 
     #[test]
-    fn per_shape_cap_bounds_residency() {
+    fn ragged_second_pass_never_allocates() {
+        // A serving batch's shapes, then the "same" batch with every row
+        // count 3 % up, then 3 % down: nothing but the first pass misses.
+        let rows = [6720usize, 6529, 4100, 4003, 612, 600, 32, 32, 1];
+        let shapes = |scale: f64| -> Vec<(usize, usize)> {
+            rows.iter()
+                .map(|&r| (((r as f64 * scale).round() as usize).max(1), 128))
+                .collect()
+        };
         let mut pool = BufferPool::new();
-        for _ in 0..MAX_BUFFERS_PER_SHAPE + 10 {
-            pool.recycle(Tensor::zeros(1, 8));
+        cycle(&mut pool, &shapes(1.0));
+        let cold = pool.stats().misses;
+        assert_eq!(cold, rows.len() as u64);
+        cycle(&mut pool, &shapes(1.03));
+        cycle(&mut pool, &shapes(0.97));
+        assert_eq!(pool.stats().misses, cold, "ragged passes must run warm");
+    }
+
+    #[test]
+    fn shrinking_epochs_stay_within_the_first_epochs_bytes() {
+        let mut pool = BufferPool::new();
+        let mut first_epoch_bytes = 0;
+        let mut rows = 12_000usize;
+        for epoch in 0..30 {
+            let shapes = [(rows, 64), (rows, 64), (rows / 10, 64), (64, 64), (1, 1)];
+            cycle(&mut pool, &shapes);
+            let s = pool.stats();
+            if epoch == 0 {
+                first_epoch_bytes = s.resident_bytes;
+                assert_eq!(s.peak_live_bytes, first_epoch_bytes);
+            }
+            assert!(
+                s.resident_bytes <= first_epoch_bytes,
+                "epoch {epoch}: {} parked > {first_epoch_bytes}",
+                s.resident_bytes
+            );
+            rows = rows * 19 / 20;
         }
         let s = pool.stats();
-        assert_eq!(s.resident_buffers, MAX_BUFFERS_PER_SHAPE as u64);
-        assert_eq!(s.dropped, 10);
+        assert!(s.dropped > 0, "outgrown buffers must have been evicted");
+        assert!(s.hits > 4 * s.misses, "most epochs must run warm: {s:?}");
+    }
+
+    #[test]
+    fn an_outgrown_buffer_is_replaced_not_kept_beside_its_successor() {
+        let mut pool = BufferPool::new();
+        cycle(&mut pool, &[(1000, 128); 4]);
+        // 10 % more rows than the headroom absorbs: every take allocates,
+        // and frees the buffer it outgrew while doing so.
+        let live: Vec<Tensor> = (0..4).map(|_| pool.take(1100, 128)).collect();
+        let s = pool.stats();
+        assert_eq!((s.hits, s.misses), (0, 8));
+        assert_eq!(s.resident_bytes, 0, "old and new set held at once");
+        drop(live);
+    }
+
+    #[test]
+    fn foreign_buffers_do_not_raise_the_bound() {
+        let mut pool = BufferPool::new();
+        cycle(&mut pool, &[(4, 4)]);
+        let bound = pool.stats().peak_live_bytes;
+        for _ in 0..10 {
+            pool.recycle(Tensor::zeros(4, 4));
+        }
+        let s = pool.stats();
+        assert_eq!(s.peak_live_bytes, bound);
+        assert!(s.resident_bytes <= bound);
     }
 
     #[test]
     fn disabled_pool_allocates_and_drops() {
         let mut pool = BufferPool::disabled();
         pool.recycle(Tensor::zeros(2, 2));
-        let _ = pool.take_zeroed(2, 2);
+        let t = pool.take_zeroed(2, 2);
+        pool.recycle(t);
+        let _ = pool.take(2, 2);
         let s = pool.stats();
         assert_eq!(s.hits, 0);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.dropped, 1);
+        assert_eq!(s.misses, 2);
+        assert_eq!(s.dropped, 2);
         assert_eq!(s.resident_buffers, 0);
     }
 }

@@ -95,9 +95,24 @@ impl CsrMatrix {
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn spmm(&self, dense: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(self.rows, dense.cols());
+        self.spmm_acc(dense, &mut out);
+        out
+    }
+
+    /// Accumulating product: `out += self · dense` (the tape's forward
+    /// kernel, writing into a pooled zeroed buffer).
+    ///
+    /// # Panics
+    /// Panics on inner-dimension or output-shape mismatch.
+    pub fn spmm_acc(&self, dense: &Tensor, out: &mut Tensor) {
         assert_eq!(self.cols, dense.rows(), "spmm shape mismatch");
         let n = dense.cols();
-        let mut out = Tensor::zeros(self.rows, n);
+        assert_eq!(
+            out.shape(),
+            (self.rows, n),
+            "spmm_acc output shape mismatch"
+        );
         use rayon::prelude::*;
         if self.nnz() * n >= 1 << 18 {
             let indptr = &self.indptr;
@@ -127,7 +142,6 @@ impl CsrMatrix {
                 }
             }
         }
-        out
     }
 
     /// Dense product with the transpose: `selfᵀ · dense`.

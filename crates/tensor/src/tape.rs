@@ -3,12 +3,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::kernels::{default_backend, BackendKind};
+use crate::kernels::{axpy, default_backend, BackendKind};
 use crate::op::{backward_step, Op};
 use crate::pool::{BufferPool, PoolStats};
 use crate::profile::{ProfileReport, TapeProfiler};
 use crate::sparse::CsrMatrix;
-use crate::tensor::Tensor;
+use crate::tensor::{padded_width, Tensor};
 
 /// Handle to a node on a [`Tape`].
 ///
@@ -39,12 +39,16 @@ impl Var {
 /// forward and backward op; when off (the default) the only cost is one
 /// null check per recorded op — no clock reads, no allocation.
 ///
-/// Gradient buffers come from a shape-keyed [`BufferPool`] (enabled by
-/// default): [`Tape::backward`] recycles the previous pass's buffers and
-/// serves new ones from the free lists, so steady-state training performs
-/// zero gradient allocations. Move the pool between the short-lived
-/// per-step tapes with [`Tape::take_pool`] / [`Tape::install_pool`] to
-/// carry the warm free lists across steps.
+/// Every tensor the tape creates — forward values, leaf copies
+/// ([`Tape::leaf_copy`], [`Tape::leaf_with`]) and gradients — is drawn
+/// from a capacity-keyed [`BufferPool`] (enabled by default) and handed
+/// back when the tape ends: [`Tape::reset`] and [`Tape::take_pool`]
+/// return every buffer, and a tape dropped with its pool frees both. Move
+/// the pool between the short-lived per-step tapes with
+/// [`Tape::take_pool`] / [`Tape::install_pool`] to carry the warm buffers
+/// across steps: a step whose shapes fit the previous step's buffers
+/// allocates nothing, one whose shapes moved (a differently sampled batch,
+/// a pruned epoch) allocates only what no parked buffer fits.
 ///
 /// Every dense matmul the tape records — forward and backward — runs on
 /// the tape's kernel backend ([`Tape::set_backend`]), which defaults to
@@ -107,43 +111,40 @@ impl Tape {
         self.ops.is_empty()
     }
 
-    /// Clears ops, values and gradients for reuse, recycling every
-    /// gradient buffer into the pool. The pool (with its warm free lists
+    /// Clears ops, values and gradients for reuse, handing every value and
+    /// gradient buffer back to the pool. The pool (with its warm buffers
     /// and counters) and the profiler survive the reset.
     pub fn reset(&mut self) {
+        self.ops.clear();
+        for t in self.values.drain(..) {
+            self.pool.recycle(t);
+        }
         for g in self.grads.drain(..).flatten() {
             self.pool.recycle(g);
         }
-        self.ops.clear();
-        self.values.clear();
     }
 
-    /// Replaces this tape's gradient-buffer pool — pair with
-    /// [`Tape::take_pool`] to thread one pool through a sequence of
-    /// short-lived tapes.
+    /// Replaces this tape's buffer pool — pair with [`Tape::take_pool`] to
+    /// thread one pool through a sequence of short-lived tapes.
     pub fn install_pool(&mut self, pool: BufferPool) {
         self.pool = pool;
     }
 
-    /// Moves the pool out (an empty enabled pool takes its place),
-    /// first recycling any gradient buffers still parked on the tape so
-    /// the warm working set travels with it.
+    /// Ends the tape ([`Tape::reset`]: every [`Var`] it issued is dead, so
+    /// read results first) and moves the pool out with all of the tape's
+    /// buffers in it; an empty enabled pool takes its place.
     pub fn take_pool(&mut self) -> BufferPool {
-        for g in self.grads.iter_mut() {
-            if let Some(t) = g.take() {
-                self.pool.recycle(t);
-            }
-        }
+        self.reset();
         std::mem::take(&mut self.pool)
     }
 
     /// Swaps in a pool that never retains buffers, pinning this tape to
-    /// the alloc-per-op gradient path (differential tests).
+    /// the alloc-per-op path (differential tests).
     pub fn disable_pool(&mut self) {
         self.pool = BufferPool::disabled();
     }
 
-    /// Counters of the tape's gradient-buffer pool.
+    /// Counters of the tape's buffer pool.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -203,8 +204,46 @@ impl Tape {
         self.push(op, value)
     }
 
-    /// Inserts an input tensor (constant or parameter copy).
+    /// Records a unary element-wise op `f(a)` in a pooled buffer.
+    fn map_op(&mut self, a: Var, op: Op, f: impl Fn(f32) -> f32) -> Var {
+        let t0 = self.prof_start();
+        let va = &self.values[a.index()];
+        let mut value = self.pool.take(va.rows(), va.cols());
+        va.map_into(&mut value, f);
+        self.push_prof(op, value, t0)
+    }
+
+    /// Records a binary element-wise op `f(a, b)` in a pooled buffer.
+    fn zip_op(&mut self, a: Var, b: Var, op: Op, f: impl Fn(f32, f32) -> f32) -> Var {
+        let t0 = self.prof_start();
+        let va = &self.values[a.index()];
+        let mut value = self.pool.take(va.rows(), va.cols());
+        va.zip_map_into(&self.values[b.index()], &mut value, f);
+        self.push_prof(op, value, t0)
+    }
+
+    /// Inserts an input tensor (constant or parameter copy), taking
+    /// ownership; its buffer joins the pool when the tape ends. Inputs the
+    /// caller would have to build or clone first are cheaper through
+    /// [`Tape::leaf_copy`] / [`Tape::leaf_with`], which fill a pooled
+    /// buffer.
     pub fn leaf(&mut self, value: Tensor) -> Var {
+        self.push(Op::Leaf, value)
+    }
+
+    /// Inserts a copy of `src` held in a pooled buffer.
+    pub fn leaf_copy(&mut self, src: &Tensor) -> Var {
+        self.leaf_with(src.rows(), src.cols(), |t| {
+            t.as_mut_slice().copy_from_slice(src.as_slice());
+        })
+    }
+
+    /// Inserts a `rows × cols` input built in place in a pooled buffer.
+    /// The buffer arrives with **unspecified contents**: `fill` must write
+    /// every element.
+    pub fn leaf_with(&mut self, rows: usize, cols: usize, fill: impl FnOnce(&mut Tensor)) -> Var {
+        let mut value = self.pool.take(rows, cols);
+        fill(&mut value);
         self.push(Op::Leaf, value)
     }
 
@@ -222,49 +261,46 @@ impl Tape {
     /// `A · B`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let t0 = self.prof_start();
-        let value = self.value(a).matmul_with(self.value(b), self.backend);
+        let (va, vb) = (&self.values[a.index()], &self.values[b.index()]);
+        let mut value = self.pool.take_zeroed(va.rows(), vb.cols());
+        va.matmul_acc_with(vb, &mut value, self.backend);
         self.push_prof(Op::MatMul(a, b), value, t0)
     }
 
     /// `A · Bᵀ`.
     pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
         let t0 = self.prof_start();
-        let value = self.value(a).matmul_nt_with(self.value(b), self.backend);
+        let (va, vb) = (&self.values[a.index()], &self.values[b.index()]);
+        let mut value = self.pool.take_zeroed(va.rows(), vb.rows());
+        va.matmul_nt_acc_with(vb, &mut value, self.backend);
         self.push_prof(Op::MatMulNt(a, b), value, t0)
     }
 
     /// Element-wise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let t0 = self.prof_start();
-        let value = self.value(a).zip_map(self.value(b), |x, y| x + y);
-        self.push_prof(Op::Add(a, b), value, t0)
+        self.zip_op(a, b, Op::Add(a, b), |x, y| x + y)
     }
 
     /// Element-wise difference.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let t0 = self.prof_start();
-        let value = self.value(a).zip_map(self.value(b), |x, y| x - y);
-        self.push_prof(Op::Sub(a, b), value, t0)
+        self.zip_op(a, b, Op::Sub(a, b), |x, y| x - y)
     }
 
     /// Element-wise product (the paper's `⊙`).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let t0 = self.prof_start();
-        let value = self.value(a).zip_map(self.value(b), |x, y| x * y);
-        self.push_prof(Op::Mul(a, b), value, t0)
+        self.zip_op(a, b, Op::Mul(a, b), |x, y| x * y)
     }
 
     /// Adds row vector `b` (`1 × c`) to every row of `a`.
     pub fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
         let t0 = self.prof_start();
-        let (va, vb) = (self.value(a), self.value(b));
+        let (va, vb) = (&self.values[a.index()], &self.values[b.index()]);
         assert_eq!(vb.rows(), 1, "broadcast operand must be a row vector");
         assert_eq!(va.cols(), vb.cols(), "broadcast width mismatch");
-        let mut value = va.clone();
-        for r in 0..value.rows() {
-            let row = value.row_mut(r);
-            for (x, &bv) in row.iter_mut().zip(vb.row(0)) {
-                *x += bv;
+        let mut value = self.pool.take(va.rows(), va.cols());
+        for r in 0..va.rows() {
+            for ((o, &x), &bv) in value.row_mut(r).iter_mut().zip(va.row(r)).zip(vb.row(0)) {
+                *o = x + bv;
             }
         }
         self.push_prof(Op::AddRowBroadcast(a, b), value, t0)
@@ -272,36 +308,43 @@ impl Tape {
 
     /// Scalar multiple.
     pub fn scale(&mut self, a: Var, alpha: f32) -> Var {
-        let t0 = self.prof_start();
-        let value = self.value(a).map(|x| x * alpha);
-        self.push_prof(Op::Scale(a, alpha), value, t0)
+        self.map_op(a, Op::Scale(a, alpha), |x| x * alpha)
     }
 
     /// ReLU.
     pub fn relu(&mut self, a: Var) -> Var {
-        let t0 = self.prof_start();
-        let value = self.value(a).map(|x| x.max(0.0));
-        self.push_prof(Op::Relu(a), value, t0)
+        self.map_op(a, Op::Relu(a), |x| x.max(0.0))
     }
 
     /// Leaky ReLU.
     pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let t0 = self.prof_start();
-        let value = self.value(a).map(|x| if x > 0.0 { x } else { x * slope });
-        self.push_prof(Op::LeakyRelu(a, slope), value, t0)
+        self.map_op(a, Op::LeakyRelu(a, slope), |x| {
+            if x > 0.0 {
+                x
+            } else {
+                x * slope
+            }
+        })
     }
 
     /// tanh.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let t0 = self.prof_start();
-        let value = self.value(a).map(f32::tanh);
-        self.push_prof(Op::Tanh(a), value, t0)
+        self.map_op(a, Op::Tanh(a), f32::tanh)
+    }
+
+    /// A pooled copy of `a`'s value, for ops that then work in place.
+    fn copy_of(&mut self, a: Var) -> Tensor {
+        let va = &self.values[a.index()];
+        let mut value = self.pool.take(va.rows(), va.cols());
+        value.as_mut_slice().copy_from_slice(va.as_slice());
+        value
     }
 
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
         let t0 = self.prof_start();
-        let value = self.value(a).softmax_rows();
+        let mut value = self.copy_of(a);
+        value.softmax_rows_inplace();
         self.push_prof(Op::SoftmaxRows(a), value, t0)
     }
 
@@ -309,32 +352,42 @@ impl Tape {
     /// attention mask (entries `0` or `-∞`, Eq. 6).
     pub fn masked_softmax_rows(&mut self, a: Var, mask: Arc<Tensor>) -> Var {
         let t0 = self.prof_start();
-        let va = self.value(a);
+        let va = &self.values[a.index()];
         assert_eq!(va.shape(), mask.shape(), "mask shape mismatch");
-        let value = va.zip_map(&mask, |x, m| x + m).softmax_rows();
+        let mut value = self.pool.take(va.rows(), va.cols());
+        va.zip_map_into(&mask, &mut value, |x, m| x + m);
+        value.softmax_rows_inplace();
         self.push_prof(Op::MaskedSoftmaxRows(a, mask), value, t0)
     }
 
     /// Vertical stack.
     pub fn vstack(&mut self, parts: &[Var]) -> Var {
         let t0 = self.prof_start();
-        let tensors: Vec<&Tensor> = parts.iter().map(|p| self.value(*p)).collect();
-        let value = Tensor::vstack(&tensors);
+        assert!(!parts.is_empty(), "vstack of nothing");
+        let tensors: Vec<&Tensor> = parts.iter().map(|p| &self.values[p.index()]).collect();
+        let rows = tensors.iter().map(|t| t.rows()).sum();
+        let mut value = self.pool.take(rows, tensors[0].cols());
+        Tensor::vstack_into(&tensors, &mut value);
         self.push_prof(Op::VStack(parts.to_vec()), value, t0)
     }
 
     /// Horizontal concatenation.
     pub fn hstack(&mut self, parts: &[Var]) -> Var {
         let t0 = self.prof_start();
-        let tensors: Vec<&Tensor> = parts.iter().map(|p| self.value(*p)).collect();
-        let value = Tensor::hstack(&tensors);
+        assert!(!parts.is_empty(), "hstack of nothing");
+        let tensors: Vec<&Tensor> = parts.iter().map(|p| &self.values[p.index()]).collect();
+        let cols = tensors.iter().map(|t| t.cols()).sum();
+        let mut value = self.pool.take(tensors[0].rows(), cols);
+        Tensor::hstack_into(&tensors, &mut value);
         self.push_prof(Op::HStack(parts.to_vec()), value, t0)
     }
 
     /// Gathers rows `indices` of `a`.
     pub fn select_rows(&mut self, a: Var, indices: &[usize]) -> Var {
         let t0 = self.prof_start();
-        let value = self.value(a).select_rows(indices);
+        let va = &self.values[a.index()];
+        let mut value = self.pool.take(indices.len(), va.cols());
+        va.select_rows_into(indices, &mut value);
         self.push_prof(Op::SelectRows(a, Arc::from(indices)), value, t0)
     }
 
@@ -354,7 +407,9 @@ impl Tape {
     /// suffix layout of Eq. 4 relies on this); gradients accumulate.
     pub fn padded_segment_scores(&mut self, q: Var, k: Var, spans: Arc<[(usize, usize)]>) -> Var {
         let t0 = self.prof_start();
-        let value = self.value(q).padded_segment_scores(self.value(k), &spans);
+        let vq = &self.values[q.index()];
+        let mut value = self.pool.take(vq.rows(), padded_width(&spans));
+        vq.padded_segment_scores_into(&self.values[k.index()], &spans, &mut value);
         self.push_prof(Op::PaddedSegmentScores(q, k, spans), value, t0)
     }
 
@@ -367,7 +422,9 @@ impl Tape {
     /// exceeds the width.
     pub fn padded_softmax_rows(&mut self, a: Var, lens: Arc<[usize]>) -> Var {
         let t0 = self.prof_start();
-        let value = self.value(a).padded_softmax_rows(&lens);
+        let va = &self.values[a.index()];
+        let mut value = self.pool.take(va.rows(), va.cols());
+        va.padded_softmax_rows_into(&lens, &mut value);
         self.push_prof(Op::PaddedSoftmaxRows(a, lens), value, t0)
     }
 
@@ -376,7 +433,9 @@ impl Tape {
     /// (the batched `attn · V` reduction).
     pub fn segment_weighted_sum(&mut self, a: Var, v: Var, spans: Arc<[(usize, usize)]>) -> Var {
         let t0 = self.prof_start();
-        let value = self.value(a).segment_weighted_sum(self.value(v), &spans);
+        let (va, vv) = (&self.values[a.index()], &self.values[v.index()]);
+        let mut value = self.pool.take(va.rows(), vv.cols());
+        va.segment_weighted_sum_into(vv, &spans, &mut value);
         self.push_prof(Op::SegmentWeightedSum(a, v, spans), value, t0)
     }
 
@@ -384,33 +443,43 @@ impl Tape {
     /// spans yield zero rows.
     pub fn segment_mean_rows(&mut self, a: Var, spans: Arc<[(usize, usize)]>) -> Var {
         let t0 = self.prof_start();
-        let value = self.value(a).segment_mean_rows(&spans);
+        let va = &self.values[a.index()];
+        let mut value = self.pool.take(spans.len(), va.cols());
+        va.segment_mean_rows_into(&spans, &mut value);
         self.push_prof(Op::SegmentMeanRows(a, spans), value, t0)
+    }
+
+    /// A pooled `1 × 1` tensor holding `x`.
+    fn scalar(&mut self, x: f32) -> Tensor {
+        let mut value = self.pool.take(1, 1);
+        value.as_mut_slice()[0] = x;
+        value
     }
 
     /// Sum of all elements (`1 × 1`).
     pub fn sum(&mut self, a: Var) -> Var {
         let t0 = self.prof_start();
-        let value = Tensor::from_vec(1, 1, vec![self.value(a).sum()]);
+        let value = self.scalar(self.value(a).sum());
         self.push_prof(Op::Sum(a), value, t0)
     }
 
     /// Column-wise mean over rows (`1 × c`).
     pub fn mean_rows(&mut self, a: Var) -> Var {
         let t0 = self.prof_start();
-        let va = self.value(a);
-        let mut out = Tensor::zeros(1, va.cols());
+        let va = &self.values[a.index()];
+        let mut value = self.pool.take_zeroed(1, va.cols());
         for r in 0..va.rows() {
-            out.add_scaled(1.0, &Tensor::row_vector(va.row(r)));
+            axpy(1.0, va.row(r), value.as_mut_slice());
         }
-        out.scale_inplace(1.0 / va.rows() as f32);
-        self.push_prof(Op::MeanRows(a), out, t0)
+        value.scale_inplace(1.0 / va.rows() as f32);
+        self.push_prof(Op::MeanRows(a), value, t0)
     }
 
     /// Row-wise L2 normalisation.
     pub fn l2_normalize_rows(&mut self, a: Var) -> Var {
         let t0 = self.prof_start();
-        let value = self.value(a).l2_normalize_rows();
+        let mut value = self.copy_of(a);
+        value.l2_normalize_rows_inplace();
         self.push_prof(Op::L2NormalizeRows(a), value, t0)
     }
 
@@ -428,7 +497,7 @@ impl Tape {
             let logsum: f32 = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
             total += f64::from(logsum - row[label]);
         }
-        let value = Tensor::from_vec(1, 1, vec![(total / labels.len() as f64) as f32]);
+        let value = self.scalar((total / labels.len() as f64) as f32);
         self.push_prof(
             Op::SoftmaxCrossEntropy(logits, Arc::from(labels)),
             value,
@@ -438,33 +507,33 @@ impl Tape {
 
     /// Element-wise maximum (Eq. 8's relay-edge maxpool).
     pub fn maxpool2(&mut self, a: Var, b: Var) -> Var {
-        let t0 = self.prof_start();
-        let value = self.value(a).zip_map(self.value(b), f32::max);
-        self.push_prof(Op::MaxPool2(a, b), value, t0)
+        self.zip_op(a, b, Op::MaxPool2(a, b), f32::max)
     }
 
     /// `S · B` for a constant sparse matrix `S`.
     pub fn spmm(&mut self, csr: Arc<CsrMatrix>, b: Var) -> Var {
         let t0 = self.prof_start();
-        let value = csr.spmm(self.value(b));
+        let vb = &self.values[b.index()];
+        let mut value = self.pool.take_zeroed(csr.rows(), vb.cols());
+        csr.spmm_acc(vb, &mut value);
         self.push_prof(Op::Spmm(csr, b), value, t0)
     }
 
     /// Transposed copy.
     pub fn transpose(&mut self, a: Var) -> Var {
         let t0 = self.prof_start();
-        let value = self.value(a).transpose();
+        let va = &self.values[a.index()];
+        let mut value = self.pool.take(va.cols(), va.rows());
+        va.transpose_into(&mut value);
         self.push_prof(Op::Transpose(a), value, t0)
     }
 
     /// `A · s` for a `1 × 1` scalar variable `s`, with gradient flowing to
     /// both operands (GTN's soft edge-type selection weights).
     pub fn mul_scalar_var(&mut self, a: Var, s: Var) -> Var {
-        let t0 = self.prof_start();
         assert_eq!(self.value(s).shape(), (1, 1), "scalar operand must be 1×1");
         let scalar = self.value(s).get(0, 0);
-        let value = self.value(a).map(|x| x * scalar);
-        self.push_prof(Op::MulScalarVar(a, s), value, t0)
+        self.map_op(a, Op::MulScalarVar(a, s), |x| x * scalar)
     }
 
     /// Sums a non-empty list of same-shape variables.
@@ -487,18 +556,15 @@ impl Tape {
             (1, 1),
             "backward target must be scalar"
         );
-        // Recycle the previous pass's buffers and reuse the slot vector:
-        // with a warm pool every gradient of this pass is served from a
-        // free list — zero allocations in steady state.
+        // Recycle the previous pass's buffers and reuse the slot vector: a
+        // second backward over the same tape allocates nothing.
         for g in self.grads.iter_mut() {
             if let Some(t) = g.take() {
                 self.pool.recycle(t);
             }
         }
         self.grads.resize_with(self.ops.len(), || None);
-        let mut seed = self.pool.take_zeroed(1, 1);
-        seed.as_mut_slice()[0] = 1.0;
-        self.grads[loss.index()] = Some(seed);
+        self.grads[loss.index()] = Some(self.scalar(1.0));
 
         for idx in (0..self.ops.len()).rev() {
             let Some(grad_out) = self.grads[idx].take() else {

@@ -346,20 +346,36 @@ impl Tensor {
     /// Transposed copy.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::transpose`] into `out` (`cols × rows`).
+    pub(crate) fn transpose_into(&self, out: &mut Tensor) {
+        assert_eq!(
+            out.shape(),
+            (self.cols, self.rows),
+            "transpose output shape"
+        );
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
-        out
     }
 
     /// Element-wise map into a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            data: self.data.iter().map(|&x| f(x)).collect(),
-            rows: self.rows,
-            cols: self.cols,
+        let mut out = Tensor::zeros(self.rows, self.cols);
+        self.map_into(&mut out, f);
+        out
+    }
+
+    /// [`Tensor::map`] into a same-shape `out`.
+    pub(crate) fn map_into(&self, out: &mut Tensor, f: impl Fn(f32) -> f32) {
+        assert_eq!(self.shape(), out.shape(), "map output shape");
+        for (o, &x) in out.data.iter_mut().zip(&self.data) {
+            *o = f(x);
         }
     }
 
@@ -368,16 +384,22 @@ impl Tensor {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        let mut out = Tensor::zeros(self.rows, self.cols);
+        self.zip_map_into(other, &mut out, f);
+        out
+    }
+
+    /// [`Tensor::zip_map`] into a same-shape `out`.
+    pub(crate) fn zip_map_into(
+        &self,
+        other: &Tensor,
+        out: &mut Tensor,
+        f: impl Fn(f32, f32) -> f32,
+    ) {
         assert_eq!(self.shape(), other.shape(), "zip_map shape mismatch");
-        Tensor {
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-            rows: self.rows,
-            cols: self.cols,
+        assert_eq!(self.shape(), out.shape(), "zip_map output shape");
+        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&other.data) {
+            *o = f(a, b);
         }
     }
 
@@ -446,11 +468,21 @@ impl Tensor {
     /// Panics if any index is out of bounds.
     pub fn select_rows(&self, indices: &[usize]) -> Tensor {
         let mut out = Tensor::zeros(indices.len(), self.cols);
+        self.select_rows_into(indices, &mut out);
+        out
+    }
+
+    /// [`Tensor::select_rows`] into `out` (`indices.len() × cols`).
+    pub(crate) fn select_rows_into(&self, indices: &[usize], out: &mut Tensor) {
+        assert_eq!(
+            out.shape(),
+            (indices.len(), self.cols),
+            "gather output shape"
+        );
         for (i, &idx) in indices.iter().enumerate() {
             assert!(idx < self.rows, "row index {idx} out of bounds");
             out.set_row(i, self.row(idx));
         }
-        out
     }
 
     /// Stacks tensors vertically. All operands must share a column count.
@@ -459,14 +491,21 @@ impl Tensor {
     /// Panics if `parts` is empty or column counts differ.
     pub fn vstack(parts: &[&Tensor]) -> Tensor {
         assert!(!parts.is_empty(), "vstack of nothing");
-        let cols = parts[0].cols;
-        let rows: usize = parts.iter().map(|p| p.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
+        let rows = parts.iter().map(|p| p.rows).sum();
+        let mut out = Tensor::zeros(rows, parts[0].cols);
+        Tensor::vstack_into(parts, &mut out);
+        out
+    }
+
+    /// [`Tensor::vstack`] into `out` (`Σ rows × cols`).
+    pub(crate) fn vstack_into(parts: &[&Tensor], out: &mut Tensor) {
+        let mut offset = 0;
         for p in parts {
-            assert_eq!(p.cols, cols, "vstack column mismatch");
-            data.extend_from_slice(&p.data);
+            assert_eq!(p.cols, out.cols, "vstack column mismatch");
+            out.data[offset..offset + p.data.len()].copy_from_slice(&p.data);
+            offset += p.data.len();
         }
-        Tensor { data, rows, cols }
+        assert_eq!(offset, out.data.len(), "vstack output shape");
     }
 
     /// Concatenates tensors horizontally. All operands must share a row count.
@@ -475,9 +514,20 @@ impl Tensor {
     /// Panics if `parts` is empty or row counts differ.
     pub fn hstack(parts: &[&Tensor]) -> Tensor {
         assert!(!parts.is_empty(), "hstack of nothing");
-        let rows = parts[0].rows;
-        let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut out = Tensor::zeros(rows, cols);
+        let cols = parts.iter().map(|p| p.cols).sum();
+        let mut out = Tensor::zeros(parts[0].rows, cols);
+        Tensor::hstack_into(parts, &mut out);
+        out
+    }
+
+    /// [`Tensor::hstack`] into `out` (`rows × Σ cols`).
+    pub(crate) fn hstack_into(parts: &[&Tensor], out: &mut Tensor) {
+        let (rows, cols) = out.shape();
+        assert_eq!(
+            parts.iter().map(|p| p.cols).sum::<usize>(),
+            cols,
+            "hstack output shape"
+        );
         for r in 0..rows {
             let mut offset = 0;
             for p in parts {
@@ -486,7 +536,6 @@ impl Tensor {
                 offset += p.cols;
             }
         }
-        out
     }
 
     /// Ragged attention scores against per-row key segments.
@@ -506,19 +555,35 @@ impl Tensor {
     /// Panics if `spans.len() != self.rows()`, a span overruns `keys`, or
     /// the key width differs from the query width.
     pub fn padded_segment_scores(&self, keys: &Tensor, spans: &[(usize, usize)]) -> Tensor {
+        let mut out = Tensor::zeros(self.rows, padded_width(spans));
+        self.padded_segment_scores_into(keys, spans, &mut out);
+        out
+    }
+
+    /// [`Tensor::padded_segment_scores`] into `out`
+    /// (`rows × padded_width(spans)`); padding columns are zeroed here.
+    pub(crate) fn padded_segment_scores_into(
+        &self,
+        keys: &Tensor,
+        spans: &[(usize, usize)],
+        out: &mut Tensor,
+    ) {
         assert_eq!(spans.len(), self.rows, "one span per query row");
         assert_eq!(self.cols, keys.cols, "query/key width mismatch");
-        let l_max = spans.iter().map(|&(_, len)| len).max().unwrap_or(0).max(1);
-        let mut out = Tensor::zeros(self.rows, l_max);
+        assert_eq!(
+            out.shape(),
+            (self.rows, padded_width(spans)),
+            "padded scores output shape"
+        );
         for (i, &(start, len)) in spans.iter().enumerate() {
             assert!(start + len <= keys.rows, "span overruns key matrix");
             let q_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (j, o) in out_row.iter_mut().enumerate().take(len) {
+            let (valid, padding) = out.row_mut(i).split_at_mut(len);
+            for (j, o) in valid.iter_mut().enumerate() {
                 *o = dot(q_row, keys.row(start + j));
             }
+            padding.fill(0.0);
         }
-        out
     }
 
     /// Row-wise softmax over the first `lens[r]` columns of each row; the
@@ -533,19 +598,27 @@ impl Tensor {
     /// Panics if `lens.len() != self.rows()` or any length exceeds the
     /// column count.
     pub fn padded_softmax_rows(&self, lens: &[usize]) -> Tensor {
-        assert_eq!(lens.len(), self.rows, "one length per row");
         let mut out = Tensor::zeros(self.rows, self.cols);
+        self.padded_softmax_rows_into(lens, &mut out);
+        out
+    }
+
+    /// [`Tensor::padded_softmax_rows`] into a same-shape `out`; padding
+    /// columns are zeroed here.
+    pub(crate) fn padded_softmax_rows_into(&self, lens: &[usize], out: &mut Tensor) {
+        assert_eq!(lens.len(), self.rows, "one length per row");
+        assert_eq!(self.shape(), out.shape(), "padded softmax output shape");
         for (r, &len) in lens.iter().enumerate() {
             assert!(
                 len <= self.cols,
                 "row length {len} exceeds width {}",
                 self.cols
             );
-            let valid = &mut out.row_mut(r)[..len];
+            let (valid, padding) = out.row_mut(r).split_at_mut(len);
             valid.copy_from_slice(&self.row(r)[..len]);
             softmax_inplace(valid);
+            padding.fill(0.0);
         }
-        out
     }
 
     /// Per-row weighted sum of a value segment: treating `self` as padded
@@ -560,20 +633,37 @@ impl Tensor {
     /// # Panics
     /// Panics on span/shape mismatches.
     pub fn segment_weighted_sum(&self, values: &Tensor, spans: &[(usize, usize)]) -> Tensor {
-        assert_eq!(spans.len(), self.rows, "one span per weight row");
         let mut out = Tensor::zeros(self.rows, values.cols);
+        self.segment_weighted_sum_into(values, spans, &mut out);
+        out
+    }
+
+    /// [`Tensor::segment_weighted_sum`] into `out` (`rows × values.cols`);
+    /// each output row is zeroed here before it accumulates.
+    pub(crate) fn segment_weighted_sum_into(
+        &self,
+        values: &Tensor,
+        spans: &[(usize, usize)],
+        out: &mut Tensor,
+    ) {
+        assert_eq!(spans.len(), self.rows, "one span per weight row");
+        assert_eq!(
+            out.shape(),
+            (self.rows, values.cols),
+            "weighted sum output shape"
+        );
         for (i, &(start, len)) in spans.iter().enumerate() {
             assert!(len <= self.cols, "span length exceeds weight width");
             assert!(start + len <= values.rows, "span overruns value matrix");
             let w = &self.data[i * self.cols..i * self.cols + len];
             let out_row = &mut out.data[i * values.cols..(i + 1) * values.cols];
+            out_row.fill(0.0);
             for (j, &a) in w.iter().enumerate() {
                 if a != 0.0 {
                     axpy(a, values.row(start + j), out_row);
                 }
             }
         }
-        out
     }
 
     /// Per-segment mean of rows: `out[i] = mean(self[start_i .. start_i+len_i])`.
@@ -586,12 +676,25 @@ impl Tensor {
     /// Panics if a span overruns the matrix.
     pub fn segment_mean_rows(&self, spans: &[(usize, usize)]) -> Tensor {
         let mut out = Tensor::zeros(spans.len(), self.cols);
+        self.segment_mean_rows_into(spans, &mut out);
+        out
+    }
+
+    /// [`Tensor::segment_mean_rows`] into `out` (`spans.len() × cols`);
+    /// each output row is zeroed here before it accumulates.
+    pub(crate) fn segment_mean_rows_into(&self, spans: &[(usize, usize)], out: &mut Tensor) {
+        assert_eq!(
+            out.shape(),
+            (spans.len(), self.cols),
+            "segment mean output shape"
+        );
         for (i, &(start, len)) in spans.iter().enumerate() {
+            let out_row = &mut out.data[i * self.cols..(i + 1) * self.cols];
+            out_row.fill(0.0);
             if len == 0 {
                 continue;
             }
             assert!(start + len <= self.rows, "span overruns matrix");
-            let out_row = &mut out.data[i * self.cols..(i + 1) * self.cols];
             for r in start..start + len {
                 axpy(1.0, self.row(r), out_row);
             }
@@ -600,23 +703,33 @@ impl Tensor {
                 *x *= inv;
             }
         }
-        out
     }
 
     /// Row-wise softmax (numerically stabilised).
     pub fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
-        for r in 0..out.rows {
-            softmax_inplace(out.row_mut(r));
-        }
+        out.softmax_rows_inplace();
         out
+    }
+
+    /// [`Tensor::softmax_rows`] over this tensor's own rows.
+    pub(crate) fn softmax_rows_inplace(&mut self) {
+        for r in 0..self.rows {
+            softmax_inplace(self.row_mut(r));
+        }
     }
 
     /// L2-normalises every row; zero rows are left untouched.
     pub fn l2_normalize_rows(&self) -> Tensor {
         let mut out = self.clone();
-        for r in 0..out.rows {
-            let row = out.row_mut(r);
+        out.l2_normalize_rows_inplace();
+        out
+    }
+
+    /// [`Tensor::l2_normalize_rows`] over this tensor's own rows.
+    pub(crate) fn l2_normalize_rows_inplace(&mut self) {
+        for r in 0..self.rows {
+            let row = self.row_mut(r);
             let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt();
             if norm > 0.0 {
                 for x in row.iter_mut() {
@@ -624,7 +737,6 @@ impl Tensor {
                 }
             }
         }
-        out
     }
 
     /// Maximum absolute element-wise difference against another tensor.
@@ -641,6 +753,12 @@ impl Tensor {
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
     }
+}
+
+/// Width of the padded score matrix over `spans`: the longest span, at
+/// least one column.
+pub(crate) fn padded_width(spans: &[(usize, usize)]) -> usize {
+    spans.iter().map(|&(_, len)| len).max().unwrap_or(0).max(1)
 }
 
 /// Numerically-stable in-place softmax over a slice.
