@@ -6,7 +6,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use widen_core::model::MaskCache;
 use widen_core::{WidenConfig, WidenModel};
 use widen_data::{acm_like, Scale};
 use widen_sampling::{sample_deep, sample_wide};
@@ -30,8 +29,7 @@ fn bench_attention_forward_backward(c: &mut Criterion) {
             b.iter(|| {
                 let mut tape = Tape::new();
                 let pv = model.insert_params(&mut tape);
-                let masks = MaskCache::new();
-                let fw = model.forward_node(&mut tape, &pv, &dataset.graph, &state, &masks);
+                let fw = model.forward_batch(&mut tape, &pv, &dataset.graph, &[&state]);
                 let loss = tape.softmax_cross_entropy(fw.logits, &[label]);
                 tape.backward(loss);
                 std::hint::black_box(tape.grad(fw.logits).is_some())
@@ -55,16 +53,15 @@ fn seconds_per_iter(mut f: impl FnMut(), iters: usize) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Head-to-head forward+backward of the batched engine vs the per-node
-/// oracle across chunk sizes 1/8/64/256, on identical pre-sampled states.
-/// Besides the criterion groups, prints one machine-readable JSON row per
-/// chunk size with the measured times and the speedup factor.
-fn bench_batched_vs_pernode_forward(c: &mut Criterion) {
+/// Forward+backward of one chunk at chunk sizes 1/8/64/256, on pre-sampled
+/// states. Besides the criterion group, prints one machine-readable JSON
+/// row per chunk size with the measured time.
+fn bench_chunk_forward_backward(c: &mut Criterion) {
     let dataset = acm_like(Scale::Smoke, 7);
     // The paper's default §4.4 setting: d = 128, N_w = N_d = 20, Φ = 10.
     let model = WidenModel::for_graph(&dataset.graph, WidenConfig::paper());
     let labeled = dataset.graph.labeled_nodes();
-    let mut group = c.benchmark_group("batched_vs_pernode_forward");
+    let mut group = c.benchmark_group("chunk_forward_backward");
     group.sample_size(10);
 
     for &batch in &[1usize, 8, 64, 256] {
@@ -88,48 +85,24 @@ fn bench_batched_vs_pernode_forward(c: &mut Criterion) {
             tape.backward(loss);
             std::hint::black_box(tape.grad(fw.logits).is_some());
         };
-        let run_per_node = || {
-            let mut tape = Tape::new();
-            let pv = model.insert_params(&mut tape);
-            let masks = MaskCache::new();
-            let logit_vars: Vec<_> = refs
-                .iter()
-                .map(|state| {
-                    model
-                        .forward_node(&mut tape, &pv, &dataset.graph, state, &masks)
-                        .logits
-                })
-                .collect();
-            let stacked = tape.vstack(&logit_vars);
-            let loss = tape.softmax_cross_entropy(stacked, &labels);
-            tape.backward(loss);
-            std::hint::black_box(tape.grad(stacked).is_some());
-        };
-
-        group.bench_with_input(BenchmarkId::new("batched", batch), &batch, |b, _| {
+        group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, _| {
             b.iter(run_batched);
-        });
-        group.bench_with_input(BenchmarkId::new("per_node", batch), &batch, |b, _| {
-            b.iter(run_per_node);
         });
 
         // The criterion shim doesn't expose its timings, so measure here
         // and emit a stable JSON row for the experiment logs.
         let iters = (256 / batch).clamp(3, 31);
         let batched_s = seconds_per_iter(run_batched, iters);
-        let per_node_s = seconds_per_iter(run_per_node, iters);
         println!(
             "{}",
             serde_json::json!({
-                "bench": "batched_vs_pernode_forward",
+                "bench": "chunk_forward_backward",
                 "d": model.config.d,
                 "n_w": model.config.n_w,
                 "n_d": model.config.n_d,
                 "phi": model.config.phi,
                 "batch": batch,
-                "per_node_ms": per_node_s * 1e3,
                 "batched_ms": batched_s * 1e3,
-                "speedup": per_node_s / batched_s,
             })
         );
     }
@@ -189,7 +162,7 @@ fn bench_dense_matmul(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_attention_forward_backward,
-    bench_batched_vs_pernode_forward,
+    bench_chunk_forward_backward,
     bench_sampling,
     bench_spmm,
     bench_dense_matmul

@@ -8,7 +8,7 @@ use std::time::Instant;
 use widen_baselines::all_baselines;
 use widen_bench::parse_args;
 use widen_bench::runners::{datasets, table_baseline_config, table_widen_config};
-use widen_core::{Execution, Trainer, WidenModel};
+use widen_core::{Trainer, WidenModel};
 use widen_eval::micro_f1;
 use widen_tensor::ProfileReport;
 
@@ -105,22 +105,6 @@ fn main() {
                     "last_shape": o.last_shape,
                 })).collect::<Vec<_>>(),
             },
-        }));
-
-        // Same model on the retained per-node oracle engine, so the batched
-        // engine's speedup stays visible at whole-epoch granularity.
-        let mut oracle_cfg = table_widen_config(opts.scale).with_seed(seed);
-        oracle_cfg.epochs = EPOCHS;
-        oracle_cfg.execution = Execution::PerNode;
-        let model = WidenModel::for_graph(&dataset.graph, oracle_cfg);
-        let mut trainer = Trainer::new(model, &dataset.graph, train);
-        let report = trainer.fit(train);
-        let oracle_secs = report.total_secs() / EPOCHS as f64;
-        println!("{:<12} {:>16.4} {:>16}", "WIDEN(node)", oracle_secs, "—");
-        json_rows.push(serde_json::json!({
-            "dataset": dataset.name,
-            "method": "WIDEN(per-node)",
-            "secs_per_epoch": oracle_secs,
         }));
     }
     opts.write_json("fig4_efficiency", &serde_json::Value::Array(json_rows));

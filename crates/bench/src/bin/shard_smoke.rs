@@ -1,13 +1,11 @@
-//! `shard_smoke` — CI end-to-end check of the sharded path: a 2-shard
-//! training run on the smoke-scale ACM graph followed by a shard-routed
-//! serve round trip (embed, classify, ingest, re-embed) over a real
-//! socket. Exits non-zero (panics) on any inconsistency; prints one `OK`
-//! line on success. Fast enough to run on every push — the model is tiny
-//! and trains for a single epoch.
+//! `shard_smoke` — CI end-to-end check of the sharded training path: a
+//! 2-shard training run on the smoke-scale ACM graph. Exits non-zero
+//! (panics) on any inconsistency; prints one `OK` line on success. Fast
+//! enough to run on every push — the model is tiny and trains for a single
+//! epoch.
 
 use widen_core::{ShardParallelism, ShardedTrainer, WidenConfig, WidenModel};
 use widen_data::{acm_like, Scale};
-use widen_serve::{Client, ModelRegistry, ServeConfig, Server};
 
 fn main() {
     let seed = 7;
@@ -34,51 +32,5 @@ fn main() {
         split.iter().all(|&t| t > 0),
         "a shard ended up with no training nodes: {split:?}"
     );
-    println!("shard_smoke: trained 2 shards (split {split:?}), final loss {loss:.4}");
-
-    // Shard-routed serving round trip against the full-graph oracle.
-    let model = trainer.into_model();
-    let nodes: Vec<u32> = (0..dataset.graph.num_nodes() as u32).step_by(17).collect();
-    let want = model.embed_nodes(&dataset.graph, &nodes, seed);
-    let feat_dim = dataset.graph.feature_dim();
-
-    let registry = ModelRegistry::from_model(dataset.graph.clone(), model).with_shards(2);
-    let handle =
-        Server::bind(registry, ServeConfig::default(), "127.0.0.1:0").expect("bind serve socket");
-    let mut client = Client::connect(handle.local_addr()).expect("connect");
-
-    let rows = client.embed(&nodes, seed).expect("embed round trip");
-    assert_eq!(rows.len(), nodes.len());
-    for (i, row) in rows.iter().enumerate() {
-        let same = row
-            .iter()
-            .zip(want.row(i))
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "shard-routed embed diverged at node {}", nodes[i]);
-    }
-
-    let labels = client
-        .classify(&nodes, seed, 2)
-        .expect("classify round trip");
-    assert_eq!(labels.len(), nodes.len());
-
-    let (new_node, warm_row) = client
-        .ingest(0, &vec![0.1; feat_dim], None, &[(nodes[1], 0)], seed)
-        .expect("ingest round trip");
-    let again = client
-        .embed(&[new_node], seed)
-        .expect("re-embed ingested node");
-    let same = again[0]
-        .iter()
-        .zip(&warm_row)
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(same, "ingested node re-embed diverged from the warm row");
-
-    let stats = handle.shutdown();
-    assert_eq!(stats.ingests, 1);
-    println!(
-        "shard_smoke: OK ({} embeds, {} labels, 1 ingest, served shard-routed)",
-        nodes.len(),
-        labels.len()
-    );
+    println!("shard_smoke: OK (trained 2 shards, split {split:?}, final loss {loss:.4})");
 }

@@ -4,24 +4,6 @@ use widen_tensor::BackendKind;
 
 use crate::ablation::Variant;
 
-/// Which forward-pass engine training and inference run on.
-///
-/// Both engines compute the same model (Eq. 1–7, 10); they differ only in
-/// how the work is laid out. [`Execution::Batched`] is the default;
-/// [`Execution::PerNode`] survives as the differential-testing oracle the
-/// batched engine is verified against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Execution {
-    /// One fused forward pass per chunk: a single Q/K/V projection matmul
-    /// per attention branch, ragged/padded softmax over all nodes' score
-    /// rows at once, batched fusion and classification.
-    #[default]
-    Batched,
-    /// The original one-tape-subgraph-per-node path (slower; kept as the
-    /// reference implementation).
-    PerNode,
-}
-
 /// All WIDEN hyperparameters.
 ///
 /// [`WidenConfig::paper`] reproduces the unified setting of §4.4:
@@ -59,8 +41,6 @@ pub struct WidenConfig {
     pub seed: u64,
     /// Architectural variant (Table 4 ablations); default is the full model.
     pub variant: Variant,
-    /// Forward-pass engine (batched by default; per-node as oracle).
-    pub execution: Execution,
     /// Dense GEMM kernel backend every tape this config spawns dispatches
     /// through (defaults to the process-wide choice, which honours the
     /// `WIDEN_KERNEL_BACKEND` environment variable).
@@ -85,7 +65,6 @@ impl WidenConfig {
             epochs: 30,
             seed: 0,
             variant: Variant::full(),
-            execution: Execution::default(),
             backend: widen_tensor::default_backend(),
         }
     }
@@ -108,7 +87,6 @@ impl WidenConfig {
             epochs: 12,
             seed: 0,
             variant: Variant::full(),
-            execution: Execution::default(),
             backend: widen_tensor::default_backend(),
         }
     }
@@ -122,12 +100,6 @@ impl WidenConfig {
     /// Returns `self` with a different variant (ablations).
     pub fn with_variant(mut self, variant: Variant) -> Self {
         self.variant = variant;
-        self
-    }
-
-    /// Returns `self` with a different forward-pass engine.
-    pub fn with_execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
         self
     }
 
@@ -178,15 +150,6 @@ mod tests {
     fn builders_chain() {
         let c = WidenConfig::small().with_seed(9);
         assert_eq!(c.seed, 9);
-        c.validate();
-    }
-
-    #[test]
-    fn batched_execution_is_the_default() {
-        assert_eq!(WidenConfig::paper().execution, Execution::Batched);
-        assert_eq!(WidenConfig::small().execution, Execution::Batched);
-        let c = WidenConfig::small().with_execution(Execution::PerNode);
-        assert_eq!(c.execution, Execution::PerNode);
         c.validate();
     }
 

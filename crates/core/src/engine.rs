@@ -18,9 +18,8 @@ use widen_obs::{SpanId, Stopwatch, TraceId, Tracer};
 use widen_sampling::hash_seed;
 use widen_tensor::{BufferPool, ParamId, ProfileReport, Tensor};
 
-use crate::config::Execution;
 use crate::downsample::{decide_with_kl, relay_edge, Decision};
-use crate::model::{MaskCache, WidenModel};
+use crate::model::WidenModel;
 use crate::state::NodeState;
 use crate::trainer::{EpochStats, TrainReport};
 
@@ -67,7 +66,6 @@ pub(crate) struct ChunkCtx<'a> {
     pub model: &'a WidenModel,
     pub graph: &'a HeteroGraph,
     pub states: &'a FxHashMap<NodeId, NodeState>,
-    pub masks: &'a MaskCache,
     pub profiling: bool,
     /// Open chunk-phase spans as children of this `(tracer, trace, parent)`
     /// context, when present.
@@ -81,12 +79,18 @@ impl ChunkCtx<'_> {
     }
 }
 
-/// Forward + backward over one chunk on its own tape, dispatched to the
-/// engine the config selects. `chunk` holds graph-local node ids;
-/// `idents[i]` is the identity keying node `i`'s downsampling rng stream
-/// (the global id under sharding, the node itself otherwise). The chunk's
-/// loss is scaled by `chunk.len() / batch_len` so summing chunk losses
-/// across the whole (possibly cross-shard) step yields the step mean.
+/// Forward + backward over one chunk on its own tape: one fused
+/// [`WidenModel::forward_batch`] for the whole chunk. `chunk` holds
+/// graph-local node ids; `idents[i]` is the identity keying node `i`'s
+/// downsampling rng stream (the global id under sharding, the node itself
+/// otherwise). The chunk's loss is scaled by `chunk.len() / batch_len` so
+/// summing chunk losses across the whole (possibly cross-shard) step yields
+/// the step mean.
+///
+/// Downsampling still sees exactly the per-node artefacts it needs —
+/// attention rows come out of the padded matrices via the node→row-range
+/// maps, and relay packs/edges (Eq. 8) are read from the flat `M▷` and the
+/// deduplicated `E▷` through each walk's span.
 pub(crate) fn run_chunk(
     ctx: &ChunkCtx<'_>,
     chunk: &[NodeId],
@@ -96,25 +100,6 @@ pub(crate) fn run_chunk(
     pool: BufferPool,
 ) -> (ChunkResult, BufferPool) {
     debug_assert_eq!(chunk.len(), idents.len());
-    match ctx.model.config.execution {
-        Execution::Batched => run_chunk_batched(ctx, chunk, idents, epoch, batch_len, pool),
-        Execution::PerNode => run_chunk_per_node(ctx, chunk, idents, epoch, batch_len, pool),
-    }
-}
-
-/// Batched engine: one fused [`WidenModel::forward_batch`] for the whole
-/// chunk. Downsampling still sees exactly the per-node artefacts it
-/// needs — attention rows come out of the padded matrices via the
-/// node→row-range maps, and relay packs/edges (Eq. 8) are read from the
-/// flat `M▷` and the deduplicated `E▷` through each walk's span.
-fn run_chunk_batched(
-    ctx: &ChunkCtx<'_>,
-    chunk: &[NodeId],
-    idents: &[NodeId],
-    epoch: usize,
-    batch_len: usize,
-    pool: BufferPool,
-) -> (ChunkResult, BufferPool) {
     let config = &ctx.model.config;
     let mut timings = ChunkTimings::default();
     let span = ctx.trace_span("core.trainer.forward");
@@ -220,139 +205,6 @@ fn run_chunk_batched(
                     relay,
                 });
             }
-        }
-        outcomes.push(NodeOutcome {
-            node,
-            wide_attention,
-            wide_decision,
-            wide_kl,
-            deep,
-        });
-    }
-    timings.downsample_nanos = sw.elapsed_nanos();
-    drop(span);
-
-    // Read the loss first: handing the pool on ends the tape.
-    let loss = f64::from(tape.value(loss).get(0, 0));
-    (
-        ChunkResult {
-            loss,
-            grads,
-            outcomes,
-            profile: tape.take_profile(),
-            timings,
-        },
-        tape.take_pool(),
-    )
-}
-
-/// Per-node oracle engine: the original one-subgraph-at-a-time path.
-fn run_chunk_per_node(
-    ctx: &ChunkCtx<'_>,
-    chunk: &[NodeId],
-    idents: &[NodeId],
-    epoch: usize,
-    batch_len: usize,
-    pool: BufferPool,
-) -> (ChunkResult, BufferPool) {
-    let config = &ctx.model.config;
-    let mut timings = ChunkTimings::default();
-    let span = ctx.trace_span("core.trainer.forward");
-    let sw = Stopwatch::start();
-    let mut tape = ctx.model.new_tape();
-    if ctx.profiling {
-        tape.enable_profiling();
-    }
-    tape.install_pool(pool);
-    let pv = ctx.model.insert_params(&mut tape);
-
-    let mut logit_vars = Vec::with_capacity(chunk.len());
-    let mut labels = Vec::with_capacity(chunk.len());
-    let mut forwards = Vec::with_capacity(chunk.len());
-    for (i, &node) in chunk.iter().enumerate() {
-        let state = &ctx.states[&node];
-        let fw = ctx
-            .model
-            .forward_node(&mut tape, &pv, ctx.graph, state, ctx.masks);
-        logit_vars.push(fw.logits);
-        labels.push(ctx.graph.label(node).expect("labelled") as usize);
-        forwards.push((node, idents[i], fw));
-    }
-
-    let stacked = tape.vstack(&logit_vars);
-    let ce = tape.softmax_cross_entropy(stacked, &labels);
-    // Scale so that summing chunk losses yields the batch mean.
-    let weight = chunk.len() as f32 / batch_len as f32;
-    let loss = tape.scale(ce, weight);
-    timings.forward_nanos = sw.elapsed_nanos();
-    drop(span);
-
-    let span = ctx.trace_span("core.trainer.backward");
-    let sw = Stopwatch::start();
-    tape.backward(loss);
-    let grads = extract_grads(ctx.model, &tape, &pv);
-    timings.backward_nanos = sw.elapsed_nanos();
-    drop(span);
-
-    // Downsampling decisions (Algorithm 3 lines 9–14), computed here so
-    // the pack/edge values needed for relay edges are still on the tape.
-    let span = ctx.trace_span("core.trainer.downsample");
-    let sw = Stopwatch::start();
-    let mut outcomes = Vec::with_capacity(chunk.len());
-    for (node, ident, fw) in forwards {
-        let state = &ctx.states[&node];
-        let mut rng =
-            StdRng::seed_from_u64(hash_seed(config.seed, &[3, epoch as u64, u64::from(ident)]));
-
-        let (wide_attention, wide_decision, wide_kl) = match fw.wide_attention {
-            Some(attn_var) => {
-                let attn = tape.value(attn_var).row(0).to_vec();
-                let (decision, kl) = decide_with_kl(
-                    config.variant.wide_downsampling,
-                    &attn,
-                    state.prev_wide_attention.as_deref(),
-                    state.wide.len(),
-                    config.k_wide,
-                    config.r_wide,
-                    epoch,
-                    &mut rng,
-                );
-                (Some(attn), decision, kl)
-            }
-            None => (None, Decision::Keep, None),
-        };
-
-        let mut deep = Vec::with_capacity(fw.deep.len());
-        for (phi, dfw) in fw.deep.iter().enumerate() {
-            let deep_state = &state.deeps[phi];
-            let attn = tape.value(dfw.attention).row(0).to_vec();
-            let (decision, kl) = decide_with_kl(
-                config.variant.deep_downsampling,
-                &attn,
-                deep_state.prev_attention.as_deref(),
-                deep_state.len(),
-                config.k_deep,
-                config.r_deep,
-                epoch,
-                &mut rng,
-            );
-            let relay = match decision {
-                Decision::Drop(s) if config.variant.relay_edges && s + 1 < deep_state.len() => {
-                    // Eq. 8: maxpool(e_{s'+1,s'}, m_{s'}); pack row s+1,
-                    // edge row s+2 (row 0 is the target's self loop).
-                    let packs = tape.value(dfw.packs);
-                    let edges = tape.value(dfw.edges);
-                    let relay_vec = relay_edge(edges.row(s + 2), packs.row(s + 1));
-                    Some((s + 1, relay_vec))
-                }
-                _ => None,
-            };
-            deep.push(DeepOutcome {
-                attention: attn,
-                decision,
-                kl,
-                relay,
-            });
         }
         outcomes.push(NodeOutcome {
             node,

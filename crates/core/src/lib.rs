@@ -40,7 +40,7 @@ pub mod trainer;
 pub mod unsupervised;
 
 pub use ablation::{DownsampleStrategy, Variant};
-pub use config::{Execution, WidenConfig};
+pub use config::WidenConfig;
 pub use model::WidenModel;
 pub use sharded::{ShardParallelism, ShardedTrainReport, ShardedTrainer};
 pub use state::{DeepState, NodeState};

@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rustc_hash::FxHashMap;
 use widen_graph::{HeteroGraph, NodeId};
 use widen_sampling::{hash_seed, sample_deep_multi, sample_wide};
 use widen_tensor::{
@@ -14,8 +13,8 @@ use widen_tensor::{
     Tensor, Var,
 };
 
-use crate::config::{Execution, WidenConfig};
-use crate::packaging::{edge_vocab_size, pack_deep, pack_wide, Packed};
+use crate::config::WidenConfig;
+use crate::packaging::edge_vocab_size;
 use crate::state::NodeState;
 
 /// Handles of every trainable tensor.
@@ -93,30 +92,6 @@ impl ParamVars {
     }
 }
 
-/// Outputs of one node's forward pass.
-pub struct NodeForward {
-    /// Updated node embedding `v_t'` (`1 × d`, Eq. 7).
-    pub embedding: Var,
-    /// Class logits `v_t'·C` (`1 × c`).
-    pub logits: Var,
-    /// Wide attention distribution (`1 × (|W|+1)`, Eq. 3), when the wide
-    /// branch is enabled.
-    pub wide_attention: Option<Var>,
-    /// Per-φ deep attention distribution (`1 × (|D_φ|+1)`, Eq. 5) and the
-    /// packed matrices (`M▷`, `E▷`) needed for relay-edge computation.
-    pub deep: Vec<DeepForward>,
-}
-
-/// Deep-branch forward artefacts for one walk.
-pub struct DeepForward {
-    /// Attention distribution over `[m_t ; packs]` from Eq. 5.
-    pub attention: Var,
-    /// The pack matrix `M▷`.
-    pub packs: Var,
-    /// The edge-representation matrix `E▷`.
-    pub edges: Var,
-}
-
 /// Outputs of one batched forward pass over a chunk of nodes
 /// ([`WidenModel::forward_batch`]). Row `i` of every per-node tensor
 /// corresponds to the `i`-th state handed in.
@@ -160,42 +135,6 @@ pub struct DeepBatch {
     /// Node → `(first walk index, walk count)`; a node's walks are
     /// consecutive in `walk_spans` / `attention` rows.
     pub node_walks: Vec<(usize, usize)>,
-}
-
-/// Caches the causal attention masks Θ (Eq. 6) by matrix size.
-///
-/// Interior-mutable and `Sync`, so one cache can be built once and shared
-/// read-mostly across a whole training epoch (and across rayon chunk
-/// workers) instead of being rebuilt per chunk.
-#[derive(Default)]
-pub struct MaskCache {
-    masks: std::sync::RwLock<FxHashMap<usize, Arc<Tensor>>>,
-}
-
-impl MaskCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The `n × n` mask with `θ = 0` for `row ≤ col`, `−∞` otherwise.
-    pub fn get(&self, n: usize) -> Arc<Tensor> {
-        if let Some(m) = self.masks.read().expect("mask cache poisoned").get(&n) {
-            return m.clone();
-        }
-        let mut m = Tensor::zeros(n, n);
-        for row in 0..n {
-            for col in 0..row {
-                m.set(row, col, f32::NEG_INFINITY);
-            }
-        }
-        self.masks
-            .write()
-            .expect("mask cache poisoned")
-            .entry(n)
-            .or_insert_with(|| Arc::new(m))
-            .clone()
-    }
 }
 
 /// The WIDEN model: configuration, graph metadata and trainable parameters.
@@ -376,133 +315,14 @@ impl WidenModel {
         }
     }
 
-    /// One full wide-and-deep message-passing step for a target node
-    /// (Eq. 1–7 + classification head), honouring the configured
-    /// [`crate::ablation::Variant`].
-    pub fn forward_node(
-        &self,
-        tape: &mut Tape,
-        pv: &ParamVars,
-        graph: &HeteroGraph,
-        state: &NodeState,
-        masks: &MaskCache,
-    ) -> NodeForward {
-        assert_eq!(
-            graph.feature_dim(),
-            self.feature_dim,
-            "graph feature dimensionality changed"
-        );
-        let d = self.config.d;
-        let variant = self.config.variant;
-        let inv_sqrt_d = 1.0 / (d as f32).sqrt();
-
-        // Wide branch (Eq. 1, 3).
-        let mut wide_attention = None;
-        let h_wide = if variant.use_wide {
-            let Packed { packs, .. } = pack_wide(
-                tape,
-                graph,
-                &state.wide,
-                pv.g_node,
-                pv.g_edge,
-                self.num_edge_types,
-            );
-            let m_t = tape.select_rows(packs, &[0]);
-            let q = tape.matmul(m_t, pv.wide_q);
-            let k = tape.matmul(packs, pv.wide_k);
-            let scores = tape.matmul_nt(q, k);
-            let scaled = tape.scale(scores, inv_sqrt_d);
-            let attn = tape.softmax_rows(scaled);
-            wide_attention = Some(attn);
-            let values = tape.matmul(packs, pv.wide_v);
-            tape.matmul(attn, values)
-        } else {
-            zeros_leaf(tape, 1, d)
-        };
-
-        // Deep branch (Eq. 2, 4–6), one pass per sampled walk.
-        let mut deep_outputs = Vec::new();
-        let h_deep = if variant.use_deep && !state.deeps.is_empty() {
-            let mut h_phis = Vec::with_capacity(state.deeps.len());
-            for deep_state in &state.deeps {
-                let Packed { packs, edges } = pack_deep(
-                    tape,
-                    graph,
-                    deep_state,
-                    pv.g_node,
-                    pv.g_edge,
-                    self.num_edge_types,
-                );
-                let rows = deep_state.len() + 1;
-
-                // Eq. 4: successive self-attention with the causal mask Θ.
-                let refined = if variant.successive_attention {
-                    let q1 = tape.matmul(packs, pv.deep_q1);
-                    let k1 = tape.matmul(packs, pv.deep_k1);
-                    let scores = tape.matmul_nt(q1, k1);
-                    let scaled = tape.scale(scores, inv_sqrt_d);
-                    let att = tape.masked_softmax_rows(scaled, masks.get(rows));
-                    let v1 = tape.matmul(packs, pv.deep_v1);
-                    tape.matmul(att, v1)
-                } else {
-                    packs
-                };
-
-                // Eq. 5: gather into the target. The query is the target's
-                // own pack m_t▷, keys come from the refined sequence H▷,
-                // values from the raw packs M▷ (as written in the paper).
-                let m_t = tape.select_rows(packs, &[0]);
-                let q2 = tape.matmul(m_t, pv.deep_q2);
-                let k2 = tape.matmul(refined, pv.deep_k2);
-                let scores2 = tape.matmul_nt(q2, k2);
-                let scaled2 = tape.scale(scores2, inv_sqrt_d);
-                let attn = tape.softmax_rows(scaled2);
-                let v2 = tape.matmul(packs, pv.deep_v2);
-                let h_phi = tape.matmul(attn, v2);
-                h_phis.push(h_phi);
-                deep_outputs.push(DeepForward {
-                    attention: attn,
-                    packs,
-                    edges,
-                });
-            }
-            // Average pooling over the Φ walks (Eq. 7).
-            if h_phis.len() == 1 {
-                h_phis[0]
-            } else {
-                let stacked = tape.vstack(&h_phis);
-                tape.mean_rows(stacked)
-            }
-        } else {
-            zeros_leaf(tape, 1, d)
-        };
-
-        // Eq. 7: fuse, feed-forward, L2 normalise.
-        let concat = tape.hstack(&[h_wide, h_deep]);
-        let ff = tape.matmul(concat, pv.fuse_w);
-        let biased = tape.add_row_broadcast(ff, pv.fuse_b);
-        let activated = tape.relu(biased);
-        let embedding = tape.l2_normalize_rows(activated);
-
-        // Eq. 10 head.
-        let logits = tape.matmul(embedding, pv.classifier);
-
-        NodeForward {
-            embedding,
-            logits,
-            wide_attention,
-            deep: deep_outputs,
-        }
-    }
-
-    /// Batched forward pass over a whole chunk of nodes (Eq. 1–7 + head).
+    /// The forward pass over a whole chunk of nodes (Eq. 1–7 + head) — the
+    /// one implementation training, evaluation and serving all run.
     ///
-    /// Computes exactly what [`WidenModel::forward_node`] computes per
-    /// node, but with one pack assembly, one Q/K/V projection matmul per
-    /// attention branch and one padded softmax per branch for the whole
-    /// chunk. The attention kernels reuse the same scalar `dot`/`axpy`
-    /// reductions in the same order as the per-node path, so the two
-    /// engines agree to f32 round-off (the differential tests pin this).
+    /// One pack assembly, one Q/K/V projection matmul per attention branch
+    /// and one padded softmax per branch for the whole chunk. The attention
+    /// kernels use the same scalar `dot`/`axpy` reductions in the same order
+    /// as the test-only per-node reference (`model/oracle.rs`), so the two
+    /// agree to f32 round-off (the differential tests pin this).
     ///
     /// The Eq. 4 causal mask needs no mask tensor here: each pack row's
     /// key segment simply *starts at itself* and runs to the end of its
@@ -699,23 +519,14 @@ impl WidenModel {
 
     /// Embeds the listed nodes (`len × d`), sampling fresh neighbourhoods
     /// with `seed`. Runs in chunks of [`WidenConfig::batch_size`] nodes;
-    /// each chunk is one fused [`WidenModel::forward_batch`] (or per-node
-    /// passes when the config selects [`Execution::PerNode`]).
+    /// each chunk is one fused [`WidenModel::forward_batch`].
     pub fn embed_nodes(&self, graph: &HeteroGraph, nodes: &[NodeId], seed: u64) -> Tensor {
-        self.infer(
-            graph,
-            &self_keyed(nodes.iter().map(|&n| (n, seed))),
-            InferOutput::Embedding,
-        )
+        self.infer(graph, &seeded(nodes, seed), InferOutput::Embedding)
     }
 
     /// Predicts class labels for the listed nodes.
     pub fn predict(&self, graph: &HeteroGraph, nodes: &[NodeId], seed: u64) -> Vec<usize> {
-        argmax_rows(&self.infer(
-            graph,
-            &self_keyed(nodes.iter().map(|&n| (n, seed))),
-            InferOutput::Logits,
-        ))
+        argmax_rows(&self.infer(graph, &seeded(nodes, seed), InferOutput::Logits))
     }
 
     /// Predicts by averaging logits over `rounds` independently sampled
@@ -729,11 +540,7 @@ impl WidenModel {
         seed: u64,
         rounds: usize,
     ) -> Vec<usize> {
-        argmax_rows(&self.ensemble_sums(
-            graph,
-            &self_keyed(nodes.iter().map(|&n| (n, seed))),
-            rounds,
-        ))
+        argmax_rows(&self.ensemble_sums(graph, &seeded(nodes, seed), rounds))
     }
 
     /// Embeds a coalesced batch of serving requests in one fused forward
@@ -747,24 +554,6 @@ impl WidenModel {
     /// # Panics
     /// Panics if `items` is empty.
     pub fn embed_requests(&self, graph: &HeteroGraph, items: &[(NodeId, u64)]) -> Tensor {
-        self.embed_requests_keyed(graph, &self_keyed(items.iter().copied()))
-    }
-
-    /// Like [`WidenModel::embed_requests`], but each `(node, ident, seed)`
-    /// item keys its sampling stream by `ident` rather than `node` (see
-    /// [`WidenModel::sample_state_as`]). This is the shard-routed serving
-    /// path: `node` is the owning shard's local index, `ident` the global
-    /// id, and the returned row is bit-identical to what
-    /// `embed_requests(full_graph, &[(ident, seed)])` computes — provided
-    /// the shard subgraph carries a halo of at least the walk radius.
-    ///
-    /// # Panics
-    /// Panics if `items` is empty.
-    pub fn embed_requests_keyed(
-        &self,
-        graph: &HeteroGraph,
-        items: &[(NodeId, NodeId, u64)],
-    ) -> Tensor {
         assert!(!items.is_empty(), "embed_requests needs at least one item");
         self.infer(graph, items, InferOutput::Embedding)
     }
@@ -772,7 +561,7 @@ impl WidenModel {
     /// Ensemble logits for a coalesced batch of serving requests: per item,
     /// the logits summed over `rounds` independently sampled neighbourhoods
     /// — the accumulation behind [`WidenModel::predict_ensemble`], so
-    /// `argmax` of row `i` equals
+    /// [`argmax`] of row `i` equals
     /// `predict_ensemble(graph, &[node_i], seed_i, rounds)[0]`.
     ///
     /// # Panics
@@ -783,48 +572,28 @@ impl WidenModel {
         items: &[(NodeId, u64)],
         rounds: usize,
     ) -> Tensor {
-        self.ensemble_logits_keyed(graph, &self_keyed(items.iter().copied()), rounds)
-    }
-
-    /// Ensemble logits with per-item stream identities — the classify
-    /// counterpart of [`WidenModel::embed_requests_keyed`]: `node` indexes
-    /// `graph`, `ident` keys each round's sampling stream.
-    ///
-    /// # Panics
-    /// Panics if `items` is empty or `rounds` is zero.
-    pub fn ensemble_logits_keyed(
-        &self,
-        graph: &HeteroGraph,
-        items: &[(NodeId, NodeId, u64)],
-        rounds: usize,
-    ) -> Tensor {
         assert!(!items.is_empty(), "ensemble_logits needs at least one item");
         self.ensemble_sums(graph, items, rounds)
     }
 
     /// Logits summed over `rounds` sampling rounds, round `r` drawing item
     /// seeds from `hash_seed(seed, &[40, r])`.
-    fn ensemble_sums(
-        &self,
-        graph: &HeteroGraph,
-        items: &[(NodeId, NodeId, u64)],
-        rounds: usize,
-    ) -> Tensor {
+    fn ensemble_sums(&self, graph: &HeteroGraph, items: &[(NodeId, u64)], rounds: usize) -> Tensor {
         assert!(rounds >= 1, "need at least one round");
         let mut sums = Tensor::zeros(items.len(), self.num_classes);
         for r in 0..rounds as u64 {
-            let round_items: Vec<(NodeId, NodeId, u64)> = items
+            let round_items: Vec<(NodeId, u64)> = items
                 .iter()
-                .map(|&(node, ident, seed)| (node, ident, hash_seed(seed, &[40, r])))
+                .map(|&(node, seed)| (node, hash_seed(seed, &[40, r])))
                 .collect();
             sums.add_scaled(1.0, &self.infer(graph, &round_items, InferOutput::Logits));
         }
         sums
     }
 
-    /// The one inference worker behind every entry point above: forward
-    /// passes over `(node, ident, seed)` items on the configured engine,
-    /// one output row per item. Long lists run in chunks of
+    /// The one inference worker behind every entry point above: one
+    /// [`WidenModel::forward_batch`] per chunk of `(node, seed)` items, one
+    /// output row per item. Long lists run in chunks of
     /// [`WidenConfig::batch_size`] items (a chunk's tape holds about a
     /// megabyte per node; rows do not depend on what shares their chunk).
     ///
@@ -832,12 +601,7 @@ impl WidenModel {
     /// [`INFER_ARENA`] and returns them to it, so a serving batch worker, an
     /// evaluation loop or an example that calls in repeatedly stops
     /// allocating after its first few batches.
-    fn infer(
-        &self,
-        graph: &HeteroGraph,
-        items: &[(NodeId, NodeId, u64)],
-        output: InferOutput,
-    ) -> Tensor {
+    fn infer(&self, graph: &HeteroGraph, items: &[(NodeId, u64)], output: InferOutput) -> Tensor {
         use rayon::prelude::*;
         let width = match output {
             InferOutput::Embedding => self.config.d,
@@ -854,30 +618,15 @@ impl WidenModel {
                 let pv = self.insert_params(&mut tape);
                 let states: Vec<NodeState> = chunk
                     .iter()
-                    .map(|&(node, ident, seed)| self.sample_state_as(graph, node, ident, seed))
+                    .map(|&(node, seed)| self.sample_state(graph, node, seed))
                     .collect();
-                match self.config.execution {
-                    Execution::Batched => {
-                        let refs: Vec<&NodeState> = states.iter().collect();
-                        let fw = self.forward_batch(&mut tape, &pv, graph, &refs);
-                        let var = match output {
-                            InferOutput::Embedding => fw.embeddings,
-                            InferOutput::Logits => fw.logits,
-                        };
-                        out_rows.copy_from_slice(tape.value(var).as_slice());
-                    }
-                    Execution::PerNode => {
-                        let masks = MaskCache::new();
-                        for (state, out_row) in states.iter().zip(out_rows.chunks_mut(width)) {
-                            let fw = self.forward_node(&mut tape, &pv, graph, state, &masks);
-                            let var = match output {
-                                InferOutput::Embedding => fw.embedding,
-                                InferOutput::Logits => fw.logits,
-                            };
-                            out_row.copy_from_slice(tape.value(var).row(0));
-                        }
-                    }
-                }
+                let refs: Vec<&NodeState> = states.iter().collect();
+                let fw = self.forward_batch(&mut tape, &pv, graph, &refs);
+                let var = match output {
+                    InferOutput::Embedding => fw.embeddings,
+                    InferOutput::Logits => fw.logits,
+                };
+                out_rows.copy_from_slice(tape.value(var).as_slice());
                 INFER_ARENA.set(tape.take_pool());
             });
         out
@@ -898,9 +647,9 @@ enum InferOutput {
     Logits,
 }
 
-/// `(node, node, seed)` items: every node keys its own sampling stream.
-fn self_keyed(items: impl Iterator<Item = (NodeId, u64)>) -> Vec<(NodeId, NodeId, u64)> {
-    items.map(|(node, seed)| (node, node, seed)).collect()
+/// `(node, seed)` items sharing one seed.
+fn seeded(nodes: &[NodeId], seed: u64) -> Vec<(NodeId, u64)> {
+    nodes.iter().map(|&node| (node, seed)).collect()
 }
 
 /// An all-zero `rows × cols` leaf in a pooled buffer (a disabled branch's
@@ -914,14 +663,22 @@ fn argmax_rows(logits: &Tensor) -> Vec<usize> {
     (0..logits.rows()).map(|r| argmax(logits.row(r))).collect()
 }
 
-/// Index of the largest entry (ties break toward the first).
-fn argmax(row: &[f32]) -> usize {
+/// Index of the largest entry — the class a logit row predicts, offline
+/// ([`WidenModel::predict`], [`WidenModel::predict_ensemble`]) and on the
+/// wire (`Classify`). Among equal maxima the **last** index wins. NaN
+/// entries never win; a row with nothing else (or no entries) yields 0, so a
+/// checkpoint carrying a NaN weight degrades an answer instead of panicking
+/// the worker that serves it.
+pub fn argmax(row: &[f32]) -> usize {
     row.iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-        .map(|(i, _)| i)
-        .expect("non-empty class set")
+        .filter(|(_, x)| !x.is_nan())
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map_or(0, |(i, _)| i)
 }
+
+#[cfg(test)]
+pub(crate) mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -959,16 +716,33 @@ mod tests {
         c
     }
 
+    /// The ACM-like cases' configuration (3 epochs when trained).
+    fn tiny_config() -> WidenConfig {
+        let mut c = WidenConfig::small();
+        c.d = 16;
+        c.n_w = 5;
+        c.n_d = 5;
+        c.phi = 2;
+        c.epochs = 3;
+        c.batch_size = 16;
+        c
+    }
+
+    /// One node through the forward pass, on a fresh tape.
+    fn forward_one(model: &WidenModel, g: &HeteroGraph, state: &NodeState) -> (Tape, BatchForward) {
+        let mut tape = Tape::new();
+        let pv = model.insert_params(&mut tape);
+        let fw = model.forward_batch(&mut tape, &pv, g, &[state]);
+        (tape, fw)
+    }
+
     #[test]
     fn forward_produces_unit_norm_embedding() {
         let g = toy_graph();
         let model = WidenModel::for_graph(&g, small_config());
-        let mut tape = Tape::new();
-        let pv = model.insert_params(&mut tape);
-        let masks = MaskCache::new();
         let state = model.sample_state(&g, 0, 7);
-        let fw = model.forward_node(&mut tape, &pv, &g, &state, &masks);
-        let emb = tape.value(fw.embedding);
+        let (tape, fw) = forward_one(&model, &g, &state);
+        let emb = tape.value(fw.embeddings);
         assert_eq!(emb.shape(), (1, 8));
         let norm: f32 = emb.row(0).iter().map(|x| x * x).sum::<f32>().sqrt();
         assert!((norm - 1.0).abs() < 1e-4 || norm == 0.0, "norm = {norm}");
@@ -980,17 +754,17 @@ mod tests {
     fn attention_distributions_are_probabilities() {
         let g = toy_graph();
         let model = WidenModel::for_graph(&g, small_config());
-        let mut tape = Tape::new();
-        let pv = model.insert_params(&mut tape);
-        let masks = MaskCache::new();
         let state = model.sample_state(&g, 1, 3);
-        let fw = model.forward_node(&mut tape, &pv, &g, &state, &masks);
-        let wide = tape.value(fw.wide_attention.unwrap());
-        assert_eq!(wide.cols(), state.wide.len() + 1);
-        assert!((wide.row(0).iter().sum::<f32>() - 1.0).abs() < 1e-5);
-        for dfw in &fw.deep {
-            let a = tape.value(dfw.attention);
-            assert!((a.row(0).iter().sum::<f32>() - 1.0).abs() < 1e-5);
+        let (tape, fw) = forward_one(&model, &g, &state);
+        let wide = fw.wide.unwrap();
+        assert_eq!(wide.lens, vec![state.wide.len() + 1]);
+        let row = tape.value(wide.attention).row(0);
+        assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+        let deep = fw.deep.unwrap();
+        assert_eq!(deep.node_walks, vec![(0, state.deeps.len())]);
+        for walk in 0..state.deeps.len() {
+            let row = tape.value(deep.attention).row(walk);
+            assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         }
     }
 
@@ -999,13 +773,10 @@ mod tests {
         let g = toy_graph();
         let cfg = small_config().with_variant(Variant::no_wide());
         let model = WidenModel::for_graph(&g, cfg);
-        let mut tape = Tape::new();
-        let pv = model.insert_params(&mut tape);
-        let masks = MaskCache::new();
         let state = model.sample_state(&g, 0, 1);
-        let fw = model.forward_node(&mut tape, &pv, &g, &state, &masks);
-        assert!(fw.wide_attention.is_none());
-        assert!(!fw.deep.is_empty());
+        let (_, fw) = forward_one(&model, &g, &state);
+        assert!(fw.wide.is_none());
+        assert!(fw.deep.is_some());
     }
 
     #[test]
@@ -1013,31 +784,10 @@ mod tests {
         let g = toy_graph();
         let cfg = small_config().with_variant(Variant::no_deep());
         let model = WidenModel::for_graph(&g, cfg);
-        let mut tape = Tape::new();
-        let pv = model.insert_params(&mut tape);
-        let masks = MaskCache::new();
         let state = model.sample_state(&g, 0, 1);
-        let fw = model.forward_node(&mut tape, &pv, &g, &state, &masks);
-        assert!(fw.wide_attention.is_some());
-        assert!(fw.deep.is_empty());
-    }
-
-    #[test]
-    fn causal_mask_blocks_backward_attention() {
-        let cache = MaskCache::new();
-        let m = cache.get(4);
-        for row in 0..4 {
-            for col in 0..4 {
-                if row <= col {
-                    assert_eq!(m.get(row, col), 0.0);
-                } else {
-                    assert_eq!(m.get(row, col), f32::NEG_INFINITY);
-                }
-            }
-        }
-        // Cache hit returns the same allocation.
-        let m2 = cache.get(4);
-        assert!(Arc::ptr_eq(&m, &m2));
+        let (_, fw) = forward_one(&model, &g, &state);
+        assert!(fw.wide.is_some());
+        assert!(fw.deep.is_none());
     }
 
     #[test]
@@ -1092,9 +842,8 @@ mod tests {
         let model = WidenModel::for_graph(&g, small_config());
         let mut tape = Tape::new();
         let pv = model.insert_params(&mut tape);
-        let masks = MaskCache::new();
         let state = model.sample_state(&g, 0, 1);
-        let fw = model.forward_node(&mut tape, &pv, &g, &state, &masks);
+        let fw = model.forward_batch(&mut tape, &pv, &g, &[&state]);
         let loss = tape.softmax_cross_entropy(fw.logits, &[0]);
         tape.backward(loss);
         for (id, var) in pv.pairs(model.ids()) {
@@ -1112,9 +861,23 @@ mod tests {
         }
     }
 
-    /// Runs both engines over the same states and asserts logits agree to
-    /// `1e-5`, embeddings to `1e-5` and every parameter gradient (under an
-    /// identical cross-entropy loss) to `1e-4`.
+    #[test]
+    fn argmax_takes_the_last_maximum_and_never_panics() {
+        assert_eq!(argmax(&[0.5, 2.0, -1.0]), 1);
+        // Equal maxima: the last index wins (`Iterator::max_by`), which the
+        // wire ≡ offline parity suites rely on.
+        assert_eq!(argmax(&[1.0, 1.0]), 1);
+        assert_eq!(argmax(&[3.0, f32::NAN, 3.0, 1.0]), 2);
+        // NaN never wins; with nothing else to pick the answer is 0.
+        assert_eq!(argmax(&[f32::NAN, -2.0]), 1);
+        assert_eq!(argmax(&[f32::NAN, f32::NAN]), 0);
+        assert_eq!(argmax(&[f32::NEG_INFINITY, f32::INFINITY]), 1);
+    }
+
+    /// Runs the forward pass and the per-node reference over the same
+    /// states and asserts logits, embeddings, attention rows and the loss
+    /// agree to `1e-5` and every parameter gradient (under an identical
+    /// cross-entropy loss) to `1e-4`.
     fn assert_engines_agree(g: &HeteroGraph, cfg: WidenConfig, states: &[NodeState]) {
         let model = WidenModel::for_graph(g, cfg);
         let refs: Vec<&NodeState> = states.iter().collect();
@@ -1123,13 +886,14 @@ mod tests {
         // Oracle: per-node forward passes, logits vstacked for the loss.
         let mut tape_a = Tape::new();
         let pv_a = model.insert_params(&mut tape_a);
-        let masks = MaskCache::new();
+        let mut masks = oracle::MaskCache::default();
         let mut logit_vars = Vec::new();
         let mut emb_rows = Vec::new();
         let mut wide_rows: Vec<Option<Vec<f32>>> = Vec::new();
         let mut deep_rows: Vec<Vec<Vec<f32>>> = Vec::new();
+        let mut deep_walks = Vec::new();
         for state in &refs {
-            let fw = model.forward_node(&mut tape_a, &pv_a, g, state, &masks);
+            let fw = model.forward_node(&mut tape_a, &pv_a, g, state, &mut masks);
             logit_vars.push(fw.logits);
             emb_rows.push(tape_a.value(fw.embedding).row(0).to_vec());
             wide_rows.push(fw.wide_attention.map(|v| tape_a.value(v).row(0).to_vec()));
@@ -1139,6 +903,7 @@ mod tests {
                     .map(|d| tape_a.value(d.attention).row(0).to_vec())
                     .collect(),
             );
+            deep_walks.extend(fw.deep);
         }
         let stacked = tape_a.vstack(&logit_vars);
         let loss_a = tape_a.softmax_cross_entropy(stacked, &labels);
@@ -1158,6 +923,8 @@ mod tests {
             "logits diverge: {}",
             logits_a.max_abs_diff(logits_b)
         );
+        let loss_gap = (tape_a.value(loss_a).get(0, 0) - tape_b.value(loss_b).get(0, 0)).abs();
+        assert!(loss_gap <= 1e-5, "losses diverge by {loss_gap}");
         let emb_b = tape_b.value(fw.embeddings);
         for (i, row) in emb_rows.iter().enumerate() {
             for (j, (a, b)) in row.iter().zip(emb_b.row(i)).enumerate() {
@@ -1190,6 +957,21 @@ mod tests {
                     for (a, b) in row.iter().zip(got) {
                         assert!((a - b).abs() <= 1e-5, "deep attn: {a} vs {b}");
                     }
+                }
+            }
+            // So must what Eq. 8 reads when a drop installs a relay: walk
+            // row `r`'s pack, and its edge row through the dedup index.
+            let flat_packs = tape_b.value(db.packs);
+            let flat_edges = tape_b.value(db.unique_edges);
+            let close = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| (x - y).abs() <= 1e-5);
+            for (walk, &(start, len)) in deep_walks.iter().zip(&db.walk_spans) {
+                let packs = tape_a.value(walk.packs);
+                let edges = tape_a.value(walk.edges);
+                assert_eq!(packs.rows(), len);
+                for r in 0..len {
+                    let edge_row = flat_edges.row(db.flat_index[start + r]);
+                    assert!(close(packs.row(r), flat_packs.row(start + r)), "pack {r}");
+                    assert!(close(edges.row(r), edge_row), "edge {r}");
                 }
             }
         }
@@ -1225,6 +1007,48 @@ mod tests {
         let cfg = small_config();
         let states = sampled_states(&g, &cfg, 7);
         assert_engines_agree(&g, cfg, &states);
+
+        // A realistic chunk: 24 labelled nodes of the ACM-like graph, with
+        // heavy `(node, edge)` pair reuse across the batch.
+        let dataset = widen_data::acm_like(widen_data::Scale::Smoke, 21);
+        let model = WidenModel::for_graph(&dataset.graph, tiny_config());
+        let states: Vec<NodeState> = dataset.graph.labeled_nodes()[..24]
+            .iter()
+            .map(|&v| model.sample_state(&dataset.graph, v, 5))
+            .collect();
+        assert_engines_agree(&dataset.graph, tiny_config(), &states);
+    }
+
+    #[test]
+    fn inference_after_training_matches_per_node_oracle() {
+        // `embed_nodes` / `predict` on trained weights and unseen nodes
+        // answer what the reference forward computes node by node.
+        let dataset = widen_data::acm_like(widen_data::Scale::Smoke, 22);
+        let g = &dataset.graph;
+        let train: Vec<u32> = dataset.transductive.train[..32].to_vec();
+        let mut trainer = crate::Trainer::new(WidenModel::for_graph(g, tiny_config()), g, &train);
+        trainer.fit(&train);
+        let model = trainer.into_model();
+
+        let probe: Vec<u32> = dataset.transductive.test[..24].to_vec();
+        let preds = model.predict(g, &probe, 9);
+        let emb = model.embed_nodes(g, &probe, 9);
+
+        let mut tape = Tape::new();
+        let pv = model.insert_params(&mut tape);
+        let mut masks = oracle::MaskCache::default();
+        for (i, &node) in probe.iter().enumerate() {
+            let state = model.sample_state(g, node, 9);
+            let fw = model.forward_node(&mut tape, &pv, g, &state, &mut masks);
+            assert_eq!(
+                preds[i],
+                argmax(tape.value(fw.logits).row(0)),
+                "node {node}"
+            );
+            for (a, b) in tape.value(fw.embedding).row(0).iter().zip(emb.row(i)) {
+                assert!((a - b).abs() <= 1e-5, "embedding of {node}: {a} vs {b}");
+            }
+        }
     }
 
     #[test]

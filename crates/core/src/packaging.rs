@@ -63,89 +63,6 @@ pub fn edge_vocab_size(num_edge_types: usize, num_node_types: usize) -> usize {
     num_edge_types + num_node_types
 }
 
-/// Intermediate results of a `PACK` call that the attention and
-/// downsampling stages consume.
-pub struct Packed {
-    /// The pack matrix `M` (`(|set|+1) × d`): row 0 is `m_t`.
-    pub packs: Var,
-    /// The edge-representation matrix `E` used to build `M` (same shape);
-    /// row `s+1` is the edge representation of local position `s`. Needed
-    /// by Eq. 8's relay computation.
-    pub edges: Var,
-}
-
-/// `PACK∘` (Eq. 1): builds the wide pack matrix for `target` and its
-/// sampled wide neighbours.
-pub fn pack_wide(
-    tape: &mut Tape,
-    graph: &HeteroGraph,
-    wide: &WideSet,
-    g_node: Var,
-    g_edge: Var,
-    num_edge_types: usize,
-) -> Packed {
-    let sw = Stopwatch::start();
-    let ids: Vec<u32> = std::iter::once(wide.target)
-        .chain(wide.entries.iter().map(|e| e.node))
-        .collect();
-    let edge_rows: Vec<usize> = std::iter::once(self_loop_index(
-        num_edge_types,
-        graph.node_type(wide.target).0,
-    ))
-    .chain(wide.entries.iter().map(|e| edge_index(e.edge_type)))
-    .collect();
-    let packed = pack_from_ids(tape, graph, &ids, &edge_rows, g_node, g_edge);
-    record_packaging(&sw);
-    packed
-}
-
-/// `PACK▷` (Eq. 2): builds the deep pack matrix for one walk, honouring
-/// relay-edge overrides left behind by Algorithm 2.
-pub fn pack_deep(
-    tape: &mut Tape,
-    graph: &HeteroGraph,
-    deep: &DeepState,
-    g_node: Var,
-    g_edge: Var,
-    num_edge_types: usize,
-) -> Packed {
-    let sw = Stopwatch::start();
-    let ids: Vec<u32> = std::iter::once(deep.set.target)
-        .chain(deep.set.entries.iter().map(|e| e.node))
-        .collect();
-
-    let x = features_leaf(tape, graph, &ids);
-    let v = tape.matmul(x, g_node);
-
-    let has_override = deep.edge_override.iter().any(Option::is_some);
-    let edges = if has_override {
-        // Mixed rows: trainable edge-type embeddings where no relay exists,
-        // constant relay vectors elsewhere.
-        let mut rows: Vec<Var> = Vec::with_capacity(ids.len());
-        let self_loop = self_loop_index(num_edge_types, graph.node_type(deep.set.target).0);
-        rows.push(tape.select_rows(g_edge, &[self_loop]));
-        for (s, entry) in deep.set.entries.iter().enumerate() {
-            match &deep.edge_override[s] {
-                Some(relay) => rows.push(tape.leaf_with(1, relay.len(), |t| t.set_row(0, relay))),
-                None => rows.push(tape.select_rows(g_edge, &[edge_index(entry.edge_type)])),
-            }
-        }
-        tape.vstack(&rows)
-    } else {
-        let edge_rows: Vec<usize> = std::iter::once(self_loop_index(
-            num_edge_types,
-            graph.node_type(deep.set.target).0,
-        ))
-        .chain(deep.set.entries.iter().map(|e| edge_index(e.edge_type)))
-        .collect();
-        tape.select_rows(g_edge, &edge_rows)
-    };
-
-    let packs = tape.mul(v, edges);
-    record_packaging(&sw);
-    Packed { packs, edges }
-}
-
 /// Batched `PACK` output: one flat pack matrix for many wide sets or deep
 /// walks, plus the per-unit row spans needed to address it.
 ///
@@ -154,7 +71,7 @@ pub fn pack_deep(
 /// two layers: `unique_packs` holds each distinct pair once, and the flat
 /// matrix is a cheap [`Tape::gather_rows`] view of it. Projection matmuls
 /// should run on `unique_packs` (via [`PackedBatch::project`]) — that is
-/// where the batched engine's FLOP savings over the per-node path live.
+/// where batching saves FLOPs over packing one neighbour set at a time.
 pub struct PackedBatch {
     /// Flat pack matrix (`(Σ(|set_i|+1)) × d`); each unit's rows are
     /// consecutive with its own `m_t` first.
@@ -360,23 +277,8 @@ fn assemble_batch(
     }
 }
 
-fn pack_from_ids(
-    tape: &mut Tape,
-    graph: &HeteroGraph,
-    ids: &[u32],
-    edge_rows: &[usize],
-    g_node: Var,
-    g_edge: Var,
-) -> Packed {
-    let x = features_leaf(tape, graph, ids);
-    let v = tape.matmul(x, g_node);
-    let edges = tape.select_rows(g_edge, edge_rows);
-    let packs = tape.mul(v, edges);
-    Packed { packs, edges }
-}
-
 /// Gathers raw feature rows for the listed nodes into a `(len, d₀)` leaf.
-fn features_leaf(tape: &mut Tape, graph: &HeteroGraph, ids: &[u32]) -> Var {
+pub(crate) fn features_leaf(tape: &mut Tape, graph: &HeteroGraph, ids: &[u32]) -> Var {
     tape.leaf_with(ids.len(), graph.feature_dim(), |out| {
         for (i, &id) in ids.iter().enumerate() {
             out.set_row(i, graph.feature_row(id));
@@ -387,6 +289,7 @@ fn features_leaf(tape: &mut Tape, graph: &HeteroGraph, ids: &[u32]) -> Var {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::oracle::{pack_deep, pack_wide};
     use widen_graph::GraphBuilder;
     use widen_sampling::{DeepEntry, DeepSet, WideEntry};
     use widen_tensor::Tensor;

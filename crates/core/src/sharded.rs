@@ -34,7 +34,7 @@ use widen_sampling::hash_seed;
 use widen_tensor::{Adam, BufferPool, Optimizer, Tensor};
 
 use crate::engine::{self, ChunkCtx, ChunkResult, NodeOutcome};
-use crate::model::{MaskCache, WidenModel};
+use crate::model::WidenModel;
 use crate::state::NodeState;
 use crate::trainer::{EpochStats, TrainReport};
 
@@ -267,7 +267,6 @@ impl ShardedTrainer {
         let config = self.model.config.clone();
         let k = self.shards.len();
         let mut report = ShardedTrainReport::default();
-        let masks: Vec<MaskCache> = (0..k).map(|_| MaskCache::new()).collect();
         // Like the single-graph trainer, the visit order is one persistent
         // vector re-shuffled in place each epoch (epoch z shuffles the
         // epoch z-1 permutation) — required for bitwise 1-shard parity.
@@ -323,9 +322,8 @@ impl ShardedTrainer {
                         .shards
                         .iter_mut()
                         .zip(&sub_batches)
-                        .zip(&masks)
-                        .map(|((shard, batch), mask)| {
-                            run_shard_step(model, shard, mask, batch, epoch, step_total)
+                        .map(|(shard, batch)| {
+                            run_shard_step(model, shard, batch, epoch, step_total)
                         })
                         .collect(),
                     ShardParallelism::Threads => std::thread::scope(|scope| {
@@ -333,10 +331,9 @@ impl ShardedTrainer {
                             .shards
                             .iter_mut()
                             .zip(&sub_batches)
-                            .zip(&masks)
-                            .map(|((shard, batch), mask)| {
+                            .map(|(shard, batch)| {
                                 scope.spawn(move || {
-                                    run_shard_step(model, shard, mask, batch, epoch, step_total)
+                                    run_shard_step(model, shard, batch, epoch, step_total)
                                 })
                             })
                             .collect();
@@ -427,7 +424,6 @@ impl ShardedTrainer {
 fn run_shard_step(
     model: &WidenModel,
     shard: &mut Shard,
-    masks: &MaskCache,
     batch: &[(NodeId, NodeId)],
     epoch: usize,
     step_total: usize,
@@ -450,7 +446,6 @@ fn run_shard_step(
         model,
         graph,
         states,
-        masks,
         profiling: false,
         trace: None,
     };

@@ -21,7 +21,7 @@ use widen_sampling::hash_seed;
 use widen_tensor::{Adam, BufferPool, Optimizer, ProfileReport, Tensor};
 
 use crate::engine::{self, NodeOutcome};
-use crate::model::{MaskCache, WidenModel};
+use crate::model::WidenModel;
 use crate::state::NodeState;
 
 /// Per-epoch training telemetry.
@@ -306,12 +306,6 @@ impl<'g> Trainer<'g> {
             );
         }
 
-        // One shared, read-mostly mask cache for the whole fit: every Θ is
-        // built at most once instead of once per chunk per batch per epoch.
-        // (Only the per-node oracle engine consults it; the batched engine
-        // encodes causality in its key spans.)
-        let masks = MaskCache::new();
-
         for epoch in 1..=config.epochs {
             let start = Stopwatch::start();
             let phase_before = self.phase_snapshot();
@@ -330,7 +324,7 @@ impl<'g> Trainer<'g> {
             let mut epoch_profile: Option<ProfileReport> = None;
             for batch in order.chunks(config.batch_size) {
                 let (loss, outcomes) =
-                    self.train_batch(batch, epoch, &masks, ctx, &mut stats, &mut epoch_profile);
+                    self.train_batch(batch, epoch, ctx, &mut stats, &mut epoch_profile);
                 epoch_loss += loss;
                 batches += 1;
                 self.apply_outcomes(outcomes, &mut report, &mut stats);
@@ -488,7 +482,6 @@ impl<'g> Trainer<'g> {
         &mut self,
         batch: &[NodeId],
         epoch: usize,
-        masks: &MaskCache,
         ctx: Option<(TraceId, SpanId)>,
         stats: &mut EpochStats,
         epoch_profile: &mut Option<ProfileReport>,
@@ -508,7 +501,6 @@ impl<'g> Trainer<'g> {
             model: &self.model,
             graph: self.graph,
             states: &self.states,
-            masks,
             profiling: self.profiling,
             trace,
         };
@@ -698,14 +690,12 @@ mod tests {
         let model = WidenModel::for_graph(&dataset.graph, cfg);
         let mut trainer = Trainer::new(model, &dataset.graph, &train);
         let before = trainer.neighbor_volume();
-        let masks = MaskCache::new();
         let mut report = TrainReport::default();
         // Cumulative (takes, misses) and parked bytes after each epoch.
         let mut epochs: Vec<(u64, u64, u64)> = Vec::new();
         for epoch in 1..=10 {
             let mut stats = EpochStats::default();
-            let (_, outcomes) =
-                trainer.train_batch(&train, epoch, &masks, None, &mut stats, &mut None);
+            let (_, outcomes) = trainer.train_batch(&train, epoch, None, &mut stats, &mut None);
             trainer.apply_outcomes(outcomes, &mut report, &mut stats);
             let pools = trainer.pools.lock().unwrap();
             let resident: u64 = pools.iter().map(|p| p.stats().resident_bytes).sum();

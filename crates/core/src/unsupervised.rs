@@ -20,8 +20,7 @@ use widen_graph::{HeteroGraph, NodeId};
 use widen_sampling::{hash_seed, sample_deep};
 use widen_tensor::{Adam, Optimizer};
 
-use crate::config::Execution;
-use crate::model::{MaskCache, WidenModel};
+use crate::model::WidenModel;
 use crate::trainer::TrainReport;
 
 /// Hyperparameters of the contrastive objective.
@@ -61,8 +60,6 @@ pub fn fit_unsupervised(
     let mut report = TrainReport::default();
     let mut optimizer = Adam::with_lr(model_config.learning_rate, model_config.weight_decay);
     let mut order: Vec<NodeId> = nodes.to_vec();
-    // Shared across all epochs; only the per-node oracle engine reads it.
-    let masks = MaskCache::new();
 
     for epoch in 1..=config.epochs {
         let start = std::time::Instant::now();
@@ -79,7 +76,7 @@ pub fn fit_unsupervised(
             let pv = model.insert_params(&mut tape);
 
             // Sample anchor/positive states first (rng order fixed), then
-            // run the engine the config selects over all of them.
+            // run one forward pass over all of them.
             let mut anchor_states = Vec::with_capacity(batch.len());
             let mut positive_states = Vec::with_capacity(batch.len());
             for &u in batch {
@@ -96,31 +93,15 @@ pub fn fit_unsupervised(
                 ));
             }
 
-            let (z_u, z_v) = match model_config.execution {
-                Execution::Batched => {
-                    // One fused forward over anchors then positives; the
-                    // first `B` embedding rows are Z_u, the rest Z_v.
-                    let states: Vec<&crate::state::NodeState> =
-                        anchor_states.iter().chain(positive_states.iter()).collect();
-                    let fw = model.forward_batch(&mut tape, &pv, graph, &states);
-                    let anchor_rows: Vec<usize> = (0..batch.len()).collect();
-                    let positive_rows: Vec<usize> = (batch.len()..2 * batch.len()).collect();
-                    let z_u = tape.gather_rows(fw.embeddings, &anchor_rows);
-                    let z_v = tape.gather_rows(fw.embeddings, &positive_rows);
-                    (z_u, z_v)
-                }
-                Execution::PerNode => {
-                    let mut anchor_embs = Vec::with_capacity(batch.len());
-                    let mut positive_embs = Vec::with_capacity(batch.len());
-                    for (state_u, state_v) in anchor_states.iter().zip(&positive_states) {
-                        let fw_u = model.forward_node(&mut tape, &pv, graph, state_u, &masks);
-                        let fw_v = model.forward_node(&mut tape, &pv, graph, state_v, &masks);
-                        anchor_embs.push(fw_u.embedding);
-                        positive_embs.push(fw_v.embedding);
-                    }
-                    (tape.vstack(&anchor_embs), tape.vstack(&positive_embs))
-                }
-            };
+            // One fused forward over anchors then positives; the first `B`
+            // embedding rows are Z_u, the rest Z_v.
+            let states: Vec<&crate::state::NodeState> =
+                anchor_states.iter().chain(positive_states.iter()).collect();
+            let fw = model.forward_batch(&mut tape, &pv, graph, &states);
+            let anchor_rows: Vec<usize> = (0..batch.len()).collect();
+            let positive_rows: Vec<usize> = (batch.len()..2 * batch.len()).collect();
+            let z_u = tape.gather_rows(fw.embeddings, &anchor_rows);
+            let z_v = tape.gather_rows(fw.embeddings, &positive_rows);
             let sims = tape.matmul_nt(z_u, z_v);
             let scaled = tape.scale(sims, 1.0 / config.temperature);
             let labels: Vec<usize> = (0..batch.len()).collect();

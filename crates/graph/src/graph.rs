@@ -42,6 +42,12 @@ pub enum MutationError {
         /// Length of the supplied row.
         got: usize,
     },
+    /// A feature value is NaN or ±∞. One such row would turn every forward
+    /// pass that samples the node — its own and its neighbours' — non-finite.
+    NonFiniteFeature {
+        /// Position of the first offending value in the row.
+        index: usize,
+    },
     /// The label is outside `0..num_classes`.
     LabelOutOfRange {
         /// Offending label.
@@ -72,6 +78,9 @@ impl std::fmt::Display for MutationError {
             }
             Self::FeatureDimMismatch { expected, got } => {
                 write!(f, "feature dim mismatch: expected {expected}, got {got}")
+            }
+            Self::NonFiniteFeature { index } => {
+                write!(f, "feature {index} is not a finite number")
             }
             Self::LabelOutOfRange { got, num_classes } => {
                 write!(f, "label {got} out of range (have {num_classes} classes)")
@@ -385,7 +394,8 @@ impl HeteroGraph {
     ///
     /// # Errors
     /// [`MutationError::NodeTypeOutOfRange`],
-    /// [`MutationError::FeatureDimMismatch`] or
+    /// [`MutationError::FeatureDimMismatch`],
+    /// [`MutationError::NonFiniteFeature`] or
     /// [`MutationError::LabelOutOfRange`].
     pub fn add_node(
         &mut self,
@@ -524,6 +534,9 @@ impl HeteroGraph {
                 expected: self.feature_dim(),
                 got: features.len(),
             });
+        }
+        if let Some(index) = features.iter().position(|x| !x.is_finite()) {
+            return Err(MutationError::NonFiniteFeature { index });
         }
         if let Some(l) = label {
             if (l as usize) >= self.num_classes {

@@ -232,6 +232,12 @@ fn mutation_errors_are_typed_and_leave_graph_untouched() {
             got: 1
         })
     );
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        assert_eq!(
+            g.add_node_with_edges(NodeTypeId(0), vec![0.0, bad], None, &[(1, EdgeTypeId(0))]),
+            Err(MutationError::NonFiniteFeature { index: 1 })
+        );
+    }
     assert_eq!(
         g.add_node(NodeTypeId(0), vec![0.0, 0.0], Some(9)),
         Err(MutationError::LabelOutOfRange {

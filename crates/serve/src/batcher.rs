@@ -14,6 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{Receiver, RecvTimeoutError};
+use widen_core::model::argmax;
 use widen_obs::{buckets, Counter, Gauge, Histogram, Registry};
 
 use parking_lot::Mutex;
@@ -218,12 +219,6 @@ pub(crate) struct WorkerStats {
     pub coalesce_us: Arc<Histogram>,
     /// Always-on lifecycle: fused forward pass, per batch group, in µs.
     pub forward_us: Arc<Histogram>,
-    /// Jobs computed on their owning shard's snapshot (sharded registries
-    /// only).
-    pub shard_routed: Arc<Counter>,
-    /// Jobs on a sharded registry that could not run on their owner —
-    /// answered by the home shard or the full global graph instead.
-    pub shard_fallback: Arc<Counter>,
 }
 
 impl WorkerStats {
@@ -240,8 +235,6 @@ impl WorkerStats {
             queue_wait_us: metrics.histogram("serve_queue_wait_us", buckets::LATENCY_US_FINE),
             coalesce_us: metrics.histogram("serve_coalesce_us", buckets::LATENCY_US_FINE),
             forward_us: metrics.histogram("serve_forward_us", buckets::LATENCY_US_FINE),
-            shard_routed: metrics.counter("serve_shard_routed_jobs_total"),
-            shard_fallback: metrics.counter("serve_shard_fallback_jobs_total"),
         }
     }
 }
@@ -323,11 +316,9 @@ fn process_batch(
     let ckpt = st.checkpoint_hash();
     let graph_version = st.graph_version();
 
-    // (kind, shard route) → pending jobs grouping. Kinds and shards in a
-    // window are few; a Vec scan beats hashing. Route `None` means the
-    // full global graph — always the case for unsharded registries.
-    type GroupKey = (JobKind, Option<u32>);
-    let mut groups: Vec<(GroupKey, Vec<Job>)> = Vec::new();
+    // kind → pending jobs grouping. Kinds in a window are few; a Vec scan
+    // beats hashing.
+    let mut groups: Vec<(JobKind, Vec<Job>)> = Vec::new();
     for job in jobs {
         stats.queue_wait_us.observe(
             job.pulled_at
@@ -367,22 +358,13 @@ fn process_batch(
                 continue;
             }
         }
-        let route = st.shards().and_then(|map| map.route(job.node));
-        if let Some(map) = st.shards() {
-            if route.is_some() && route == map.owner(job.node) {
-                stats.shard_routed.inc();
-            } else {
-                stats.shard_fallback.inc();
-            }
-        }
-        let key = (job.kind, route);
-        match groups.iter_mut().find(|(k, _)| *k == key) {
+        match groups.iter_mut().find(|(k, _)| *k == job.kind) {
             Some((_, group)) => group.push(job),
-            None => groups.push((key, vec![job])),
+            None => groups.push((job.kind, vec![job])),
         }
     }
 
-    for ((kind, route), group) in groups {
+    for (kind, group) in groups {
         // Singleflight dedup: identical `(node, seed)` jobs in one window
         // sample and compute once and fan the row out to every subscriber.
         // Exact by construction — duplicates would have produced
@@ -402,24 +384,10 @@ fn process_batch(
                 }
             }
         }
-        // Shard-routed groups resolve nodes to snapshot-local ids but key
-        // every sampling stream by the *global* id, so the computed rows
-        // equal the full-graph rows exactly (the halo contract) and cache
-        // keys stay global.
-        let snap = route.map(|p| st.shards().expect("route implies sharded").shard(p));
-        let keyed: Option<Vec<(u32, u32, u64)>> = snap.map(|s| {
-            items
-                .iter()
-                .map(|&(node, seed)| (s.to_local(node).expect("routed node resolves"), node, seed))
-                .collect()
-        });
         let forward_start = Instant::now();
         match kind {
             JobKind::Embed => {
-                let rows = match (snap, &keyed) {
-                    (Some(s), Some(keyed)) => st.model().embed_requests_keyed(s.graph(), keyed),
-                    _ => st.model().embed_requests(st.graph(), &items),
-                };
+                let rows = st.model().embed_requests(st.graph(), &items);
                 let forward_end = Instant::now();
                 stats.forward_us.observe(
                     forward_end
@@ -456,15 +424,9 @@ fn process_batch(
                 }
             }
             JobKind::Classify { rounds } => {
-                let logits = match (snap, &keyed) {
-                    (Some(s), Some(keyed)) => {
-                        st.model()
-                            .ensemble_logits_keyed(s.graph(), keyed, rounds as usize)
-                    }
-                    _ => st
-                        .model()
-                        .ensemble_logits(st.graph(), &items, rounds as usize),
-                };
+                let logits = st
+                    .model()
+                    .ensemble_logits(st.graph(), &items, rounds as usize);
                 let forward_end = Instant::now();
                 stats.forward_us.observe(
                     forward_end
@@ -502,16 +464,6 @@ fn reply(job: &Job, result: Result<JobOutput, ServeError>, stamps: JobStamps) {
         result,
         stamps,
     });
-}
-
-/// Index of the largest entry, ties toward the first — matches
-/// `WidenModel::predict_ensemble`'s tie-breaking exactly.
-fn argmax(row: &[f32]) -> usize {
-    row.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-        .map(|(i, _)| i)
-        .expect("non-empty class set")
 }
 
 #[cfg(test)]

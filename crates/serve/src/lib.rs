@@ -83,5 +83,5 @@ pub use cache::{CacheStats, EmbedCache, EmbedKey};
 pub use client::{Client, ClientError};
 pub use error::ServeError;
 pub use protocol::{Request, Response, SpanSummary, TraceContext, WireError, WireSpan};
-pub use registry::{IngestOutcome, ModelRegistry, ServingState, ShardMap, ShardSnapshot};
+pub use registry::{IngestOutcome, ModelRegistry, ServingState};
 pub use server::{ServeConfig, ServeStats, Server, ServerHandle};

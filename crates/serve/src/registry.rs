@@ -11,169 +11,10 @@
 
 use std::time::Duration;
 
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use rustc_hash::FxHashMap;
+use parking_lot::{RwLock, RwLockReadGuard};
 use widen_core::{WidenConfig, WidenModel};
-use widen_graph::{greedy_bfs, EdgeTypeId, HeteroGraph, MutationError, NodeTypeId};
+use widen_graph::{EdgeTypeId, HeteroGraph, MutationError, NodeTypeId};
 use widen_tensor::{digest64, BackendKind, CheckpointError};
-
-/// Boundary-refinement passes used when partitioning the served graph,
-/// matching the sharded trainer's choice.
-const REFINEMENT_PASSES: usize = 2;
-
-/// One shard's serving snapshot: the halo-expanded induced subgraph plus
-/// the global→local id map for resolving requests against it.
-///
-/// The halo radius is the model's deep-walk length `N_d`, so sampling a
-/// *core* node inside the snapshot (keyed by its global id) is bitwise
-/// identical to sampling it on the full graph — a shard-routed embedding
-/// equals the unsharded one and the two can share a cache.
-pub struct ShardSnapshot {
-    graph: HeteroGraph,
-    /// Global node id → local id in `graph`. A plain map rather than the
-    /// builder's `NodeMapping` because ingested nodes get ids beyond the
-    /// original graph size and must still resolve.
-    to_local: FxHashMap<u32, u32>,
-}
-
-impl ShardSnapshot {
-    /// The shard's halo-expanded subgraph.
-    pub fn graph(&self) -> &HeteroGraph {
-        &self.graph
-    }
-
-    /// Resolves a global node id to this snapshot's local id, if present.
-    pub fn to_local(&self, global: u32) -> Option<u32> {
-        self.to_local.get(&global).copied()
-    }
-
-    /// Number of nodes in the snapshot (core + halo).
-    pub fn num_nodes(&self) -> usize {
-        self.graph.num_nodes()
-    }
-}
-
-/// Shard routing state for a sharded registry: the partition assignment
-/// over the global graph, one [`ShardSnapshot`] per shard, and the home
-/// shard that absorbs requests no single shard can own.
-///
-/// Routing rules:
-/// * embed/classify requests go to the owning shard (by assignment);
-/// * an ingested node goes to the shard that owns *all* its edge
-///   endpoints, else to the home shard;
-/// * anything unresolvable falls back to the full global graph.
-pub struct ShardMap {
-    /// `assignment[v]` = owning shard of global node `v`; grows on ingest.
-    assignment: Vec<u32>,
-    /// Designated fallback shard for cross-shard requests.
-    home: u32,
-    shards: Vec<ShardSnapshot>,
-    /// Halo radius the snapshots were built with (the model's `N_d`).
-    radius: usize,
-}
-
-impl ShardMap {
-    fn build(graph: &HeteroGraph, config: &WidenConfig, k: usize) -> Self {
-        assert!(k >= 1, "shard count must be positive");
-        assert!(
-            k <= graph.num_nodes(),
-            "cannot cut {} nodes into {k} shards",
-            graph.num_nodes()
-        );
-        let radius = config.n_d.max(1);
-        let partition = greedy_bfs(graph, k, REFINEMENT_PASSES);
-        let shards = (0..k as u32)
-            .map(|p| {
-                let keep = partition.halo(graph, p, radius);
-                let sub = graph.induced_subgraph(&keep);
-                let to_local = keep
-                    .iter()
-                    .map(|&g| (g, sub.mapping.to_new(g).expect("kept node maps")))
-                    .collect();
-                ShardSnapshot {
-                    graph: sub.graph,
-                    to_local,
-                }
-            })
-            .collect();
-        Self {
-            assignment: partition.assignment,
-            home: 0,
-            shards,
-            radius,
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The designated home shard for cross-shard fallbacks.
-    pub fn home(&self) -> u32 {
-        self.home
-    }
-
-    /// Halo radius the snapshots were built with.
-    pub fn radius(&self) -> usize {
-        self.radius
-    }
-
-    /// Shard `p`'s snapshot.
-    ///
-    /// # Panics
-    /// Panics if `p` is out of range.
-    pub fn shard(&self, p: u32) -> &ShardSnapshot {
-        &self.shards[p as usize]
-    }
-
-    /// The owning shard of `node` per the partition assignment, if known.
-    pub fn owner(&self, node: u32) -> Option<u32> {
-        self.assignment.get(node as usize).copied()
-    }
-
-    /// Routes a request for `node`: the owning shard when the node is
-    /// resolvable there, else the home shard when resolvable *there*, else
-    /// `None` — the caller computes on the full global graph.
-    pub fn route(&self, node: u32) -> Option<u32> {
-        if let Some(p) = self.owner(node) {
-            if self.shards[p as usize].to_local.contains_key(&node) {
-                return Some(p);
-            }
-        }
-        if self.shards[self.home as usize].to_local.contains_key(&node) {
-            return Some(self.home);
-        }
-        None
-    }
-
-    /// Picks the shard an ingested node lands in: the unanimous owner of
-    /// all its edge endpoints when every endpoint also resolves in that
-    /// shard's snapshot, else the home shard.
-    fn ingest_owner(&self, edges: &[(u32, EdgeTypeId)]) -> u32 {
-        let mut owner: Option<u32> = None;
-        for &(peer, _) in edges {
-            let Some(p) = self.owner(peer) else {
-                return self.home;
-            };
-            match owner {
-                None => owner = Some(p),
-                Some(q) if q == p => {}
-                Some(_) => return self.home,
-            }
-        }
-        let owner = owner.unwrap_or(self.home);
-        let snap = &self.shards[owner as usize];
-        if edges
-            .iter()
-            .all(|&(peer, _)| snap.to_local.contains_key(&peer))
-        {
-            owner
-        } else {
-            self.home
-        }
-    }
-}
 
 /// The consistent snapshot a read guard exposes: model, graph, the
 /// checkpoint digest identifying the model generation, and the graph
@@ -183,7 +24,6 @@ pub struct ServingState {
     graph: HeteroGraph,
     checkpoint_hash: u64,
     graph_version: u64,
-    shard_map: Option<ShardMap>,
 }
 
 impl ServingState {
@@ -212,11 +52,28 @@ impl ServingState {
         self.graph_version
     }
 
-    /// The shard routing map, when this registry was built with
-    /// [`ModelRegistry::with_shards`]; `None` means unsharded serving on
-    /// the global graph.
-    pub fn shards(&self) -> Option<&ShardMap> {
-        self.shard_map.as_ref()
+    /// The body of [`ModelRegistry::ingest`], under the write guard.
+    fn ingest(
+        &mut self,
+        node_type: NodeTypeId,
+        features: Vec<f32>,
+        label: Option<u16>,
+        edges: &[(u32, EdgeTypeId)],
+        seed: u64,
+    ) -> Result<IngestOutcome, MutationError> {
+        let node = self
+            .graph
+            .add_node_with_edges(node_type, features, label, edges)?;
+        // Bump before embedding so the outcome's version is exactly the
+        // version the embedding was computed under.
+        self.graph_version += 1;
+        let rows = self.model.embed_requests(&self.graph, &[(node, seed)]);
+        Ok(IngestOutcome {
+            node,
+            embedding: rows.row(0).to_vec(),
+            checkpoint_hash: self.checkpoint_hash,
+            graph_version: self.graph_version,
+        })
     }
 }
 
@@ -233,8 +90,6 @@ pub struct IngestOutcome {
     pub checkpoint_hash: u64,
     /// Graph version the embedding was computed under (post-mutation).
     pub graph_version: u64,
-    /// Shard the node was routed to, when the registry serves sharded.
-    pub shard: Option<u32>,
 }
 
 /// A shareable serving bundle: graph + configuration + weights restored
@@ -266,7 +121,6 @@ impl ModelRegistry {
                 model,
                 graph,
                 graph_version: 0,
-                shard_map: None,
             }),
         })
     }
@@ -283,34 +137,8 @@ impl ModelRegistry {
                 graph,
                 checkpoint_hash,
                 graph_version: 0,
-                shard_map: None,
             }),
         }
-    }
-
-    /// Splits the served graph into `k` halo-expanded shard snapshots and
-    /// routes subsequent embed/classify/ingest requests to the owning
-    /// shard (see [`ShardMap`]). Shard-routed embeddings are bitwise
-    /// identical to unsharded ones for partition-time nodes, so caches
-    /// keyed by `(node, checkpoint, graph_version, seed)` stay coherent.
-    ///
-    /// # Panics
-    /// Panics if `k` is zero or exceeds the node count.
-    pub fn with_shards(self, k: usize) -> Self {
-        let mut state = self.state.into_inner();
-        state.shard_map = Some(ShardMap::build(&state.graph, &state.model.config, k));
-        Self {
-            state: RwLock::new(state),
-        }
-    }
-
-    /// Number of serving shards (1 when unsharded).
-    pub fn num_shards(&self) -> usize {
-        self.state
-            .read()
-            .shard_map
-            .as_ref()
-            .map_or(1, ShardMap::num_shards)
     }
 
     /// Pins the dense GEMM kernel backend every forward pass served from
@@ -360,8 +188,8 @@ impl ModelRegistry {
     ///
     /// # Errors
     /// Returns the graph's typed [`MutationError`] (bad node/edge type,
-    /// feature-dimension mismatch, out-of-range peer, …); the graph is
-    /// untouched on error.
+    /// feature-dimension mismatch, non-finite feature, out-of-range peer,
+    /// …); the graph is untouched on error.
     pub fn ingest(
         &self,
         node_type: NodeTypeId,
@@ -370,14 +198,9 @@ impl ModelRegistry {
         edges: &[(u32, EdgeTypeId)],
         seed: u64,
     ) -> Result<IngestOutcome, MutationError> {
-        Self::ingest_locked(
-            &mut self.state.write(),
-            node_type,
-            features,
-            label,
-            edges,
-            seed,
-        )
+        self.state
+            .write()
+            .ingest(node_type, features, label, edges, seed)
     }
 
     /// Like [`ModelRegistry::ingest`], but gives up after waiting
@@ -399,76 +222,7 @@ impl ModelRegistry {
         timeout: Duration,
     ) -> Option<Result<IngestOutcome, MutationError>> {
         let mut st = self.state.try_write_for(timeout)?;
-        Some(Self::ingest_locked(
-            &mut st, node_type, features, label, edges, seed,
-        ))
-    }
-
-    fn ingest_locked(
-        st: &mut RwLockWriteGuard<'_, ServingState>,
-        node_type: NodeTypeId,
-        features: Vec<f32>,
-        label: Option<u16>,
-        edges: &[(u32, EdgeTypeId)],
-        seed: u64,
-    ) -> Result<IngestOutcome, MutationError> {
-        // Split-borrow through the guard so the shard map and the model can
-        // be borrowed independently below.
-        let st: &mut ServingState = &mut *st;
-        let mirror = st.shard_map.is_some().then(|| features.clone());
-        let node = st
-            .graph
-            .add_node_with_edges(node_type, features, label, edges)?;
-        // Bump before embedding so the outcome's version is exactly the
-        // version the embedding was computed under.
-        st.graph_version += 1;
-        // Mirror the node into its owning shard's snapshot. The global
-        // graph stays the source of truth; edges whose far endpoint is not
-        // in the owner's halo are dropped from the snapshot (documented
-        // staleness, healed by a shard rebuild).
-        let routed = if let Some(map) = &mut st.shard_map {
-            let p = map.ingest_owner(edges);
-            let snap = &mut map.shards[p as usize];
-            let local_edges: Vec<(u32, EdgeTypeId)> = edges
-                .iter()
-                .filter_map(|&(peer, t)| snap.to_local.get(&peer).map(|&l| (l, t)))
-                .collect();
-            let local = snap
-                .graph
-                .add_node_with_edges(
-                    node_type,
-                    mirror.expect("mirror features cloned for sharded ingest"),
-                    label,
-                    &local_edges,
-                )
-                .expect("snapshot mirror of an already-validated mutation");
-            snap.to_local.insert(node, local);
-            debug_assert_eq!(map.assignment.len(), node as usize);
-            map.assignment.push(p);
-            Some((p, local))
-        } else {
-            None
-        };
-        let (embedding, shard) = match routed {
-            Some((p, local)) => {
-                let map = st.shard_map.as_ref().expect("routed implies sharded");
-                let rows = st
-                    .model
-                    .embed_requests_keyed(&map.shards[p as usize].graph, &[(local, node, seed)]);
-                (rows.row(0).to_vec(), Some(p))
-            }
-            None => {
-                let rows = st.model.embed_requests(&st.graph, &[(node, seed)]);
-                (rows.row(0).to_vec(), None)
-            }
-        };
-        Ok(IngestOutcome {
-            node,
-            embedding,
-            checkpoint_hash: st.checkpoint_hash,
-            graph_version: st.graph_version,
-            shard,
-        })
+        Some(st.ingest(node_type, features, label, edges, seed))
     }
 
     /// Replaces the serving weights with `checkpoint`, keyed by its
@@ -669,7 +423,14 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, MutationError::EndpointOutOfRange { .. }));
+        let mut poisoned = vec![0.0; dataset.graph.feature_dim()];
+        poisoned[2] = f32::NAN;
+        let err = registry
+            .ingest(NodeTypeId(0), poisoned, None, &[(0, EdgeTypeId(0))], 1)
+            .unwrap_err();
+        assert_eq!(err, MutationError::NonFiniteFeature { index: 2 });
         assert_eq!(registry.read().graph().num_nodes(), n);
+        assert_eq!(registry.graph_version(), 0);
     }
 
     #[test]
@@ -698,80 +459,6 @@ mod tests {
         // The swapped generation serves exactly model_b's answers.
         let want = model_b.embed_requests(st.graph(), &[(0, 7)]);
         assert_eq!(embed_b.max_abs_diff(&want), 0.0);
-    }
-
-    #[test]
-    fn sharded_embeddings_match_unsharded_bitwise() {
-        let dataset = acm_like(Scale::Smoke, 6);
-        let model = WidenModel::for_graph(&dataset.graph, tiny_config());
-        let registry = ModelRegistry::from_model(dataset.graph.clone(), model).with_shards(3);
-        assert_eq!(registry.num_shards(), 3);
-        let st = registry.read();
-        let map = st.shards().expect("sharded registry");
-        for node in (0..dataset.graph.num_nodes() as u32).step_by(11) {
-            let p = map.route(node).expect("partition-time node routes");
-            assert_eq!(Some(p), map.owner(node), "core node routes to its owner");
-            let snap = map.shard(p);
-            let local = snap.to_local(node).expect("core node resolves");
-            let full = st.model().embed_requests(st.graph(), &[(node, 9)]);
-            let routed = st
-                .model()
-                .embed_requests_keyed(snap.graph(), &[(local, node, 9)]);
-            assert_eq!(
-                full.max_abs_diff(&routed),
-                0.0,
-                "shard-routed embedding diverged at node {node}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_ingest_routes_by_endpoint_ownership() {
-        let dataset = acm_like(Scale::Smoke, 7);
-        let model = WidenModel::for_graph(&dataset.graph, tiny_config());
-        let registry = ModelRegistry::from_model(dataset.graph.clone(), model).with_shards(2);
-        let feat = vec![0.2; dataset.graph.feature_dim()];
-        let (owner_of, home) = {
-            let st = registry.read();
-            let map = st.shards().unwrap();
-            (map.assignment.clone(), map.home())
-        };
-        // A node from each shard, to build single-shard and spanning edges.
-        let a = owner_of.iter().position(|&p| p != home).unwrap() as u32;
-        let b = owner_of.iter().position(|&p| p == home).unwrap() as u32;
-
-        // All endpoints in shard owner(a) → routed there.
-        let single = registry
-            .ingest(NodeTypeId(0), feat.clone(), None, &[(a, EdgeTypeId(0))], 1)
-            .expect("valid ingest");
-        assert_eq!(single.shard, Some(owner_of[a as usize]));
-
-        // Endpoints spanning both shards → routed to the home shard.
-        let spanning = registry
-            .ingest(
-                NodeTypeId(0),
-                feat.clone(),
-                None,
-                &[(a, EdgeTypeId(0)), (b, EdgeTypeId(0))],
-                1,
-            )
-            .expect("valid ingest");
-        assert_eq!(spanning.shard, Some(home));
-
-        // Both ingested nodes route to their landing shard afterwards and
-        // the warm embedding is what a routed Embed would recompute.
-        let st = registry.read();
-        let map = st.shards().unwrap();
-        for out in [&single, &spanning] {
-            let p = map.route(out.node).expect("ingested node routes");
-            assert_eq!(Some(p), out.shard);
-            let snap = map.shard(p);
-            let local = snap.to_local(out.node).expect("ingested node resolves");
-            let again = st
-                .model()
-                .embed_requests_keyed(snap.graph(), &[(local, out.node, 1)]);
-            assert_eq!(out.embedding.as_slice(), again.row(0));
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use widen::core::{WidenConfig, WidenModel};
 use widen::data::{acm_like, Scale};
 use widen::graph::{EdgeTypeId, NodeTypeId};
-use widen::serve::{Client, ClientError, ModelRegistry, ServeConfig, Server};
+use widen::serve::{Client, ClientError, ModelRegistry, ServeConfig, ServeError, Server};
 
 fn tiny_config() -> WidenConfig {
     let mut c = WidenConfig::small();
@@ -114,6 +114,49 @@ fn wire_ingest_matches_offline_forward_bit_for_bit() {
         stats.cache_hits >= 1,
         "ingest must warm the embedding cache"
     );
+}
+
+#[test]
+fn non_finite_features_are_rejected_before_the_graph_is_touched() {
+    let dataset = acm_like(Scale::Smoke, 72);
+    let model = WidenModel::for_graph(&dataset.graph, tiny_config());
+    let registry = ModelRegistry::from_model(dataset.graph.clone(), model);
+    let handle = Server::bind(registry, ServeConfig::default(), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let feat_dim = dataset.graph.feature_dim();
+    let next_id = dataset.graph.num_nodes() as u32;
+
+    let warm = client.embed(&[0], 5).expect("embed succeeds");
+    let hits = handle.stats().cache_hits;
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut features = vec![0.25; feat_dim];
+        features[feat_dim / 2] = bad;
+        match client.ingest(0, &features, None, &[(0, 0), (1, 0)], 5) {
+            Err(ClientError::Server(ServeError::BadRequest(_))) => {}
+            other => panic!("a {bad} feature must be a BadRequest, got {other:?}"),
+        }
+    }
+
+    // No node was added, and `graph_version` did not move: the row warmed
+    // above is still reachable under its cache key.
+    match client.embed(&[next_id], 5) {
+        Err(ClientError::Server(_)) => {}
+        other => panic!("rejected ingests must not assign ids, got {other:?}"),
+    }
+    let again = client.embed(&[0], 5).expect("embed succeeds");
+    assert_eq!(bits(&again[0]), bits(&warm[0]));
+    assert_eq!(handle.stats().cache_hits, hits + 1);
+
+    // The ingest executor is still alive: the next clean arrival gets the
+    // id the poisoned ones did not, and a unit-norm row.
+    let (node, row) = client
+        .ingest(0, &vec![0.25; feat_dim], None, &[(0, 0), (1, 0)], 5)
+        .expect("clean ingest succeeds");
+    assert_eq!(node, next_id);
+    let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt();
+    assert!((norm - 1.0).abs() < 1e-4, "norm = {norm}");
+
+    assert_eq!(handle.shutdown().ingests, 1);
 }
 
 #[test]
