@@ -3,13 +3,11 @@
 //! Yelp-like graph and reports the **modelled distributed critical path**
 //! per epoch — for every global step, the slowest shard's busy time plus
 //! the gradient-merge/optimizer time. On a multi-core host the wall clock
-//! approaches this number; on the single-core CI box the modelled path is
-//! the scaling signal itself (each shard's busy time is measured while
-//! the shards run, so imbalance and merge overhead are fully charged).
-//!
-//! Splices a `"scaling"` object into `BENCH_widen.json` with
-//! `secs_per_epoch_s{1,2,4,8}`, the 4-shard speedup, and its parallel
-//! efficiency; `bench_gate` holds the speedup above its minimum band.
+//! approaches this number; on a single-core box the modelled path is the
+//! scaling signal itself (each shard's busy time is measured while the
+//! shards run, so imbalance and merge overhead are fully charged). A
+//! report, not a gate: the figures land in `<out>/bench_shards.json`
+//! labelled `"basis": "modelled"`.
 //!
 //! ```text
 //! bench_shards [--scale smoke|table] [--seeds N] [--out DIR]
@@ -18,18 +16,11 @@
 //! `--scale table` runs the 10× node-count sweep the committed numbers
 //! use; `--scale smoke` is the CI-sized variant.
 
-use std::time::Instant;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use widen_bench::parse_args;
 use widen_core::{ShardParallelism, ShardedTrainer, WidenConfig, WidenModel};
 use widen_data::yelp_like;
-use widen_graph::greedy_bfs;
-use widen_sampling::ShardAliasTables;
 use widen_tensor::BackendKind;
 
-/// Swept shard counts; 4 is the gated point.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const EPOCHS: usize = 1;
 /// Fits per shard count. Every rep runs bitwise-identical work (the
@@ -42,8 +33,6 @@ const EPOCHS: usize = 1;
 /// run clean. Reps are also interleaved round-robin across shard counts
 /// so a slow stretch on a shared box penalises every shard count alike.
 const FIT_REPS: usize = 5;
-/// Nodes drawn per shard for the alias-table embed probe.
-const PROBE_DRAWS: usize = 8;
 
 fn main() {
     let opts = parse_args();
@@ -63,12 +52,10 @@ fn main() {
         backend.name()
     );
 
-    let mut per_shard_secs: Vec<(usize, f64)> = Vec::new();
-    let mut final_model = None;
-    // Per shard count: epoch → step → shard busy floors and epoch → step
-    // merge floors, min-merged across reps.
-    let mut floor_busy: Vec<Option<Vec<Vec<Vec<u64>>>>> = vec![None; SHARD_COUNTS.len()];
-    let mut floor_merge: Vec<Option<Vec<Vec<u64>>>> = vec![None; SHARD_COUNTS.len()];
+    // Per shard count: step → shard busy nanos and step → merge nanos,
+    // min-merged across reps.
+    let mut floor_busy: Vec<Vec<Vec<u64>>> = vec![Vec::new(); SHARD_COUNTS.len()];
+    let mut floor_merge: Vec<Vec<u64>> = vec![Vec::new(); SHARD_COUNTS.len()];
     for rep in 0..FIT_REPS {
         for (slot, &k) in SHARD_COUNTS.iter().enumerate() {
             let model = WidenModel::for_graph(&dataset.graph, cfg.clone());
@@ -91,136 +78,59 @@ fn main() {
                 report.final_loss(),
                 sizes.iter().map(|&(_, _, t)| t).collect::<Vec<_>>()
             );
-            merge_floors(&mut floor_busy[slot], report.step_busy_nanos);
-            merge_floors(&mut floor_merge[slot], report.step_merge_nanos);
-            final_model = Some(trainer.into_model());
+            let busy = report.step_busy_nanos.concat();
+            let merge = report.step_merge_nanos.concat();
+            if rep == 0 {
+                floor_busy[slot] = busy;
+                floor_merge[slot] = merge;
+            } else {
+                assert_eq!(floor_busy[slot].len(), busy.len(), "step count drifted");
+                for (floor, sample) in floor_busy[slot].iter_mut().zip(&busy) {
+                    min_into(floor, sample);
+                }
+                min_into(&mut floor_merge[slot], &merge);
+            }
         }
     }
-    for (slot, &k) in SHARD_COUNTS.iter().enumerate() {
-        let busy = floor_busy[slot].as_ref().expect("at least one rep");
-        let merge = floor_merge[slot].as_ref().expect("at least one rep");
-        // Modelled critical path from the floors: per step, the slowest
-        // shard's cleanest observation plus the cleanest merge.
-        let total_nanos: u64 = busy
+    // Modelled critical path from the floors: per step, the slowest
+    // shard's cleanest observation plus the cleanest merge.
+    let [s1, s2, s4, s8]: [f64; SHARD_COUNTS.len()] = std::array::from_fn(|slot| {
+        let nanos: u64 = floor_busy[slot]
             .iter()
-            .zip(merge)
-            .flat_map(|(steps, merges)| {
-                steps
-                    .iter()
-                    .zip(merges)
-                    .map(|(shards, m)| shards.iter().copied().max().unwrap_or(0) + m)
-            })
+            .zip(&floor_merge[slot])
+            .map(|(shards, m)| shards.iter().copied().max().unwrap_or(0) + m)
             .sum();
-        let epochs = busy.len().max(1);
-        per_shard_secs.push((k, total_nanos as f64 * 1e-9 / epochs as f64));
-    }
-    let secs_of = |k: usize| {
-        per_shard_secs
-            .iter()
-            .find(|&&(c, _)| c == k)
-            .map(|&(_, s)| s)
-            .expect("swept shard count")
-    };
-    let speedup_4x = secs_of(1) / secs_of(4).max(1e-12);
-    let efficiency_4x = speedup_4x / 4.0;
-    println!("\n4-shard speedup {speedup_4x:.2}x (parallel efficiency {efficiency_4x:.2})");
-
-    // Per-shard alias-table probe: draw degree-biased nodes from each
-    // shard and embed them — the shard-routed serving warm-up path.
-    let model = final_model.expect("sweep ran");
-    let partition = greedy_bfs(&dataset.graph, 4, 2);
-    let tables = ShardAliasTables::degree_weighted(&dataset.graph, &partition.assignment, 4);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let probe_start = Instant::now();
-    let mut probed = 0usize;
-    for p in 0..tables.num_shards() {
-        let nodes: Vec<u32> = (0..PROBE_DRAWS)
-            .filter_map(|_| tables.sample(p, &mut rng))
-            .collect();
-        if nodes.is_empty() {
-            continue;
-        }
-        let rows = model.embed_nodes(&dataset.graph, &nodes, seed);
-        assert_eq!(rows.rows(), nodes.len());
-        probed += nodes.len();
-    }
-    let probe_ms = probe_start.elapsed().as_secs_f64() * 1e3;
-    println!("alias-table probe: embedded {probed} shard-sampled nodes in {probe_ms:.1} ms");
-
-    let scaling = serde_json::json!({
-        "dataset": "yelp-like",
-        "scale": format!("{:?}", opts.scale),
-        "nodes": dataset.graph.num_nodes(),
-        "train_nodes": train.len(),
-        "epochs": EPOCHS,
-        "secs_per_epoch_s1": secs_of(1),
-        "secs_per_epoch_s2": secs_of(2),
-        "secs_per_epoch_s4": secs_of(4),
-        "secs_per_epoch_s8": secs_of(8),
-        "speedup_4x": speedup_4x,
-        "parallel_efficiency_4x": efficiency_4x,
-        "shard_probe_nodes": probed,
-        "shard_probe_ms": probe_ms,
+        nanos as f64 * 1e-9 / EPOCHS as f64
     });
-    let rendered = serde_json::to_string_pretty(&scaling).expect("serialise");
-    splice_scaling("BENCH_widen.json", &rendered);
-    println!("\n[scaling spliced into BENCH_widen.json]");
+    let speedup_4x = s1 / s4.max(1e-12);
+    let efficiency_4x = speedup_4x / 4.0;
+    println!("\n4-shard speedup {speedup_4x:.2}x modelled (efficiency {efficiency_4x:.2})");
+
+    opts.write_json(
+        "bench_shards",
+        &serde_json::json!({
+            "dataset": "yelp-like",
+            "scale": format!("{:?}", opts.scale),
+            "nodes": dataset.graph.num_nodes(),
+            "train_nodes": train.len(),
+            "epochs": EPOCHS,
+            "basis": "modelled",
+            "secs_per_epoch_s1": s1,
+            "secs_per_epoch_s2": s2,
+            "secs_per_epoch_s4": s4,
+            "secs_per_epoch_s8": s8,
+            "speedup_4x": speedup_4x,
+            "parallel_efficiency_4x": efficiency_4x,
+        }),
+    );
 }
 
-/// Elementwise minimum over arbitrarily nested timing vectors. Reps of a
-/// deterministic fit produce identically-shaped samples, so the floor is
-/// taken pointwise; a shape mismatch means the fit was not deterministic
-/// and is a bug worth crashing on.
-trait MinMerge {
-    fn min_merge(&mut self, other: Self);
-}
-
-impl MinMerge for u64 {
-    fn min_merge(&mut self, other: Self) {
-        *self = (*self).min(other);
+/// Folds one rep's samples into the running elementwise floor. Reps of a
+/// deterministic fit produce identically-shaped samples; a shape mismatch
+/// means the fit was not deterministic and is a bug worth crashing on.
+fn min_into(floor: &mut [u64], sample: &[u64]) {
+    assert_eq!(floor.len(), sample.len(), "reps must agree on step shape");
+    for (f, &s) in floor.iter_mut().zip(sample) {
+        *f = (*f).min(s);
     }
-}
-
-impl<T: MinMerge> MinMerge for Vec<T> {
-    fn min_merge(&mut self, other: Self) {
-        assert_eq!(self.len(), other.len(), "reps must agree on step shape");
-        for (a, b) in self.iter_mut().zip(other) {
-            a.min_merge(b);
-        }
-    }
-}
-
-/// Folds one rep's timing sample into the running elementwise floor.
-fn merge_floors<T: MinMerge>(slot: &mut Option<T>, sample: T) {
-    match slot {
-        None => *slot = Some(sample),
-        Some(cur) => cur.min_merge(sample),
-    }
-}
-
-/// Appends (or replaces) a trailing `"scaling"` key in the snapshot at
-/// `path`, keeping the rest of the document byte-identical. The vendored
-/// `serde_json` has no parser, so this is plain text surgery on the
-/// known snapshot shape: the scaling object is always the last key, so a
-/// re-run truncates at its marker before re-appending.
-fn splice_scaling(path: &str, scaling: &str) {
-    const MARKER: &str = "\n  \"scaling\":";
-    let merged = match std::fs::read_to_string(path) {
-        Ok(doc) => {
-            let base = match doc.find(MARKER) {
-                Some(at) => format!("{}\n}}", doc[..at].trim_end().trim_end_matches(',')),
-                None => doc,
-            };
-            let body = base
-                .trim_end()
-                .strip_suffix('}')
-                .expect("snapshot must end with `}`")
-                .trim_end()
-                .to_string();
-            let sep = if body.ends_with('{') { "" } else { "," };
-            format!("{body}{sep}\n  \"scaling\": {scaling}\n}}")
-        }
-        Err(_) => format!("{{\n  \"scaling\": {scaling}\n}}"),
-    };
-    std::fs::write(path, merged).expect("write BENCH_widen.json");
 }

@@ -117,7 +117,10 @@ pub fn parse_args_from(args: Vec<String>) -> HarnessOpts {
             }
             "--seeds" => {
                 let v = it.next().expect("--seeds needs a value");
-                seeds = Some(v.parse().expect("--seeds must be an integer"));
+                seeds = match v.parse() {
+                    Ok(n) if n > 0 => Some(n),
+                    _ => panic!("bad seed count `{v}` (use --seeds N with N >= 1)"),
+                };
             }
             "--out" => {
                 out_dir = PathBuf::from(it.next().expect("--out needs a value"));
@@ -181,6 +184,12 @@ mod tests {
     #[should_panic(expected = "unknown scale")]
     fn rejects_bad_scale() {
         let _ = opts(&["--scale", "galactic"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad seed count")]
+    fn rejects_zero_seeds() {
+        let _ = opts(&["--seeds", "0"]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! besides wall time the trainer records the *modelled distributed critical
 //! path*: per global step, the slowest shard's busy nanos plus the
 //! merge/optimizer nanos — what a k-worker deployment would pay. The
-//! `bench_shards` sweep and its CI band gate on that figure.
+//! `bench_shards` sweep reports that figure.
 
 use std::sync::Arc;
 

@@ -930,7 +930,7 @@ mod tests {
 
     #[test]
     fn tracing_and_profiling_capture_epoch_structure() {
-        use widen_obs::{span_tree, Tracer};
+        use widen_obs::{chrome_trace_json, span_tree, validate_chrome_trace, Tracer};
         let dataset = acm_like(Scale::Smoke, 13);
         let train: Vec<u32> = dataset.transductive.train[..20].to_vec();
         let mut cfg = tiny_config();
@@ -969,6 +969,12 @@ mod tests {
         // The trace holds one epoch root per epoch, each with
         // forward/backward/optim children (cross-thread parenting).
         let records = tracer.drain();
+        // Real trainer spans (cross-thread, nested) survive the Chrome
+        // export: one valid, ts-ordered event per span.
+        assert_eq!(
+            validate_chrome_trace(&chrome_trace_json(&records)),
+            Ok(records.len())
+        );
         let epoch_roots: Vec<_> = records
             .iter()
             .filter(|r| r.name == "core.trainer.epoch")

@@ -1,8 +1,7 @@
-//! Minimal JSON emission helpers shared by snapshots and the JSONL sink.
-//!
-//! Deliberately write-only: the workspace's JSON *parsing* needs live in
-//! the vendored `serde_json` stub; this crate only ever produces machine
-//! lines, so a few escape-aware `push` helpers keep it dependency-free.
+//! Minimal JSON helpers: escape-aware `push` writers shared by snapshots
+//! and the JSONL sink, and [`parse`], the workspace's one JSON reader (the
+//! vendored `serde_json` stub is write-only) — what the Chrome-trace
+//! validator and the tests that read a dump back go through.
 
 /// Appends `s` as a JSON string literal (quoted, escaped).
 pub fn push_string(out: &mut String, s: &str) {
@@ -33,6 +32,213 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
+/// A parsed JSON value; objects keep their fields in document order.
+#[derive(Clone, Debug, PartialEq)]
+pub enum JsonValue {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any number, as `f64`.
+    Num(f64),
+    /// A string, escapes resolved.
+    Str(String),
+    /// An array.
+    Array(Vec<JsonValue>),
+    /// An object as `(key, value)` pairs.
+    Object(Vec<(String, JsonValue)>),
+}
+
+/// Strict recursive-descent parse of one complete JSON document; the error
+/// describes the first violation (trailing bytes included).
+pub fn parse(text: &str) -> Result<JsonValue, String> {
+    let mut p = JsonParser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    let doc = p.parse_value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(format!("trailing bytes at offset {}", p.pos));
+    }
+    Ok(doc)
+}
+
+struct JsonParser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl JsonParser<'_> {
+    fn skip_ws(&mut self) {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+        {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at offset {}", b as char, self.pos))
+        }
+    }
+
+    fn parse_value(&mut self) -> Result<JsonValue, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.parse_array(),
+            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
+            Some(b't') => self.parse_lit("true", JsonValue::Bool(true)),
+            Some(b'f') => self.parse_lit("false", JsonValue::Bool(false)),
+            Some(b'n') => self.parse_lit("null", JsonValue::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
+            _ => Err(format!("unexpected byte at offset {}", self.pos)),
+        }
+    }
+
+    fn parse_lit(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(format!("bad literal at offset {}", self.pos))
+        }
+    }
+
+    fn parse_number(&mut self) -> Result<JsonValue, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while self
+            .peek()
+            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| "non-utf8 number".to_string())?;
+        text.parse::<f64>()
+            .map(JsonValue::Num)
+            .map_err(|_| format!("bad number `{text}` at offset {start}"))
+    }
+
+    fn parse_string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or("truncated \\u escape")?;
+                            let code = u32::from_str_radix(
+                                std::str::from_utf8(hex).map_err(|_| "non-utf8 escape")?,
+                                16,
+                            )
+                            .map_err(|_| "bad \\u escape")?;
+                            // Surrogates only appear for astral chars the
+                            // exporter writes raw; lone ones are an error.
+                            out.push(char::from_u32(code).ok_or("surrogate in \\u escape")?);
+                            self.pos += 4;
+                        }
+                        _ => return Err(format!("bad escape at offset {}", self.pos)),
+                    }
+                    self.pos += 1;
+                }
+                Some(c) if c < 0x20 => {
+                    return Err(format!("raw control byte at offset {}", self.pos));
+                }
+                Some(_) => {
+                    // Consume one UTF-8 scalar.
+                    let s = std::str::from_utf8(&self.bytes[self.pos..])
+                        .map_err(|_| "non-utf8 string content".to_string())?;
+                    let c = s.chars().next().unwrap();
+                    out.push(c);
+                    self.pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    fn parse_array(&mut self) -> Result<JsonValue, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(JsonValue::Array(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Array(items));
+                }
+                _ => return Err(format!("expected , or ] at offset {}", self.pos)),
+            }
+        }
+    }
+
+    fn parse_object(&mut self) -> Result<JsonValue, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(JsonValue::Object(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Object(fields));
+                }
+                _ => return Err(format!("expected , or }} at offset {}", self.pos)),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,6 +255,35 @@ mod tests {
         assert_eq!(render_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(render_str("line\nbreak\t"), "\"line\\nbreak\\t\"");
         assert_eq!(render_str("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn parse_reads_back_what_the_writers_emit_and_rejects_corruption() {
+        let mut doc = String::from("{\"kind\":");
+        push_string(&mut doc, "a}\"\n\u{1}");
+        doc.push_str(",\"v\":[");
+        push_f64(&mut doc, -0.25);
+        doc.push_str(",null,true]}");
+        let JsonValue::Object(fields) = parse(&doc).unwrap() else {
+            panic!("not an object: {doc}");
+        };
+        assert_eq!(fields[0].1, JsonValue::Str("a}\"\n\u{1}".into()));
+        assert_eq!(
+            fields[1].1,
+            JsonValue::Array(vec![
+                JsonValue::Num(-0.25),
+                JsonValue::Null,
+                JsonValue::Bool(true)
+            ])
+        );
+        for bad in [
+            "{\"kind\":\"}",
+            "{\"n\":1.2.3}",
+            "{\"n\":1} x",
+            "{\"n\":01e}",
+        ] {
+            assert!(parse(bad).is_err(), "accepted `{bad}`");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json;
+use crate::json::{self, JsonValue};
 use crate::sink::Event;
 
 /// Identifies one trace (a request, an epoch, a run).
@@ -494,27 +494,18 @@ pub fn write_chrome_trace<P: AsRef<Path>>(path: P, records: &[SpanRecord]) -> st
 }
 
 // ---------------------------------------------------------------------------
-// Chrome-trace validation (tests + the trace_smoke CI bin)
+// Chrome-trace validation
 // ---------------------------------------------------------------------------
 
 /// Validates a [`chrome_trace_json`] document without a JSON dependency:
-/// strict JSON well-formedness (a minimal recursive-descent parse), every
-/// event a complete `"ph":"X"` record with `name`/`ts`/`dur`, and `ts`
-/// monotone non-decreasing across the array. Returns the event count.
+/// strict JSON well-formedness ([`json::parse`]), every event a complete
+/// `"ph":"X"` record with `name`/`ts`/`dur`, and `ts` monotone
+/// non-decreasing across the array. Returns the event count.
 ///
 /// # Errors
 /// Returns a description of the first violation.
 pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let doc = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    let JsonValue::Object(fields) = doc else {
+    let JsonValue::Object(fields) = json::parse(text)? else {
         return Err("top level is not an object".into());
     };
     let events = fields
@@ -555,191 +546,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
         last_ts = *ts;
     }
     Ok(events.len())
-}
-
-enum JsonValue {
-    Null,
-    // Payload parsed for well-formedness only; the validator never reads it.
-    Bool(#[allow(dead_code)] bool),
-    Num(f64),
-    Str(String),
-    Array(Vec<JsonValue>),
-    Object(Vec<(String, JsonValue)>),
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b't') => self.parse_lit("true", JsonValue::Bool(true)),
-            Some(b'f') => self.parse_lit("false", JsonValue::Bool(false)),
-            Some(b'n') => self.parse_lit("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => Err(format!("unexpected byte at offset {}", self.pos)),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("bad number `{text}` at offset {start}"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "non-utf8 escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogates only appear for astral chars the
-                            // exporter writes raw; lone ones are an error.
-                            out.push(char::from_u32(code).ok_or("surrogate in \\u escape")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(c) if c < 0x20 => {
-                    return Err(format!("raw control byte at offset {}", self.pos));
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string content".to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(format!("expected , or ] at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                _ => return Err(format!("expected , or }} at offset {}", self.pos)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -21,13 +21,11 @@
 
 mod alias;
 mod deep;
-mod shard;
 mod streaming;
 mod wide;
 
 pub use alias::AliasTable;
 pub use deep::{sample_deep, sample_deep_multi, DeepEntry, DeepSet};
-pub use shard::ShardAliasTables;
 pub use streaming::StreamingAlias;
 pub use wide::{sample_wide, WideEntry, WideSet};
 

@@ -11,6 +11,7 @@
 //! * [`baselines`] — Node2Vec, GCN, FastGCN, GraphSAGE, GAT, GTN, HAN, HGT.
 //! * [`eval`] — F1, paired t-tests, t-SNE, silhouette, timing.
 //! * [`serve`] — concurrent micro-batched TCP inference service.
+//! * [`obs`] — metrics registries, span tracing, flight recorder, JSON reader.
 //!
 //! See `examples/quickstart.rs` for an end-to-end walkthrough.
 
@@ -21,6 +22,7 @@ pub use widen_core as core;
 pub use widen_data as data;
 pub use widen_eval as eval;
 pub use widen_graph as graph;
+pub use widen_obs as obs;
 pub use widen_sampling as sampling;
 pub use widen_serve as serve;
 pub use widen_tensor as tensor;

@@ -155,6 +155,9 @@ fn stats_op_reports_live_counters() {
         "serve_batch_size",
         "serve_batch_wait_us",
         "serve_queue_depth",
+        // Ambient process-registry instruments the samplers record into.
+        "sampling_wide_set_size",
+        "sampling_deep_walk_len",
     ] {
         assert!(text.contains(key), "stats payload missing `{key}`: {text}");
     }

@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 
 use widen::core::{WidenConfig, WidenModel};
 use widen::data::{acm_like, Scale};
+use widen::obs::json::{self, JsonValue};
 use widen::serve::{Client, ClientError, ModelRegistry, ServeConfig, ServeError, Server};
 
 fn tiny_config() -> WidenConfig {
@@ -42,35 +43,31 @@ fn registry_for(fx: &Fixture) -> ModelRegistry {
         .expect("checkpoint loads")
 }
 
-/// Minimal JSONL sanity check without a JSON parser (the vendored
-/// serde_json stub is write-only): every line is one `{...}` object
-/// carrying the fields a post-mortem reader keys on.
+/// Every dump line parses as one JSON object carrying, with the right
+/// types, the fields a post-mortem reader keys on.
 fn assert_parseable_jsonl(dump: &str) {
     assert!(!dump.is_empty(), "dump must not be empty");
     for line in dump.lines() {
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "not a JSON object line: {line}"
-        );
-        for field in [
-            "\"seq\":",
-            "\"id\":",
-            "\"kind\":",
-            "\"outcome\":",
-            "\"total_us\":",
-        ] {
-            assert!(line.contains(field), "missing {field} in {line}");
+        let record = match json::parse(line) {
+            Ok(JsonValue::Object(fields)) => fields,
+            other => panic!("not a JSON object line ({other:?}): {line}"),
+        };
+        let get = |key: &str| record.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        for field in ["seq", "id", "total_us"] {
+            assert!(
+                matches!(get(field), Some(JsonValue::Num(n)) if *n >= 0.0),
+                "missing numeric {field} in {line}"
+            );
         }
-        // Balanced braces and quotes — catches truncated writes.
-        assert_eq!(
-            line.matches('{').count(),
-            line.matches('}').count(),
-            "unbalanced braces: {line}"
-        );
-        assert_eq!(
-            line.matches('"').count() % 2,
-            0,
-            "unbalanced quotes: {line}"
+        for field in ["kind", "outcome"] {
+            assert!(
+                matches!(get(field), Some(JsonValue::Str(s)) if !s.is_empty()),
+                "missing string {field} in {line}"
+            );
+        }
+        assert!(
+            matches!(get("phases"), Some(JsonValue::Array(_))),
+            "missing phases array in {line}"
         );
     }
 }
@@ -95,6 +92,7 @@ fn telemetry_op_returns_merged_slo_view() {
     assert!(text.contains("\"serve_requests_total\":"), "{text}");
     assert!(text.contains("\"serve_request_latency_us\":"), "{text}");
     assert!(text.contains("\"serve_reactor_tick_us\":"), "{text}");
+    assert!(text.contains("\"serve_queue_wait_us\":"), "{text}");
     assert!(text.contains("\"p50\":"), "{text}");
     assert!(text.contains("\"p99\":"), "{text}");
 
@@ -148,6 +146,9 @@ fn shed_request_produces_parseable_postmortem_with_its_timeline() {
         dump.lines().any(|l| l.contains("\"outcome\":\"ok\"")),
         "{dump}"
     );
+    let snap = handle.metrics().snapshot();
+    let dumps = snap.counter("serve_postmortem_dumps_total").unwrap_or(0);
+    assert!(dumps >= 1, "dump counter must be live, saw {dumps}");
     let stats = handle.shutdown();
     assert_eq!(stats.shed, 1);
 }

@@ -210,7 +210,14 @@ fn two_shard_training_learns_like_the_full_graph() {
 
     let model = WidenModel::for_graph(&dataset.graph, cfg);
     let mut sharded = ShardedTrainer::new(model, &dataset.graph, train, 2);
-    sharded.fit();
+    assert_eq!(sharded.num_shards(), 2);
+    let split: Vec<usize> = sharded.shard_sizes().iter().map(|&(_, _, t)| t).collect();
+    assert!(
+        split.iter().all(|&t| t >= 1),
+        "a shard ended up with no training nodes: {split:?}"
+    );
+    let loss = sharded.fit().final_loss();
+    assert!(loss.is_finite() && loss > 0.0, "bad training loss {loss}");
     let shard_f1 = micro_f1(
         &truth,
         &sharded.into_model().predict(&dataset.graph, test, 7),
