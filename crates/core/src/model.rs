@@ -438,19 +438,18 @@ impl WidenModel {
 
             // Eq. 5: gather into each walk's target — query is the walk's
             // own m_t▷ row, keys from the refined sequence H▷, values
-            // from the raw packs M▷. The refined rows are position-specific
-            // (no dedup possible); the raw-pack values are not.
+            // from the raw packs M▷. Scores are the bilinear form
+            // `(m_t W_Q)(H W_K)ᵀ = ((m_t W_Q) W_Kᵀ) Hᵀ`: `W_K▷′` is applied
+            // to the one query row per walk, and the refined rows — the
+            // only position-specific (undeduplicable) matrix here — are
+            // the keys as they stand, never projected.
             let m_rows: Vec<usize> = walk_spans.iter().map(|&(start, _)| start).collect();
             let lens: Vec<usize> = walk_spans.iter().map(|&(_, len)| len).collect();
             let spans: Arc<[(usize, usize)]> = walk_spans.clone().into();
             let m_t = tape.gather_rows(packs, &m_rows);
             let q2 = tape.matmul(m_t, pv.deep_q2);
-            let k2 = if variant.successive_attention {
-                tape.matmul(refined, pv.deep_k2)
-            } else {
-                project(tape, pv.deep_k2)
-            };
-            let scores2 = tape.padded_segment_scores(q2, k2, spans.clone());
+            let q2 = tape.matmul_nt(q2, pv.deep_k2);
+            let scores2 = tape.padded_segment_scores(q2, refined, spans.clone());
             let scaled2 = tape.scale(scores2, inv_sqrt_d);
             let attn = tape.padded_softmax_rows(scaled2, lens.into());
             let v2 = project(tape, pv.deep_v2);
@@ -685,6 +684,7 @@ mod tests {
     use super::*;
     use crate::ablation::Variant;
     use widen_graph::GraphBuilder;
+    use widen_tensor::BackendKind;
 
     fn toy_graph() -> HeteroGraph {
         let mut b = GraphBuilder::new(&["a", "b"], &["ab", "bb"]).with_classes(2);
@@ -851,8 +851,9 @@ mod tests {
             let grad = tape.grad(var);
             assert!(grad.is_some(), "no gradient for `{name}`");
             // ReLU can zero out some paths, but most parameters must
-            // receive non-trivial gradient signal.
-            if ["classifier", "fuse_w", "g_node"].contains(&name) {
+            // receive non-trivial gradient signal — `deep_k2` through its
+            // only path, the folded Eq. 5 query.
+            if ["classifier", "fuse_w", "g_node", "deep_k2"].contains(&name) {
                 assert!(
                     grad.unwrap().frobenius_norm() > 0.0,
                     "zero gradient for `{name}`"
@@ -884,7 +885,7 @@ mod tests {
         let labels: Vec<usize> = (0..states.len()).map(|i| i % 2).collect();
 
         // Oracle: per-node forward passes, logits vstacked for the loss.
-        let mut tape_a = Tape::new();
+        let mut tape_a = model.new_tape();
         let pv_a = model.insert_params(&mut tape_a);
         let mut masks = oracle::MaskCache::default();
         let mut logit_vars = Vec::new();
@@ -910,7 +911,7 @@ mod tests {
         tape_a.backward(loss_a);
 
         // Batched engine under the identical loss.
-        let mut tape_b = Tape::new();
+        let mut tape_b = model.new_tape();
         let pv_b = model.insert_params(&mut tape_b);
         let fw = model.forward_batch(&mut tape_b, &pv_b, g, &refs);
         let loss_b = tape_b.softmax_cross_entropy(fw.logits, &labels);
@@ -1017,6 +1018,29 @@ mod tests {
             .map(|&v| model.sample_state(&dataset.graph, v, 5))
             .collect();
         assert_engines_agree(&dataset.graph, tiny_config(), &states);
+    }
+
+    #[test]
+    fn batched_engine_matches_oracle_at_paper_width_on_the_optimized_backend() {
+        // The width and backend the benchmark and the serving registry
+        // run: at d = 128 the folded Eq. 5 query and the tile kernels
+        // round differently from the oracle's unfolded, per-node products.
+        // Paper-length sets and walks (21 keys per softmax); 3 walks per
+        // node instead of 10 keep the debug-build oracle to a few seconds.
+        let dataset = widen_data::acm_like(widen_data::Scale::Smoke, 21);
+        let g = &dataset.graph;
+        for variant in [Variant::full(), Variant::no_successive_attention()] {
+            let mut cfg = WidenConfig::paper()
+                .with_backend(BackendKind::Optimized)
+                .with_variant(variant);
+            cfg.phi = 3;
+            let model = WidenModel::for_graph(g, cfg.clone());
+            let states: Vec<NodeState> = g.labeled_nodes()[..12]
+                .iter()
+                .map(|&v| model.sample_state(g, v, 5))
+                .collect();
+            assert_engines_agree(g, cfg, &states);
+        }
     }
 
     #[test]
@@ -1136,27 +1160,50 @@ mod tests {
         model.load_weights(b"garbage");
     }
 
+    /// `small_config` at d = 32 on `backend`: wide enough that a lane-split
+    /// and a sequential reduction differ (at d ≤ 16 they coincide), so a
+    /// kernel whose arithmetic depends on the row count cannot hide.
+    fn serving_config(backend: BackendKind) -> WidenConfig {
+        let mut cfg = small_config().with_backend(backend);
+        cfg.d = 32;
+        cfg
+    }
+
     #[test]
     fn request_rows_are_invariant_to_batch_composition() {
         // The serving batcher coalesces jobs from unrelated requests into
         // one forward_batch; a node's output must not depend on its batch
-        // neighbours, bit for bit.
+        // neighbours, bit for bit. At phi = 2 one item alone is 2 Eq. 5
+        // query rows, a batch of 4 is 8 and a batch of 8 is 16: below, at
+        // and above the optimized backend's packing threshold.
         let g = toy_graph();
-        let model = WidenModel::for_graph(&g, small_config());
-        let items: Vec<(u32, u64)> = vec![(0, 7), (3, 9), (5, 7), (1, 1234)];
-        let together = model.embed_requests(&g, &items);
-        for (i, &item) in items.iter().enumerate() {
-            let alone = model.embed_requests(&g, &[item]);
-            assert_eq!(
-                together.row(i),
-                alone.row(0),
-                "row {i} changed with batch composition"
-            );
-        }
-        let logits_together = model.ensemble_logits(&g, &items, 3);
-        for (i, &item) in items.iter().enumerate() {
-            let alone = model.ensemble_logits(&g, &[item], 3);
-            assert_eq!(logits_together.row(i), alone.row(0));
+        for backend in BackendKind::all() {
+            let model = WidenModel::for_graph(&g, serving_config(backend));
+            let items: Vec<(u32, u64)> = vec![
+                (0, 7),
+                (3, 9),
+                (5, 7),
+                (1, 1234),
+                (2, 7),
+                (4, 11),
+                (0, 8),
+                (3, 1),
+            ];
+            for batch in [&items[..4], &items[..]] {
+                let together = model.embed_requests(&g, batch);
+                let logits_together = model.ensemble_logits(&g, batch, 3);
+                for (i, &item) in batch.iter().enumerate() {
+                    let alone = model.embed_requests(&g, &[item]);
+                    assert_eq!(
+                        together.row(i),
+                        alone.row(0),
+                        "{backend:?}: row {i} of {} changed with batch composition",
+                        batch.len()
+                    );
+                    let alone = model.ensemble_logits(&g, &[item], 3);
+                    assert_eq!(logits_together.row(i), alone.row(0), "{backend:?}");
+                }
+            }
         }
     }
 
@@ -1168,7 +1215,12 @@ mod tests {
         // of its own, whose arena starts empty.
         let ds = widen_data::acm_like(widen_data::Scale::Smoke, 5);
         let g = &ds.graph;
-        let model = WidenModel::for_graph(g, small_config());
+        for backend in BackendKind::all() {
+            dirty_arena_case(g, &WidenModel::for_graph(g, serving_config(backend)));
+        }
+    }
+
+    fn dirty_arena_case(g: &HeteroGraph, model: &WidenModel) {
         let nodes = g.labeled_nodes();
         let mut next = 0;
         let batches: Vec<Vec<(u32, u64)>> = [32, 1, 8, 32]

@@ -69,9 +69,11 @@ pub fn edge_vocab_size(num_edge_types: usize, num_node_types: usize) -> usize {
 /// A pack row is fully determined by its `(node, edge-vocab-row)` pair, and
 /// those pairs repeat heavily inside a chunk, so the batch is assembled in
 /// two layers: `unique_packs` holds each distinct pair once, and the flat
-/// matrix is a cheap [`Tape::gather_rows`] view of it. Projection matmuls
-/// should run on `unique_packs` (via [`PackedBatch::project`]) — that is
-/// where batching saves FLOPs over packing one neighbour set at a time.
+/// matrix is a cheap [`Tape::gather_rows`] view of it. Every projection
+/// matmul of the forward pass runs on `unique_packs` (via
+/// [`PackedBatch::project`]; Eq. 5 folds its key projection into the query
+/// rather than project the flat refined rows) — that is where batching
+/// saves FLOPs over packing one neighbour set at a time.
 pub struct PackedBatch {
     /// Flat pack matrix (`(Σ(|set_i|+1)) × d`); each unit's rows are
     /// consecutive with its own `m_t` first.

@@ -125,8 +125,11 @@ fn random_downsampling_ignores_kl_threshold() {
 
 #[test]
 fn downsampling_reduces_epoch_time() {
-    // The efficiency claim of §3.3, asserted end-to-end: with aggressive
-    // pruning the later epochs must be cheaper than with no pruning at all.
+    // What pruning buys, in the quantities that repeat exactly: with
+    // aggressive pruning the fit ends on far fewer messages per node than
+    // with none. The wall-clock side of §3.3 is measured where it can be —
+    // the `train_prune` / `train_dense` pair in `benchmark/` — not by
+    // comparing three ≈ 10 ms epochs here.
     let d = dblp_like(Scale::Smoke, 4);
     let train: Vec<u32> = d.transductive.train.clone();
     let run = |variant: Variant| {
@@ -143,16 +146,16 @@ fn downsampling_reduces_epoch_time() {
         let model = WidenModel::for_graph(&d.graph, cfg);
         let mut trainer = Trainer::new(model, &d.graph, &train);
         let report = trainer.fit(&train);
-        // Compare the mean of the last three epochs.
-        let tail = &report.epoch_secs[report.epoch_secs.len() - 3..];
-        tail.iter().sum::<f64>() / 3.0
+        (trainer.neighbor_volume(), report)
     };
-    let pruned = run(Variant::full());
-    let unpruned = run(Variant::no_downsampling());
+    let ((wide, deep), pruned) = run(Variant::full());
+    let ((wide_full, deep_full), unpruned) = run(Variant::no_downsampling());
     assert!(
-        pruned < unpruned,
-        "downsampled tail epochs ({pruned:.4}s) should beat unpruned ({unpruned:.4}s)"
+        10 * wide <= 6 * wide_full && 10 * deep <= 6 * deep_full,
+        "pruned fit ends on ({wide}, {deep}) messages, unpruned on ({wide_full}, {deep_full})"
     );
+    assert!(pruned.wide_drops > 0 && pruned.deep_drops > 0 && pruned.relay_edges > 0);
+    assert_eq!(unpruned.wide_drops + unpruned.deep_drops, 0);
 }
 
 #[test]

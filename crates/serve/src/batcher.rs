@@ -635,10 +635,10 @@ mod tests {
         for (_, r) in &results[..3] {
             assert_eq!(r, &Ok(JobOutput::Label(want_label)));
         }
-        let want_row = st.model().embed_requests(st.graph(), &[(6, 13)]);
+        let wanted = st.model().embed_requests(st.graph(), &[(6, 13)]);
         for (_, r) in &results[3..] {
             match r {
-                Ok(JobOutput::Embedding(row)) => assert_eq!(row.as_slice(), want_row.row(0)),
+                Ok(JobOutput::Embedding(row)) => assert_eq!(row.as_slice(), wanted.row(0)),
                 other => panic!("unexpected {other:?}"),
             }
         }

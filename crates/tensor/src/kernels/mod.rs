@@ -8,15 +8,20 @@
 //!   that historically lived inline in `tensor.rs`; every bitwise-parity
 //!   guarantee in the workspace (batched vs per-node engines, striped
 //!   `tn`, checkpoint restore) is stated against this backend.
-//! * [`Optimized`] — packed, register-tiled forward GEMM (`A·B`) with a
-//!   shape-specialised fast path for the paper-config inner dimensions,
-//!   plus a 4-wide `A·Bᵀ` kernel that reuses query-row loads and a
-//!   SIMD-axpy `Aᵀ·B`. Hot inner loops dispatch at runtime to AVX-512F /
-//!   AVX2 intrinsics (the compile target is baseline x86-64) in the exact
-//!   reference element order, so backward weight gradients and attention
-//!   scores stay bit-identical across backends; `A·B` differs from
-//!   [`Reference`] only by the documented tolerance contract (see
-//!   `DESIGN.md`).
+//! * [`Optimized`] — an output tile held in registers for the whole `k`
+//!   sweep in all three products: `A·B` on packed panels of `B`, `A·Bᵀ` on
+//!   the same panels packed from `Bᵀ` (so the two are one arithmetic), and
+//!   `Aᵀ·B` on a tile seeded from `out`. Hot inner loops dispatch at
+//!   runtime to AVX-512F / AVX2 intrinsics (the compile target is baseline
+//!   x86-64). `Aᵀ·B` keeps the reference element order and `+0.0` skip, so
+//!   weight gradients are bit-identical across backends (NaN payloads
+//!   aside); `A·B` and `A·Bᵀ` differ from [`Reference`] only by the
+//!   documented tolerance contract (see `DESIGN.md`).
+//!
+//! The ragged attention ops (`padded_segment_scores`,
+//! `segment_weighted_sum`, the row gathers and their adjoints) are not
+//! behind the trait: like `spmm` they have one implementation, built on
+//! `dot_wide` / `axpy_wide` below, whatever the backend.
 //!
 //! The active backend is a per-[`crate::Tape`] property
 //! ([`crate::Tape::set_backend`]); tensors' plain `matmul*` methods use
@@ -87,8 +92,9 @@ pub enum BackendKind {
     /// Scalar oracle, bit-compatible with the historical inline kernels.
     #[default]
     Reference = 0,
-    /// Packed, register-tiled forward GEMM (tolerance-bounded vs
-    /// [`BackendKind::Reference`] on `A·B`; bit-identical elsewhere).
+    /// Packed, register-tiled GEMM (tolerance-bounded vs
+    /// [`BackendKind::Reference`] on `A·B` and `A·Bᵀ`; bit-identical on
+    /// `Aᵀ·B` and `dot`).
     Optimized = 1,
 }
 
@@ -176,10 +182,10 @@ pub(crate) fn nonzero(a: f32) -> bool {
     a.to_bits() != 0
 }
 
-/// Lane-split inner product — the shared scalar `dot` kernel. Both
-/// backends use this exact accumulation order, so attention scores and
-/// `nt` products are bit-identical across backends.
-#[inline]
+/// Lane-split inner product — the shared scalar `dot` kernel: the
+/// [`KernelBackend::dot`] of both backends, [`Reference`]'s `A·Bᵀ`, and
+/// the body [`dot_wide`] recompiles for wider vectors.
+#[inline(always)]
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f32; DOT_LANES];
@@ -200,12 +206,75 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// `y += alpha · x`, the shared rank-1 update kernel.
-#[inline]
+#[inline(always)]
 pub(crate) fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
-    for i in 0..x.len() {
-        y[i] += alpha * x[i];
+    for (y, &x) in y.iter_mut().zip(x) {
+        *y += alpha * x;
     }
+}
+
+/// Shortest slice the `*_wide` helpers hand to a wide-vector copy. Such a
+/// copy cannot inline into its baseline caller, and below four lane chunks
+/// the call costs more than the wide lanes save (dispatching at one chunk
+/// ran `d = 16` fits ≈ 1.5× slower).
+const WIDE_MIN_LEN: usize = 4 * DOT_LANES;
+
+/// [`dot`] with runtime dispatch to copies of itself compiled for
+/// AVX-512F and AVX2 (the workspace targets baseline x86-64, so the
+/// compiler cannot use wide vectors on its own) — what the ragged
+/// attention ops call, on either backend. The copies are the same source:
+/// same lanes, same order, nothing fused or reassociated, so every variant
+/// is bit-identical to [`dot`].
+#[inline]
+pub(crate) fn dot_wide(a: &[f32], b: &[f32]) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if a.len() >= WIDE_MIN_LEN {
+        #[target_feature(enable = "avx512f")]
+        unsafe fn avx512(a: &[f32], b: &[f32]) -> f32 {
+            dot(a, b)
+        }
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2(a: &[f32], b: &[f32]) -> f32 {
+            dot(a, b)
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU feature, the copy's one requirement, was
+            // probed; its body is safe code.
+            return unsafe { avx512(a, b) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: as above.
+            return unsafe { avx2(a, b) };
+        }
+    }
+    dot(a, b)
+}
+
+/// [`axpy`] with the runtime dispatch of [`dot_wide`], bit-identical to
+/// [`axpy`] for the same reason.
+#[inline]
+pub(crate) fn axpy_wide(alpha: f32, x: &[f32], y: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if x.len() >= WIDE_MIN_LEN {
+        #[target_feature(enable = "avx512f")]
+        unsafe fn avx512(alpha: f32, x: &[f32], y: &mut [f32]) {
+            axpy(alpha, x, y)
+        }
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
+            axpy(alpha, x, y)
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: feature probed; the body is safe code.
+            return unsafe { avx512(alpha, x, y) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: as above.
+            return unsafe { avx2(alpha, x, y) };
+        }
+    }
+    axpy(alpha, x, y)
 }
 
 #[cfg(test)]

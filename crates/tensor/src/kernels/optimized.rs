@@ -1,21 +1,22 @@
-//! Packed, register-tiled forward GEMM backend.
+//! Packed, register-tiled GEMM backend.
 //!
-//! This is the PR-5 backward playbook applied to the forward pass. The
-//! [`Reference`] `A·B` kernel streams the whole output row through memory
-//! once per inner-dimension step (`n` loads + `n` stores per `p`); the
-//! kernel here instead computes an `MR × NR` output tile in registers —
-//! `MR` query rows share every load of a B panel row, and each of the
-//! `MR·NR` accumulators lives in a register for the full `k` sweep. B is
-//! repacked into contiguous `NR`-wide panels (one cache line per `p`)
-//! through the thread-local scratch arena in `pool.rs`, and the `k` loop
-//! is monomorphised for the paper-config hot inner dimensions
-//! (`d = 128` at paper scale, 64 and 32 for the small configs).
+//! The [`Reference`] `A·B` kernel streams the whole output row through
+//! memory once per inner-dimension step (`n` loads + `n` stores per `p`);
+//! the kernels here instead hold an output tile in registers for the full
+//! `k` sweep. `A·B` computes an `MR × NR` tile — `MR` query rows share
+//! every load of a B panel row — from B repacked into contiguous
+//! `NR`-wide panels (one cache line per `p`) through the thread-local
+//! scratch arena in `pool.rs`, with the `k` loop monomorphised for the hot
+//! inner dimensions (`d = 128` at paper scale, 64 and 32 for the small
+//! configs). `A·Bᵀ` packs `Bᵀ` into the same panels and runs the same
+//! kernel. `Aᵀ·B`, the weight-gradient product, keeps a `TN_ROWS × NR`
+//! tile of `out` itself in registers (see [`tn_tile`]).
 //!
 //! ## Parity contract
 //!
-//! Per output element the tile kernel accumulates `a[i][p]·b[p][j]` in
-//! the same increasing-`p`, single-accumulator order as [`Reference`] —
-//! the differences are exactly two:
+//! Per output element the `A·B` tile accumulates `a[i][p]·b[p][j]` in the
+//! same increasing-`p`, single-accumulator order as [`Reference`] — the
+//! differences are exactly two:
 //!
 //! 1. no `+0.0` skip: terms the reference kernel elides are summed here
 //!    (so where Reference produces NaN/∞, Optimized does too — it sums a
@@ -24,9 +25,14 @@
 //!    (`out += Σ terms`) instead of per term.
 //!
 //! Both effects are bounded by the standard GEMM error model — see the
-//! `backend_parity` proptests for the enforced tolerance. `A·Bᵀ`, `Aᵀ·B`
-//! and `dot` replicate the reference arithmetic element for element and
-//! stay bit-identical.
+//! `backend_parity` proptests for the enforced tolerance. `A·Bᵀ` is
+//! bit-for-bit this backend's `A·B` on the transposed operand, whatever
+//! the row count, so it stands under the same two terms against
+//! [`Reference`]'s lane-split `A·Bᵀ`. `Aᵀ·B` and `dot` replicate the
+//! reference arithmetic element for element: every non-NaN result is
+//! bit-identical, and a NaN on one backend is a NaN on the other. NaN
+//! *payloads* carry no guarantee anywhere — x86 returns the first NaN
+//! operand, and a compiler may commute a vector add.
 //!
 //! ## Runtime SIMD dispatch
 //!
@@ -34,15 +40,15 @@
 //! inner loops here are explicit intrinsics behind
 //! `is_x86_feature_detected!` probes — AVX-512F first, then AVX2, then a
 //! portable scalar body. Every SIMD variant vectorises **across output
-//! elements** (tile columns, dot lanes, axpy elements) and uses separate
-//! multiply and add — never FMA — so each element sees the identical
-//! correctly-rounded operation sequence: all variants of a kernel are
-//! bit-identical, and the parity contract holds on any host.
+//! elements** (tile columns or rows) and uses separate multiply and add —
+//! never FMA — so each element sees the identical correctly-rounded
+//! operation sequence: all variants of a kernel are bit-identical, and
+//! the parity contract holds on any host.
 
-use super::{dot, nonzero, KernelBackend, DOT_LANES, PAR_MATMUL_THRESHOLD, TN_BLOCK_BYTES};
+use super::{dot, nonzero, KernelBackend, PAR_MATMUL_THRESHOLD};
 use crate::pool::with_pack_scratch;
 
-/// Packed, register-tiled forward-GEMM backend.
+/// Packed, register-tiled GEMM backend.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Optimized;
 
@@ -53,6 +59,11 @@ const MR: usize = 4;
 /// `MR × NR` accumulator tile is 4 ZMM (AVX-512) or 8 YMM (AVX2)
 /// registers — well inside the register file, no spills.
 const NR: usize = 16;
+
+/// Rows per `Aᵀ·B` register tile — the vector lanes of its transposed
+/// accumulators (one ZMM, two YMM): at every `p` a tile consumes one
+/// cache line of `A` and one of `B`.
+const TN_ROWS: usize = 16;
 
 /// Pack B only once there are enough output rows to amortise the extra
 /// pass over B (below this, the tile kernel reads B in place).
@@ -82,50 +93,25 @@ impl KernelBackend for Optimized {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        let work = m * k * n;
-        if work >= PAR_MATMUL_THRESHOLD && m > 1 && rayon::current_num_threads() > 1 {
-            use rayon::prelude::*;
-            out.par_chunks_mut(n).enumerate().for_each(|(i, out_row)| {
-                nt_row(k, n, &a[i * k..(i + 1) * k], b, out_row);
-            });
-        } else {
-            for i in 0..m {
-                nt_row(
-                    k,
-                    n,
-                    &a[i * k..(i + 1) * k],
-                    b,
-                    &mut out[i * n..(i + 1) * n],
-                );
-            }
-        }
+        // Always the packed tile kernel, whatever `m`: an output row must
+        // not depend on how many other rows share its batch.
+        with_pack_scratch(n.div_ceil(NR) * k * NR, |packed| {
+            pack_bt(k, n, b, packed);
+            nn_driver(m, k, n, a, BSource::Packed(packed), out);
+        });
     }
 
     fn gemm_tn_acc(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        // Same algorithm as the reference tn kernel — identical `+0.0`
-        // skip, stripe sizing and increasing-`p` element order — with the
-        // rank-1 update routed through the runtime-SIMD axpy, so weight
-        // gradients stay bit-identical across backends.
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        let work = m * k * n;
         let threads = rayon::current_num_threads();
-        if work >= PAR_MATMUL_THRESHOLD && m > 1 && threads > 1 {
-            let cache_rows = (TN_BLOCK_BYTES / 4 / n.max(1)).max(1);
-            let stripe = m.div_ceil(threads).clamp(1, cache_rows);
-            tn_striped(m, k, n, a, b, out, stripe);
+        let stripe = if m * k * n >= PAR_MATMUL_THRESHOLD && threads > 1 {
+            m.div_ceil(threads).next_multiple_of(TN_ROWS)
         } else {
-            for p in 0..k {
-                let a_row = &a[p * m..(p + 1) * m];
-                let b_row = &b[p * n..(p + 1) * n];
-                for (i, &av) in a_row.iter().enumerate() {
-                    if nonzero(av) {
-                        axpy_wide(av, b_row, &mut out[i * n..(i + 1) * n]);
-                    }
-                }
-            }
-        }
+            m
+        };
+        tn_stripes(m, k, n, a, b, out, stripe);
     }
 
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
@@ -156,6 +142,30 @@ fn pack_b(k: usize, n: usize, b: &[f32], packed: &mut [f32]) {
             d[w..].fill(0.0);
         }
     }
+}
+
+/// [`pack_b`] for a transposed operand: `bt` is `n × k` row-major and
+/// panel element `(p, c)` is `bt[j·NR + c][p]`, so the tile kernel reads
+/// `A·Bᵀ` as it reads `A·B`.
+fn pack_bt(k: usize, n: usize, bt: &[f32], packed: &mut [f32]) {
+    for (panel, dst) in packed.chunks_exact_mut(k * NR).enumerate() {
+        let j0 = panel * NR;
+        let w = (n - j0).min(NR);
+        for (p, d) in dst.chunks_exact_mut(NR).enumerate() {
+            for (c, x) in d[..w].iter_mut().enumerate() {
+                *x = bt[(j0 + c) * k + p];
+            }
+            d[w..].fill(0.0);
+        }
+    }
+}
+
+/// `out += Aᵀ·B` over `stripe`-row blocks of `out`, one rayon task each.
+fn tn_stripes(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32], stripe: usize) {
+    use rayon::prelude::*;
+    out.par_chunks_mut(stripe * n)
+        .enumerate()
+        .for_each(|(ci, out_block)| tn_block(m, k, n, a, b, ci * stripe, out_block));
 }
 
 fn nn_driver(m: usize, k: usize, n: usize, a: &[f32], b: BSource<'_>, out: &mut [f32]) {
@@ -439,253 +449,227 @@ unsafe fn fill_tile_avx2<const MRA: usize>(
     }
 }
 
-/// One `A·Bᵀ` output row: 4 key rows at a time share every load of the
-/// query row, each element reproducing the shared [`dot`] arithmetic
-/// bit-for-bit (same lane split, same summation order).
-fn nt_row(k: usize, n: usize, a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
-    if k < DOT_LANES {
-        // Below one lane chunk the shared dot is all tail; the 4-wide
-        // tile would only pay accumulator setup for nothing.
-        for (j, o) in out_row.iter_mut().enumerate() {
-            *o += dot(a_row, &b[j * k..(j + 1) * k]);
+/// Tiles `out_block` — output rows `i0 ..` of `Aᵀ·B` — into
+/// `TN_ROWS × NR` register tiles. Each element is independent of how rows
+/// are grouped, so any stripe split of `out` gives the same bits.
+fn tn_block(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], i0: usize, out_block: &mut [f32]) {
+    let rows = out_block.len() / n;
+    for i in (0..rows).step_by(TN_ROWS) {
+        let mra = (rows - i).min(TN_ROWS);
+        let a_cols = &a[i0 + i..];
+        let o_band = &mut out_block[i * n..(i + mra) * n];
+        let mut j0 = 0;
+        while j0 + NR <= n {
+            tn_tile(k, mra, a_cols, m, &b[j0..], n, &mut o_band[j0..]);
+            j0 += NR;
         }
-        return;
-    }
-    let mut j = 0;
-    while j + 4 <= n {
-        let d = dot4(
-            a_row,
-            &b[j * k..(j + 1) * k],
-            &b[(j + 1) * k..(j + 2) * k],
-            &b[(j + 2) * k..(j + 3) * k],
-            &b[(j + 3) * k..(j + 4) * k],
-        );
-        for (o, &v) in out_row[j..j + 4].iter_mut().zip(&d) {
-            *o += v;
+        // Ragged tail columns: the reference update, one element at a time.
+        for j in j0..n {
+            for r in 0..mra {
+                let mut acc = o_band[r * n + j];
+                for p in 0..k {
+                    let av = a_cols[p * m + r];
+                    if nonzero(av) {
+                        acc += av * b[p * n + j];
+                    }
+                }
+                o_band[r * n + j] = acc;
+            }
         }
-        j += 4;
-    }
-    for jj in j..n {
-        out_row[jj] += dot(a_row, &b[jj * k..(jj + 1) * k]);
     }
 }
 
-/// Four lane-split dots sharing the `a` loads. Each result is bit-equal
-/// to `dot(a, b_i)`: identical chunking, lane order and tail handling.
-/// Dispatches to a SIMD variant at runtime — the `DOT_LANES = 16` lane
-/// accumulators map onto one ZMM (or two YMM) per key row, and the
-/// sequential lane fold and scalar tail are shared, so all variants
-/// reproduce the scalar [`dot`] bit for bit.
-#[inline]
-fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    let mut acc = [[0.0f32; DOT_LANES]; 4];
-    fill_dot4_lanes(a, [b0, b1, b2, b3], &mut acc);
-    let k = a.len();
-    let tail = k - k % DOT_LANES;
-    let bs = [b0, b1, b2, b3];
-    let mut out = [0.0f32; 4];
-    for (r, o) in out.iter_mut().enumerate() {
-        let mut sum = 0.0f32;
-        for &lane in &acc[r] {
-            sum += lane;
-        }
-        for p in tail..k {
-            sum += a[p] * bs[r][p];
-        }
-        *o = sum;
-    }
-    out
-}
-
-/// Accumulates the full-chunk portion of [`dot4`] into per-row lane
-/// accumulators, picking the widest vector extension available.
+/// One `mra × NR` tile of `Aᵀ·B` (`mra ≤ TN_ROWS`): accumulators seeded
+/// from `out`, one term added per increasing `p`, exact-`+0.0`
+/// multipliers skipped — the reference order with `out` held in registers
+/// for the whole `k` sweep, so every non-NaN element is bit-identical to
+/// [`super::Reference`].
+///
+/// The tile is held transposed, `acc[c][r]`: a vector is one output
+/// *column*, its lanes the tile's rows. At each `p` those rows' multipliers
+/// are one contiguous run of `A`, so the `+0.0` test is a single compare
+/// whose mask gates every add of that `p`, and a short edge band is the
+/// same body under a lane mask.
 #[inline(always)]
-fn fill_dot4_lanes(a: &[f32], bs: [&[f32]; 4], acc: &mut [[f32; DOT_LANES]; 4]) {
+fn tn_tile(
+    k: usize,
+    mra: usize,
+    a_cols: &[f32],
+    a_stride: usize,
+    b_cols: &[f32],
+    n: usize,
+    o_tile: &mut [f32],
+) {
+    // What the unsafe sweeps rely on — checked in release builds too: once
+    // per tile is nothing beside its `k` sweep.
+    assert!((1..=TN_ROWS).contains(&mra));
+    assert!(k == 0 || a_cols.len() >= (k - 1) * a_stride + mra);
+    assert!(k == 0 || b_cols.len() >= (k - 1) * n + NR);
+    assert!(o_tile.len() >= (mra - 1) * n + NR);
+    let mut acc = [[0.0f32; TN_ROWS]; NR];
+    for r in 0..mra {
+        for (c, col) in acc.iter_mut().enumerate() {
+            col[r] = o_tile[r * n + c];
+        }
+    }
+    tn_fill(k, mra, a_cols, a_stride, b_cols, n, &mut acc);
+    for r in 0..mra {
+        for (c, col) in acc.iter().enumerate() {
+            o_tile[r * n + c] = col[r];
+        }
+    }
+}
+
+/// Sweeps `k` over the transposed tile, dispatching as [`fill_tile`] does.
+#[inline(always)]
+fn tn_fill(
+    k: usize,
+    mra: usize,
+    a_cols: &[f32],
+    a_stride: usize,
+    b_cols: &[f32],
+    n: usize,
+    acc: &mut [[f32; TN_ROWS]; NR],
+) {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: feature probed; `nt_row` hands equal-length slices.
-            unsafe { fill_dot4_lanes_avx512(a, bs, acc) };
+            // SAFETY: feature probed; `tn_tile` asserted the bounds (every
+            // `p` reads `mra ≤ TN_ROWS` floats at `p · a_stride` and `NR`
+            // at `p · n`).
+            unsafe { tn_fill_avx512(k, mra, a_cols, a_stride, b_cols, n, acc) };
             return;
         }
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: as above.
-            unsafe { fill_dot4_lanes_avx2(a, bs, acc) };
+            unsafe { tn_fill_avx2(k, mra, a_cols, a_stride, b_cols, n, acc) };
             return;
         }
     }
-    fill_dot4_lanes_scalar(a, bs, acc);
-}
-
-/// Portable lane fill — the reference [`dot`] chunk arithmetic, four
-/// key rows wide.
-#[inline(always)]
-fn fill_dot4_lanes_scalar(a: &[f32], bs: [&[f32]; 4], acc: &mut [[f32; DOT_LANES]; 4]) {
-    let chunks = a.len() / DOT_LANES;
-    for ci in 0..chunks {
-        let base = ci * DOT_LANES;
-        for l in 0..DOT_LANES {
-            let av = a[base + l];
-            for (r, b) in bs.iter().enumerate() {
-                acc[r][l] += av * b[base + l];
-            }
-        }
-    }
-}
-
-/// AVX-512F lane fill: one ZMM accumulator per key row, separate
-/// `mul`/`add` — lane `l` repeats the scalar fill's operation sequence.
-///
-/// # Safety
-///
-/// Caller must ensure the CPU supports AVX-512F and every slice in `bs`
-/// is at least as long as `a`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn fill_dot4_lanes_avx512(a: &[f32], bs: [&[f32]; 4], acc: &mut [[f32; DOT_LANES]; 4]) {
-    use std::arch::x86_64::*;
-    let chunks = a.len() / DOT_LANES;
-    let ap = a.as_ptr();
-    let mut va = [_mm512_setzero_ps(); 4];
-    for ci in 0..chunks {
-        let base = ci * DOT_LANES;
-        let av = _mm512_loadu_ps(ap.add(base));
-        for (r, v) in va.iter_mut().enumerate() {
-            let b = _mm512_loadu_ps(bs[r].as_ptr().add(base));
-            *v = _mm512_add_ps(*v, _mm512_mul_ps(av, b));
-        }
-    }
-    for (r, v) in va.iter().enumerate() {
-        _mm512_storeu_ps(acc[r].as_mut_ptr(), *v);
-    }
-}
-
-/// AVX2 lane fill: two YMM accumulators per key row, same contract as
-/// [`fill_dot4_lanes_avx512`].
-///
-/// # Safety
-///
-/// Caller must ensure the CPU supports AVX2 and every slice in `bs` is
-/// at least as long as `a`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fill_dot4_lanes_avx2(a: &[f32], bs: [&[f32]; 4], acc: &mut [[f32; DOT_LANES]; 4]) {
-    use std::arch::x86_64::*;
-    let chunks = a.len() / DOT_LANES;
-    let ap = a.as_ptr();
-    let mut lo = [_mm256_setzero_ps(); 4];
-    let mut hi = [_mm256_setzero_ps(); 4];
-    for ci in 0..chunks {
-        let base = ci * DOT_LANES;
-        let a0 = _mm256_loadu_ps(ap.add(base));
-        let a1 = _mm256_loadu_ps(ap.add(base + 8));
-        for r in 0..4 {
-            let b0 = _mm256_loadu_ps(bs[r].as_ptr().add(base));
-            let b1 = _mm256_loadu_ps(bs[r].as_ptr().add(base + 8));
-            lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(a0, b0));
-            hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(a1, b1));
-        }
-    }
-    for r in 0..4 {
-        _mm256_storeu_ps(acc[r].as_mut_ptr(), lo[r]);
-        _mm256_storeu_ps(acc[r].as_mut_ptr().add(8), hi[r]);
-    }
-}
-
-/// Column-striped tn body — the reference stripe walk with the rank-1
-/// update swapped for [`axpy_wide`]; element order (increasing `p`,
-/// single accumulator in `out`) is unchanged, so results are
-/// bit-identical for any stripe width or thread count.
-fn tn_striped(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32], stripe: usize) {
-    use rayon::prelude::*;
-    out.par_chunks_mut(stripe * n)
-        .enumerate()
-        .for_each(|(chunk_idx, out_block)| {
-            let i0 = chunk_idx * stripe;
-            let rows_here = out_block.len() / n;
-            for p in 0..k {
-                let a_row = &a[p * m..(p + 1) * m];
-                let b_row = &b[p * n..(p + 1) * n];
-                let a_stripe = a_row[i0..i0 + rows_here].iter();
-                for (&av, out_row) in a_stripe.zip(out_block.chunks_mut(n)) {
-                    if nonzero(av) {
-                        axpy_wide(av, b_row, out_row);
-                    }
+    for p in 0..k {
+        let bp = &b_cols[p * n..p * n + NR];
+        for (r, &av) in a_cols[p * a_stride..][..mra].iter().enumerate() {
+            if nonzero(av) {
+                for (col, &bv) in acc.iter_mut().zip(bp) {
+                    col[r] += av * bv;
                 }
             }
-        });
-}
-
-/// `y += alpha · x` with runtime SIMD dispatch. Every element performs
-/// exactly one `mul` and one `add` in place, so all variants are
-/// bit-identical to the shared scalar [`super::axpy`].
-#[inline(always)]
-fn axpy_wide(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    #[cfg(target_arch = "x86_64")]
-    if x.len() >= 16 {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: feature probed; equal lengths asserted above.
-            unsafe { axpy_avx512(alpha, x, y) };
-            return;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: as above.
-            unsafe { axpy_avx2(alpha, x, y) };
-            return;
         }
     }
-    super::axpy(alpha, x, y);
 }
 
-/// AVX-512F rank-1 update body.
+/// AVX-512F sweep: one ZMM per tile column; lanes past `mra` load as
+/// `+0.0` and so never add.
 ///
 /// # Safety
 ///
-/// Caller must ensure the CPU supports AVX-512F and `x.len() == y.len()`.
+/// Caller must ensure the CPU supports AVX-512F, `1 ≤ mra ≤ TN_ROWS`,
+/// `a_cols` holds `(k-1) · a_stride + mra` floats and `b_cols` holds
+/// `(k-1) · n + NR`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn axpy_avx512(alpha: f32, x: &[f32], y: &mut [f32]) {
+unsafe fn tn_fill_avx512(
+    k: usize,
+    mra: usize,
+    a_cols: &[f32],
+    a_stride: usize,
+    b_cols: &[f32],
+    n: usize,
+    acc: &mut [[f32; TN_ROWS]; NR],
+) {
     use std::arch::x86_64::*;
-    let n = x.len();
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    let av = _mm512_set1_ps(alpha);
-    let mut j = 0;
-    while j + 16 <= n {
-        let yv = _mm512_loadu_ps(yp.add(j));
-        let xv = _mm512_loadu_ps(xp.add(j));
-        _mm512_storeu_ps(yp.add(j), _mm512_add_ps(yv, _mm512_mul_ps(av, xv)));
-        j += 16;
+    let (ap, bp) = (a_cols.as_ptr(), b_cols.as_ptr());
+    let rows: __mmask16 = u16::MAX >> (TN_ROWS - mra);
+    let mut v = [_mm512_setzero_ps(); NR];
+    for (v, col) in v.iter_mut().zip(acc.iter()) {
+        *v = _mm512_loadu_ps(col.as_ptr());
     }
-    while j < n {
-        *yp.add(j) += alpha * *xp.add(j);
-        j += 1;
+    for p in 0..k {
+        let a = _mm512_maskz_loadu_ps(rows, ap.add(p * a_stride));
+        let live = _mm512_cmpneq_epi32_mask(_mm512_castps_si512(a), _mm512_setzero_si512());
+        for (c, v) in v.iter_mut().enumerate() {
+            let term = _mm512_mul_ps(a, _mm512_set1_ps(*bp.add(p * n + c)));
+            *v = _mm512_mask_add_ps(*v, live, *v, term);
+        }
+    }
+    for (v, col) in v.iter().zip(acc.iter_mut()) {
+        _mm512_storeu_ps(col.as_mut_ptr(), *v);
     }
 }
 
-/// AVX2 rank-1 update body.
+/// AVX2 sweep: the tile in four `8 × 8` quarters (eight YMM accumulators
+/// each), a skipped lane blended back to its old value.
 ///
 /// # Safety
 ///
-/// Caller must ensure the CPU supports AVX2 and `x.len() == y.len()`.
+/// Caller must ensure the CPU supports AVX2, `1 ≤ mra ≤ TN_ROWS`, `a_cols`
+/// holds `(k-1) · a_stride + mra` floats and `b_cols` holds
+/// `(k-1) · n + NR`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
+unsafe fn tn_fill_avx2(
+    k: usize,
+    mra: usize,
+    a_cols: &[f32],
+    a_stride: usize,
+    b_cols: &[f32],
+    n: usize,
+    acc: &mut [[f32; TN_ROWS]; NR],
+) {
     use std::arch::x86_64::*;
-    let n = x.len();
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    let av = _mm256_set1_ps(alpha);
-    let mut j = 0;
-    while j + 8 <= n {
-        let yv = _mm256_loadu_ps(yp.add(j));
-        let xv = _mm256_loadu_ps(xp.add(j));
-        _mm256_storeu_ps(yp.add(j), _mm256_add_ps(yv, _mm256_mul_ps(av, xv)));
-        j += 8;
+    let (ap, bp) = (a_cols.as_ptr(), b_cols.as_ptr());
+    let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    for r0 in (0..mra).step_by(8) {
+        let rows = _mm256_cmpgt_epi32(_mm256_set1_epi32((mra - r0) as i32), iota);
+        for c0 in (0..NR).step_by(8) {
+            let mut v = [_mm256_setzero_ps(); 8];
+            for (c, v) in v.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(acc[c0 + c].as_ptr().add(r0));
+            }
+            for p in 0..k {
+                let a = _mm256_maskload_ps(ap.add(p * a_stride + r0), rows);
+                let skip = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+                    _mm256_castps_si256(a),
+                    _mm256_setzero_si256(),
+                ));
+                for (c, v) in v.iter_mut().enumerate() {
+                    let term = _mm256_mul_ps(a, _mm256_set1_ps(*bp.add(p * n + c0 + c)));
+                    *v = _mm256_blendv_ps(_mm256_add_ps(*v, term), *v, skip);
+                }
+            }
+            for (c, v) in v.iter().enumerate() {
+                _mm256_storeu_ps(acc[c0 + c].as_mut_ptr().add(r0), *v);
+            }
+        }
     }
-    while j < n {
-        *yp.add(j) += alpha * *xp.add(j);
-        j += 1;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernels::Reference;
+
+    #[test]
+    fn tn_stripes_are_bitwise_the_reference_at_any_stripe_width() {
+        // Zeros of both signs, subnormals and ordinary values; 70 rows of
+        // 37 × 45 operands: whole tiles, a 5-row edge band, 13 tail columns.
+        let (m, k, n) = (37, 70, 45);
+        let hostile = |i: usize| match i % 11 {
+            0 | 5 => 0.0,
+            3 => -0.0,
+            7 => f32::MIN_POSITIVE / 2.0,
+            _ => ((i * 37 % 101) as f32 - 50.0) * 0.03,
+        };
+        let a: Vec<f32> = (0..k * m).map(hostile).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| hostile(i * 7 + 3)).collect();
+        let seed: Vec<f32> = (0..m * n).map(|i| -hostile(i * 5 + 1)).collect();
+        let mut want = seed.clone();
+        Reference.gemm_tn_acc(m, k, n, &a, &b, &mut want);
+        for stripe in [1, 5, 16, 21, 32, 37, 100] {
+            let mut got = seed.clone();
+            tn_stripes(m, k, n, &a, &b, &mut got, stripe);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "stripe {stripe}");
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::kernels::BackendKind;
+use crate::kernels::{axpy_wide, dot_wide, BackendKind};
 use crate::pool::BufferPool;
 use crate::sparse::CsrMatrix;
 use crate::tape::Var;
@@ -382,11 +382,7 @@ pub(crate) fn backward_step(
             let (rows, cols) = values[a.index()].shape();
             let ga = grad_slot(grads, pool, *a, rows, cols);
             for (i, &idx) in indices.iter().enumerate() {
-                let dr = ga.row_mut(idx);
-                let g = grad_out.row(i);
-                for c in 0..g.len() {
-                    dr[c] += g[c];
-                }
+                axpy_wide(1.0, grad_out.row(i), ga.row_mut(idx));
             }
         }
         Op::Sum(a) => {
@@ -509,11 +505,7 @@ pub(crate) fn backward_step(
                     if gij == 0.0 {
                         continue;
                     }
-                    let k_row = vk.row(start + j);
-                    let dq_row = gq.row_mut(i);
-                    for c in 0..dq_row.len() {
-                        dq_row[c] += gij * k_row[c];
-                    }
+                    axpy_wide(gij, vk.row(start + j), gq.row_mut(i));
                 }
             }
             let gk = grad_slot(grads, pool, *k, vk.rows(), vk.cols());
@@ -524,10 +516,7 @@ pub(crate) fn backward_step(
                     if gij == 0.0 {
                         continue;
                     }
-                    let dk_row = gk.row_mut(start + j);
-                    for c in 0..dk_row.len() {
-                        dk_row[c] += gij * q_row[c];
-                    }
+                    axpy_wide(gij, q_row, gk.row_mut(start + j));
                 }
             }
         }
@@ -557,12 +546,7 @@ pub(crate) fn backward_step(
                 let g = grad_out.row(i);
                 let dw_row = &mut gw.row_mut(i)[..len];
                 for (j, dw) in dw_row.iter_mut().enumerate() {
-                    let v_row = vv.row(start + j);
-                    let mut acc = 0.0f32;
-                    for c in 0..g.len() {
-                        acc += g[c] * v_row[c];
-                    }
-                    *dw += acc;
+                    *dw += dot_wide(g, vv.row(start + j));
                 }
             }
             let gv = grad_slot(grads, pool, *v, vv.rows(), vv.cols());
@@ -571,10 +555,7 @@ pub(crate) fn backward_step(
                 for j in 0..len {
                     let wij = vw.get(i, j);
                     if wij != 0.0 {
-                        let dv_row = gv.row_mut(start + j);
-                        for c in 0..g.len() {
-                            dv_row[c] += wij * g[c];
-                        }
+                        axpy_wide(wij, g, gv.row_mut(start + j));
                     }
                 }
             }
@@ -589,10 +570,7 @@ pub(crate) fn backward_step(
                 let scale = 1.0 / len as f32;
                 let g = grad_out.row(i);
                 for r in start..start + len {
-                    let dr = ga.row_mut(r);
-                    for c in 0..g.len() {
-                        dr[c] += g[c] * scale;
-                    }
+                    axpy_wide(scale, g, ga.row_mut(r));
                 }
             }
         }

@@ -3,7 +3,7 @@
 use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
 
-use crate::kernels::{axpy, default_backend, dot, BackendKind};
+use crate::kernels::{axpy, axpy_wide, default_backend, dot_wide, BackendKind};
 
 /// A dense, row-major matrix of `f32`.
 ///
@@ -314,12 +314,11 @@ impl Tensor {
     /// `out += selfᵀ · other` — the weight-gradient kernel of the backward
     /// pass, accumulating straight into the gradient buffer.
     ///
-    /// Both backends share one `tn` kernel (see
-    /// `kernels::reference::gemm_tn_acc_striped`): column-striped rayon
-    /// parallelism where every stripe walks the shared `k` dimension in
-    /// increasing order, so results are bit-identical to the
-    /// single-threaded kernel — and to `transpose().matmul(other)` on the
-    /// reference backend — regardless of thread count.
+    /// Both backends add each element's terms in increasing `k` order
+    /// with the same `+0.0` skip — the reference in column stripes of
+    /// `out`, the optimized backend in register tiles seeded from it — so
+    /// results are bit-identical across backends, stripe widths and thread
+    /// counts, and to `transpose().matmul(other)` on the reference backend.
     ///
     /// # Panics
     /// Panics on row-count or output-shape mismatch.
@@ -547,9 +546,9 @@ impl Tensor {
     /// `B × L_max` output (`L_max = max len`, at least 1). Padding columns
     /// are zero and carry no gradient.
     ///
-    /// Uses the same scalar `dot` kernel as [`Tensor::matmul_nt`], so a
-    /// segment's scores are bit-identical to the per-segment `Q·Kᵀ` they
-    /// replace.
+    /// Every score is the lane-split `dot` (`kernels::dot_wide`, whatever
+    /// the backend), so a segment's scores are bit-identical to the
+    /// per-segment `Q·Kᵀ` of the reference backend.
     ///
     /// # Panics
     /// Panics if `spans.len() != self.rows()`, a span overruns `keys`, or
@@ -580,7 +579,7 @@ impl Tensor {
             let q_row = self.row(i);
             let (valid, padding) = out.row_mut(i).split_at_mut(len);
             for (j, o) in valid.iter_mut().enumerate() {
-                *o = dot(q_row, keys.row(start + j));
+                *o = dot_wide(q_row, keys.row(start + j));
             }
             padding.fill(0.0);
         }
@@ -626,9 +625,10 @@ impl Tensor {
     /// `R × d` matrix `values`, computes
     /// `out[i] = Σ_j self[i][j] · values[start_i + j]` (`j < len_i`).
     ///
-    /// Accumulates with the same `axpy` kernel and segment order as the
-    /// row-wise [`Tensor::matmul`], preserving bitwise parity with the
-    /// per-segment `attn · V` products it batches.
+    /// Accumulates with the same `axpy` arithmetic (`kernels::axpy_wide`)
+    /// and segment order as the reference backend's row-wise
+    /// [`Tensor::matmul`], preserving bitwise parity with the per-segment
+    /// `attn · V` products it batches.
     ///
     /// # Panics
     /// Panics on span/shape mismatches.
@@ -660,7 +660,7 @@ impl Tensor {
             out_row.fill(0.0);
             for (j, &a) in w.iter().enumerate() {
                 if a != 0.0 {
-                    axpy(a, values.row(start + j), out_row);
+                    axpy_wide(a, values.row(start + j), out_row);
                 }
             }
         }
@@ -696,7 +696,7 @@ impl Tensor {
             }
             assert!(start + len <= self.rows, "span overruns matrix");
             for r in start..start + len {
-                axpy(1.0, self.row(r), out_row);
+                axpy_wide(1.0, self.row(r), out_row);
             }
             let inv = 1.0 / len as f32;
             for x in out_row.iter_mut() {

@@ -3,23 +3,35 @@
 //!
 //! The parity contract (see `kernels::optimized` and DESIGN.md):
 //!
-//! * `nt` (`A·Bᵀ`) and `tn` (`Aᵀ·B`) are **bitwise** identical across
-//!   backends — NaN, ±0.0, subnormal and huge inputs included — because
-//!   the optimized paths replicate the reference accumulation order
-//!   element for element.
+//! * `tn` (`Aᵀ·B`) is **bitwise** identical across backends on every
+//!   non-NaN element — ±0.0, subnormal and huge inputs, nonzero `out` and
+//!   any stripe width included — because the optimized tile adds the
+//!   reference's terms in the reference's order with the reference's
+//!   `+0.0` skip. Where one backend produces NaN the other does too, but
+//!   NaN *payloads* are not compared anywhere in this file: x86 returns the
+//!   first NaN operand and a compiler may commute a vector add, so they
+//!   already differed between the two builds of one kernel.
 //! * `nn` (`A·B`) is allowed exactly two deviations: the optimized path
 //!   does not skip `+0.0` multipliers (its sums are a superset of the
 //!   reference terms), and accumulating into a nonzero `out` rounds once
 //!   at the end instead of per term. On finite inputs with a fresh output
 //!   that leaves a tolerance-bounded (in practice zero up to the sign of
 //!   zero) difference; NaNs the reference produces must still propagate.
+//! * `nt` (`A·Bᵀ`) on `Optimized` *is* its `nn` on the transposed operand,
+//!   bit for bit, so it stands under `nn`'s terms against `Reference` —
+//!   and, as the serving forward now runs it, each output row must be
+//!   independent of how many rows share its call.
+//! * the ragged attention ops are one implementation for both backends,
+//!   on `kernels::{dot_wide, axpy_wide}`; whichever SIMD body the length
+//!   and the CPU select, they must reproduce the scalar `dot` / `axpy`.
 //! * the bounds hold under *nested* rayon parallelism too: outer
 //!   `par_iter` tasks each running an internally-parallel GEMM must not
 //!   corrupt one another's pack scratch
 //!   (`nn_inside_outer_par_iter_matches_reference`).
 
 use proptest::prelude::*;
-use widen_tensor::{BackendKind, KernelBackend, Optimized, Reference, Tensor};
+use std::sync::Arc;
+use widen_tensor::{BackendKind, KernelBackend, Optimized, Reference, Tape, Tensor};
 
 /// Adversarial finite floats: exact zeros of both signs, subnormals, huge
 /// and tiny magnitudes, plus ordinary values.
@@ -39,9 +51,9 @@ fn hostile_float() -> impl Strategy<Value = f32> {
     })
 }
 
-/// [`hostile_float`] plus NaN — for the paths whose contract is bitwise
-/// equality (NaN payloads flow through both backends identically) and for
-/// the NaN-propagation property of `nn`.
+/// [`hostile_float`] plus NaN — for the bitwise contracts (a NaN on one
+/// side must be a NaN on the other) and the NaN-propagation property of
+/// `nn`.
 fn hostile_float_with_nan() -> impl Strategy<Value = f32> {
     (0usize..16, hostile_float()).prop_map(|(pick, base)| if pick == 0 { f32::NAN } else { base })
 }
@@ -55,8 +67,58 @@ fn tensor_of(
         .prop_map(move |data| Tensor::from_vec(rows, cols, data))
 }
 
-fn bits(t: &Tensor) -> Vec<u32> {
-    t.as_slice().iter().map(|x| x.to_bits()).collect()
+/// "Bit-equal, or both NaN", element by element.
+fn same_bits(got: &[f32], want: &[f32]) -> Result<(), String> {
+    if got.len() != want.len() {
+        return Err(format!("lengths {} vs {}", got.len(), want.len()));
+    }
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        if g.to_bits() != w.to_bits() && !(g.is_nan() && w.is_nan()) {
+            return Err(format!("element {i}: got {g:e}, want {w:e}"));
+        }
+    }
+    Ok(())
+}
+
+/// `nn`'s terms for `optimized` against `reference`, where both computed
+/// `a · b`: NaN and ±∞ must agree, finite values to [`nn_tolerance`].
+fn within_nn_terms(
+    a: &Tensor,
+    b: &Tensor,
+    reference: &Tensor,
+    optimized: &Tensor,
+) -> Result<(), String> {
+    for i in 0..reference.rows() {
+        for j in 0..reference.cols() {
+            let (r, o) = (reference.get(i, j), optimized.get(i, j));
+            let ok = if r.is_nan() || o.is_nan() {
+                r.is_nan() && o.is_nan()
+            } else if r.is_infinite() || o.is_infinite() {
+                r == o
+            } else {
+                (r - o).abs() <= nn_tolerance(a, b, i, j)
+            };
+            if !ok {
+                return Err(format!("({i},{j}): reference {r:e}, optimized {o:e}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Lengths on both sides of every branch of the wide helpers: empty, all
+/// tail, one lane chunk ± 1, chunks + tail, and the SIMD threshold (64).
+const WIDE_LENS: [usize; 9] = [0, 1, 15, 16, 17, 37, 63, 64, 128];
+
+/// The first `cols` entries of each `stride`-long chunk of `data`.
+fn rows_of(data: &[f32], stride: usize, rows: usize, cols: usize) -> Tensor {
+    let flat = data
+        .chunks(stride)
+        .take(rows)
+        .flat_map(|row| &row[..cols])
+        .copied()
+        .collect();
+    Tensor::from_vec(rows, cols, flat)
 }
 
 /// Per-element tolerance for the `nn` comparison: a small relative slack
@@ -75,23 +137,131 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn nt_is_bitwise_identical_across_backends(
-        a in tensor_of(7, 5, hostile_float_with_nan()),
-        b in tensor_of(6, 5, hostile_float_with_nan()),
+    fn nt_is_tolerance_bounded_and_is_nn_on_the_transpose(
+        // k = 37: two lane chunks and a tail, so `Reference`'s lane-split
+        // order and the tile's sequential order really differ.
+        a in tensor_of(9, 37, hostile_float_with_nan()),
+        b in tensor_of(11, 37, hostile_float_with_nan()),
     ) {
+        let bt = b.transpose();
         let reference = a.matmul_nt_with(&b, BackendKind::Reference);
         let optimized = a.matmul_nt_with(&b, BackendKind::Optimized);
-        prop_assert_eq!(bits(&reference), bits(&optimized));
+        if let Err(why) = within_nn_terms(&a, &bt, &reference, &optimized) {
+            prop_assert!(false, "{why}");
+        }
+        let via_nn = a.matmul_with(&bt, BackendKind::Optimized);
+        if let Err(why) = same_bits(optimized.as_slice(), via_nn.as_slice()) {
+            prop_assert!(false, "nt vs nn on the transpose: {why}");
+        }
+    }
+
+    #[test]
+    fn nt_output_rows_do_not_depend_on_the_row_count(
+        a in tensor_of(40, 37, hostile_float_with_nan()),
+        b in tensor_of(21, 37, hostile_float_with_nan()),
+    ) {
+        // Serving batches put any number of query rows into one call (the
+        // Eq. 5 fold); 8 is the optimized backend's packing threshold.
+        for backend in BackendKind::all() {
+            for m in [1usize, 3, 7, 8, 9, 40] {
+                let together = rows_of(a.as_slice(), 37, m, 37).matmul_nt_with(&b, backend);
+                for i in 0..m {
+                    let alone = Tensor::row_vector(a.row(i)).matmul_nt_with(&b, backend);
+                    if let Err(why) = same_bits(together.row(i), alone.row(0)) {
+                        prop_assert!(false, "{backend:?}, row {i} of {m}: {why}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn tn_is_bitwise_identical_across_backends(
-        a in tensor_of(6, 4, hostile_float_with_nan()),
-        b in tensor_of(6, 5, hostile_float_with_nan()),
+        // k = 37 rows; the output shapes below are cut from these.
+        a in tensor_of(37, 37, hostile_float_with_nan()),
+        b in tensor_of(37, 48, hostile_float_with_nan()),
+        seed in tensor_of(37, 48, hostile_float_with_nan()),
     ) {
-        let reference = a.matmul_tn_with(&b, BackendKind::Reference);
-        let optimized = a.matmul_tn_with(&b, BackendKind::Optimized);
-        prop_assert_eq!(bits(&reference), bits(&optimized));
+        // Whole tiles (32×48), a 5-row edge band with 3 ragged columns
+        // (21×35), less than one tile (7×16), more rows than columns
+        // (37×19) and no vector lane at all (4×5) — each accumulated into
+        // a nonzero hostile `out`.
+        for (m, n) in [(32usize, 48usize), (21, 35), (7, 16), (37, 19), (4, 5)] {
+            let (a, b) = (rows_of(a.as_slice(), 37, 37, m), rows_of(b.as_slice(), 48, 37, n));
+            let mut reference = rows_of(seed.as_slice(), 48, m, n);
+            let mut optimized = reference.clone();
+            a.matmul_tn_acc_with(&b, &mut reference, BackendKind::Reference);
+            a.matmul_tn_acc_with(&b, &mut optimized, BackendKind::Optimized);
+            if let Err(why) = same_bits(optimized.as_slice(), reference.as_slice()) {
+                prop_assert!(false, "{m}×{n}: {why}");
+            }
+        }
+    }
+
+    #[test]
+    fn ragged_forward_ops_reproduce_the_scalar_dot_and_axpy(
+        q in prop::collection::vec(hostile_float_with_nan(), 128),
+        rows in prop::collection::vec(hostile_float_with_nan(), 3 * 128),
+        w in prop::collection::vec(hostile_float_with_nan(), 3),
+    ) {
+        for len in WIDE_LENS {
+            let q = rows_of(&q, 128, 1, len);
+            let rows = rows_of(&rows, 128, 3, len);
+            // Scores are `Reference.dot`s.
+            let scores = q.padded_segment_scores(&rows, &[(0, 3)]);
+            let dots: Vec<f32> = (0..3).map(|j| Reference.dot(q.row(0), rows.row(j))).collect();
+            if let Err(why) = same_bits(scores.row(0), &dots) {
+                prop_assert!(false, "scores, len {len}: {why}");
+            }
+            // The weighted sum is one mul and one add per element, zero
+            // weights skipped.
+            let mixed = Tensor::row_vector(&w).segment_weighted_sum(&rows, &[(0, 3)]);
+            let mut axpys = vec![0.0f32; len];
+            for (j, &alpha) in w.iter().enumerate().filter(|(_, &alpha)| alpha != 0.0) {
+                for (y, &x) in axpys.iter_mut().zip(rows.row(j)) {
+                    *y += alpha * x;
+                }
+            }
+            if let Err(why) = same_bits(mixed.row(0), &axpys) {
+                prop_assert!(false, "weighted sum, len {len}: {why}");
+            }
+        }
+    }
+
+    #[test]
+    fn ragged_adjoints_reproduce_the_scalar_dot_and_axpy(
+        // Finite and tame: a tape refuses non-finite forward values.
+        g in prop::collection::vec(-3.0f32..3.0, 128),
+        rows in prop::collection::vec(-3.0f32..3.0, 3 * 128),
+        w in prop::collection::vec(-3.0f32..3.0, 3),
+    ) {
+        let spans: Arc<[(usize, usize)]> = vec![(0usize, 3usize)].into();
+        for len in WIDE_LENS {
+            let g = rows_of(&g, 128, 1, len);
+            let rows = rows_of(&rows, 128, 3, len);
+            // loss = ⟨g, Σ_j w_j · rows_j⟩, so the weighted sum's upstream
+            // gradient is `g`: dw_j = dot(g, rows_j), drows_j = w_j · g.
+            let mut tape = Tape::new();
+            let gv = tape.leaf(g.clone());
+            let rv = tape.leaf(rows.clone());
+            let wv = tape.leaf(Tensor::row_vector(&w));
+            let mixed = tape.segment_weighted_sum(wv, rv, spans.clone());
+            let picked = tape.mul(mixed, gv);
+            let loss = tape.sum(picked);
+            tape.backward(loss);
+            let dots: Vec<f32> = (0..3).map(|j| Reference.dot(g.row(0), rows.row(j))).collect();
+            let dw = tape.grad(wv).expect("weights have a gradient");
+            if let Err(why) = same_bits(dw.row(0), &dots) {
+                prop_assert!(false, "dw, len {len}: {why}");
+            }
+            let drows = tape.grad(rv).expect("values have a gradient");
+            for (j, &alpha) in w.iter().enumerate() {
+                let scaled: Vec<f32> = g.row(0).iter().map(|&x| 0.0 + alpha * x).collect();
+                if let Err(why) = same_bits(drows.row(j), &scaled) {
+                    prop_assert!(false, "dv row {j}, len {len}: {why}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -113,25 +283,12 @@ proptest! {
         a in tensor_of(9, 5, hostile_float()),
         b in tensor_of(5, 17, hostile_float()),
     ) {
+        // Finite inputs can still overflow to ±inf and then cancel to NaN;
+        // both backends must agree when so.
         let reference = a.matmul_with(&b, BackendKind::Reference);
         let optimized = a.matmul_with(&b, BackendKind::Optimized);
-        for i in 0..reference.rows() {
-            for j in 0..reference.cols() {
-                let r = reference.get(i, j);
-                let o = optimized.get(i, j);
-                if r.is_nan() || o.is_nan() {
-                    // Finite inputs can still overflow to ±inf and then
-                    // cancel to NaN; both backends must agree when so.
-                    prop_assert!(r.is_nan() && o.is_nan(),
-                        "NaN disagreement at ({i},{j}): reference {r}, optimized {o}");
-                } else if r.is_infinite() || o.is_infinite() {
-                    prop_assert_eq!(r, o);
-                } else {
-                    let tol = nn_tolerance(&a, &b, i, j);
-                    prop_assert!((r - o).abs() <= tol,
-                        "({i},{j}): reference {r}, optimized {o}, tol {tol}");
-                }
-            }
+        if let Err(why) = within_nn_terms(&a, &b, &reference, &optimized) {
+            prop_assert!(false, "{why}");
         }
     }
 
@@ -144,19 +301,8 @@ proptest! {
         // paper config; it must obey the same bound as the generic kernel.
         let reference = a.matmul_with(&b, BackendKind::Reference);
         let optimized = a.matmul_with(&b, BackendKind::Optimized);
-        for i in 0..reference.rows() {
-            for j in 0..reference.cols() {
-                let r = reference.get(i, j);
-                let o = optimized.get(i, j);
-                if r.is_nan() || o.is_nan() {
-                    prop_assert!(r.is_nan() && o.is_nan());
-                } else if r.is_infinite() || o.is_infinite() {
-                    prop_assert_eq!(r, o);
-                } else {
-                    let tol = nn_tolerance(&a, &b, i, j);
-                    prop_assert!((r - o).abs() <= tol);
-                }
-            }
+        if let Err(why) = within_nn_terms(&a, &b, &reference, &optimized) {
+            prop_assert!(false, "{why}");
         }
     }
 
