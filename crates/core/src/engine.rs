@@ -88,9 +88,9 @@ impl ChunkCtx<'_> {
 /// the step mean.
 ///
 /// Downsampling still sees exactly the per-node artefacts it needs —
-/// attention rows come out of the padded matrices via the node→row-range
-/// maps, and relay packs/edges (Eq. 8) are read from the flat `M▷` and the
-/// deduplicated `E▷` through each walk's span.
+/// attention rows come out of the padded matrices via the node→range maps,
+/// and relay packs/edges (Eq. 8) are read from the deduplicated `M▷` and
+/// `E▷` through each walk's span and the dedup index.
 pub(crate) fn run_chunk(
     ctx: &ChunkCtx<'_>,
     chunk: &[NodeId],
@@ -186,13 +186,13 @@ pub(crate) fn run_chunk(
                         // Eq. 8: maxpool(e_{s'+1,s'}, m_{s'}); within the
                         // walk, pack row s+1 and edge row s+2 (row 0 is
                         // the target's self loop) — offset by the walk's
-                        // start row in the flat layout, the edge row read
-                        // through the dedup index.
-                        let packs = tape.value(db.packs);
+                        // start position, both read through the dedup
+                        // index.
+                        let packs = tape.value(db.unique_packs);
                         let edges = tape.value(db.unique_edges);
                         let relay_vec = relay_edge(
                             edges.row(db.flat_index[wstart + s + 2]),
-                            packs.row(wstart + s + 1),
+                            packs.row(db.flat_index[wstart + s + 1]),
                         );
                         Some((s + 1, relay_vec))
                     }

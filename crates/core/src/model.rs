@@ -116,22 +116,23 @@ pub struct WideBatch {
     pub lens: Vec<usize>,
 }
 
-/// Batched deep-branch artefacts (Eq. 4–6), plus the node→row-range maps
-/// that keep downsampling outcomes (Algorithms 1–2, Eq. 8 relays)
-/// extractable per node from the flat tensors.
+/// Batched deep-branch artefacts (Eq. 4–6), plus the node→range maps that
+/// keep downsampling outcomes (Algorithms 1–2, Eq. 8 relays) extractable
+/// per node from the batched tensors.
 pub struct DeepBatch {
     /// Padded Eq. 5 attention matrix (`#walks × L_max`); row `w`'s valid
     /// prefix has `walk_spans[w].1` entries.
     pub attention: Var,
-    /// Flat raw pack matrix `M▷` (all walks concatenated).
-    pub packs: Var,
+    /// Deduplicated raw pack matrix: row `flat_index[r]` is the `M▷` row at
+    /// position `r` (all walks concatenated).
+    pub unique_packs: Var,
     /// Deduplicated edge-representation matrix: row `flat_index[r]` is the
-    /// `E▷` row of flat pack row `r`.
+    /// `E▷` row at position `r`.
     pub unique_edges: Var,
-    /// Flat pack row → `unique_edges` row.
-    pub flat_index: Vec<usize>,
-    /// Walk → `(start, len)` row range into `packs`.
-    pub walk_spans: Vec<(usize, usize)>,
+    /// Position → row of `unique_packs` / `unique_edges`.
+    pub flat_index: Arc<[usize]>,
+    /// Walk → `(start, len)` range of positions into `flat_index`.
+    pub walk_spans: Arc<[(usize, usize)]>,
     /// Node → `(first walk index, walk count)`; a node's walks are
     /// consecutive in `walk_spans` / `attention` rows.
     pub node_walks: Vec<(usize, usize)>,
@@ -319,14 +320,18 @@ impl WidenModel {
     /// one implementation training, evaluation and serving all run.
     ///
     /// One pack assembly, one Q/K/V projection matmul per attention branch
-    /// and one padded softmax per branch for the whole chunk. The attention
-    /// kernels use the same scalar `dot`/`axpy` reductions in the same order
-    /// as the test-only per-node reference (`model/oracle.rs`), so the two
-    /// agree to f32 round-off (the differential tests pin this).
+    /// on the *unique* pack rows, and one fused ragged attention
+    /// ([`Tape::segment_attention`]) per softmax for the whole chunk, which
+    /// reads those rows in place through the batch's position → unique-row
+    /// index: no projection is ever gathered into a flat per-position
+    /// matrix. The attention kernels use the same scalar `dot`/`axpy`
+    /// reductions in the same order as the test-only per-node reference
+    /// (`model/oracle.rs`), so the two agree to f32 round-off (the
+    /// differential tests pin this).
     ///
-    /// The Eq. 4 causal mask needs no mask tensor here: each pack row's
-    /// key segment simply *starts at itself* and runs to the end of its
-    /// walk, which encodes `θ = −∞` for earlier positions structurally.
+    /// The Eq. 4 causal mask needs no mask tensor here: each position's
+    /// key span simply *starts at itself* and runs to the end of its walk,
+    /// which encodes `θ = −∞` for earlier positions structurally.
     ///
     /// # Panics
     /// Panics if `states` is empty or the graph's feature width changed.
@@ -348,7 +353,8 @@ impl WidenModel {
         let variant = self.config.variant;
         let inv_sqrt_d = 1.0 / (d as f32).sqrt();
 
-        // Wide branch (Eq. 1, 3): one flat pack matrix, per-node spans.
+        // Wide branch (Eq. 1, 3): per-node position spans over the unique
+        // pack rows.
         let mut wide_batch = None;
         let h_wide = if variant.use_wide {
             let wides: Vec<&widen_sampling::WideSet> = states.iter().map(|s| &s.wide).collect();
@@ -360,18 +366,20 @@ impl WidenModel {
                 pv.g_edge,
                 self.num_edge_types,
             );
-            let lens: Vec<usize> = batch.spans.iter().map(|&(_, len)| len).collect();
-            let q_rows: Vec<usize> = batch.spans.iter().map(|&(start, _)| start).collect();
-            let m_t = tape.gather_rows(batch.packs, &q_rows);
+            let (packs, rows, spans) = (batch.unique_packs, batch.flat_index, batch.spans);
+            let lens: Vec<usize> = spans.iter().map(|&(_, len)| len).collect();
+            let m_rows: Vec<usize> = spans.iter().map(|&(start, _)| rows[start]).collect();
+            let m_t = tape.select_rows(packs, &m_rows);
             let q = tape.matmul(m_t, pv.wide_q);
-            // K/V projections run once per unique (node, edge) pair.
-            let k = batch.project(tape, pv.wide_k);
-            let values = batch.project(tape, pv.wide_v);
-            let spans: Arc<[(usize, usize)]> = batch.spans.into();
-            let scores = tape.padded_segment_scores(q, k, spans.clone());
-            let scaled = tape.scale(scores, inv_sqrt_d);
-            let attn = tape.padded_softmax_rows(scaled, lens.clone().into());
-            let h = tape.segment_weighted_sum(attn, values, spans);
+            // K/V projections run once per unique (node, edge) pair and are
+            // read in place through the position → unique-row index; the
+            // queries are already one row per node (the identity index).
+            let k = tape.matmul(packs, pv.wide_k);
+            let values = tape.matmul(packs, pv.wide_v);
+            let q_rows = (0..b).collect();
+            let attn =
+                tape.segment_attention(q, q_rows, k, rows.clone(), spans.clone(), inv_sqrt_d);
+            let h = tape.segment_weighted_sum(attn, values, rows, spans);
             wide_batch = Some(WideBatch {
                 attention: attn,
                 lens,
@@ -381,8 +389,8 @@ impl WidenModel {
             zeros_leaf(tape, b, d)
         };
 
-        // Deep branch (Eq. 2, 4–6): all walks of all nodes in one flat
-        // matrix, walk-major and grouped by node.
+        // Deep branch (Eq. 2, 4–6): all walks of all nodes as one run of
+        // positions, walk-major and grouped by node.
         let mut deep_batch = None;
         let h_deep = if variant.use_deep && states.iter().any(|s| !s.deeps.is_empty()) {
             let mut walks: Vec<&crate::state::DeepState> = Vec::new();
@@ -399,70 +407,56 @@ impl WidenModel {
                 pv.g_edge,
                 self.num_edge_types,
             );
-            let crate::packaging::PackedBatch {
-                packs,
-                unique_packs,
-                unique_edges,
-                flat_index,
-                spans: walk_spans,
-            } = batch;
-            let total_rows: usize = walk_spans.iter().map(|&(_, len)| len).sum();
-            // Raw-pack projections run on unique rows, then broadcast back.
-            let project = |tape: &mut Tape, w| {
-                let unique = tape.matmul(unique_packs, w);
-                tape.gather_rows(unique, &flat_index)
-            };
+            let (packs, rows, walk_spans) = (batch.unique_packs, batch.flat_index, batch.spans);
 
-            // Eq. 4: causal successive attention. Every pack row queries
-            // the suffix of its own walk (itself + later positions).
-            let refined = if variant.successive_attention {
-                let mut row_spans = Vec::with_capacity(total_rows);
-                let mut row_lens = Vec::with_capacity(total_rows);
-                for &(start, len) in &walk_spans {
-                    for r in 0..len {
-                        row_spans.push((start + r, len - r));
-                        row_lens.push(len - r);
-                    }
-                }
-                let row_spans: Arc<[(usize, usize)]> = row_spans.into();
-                let q1 = project(tape, pv.deep_q1);
-                let k1 = project(tape, pv.deep_k1);
-                let scores = tape.padded_segment_scores(q1, k1, row_spans.clone());
-                let scaled = tape.scale(scores, inv_sqrt_d);
-                let att = tape.padded_softmax_rows(scaled, row_lens.into());
-                let v1 = project(tape, pv.deep_v1);
-                tape.segment_weighted_sum(att, v1, row_spans)
+            // Eq. 4: causal successive attention. Every position queries
+            // the suffix of its own walk (itself + later positions);
+            // queries and keys are both unique-row projections under the
+            // same index. The refined rows are position-specific — the one
+            // flat matrix of the forward pass, keys under the identity
+            // index; with successive attention off the keys are the raw
+            // packs themselves.
+            let (keys, key_rows) = if variant.successive_attention {
+                let row_spans: Arc<[(usize, usize)]> = walk_spans
+                    .iter()
+                    .flat_map(|&(start, len)| (0..len).map(move |r| (start + r, len - r)))
+                    .collect();
+                let q1 = tape.matmul(packs, pv.deep_q1);
+                let k1 = tape.matmul(packs, pv.deep_k1);
+                let (q_rows, k_rows) = (rows.clone(), rows.clone());
+                let att =
+                    tape.segment_attention(q1, q_rows, k1, k_rows, row_spans.clone(), inv_sqrt_d);
+                let v1 = tape.matmul(packs, pv.deep_v1);
+                let refined = tape.segment_weighted_sum(att, v1, rows.clone(), row_spans);
+                (refined, (0..rows.len()).collect())
             } else {
-                packs
+                (packs, rows.clone())
             };
 
             // Eq. 5: gather into each walk's target — query is the walk's
             // own m_t▷ row, keys from the refined sequence H▷, values
             // from the raw packs M▷. Scores are the bilinear form
             // `(m_t W_Q)(H W_K)ᵀ = ((m_t W_Q) W_Kᵀ) Hᵀ`: `W_K▷′` is applied
-            // to the one query row per walk, and the refined rows — the
-            // only position-specific (undeduplicable) matrix here — are
-            // the keys as they stand, never projected.
-            let m_rows: Vec<usize> = walk_spans.iter().map(|&(start, _)| start).collect();
-            let lens: Vec<usize> = walk_spans.iter().map(|&(_, len)| len).collect();
-            let spans: Arc<[(usize, usize)]> = walk_spans.clone().into();
-            let m_t = tape.gather_rows(packs, &m_rows);
+            // to the one query row per walk, and the refined rows are the
+            // keys as they stand, never projected.
+            let m_rows: Vec<usize> = walk_spans.iter().map(|&(start, _)| rows[start]).collect();
+            let m_t = tape.select_rows(packs, &m_rows);
             let q2 = tape.matmul(m_t, pv.deep_q2);
             let q2 = tape.matmul_nt(q2, pv.deep_k2);
-            let scores2 = tape.padded_segment_scores(q2, refined, spans.clone());
-            let scaled2 = tape.scale(scores2, inv_sqrt_d);
-            let attn = tape.padded_softmax_rows(scaled2, lens.into());
-            let v2 = project(tape, pv.deep_v2);
-            let h_phi = tape.segment_weighted_sum(attn, v2, spans);
+            let q_rows = (0..walk_spans.len()).collect();
+            let attn =
+                tape.segment_attention(q2, q_rows, keys, key_rows, walk_spans.clone(), inv_sqrt_d);
+            let v2 = tape.matmul(packs, pv.deep_v2);
+            let h_phi = tape.segment_weighted_sum(attn, v2, rows.clone(), walk_spans.clone());
 
             // Φ-averaging (Eq. 7); nodes without walks get zero rows.
             let phi_spans: Arc<[(usize, usize)]> = node_walks.clone().into();
             let h = tape.segment_mean_rows(h_phi, phi_spans);
             deep_batch = Some(DeepBatch {
                 attention: attn,
-                packs,
-                unique_edges,
-                flat_index,
+                unique_packs: packs,
+                unique_edges: batch.unique_edges,
+                flat_index: rows,
                 walk_spans,
                 node_walks,
             });
@@ -961,18 +955,24 @@ mod tests {
                 }
             }
             // So must what Eq. 8 reads when a drop installs a relay: walk
-            // row `r`'s pack, and its edge row through the dedup index.
-            let flat_packs = tape_b.value(db.packs);
-            let flat_edges = tape_b.value(db.unique_edges);
+            // row `r`'s pack and edge rows, through the dedup index.
+            let unique_packs = tape_b.value(db.unique_packs);
+            let unique_edges = tape_b.value(db.unique_edges);
             let close = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| (x - y).abs() <= 1e-5);
-            for (walk, &(start, len)) in deep_walks.iter().zip(&db.walk_spans) {
+            for (walk, &(start, len)) in deep_walks.iter().zip(db.walk_spans.iter()) {
                 let packs = tape_a.value(walk.packs);
                 let edges = tape_a.value(walk.edges);
                 assert_eq!(packs.rows(), len);
                 for r in 0..len {
-                    let edge_row = flat_edges.row(db.flat_index[start + r]);
-                    assert!(close(packs.row(r), flat_packs.row(start + r)), "pack {r}");
-                    assert!(close(edges.row(r), edge_row), "edge {r}");
+                    let unique_row = db.flat_index[start + r];
+                    assert!(
+                        close(packs.row(r), unique_packs.row(unique_row)),
+                        "pack {r}"
+                    );
+                    assert!(
+                        close(edges.row(r), unique_edges.row(unique_row)),
+                        "edge {r}"
+                    );
                 }
             }
         }

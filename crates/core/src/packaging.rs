@@ -63,50 +63,44 @@ pub fn edge_vocab_size(num_edge_types: usize, num_node_types: usize) -> usize {
     num_edge_types + num_node_types
 }
 
-/// Batched `PACK` output: one flat pack matrix for many wide sets or deep
-/// walks, plus the per-unit row spans needed to address it.
+/// Batched `PACK` output for many wide sets or deep walks: each distinct
+/// pack row once, plus the index and the per-unit position spans that
+/// address it.
 ///
 /// A pack row is fully determined by its `(node, edge-vocab-row)` pair, and
-/// those pairs repeat heavily inside a chunk, so the batch is assembled in
-/// two layers: `unique_packs` holds each distinct pair once, and the flat
-/// matrix is a cheap [`Tape::gather_rows`] view of it. Every projection
-/// matmul of the forward pass runs on `unique_packs` (via
-/// [`PackedBatch::project`]; Eq. 5 folds its key projection into the query
-/// rather than project the flat refined rows) — that is where batching
-/// saves FLOPs over packing one neighbour set at a time.
+/// those pairs repeat heavily inside a chunk, so `unique_packs` holds each
+/// distinct pair once and **no flat matrix is assembled**: a unit's rows are
+/// *positions* `start..start + len` of `flat_index`, which names the unique
+/// row at each position. Every projection matmul of the forward pass runs
+/// on `unique_packs` and the ragged attention ops read the projected rows in
+/// place through `flat_index` (Eq. 5 folds its key projection into the
+/// query rather than project the position-specific refined rows) — that is
+/// where batching saves FLOPs and memory traffic over packing one neighbour
+/// set at a time.
 pub struct PackedBatch {
-    /// Flat pack matrix (`(Σ(|set_i|+1)) × d`); each unit's rows are
-    /// consecutive with its own `m_t` first.
-    pub packs: Var,
     /// Deduplicated pack matrix (`U × d`): one row per distinct
     /// `(node, edge-row)` pair (relay-overridden rows are never shared).
     pub unique_packs: Var,
     /// Deduplicated edge-representation matrix (`U × d`, same row order as
-    /// `unique_packs`). Nothing multiplies it, so it is never gathered
-    /// flat: flat row `r`'s edge representation — unit-local row `s+1` is
-    /// that of local position `s` (Eq. 8 relays) — is row `flat_index[r]`.
+    /// `unique_packs`): position `r`'s edge representation — unit-local
+    /// position `s+1` is that of local position `s` (Eq. 8 relays) — is row
+    /// `flat_index[r]`.
     pub unique_edges: Var,
-    /// Flat row → unique row: `packs[r] == unique_packs[flat_index[r]]`.
-    pub flat_index: Vec<usize>,
-    /// Per-unit `(start, len)` row ranges into `packs`. This is the
-    /// node→row-range (or walk→row-range) map that keeps downsampling
-    /// outcomes extractable per node from the batched tensors.
-    pub spans: Vec<(usize, usize)>,
+    /// Position → unique row (`Σ(|set_i|+1)` entries): the pack at
+    /// position `r` is `unique_packs[flat_index[r]]`. Shared, as it stands,
+    /// by every ragged attention op of the forward pass.
+    pub flat_index: Arc<[usize]>,
+    /// Per-unit `(start, len)` position ranges into `flat_index`, each
+    /// unit's own `m_t` first. This is the node→range (or walk→range) map
+    /// that keeps downsampling outcomes extractable per node from the
+    /// batched tensors.
+    pub spans: Arc<[(usize, usize)]>,
 }
 
-impl PackedBatch {
-    /// Projects the packs through `weight` (`d × d'`), computing the matmul
-    /// once per unique row and broadcasting back to the flat layout.
-    pub fn project(&self, tape: &mut Tape, weight: Var) -> Var {
-        let unique = tape.matmul(self.unique_packs, weight);
-        tape.gather_rows(unique, &self.flat_index)
-    }
-}
-
-/// Batched `PACK∘` (Eq. 1): assembles the wide pack matrices of a whole
-/// chunk into one flat tensor — a single feature gather and one `G_node`
-/// projection matmul over the *unique* `(node, edge-row)` pairs, then a
-/// cheap row gather back into the flat layout.
+/// Batched `PACK∘` (Eq. 1): assembles the wide packs of a whole chunk — a
+/// single feature gather and one `G_node` projection matmul over the
+/// *unique* `(node, edge-row)` pairs, addressed per node through
+/// [`PackedBatch::flat_index`].
 pub fn pack_wide_batch(
     tape: &mut Tape,
     graph: &HeteroGraph,
@@ -185,16 +179,16 @@ pub fn pack_deep_batch(
 
 /// Shared batch assembly with two-level deduplication.
 ///
-/// Flat row `r` is the pack `v(ids[r]) ⊙ e(edge_rows[r])`, so it is fully
+/// The pack at position `r` is `v(ids[r]) ⊙ e(edge_rows[r])`, so it is fully
 /// determined by its `(node, edge-row)` pair — except at relay-override
 /// positions, whose edge vectors are walk-specific constants. The assembler
 /// therefore computes each distinct pair once (`unique_packs`), gives every
-/// override position a private unique row, and reconstitutes the flat
-/// matrices with [`Tape::gather_rows`]. Node features repeat even more than
+/// override position a private unique row, and records which unique row
+/// each position reads (`flat_index`). Node features repeat even more than
 /// pairs do, so the `d₀`-wide `G_node` projection additionally runs on the
-/// distinct node set only. Every flat row is a bitwise copy of the value the
-/// undeduplicated assembly would produce: identical inputs flow through the
-/// identical kernels, just once per distinct row.
+/// distinct node set only. Every unique row is bitwise the value the
+/// undeduplicated assembly would produce at its positions: identical inputs
+/// flow through the identical kernels, just once per distinct row.
 #[allow(clippy::too_many_arguments)]
 fn assemble_batch(
     tape: &mut Tape,
@@ -246,9 +240,9 @@ fn assemble_batch(
 
     let x = features_leaf(tape, graph, &unique_nodes);
     let projected = tape.matmul(x, g_node);
-    let v = tape.gather_rows(projected, &node_of);
+    let v = tape.select_rows(projected, &node_of);
 
-    let gathered = tape.gather_rows(g_edge, &u_edge_rows);
+    let gathered = tape.select_rows(g_edge, &u_edge_rows);
     let unique_edges = if u_overrides.is_empty() {
         gathered
     } else {
@@ -269,13 +263,11 @@ fn assemble_batch(
         tape.add(kept, constants)
     };
     let unique_packs = tape.mul(v, unique_edges);
-    let packs = tape.gather_rows(unique_packs, &flat_index);
     PackedBatch {
-        packs,
         unique_packs,
         unique_edges,
-        flat_index,
-        spans,
+        flat_index: flat_index.into(),
+        spans: spans.into(),
     }
 }
 
@@ -410,10 +402,12 @@ mod tests {
             &[2.0, 2.0],
         ]));
         let batch = pack_wide_batch(&mut tape, &g, &[&w0, &w1], g_node, g_edge, 1);
-        assert_eq!(batch.spans, vec![(0, 3), (3, 1)]);
-        let flat = tape.value(batch.packs).clone();
+        assert_eq!(batch.spans[..], [(0, 3), (3, 1)]);
+        let flat = tape
+            .value(batch.unique_packs)
+            .select_rows(&batch.flat_index);
         assert_eq!(flat.shape(), (4, 2));
-        for (wide, &(start, len)) in [&w0, &w1].iter().zip(&batch.spans) {
+        for (wide, &(start, len)) in [&w0, &w1].iter().zip(batch.spans.iter()) {
             let single = pack_wide(&mut tape, &g, wide, g_node, g_edge, 1);
             let m = tape.value(single.packs);
             assert_eq!(m.rows(), len);
@@ -451,12 +445,14 @@ mod tests {
             &[2.0, 2.0],
         ]));
         let batch = pack_deep_batch(&mut tape, &g, &[&d0, &d1], g_node, g_edge, 1);
-        assert_eq!(batch.spans, vec![(0, 3), (3, 2)]);
-        let flat_packs = tape.value(batch.packs).clone();
+        assert_eq!(batch.spans[..], [(0, 3), (3, 2)]);
+        let flat_packs = tape
+            .value(batch.unique_packs)
+            .select_rows(&batch.flat_index);
         let flat_edges = tape
             .value(batch.unique_edges)
             .select_rows(&batch.flat_index);
-        for (deep, &(start, len)) in [&d0, &d1].iter().zip(&batch.spans) {
+        for (deep, &(start, len)) in [&d0, &d1].iter().zip(batch.spans.iter()) {
             let single = pack_deep(&mut tape, &g, deep, g_node, g_edge, 1);
             let m = tape.value(single.packs);
             let e = tape.value(single.edges);
@@ -488,7 +484,7 @@ mod tests {
             &[2.0, 2.0],
         ]));
         let batch = pack_deep_batch(&mut tape, &g, &[&d0], g_node, g_edge, 1);
-        let loss = tape.sum(batch.packs);
+        let loss = tape.sum(batch.unique_packs);
         tape.backward(loss);
         let de = tape.grad(g_edge).unwrap();
         // Row 0 was the masked placeholder for the overridden position —

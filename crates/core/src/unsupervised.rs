@@ -100,8 +100,8 @@ pub fn fit_unsupervised(
             let fw = model.forward_batch(&mut tape, &pv, graph, &states);
             let anchor_rows: Vec<usize> = (0..batch.len()).collect();
             let positive_rows: Vec<usize> = (batch.len()..2 * batch.len()).collect();
-            let z_u = tape.gather_rows(fw.embeddings, &anchor_rows);
-            let z_v = tape.gather_rows(fw.embeddings, &positive_rows);
+            let z_u = tape.select_rows(fw.embeddings, &anchor_rows);
+            let z_v = tape.select_rows(fw.embeddings, &positive_rows);
             let sims = tape.matmul_nt(z_u, z_v);
             let scaled = tape.scale(sims, 1.0 / config.temperature);
             let labels: Vec<usize> = (0..batch.len()).collect();

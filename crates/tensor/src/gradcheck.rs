@@ -432,14 +432,14 @@ mod tests {
     }
 
     #[test]
-    fn gather_rows_grads() {
+    fn select_rows_duplicate_index_grads() {
         let mut r = rng();
         let inputs = vec![randn(4, 3, &mut r)];
         assert_grads_close(
             &inputs,
             |t, v| {
                 // Duplicate index exercises the scatter-add accumulation.
-                let g = t.gather_rows(v[0], &[2, 0, 2, 3]);
+                let g = t.select_rows(v[0], &[2, 0, 2, 3]);
                 let sq = t.mul(g, g);
                 t.sum(sq)
             },
@@ -447,52 +447,89 @@ mod tests {
         );
     }
 
-    #[test]
-    fn padded_segment_scores_grads() {
-        let mut r = rng();
-        let inputs = vec![randn(3, 4, &mut r), randn(6, 4, &mut r)];
-        let spans: Arc<[(usize, usize)]> = Arc::from(vec![(0, 2), (2, 4), (4, 1)]);
-        assert_grads_close(
-            &inputs,
-            move |t, v| {
-                let s = t.padded_segment_scores(v[0], v[1], spans.clone());
-                let sq = t.mul(s, s);
-                t.sum(sq)
-            },
-            2e-2,
-        );
+    fn index_list(rows: &[usize]) -> Arc<[usize]> {
+        Arc::from(rows)
+    }
+
+    fn span_list(spans: &[(usize, usize)]) -> Arc<[(usize, usize)]> {
+        Arc::from(spans)
     }
 
     #[test]
-    fn padded_softmax_rows_grads() {
+    fn segment_attention_grads() {
+        // Repeated indices on both sides (several positions → one source
+        // row), a span of length 1 and a zero-length span.
         let mut r = rng();
-        let inputs = vec![randn(3, 5, &mut r)];
-        let lens: Arc<[usize]> = Arc::from(vec![5, 3, 1]);
-        assert_grads_close(
-            &inputs,
-            move |t, v| {
-                let s = t.padded_softmax_rows(v[0], lens.clone());
-                let sq = t.mul(s, s);
-                t.sum(sq)
-            },
-            2e-2,
-        );
+        let inputs = vec![randn(3, 4, &mut r), randn(4, 4, &mut r)];
+        let q_rows = index_list(&[2, 0, 0, 1]);
+        let k_rows = index_list(&[3, 1, 1, 0, 2, 0]);
+        let spans = span_list(&[(0, 2), (2, 4), (4, 1), (1, 0)]);
+        for backend in BackendKind::all() {
+            assert_grads_close_with_backend(
+                &inputs,
+                |t, v| {
+                    let (q_rows, k_rows) = (q_rows.clone(), k_rows.clone());
+                    let s = t.segment_attention(v[0], q_rows, v[1], k_rows, spans.clone(), 0.5);
+                    let sq = t.mul(s, s);
+                    t.sum(sq)
+                },
+                2e-2,
+                backend,
+            );
+        }
+    }
+
+    #[test]
+    fn segment_attention_grads_with_one_var_as_query_and_key() {
+        // `q` and `k` the same `Var` under the Eq. 4 layout: one index
+        // list on both sides, overlapping causal-suffix spans over two
+        // walks (4 and 2 positions), rows shared between positions — and a
+        // position whose key is its own query row. Both adjoints land in
+        // one gradient slot.
+        let mut r = rng();
+        let inputs = vec![randn(3, 4, &mut r)];
+        let rows = index_list(&[0, 2, 1, 2, 1, 0]);
+        let spans = span_list(&[(0, 4), (1, 3), (2, 2), (3, 1), (4, 2), (5, 1)]);
+        for backend in BackendKind::all() {
+            assert_grads_close_with_backend(
+                &inputs,
+                |t, v| {
+                    let s = t.segment_attention(
+                        v[0],
+                        rows.clone(),
+                        v[0],
+                        rows.clone(),
+                        spans.clone(),
+                        0.5,
+                    );
+                    let sq = t.mul(s, s);
+                    t.sum(sq)
+                },
+                2e-2,
+                backend,
+            );
+        }
     }
 
     #[test]
     fn segment_weighted_sum_grads() {
+        // Repeated value indices, overlapping spans and a zero-length span.
         let mut r = rng();
-        let inputs = vec![randn(2, 3, &mut r), randn(5, 4, &mut r)];
-        let spans: Arc<[(usize, usize)]> = Arc::from(vec![(0, 3), (3, 2)]);
-        assert_grads_close(
-            &inputs,
-            move |t, v| {
-                let s = t.segment_weighted_sum(v[0], v[1], spans.clone());
-                let sq = t.mul(s, s);
-                t.sum(sq)
-            },
-            2e-2,
-        );
+        let inputs = vec![randn(3, 3, &mut r), randn(4, 4, &mut r)];
+        let v_rows = index_list(&[3, 1, 1, 0, 2]);
+        let spans = span_list(&[(0, 3), (2, 3), (2, 0)]);
+        for backend in BackendKind::all() {
+            assert_grads_close_with_backend(
+                &inputs,
+                |t, v| {
+                    let s = t.segment_weighted_sum(v[0], v[1], v_rows.clone(), spans.clone());
+                    let sq = t.mul(s, s);
+                    t.sum(sq)
+                },
+                2e-2,
+                backend,
+            );
+        }
     }
 
     #[test]
@@ -513,65 +550,106 @@ mod tests {
     }
 
     #[test]
-    fn batched_attention_block_grads() {
-        // The batched wide-attention block (Eq. 3) end to end: shared
-        // Q/K/V projections, ragged scores over per-node spans, padded
-        // softmax, segment-weighted value sum.
+    fn indexed_wide_attention_block_grads() {
+        // The batched wide-attention block (Eq. 3) end to end: K/V
+        // projected once per unique pack row and addressed by index, one
+        // query per node under the identity index.
         let mut r = rng();
         let d = 4;
         let inputs = vec![
-            randn(7, d, &mut r), // flat pack matrix: spans (0,3) and (3,4)
+            randn(4, d, &mut r), // unique pack rows
             randn(d, d, &mut r), // W_Q
             randn(d, d, &mut r), // W_K
             randn(d, d, &mut r), // W_V
         ];
-        let spans: Arc<[(usize, usize)]> = Arc::from(vec![(0, 3), (3, 4)]);
-        let lens: Arc<[usize]> = Arc::from(vec![3, 4]);
-        assert_grads_close(
-            &inputs,
-            move |t, v| {
-                let packs = v[0];
-                let m_t = t.gather_rows(packs, &[0, 3]);
-                let q = t.matmul(m_t, v[1]);
-                let k = t.matmul(packs, v[2]);
-                let scores = t.padded_segment_scores(q, k, spans.clone());
-                let scaled = t.scale(scores, 1.0 / (d as f32).sqrt());
-                let att = t.padded_softmax_rows(scaled, lens.clone());
-                let vals = t.matmul(packs, v[3]);
-                let h = t.segment_weighted_sum(att, vals, spans.clone());
-                let sq = t.mul(h, h);
-                t.sum(sq)
-            },
-            4e-2,
-        );
+        // Two nodes, 3 and 4 positions; unique rows 1 and 3 are shared.
+        let flat_index = index_list(&[0, 1, 3, 2, 3, 1, 1]);
+        let spans = span_list(&[(0, 3), (3, 4)]);
+        for backend in BackendKind::all() {
+            assert_grads_close_with_backend(
+                &inputs,
+                |t, v| {
+                    let m_t = t.select_rows(v[0], &[flat_index[0], flat_index[3]]);
+                    let q = t.matmul(m_t, v[1]);
+                    let k = t.matmul(v[0], v[2]);
+                    let vals = t.matmul(v[0], v[3]);
+                    let att = t.segment_attention(
+                        q,
+                        index_list(&[0, 1]),
+                        k,
+                        flat_index.clone(),
+                        spans.clone(),
+                        1.0 / (d as f32).sqrt(),
+                    );
+                    let h = t.segment_weighted_sum(att, vals, flat_index.clone(), spans.clone());
+                    let sq = t.mul(h, h);
+                    t.sum(sq)
+                },
+                4e-2,
+                backend,
+            );
+        }
     }
 
     #[test]
-    fn causal_suffix_attention_grads() {
-        // The batched Eq. 4 layout: overlapping suffix spans — every row
-        // attends to itself and all later rows of its own walk.
+    fn successive_then_gather_attention_grads() {
+        // The deep branch's shape (Eq. 4 → Eq. 5): causal-suffix attention
+        // with queries and keys on one index list, its weighted sum (the
+        // position-specific `refined` rows), then a second attention whose
+        // keys are those rows under the identity index. The first
+        // attention's output is the weighted sum's `w`; the weighted sum's
+        // output is the second attention's `k`.
         let mut r = rng();
         let d = 3;
         let inputs = vec![
-            randn(4, d, &mut r),
-            randn(d, d, &mut r),
-            randn(d, d, &mut r),
+            randn(3, d, &mut r), // unique pack rows
+            randn(d, d, &mut r), // W_Q▷
+            randn(d, d, &mut r), // W_K▷
+            randn(d, d, &mut r), // W_V▷
+            randn(d, d, &mut r), // W_Q▷′
+            randn(d, d, &mut r), // W_V▷′
         ];
-        let spans: Arc<[(usize, usize)]> = Arc::from(vec![(0, 4), (1, 3), (2, 2), (3, 1)]);
-        let lens: Arc<[usize]> = Arc::from(vec![4, 3, 2, 1]);
-        assert_grads_close(
-            &inputs,
-            move |t, v| {
-                let q = t.matmul(v[0], v[1]);
-                let k = t.matmul(v[0], v[2]);
-                let scores = t.padded_segment_scores(q, k, spans.clone());
-                let att = t.padded_softmax_rows(scores, lens.clone());
-                let h = t.segment_weighted_sum(att, v[0], spans.clone());
-                let sq = t.mul(h, h);
-                t.sum(sq)
-            },
-            4e-2,
-        );
+        // Two walks of 4 and 2 positions over 3 unique rows.
+        let flat_index = index_list(&[0, 2, 1, 2, 1, 0]);
+        let row_spans = span_list(&[(0, 4), (1, 3), (2, 2), (3, 1), (4, 2), (5, 1)]);
+        let walk_spans = span_list(&[(0, 4), (4, 2)]);
+        let scale = 1.0 / (d as f32).sqrt();
+        for backend in BackendKind::all() {
+            assert_grads_close_with_backend(
+                &inputs,
+                |t, v| {
+                    let idx = flat_index.clone();
+                    let q1 = t.matmul(v[0], v[1]);
+                    let k1 = t.matmul(v[0], v[2]);
+                    let att = t.segment_attention(
+                        q1,
+                        idx.clone(),
+                        k1,
+                        idx.clone(),
+                        row_spans.clone(),
+                        scale,
+                    );
+                    let v1 = t.matmul(v[0], v[3]);
+                    let refined = t.segment_weighted_sum(att, v1, idx.clone(), row_spans.clone());
+                    let m_t = t.select_rows(v[0], &[idx[0], idx[4]]);
+                    let q2 = t.matmul(m_t, v[4]);
+                    let attn = t.segment_attention(
+                        q2,
+                        index_list(&[0, 1]),
+                        refined,
+                        index_list(&[0, 1, 2, 3, 4, 5]),
+                        walk_spans.clone(),
+                        scale,
+                    );
+                    let v2 = t.matmul(v[0], v[5]);
+                    let h = t.segment_weighted_sum(attn, v2, idx, walk_spans.clone());
+                    let sq = t.mul(h, h);
+                    t.sum(sq)
+                },
+                4e-2,
+                backend,
+            );
+        }
     }
 
     #[test]

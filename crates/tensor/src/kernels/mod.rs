@@ -18,9 +18,9 @@
 //!   aside); `A·B` and `A·Bᵀ` differ from [`Reference`] only by the
 //!   documented tolerance contract (see `DESIGN.md`).
 //!
-//! The ragged attention ops (`padded_segment_scores`,
-//! `segment_weighted_sum`, the row gathers and their adjoints) are not
-//! behind the trait: like `spmm` they have one implementation, built on
+//! The ragged attention ops (`segment_attention`, `segment_weighted_sum`,
+//! `segment_mean_rows`, the row gather and their adjoints) are not behind
+//! the trait: like `spmm` they have one implementation, built on
 //! `dot_wide` / `axpy_wide` below, whatever the backend.
 //!
 //! The active backend is a per-[`crate::Tape`] property

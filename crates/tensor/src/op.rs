@@ -68,24 +68,31 @@ pub enum Op {
     /// to the scalar (GTN's soft edge-type selection, HAN's semantic
     /// attention weights).
     MulScalarVar(Var, Var),
-    /// Ragged attention scores `(Q, K, spans)`: row `i` of the padded
-    /// output holds `⟨q_i, k_{start_i + j}⟩` for `j < len_i` (batched
-    /// Eq. 3/4/5 score kernel). Padding columns carry no gradient.
-    PaddedSegmentScores(Var, Var, Arc<[(usize, usize)]>),
-    /// Row-wise softmax over the first `lens[r]` columns; padding columns
-    /// are exactly zero (segment/ragged masked softmax of the batched
-    /// attention path).
-    PaddedSoftmaxRows(Var, Arc<[usize]>),
-    /// `(W, V, spans)`: per-row weighted sum `Σ_j w_{ij} · v_{start_i + j}`
-    /// of value segments (batched `attn · V`).
-    SegmentWeightedSum(Var, Var, Arc<[(usize, usize)]>),
+    /// Fused ragged attention `(Q, q_rows, K, k_rows, spans, scale)`
+    /// (batched Eq. 3/4/5): row `i` of the padded output holds
+    /// `softmax_j(scale · ⟨q[q_rows[i]], k[k_rows[start_i + j]]⟩)` over
+    /// `j < len_i`, `spans[i] = (start_i, len_i)` being a range of positions
+    /// into `k_rows`. Padding columns are exactly zero and carry no
+    /// gradient.
+    SegmentAttention(
+        Var,
+        Arc<[usize]>,
+        Var,
+        Arc<[usize]>,
+        Arc<[(usize, usize)]>,
+        f32,
+    ),
+    /// `(W, V, v_rows, spans)`: per-row weighted sum
+    /// `Σ_j w_{ij} · v[v_rows[start_i + j]]` of value rows addressed by
+    /// index (batched `attn · V`).
+    SegmentWeightedSum(Var, Var, Arc<[usize]>, Arc<[(usize, usize)]>),
     /// Per-span mean of input rows (batched Φ-averaging of Eq. 7);
     /// zero-length spans produce zero rows.
     SegmentMeanRows(Var, Arc<[(usize, usize)]>),
 }
 
 /// Number of [`Op`] kinds — the size of per-kind aggregation tables.
-pub const OP_KIND_COUNT: usize = 28;
+pub const OP_KIND_COUNT: usize = 27;
 
 impl Op {
     /// Stable display name of this op kind (profiler tables, traces).
@@ -115,8 +122,7 @@ impl Op {
             Op::Spmm(..) => "spmm",
             Op::Transpose(..) => "transpose",
             Op::MulScalarVar(..) => "mul_scalar_var",
-            Op::PaddedSegmentScores(..) => "padded_segment_scores",
-            Op::PaddedSoftmaxRows(..) => "padded_softmax_rows",
+            Op::SegmentAttention(..) => "segment_attention",
             Op::SegmentWeightedSum(..) => "segment_weighted_sum",
             Op::SegmentMeanRows(..) => "segment_mean_rows",
         }
@@ -150,10 +156,9 @@ impl Op {
             Op::Spmm(..) => 21,
             Op::Transpose(..) => 22,
             Op::MulScalarVar(..) => 23,
-            Op::PaddedSegmentScores(..) => 24,
-            Op::PaddedSoftmaxRows(..) => 25,
-            Op::SegmentWeightedSum(..) => 26,
-            Op::SegmentMeanRows(..) => 27,
+            Op::SegmentAttention(..) => 24,
+            Op::SegmentWeightedSum(..) => 25,
+            Op::SegmentMeanRows(..) => 26,
         }
     }
 
@@ -181,10 +186,9 @@ impl Op {
             | Op::SoftmaxCrossEntropy(a, _)
             | Op::Spmm(_, a)
             | Op::Transpose(a)
-            | Op::PaddedSoftmaxRows(a, _)
             | Op::SegmentMeanRows(a, _) => vec![*a],
             Op::MulScalarVar(a, s) => vec![*a, *s],
-            Op::PaddedSegmentScores(a, b, _) | Op::SegmentWeightedSum(a, b, _) => vec![*a, *b],
+            Op::SegmentAttention(a, _, b, ..) | Op::SegmentWeightedSum(a, b, ..) => vec![*a, *b],
             Op::VStack(parts) | Op::HStack(parts) => parts.clone(),
         }
     }
@@ -212,6 +216,32 @@ fn grad_slot<'a>(
     let g = slot.as_mut().expect("grad slot just seeded");
     debug_assert_eq!(g.shape(), (rows, cols), "grad slot shape mismatch");
     g
+}
+
+/// Both gradient slots of a two-input rule that sweeps them together,
+/// each seeded as by [`grad_slot`]. When the inputs alias the same [`Var`]
+/// there is one slot: the second is `None`, and the rule accumulates both
+/// contributions into the first.
+fn grad_slot_pair<'a>(
+    grads: &'a mut [Option<Tensor>],
+    pool: &mut BufferPool,
+    (a, a_shape): (Var, (usize, usize)),
+    (b, b_shape): (Var, (usize, usize)),
+) -> (&'a mut Tensor, Option<&'a mut Tensor>) {
+    grad_slot(grads, pool, a, a_shape.0, a_shape.1);
+    grad_slot(grads, pool, b, b_shape.0, b_shape.1);
+    let (ia, ib) = (a.index(), b.index());
+    if ia == ib {
+        return (grads[ia].as_mut().expect("grad slot just seeded"), None);
+    }
+    let (lo, hi) = grads.split_at_mut(ia.max(ib));
+    let earlier = lo[ia.min(ib)].as_mut().expect("grad slot just seeded");
+    let later = hi[0].as_mut().expect("grad slot just seeded");
+    if ia < ib {
+        (earlier, Some(later))
+    } else {
+        (later, Some(earlier))
+    }
 }
 
 /// Propagates `grad_out` (gradient w.r.t. this node's output) to the inputs.
@@ -492,70 +522,41 @@ pub(crate) fn backward_step(
                 }
             }
         }
-        Op::PaddedSegmentScores(q, k, spans) => {
-            // out[i][j] = ⟨q_i, k_{start+j}⟩ ⇒
-            //   dq_i += Σ_j g[i][j]·k_{start+j},  dk_{start+j} += g[i][j]·q_i.
-            // Separable passes: dq reads only K values, dk only Q values.
-            let vq = &values[q.index()];
-            let vk = &values[k.index()];
-            let gq = grad_slot(grads, pool, *q, vq.rows(), vq.cols());
+        Op::SegmentAttention(q, q_rows, k, k_rows, spans, scale) => {
+            // a = softmax(scale·s), s_j = ⟨q_i, k_j⟩ ⇒ ds_j = a_j (g_j − ⟨a, g⟩);
+            // with t = scale·ds_j: dq_i += t·k_j, dk_j += t·q_i. One sweep
+            // from the stored output alone, straight into the unique-row
+            // gradients; padding (a = 0) contributes nothing.
+            let (vq, vk) = (&values[q.index()], &values[k.index()]);
+            let (gq, mut gk) = grad_slot_pair(grads, pool, (*q, vq.shape()), (*k, vk.shape()));
             for (i, &(start, len)) in spans.iter().enumerate() {
-                let g = grad_out.row(i);
-                for (j, &gij) in g.iter().enumerate().take(len) {
-                    if gij == 0.0 {
+                let a = &out_value.row(i)[..len];
+                let g = &grad_out.row(i)[..len];
+                let inner: f32 = a.iter().zip(g).map(|(&ai, &gi)| ai * gi).sum();
+                let qi = q_rows[i];
+                let q_row = vq.row(qi);
+                for ((&aj, &gj), &kj) in a.iter().zip(g).zip(&k_rows[start..start + len]) {
+                    let t = scale * (aj * (gj - inner));
+                    if t == 0.0 {
                         continue;
                     }
-                    axpy_wide(gij, vk.row(start + j), gq.row_mut(i));
-                }
-            }
-            let gk = grad_slot(grads, pool, *k, vk.rows(), vk.cols());
-            for (i, &(start, len)) in spans.iter().enumerate() {
-                let g = grad_out.row(i);
-                let q_row = vq.row(i);
-                for (j, &gij) in g.iter().enumerate().take(len) {
-                    if gij == 0.0 {
-                        continue;
-                    }
-                    axpy_wide(gij, q_row, gk.row_mut(start + j));
+                    axpy_wide(t, vk.row(kj), gq.row_mut(qi));
+                    axpy_wide(t, q_row, gk.as_deref_mut().unwrap_or(&mut *gq).row_mut(kj));
                 }
             }
         }
-        Op::PaddedSoftmaxRows(a, lens) => {
-            // Softmax backward restricted to each row's valid prefix;
-            // padding columns have zero output and get zero gradient.
-            let (rows, cols) = grad_out.shape();
-            let ga = grad_slot(grads, pool, *a, rows, cols);
-            for (r, &len) in lens.iter().enumerate() {
-                let s = &out_value.row(r)[..len];
-                let g = &grad_out.row(r)[..len];
-                let inner: f32 = s.iter().zip(g).map(|(&si, &gi)| si * gi).sum();
-                let dr = &mut ga.row_mut(r)[..len];
-                for i in 0..len {
-                    dr[i] += s[i] * (g[i] - inner);
-                }
-            }
-        }
-        Op::SegmentWeightedSum(w, v, spans) => {
-            // out_i = Σ_j w[i][j]·v_{start+j} ⇒
-            //   dw[i][j] = ⟨g_i, v_{start+j}⟩,  dv_{start+j} += w[i][j]·g_i.
-            // Separable passes: dw reads only V values, dv only W values.
-            let vw = &values[w.index()];
-            let vv = &values[v.index()];
-            let gw = grad_slot(grads, pool, *w, vw.rows(), vw.cols());
+        Op::SegmentWeightedSum(w, v, v_rows, spans) => {
+            // out_i = Σ_j w[i][j]·v_j ⇒ dw[i][j] = ⟨g_i, v_j⟩, dv_j += w[i][j]·g_i,
+            // one sweep.
+            let (vw, vv) = (&values[w.index()], &values[v.index()]);
+            let (gw, mut gv) = grad_slot_pair(grads, pool, (*w, vw.shape()), (*v, vv.shape()));
             for (i, &(start, len)) in spans.iter().enumerate() {
                 let g = grad_out.row(i);
-                let dw_row = &mut gw.row_mut(i)[..len];
-                for (j, dw) in dw_row.iter_mut().enumerate() {
-                    *dw += dot_wide(g, vv.row(start + j));
-                }
-            }
-            let gv = grad_slot(grads, pool, *v, vv.rows(), vv.cols());
-            for (i, &(start, len)) in spans.iter().enumerate() {
-                let g = grad_out.row(i);
-                for j in 0..len {
+                for (j, &vj) in v_rows[start..start + len].iter().enumerate() {
+                    gw.row_mut(i)[j] += dot_wide(g, vv.row(vj));
                     let wij = vw.get(i, j);
                     if wij != 0.0 {
-                        axpy_wide(wij, g, gv.row_mut(start + j));
+                        axpy_wide(wij, g, gv.as_deref_mut().unwrap_or(&mut *gw).row_mut(vj));
                     }
                 }
             }

@@ -56,13 +56,13 @@ pub(crate) fn estimate_flops(op: &Op, values: &[Tensor], out: &Tensor) -> u64 {
         Op::L2NormalizeRows(a) => 3 * n(&values[a.index()]),
         Op::SoftmaxCrossEntropy(a, _) => 5 * n(&values[a.index()]),
         Op::Spmm(csr, b) => 2 * (csr.nnz() as u64) * (values[b.index()].cols() as u64),
-        // Σ_i 2·len_i·d dot products against K.
-        Op::PaddedSegmentScores(_, k, spans) => {
+        // Per (query, key) pair: a `d`-wide dot product, the scaling and
+        // the softmax's exp + max + sum + div sweeps.
+        Op::SegmentAttention(_, _, k, _, spans, _) => {
             let d = values[k.index()].cols() as u64;
-            2 * d * spans.iter().map(|&(_, l)| l as u64).sum::<u64>()
+            (2 * d + 6) * spans.iter().map(|&(_, l)| l as u64).sum::<u64>()
         }
-        Op::PaddedSoftmaxRows(_, lens) => 5 * lens.iter().map(|&l| l as u64).sum::<u64>(),
-        Op::SegmentWeightedSum(_, v, spans) => {
+        Op::SegmentWeightedSum(_, v, _, spans) => {
             let d = values[v.index()].cols() as u64;
             2 * d * spans.iter().map(|&(_, l)| l as u64).sum::<u64>()
         }
@@ -192,8 +192,7 @@ fn kind_name(kind: usize) -> &'static str {
         "spmm",
         "transpose",
         "mul_scalar_var",
-        "padded_segment_scores",
-        "padded_softmax_rows",
+        "segment_attention",
         "segment_weighted_sum",
         "segment_mean_rows",
     ];
@@ -349,6 +348,52 @@ mod tests {
             bwd_pool_hits: 3,
             bwd_allocs: 1,
             last_shape: "2×2→2×2".into(),
+        }
+    }
+
+    #[test]
+    fn kind_names_agree_with_op_names_for_every_variant() {
+        use crate::sparse::CsrMatrix;
+        use std::sync::Arc;
+        let mut tape = crate::Tape::new();
+        let v = tape.leaf(Tensor::zeros(1, 1));
+        let rows: Arc<[usize]> = Arc::from(vec![0]);
+        let spans: Arc<[(usize, usize)]> = Arc::from(vec![(0, 1)]);
+        let ops = [
+            Op::Leaf,
+            Op::MatMul(v, v),
+            Op::MatMulNt(v, v),
+            Op::Add(v, v),
+            Op::Sub(v, v),
+            Op::Mul(v, v),
+            Op::AddRowBroadcast(v, v),
+            Op::Scale(v, 1.0),
+            Op::Relu(v),
+            Op::LeakyRelu(v, 0.1),
+            Op::Tanh(v),
+            Op::SoftmaxRows(v),
+            Op::MaskedSoftmaxRows(v, Arc::new(Tensor::zeros(1, 1))),
+            Op::VStack(vec![v]),
+            Op::HStack(vec![v]),
+            Op::SelectRows(v, rows.clone()),
+            Op::Sum(v),
+            Op::MeanRows(v),
+            Op::L2NormalizeRows(v),
+            Op::SoftmaxCrossEntropy(v, rows.clone()),
+            Op::MaxPool2(v, v),
+            Op::Spmm(Arc::new(CsrMatrix::from_coo(1, 1, &[])), v),
+            Op::Transpose(v),
+            Op::MulScalarVar(v, v),
+            Op::SegmentAttention(v, rows.clone(), v, rows.clone(), spans.clone(), 1.0),
+            Op::SegmentWeightedSum(v, v, rows, spans.clone()),
+            Op::SegmentMeanRows(v, spans),
+        ];
+        // One instance per variant, in `kind_index` order: a variant added
+        // to `Op` without a row here leaves the table short.
+        assert_eq!(ops.len(), OP_KIND_COUNT);
+        for (kind, op) in ops.iter().enumerate() {
+            assert_eq!(op.kind_index(), kind, "{}", op.name());
+            assert_eq!(kind_name(kind), op.name());
         }
     }
 

@@ -382,7 +382,9 @@ impl Tape {
         self.push_prof(Op::HStack(parts.to_vec()), value, t0)
     }
 
-    /// Gathers rows `indices` of `a`.
+    /// Gathers rows `indices` of `a` (duplicates allowed — the batched
+    /// embedding lookup); the gradient scatter-adds back into the source
+    /// rows.
     pub fn select_rows(&mut self, a: Var, indices: &[usize]) -> Var {
         let t0 = self.prof_start();
         let va = &self.values[a.index()];
@@ -391,52 +393,49 @@ impl Tape {
         self.push_prof(Op::SelectRows(a, Arc::from(indices)), value, t0)
     }
 
-    /// Batched embedding lookup: gathers rows `indices` of `a` (duplicates
-    /// allowed), with the gradient scatter-adding back into the source
-    /// rows. Identical semantics to [`Tape::select_rows`]; this name is
-    /// the batched-execution vocabulary's entry point (one lookup for a
-    /// whole chunk instead of one per node).
-    pub fn gather_rows(&mut self, a: Var, indices: &[usize]) -> Var {
-        self.select_rows(a, indices)
-    }
-
-    /// Ragged attention scores: row `i` of the padded output holds
-    /// `⟨q_i, k_{start_i + j}⟩` for `j < len_i`, where
-    /// `(start_i, len_i) = spans[i]` indexes rows of `k`. Padding columns
-    /// are zero and receive no gradient. Spans may overlap (the causal
-    /// suffix layout of Eq. 4 relies on this); gradients accumulate.
-    pub fn padded_segment_scores(&mut self, q: Var, k: Var, spans: Arc<[(usize, usize)]>) -> Var {
+    /// Fused ragged attention ([`Tensor::segment_attention`]) with operands
+    /// addressed by row index: output row `i` is
+    /// `softmax_j(scale · ⟨q[q_rows[i]], k[k_rows[start + j]]⟩)` over the
+    /// positions `(start, len) = spans[i]` of `k_rows`, padded with exact
+    /// zeros that receive no gradient. `q` and `k` hold each distinct row
+    /// once — nothing is gathered, and the gradient accumulates straight
+    /// into those rows. Spans may overlap (the causal suffix layout of
+    /// Eq. 4 relies on this), indices may repeat, and `q` and `k` may be
+    /// the same variable.
+    pub fn segment_attention(
+        &mut self,
+        q: Var,
+        q_rows: Arc<[usize]>,
+        k: Var,
+        k_rows: Arc<[usize]>,
+        spans: Arc<[(usize, usize)]>,
+        scale: f32,
+    ) -> Var {
         let t0 = self.prof_start();
-        let vq = &self.values[q.index()];
-        let mut value = self.pool.take(vq.rows(), padded_width(&spans));
-        vq.padded_segment_scores_into(&self.values[k.index()], &spans, &mut value);
-        self.push_prof(Op::PaddedSegmentScores(q, k, spans), value, t0)
+        let (vq, vk) = (&self.values[q.index()], &self.values[k.index()]);
+        let mut value = self.pool.take(spans.len(), padded_width(&spans));
+        vq.segment_attention_into(&q_rows, vk, &k_rows, &spans, scale, &mut value);
+        let op = Op::SegmentAttention(q, q_rows, k, k_rows, spans, scale);
+        self.push_prof(op, value, t0)
     }
 
-    /// Segment/ragged masked softmax: row-wise softmax over the first
-    /// `lens[r]` columns of a padded score matrix; padding columns of the
-    /// result are **exactly** zero (they hold no attention mass).
-    ///
-    /// # Panics
-    /// Panics if `lens.len()` differs from the row count or a length
-    /// exceeds the width.
-    pub fn padded_softmax_rows(&mut self, a: Var, lens: Arc<[usize]>) -> Var {
-        let t0 = self.prof_start();
-        let va = &self.values[a.index()];
-        let mut value = self.pool.take(va.rows(), va.cols());
-        va.padded_softmax_rows_into(&lens, &mut value);
-        self.push_prof(Op::PaddedSoftmaxRows(a, lens), value, t0)
-    }
-
-    /// Per-row weighted sum of value segments: treating `a` as padded
-    /// attention weights, computes `out_i = Σ_j a[i][j] · v_{start_i + j}`
-    /// (the batched `attn · V` reduction).
-    pub fn segment_weighted_sum(&mut self, a: Var, v: Var, spans: Arc<[(usize, usize)]>) -> Var {
+    /// Per-row weighted sum of value rows addressed by index: treating `a`
+    /// as padded attention weights, computes
+    /// `out_i = Σ_j a[i][j] · v[v_rows[start_i + j]]` (the batched
+    /// `attn · V` reduction), `spans[i]` being a range of positions into
+    /// `v_rows`.
+    pub fn segment_weighted_sum(
+        &mut self,
+        a: Var,
+        v: Var,
+        v_rows: Arc<[usize]>,
+        spans: Arc<[(usize, usize)]>,
+    ) -> Var {
         let t0 = self.prof_start();
         let (va, vv) = (&self.values[a.index()], &self.values[v.index()]);
         let mut value = self.pool.take(va.rows(), vv.cols());
-        va.segment_weighted_sum_into(vv, &spans, &mut value);
-        self.push_prof(Op::SegmentWeightedSum(a, v, spans), value, t0)
+        va.segment_weighted_sum_into(vv, &v_rows, &spans, &mut value);
+        self.push_prof(Op::SegmentWeightedSum(a, v, v_rows, spans), value, t0)
     }
 
     /// Per-span mean over rows of `a` (batched Φ-averaging); zero-length

@@ -537,93 +537,78 @@ impl Tensor {
         }
     }
 
-    /// Ragged attention scores against per-row key segments.
+    /// Fused ragged attention: scores, scaling and per-span softmax in one
+    /// pass, with queries and keys addressed **by row index**.
     ///
-    /// `self` is a `B × d` query matrix; `keys` is a flat `R × d` matrix
-    /// holding the concatenated key rows of every segment. For each query
-    /// row `i` with segment `(start, len) = spans[i]`, writes
-    /// `out[i][j] = ⟨q_i, keys[start + j]⟩` for `j < len` into a padded
-    /// `B × L_max` output (`L_max = max len`, at least 1). Padding columns
-    /// are zero and carry no gradient.
+    /// `self` holds query rows and `keys` key rows, each stored once;
+    /// `q_rows[i]` names the query row of output row `i`, and
+    /// `spans[i] = (start, len)` is a range of *positions* into `k_rows`,
+    /// which names the key row at each position. Output row `i` of the
+    /// padded `spans.len() × L_max` result (`L_max = max len`, at least 1)
+    /// is `softmax_j(scale · ⟨self[q_rows[i]], keys[k_rows[start + j]]⟩)`
+    /// over `j < len`; padding columns are **exactly** `+0.0` (they hold
+    /// no attention mass) and a zero-length span is an all-zero row. Spans
+    /// may overlap (the causal suffix layout of Eq. 4 relies on this) and
+    /// indices may repeat.
     ///
     /// Every score is the lane-split `dot` (`kernels::dot_wide`, whatever
-    /// the backend), so a segment's scores are bit-identical to the
-    /// per-segment `Q·Kᵀ` of the reference backend.
+    /// the backend), then `x * scale`, then the stabilised kernel of
+    /// [`Tensor::softmax_rows`] on the valid prefix — bit-identical to the
+    /// reference backend's per-segment `softmax(scale · q·Kᵀ)` on the
+    /// gathered key rows.
     ///
     /// # Panics
-    /// Panics if `spans.len() != self.rows()`, a span overruns `keys`, or
-    /// the key width differs from the query width.
-    pub fn padded_segment_scores(&self, keys: &Tensor, spans: &[(usize, usize)]) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, padded_width(spans));
-        self.padded_segment_scores_into(keys, spans, &mut out);
+    /// Panics if `q_rows.len() != spans.len()`, the widths differ, an index
+    /// is out of bounds or a span overruns `k_rows`.
+    pub fn segment_attention(
+        &self,
+        q_rows: &[usize],
+        keys: &Tensor,
+        k_rows: &[usize],
+        spans: &[(usize, usize)],
+        scale: f32,
+    ) -> Tensor {
+        let mut out = Tensor::zeros(spans.len(), padded_width(spans));
+        self.segment_attention_into(q_rows, keys, k_rows, spans, scale, &mut out);
         out
     }
 
-    /// [`Tensor::padded_segment_scores`] into `out`
-    /// (`rows × padded_width(spans)`); padding columns are zeroed here.
-    pub(crate) fn padded_segment_scores_into(
+    /// [`Tensor::segment_attention`] into `out`
+    /// (`spans.len() × padded_width(spans)`); every element is written.
+    pub(crate) fn segment_attention_into(
         &self,
+        q_rows: &[usize],
         keys: &Tensor,
+        k_rows: &[usize],
         spans: &[(usize, usize)],
+        scale: f32,
         out: &mut Tensor,
     ) {
-        assert_eq!(spans.len(), self.rows, "one span per query row");
+        assert_eq!(q_rows.len(), spans.len(), "one query index per span");
         assert_eq!(self.cols, keys.cols, "query/key width mismatch");
         assert_eq!(
             out.shape(),
-            (self.rows, padded_width(spans)),
-            "padded scores output shape"
+            (spans.len(), padded_width(spans)),
+            "attention output shape"
         );
+        assert_indexed_spans(q_rows, self.rows, &[]);
+        assert_indexed_spans(k_rows, keys.rows, spans);
         for (i, &(start, len)) in spans.iter().enumerate() {
-            assert!(start + len <= keys.rows, "span overruns key matrix");
-            let q_row = self.row(i);
+            let q_row = self.row(q_rows[i]);
             let (valid, padding) = out.row_mut(i).split_at_mut(len);
-            for (j, o) in valid.iter_mut().enumerate() {
-                *o = dot_wide(q_row, keys.row(start + j));
+            for (o, &k) in valid.iter_mut().zip(&k_rows[start..start + len]) {
+                *o = dot_wide(q_row, keys.row(k)) * scale;
             }
-            padding.fill(0.0);
-        }
-    }
-
-    /// Row-wise softmax over the first `lens[r]` columns of each row; the
-    /// remaining (padding) columns are **exactly** zero. A row with length
-    /// 0 is all-zero.
-    ///
-    /// Runs the same stabilised kernel as [`Tensor::softmax_rows`] on each
-    /// valid prefix, so results match an unpadded per-segment softmax
-    /// bit-for-bit.
-    ///
-    /// # Panics
-    /// Panics if `lens.len() != self.rows()` or any length exceeds the
-    /// column count.
-    pub fn padded_softmax_rows(&self, lens: &[usize]) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, self.cols);
-        self.padded_softmax_rows_into(lens, &mut out);
-        out
-    }
-
-    /// [`Tensor::padded_softmax_rows`] into a same-shape `out`; padding
-    /// columns are zeroed here.
-    pub(crate) fn padded_softmax_rows_into(&self, lens: &[usize], out: &mut Tensor) {
-        assert_eq!(lens.len(), self.rows, "one length per row");
-        assert_eq!(self.shape(), out.shape(), "padded softmax output shape");
-        for (r, &len) in lens.iter().enumerate() {
-            assert!(
-                len <= self.cols,
-                "row length {len} exceeds width {}",
-                self.cols
-            );
-            let (valid, padding) = out.row_mut(r).split_at_mut(len);
-            valid.copy_from_slice(&self.row(r)[..len]);
             softmax_inplace(valid);
             padding.fill(0.0);
         }
     }
 
-    /// Per-row weighted sum of a value segment: treating `self` as padded
-    /// `B × L_max` weights with per-row segments `spans` into the flat
-    /// `R × d` matrix `values`, computes
-    /// `out[i] = Σ_j self[i][j] · values[start_i + j]` (`j < len_i`).
+    /// Per-row weighted sum of value rows addressed **by row index**:
+    /// treating `self` as padded `B × L_max` weights, with
+    /// `spans[i] = (start, len)` a range of positions into `v_rows`,
+    /// computes `out[i] = Σ_j self[i][j] · values[v_rows[start + j]]`
+    /// (`j < len`).
     ///
     /// Accumulates with the same `axpy` arithmetic (`kernels::axpy_wide`)
     /// and segment order as the reference backend's row-wise
@@ -631,10 +616,15 @@ impl Tensor {
     /// `attn · V` products it batches.
     ///
     /// # Panics
-    /// Panics on span/shape mismatches.
-    pub fn segment_weighted_sum(&self, values: &Tensor, spans: &[(usize, usize)]) -> Tensor {
+    /// Panics on span/shape mismatches or an out-of-bounds index.
+    pub fn segment_weighted_sum(
+        &self,
+        values: &Tensor,
+        v_rows: &[usize],
+        spans: &[(usize, usize)],
+    ) -> Tensor {
         let mut out = Tensor::zeros(self.rows, values.cols);
-        self.segment_weighted_sum_into(values, spans, &mut out);
+        self.segment_weighted_sum_into(values, v_rows, spans, &mut out);
         out
     }
 
@@ -643,6 +633,7 @@ impl Tensor {
     pub(crate) fn segment_weighted_sum_into(
         &self,
         values: &Tensor,
+        v_rows: &[usize],
         spans: &[(usize, usize)],
         out: &mut Tensor,
     ) {
@@ -652,15 +643,14 @@ impl Tensor {
             (self.rows, values.cols),
             "weighted sum output shape"
         );
+        assert_indexed_spans(v_rows, values.rows, spans);
         for (i, &(start, len)) in spans.iter().enumerate() {
             assert!(len <= self.cols, "span length exceeds weight width");
-            assert!(start + len <= values.rows, "span overruns value matrix");
-            let w = &self.data[i * self.cols..i * self.cols + len];
-            let out_row = &mut out.data[i * values.cols..(i + 1) * values.cols];
+            let out_row = out.row_mut(i);
             out_row.fill(0.0);
-            for (j, &a) in w.iter().enumerate() {
+            for (&a, &v) in self.row(i)[..len].iter().zip(&v_rows[start..start + len]) {
                 if a != 0.0 {
-                    axpy_wide(a, values.row(start + j), out_row);
+                    axpy_wide(a, values.row(v), out_row);
                 }
             }
         }
@@ -759,6 +749,22 @@ impl Tensor {
 /// least one column.
 pub(crate) fn padded_width(spans: &[(usize, usize)]) -> usize {
     spans.iter().map(|&(_, len)| len).max().unwrap_or(0).max(1)
+}
+
+/// The ragged ops' one up-front bounds check, in release builds too (their
+/// inner loops then address rows without further asserts): every index names
+/// one of `rows` rows and every span a range of positions of `indices`.
+pub(crate) fn assert_indexed_spans(indices: &[usize], rows: usize, spans: &[(usize, usize)]) {
+    assert!(
+        indices.iter().all(|&i| i < rows),
+        "row index out of bounds ({rows} rows)"
+    );
+    assert!(
+        spans
+            .iter()
+            .all(|&(start, len)| start + len <= indices.len()),
+        "span overruns the index list"
+    );
 }
 
 /// Numerically-stable in-place softmax over a slice.
@@ -993,54 +999,59 @@ mod tests {
     }
 
     #[test]
-    fn padded_segment_scores_match_per_segment_matmul_nt() {
+    fn segment_attention_matches_per_segment_dense_attention() {
+        // Wide enough (d = 32) that the lane-split dot differs from a
+        // sequential one; repeated and out-of-order key indices.
         let mut rng = StdRng::seed_from_u64(6);
-        let q = Tensor::randn(2, 3, 1.0, &mut rng);
-        let keys = Tensor::randn(5, 3, 1.0, &mut rng);
+        let q = Tensor::randn(3, 32, 1.0, &mut rng);
+        let keys = Tensor::randn(4, 32, 1.0, &mut rng);
+        let (q_rows, k_rows) = ([2usize, 0], [3usize, 1, 1, 0, 2]);
         let spans = [(0usize, 2usize), (2, 3)];
-        let scores = q.padded_segment_scores(&keys, &spans);
-        assert_eq!(scores.shape(), (2, 3));
-        // Row 0: keys 0..2, padding col exactly zero.
-        let q0 = Tensor::row_vector(q.row(0));
-        let k0 = keys.select_rows(&[0, 1]);
-        let expect0 = q0.matmul_nt(&k0);
-        assert_eq!(&scores.row(0)[..2], expect0.row(0));
-        assert_eq!(scores.get(0, 2), 0.0);
-        // Row 1: keys 2..5.
-        let q1 = Tensor::row_vector(q.row(1));
-        let k1 = keys.select_rows(&[2, 3, 4]);
-        let expect1 = q1.matmul_nt(&k1);
-        assert_eq!(scores.row(1), expect1.row(0));
+        let scale = 0.25;
+        let attn = q.segment_attention(&q_rows, &keys, &k_rows, &spans, scale);
+        assert_eq!(attn.shape(), (2, 3));
+        for (i, &(start, len)) in spans.iter().enumerate() {
+            let q_i = Tensor::row_vector(q.row(q_rows[i]));
+            let k_seg = keys.select_rows(&k_rows[start..start + len]);
+            let expect = q_i
+                .matmul_nt_with(&k_seg, BackendKind::Reference)
+                .map(|x| x * scale)
+                .softmax_rows();
+            assert_eq!(&attn.row(i)[..len], expect.row(0), "row {i}");
+        }
+        // Row 0's padding column is +0.0 exactly — not merely small.
+        assert!(attn.get(0, 2) == 0.0 && attn.get(0, 2).is_sign_positive());
     }
 
     #[test]
-    fn padded_softmax_rows_zero_mass_on_padding() {
-        let t = Tensor::from_rows(&[&[1.0, 2.0, 99.0], &[3.0, 4.0, 5.0], &[7.0, 8.0, 9.0]]);
-        let s = t.padded_softmax_rows(&[2, 3, 0]);
+    fn segment_attention_zero_mass_on_padding_and_empty_spans() {
+        let q = Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
+        let keys = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
+        let spans = [(0usize, 2usize), (0, 3), (1, 0)];
+        let s = q.segment_attention(&[0, 1, 2], &keys, &[0, 1, 2], &spans, 1.0);
         // Valid prefixes are proper distributions.
         assert!((s.row(0)[..2].iter().sum::<f32>() - 1.0).abs() < 1e-6);
         assert!((s.row(1).iter().sum::<f32>() - 1.0).abs() < 1e-6);
-        // Padding / empty rows are exactly zero — not merely small.
-        assert_eq!(s.get(0, 2), 0.0);
-        assert_eq!(s.row(2), &[0.0, 0.0, 0.0]);
-        // Prefix softmax agrees bitwise with the unpadded kernel.
-        let full = Tensor::row_vector(&[1.0, 2.0]).softmax_rows();
-        assert_eq!(&s.row(0)[..2], full.row(0));
+        // Padding / empty rows are exactly +0.0.
+        for &x in s.row(0)[2..].iter().chain(s.row(2)) {
+            assert!(x == 0.0 && x.is_sign_positive());
+        }
     }
 
     #[test]
     fn segment_weighted_sum_matches_per_segment_matmul() {
         let mut rng = StdRng::seed_from_u64(7);
-        let values = Tensor::randn(5, 4, 1.0, &mut rng);
+        let values = Tensor::randn(4, 32, 1.0, &mut rng);
         let w = Tensor::from_rows(&[&[0.25, 0.75, 0.0], &[0.2, 0.3, 0.5]]);
+        let v_rows = [3usize, 1, 1, 0, 2];
         let spans = [(0usize, 2usize), (2, 3)];
-        let out = w.segment_weighted_sum(&values, &spans);
-        let w0 = Tensor::row_vector(&[0.25, 0.75]);
-        let expect0 = w0.matmul(&values.select_rows(&[0, 1]));
-        assert_eq!(out.row(0), expect0.row(0));
-        let w1 = Tensor::row_vector(&[0.2, 0.3, 0.5]);
-        let expect1 = w1.matmul(&values.select_rows(&[2, 3, 4]));
-        assert_eq!(out.row(1), expect1.row(0));
+        let out = w.segment_weighted_sum(&values, &v_rows, &spans);
+        for (i, &(start, len)) in spans.iter().enumerate() {
+            let w_i = Tensor::row_vector(&w.row(i)[..len]);
+            let v_seg = values.select_rows(&v_rows[start..start + len]);
+            let expect = w_i.matmul_with(&v_seg, BackendKind::Reference);
+            assert_eq!(out.row(i), expect.row(0), "row {i}");
+        }
     }
 
     #[test]

@@ -207,17 +207,23 @@ proptest! {
         for len in WIDE_LENS {
             let q = rows_of(&q, 128, 1, len);
             let rows = rows_of(&rows, 128, 3, len);
-            // Scores are `Reference.dot`s.
-            let scores = q.padded_segment_scores(&rows, &[(0, 3)]);
-            let dots: Vec<f32> = (0..3).map(|j| Reference.dot(q.row(0), rows.row(j))).collect();
-            if let Err(why) = same_bits(scores.row(0), &dots) {
-                prop_assert!(false, "scores, len {len}: {why}");
+            // Rows are addressed by index; a score is a `Reference.dot`,
+            // scaled, under the unpadded softmax kernel.
+            let k_rows = [2usize, 0, 1];
+            let attn = q.segment_attention(&[0], &rows, &k_rows, &[(0, 3)], 0.5);
+            let scaled: Vec<f32> = k_rows
+                .iter()
+                .map(|&j| Reference.dot(q.row(0), rows.row(j)) * 0.5)
+                .collect();
+            let want = Tensor::row_vector(&scaled).softmax_rows();
+            if let Err(why) = same_bits(attn.row(0), want.row(0)) {
+                prop_assert!(false, "attention, len {len}: {why}");
             }
             // The weighted sum is one mul and one add per element, zero
             // weights skipped.
-            let mixed = Tensor::row_vector(&w).segment_weighted_sum(&rows, &[(0, 3)]);
+            let mixed = Tensor::row_vector(&w).segment_weighted_sum(&rows, &k_rows, &[(0, 3)]);
             let mut axpys = vec![0.0f32; len];
-            for (j, &alpha) in w.iter().enumerate().filter(|(_, &alpha)| alpha != 0.0) {
+            for (&j, &alpha) in k_rows.iter().zip(&w).filter(|(_, &alpha)| alpha != 0.0) {
                 for (y, &x) in axpys.iter_mut().zip(rows.row(j)) {
                     *y += alpha * x;
                 }
@@ -236,26 +242,29 @@ proptest! {
         w in prop::collection::vec(-3.0f32..3.0, 3),
     ) {
         let spans: Arc<[(usize, usize)]> = vec![(0usize, 3usize)].into();
+        let v_rows: Arc<[usize]> = vec![2usize, 0, 1].into();
         for len in WIDE_LENS {
             let g = rows_of(&g, 128, 1, len);
             let rows = rows_of(&rows, 128, 3, len);
-            // loss = ⟨g, Σ_j w_j · rows_j⟩, so the weighted sum's upstream
-            // gradient is `g`: dw_j = dot(g, rows_j), drows_j = w_j · g.
+            // loss = ⟨g, Σ_j w_j · rows[v_rows[j]]⟩, so the weighted sum's
+            // upstream gradient is `g`: dw_j = dot(g, rows[v_rows[j]]),
+            // drows[v_rows[j]] = w_j · g.
             let mut tape = Tape::new();
             let gv = tape.leaf(g.clone());
             let rv = tape.leaf(rows.clone());
             let wv = tape.leaf(Tensor::row_vector(&w));
-            let mixed = tape.segment_weighted_sum(wv, rv, spans.clone());
+            let mixed = tape.segment_weighted_sum(wv, rv, v_rows.clone(), spans.clone());
             let picked = tape.mul(mixed, gv);
             let loss = tape.sum(picked);
             tape.backward(loss);
-            let dots: Vec<f32> = (0..3).map(|j| Reference.dot(g.row(0), rows.row(j))).collect();
+            let dots: Vec<f32> =
+                v_rows.iter().map(|&j| Reference.dot(g.row(0), rows.row(j))).collect();
             let dw = tape.grad(wv).expect("weights have a gradient");
             if let Err(why) = same_bits(dw.row(0), &dots) {
                 prop_assert!(false, "dw, len {len}: {why}");
             }
             let drows = tape.grad(rv).expect("values have a gradient");
-            for (j, &alpha) in w.iter().enumerate() {
+            for (&j, &alpha) in v_rows.iter().zip(&w) {
                 let scaled: Vec<f32> = g.row(0).iter().map(|&x| 0.0 + alpha * x).collect();
                 if let Err(why) = same_bits(drows.row(j), &scaled) {
                     prop_assert!(false, "dv row {j}, len {len}: {why}");

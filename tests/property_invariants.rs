@@ -137,34 +137,86 @@ proptest! {
     }
 
     #[test]
-    fn padded_softmax_puts_exactly_zero_mass_on_padding(
+    fn indexed_attention_ignores_source_row_order_and_puts_zero_mass_on_padding(
         seed in 0u64..500,
         rows in 1usize..8,
         cols in 1usize..12,
+        sources in 1usize..10,
     ) {
-        // The batched attention engine relies on padding columns carrying
-        // *bit-exact* zero weight so padded rows reduce identically to
-        // their per-node counterparts.
+        // The batched attention engine addresses its unique projection
+        // rows by index instead of gathering them flat. That is the same
+        // computation only if the output depends on *which* row an index
+        // names, never on where the row sits: permuting the source matrix
+        // and remapping the index lists must not move one bit. Padding
+        // columns must carry *bit-exact* zero weight so padded rows reduce
+        // identically to their per-node counterparts.
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        use widen::tensor::Tensor;
         let mut rng = StdRng::seed_from_u64(seed);
-        let scores = widen::tensor::Tensor::randn(rows, cols, 2.0, &mut rng);
-        let lens: Vec<usize> = (0..rows)
-            .map(|r| 1 + (seed as usize + 3 * r) % cols)
+        let d = 24;
+        let q = Tensor::randn(sources, d, 1.0, &mut rng);
+        let keys = Tensor::randn(sources, d, 1.0, &mut rng);
+        let values = Tensor::randn(sources, d, 1.0, &mut rng);
+        let positions = 2 * cols;
+        let q_rows: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..sources)).collect();
+        let k_rows: Vec<usize> = (0..positions).map(|_| rng.gen_range(0..sources)).collect();
+        // Overlapping spans, a zero-length one whenever the pattern hits it.
+        let spans: Vec<(usize, usize)> = (0..rows)
+            .map(|r| ((seed as usize + r) % cols, (seed as usize + 3 * r) % (cols + 1)))
             .collect();
-        let soft = scores.padded_softmax_rows(&lens);
-        for r in 0..rows {
-            let row = soft.row(r);
-            // Valid prefix: a probability distribution.
-            let mass: f32 = row[..lens[r]].iter().sum();
-            prop_assert!((mass - 1.0).abs() < 1e-5, "valid mass {mass} ≠ 1");
-            prop_assert!(row[..lens[r]].iter().all(|&p| p >= 0.0));
-            // Padding: exactly 0.0, not merely small.
-            for (c, &p) in row.iter().enumerate().skip(lens[r]) {
+        let attn = q.segment_attention(&q_rows, &keys, &k_rows, &spans, 0.5);
+        let mixed = attn.segment_weighted_sum(&values, &k_rows, &spans);
+        for (r, &(_, len)) in spans.iter().enumerate() {
+            let row = attn.row(r);
+            // Valid prefix: a probability distribution (nothing at all
+            // for an empty span).
+            let mass: f32 = row[..len].iter().sum();
+            let want = if len == 0 { 0.0 } else { 1.0 };
+            prop_assert!((mass - want).abs() < 1e-5, "valid mass {mass} ≠ {want}");
+            prop_assert!(row[..len].iter().all(|&p| p >= 0.0));
+            // Padding: exactly +0.0, not merely small.
+            for (c, &p) in row.iter().enumerate().skip(len) {
                 prop_assert!(
                     p == 0.0 && p.is_sign_positive(),
                     "padding [{r},{c}] carries mass {p}"
                 );
             }
         }
+
+        // Source row `i` moves to row `perm[i]`; the index lists follow.
+        let mut perm: Vec<usize> = (0..sources).collect();
+        perm.shuffle(&mut rng);
+        let mut inverse = vec![0; sources];
+        for (i, &p) in perm.iter().enumerate() {
+            inverse[p] = i;
+        }
+        let remap = |index: &[usize]| -> Vec<usize> { index.iter().map(|&i| perm[i]).collect() };
+        let (q_p, keys_p, values_p) = (
+            q.select_rows(&inverse),
+            keys.select_rows(&inverse),
+            values.select_rows(&inverse),
+        );
+        let attn_p = q_p.segment_attention(&remap(&q_rows), &keys_p, &remap(&k_rows), &spans, 0.5);
+        let mixed_p = attn_p.segment_weighted_sum(&values_p, &remap(&k_rows), &spans);
+        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|x| x.to_bits()).collect() };
+        prop_assert_eq!(bits(&attn), bits(&attn_p));
+        prop_assert_eq!(bits(&mixed), bits(&mixed_p));
+
+        // And it is the flat gather it replaces: the gathered copies under
+        // the identity index give the same bits.
+        let identity: Vec<usize> = (0..positions).collect();
+        let rows_identity: Vec<usize> = (0..rows).collect();
+        let attn_flat = q.select_rows(&q_rows).segment_attention(
+            &rows_identity,
+            &keys.select_rows(&k_rows),
+            &identity,
+            &spans,
+            0.5,
+        );
+        let mixed_flat = attn_flat.segment_weighted_sum(&values.select_rows(&k_rows), &identity, &spans);
+        prop_assert_eq!(bits(&attn), bits(&attn_flat));
+        prop_assert_eq!(bits(&mixed), bits(&mixed_flat));
     }
 }
 
