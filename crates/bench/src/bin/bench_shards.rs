@@ -1,5 +1,5 @@
 //! `bench_shards` — fig5-style shard-scaling sweep: trains the WIDEN
-//! model with the [`widen_core::ShardedTrainer`] at 1 → 8 shards on the
+//! model with [`widen_core::Trainer::with_shards`] at 1 → 8 shards on the
 //! Yelp-like graph and reports the **modelled distributed critical path**
 //! per epoch — for every global step, the slowest shard's busy time plus
 //! the gradient-merge/optimizer time. On a multi-core host the wall clock
@@ -17,7 +17,7 @@
 //! use; `--scale smoke` is the CI-sized variant.
 
 use widen_bench::parse_args;
-use widen_core::{ShardParallelism, ShardedTrainer, WidenConfig, WidenModel};
+use widen_core::{ShardParallelism, Trainer, WidenConfig, WidenModel};
 use widen_data::yelp_like;
 use widen_tensor::BackendKind;
 
@@ -59,7 +59,7 @@ fn main() {
     for rep in 0..FIT_REPS {
         for (slot, &k) in SHARD_COUNTS.iter().enumerate() {
             let model = WidenModel::for_graph(&dataset.graph, cfg.clone());
-            let mut trainer = ShardedTrainer::new(model, &dataset.graph, train, k);
+            let mut trainer = Trainer::with_shards(model, &dataset.graph, train, k);
             // Sequential execution: shard steps are bitwise identical to
             // the threaded mode (pinned by `shard_parity`), but each
             // shard's busy time is measured while it runs alone — under
@@ -69,17 +69,17 @@ fn main() {
             // degenerates to the wall clock.
             trainer.set_parallelism(ShardParallelism::Sequential);
             let sizes = trainer.shard_sizes();
-            let report = trainer.fit();
+            let report = trainer.fit(train);
             let modelled = report.mean_critical_path_secs();
-            let wall = report.train.total_secs() / EPOCHS as f64;
-            let merge_total: f64 = report.merge_secs.iter().sum();
+            let wall = report.total_secs() / EPOCHS as f64;
+            let merge = report.step_merge_nanos.concat();
+            let merge_total = merge.iter().sum::<u64>() as f64 * 1e-9;
             println!(
                 "rep {rep} | {k} shards: {modelled:.4} modelled s/epoch (wall {wall:.4}, merge {merge_total:.4}, loss {:.4}, train split {:?})",
                 report.final_loss(),
                 sizes.iter().map(|&(_, _, t)| t).collect::<Vec<_>>()
             );
             let busy = report.step_busy_nanos.concat();
-            let merge = report.step_merge_nanos.concat();
             if rep == 0 {
                 floor_busy[slot] = busy;
                 floor_merge[slot] = merge;

@@ -1,14 +1,13 @@
-//! The shared chunk-execution engine behind [`crate::Trainer`] and
-//! [`crate::ShardedTrainer`]: forward + backward + downsampling decisions
-//! over one chunk of a batch, gradient extraction in canonical
-//! [`ParamVars::pairs`] order, the deterministic chunk-ordered reduction,
-//! gradient-health evaluation, and the sequential application of
-//! downsampling outcomes to persistent per-node states.
+//! The chunk-execution engine under [`crate::Trainer`]'s loop: forward +
+//! backward + downsampling decisions over one chunk of a batch, gradient
+//! extraction in canonical [`ParamVars::pairs`] order, the deterministic
+//! chunk-ordered reduction, gradient-health evaluation, and the sequential
+//! application of downsampling outcomes to persistent per-node states.
 //!
 //! Everything here is context-parameterised rather than `&self`-bound so
-//! one shard's chunk runs against its own halo subgraph and state table
-//! while sharing every line of the numeric path with the single-graph
-//! trainer — the bitwise 1-shard ≡ trainer parity test rests on that.
+//! a chunk runs against its own shard's graph and state table — the
+//! caller's graph or a halo subgraph — through the same numeric path; the
+//! bitwise borrowed ≡ 1-shard parity test rests on that.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,7 +43,7 @@ pub(crate) struct DeepOutcome {
 }
 
 /// Phase wall-nanos measured inside one chunk, returned to the caller so
-/// each trainer folds them into its own counters.
+/// the trainer folds them into its counters.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct ChunkTimings {
     pub forward_nanos: u64,
@@ -61,15 +60,18 @@ pub(crate) struct ChunkResult {
     pub timings: ChunkTimings,
 }
 
-/// Everything a chunk needs, borrowed from whichever trainer runs it.
+/// Where an epoch's child spans go, when the fit is traced: `(tracer,
+/// trace, parent)`. Parenting is explicit, not thread-local, so shard and
+/// rayon workers can open children of the epoch span.
+pub(crate) type TraceCtx<'a> = Option<(&'a Tracer, TraceId, SpanId)>;
+
+/// Everything a chunk needs, borrowed from the trainer and the shard it runs on.
 pub(crate) struct ChunkCtx<'a> {
     pub model: &'a WidenModel,
     pub graph: &'a HeteroGraph,
     pub states: &'a FxHashMap<NodeId, NodeState>,
     pub profiling: bool,
-    /// Open chunk-phase spans as children of this `(tracer, trace, parent)`
-    /// context, when present.
-    pub trace: Option<(&'a Tracer, TraceId, SpanId)>,
+    pub trace: TraceCtx<'a>,
 }
 
 impl ChunkCtx<'_> {

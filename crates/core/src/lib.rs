@@ -19,7 +19,8 @@
 //!    contextualized relay edges (Eq. 8), triggered by the KL-divergence
 //!    rule (Eq. 9).
 //! 6. **Training** ([`trainer`]) — Algorithm 3: mini-batch semi-supervised
-//!    cross-entropy (Eq. 10) with Adam.
+//!    cross-entropy (Eq. 10) with Adam; one loop over `k ≥ 1` graph
+//!    shards ([`sharded`]).
 //!
 //! Ablation variants ([`ablation::Variant`]) reproduce every row of the
 //! paper's Table 4. Inductive inference ([`WidenModel::embed_nodes`])
@@ -42,7 +43,7 @@ pub mod unsupervised;
 pub use ablation::{DownsampleStrategy, Variant};
 pub use config::WidenConfig;
 pub use model::WidenModel;
-pub use sharded::{ShardParallelism, ShardedTrainReport, ShardedTrainer};
+pub use sharded::ShardParallelism;
 pub use state::{DeepState, NodeState};
 pub use trainer::{EpochStats, TrainReport, Trainer};
 pub use unsupervised::{fit_unsupervised, UnsupervisedConfig};

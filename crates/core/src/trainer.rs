@@ -1,27 +1,36 @@
 //! Training WIDEN (Algorithm 3): mini-batch semi-supervised cross-entropy
-//! with active downsampling.
+//! with active downsampling — the one training loop, over `k ≥ 1` shards
+//! of the graph ([`crate::sharded`]) with a shared model and one optimizer
+//! step per global batch.
 //!
 //! Per epoch, every training node is visited once; its forward pass records
 //! the wide/deep attention distributions, which (a) feed the KL trigger
 //! (Eq. 9) against last epoch's distributions and (b) locate the
 //! least-contributing neighbour for the argmin drop (Algorithms 1–2).
-//! Gradient work is parallelised over batch chunks with deterministic
-//! chunk-ordered reduction, so fixed seeds give bit-stable runs.
+//! Each global step runs one sub-batch per shard, cut into chunks that run
+//! through the shared chunk engine; gradients are reduced in
+//! shard-major, chunk-major order, so fixed seeds give bit-stable runs.
+//!
+//! On a host with fewer cores than shards the shards run their steps back
+//! to back, so besides wall time the report keeps the raw samples of the
+//! *modelled distributed critical path*: per global step, the slowest
+//! shard's busy nanos plus the merge/optimizer nanos — what a k-worker
+//! deployment would pay ([`TrainReport::mean_critical_path_secs`]).
 
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rustc_hash::FxHashMap;
 use widen_graph::{HeteroGraph, NodeId};
-use widen_obs::{Counter, Event, JsonlSink, Registry, SpanId, Stopwatch, TraceId, Tracer};
+use widen_obs::{Counter, Event, JsonlSink, Registry, Stopwatch, Tracer};
 use widen_sampling::hash_seed;
-use widen_tensor::{Adam, BufferPool, Optimizer, ProfileReport, Tensor};
+use widen_tensor::{Adam, Optimizer, ParamId, ProfileReport, Tensor};
 
-use crate::engine::{self, NodeOutcome};
+use crate::engine::{self, ChunkResult, TraceCtx};
 use crate::model::WidenModel;
+use crate::sharded::{self, Homes, Shard, ShardParallelism};
 use crate::state::NodeState;
 
 /// Per-epoch training telemetry.
@@ -42,6 +51,16 @@ pub struct TrainReport {
     pub deep_drops: usize,
     /// Relay edges generated while pruning (Eq. 8), cumulative.
     pub relay_edges: usize,
+    /// Per epoch, per global step, per shard: nanos the shard spent on its
+    /// sub-batch (forward/backward/downsample). The raw samples behind
+    /// [`TrainReport::mean_critical_path_secs`], exposed so a benchmark
+    /// repeating the (deterministic) fit can take per-step minima across
+    /// repetitions — scheduler noise only ever adds time, so the
+    /// elementwise floor is the clean estimate of the true compute.
+    pub step_busy_nanos: Vec<Vec<Vec<u64>>>,
+    /// Per epoch, per global step: nanos of the serial section (gradient
+    /// merge, gradient health, optimizer step).
+    pub step_merge_nanos: Vec<Vec<u64>>,
 }
 
 /// One epoch's downsampling decisions and Eq. 9 trigger values.
@@ -71,11 +90,9 @@ pub struct EpochStats {
     pub grad_max_abs: f64,
     /// Name of the parameter holding [`EpochStats::grad_max_abs`].
     pub grad_max_param: String,
-    /// Batches whose reduced gradients contained NaN/Inf.
+    /// Batches whose reduced gradients contained NaN/Inf; their optimizer
+    /// step was skipped.
     pub nonfinite_batches: u64,
-    /// Optimizer steps skipped because of non-finite gradients (only with
-    /// [`Trainer::set_skip_nonfinite_steps`]).
-    pub skipped_steps: u64,
 }
 
 impl EpochStats {
@@ -113,6 +130,19 @@ impl TrainReport {
     pub fn total_secs(&self) -> f64 {
         self.epoch_secs.iter().sum()
     }
+
+    /// Mean modelled distributed seconds per epoch: Σ over steps of (max
+    /// over shards of shard busy time) + merge/optimizer time. With one
+    /// shard this is busy + merge time, so the 1-shard / k-shard ratio is
+    /// the parallel speedup a k-worker deployment would see.
+    pub fn mean_critical_path_secs(&self) -> f64 {
+        let busy = self.step_busy_nanos.iter().flatten();
+        let steps = busy.zip(self.step_merge_nanos.iter().flatten());
+        let nanos: u64 = steps
+            .map(|(shards, merge)| shards.iter().copied().max().unwrap_or(0) + merge)
+            .sum();
+        nanos as f64 * 1e-9 / self.step_busy_nanos.len().max(1) as f64
+    }
 }
 
 /// Phase-timing counters, one set per trainer (on its own registry).
@@ -125,14 +155,17 @@ struct PhaseCounters {
     downsample: Arc<Counter>,
     epochs: Arc<Counter>,
     nonfinite: Arc<Counter>,
-    skipped: Arc<Counter>,
     pool_hits: Arc<Counter>,
     pool_misses: Arc<Counter>,
     pool_bytes_reused: Arc<Counter>,
+    /// Per shard: wall nanos spent on its sub-batches.
+    shard_busy: Vec<Arc<Counter>>,
+    /// Wall nanos of the serial section of every global step.
+    merge: Arc<Counter>,
 }
 
 impl PhaseCounters {
-    fn new(registry: &Registry) -> Self {
+    fn new(registry: &Registry, shards: usize) -> Self {
         Self {
             forward: registry.counter("core_forward_nanos_total"),
             backward: registry.counter("core_backward_nanos_total"),
@@ -140,59 +173,77 @@ impl PhaseCounters {
             downsample: registry.counter("core_downsample_nanos_total"),
             epochs: registry.counter("core_epochs_total"),
             nonfinite: registry.counter("core_nonfinite_batches_total"),
-            skipped: registry.counter("core_skipped_steps_total"),
             pool_hits: registry.counter("core_grad_pool_hits_total"),
             pool_misses: registry.counter("core_grad_pool_misses_total"),
             pool_bytes_reused: registry.counter("core_grad_pool_bytes_reused_total"),
+            shard_busy: (0..shards)
+                .map(|p| registry.counter(&format!("core_shard{p}_busy_nanos_total")))
+                .collect(),
+            merge: registry.counter("core_shard_merge_nanos_total"),
         }
     }
 }
 
-/// Drives Algorithm 3 over a training node set.
+/// Drives Algorithm 3 over a training node set: one loop over `k ≥ 1`
+/// shards of the graph, a shared model, one optimizer step per global
+/// batch.
 pub struct Trainer<'g> {
     model: WidenModel,
-    graph: &'g HeteroGraph,
-    states: FxHashMap<NodeId, NodeState>,
+    shards: Vec<Shard<'g>>,
+    homes: Homes,
     optimizer: Adam,
+    parallelism: ShardParallelism,
     metrics: Registry,
     phase: PhaseCounters,
     sink: Option<JsonlSink>,
     tracer: Option<Tracer>,
     profiling: bool,
-    skip_nonfinite_steps: bool,
-    /// Warm tape-buffer pools (forward values, leaves and gradients), one
-    /// checked out per in-flight chunk (rayon workers run chunks
-    /// concurrently via `&self`) and returned holding that chunk's
-    /// buffers. Steady state holds one pool per worker, each no larger
-    /// than the biggest chunk it has run.
-    pools: Mutex<Vec<BufferPool>>,
 }
 
 impl<'g> Trainer<'g> {
-    /// Prepares training: samples every node's initial wide/deep
-    /// neighbourhoods (Algorithm 3 line 3) and sets up Adam with the
-    /// configured learning rate and L2 strength.
+    /// Prepares training on `graph` as it stands — one shard that borrows
+    /// it, no copy: samples every node's initial wide/deep neighbourhoods
+    /// (Algorithm 3 line 3) and sets up Adam with the configured learning
+    /// rate and L2 strength.
     pub fn new(model: WidenModel, graph: &'g HeteroGraph, train_nodes: &[NodeId]) -> Self {
-        let seed = model.config.seed;
-        let mut states = FxHashMap::default();
-        for &node in train_nodes {
-            states.insert(node, model.sample_state(graph, node, hash_seed(seed, &[1])));
-        }
+        let (shard, homes) = Shard::borrowed(&model, graph, train_nodes);
+        Self::over(model, vec![shard], homes)
+    }
+
+    /// Prepares data-parallel training over `k` halo-expanded partitions of
+    /// `graph` (see [`crate::sharded`]); every training node's
+    /// neighbourhoods are sampled *inside its shard*, keyed by its global
+    /// id. With `k = 1` the fit is bitwise [`Trainer::new`]'s, through an
+    /// induced copy and an id mapping instead of the borrowed graph.
+    ///
+    /// # Panics
+    /// Panics if `k` is zero, exceeds the node count, or if a shard ends
+    /// up empty.
+    pub fn with_shards(
+        model: WidenModel,
+        graph: &HeteroGraph,
+        train_nodes: &[NodeId],
+        k: usize,
+    ) -> Self {
+        let (shards, homes) = sharded::partition(&model, graph, train_nodes, k);
+        Self::over(model, shards, homes)
+    }
+
+    fn over(model: WidenModel, shards: Vec<Shard<'g>>, homes: Homes) -> Self {
         let optimizer = Adam::with_lr(model.config.learning_rate, model.config.weight_decay);
         let metrics = Registry::new();
-        let phase = PhaseCounters::new(&metrics);
+        let phase = PhaseCounters::new(&metrics, shards.len());
         Self {
             model,
-            graph,
-            states,
+            shards,
+            homes,
             optimizer,
+            parallelism: ShardParallelism::Threads,
             metrics,
             phase,
             sink: None,
             tracer: None,
             profiling: false,
-            skip_nonfinite_steps: false,
-            pools: Mutex::new(Vec::new()),
         }
     }
 
@@ -201,9 +252,10 @@ impl<'g> Trainer<'g> {
         &self.model
     }
 
-    /// This trainer's metric registry (phase timings, epoch counter).
-    /// Per-instance so concurrent trainers — and tests — never share state;
-    /// packaging time lives on [`Registry::global`] instead (see
+    /// This trainer's metric registry (phase timings, per-shard busy and
+    /// merge nanos, epoch and non-finite-batch counters). Per-instance so
+    /// concurrent trainers — and tests — never share state; packaging time
+    /// lives on [`Registry::global`] instead (see
     /// [`crate::packaging::packaging_nanos_total`]).
     pub fn metrics(&self) -> &Registry {
         &self.metrics
@@ -223,9 +275,9 @@ impl<'g> Trainer<'g> {
 
     /// Records per-epoch span trees into `tracer`: one
     /// `core.trainer.epoch` root per epoch with chunk-level
-    /// forward/backward/downsample children (recorded from rayon workers),
-    /// an optimizer-step span, and a synthetic packaging span from the
-    /// packaging counter delta.
+    /// forward/backward/downsample children (recorded from shard and rayon
+    /// workers), an optimizer-step span, and a synthetic packaging span
+    /// from the packaging counter delta.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(tracer);
     }
@@ -238,17 +290,32 @@ impl<'g> Trainer<'g> {
         self.profiling = on;
     }
 
-    /// When on, a batch whose reduced gradients contain NaN/Inf skips the
-    /// optimizer step instead of corrupting the weights. Off by default:
-    /// the event is always recorded (counter + JSONL), but stepping
-    /// through is the historical behaviour and stays the default.
-    pub fn set_skip_nonfinite_steps(&mut self, on: bool) {
-        self.skip_nonfinite_steps = on;
+    /// Selects how the shards of a step execute when there are several
+    /// (results are identical either way).
+    pub fn set_parallelism(&mut self, parallelism: ShardParallelism) {
+        self.parallelism = parallelism;
+    }
+
+    /// Number of shards.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Per shard `(core nodes, nodes incl. halo, core training nodes)`.
+    pub fn shard_sizes(&self) -> Vec<(usize, usize, usize)> {
+        self.shards
+            .iter()
+            .map(|s| (s.core_size, s.graph.num_nodes(), s.states.len()))
+            .collect()
     }
 
     /// Consumes the trainer, returning the trained model.
     pub fn into_model(self) -> WidenModel {
         self.model
+    }
+
+    fn states(&self) -> impl Iterator<Item = &NodeState> {
+        self.shards.iter().flat_map(|s| s.states.values())
     }
 
     /// Current neighbour-set sizes `(Σ|W|, Σ|D| over walks)` across all
@@ -257,7 +324,7 @@ impl<'g> Trainer<'g> {
     pub fn neighbor_volume(&self) -> (usize, usize) {
         let mut wide = 0;
         let mut deep = 0;
-        for state in self.states.values() {
+        for state in self.states() {
             wide += state.wide.len();
             deep += state.deeps.iter().map(|d| d.len()).sum::<usize>();
         }
@@ -281,8 +348,8 @@ impl<'g> Trainer<'g> {
     /// Runs `config.epochs` training epochs over `train_nodes` (labelled).
     ///
     /// # Panics
-    /// Panics if any training node is unlabelled or was not given to
-    /// [`Trainer::new`].
+    /// Panics if any training node is unlabelled or was not given to the
+    /// constructor.
     pub fn fit(&mut self, train_nodes: &[NodeId]) -> TrainReport {
         self.fit_impl(train_nodes, None)
     }
@@ -293,62 +360,83 @@ impl<'g> Trainer<'g> {
         convergence: Option<(f64, usize)>,
     ) -> TrainReport {
         let config = self.model.config.clone();
+        // An `Arc` clone, so the epoch's span context never borrows `self`.
+        let tracer = self.tracer.clone();
         let mut report = TrainReport::default();
+        // The visit order is one persistent vector re-shuffled in place
+        // each epoch (epoch z shuffles the epoch z-1 permutation).
         let mut order: Vec<NodeId> = train_nodes.to_vec();
         for &node in &order {
+            let &(p, local) = self
+                .homes
+                .get(&node)
+                .unwrap_or_else(|| panic!("node {node} missing from trainer"));
             assert!(
-                self.graph.label(node).is_some(),
+                self.shards[p].graph.label(local).is_some(),
                 "training node {node} is unlabelled"
-            );
-            assert!(
-                self.states.contains_key(&node),
-                "node {node} missing from trainer"
             );
         }
 
         for epoch in 1..=config.epochs {
             let start = Stopwatch::start();
             let phase_before = self.phase_snapshot();
-            let epoch_span = self.tracer.as_ref().map(|t| t.span("core.trainer.epoch"));
-            let ctx = epoch_span.as_ref().and_then(|s| s.trace().zip(s.id()));
-            let epoch_start_ns = match (&self.tracer, ctx) {
-                (Some(t), Some(_)) => Some(t.now_ns()),
-                _ => None,
-            };
+            let epoch_span = tracer.as_ref().map(|t| t.span("core.trainer.epoch"));
+            let trace: TraceCtx<'_> = epoch_span
+                .as_ref()
+                .and_then(|s| Some((tracer.as_ref()?, s.trace()?, s.id()?)));
+            let epoch_start_ns = trace.map(|(t, ..)| t.now_ns());
+            // One global shuffle, then a per-shard order-preserving filter
+            // into `(local, global)` pairs: which shard a node trains in
+            // never changes the order it is visited in.
             let mut shuffle_rng = StdRng::seed_from_u64(hash_seed(config.seed, &[2, epoch as u64]));
             order.shuffle(&mut shuffle_rng);
+            let mut shard_orders: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); self.shards.len()];
+            for &global in &order {
+                let (p, local) = self.homes[&global];
+                shard_orders[p].push((local, global));
+            }
+            let mut batches: Vec<_> = shard_orders
+                .iter()
+                .map(|o| o.chunks(config.batch_size))
+                .collect();
+            // The largest shard sets the step count, so every step has at
+            // least one non-empty sub-batch.
+            let steps = batches.iter().map(|b| b.len()).max().unwrap_or(0);
 
             let mut epoch_loss = 0.0f64;
-            let mut batches = 0usize;
             let mut stats = EpochStats::default();
             let mut epoch_profile: Option<ProfileReport> = None;
-            for batch in order.chunks(config.batch_size) {
-                let (loss, outcomes) =
-                    self.train_batch(batch, epoch, ctx, &mut stats, &mut epoch_profile);
+            let mut step_busy = Vec::with_capacity(steps);
+            let mut step_merge = Vec::with_capacity(steps);
+            for _ in 0..steps {
+                let sub_batches: Vec<&[(NodeId, NodeId)]> = batches
+                    .iter_mut()
+                    .map(|b| b.next().unwrap_or(&[]))
+                    .collect();
+                let (loss, busy, merge) = self.train_step(
+                    &sub_batches,
+                    epoch,
+                    trace,
+                    &mut report,
+                    &mut stats,
+                    &mut epoch_profile,
+                );
                 epoch_loss += loss;
-                batches += 1;
-                self.apply_outcomes(outcomes, &mut report, &mut stats);
+                step_busy.push(busy);
+                step_merge.push(merge);
             }
             // Packaging runs inside forward on worker threads and only
             // surfaces as a global counter; synthesise its epoch share as a
             // span so the trace shows all four phases.
-            if let (Some(tracer), Some((trace, parent)), Some(start_ns)) =
-                (&self.tracer, ctx, epoch_start_ns)
-            {
+            if let Some(((t, id, parent), start_ns)) = trace.zip(epoch_start_ns) {
                 let pack =
                     crate::packaging::packaging_nanos_total().saturating_sub(phase_before[4]);
                 if pack > 0 {
-                    tracer.record_complete(
-                        trace,
-                        Some(parent),
-                        "core.packaging.pack",
-                        start_ns,
-                        pack,
-                    );
+                    t.record_complete(id, Some(parent), "core.packaging.pack", start_ns, pack);
                 }
             }
             drop(epoch_span);
-            let mean_loss = epoch_loss / batches.max(1) as f64;
+            let mean_loss = epoch_loss / steps.max(1) as f64;
             let secs = start.elapsed_secs();
             self.phase.epochs.inc();
             self.emit_epoch_record(epoch, mean_loss, secs, &stats, &phase_before);
@@ -359,6 +447,8 @@ impl<'g> Trainer<'g> {
             report.epoch_losses.push(mean_loss);
             report.epoch_secs.push(secs);
             report.epoch_stats.push(stats);
+            report.step_busy_nanos.push(step_busy);
+            report.step_merge_nanos.push(step_merge);
 
             if let Some((tol, patience)) = convergence {
                 let losses = &report.epoch_losses;
@@ -376,20 +466,6 @@ impl<'g> Trainer<'g> {
             }
         }
         report
-    }
-
-    /// Opens a named child span of the epoch span, when both a tracer and
-    /// an epoch context exist. Usable from rayon workers: parenting is
-    /// explicit, not thread-local.
-    fn trace_span(
-        &self,
-        ctx: Option<(TraceId, SpanId)>,
-        name: &'static str,
-    ) -> Option<widen_obs::Span> {
-        match (&self.tracer, ctx) {
-            (Some(t), Some((trace, parent))) => Some(t.child_span(trace, parent, name)),
-            _ => None,
-        }
     }
 
     /// Cumulative `[forward, backward, optim, downsample, packaging]` nanos;
@@ -440,8 +516,7 @@ impl<'g> Trainer<'g> {
             .f64("grad_norm", stats.grad_norm_mean.unwrap_or(f64::NAN))
             .f64("grad_max_abs", stats.grad_max_abs)
             .str("grad_max_param", &stats.grad_max_param)
-            .u64("nonfinite_batches", stats.nonfinite_batches)
-            .u64("skipped_steps", stats.skipped_steps);
+            .u64("nonfinite_batches", stats.nonfinite_batches);
         if let Err(e) = sink.emit(&event) {
             eprintln!(
                 "warning: failed to write metrics record to {}: {e}",
@@ -475,42 +550,118 @@ impl<'g> Trainer<'g> {
         }
     }
 
-    /// One gradient step over a batch; returns the batch loss and the
-    /// downsampling outcomes to apply. Gradient health (norm, max|g|,
-    /// NaN/Inf) is evaluated on the reduced gradients before stepping.
-    fn train_batch(
+    /// One global step: one sub-batch per shard (`(local, global)` id
+    /// pairs) runs through the engine, the chunk gradients are reduced in
+    /// shard-major, chunk-major order into one guarded optimizer step, and
+    /// each shard's downsampling outcomes are applied to its states.
+    /// Returns the step's loss, the per-shard busy nanos and the nanos of
+    /// the serial section.
+    fn train_step(
         &mut self,
-        batch: &[NodeId],
+        sub_batches: &[&[(NodeId, NodeId)]],
         epoch: usize,
-        ctx: Option<(TraceId, SpanId)>,
+        trace: TraceCtx<'_>,
+        report: &mut TrainReport,
         stats: &mut EpochStats,
         epoch_profile: &mut Option<ProfileReport>,
-    ) -> (f64, Vec<NodeOutcome>) {
+    ) -> (f64, Vec<u64>, u64) {
+        let step_total: usize = sub_batches.iter().map(|b| b.len()).sum();
+        let run = |shard, batch| self.run_shard_step(shard, batch, epoch, step_total, trace);
+        let inline = self.shards.len() == 1 || self.parallelism == ShardParallelism::Sequential;
+        let pairs = self.shards.iter().zip(sub_batches);
+        let results: Vec<(Vec<ChunkResult>, u64)> = if inline {
+            // A lone shard never pays a thread spawn per step, nor loses
+            // the caller thread's warm GEMM packing scratch.
+            pairs.map(|(shard, batch)| run(shard, batch)).collect()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = pairs
+                    .map(|(shard, batch)| scope.spawn(move || run(shard, batch)))
+                    .collect();
+                // Joined in shard order: completion order never leaks
+                // into the reduction.
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard worker panicked"))
+                    .collect()
+            })
+        };
+        let busy: Vec<u64> = results.iter().map(|(_, busy)| *busy).collect();
+        for (counter, &nanos) in self.phase.shard_busy.iter().zip(&busy) {
+            counter.add(nanos);
+        }
+
+        // Serial section: deterministic reduction through the engine's
+        // ParamId-ordered accumulator (it asserts the shared canonical
+        // `ParamVars::pairs` order in debug builds), then one optimizer
+        // step for the whole global batch.
+        let merge_sw = Stopwatch::start();
+        let mut loss = 0.0f64;
+        let mut grads: Vec<(ParamId, Tensor)> = Vec::new();
+        let mut shard_outcomes = Vec::with_capacity(results.len());
+        for (chunks, _) in results {
+            let mut outcomes = Vec::new();
+            for chunk in chunks {
+                loss += chunk.loss;
+                engine::accumulate_grads(&mut grads, chunk.grads);
+                if let Some(profile) = chunk.profile {
+                    match epoch_profile {
+                        Some(acc) => acc.merge(&profile),
+                        None => *epoch_profile = Some(profile),
+                    }
+                }
+                outcomes.extend(chunk.outcomes);
+            }
+            shard_outcomes.push(outcomes);
+        }
+        self.step_if_finite(&grads, epoch, step_total, trace, stats);
+        let merge = merge_sw.elapsed_nanos();
+        self.phase.merge.add(merge);
+
+        for (shard, outcomes) in self.shards.iter_mut().zip(shard_outcomes) {
+            engine::apply_outcomes(&mut shard.states, outcomes, report, stats);
+        }
+        (loss, busy, merge)
+    }
+
+    /// One shard's share of a global step: the sub-batch is cut into
+    /// chunks (one per rayon worker) and run through the shared engine,
+    /// with each chunk's loss weighted by the *global* step size so the
+    /// cross-shard sum is the step mean. Returns the chunk results in
+    /// order plus the shard's busy nanos.
+    fn run_shard_step(
+        &self,
+        shard: &Shard<'_>,
+        batch: &[(NodeId, NodeId)],
+        epoch: usize,
+        step_total: usize,
+        trace: TraceCtx<'_>,
+    ) -> (Vec<ChunkResult>, u64) {
         use rayon::prelude::*;
+        if batch.is_empty() {
+            return (Vec::new(), 0);
+        }
+        let sw = Stopwatch::start();
         let chunk_size = batch
             .len()
             .div_ceil(rayon::current_num_threads().max(1))
             .max(1);
-        let batch_len = batch.len();
-
-        let trace = match (&self.tracer, ctx) {
-            (Some(t), Some((trace, parent))) => Some((t, trace, parent)),
-            _ => None,
-        };
         let chunk_ctx = engine::ChunkCtx {
             model: &self.model,
-            graph: self.graph,
-            states: &self.states,
+            graph: &shard.graph,
+            states: &shard.states,
             profiling: self.profiling,
             trace,
         };
-        let chunk_results: Vec<engine::ChunkResult> = batch
+        let results = batch
             .par_chunks(chunk_size)
             .map(|chunk| {
+                let locals: Vec<NodeId> = chunk.iter().map(|&(local, _)| local).collect();
+                let idents: Vec<NodeId> = chunk.iter().map(|&(_, global)| global).collect();
                 // The warm pool round trip stays inside the worker closure
                 // so a chunk's pool is parked (holding its buffers) before the
                 // next chunk on the same worker checks one out.
-                let pool = self
+                let pool = shard
                     .pools
                     .lock()
                     .expect("pool lock")
@@ -518,84 +669,61 @@ impl<'g> Trainer<'g> {
                     .unwrap_or_default();
                 let before = pool.stats();
                 let (result, pool) =
-                    engine::run_chunk(&chunk_ctx, chunk, chunk, epoch, batch_len, pool);
+                    engine::run_chunk(&chunk_ctx, &locals, &idents, epoch, step_total, pool);
                 let after = pool.stats();
                 self.phase.pool_hits.add(after.hits - before.hits);
                 self.phase.pool_misses.add(after.misses - before.misses);
                 self.phase
                     .pool_bytes_reused
                     .add(after.bytes_reused - before.bytes_reused);
-                self.pools.lock().expect("pool lock").push(pool);
+                shard.pools.lock().expect("pool lock").push(pool);
                 self.phase.forward.add(result.timings.forward_nanos);
                 self.phase.backward.add(result.timings.backward_nanos);
                 self.phase.downsample.add(result.timings.downsample_nanos);
                 result
             })
             .collect();
+        (results, sw.elapsed_nanos())
+    }
 
-        // Deterministic reduction in chunk order; the engine asserts the
-        // shared canonical `ParamVars::pairs` order in debug builds.
-        let mut total_loss = 0.0f64;
-        let mut grads: Vec<(widen_tensor::ParamId, Tensor)> = Vec::new();
-        let mut outcomes = Vec::with_capacity(batch.len());
-        for chunk in chunk_results {
-            total_loss += chunk.loss;
-            engine::accumulate_grads(&mut grads, chunk.grads);
-            if let Some(profile) = chunk.profile {
-                match epoch_profile {
-                    Some(acc) => acc.merge(&profile),
-                    None => *epoch_profile = Some(profile),
-                }
-            }
-            outcomes.extend(chunk.outcomes);
-        }
-
-        // Gradient health: one pass over the reduced gradients — same
-        // order of work as the optimizer step it guards.
-        let health = engine::grad_health(&grads);
-        let skip = !health.finite && self.skip_nonfinite_steps;
-        if health.finite {
-            stats.observe_grads(
-                health.norm,
-                f64::from(health.max_abs),
-                health.max_param.map(|id| self.model.params.name(id)),
-            );
-        } else {
+    /// The one non-finite-gradient policy: a reduced gradient holding
+    /// NaN/Inf is counted (stats, counter, `nonfinite_grad` JSONL event)
+    /// and never reaches the optimizer, where it would poison both Adam
+    /// moment buffers and every weight for the rest of the fit. A finite
+    /// one feeds the epoch's gradient-health stats and is stepped.
+    fn step_if_finite(
+        &mut self,
+        grads: &Vec<(ParamId, Tensor)>,
+        epoch: usize,
+        batch_len: usize,
+        trace: TraceCtx<'_>,
+        stats: &mut EpochStats,
+    ) {
+        // One pass over the reduced gradients — same order of work as the
+        // optimizer step it guards.
+        let health = engine::grad_health(grads);
+        if !health.finite {
             stats.nonfinite_batches += 1;
             self.phase.nonfinite.inc();
-            if skip {
-                stats.skipped_steps += 1;
-                self.phase.skipped.inc();
-            }
             if let Some(sink) = &self.sink {
                 let _ = sink.emit(
                     &Event::new("nonfinite_grad")
                         .u64("epoch", epoch as u64)
-                        .u64("batch_size", batch.len() as u64)
-                        .bool("step_skipped", skip),
+                        .u64("batch_size", batch_len as u64),
                 );
             }
+            return;
         }
-        if !skip {
-            let _optim_span = self.trace_span(ctx, "core.trainer.optim");
-            let sw = Stopwatch::start();
-            self.optimizer.step(&mut self.model.params, &grads);
-            sw.record_nanos(&self.phase.optim);
-        }
-        (total_loss, outcomes)
-    }
-
-    /// Applies downsampling outcomes to the persistent per-node states,
-    /// folding each decision (and any evaluated Eq. 9 value) into the
-    /// epoch's telemetry. Delegates to the shared engine so sharded
-    /// training applies identical state transitions.
-    fn apply_outcomes(
-        &mut self,
-        outcomes: Vec<NodeOutcome>,
-        report: &mut TrainReport,
-        stats: &mut EpochStats,
-    ) {
-        engine::apply_outcomes(&mut self.states, outcomes, report, stats);
+        stats.observe_grads(
+            health.norm,
+            f64::from(health.max_abs),
+            health.max_param.map(|id| self.model.params.name(id)),
+        );
+        let _optim_span =
+            trace.map(|(t, id, parent)| t.child_span(id, parent, "core.trainer.optim"));
+        let sw = Stopwatch::start();
+        self.optimizer.step(&mut self.model.params, grads);
+        sw.record_nanos(&self.phase.optim);
     }
 }
 
@@ -621,6 +749,20 @@ mod tests {
         c.r_wide = 0.5;
         c.r_deep = 0.5;
         c
+    }
+
+    /// `k = 1` borrows the graph ([`Trainer::new`]); `k > 1` partitions it.
+    fn trainer_over<'g>(
+        dataset: &'g widen_data::Dataset,
+        cfg: WidenConfig,
+        train: &[u32],
+        k: usize,
+    ) -> Trainer<'g> {
+        let model = WidenModel::for_graph(&dataset.graph, cfg);
+        match k {
+            1 => Trainer::new(model, &dataset.graph, train),
+            _ => Trainer::with_shards(model, &dataset.graph, train, k),
+        }
     }
 
     #[test]
@@ -667,7 +809,7 @@ mod tests {
         let model = WidenModel::for_graph(&dataset.graph, cfg.clone());
         let mut trainer = Trainer::new(model, &dataset.graph, &train);
         trainer.fit(&train);
-        for state in trainer.states.values() {
+        for state in trainer.states() {
             // Sets that started above the bound must not fall below it.
             assert!(state.wide.len() >= state.wide.len().min(cfg.k_wide));
             assert!(state.wide.is_empty() || state.wide.len() >= cfg.k_wide.min(cfg.n_w));
@@ -691,13 +833,13 @@ mod tests {
         let mut trainer = Trainer::new(model, &dataset.graph, &train);
         let before = trainer.neighbor_volume();
         let mut report = TrainReport::default();
+        let batch: Vec<(u32, u32)> = train.iter().map(|&v| (v, v)).collect();
         // Cumulative (takes, misses) and parked bytes after each epoch.
         let mut epochs: Vec<(u64, u64, u64)> = Vec::new();
         for epoch in 1..=10 {
             let mut stats = EpochStats::default();
-            let (_, outcomes) = trainer.train_batch(&train, epoch, None, &mut stats, &mut None);
-            trainer.apply_outcomes(outcomes, &mut report, &mut stats);
-            let pools = trainer.pools.lock().unwrap();
+            trainer.train_step(&[&batch], epoch, None, &mut report, &mut stats, &mut None);
+            let pools = trainer.shards[0].pools.lock().unwrap();
             let resident: u64 = pools.iter().map(|p| p.stats().resident_bytes).sum();
             let bound: u64 = pools.iter().map(|p| p.stats().peak_live_bytes).sum();
             assert!(
@@ -774,7 +916,7 @@ mod tests {
             "interior prunes must generate relay edges"
         );
         // Some state should carry overrides.
-        let has_override = trainer.states.values().any(|s| {
+        let has_override = trainer.states().any(|s| {
             s.deeps
                 .iter()
                 .any(|d| d.edge_override.iter().any(Option::is_some))
@@ -811,19 +953,20 @@ mod tests {
         let train: Vec<u32> = dataset.transductive.train[..24].to_vec();
         let mut cfg = tiny_config();
         cfg.epochs = 60;
-        let model = WidenModel::for_graph(&dataset.graph, cfg);
-        let mut trainer = Trainer::new(model, &dataset.graph, &train);
-        // Very loose tolerance ⇒ "converged" almost immediately.
-        let report = trainer.fit_until_converged(&train, 0.5, 2);
-        assert!(
-            report.epoch_losses.len() < 60,
-            "should stop before the epoch cap, ran {}",
-            report.epoch_losses.len()
-        );
-        assert!(
-            report.epoch_losses.len() >= 3,
-            "patience must be exhausted first"
-        );
+        for k in [1, 2] {
+            let mut trainer = trainer_over(&dataset, cfg.clone(), &train, k);
+            // Very loose tolerance ⇒ "converged" almost immediately.
+            let report = trainer.fit_until_converged(&train, 0.5, 2);
+            assert!(
+                report.epoch_losses.len() < 60,
+                "k = {k}: should stop before the epoch cap, ran {}",
+                report.epoch_losses.len()
+            );
+            assert!(
+                report.epoch_losses.len() >= 3,
+                "k = {k}: patience must be exhausted first"
+            );
+        }
     }
 
     #[test]
@@ -869,63 +1012,63 @@ mod tests {
         let train: Vec<u32> = dataset.transductive.train[..20].to_vec();
         let cfg = tiny_config();
         let epochs = cfg.epochs;
-        let model = WidenModel::for_graph(&dataset.graph, cfg);
-        let mut trainer = Trainer::new(model, &dataset.graph, &train);
-        let path = std::env::temp_dir().join(format!(
-            "widen-trainer-metrics-{}.jsonl",
-            std::process::id()
-        ));
-        trainer.set_metrics_out(&path).unwrap();
-        let report = trainer.fit(&train);
+        for k in [1, 2] {
+            let mut trainer = trainer_over(&dataset, cfg.clone(), &train, k);
+            let path = std::env::temp_dir().join(format!(
+                "widen-trainer-metrics-{}-k{k}.jsonl",
+                std::process::id()
+            ));
+            trainer.set_metrics_out(&path).unwrap();
+            let report = trainer.fit(&train);
 
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), epochs, "one JSONL record per epoch");
-        for (i, line) in lines.iter().enumerate() {
-            assert!(line.starts_with("{\"event\":\"epoch\""));
-            assert!(line.contains(&format!("\"epoch\":{}", i + 1)));
-            for field in [
-                "\"loss\":",
-                "\"kl_count\":",
-                "\"kl_mean\":",
-                "\"kl_min\":",
-                "\"wide_keeps\":",
-                "\"wide_drops\":",
-                "\"deep_keeps\":",
-                "\"deep_drops\":",
-                "\"packaging_nanos\":",
-                "\"forward_nanos\":",
-                "\"backward_nanos\":",
-                "\"optim_nanos\":",
-                "\"downsample_nanos\":",
-                "\"grad_norm\":",
-                "\"grad_max_abs\":",
-                "\"grad_max_param\":",
-                "\"nonfinite_batches\":",
-                "\"skipped_steps\":",
-            ] {
-                assert!(line.contains(field), "record {i} missing {field}: {line}");
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), epochs, "k = {k}: one JSONL record per epoch");
+            for (i, line) in lines.iter().enumerate() {
+                assert!(line.starts_with("{\"event\":\"epoch\""));
+                assert!(line.contains(&format!("\"epoch\":{}", i + 1)));
+                for field in [
+                    "\"loss\":",
+                    "\"kl_count\":",
+                    "\"kl_mean\":",
+                    "\"kl_min\":",
+                    "\"wide_keeps\":",
+                    "\"wide_drops\":",
+                    "\"deep_keeps\":",
+                    "\"deep_drops\":",
+                    "\"packaging_nanos\":",
+                    "\"forward_nanos\":",
+                    "\"backward_nanos\":",
+                    "\"optim_nanos\":",
+                    "\"downsample_nanos\":",
+                    "\"grad_norm\":",
+                    "\"grad_max_abs\":",
+                    "\"grad_max_param\":",
+                    "\"nonfinite_batches\":",
+                ] {
+                    assert!(line.contains(field), "record {i} missing {field}: {line}");
+                }
             }
-        }
-        // The report mirrors the file: per-epoch stats with Eq. 9 values
-        // once history exists (epoch 1 never evaluates KL).
-        assert_eq!(report.epoch_stats.len(), epochs);
-        assert_eq!(report.epoch_stats[0].kl_count, 0);
-        assert!(report.epoch_stats[1..].iter().any(|s| s.kl_count > 0));
-        for s in &report.epoch_stats[1..] {
-            if let Some(kl) = s.kl_mean {
-                assert!(kl.is_finite() && kl >= 0.0);
+            // The report mirrors the file: per-epoch stats with Eq. 9 values
+            // once history exists (epoch 1 never evaluates KL).
+            assert_eq!(report.epoch_stats.len(), epochs);
+            assert_eq!(report.epoch_stats[0].kl_count, 0);
+            assert!(report.epoch_stats[1..].iter().any(|s| s.kl_count > 0));
+            for s in &report.epoch_stats[1..] {
+                if let Some(kl) = s.kl_mean {
+                    assert!(kl.is_finite() && kl >= 0.0);
+                }
             }
+            let drops: u64 = report.epoch_stats.iter().map(|s| s.wide_drops).sum();
+            assert_eq!(drops as usize, report.wide_drops);
+            // Phase counters accumulated on the trainer's own registry.
+            let snap = trainer.metrics().snapshot();
+            assert_eq!(snap.counter("core_epochs_total"), Some(epochs as u64));
+            assert!(snap.counter("core_forward_nanos_total").unwrap() > 0);
+            assert!(snap.counter("core_backward_nanos_total").unwrap() > 0);
+            assert!(snap.counter("core_optim_nanos_total").unwrap() > 0);
         }
-        let drops: u64 = report.epoch_stats.iter().map(|s| s.wide_drops).sum();
-        assert_eq!(drops as usize, report.wide_drops);
-        // Phase counters accumulated on the trainer's own registry.
-        let snap = trainer.metrics().snapshot();
-        assert_eq!(snap.counter("core_epochs_total"), Some(epochs as u64));
-        assert!(snap.counter("core_forward_nanos_total").unwrap() > 0);
-        assert!(snap.counter("core_backward_nanos_total").unwrap() > 0);
-        assert!(snap.counter("core_optim_nanos_total").unwrap() > 0);
     }
 
     #[test]
@@ -935,70 +1078,165 @@ mod tests {
         let train: Vec<u32> = dataset.transductive.train[..20].to_vec();
         let mut cfg = tiny_config();
         cfg.epochs = 2;
-        let model = WidenModel::for_graph(&dataset.graph, cfg);
-        let mut trainer = Trainer::new(model, &dataset.graph, &train);
-        let tracer = Tracer::new(99);
-        trainer.set_tracer(tracer.clone());
-        trainer.set_profiling(true);
-        let report = trainer.fit(&train);
+        for k in [1, 2] {
+            let mut trainer = trainer_over(&dataset, cfg.clone(), &train, k);
+            let tracer = Tracer::new(99);
+            trainer.set_tracer(tracer.clone());
+            trainer.set_profiling(true);
+            let path = std::env::temp_dir().join(format!(
+                "widen-trainer-trace-{}-k{k}.jsonl",
+                std::process::id()
+            ));
+            trainer.set_metrics_out(&path).unwrap();
+            let report = trainer.fit(&train);
+            std::fs::remove_file(&path).ok();
 
-        // One merged op profile per epoch, naming real tensor ops with
-        // time and FLOPs.
-        assert_eq!(report.epoch_profiles.len(), 2);
-        for profile in &report.epoch_profiles {
-            assert!(!profile.is_empty());
-            assert!(profile.fwd_nanos_total > 0);
-            assert!(profile.bwd_nanos_total > 0);
-            assert!(profile.total_flops() > 0);
-            let top = profile.top_k(3);
-            assert!(!top.is_empty());
-            assert!(profile.ops.iter().any(|o| o.name == "matmul"));
-        }
-
-        // Gradient health observed on every (finite) batch.
-        for stats in &report.epoch_stats {
-            assert!(stats.grad_batches > 0);
-            let norm = stats.grad_norm_mean.expect("finite batches");
-            assert!(norm.is_finite() && norm > 0.0);
-            assert!(stats.grad_max_abs > 0.0);
-            assert!(!stats.grad_max_param.is_empty());
-            assert_eq!(stats.nonfinite_batches, 0);
-            assert_eq!(stats.skipped_steps, 0);
-        }
-
-        // The trace holds one epoch root per epoch, each with
-        // forward/backward/optim children (cross-thread parenting).
-        let records = tracer.drain();
-        // Real trainer spans (cross-thread, nested) survive the Chrome
-        // export: one valid, ts-ordered event per span.
-        assert_eq!(
-            validate_chrome_trace(&chrome_trace_json(&records)),
-            Ok(records.len())
-        );
-        let epoch_roots: Vec<_> = records
-            .iter()
-            .filter(|r| r.name == "core.trainer.epoch")
-            .collect();
-        assert_eq!(epoch_roots.len(), 2);
-        for root in &epoch_roots {
-            let tree = span_tree(&records, root.trace);
-            assert_eq!(tree.len(), 1, "epoch root is the only root");
-            let child_names: Vec<&str> = tree[0]
-                .children
-                .iter()
-                .map(|c| records[c.index].name.as_str())
-                .collect();
-            for needed in [
-                "core.trainer.forward",
-                "core.trainer.backward",
-                "core.trainer.downsample",
-                "core.trainer.optim",
-            ] {
-                assert!(
-                    child_names.contains(&needed),
-                    "epoch span missing child {needed}: {child_names:?}"
-                );
+            // One merged op profile per epoch, naming real tensor ops with
+            // time and FLOPs.
+            assert_eq!(report.epoch_profiles.len(), 2);
+            for profile in &report.epoch_profiles {
+                assert!(!profile.is_empty());
+                assert!(profile.fwd_nanos_total > 0);
+                assert!(profile.bwd_nanos_total > 0);
+                assert!(profile.total_flops() > 0);
+                let top = profile.top_k(3);
+                assert!(!top.is_empty());
+                assert!(profile.ops.iter().any(|o| o.name == "matmul"));
             }
+
+            // Gradient health observed on every (finite) batch.
+            for stats in &report.epoch_stats {
+                assert!(stats.grad_batches > 0);
+                let norm = stats.grad_norm_mean.expect("finite batches");
+                assert!(norm.is_finite() && norm > 0.0);
+                assert!(stats.grad_max_abs > 0.0);
+                assert!(!stats.grad_max_param.is_empty());
+                assert_eq!(stats.nonfinite_batches, 0);
+            }
+
+            // The trace holds one epoch root per epoch, each with
+            // forward/backward/optim children (cross-thread parenting).
+            let records = tracer.drain();
+            // Real trainer spans (cross-thread, nested) survive the Chrome
+            // export: one valid, ts-ordered event per span.
+            assert_eq!(
+                validate_chrome_trace(&chrome_trace_json(&records)),
+                Ok(records.len())
+            );
+            let epoch_roots: Vec<_> = records
+                .iter()
+                .filter(|r| r.name == "core.trainer.epoch")
+                .collect();
+            assert_eq!(epoch_roots.len(), 2);
+            for root in &epoch_roots {
+                let tree = span_tree(&records, root.trace);
+                assert_eq!(tree.len(), 1, "epoch root is the only root");
+                let child_names: Vec<&str> = tree[0]
+                    .children
+                    .iter()
+                    .map(|c| records[c.index].name.as_str())
+                    .collect();
+                for needed in [
+                    "core.trainer.forward",
+                    "core.trainer.backward",
+                    "core.trainer.downsample",
+                    "core.trainer.optim",
+                ] {
+                    assert!(
+                        child_names.contains(&needed),
+                        "epoch span missing child {needed}: {child_names:?}"
+                    );
+                }
+            }
+
+            // Diagnostics observe the fit, they never steer it.
+            let mut plain = trainer_over(&dataset, cfg.clone(), &train, k);
+            assert_eq!(plain.fit(&train).epoch_losses, report.epoch_losses);
+            let traced = trainer.into_model().params.snapshot();
+            for (a, b) in traced.iter().zip(&plain.into_model().params.snapshot()) {
+                assert_eq!(a.max_abs_diff(b), 0.0);
+            }
+        }
+    }
+
+    /// The tape `debug_assert!`s finite forward values, so the policy is
+    /// driven with hand-made gradients rather than a poisoned fit.
+    #[test]
+    fn nonfinite_gradient_is_counted_and_never_reaches_the_optimizer() {
+        let dataset = acm_like(Scale::Smoke, 14);
+        let train: Vec<u32> = dataset.transductive.train[..4].to_vec();
+        let grads = |model: &WidenModel, fill: f32| -> Vec<(ParamId, Tensor)> {
+            let params = model.params.iter();
+            params
+                .map(|(id, _, w)| {
+                    let mut g = Tensor::zeros(w.shape().0, w.shape().1);
+                    g.as_mut_slice().fill(fill);
+                    (id, g)
+                })
+                .collect()
+        };
+
+        let mut trainer = trainer_over(&dataset, tiny_config(), &train, 1);
+        let before = trainer.model().params.snapshot();
+        let mut poisoned = grads(trainer.model(), 0.25);
+        poisoned[1].1.as_mut_slice()[0] = f32::NAN;
+        let mut stats = EpochStats::default();
+        trainer.step_if_finite(&poisoned, 1, train.len(), None, &mut stats);
+        assert_eq!(stats.nonfinite_batches, 1);
+        assert_eq!(stats.grad_batches, 0);
+        let snap = trainer.metrics().snapshot();
+        assert_eq!(snap.counter("core_nonfinite_batches_total"), Some(1));
+        for (a, b) in before.iter().zip(&trainer.model().params.snapshot()) {
+            assert_eq!(a.max_abs_diff(b), 0.0, "a skipped step moved a weight");
+        }
+
+        // The Adam moments are untouched too: the next finite step lands
+        // where it lands on a trainer that never saw the NaN.
+        let finite = grads(trainer.model(), 0.25);
+        trainer.step_if_finite(&finite, 1, train.len(), None, &mut stats);
+        let mut untouched = trainer_over(&dataset, tiny_config(), &train, 1);
+        untouched.step_if_finite(&finite, 1, train.len(), None, &mut EpochStats::default());
+        assert_eq!(stats.grad_batches, 1);
+        let stepped = trainer.into_model().params.snapshot();
+        for ((a, b), c) in stepped
+            .iter()
+            .zip(&untouched.model().params.snapshot())
+            .zip(&before)
+        {
+            assert_eq!(a.max_abs_diff(b), 0.0);
+            assert!(
+                a.max_abs_diff(c) > 0.0,
+                "a finite step must move the weights"
+            );
+        }
+    }
+
+    /// North-star 4, the trainer-sized slice: every counter the one loop
+    /// emits is a row of DESIGN.md's metric table.
+    #[test]
+    fn every_emitted_trainer_metric_is_documented() {
+        let design = include_str!("../../../DESIGN.md");
+        let dataset = acm_like(Scale::Smoke, 15);
+        let train: Vec<u32> = dataset.transductive.train[..8].to_vec();
+        let mut cfg = tiny_config();
+        cfg.epochs = 1;
+        let mut trainer = trainer_over(&dataset, cfg, &train, 2);
+        trainer.fit(&train);
+        let snap = trainer.metrics().snapshot();
+        assert!(snap.gauges.is_empty() && snap.histograms.is_empty());
+        assert!(snap.counter("core_shard1_busy_nanos_total").is_some());
+        for (name, _) in &snap.counters {
+            let digit = |c: char| c.is_ascii_digit();
+            let row = match name.strip_prefix("core_shard") {
+                Some(rest) if rest.starts_with(digit) => {
+                    format!("core_shard{{p}}{}", rest.trim_start_matches(digit))
+                }
+                _ => name.clone(),
+            };
+            assert!(
+                design.contains(&format!("`{row}`")),
+                "{row} is not in DESIGN.md"
+            );
         }
     }
 

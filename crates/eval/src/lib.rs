@@ -11,7 +11,7 @@
 //! * [`mod@tsne`] — exact t-SNE with PCA initialisation (Figure 3).
 //! * [`silhouette`] — cluster-separation score used to quantify Figure 3's
 //!   qualitative claim.
-//! * [`timing`] — stopwatch / per-epoch timing helpers (Figures 4–5).
+//! * [`timing`] — least-squares linear fit with R² (Figure 5).
 //! * [`aggregate`] — mean ± std over repeated seeded runs (§4.4's
 //!   "averaged over 5 executions").
 
@@ -30,6 +30,5 @@ pub use aggregate::RunAggregate;
 pub use f1::{confusion_matrix, macro_f1, micro_f1};
 pub use kl::kl_divergence;
 pub use silhouette::silhouette_score;
-pub use timing::Stopwatch;
 pub use tsne::{tsne, TsneConfig};
 pub use ttest::{paired_t_test, TTestResult};

@@ -1,72 +1,4 @@
-//! Wall-clock timing helpers for the efficiency experiments (Figures 4–5).
-
-use std::time::{Duration, Instant};
-
-/// Accumulating stopwatch with lap support.
-///
-/// The efficiency harness records one lap per training epoch; Figure 4
-/// reports the mean lap, Figure 5 the total across a full run.
-#[derive(Debug)]
-pub struct Stopwatch {
-    laps: Vec<Duration>,
-    current: Option<Instant>,
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Stopwatch {
-    /// A stopped stopwatch with no laps.
-    pub fn new() -> Self {
-        Self {
-            laps: Vec::new(),
-            current: None,
-        }
-    }
-
-    /// Starts (or restarts) the current lap.
-    pub fn start(&mut self) {
-        self.current = Some(Instant::now());
-    }
-
-    /// Ends the current lap, recording its duration.
-    ///
-    /// # Panics
-    /// Panics if no lap is running.
-    pub fn lap(&mut self) -> Duration {
-        let started = self.current.take().expect("lap() without start()");
-        let elapsed = started.elapsed();
-        self.laps.push(elapsed);
-        elapsed
-    }
-
-    /// Number of completed laps.
-    pub fn lap_count(&self) -> usize {
-        self.laps.len()
-    }
-
-    /// Mean lap duration in seconds (0 with no laps).
-    pub fn mean_lap_secs(&self) -> f64 {
-        if self.laps.is_empty() {
-            0.0
-        } else {
-            self.total_secs() / self.laps.len() as f64
-        }
-    }
-
-    /// Total recorded time in seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.laps.iter().map(Duration::as_secs_f64).sum()
-    }
-
-    /// All lap durations in seconds.
-    pub fn laps_secs(&self) -> Vec<f64> {
-        self.laps.iter().map(Duration::as_secs_f64).collect()
-    }
-}
+//! The quantitative check behind Figure 5's "approximately linear" scalability claim.
 
 /// Least-squares linear fit `y ≈ slope·x + intercept`, returning
 /// `(slope, intercept, r²)` — used to verify Figure 5's "approximately
@@ -102,25 +34,6 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stopwatch_records_laps() {
-        let mut sw = Stopwatch::new();
-        sw.start();
-        std::thread::sleep(Duration::from_millis(5));
-        let lap = sw.lap();
-        assert!(lap >= Duration::from_millis(4));
-        assert_eq!(sw.lap_count(), 1);
-        assert!(sw.mean_lap_secs() > 0.0);
-        assert!((sw.total_secs() - sw.mean_lap_secs()).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "lap() without start()")]
-    fn lap_without_start_panics() {
-        let mut sw = Stopwatch::new();
-        let _ = sw.lap();
-    }
 
     #[test]
     fn linear_fit_recovers_exact_line() {

@@ -8,8 +8,7 @@
 //!   levels (requests served, queue depth).
 //! * [`Histogram`] — fixed-bucket distribution with atomic buckets, count
 //!   and sum (fused batch sizes, coalescing waits, sampled set sizes).
-//! * [`Stopwatch`] / [`ScopedTimer`] — wall-clock phase timing; scoped
-//!   timers record into a histogram on drop.
+//! * [`Stopwatch`] — wall-clock phase timing, accumulated into counters.
 //! * [`Registry`] — named get-or-create instrument store with
 //!   deterministic, name-sorted [`Snapshot`]s that render to JSON (this is
 //!   what the serving protocol's `Stats` op returns).
@@ -54,7 +53,7 @@ pub use recorder::{FlightRecord, FlightRecorder, PhaseStamp};
 pub use registry::{Registry, Snapshot};
 pub use sink::{Event, JsonlSink, Value};
 pub use telemetry::TelemetrySnapshot;
-pub use timer::{ScopedTimer, Stopwatch, Unit};
+pub use timer::Stopwatch;
 pub use trace::{
     chrome_trace_json, render_tree, span_tree, validate_chrome_trace, write_chrome_trace, Span,
     SpanId, SpanRecord, TraceId, Tracer,

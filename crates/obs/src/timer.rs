@@ -1,8 +1,8 @@
-//! Scoped wall-clock timing.
+//! Wall-clock timing.
 
 use std::time::Instant;
 
-use crate::metrics::{Counter, Histogram};
+use crate::metrics::Counter;
 
 /// A started wall clock. Thin wrapper over [`Instant`] with the
 /// conversions the metric layers need.
@@ -41,53 +41,6 @@ impl Stopwatch {
     }
 }
 
-/// Records a duration into a histogram when dropped.
-///
-/// ```
-/// # use widen_obs::{Histogram, ScopedTimer, Unit};
-/// let hist = Histogram::new(&[0.1, 1.0]);
-/// {
-///     let _t = ScopedTimer::new(&hist, Unit::Seconds);
-///     // ... timed work ...
-/// } // observation recorded here
-/// assert_eq!(hist.snapshot().count, 1);
-/// ```
-pub struct ScopedTimer<'a> {
-    hist: &'a Histogram,
-    unit: Unit,
-    watch: Stopwatch,
-}
-
-/// Which unit a [`ScopedTimer`] records in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
-    /// Seconds as f64.
-    Seconds,
-    /// Whole microseconds.
-    Micros,
-}
-
-impl<'a> ScopedTimer<'a> {
-    /// Starts a timer that reports into `hist` on drop.
-    pub fn new(hist: &'a Histogram, unit: Unit) -> Self {
-        Self {
-            hist,
-            unit,
-            watch: Stopwatch::start(),
-        }
-    }
-}
-
-impl Drop for ScopedTimer<'_> {
-    fn drop(&mut self) {
-        let v = match self.unit {
-            Unit::Seconds => self.watch.elapsed_secs(),
-            Unit::Micros => self.watch.elapsed_micros() as f64,
-        };
-        self.hist.observe(v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,17 +62,5 @@ mod tests {
         w.record_nanos(&c);
         w.record_nanos(&c);
         assert!(c.get() >= 2_000_000);
-    }
-
-    #[test]
-    fn scoped_timer_records_on_drop() {
-        let hist = Histogram::new(&[1_000.0, 1_000_000.0]);
-        {
-            let _t = ScopedTimer::new(&hist, Unit::Micros);
-            std::thread::sleep(std::time::Duration::from_micros(100));
-        }
-        let s = hist.snapshot();
-        assert_eq!(s.count, 1);
-        assert!(s.sum >= 100.0);
     }
 }

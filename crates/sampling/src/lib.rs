@@ -11,9 +11,6 @@
 //!   type of every hop (Eq. 2's `e_{s,s-1}`).
 //! * [`AliasTable`] — O(1) weighted sampling for Node2Vec's biased walks and
 //!   FastGCN's importance sampling.
-//! * [`StreamingAlias`] — O(log n) weighted sampling whose per-delta
-//!   updates are bitwise identical to a rebuild from scratch, for graphs
-//!   that mutate while being sampled.
 //! * [`hash_seed`] — deterministic per-(node, epoch, stream) seeding.
 
 #![deny(missing_docs)]
@@ -21,12 +18,10 @@
 
 mod alias;
 mod deep;
-mod streaming;
 mod wide;
 
 pub use alias::AliasTable;
 pub use deep::{sample_deep, sample_deep_multi, DeepEntry, DeepSet};
-pub use streaming::StreamingAlias;
 pub use wide::{sample_wide, WideEntry, WideSet};
 
 /// Mixes a base seed with arbitrary stream identifiers into a fresh RNG seed

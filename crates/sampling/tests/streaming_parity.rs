@@ -1,134 +1,14 @@
-//! Differential parity tests for the streaming sampling structures.
+//! Differential parity tests for sampling on a graph that mutates.
 //!
-//! Two contracts are pinned here:
-//!
-//! 1. [`StreamingAlias`] maintained per-delta is **bitwise** identical to
-//!    one rebuilt from scratch over the final weights — same totals, and
-//!    the *same sample stream* under the same RNG seed, across hostile
-//!    weight schedules (zeros, duplicates, single-entry tables, growth
-//!    over capacity boundaries).
-//! 2. The wide/deep walk samplers draw identical streams from a mutated
-//!    `HeteroGraph` and a scratch-built one — their "incremental
-//!    structure" is the graph's span-arena adjacency itself, so graph
-//!    mutation parity must carry through to sampled sets.
+//! The wide/deep walk samplers draw identical streams from a mutated
+//! `HeteroGraph` and a scratch-built one — their "incremental structure"
+//! is the graph's span-arena adjacency itself, so graph mutation parity
+//! must carry through to sampled sets.
 
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use widen_graph::{EdgeTypeId, GraphBuilder, NodeTypeId};
-use widen_sampling::{hash_seed, sample_deep, sample_wide, AliasTable, StreamingAlias};
-
-/// Hostile weight values: exact zeros, duplicates of 1.0, subnormal-ish
-/// tiny values, large magnitudes.
-fn hostile_weight() -> impl Strategy<Value = f32> {
-    (0usize..6, 0.0f32..4.0).prop_map(|(pick, ordinary)| match pick {
-        0 => 0.0,
-        1 => 1.0, // deliberate duplicate mass
-        2 => 1.0e-20,
-        3 => 1.0e20,
-        4 => 0.5,
-        _ => ordinary,
-    })
-}
-
-/// One streaming op against the sampler.
-#[derive(Clone, Debug)]
-enum Op {
-    Set(usize, f32),
-    Push(f32),
-}
-
-fn op() -> impl Strategy<Value = Op> {
-    (0usize..2, 0usize..64, hostile_weight()).prop_map(|(kind, idx, w)| match kind {
-        0 => Op::Set(idx, w),
-        _ => Op::Push(w),
-    })
-}
-
-/// Drains `n` samples; panics inside `sample` are the caller's concern.
-fn stream(s: &StreamingAlias, seed: u64, n: usize) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| s.sample(&mut rng)).collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn incremental_alias_matches_rebuilt_exactly(
-        init in prop::collection::vec(hostile_weight(), 1..24),
-        ops in prop::collection::vec(op(), 0..40),
-        seed in 0u64..1000,
-    ) {
-        let mut inc = StreamingAlias::new(&init);
-        let mut final_weights: Vec<f32> = init.clone();
-        for o in &ops {
-            match *o {
-                Op::Set(idx, w) => {
-                    let idx = idx % final_weights.len();
-                    inc.set_weight(idx, w);
-                    final_weights[idx] = w;
-                }
-                Op::Push(w) => {
-                    inc.push(w);
-                    final_weights.push(w);
-                }
-            }
-        }
-        let rebuilt = StreamingAlias::new(&final_weights);
-
-        // Bitwise-identical totals and per-category weights.
-        prop_assert_eq!(inc.len(), rebuilt.len());
-        prop_assert_eq!(inc.total().to_bits(), rebuilt.total().to_bits());
-        for i in 0..inc.len() {
-            prop_assert_eq!(inc.weight(i).to_bits(), rebuilt.weight(i).to_bits());
-        }
-
-        if inc.total() > 0.0 {
-            // Same seed, same stream — the differential guarantee.
-            prop_assert_eq!(stream(&inc, seed, 64), stream(&rebuilt, seed, 64));
-            // Zero-weight categories are unreachable.
-            for &i in &stream(&inc, seed.wrapping_add(1), 64) {
-                prop_assert!(inc.weight(i) > 0.0, "drew zero-weight category {i}");
-            }
-        }
-
-        // The explicit rebuild fallback is a value-level no-op.
-        let mut rebuilt_again = inc.clone();
-        rebuilt_again.rebuild();
-        prop_assert_eq!(rebuilt_again.total().to_bits(), inc.total().to_bits());
-        if inc.total() > 0.0 {
-            prop_assert_eq!(stream(&rebuilt_again, seed, 64), stream(&inc, seed, 64));
-        }
-    }
-
-    #[test]
-    fn streaming_alias_agrees_with_walker_alias_distribution(
-        weights in prop::collection::vec(1.0f32..8.0, 1..12),
-    ) {
-        // Distribution-level (not stream-level: the two samplers consume
-        // RNG differently by design) agreement with the O(1) table.
-        let walker = AliasTable::new(&weights);
-        let tree = StreamingAlias::new(&weights);
-        let n = 40_000usize;
-        let mut rng_a = StdRng::seed_from_u64(11);
-        let mut rng_b = StdRng::seed_from_u64(12);
-        let mut counts_a = vec![0usize; weights.len()];
-        let mut counts_b = vec![0usize; weights.len()];
-        for _ in 0..n {
-            counts_a[walker.sample(&mut rng_a)] += 1;
-            counts_b[tree.sample(&mut rng_b)] += 1;
-        }
-        for i in 0..weights.len() {
-            let fa = counts_a[i] as f64 / n as f64;
-            let fb = counts_b[i] as f64 / n as f64;
-            prop_assert!(
-                (fa - fb).abs() < 0.02,
-                "category {i}: walker {fa:.4} vs tree {fb:.4}"
-            );
-        }
-    }
-}
+use widen_sampling::{hash_seed, sample_deep, sample_wide};
 
 /// Builds a small three-type graph, returning (scratch, mutated): the
 /// scratch graph gets every node and edge through the builder, the

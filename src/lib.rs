@@ -9,7 +9,7 @@
 //! * [`data`] — synthetic ACM/DBLP/Yelp-like dataset generators and splits.
 //! * [`core`] — the WIDEN model, downsampling and trainer.
 //! * [`baselines`] — Node2Vec, GCN, FastGCN, GraphSAGE, GAT, GTN, HAN, HGT.
-//! * [`eval`] — F1, paired t-tests, t-SNE, silhouette, timing.
+//! * [`eval`] — F1, paired t-tests, t-SNE, silhouette, linear fit.
 //! * [`serve`] — concurrent micro-batched TCP inference service.
 //! * [`obs`] — metrics registries, span tracing, flight recorder, JSON reader.
 //!

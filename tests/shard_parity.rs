@@ -1,10 +1,11 @@
-//! Differential tests pinning the sharded trainer to the single-graph
-//! trainer: with one shard the two are bitwise identical, with k shards the
-//! run is deterministic and parallelism-invariant, halo subgraphs reproduce
-//! the full graph's sampling streams exactly, and k-shard training matches
-//! full-graph micro-F1 at (truncated) paper configuration.
+//! Differential tests pinning the one training loop's two data paths to
+//! each other: one partitioned shard (induced subgraph + id mapping) trains
+//! bitwise like the borrowed graph, with k shards the run is deterministic
+//! and parallelism-invariant, halo subgraphs reproduce the full graph's
+//! sampling streams exactly, and k-shard training matches full-graph
+//! micro-F1 at (truncated) paper configuration.
 
-use widen::core::{ShardParallelism, ShardedTrainer, Trainer, WidenConfig, WidenModel};
+use widen::core::{ShardParallelism, Trainer, WidenConfig, WidenModel};
 use widen::data::{acm_like, yelp_like, Scale};
 use widen::eval::micro_f1;
 use widen::graph::greedy_bfs;
@@ -45,19 +46,21 @@ fn one_shard_sharded_trainer_is_bitwise_the_trainer() {
     let base = trainer.fit(train);
     let base_model = trainer.into_model();
 
+    // Same loop, other data path: an induced copy of the graph addressed
+    // through a global → local id mapping.
     let model = WidenModel::for_graph(&dataset.graph, cfg);
-    let mut sharded = ShardedTrainer::new(model, &dataset.graph, train, 1);
+    let mut sharded = Trainer::with_shards(model, &dataset.graph, train, 1);
     sharded.set_parallelism(ShardParallelism::Sequential);
-    let report = sharded.fit();
+    let report = sharded.fit(train);
     let sharded_model = sharded.into_model();
 
     // Bitwise: the exact same f64 losses, the exact same weights.
-    assert_eq!(base.epoch_losses, report.train.epoch_losses);
+    assert_eq!(base.epoch_losses, report.epoch_losses);
     assert_eq!(max_weight_diff(&base_model, &sharded_model), 0.0);
     // And the same downsampling trajectory.
-    assert_eq!(base.wide_drops, report.train.wide_drops);
-    assert_eq!(base.deep_drops, report.train.deep_drops);
-    assert_eq!(base.relay_edges, report.train.relay_edges);
+    assert_eq!(base.wide_drops, report.wide_drops);
+    assert_eq!(base.deep_drops, report.deep_drops);
+    assert_eq!(base.relay_edges, report.relay_edges);
 }
 
 #[test]
@@ -66,10 +69,10 @@ fn k_shard_training_is_deterministic_and_parallelism_invariant() {
     let train = &dataset.transductive.train;
     let run = |parallelism: ShardParallelism| {
         let model = WidenModel::for_graph(&dataset.graph, tiny_config());
-        let mut sharded = ShardedTrainer::new(model, &dataset.graph, train, 2);
+        let mut sharded = Trainer::with_shards(model, &dataset.graph, train, 2);
         sharded.set_parallelism(parallelism);
-        let report = sharded.fit();
-        (report.train.epoch_losses.clone(), sharded.into_model())
+        let report = sharded.fit(train);
+        (report.epoch_losses.clone(), sharded.into_model())
     };
     let (losses_a, model_a) = run(ShardParallelism::Sequential);
     let (losses_b, model_b) = run(ShardParallelism::Sequential);
@@ -166,9 +169,9 @@ fn four_shard_training_matches_full_graph_micro_f1_at_paper_config() {
     let full_f1 = micro_f1(&truth, &full_model.predict(&dataset.graph, test, 7));
 
     let model = WidenModel::for_graph(&dataset.graph, cfg);
-    let mut sharded = ShardedTrainer::new(model, &dataset.graph, train, 4);
+    let mut sharded = Trainer::with_shards(model, &dataset.graph, train, 4);
     sharded.set_parallelism(ShardParallelism::Sequential);
-    sharded.fit();
+    sharded.fit(train);
     let shard_model = sharded.into_model();
     let shard_f1 = micro_f1(&truth, &shard_model.predict(&dataset.graph, test, 7));
 
@@ -209,14 +212,14 @@ fn two_shard_training_learns_like_the_full_graph() {
     );
 
     let model = WidenModel::for_graph(&dataset.graph, cfg);
-    let mut sharded = ShardedTrainer::new(model, &dataset.graph, train, 2);
+    let mut sharded = Trainer::with_shards(model, &dataset.graph, train, 2);
     assert_eq!(sharded.num_shards(), 2);
     let split: Vec<usize> = sharded.shard_sizes().iter().map(|&(_, _, t)| t).collect();
     assert!(
         split.iter().all(|&t| t >= 1),
         "a shard ended up with no training nodes: {split:?}"
     );
-    let loss = sharded.fit().final_loss();
+    let loss = sharded.fit(train).final_loss();
     assert!(loss.is_finite() && loss > 0.0, "bad training loss {loss}");
     let shard_f1 = micro_f1(
         &truth,
