@@ -319,14 +319,17 @@ impl WidenModel {
     /// The forward pass over a whole chunk of nodes (Eq. 1–7 + head) — the
     /// one implementation training, evaluation and serving all run.
     ///
-    /// One pack assembly, one Q/K/V projection matmul per attention branch
-    /// on the *unique* pack rows, and one fused ragged attention
+    /// One pack assembly per branch and one fused ragged attention
     /// ([`Tape::segment_attention`]) per softmax for the whole chunk, which
-    /// reads those rows in place through the batch's position → unique-row
-    /// index: no projection is ever gathered into a flat per-position
-    /// matrix. The attention kernels use the same scalar `dot`/`axpy`
-    /// reductions in the same order as the test-only per-node reference
-    /// (`model/oracle.rs`), so the two agree to f32 round-off (the
+    /// reads the *unique* pack rows in place — as keys and as values —
+    /// through the batch's position → unique-row index: nothing is ever
+    /// gathered into a flat per-position matrix. Eq. 3–5 are bilinear in
+    /// the packs and their value paths linear, so every projection sits on
+    /// the short side: the only GEMM on the `U` unique rows is Eq. 4's
+    /// query `packs · (W_Q▷ W_K▷ᵀ)`; every other `W_K` is folded into a
+    /// one-row-per-node query, every `W_V` applied to a one-row-per-node
+    /// sum. The test-only per-node reference (`model/oracle.rs`) keeps the
+    /// paper's unfolded form; the two agree to f32 round-off (the
     /// differential tests pin this).
     ///
     /// The Eq. 4 causal mask needs no mask tensor here: each position's
@@ -368,23 +371,23 @@ impl WidenModel {
             );
             let (packs, rows, spans) = (batch.unique_packs, batch.flat_index, batch.spans);
             let lens: Vec<usize> = spans.iter().map(|&(_, len)| len).collect();
+            // Scores are the bilinear form `(m_t W_Q)(M W_K)ᵀ =
+            // ((m_t W_Q) W_Kᵀ) Mᵀ` and the output `(a M) W_V`: both
+            // projections run on the one row per node, keys and values are
+            // the raw packs.
             let m_rows: Vec<usize> = spans.iter().map(|&(start, _)| rows[start]).collect();
             let m_t = tape.select_rows(packs, &m_rows);
             let q = tape.matmul(m_t, pv.wide_q);
-            // K/V projections run once per unique (node, edge) pair and are
-            // read in place through the position → unique-row index; the
-            // queries are already one row per node (the identity index).
-            let k = tape.matmul(packs, pv.wide_k);
-            let values = tape.matmul(packs, pv.wide_v);
+            let q = tape.matmul_nt(q, pv.wide_k);
             let q_rows = (0..b).collect();
             let attn =
-                tape.segment_attention(q, q_rows, k, rows.clone(), spans.clone(), inv_sqrt_d);
-            let h = tape.segment_weighted_sum(attn, values, rows, spans);
+                tape.segment_attention(q, q_rows, packs, rows.clone(), spans.clone(), inv_sqrt_d);
+            let gathered = tape.segment_weighted_sum(attn, packs, rows, spans);
             wide_batch = Some(WideBatch {
                 attention: attn,
                 lens,
             });
-            h
+            tape.matmul(gathered, pv.wide_v)
         } else {
             zeros_leaf(tape, b, d)
         };
@@ -410,48 +413,64 @@ impl WidenModel {
             let (packs, rows, walk_spans) = (batch.unique_packs, batch.flat_index, batch.spans);
 
             // Eq. 4: causal successive attention. Every position queries
-            // the suffix of its own walk (itself + later positions);
-            // queries and keys are both unique-row projections under the
-            // same index. The refined rows are position-specific — the one
+            // the suffix of its own walk (itself + later positions) with
+            // `p_i (W_Q W_Kᵀ) p_jᵀ` — one d×d product of the parameters,
+            // then the one projection of the unique rows; keys are the raw
+            // packs under the same index. The refined rows `H = A M W_V`
+            // are only ever Eq. 5's keys, so `W_V▷` moves into Eq. 5's
+            // query and what is kept is `A M`: position-specific, the one
             // flat matrix of the forward pass, keys under the identity
-            // index; with successive attention off the keys are the raw
+            // index. With successive attention off the keys are the raw
             // packs themselves.
             let (keys, key_rows) = if variant.successive_attention {
                 let row_spans: Arc<[(usize, usize)]> = walk_spans
                     .iter()
                     .flat_map(|&(start, len)| (0..len).map(move |r| (start + r, len - r)))
                     .collect();
-                let q1 = tape.matmul(packs, pv.deep_q1);
-                let k1 = tape.matmul(packs, pv.deep_k1);
+                let qk = tape.matmul_nt(pv.deep_q1, pv.deep_k1);
+                let q1 = tape.matmul(packs, qk);
                 let (q_rows, k_rows) = (rows.clone(), rows.clone());
-                let att =
-                    tape.segment_attention(q1, q_rows, k1, k_rows, row_spans.clone(), inv_sqrt_d);
-                let v1 = tape.matmul(packs, pv.deep_v1);
-                let refined = tape.segment_weighted_sum(att, v1, rows.clone(), row_spans);
+                let att = tape.segment_attention(
+                    q1,
+                    q_rows,
+                    packs,
+                    k_rows,
+                    row_spans.clone(),
+                    inv_sqrt_d,
+                );
+                let refined = tape.segment_weighted_sum(att, packs, rows.clone(), row_spans);
                 (refined, (0..rows.len()).collect())
             } else {
                 (packs, rows.clone())
             };
 
-            // Eq. 5: gather into each walk's target — query is the walk's
-            // own m_t▷ row, keys from the refined sequence H▷, values
-            // from the raw packs M▷. Scores are the bilinear form
-            // `(m_t W_Q)(H W_K)ᵀ = ((m_t W_Q) W_Kᵀ) Hᵀ`: `W_K▷′` is applied
-            // to the one query row per walk, and the refined rows are the
-            // keys as they stand, never projected.
-            let m_rows: Vec<usize> = walk_spans.iter().map(|&(start, _)| rows[start]).collect();
+            // Eq. 5: gather into each walk's target. A node's walks share
+            // its m_t▷ row, so the query is projected once per node that
+            // has walks and every walk names its node's row. Scores are
+            // `(m_t W_Q′)(H W_K′)ᵀ = (((m_t W_Q′) W_K′ᵀ) W_Vᵀ)(A M)ᵀ`: the
+            // key-side projections are applied to the query, never to the
+            // keys. Values are the raw packs M▷; `W_V▷′` is applied after
+            // the Φ-average (Eq. 7; both are linear), one row per node, and
+            // nodes without walks get zero rows.
+            let with_walks = || node_walks.iter().filter(|&&(_, count)| count > 0);
+            let m_rows: Vec<usize> = with_walks()
+                .map(|&(first, _)| rows[walk_spans[first].0])
+                .collect();
+            let q_rows: Arc<[usize]> = with_walks()
+                .enumerate()
+                .flat_map(|(i, &(_, count))| (0..count).map(move |_| i))
+                .collect();
             let m_t = tape.select_rows(packs, &m_rows);
             let q2 = tape.matmul(m_t, pv.deep_q2);
-            let q2 = tape.matmul_nt(q2, pv.deep_k2);
-            let q_rows = (0..walk_spans.len()).collect();
+            let mut q2 = tape.matmul_nt(q2, pv.deep_k2);
+            if variant.successive_attention {
+                q2 = tape.matmul_nt(q2, pv.deep_v1);
+            }
             let attn =
                 tape.segment_attention(q2, q_rows, keys, key_rows, walk_spans.clone(), inv_sqrt_d);
-            let v2 = tape.matmul(packs, pv.deep_v2);
-            let h_phi = tape.segment_weighted_sum(attn, v2, rows.clone(), walk_spans.clone());
-
-            // Φ-averaging (Eq. 7); nodes without walks get zero rows.
+            let h_phi = tape.segment_weighted_sum(attn, packs, rows.clone(), walk_spans.clone());
             let phi_spans: Arc<[(usize, usize)]> = node_walks.clone().into();
-            let h = tape.segment_mean_rows(h_phi, phi_spans);
+            let pooled = tape.segment_mean_rows(h_phi, phi_spans);
             deep_batch = Some(DeepBatch {
                 attention: attn,
                 unique_packs: packs,
@@ -460,7 +479,7 @@ impl WidenModel {
                 walk_spans,
                 node_walks,
             });
-            h
+            tape.matmul(pooled, pv.deep_v2)
         } else {
             zeros_leaf(tape, b, d)
         };
@@ -645,10 +664,10 @@ fn seeded(nodes: &[NodeId], seed: u64) -> Vec<(NodeId, u64)> {
     nodes.iter().map(|&node| (node, seed)).collect()
 }
 
-/// An all-zero `rows × cols` leaf in a pooled buffer (a disabled branch's
-/// contribution to Eq. 7).
+/// An all-zero `rows × cols` constant in a pooled buffer (a disabled
+/// branch's contribution to Eq. 7).
 fn zeros_leaf(tape: &mut Tape, rows: usize, cols: usize) -> Var {
-    tape.leaf_with(rows, cols, |t| t.as_mut_slice().fill(0.0))
+    tape.constant_with(rows, cols, |t| t.as_mut_slice().fill(0.0))
 }
 
 /// Row-wise [`argmax`].
@@ -1113,6 +1132,246 @@ mod tests {
         }
         assert!(installed > 0, "toy graph must produce at least one walk");
         assert_engines_agree(&g, cfg, &states);
+    }
+
+    /// Prunes every walk to `k▷`, each prune leaving a relay override on
+    /// the successor (what Algorithm 2 + Eq. 8 leave behind late in a fit);
+    /// every walk ends with at least one override. Returns their count `R`.
+    fn prune_with_relays(states: &mut [NodeState], cfg: &WidenConfig) -> usize {
+        let mut stamp = 0.0f32;
+        for walk in states.iter_mut().flat_map(|s| s.deeps.iter_mut()) {
+            while walk.len() > cfg.k_deep {
+                let s = walk.len() % 2;
+                stamp += 1.0;
+                let relay = (0..cfg.d)
+                    .map(|k| 0.5 + (stamp + k as f32) * 1e-4)
+                    .collect();
+                walk.edge_override[s + 1] = Some(relay);
+                walk.prune(s);
+            }
+        }
+        let overrides = |w: &crate::state::DeepState| w.edge_override.iter().flatten().count();
+        assert!(states
+            .iter()
+            .flat_map(|s| &s.deeps)
+            .all(|w| overrides(w) > 0));
+        states.iter().flat_map(|s| &s.deeps).map(overrides).sum()
+    }
+
+    /// `rows` (Σ left-operand rows over the GEMMs of one step) is within
+    /// `budget`, and the slack left is too small for a second GEMM on the
+    /// `u_deep` unique rows to hide in.
+    fn assert_one_u_row_gemm(rows: usize, u_deep: usize, budget: usize) {
+        assert!(
+            u_deep <= rows && rows <= budget,
+            "{rows} GEMM rows for a budget of {budget}"
+        );
+        assert!(rows + u_deep > budget, "the budget fits two U-row GEMMs");
+    }
+
+    #[test]
+    fn gemm_rows_stay_on_the_short_side() {
+        // The benchmark's chunk: the 60 training nodes of the ACM-like
+        // smoke graph at `WidenConfig::paper()`, forward + backward under
+        // the profiler. The only GEMM allowed on the `U` unique deep rows
+        // is Eq. 4's query; a projection that drifts back onto them breaks
+        // the row budget (and the FLOP ceiling) — no clock involved.
+        let dataset = widen_data::acm_like(widen_data::Scale::Smoke, 7);
+        let g = &dataset.graph;
+        let cfg = WidenConfig::paper().with_backend(BackendKind::Optimized);
+        let model = WidenModel::for_graph(g, cfg.clone());
+        let train = &dataset.transductive.train;
+        assert_eq!(train.len(), 60);
+        let mut states: Vec<NodeState> =
+            train.iter().map(|&v| model.sample_state(g, v, 1)).collect();
+        let labels: Vec<usize> = train
+            .iter()
+            .map(|&v| g.label(v).unwrap() as usize)
+            .collect();
+
+        let distinct = |ids: &mut Vec<u32>| {
+            ids.sort_unstable();
+            ids.dedup();
+            ids.len()
+        };
+        // `(profile, U_deep, row budget)` of one training step.
+        let step = |states: &[NodeState]| {
+            let mut tape = model.new_tape();
+            tape.enable_profiling();
+            let pv = model.insert_params(&mut tape);
+            let refs: Vec<&NodeState> = states.iter().collect();
+            let fw = model.forward_batch(&mut tape, &pv, g, &refs);
+            let loss = tape.softmax_cross_entropy(fw.logits, &labels);
+            tape.backward(loss);
+            let u_deep = tape.value(fw.deep.unwrap().unique_packs).rows();
+            let mut wide_ids: Vec<u32> = states
+                .iter()
+                .flat_map(|s| {
+                    std::iter::once(s.wide.target).chain(s.wide.entries.iter().map(|e| e.node))
+                })
+                .collect();
+            let mut deep_ids: Vec<u32> = states
+                .iter()
+                .flat_map(|s| &s.deeps)
+                .flat_map(|w| {
+                    std::iter::once(w.set.target).chain(w.set.entries.iter().map(|e| e.node))
+                })
+                .collect();
+            let budget = u_deep
+                + distinct(&mut deep_ids)
+                + distinct(&mut wide_ids)
+                + 2 * cfg.d
+                + 12 * states.len();
+            (tape.take_profile().unwrap(), u_deep, budget)
+        };
+        let op = |report: &widen_tensor::ProfileReport, name: &str| {
+            report.ops.iter().find(|o| o.name == name).cloned()
+        };
+        let gemm_rows = |report: &widen_tensor::ProfileReport| {
+            let rows = |name| op(report, name).map_or(0, |o| o.lhs_rows as usize);
+            rows("matmul") + rows("matmul_nt")
+        };
+
+        let (report, u_deep, budget) = step(&states);
+        assert_one_u_row_gemm(gemm_rows(&report), u_deep, budget);
+        let gflop = report.total_flops() as f64 / 1e9;
+        assert!(gflop <= 0.20, "{gflop} GFLOP per dense step");
+
+        // Late in a pruning fit: every walk at k▷ with relay overrides, so
+        // `U` is mostly private relay rows. Still one U-row GEMM; the
+        // relays cost one R-row constant, one stack and the gather — no
+        // mask (`mul`), no re-fill (`add`).
+        let relays = prune_with_relays(&mut states, &cfg);
+        let (report, u_deep, budget) = step(&states);
+        assert!(u_deep > relays);
+        assert_one_u_row_gemm(gemm_rows(&report), u_deep, budget);
+        let gflop = report.total_flops() as f64 / 1e9;
+        assert!(gflop <= 0.20, "{gflop} GFLOP per pruned step");
+        assert!(op(&report, "add").is_none());
+        // One `v ⊙ e` per branch and nothing else.
+        assert_eq!(op(&report, "mul").unwrap().count, 2);
+        let vocab = edge_vocab_size(g.num_edge_types(), g.num_node_types());
+        let stack = op(&report, "vstack").unwrap();
+        assert_eq!(stack.count, 1);
+        assert_eq!(
+            stack.last_shape,
+            format!("{vocab}×{d}·{relays}×{d}→{}×{d}", vocab + relays, d = cfg.d)
+        );
+    }
+
+    /// The graph of the paper-width cases below.
+    fn paper_width_graph() -> HeteroGraph {
+        widen_data::acm_like(widen_data::Scale::Smoke, 21).graph
+    }
+
+    /// Paper width, 3 walks per node, 6 labelled nodes of the ACM-like
+    /// graph: small enough for the debug-build oracle, wide enough (21 keys
+    /// per softmax, d = 128) that the reassociated products round
+    /// differently from it.
+    fn paper_width_case(
+        g: &HeteroGraph,
+        backend: BackendKind,
+        variant: Variant,
+    ) -> (WidenConfig, Vec<NodeState>) {
+        let mut cfg = WidenConfig::paper()
+            .with_backend(backend)
+            .with_variant(variant);
+        cfg.phi = 3;
+        let model = WidenModel::for_graph(g, cfg.clone());
+        let states = g.labeled_nodes()[..6]
+            .iter()
+            .map(|&v| model.sample_state(g, v, 5))
+            .collect();
+        (cfg, states)
+    }
+
+    #[test]
+    fn per_node_query_skips_walkless_nodes() {
+        // Eq. 5's query has one row per node *that has walks*; a walk-less
+        // node between two others must not shift their rows, and its own
+        // deep contribution is exactly zero — its output is bitwise what it
+        // is alone, where the deep branch never runs.
+        let g = paper_width_graph();
+        for backend in BackendKind::all() {
+            let (cfg, mut states) = paper_width_case(&g, backend, Variant::full());
+            states[1].deeps.clear();
+            states[4].deeps.clear();
+            assert_engines_agree(&g, cfg.clone(), &states);
+
+            let model = WidenModel::for_graph(&g, cfg);
+            let embed = |states: &[&NodeState]| {
+                let mut tape = model.new_tape();
+                let pv = model.insert_params(&mut tape);
+                let fw = model.forward_batch(&mut tape, &pv, &g, states);
+                tape.value(fw.embeddings).clone()
+            };
+            let together = embed(&states.iter().collect::<Vec<_>>());
+            for i in [1, 4] {
+                let alone = embed(&[&states[i]]);
+                assert_eq!(together.row(i), alone.row(0), "{backend:?}: node {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn stacked_relay_gather_matches_oracle_at_paper_width() {
+        // Relay overrides on every walk: every override position reads its
+        // own constant row under the table, every other position a table
+        // row — bit for bit — and all 14 gradients agree with the oracle's
+        // per-walk vstack of 1-row leaves.
+        let g = paper_width_graph();
+        for backend in BackendKind::all() {
+            let (cfg, mut states) = paper_width_case(&g, backend, Variant::full());
+            let relays = prune_with_relays(&mut states, &cfg);
+            assert_engines_agree(&g, cfg.clone(), &states);
+
+            let model = WidenModel::for_graph(&g, cfg);
+            let mut tape = model.new_tape();
+            let pv = model.insert_params(&mut tape);
+            let refs: Vec<&NodeState> = states.iter().collect();
+            let deep = model.forward_batch(&mut tape, &pv, &g, &refs).deep.unwrap();
+            let edges = tape.value(deep.unique_edges);
+            let table = tape.value(pv.g_edge);
+            let walks = states.iter().flat_map(|s| &s.deeps);
+            let mut seen = 0;
+            for (walk, &(start, _)) in walks.zip(deep.walk_spans.iter()) {
+                for (s, entry) in walk.set.entries.iter().enumerate() {
+                    let got = edges.row(deep.flat_index[start + s + 1]);
+                    match &walk.edge_override[s] {
+                        Some(relay) => {
+                            assert_eq!(got, &relay[..]);
+                            seen += 1;
+                        }
+                        None => assert_eq!(got, table.row(entry.edge_type as usize)),
+                    }
+                }
+            }
+            assert_eq!(seen, relays);
+        }
+    }
+
+    #[test]
+    fn successive_attention_off_leaves_eq4_parameters_out() {
+        // With Eq. 4 off the keys are the raw packs: `W_V▷` must not join
+        // Eq. 5's query chain, and `W_Q▷` / `W_K▷` / `W_V▷` take no
+        // gradient at all (`extract_grads` supplies their zero tensors).
+        let g = paper_width_graph();
+        for backend in BackendKind::all() {
+            let (cfg, states) = paper_width_case(&g, backend, Variant::no_successive_attention());
+            assert_engines_agree(&g, cfg.clone(), &states);
+
+            let model = WidenModel::for_graph(&g, cfg);
+            let mut tape = model.new_tape();
+            let pv = model.insert_params(&mut tape);
+            let refs: Vec<&NodeState> = states.iter().collect();
+            let fw = model.forward_batch(&mut tape, &pv, &g, &refs);
+            let loss = tape.softmax_cross_entropy(fw.logits, &[0, 1, 0, 1, 0, 1]);
+            tape.backward(loss);
+            for var in [pv.deep_q1, pv.deep_k1, pv.deep_v1] {
+                assert!(tape.grad(var).is_none());
+            }
+            assert!(tape.grad(pv.deep_k2).unwrap().frobenius_norm() > 0.0);
+        }
     }
 
     #[test]

@@ -71,15 +71,16 @@ pub fn edge_vocab_size(num_edge_types: usize, num_node_types: usize) -> usize {
 /// those pairs repeat heavily inside a chunk, so `unique_packs` holds each
 /// distinct pair once and **no flat matrix is assembled**: a unit's rows are
 /// *positions* `start..start + len` of `flat_index`, which names the unique
-/// row at each position. Every projection matmul of the forward pass runs
-/// on `unique_packs` and the ragged attention ops read the projected rows in
-/// place through `flat_index` (Eq. 5 folds its key projection into the
-/// query rather than project the position-specific refined rows) — that is
+/// row at each position. The ragged attention ops of the forward pass read
+/// `unique_packs` in place through `flat_index`, as keys and as values; the
+/// only projection that runs on its `U` rows is Eq. 4's query (every `W_K`
+/// and `W_V` is applied on the one-row-per-node side instead) — that is
 /// where batching saves FLOPs and memory traffic over packing one neighbour
 /// set at a time.
 pub struct PackedBatch {
     /// Deduplicated pack matrix (`U × d`): one row per distinct
-    /// `(node, edge-row)` pair (relay-overridden rows are never shared).
+    /// `(node, edge-row)` pair (a relay override is an edge row of its own,
+    /// so relay-overridden rows are never shared).
     pub unique_packs: Var,
     /// Deduplicated edge-representation matrix (`U × d`, same row order as
     /// `unique_packs`): position `r`'s edge representation — unit-local
@@ -133,9 +134,10 @@ pub fn pack_wide_batch(
 
 /// Batched `PACK▷` (Eq. 2) over many walks (typically walk-major, grouped
 /// by target node). Relay-edge overrides are honoured without splitting
-/// the batch: overridden rows are masked out of the `G_edge` gather (so no
-/// gradient reaches the table there) and re-filled from a constant tensor
-/// holding the relay vectors.
+/// the batch: the `R` relay vectors are stacked under the `G_edge` table as
+/// constant rows `vocab..vocab + R`, and an overridden position gathers its
+/// own row there instead of a table row — so no gradient reaches the table
+/// from it.
 pub fn pack_deep_batch(
     tape: &mut Tape,
     graph: &HeteroGraph,
@@ -149,7 +151,8 @@ pub fn pack_deep_batch(
     let mut ids = Vec::with_capacity(total);
     let mut edge_rows = Vec::with_capacity(total);
     let mut spans = Vec::with_capacity(deeps.len());
-    let mut overrides: Vec<(usize, &[f32])> = Vec::new();
+    let vocab = tape.value(g_edge).rows();
+    let mut relays: Vec<&[f32]> = Vec::new();
     for deep in deeps {
         spans.push((ids.len(), deep.len() + 1));
         ids.push(deep.set.target);
@@ -159,10 +162,8 @@ pub fn pack_deep_batch(
         ));
         for (s, entry) in deep.set.entries.iter().enumerate() {
             if let Some(relay) = &deep.edge_override[s] {
-                overrides.push((ids.len(), relay));
-                // The gathered row is zero-masked below; index 0 is a
-                // placeholder keeping the gather rectangular.
-                edge_rows.push(0);
+                edge_rows.push(vocab + relays.len());
+                relays.push(relay);
             } else {
                 edge_rows.push(edge_index(entry.edge_type));
             }
@@ -171,7 +172,7 @@ pub fn pack_deep_batch(
     }
 
     let batch = assemble_batch(
-        tape, graph, &ids, &edge_rows, &overrides, g_node, g_edge, spans,
+        tape, graph, &ids, &edge_rows, &relays, g_node, g_edge, spans,
     );
     record_packaging(&sw);
     batch
@@ -180,51 +181,41 @@ pub fn pack_deep_batch(
 /// Shared batch assembly with two-level deduplication.
 ///
 /// The pack at position `r` is `v(ids[r]) ⊙ e(edge_rows[r])`, so it is fully
-/// determined by its `(node, edge-row)` pair — except at relay-override
-/// positions, whose edge vectors are walk-specific constants. The assembler
-/// therefore computes each distinct pair once (`unique_packs`), gives every
-/// override position a private unique row, and records which unique row
-/// each position reads (`flat_index`). Node features repeat even more than
-/// pairs do, so the `d₀`-wide `G_node` projection additionally runs on the
-/// distinct node set only. Every unique row is bitwise the value the
-/// undeduplicated assembly would produce at its positions: identical inputs
-/// flow through the identical kernels, just once per distinct row.
+/// determined by its `(node, edge-row)` pair, where edge row `vocab + j`
+/// names `relays[j]` — a walk-specific constant, one per relay-override
+/// position. The assembler therefore computes each distinct pair once
+/// (`unique_packs`; an override position's pair is its own, so its unique
+/// row is private) and records which unique row each position reads
+/// (`flat_index`). Node features repeat even more than pairs do, so the
+/// `d₀`-wide `G_node` projection additionally runs on the distinct node set
+/// only. Every unique row is bitwise the value the undeduplicated assembly
+/// would produce at its positions: identical inputs flow through the
+/// identical kernels, just once per distinct row.
 #[allow(clippy::too_many_arguments)]
 fn assemble_batch(
     tape: &mut Tape,
     graph: &HeteroGraph,
     ids: &[u32],
     edge_rows: &[usize],
-    overrides: &[(usize, &[f32])],
+    relays: &[&[f32]],
     g_node: Var,
     g_edge: Var,
     spans: Vec<(usize, usize)>,
 ) -> PackedBatch {
-    let override_at: FxHashMap<usize, &[f32]> =
-        overrides.iter().map(|&(row, relay)| (row, relay)).collect();
-
     let mut slot: FxHashMap<(u32, usize), usize> = FxHashMap::default();
     let mut u_ids: Vec<u32> = Vec::new();
     let mut u_edge_rows: Vec<usize> = Vec::new();
-    let mut u_overrides: Vec<(usize, &[f32])> = Vec::new();
-    let mut flat_index: Vec<usize> = Vec::with_capacity(ids.len());
-    for (r, (&id, &edge_row)) in ids.iter().zip(edge_rows).enumerate() {
-        let u = if let Some(&relay) = override_at.get(&r) {
-            let u = u_ids.len();
-            u_ids.push(id);
-            u_edge_rows.push(edge_row);
-            u_overrides.push((u, relay));
-            u
-        } else {
+    let flat_index: Vec<usize> = ids
+        .iter()
+        .zip(edge_rows)
+        .map(|(&id, &edge_row)| {
             *slot.entry((id, edge_row)).or_insert_with(|| {
                 u_ids.push(id);
                 u_edge_rows.push(edge_row);
                 u_ids.len() - 1
             })
-        };
-        flat_index.push(u);
-    }
-    let unique = u_ids.len();
+        })
+        .collect();
 
     let mut node_slot: FxHashMap<u32, usize> = FxHashMap::default();
     let mut unique_nodes: Vec<u32> = Vec::new();
@@ -242,26 +233,21 @@ fn assemble_batch(
     let projected = tape.matmul(x, g_node);
     let v = tape.select_rows(projected, &node_of);
 
-    let gathered = tape.select_rows(g_edge, &u_edge_rows);
-    let unique_edges = if u_overrides.is_empty() {
-        gathered
+    // Eq. 8 relays ride under the table as `R` constant rows: one gather
+    // serves table and relay positions alike, and a relay row's gradient
+    // ends at the constant.
+    let edge_table = if relays.is_empty() {
+        g_edge
     } else {
-        let d = tape.value(gathered).cols();
-        let mask = tape.leaf_with(unique, d, |mask| {
-            mask.as_mut_slice().fill(1.0);
-            for &(row, _) in &u_overrides {
-                mask.row_mut(row).fill(0.0);
+        let d = tape.value(g_edge).cols();
+        let relay_rows = tape.constant_with(relays.len(), d, |rows| {
+            for (j, relay) in relays.iter().enumerate() {
+                rows.set_row(j, relay);
             }
         });
-        let constants = tape.leaf_with(unique, d, |constants| {
-            constants.as_mut_slice().fill(0.0);
-            for &(row, relay) in &u_overrides {
-                constants.set_row(row, relay);
-            }
-        });
-        let kept = tape.mul(gathered, mask);
-        tape.add(kept, constants)
+        tape.vstack(&[g_edge, relay_rows])
     };
+    let unique_edges = tape.select_rows(edge_table, &u_edge_rows);
     let unique_packs = tape.mul(v, unique_edges);
     PackedBatch {
         unique_packs,
@@ -271,9 +257,10 @@ fn assemble_batch(
     }
 }
 
-/// Gathers raw feature rows for the listed nodes into a `(len, d₀)` leaf.
+/// Gathers raw feature rows for the listed nodes into a `(len, d₀)`
+/// constant.
 pub(crate) fn features_leaf(tape: &mut Tape, graph: &HeteroGraph, ids: &[u32]) -> Var {
-    tape.leaf_with(ids.len(), graph.feature_dim(), |out| {
+    tape.constant_with(ids.len(), graph.feature_dim(), |out| {
         for (i, &id) in ids.iter().enumerate() {
             out.set_row(i, graph.feature_row(id));
         }
@@ -487,9 +474,9 @@ mod tests {
         let loss = tape.sum(batch.unique_packs);
         tape.backward(loss);
         let de = tape.grad(g_edge).unwrap();
-        // Row 0 was the masked placeholder for the overridden position —
-        // no gradient may leak through it; the self-loop row (1) must
-        // still receive gradient.
+        // Row 0 is the table row the overridden position would have read —
+        // no gradient may reach it; the self-loop row (1) must still
+        // receive gradient.
         assert_eq!(de.row(0), &[0.0, 0.0]);
         assert!(de.row(1).iter().any(|&x| x != 0.0));
     }

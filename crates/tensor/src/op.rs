@@ -16,8 +16,8 @@ use crate::tensor::Tensor;
 /// eight baselines — nothing speculative.
 #[derive(Clone)]
 pub enum Op {
-    /// Input value (constant or parameter); gradients accumulate but nothing
-    /// propagates further.
+    /// Input value (constant or parameter); gradients accumulate — unless
+    /// the tape flags the leaf constant — but nothing propagates further.
     Leaf,
     /// `A · B`.
     MatMul(Var, Var),
@@ -250,11 +250,17 @@ fn grad_slot_pair<'a>(
 /// node's own forward value (several rules reuse it — softmax, tanh, L2).
 /// Gradient buffers and scratch tensors are drawn from `pool`; dense GEMM
 /// rules dispatch through the tape's selected kernel `backend`.
+///
+/// `constant[i]` flags node `i` as a constant leaf, which has no gradient:
+/// the GEMM, stack and gather rules skip such an operand outright; what any
+/// other rule accumulates for one, the tape discards.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn backward_step(
     op: &Op,
     out_value: &Tensor,
     grad_out: &Tensor,
     values: &[Tensor],
+    constant: &[bool],
     grads: &mut [Option<Tensor>],
     pool: &mut BufferPool,
     backend: BackendKind,
@@ -264,19 +270,27 @@ pub(crate) fn backward_step(
         Op::MatMul(a, b) => {
             let (ra, ca) = values[a.index()].shape();
             let (rb, cb) = values[b.index()].shape();
-            let ga = grad_slot(grads, pool, *a, ra, ca);
-            grad_out.matmul_nt_acc_with(&values[b.index()], ga, backend);
-            let gb = grad_slot(grads, pool, *b, rb, cb);
-            values[a.index()].matmul_tn_acc_with(grad_out, gb, backend);
+            if !constant[a.index()] {
+                let ga = grad_slot(grads, pool, *a, ra, ca);
+                grad_out.matmul_nt_acc_with(&values[b.index()], ga, backend);
+            }
+            if !constant[b.index()] {
+                let gb = grad_slot(grads, pool, *b, rb, cb);
+                values[a.index()].matmul_tn_acc_with(grad_out, gb, backend);
+            }
         }
         Op::MatMulNt(a, b) => {
             // C = A·Bᵀ ⇒ dA = G·B, dB = Gᵀ·A.
             let (ra, ca) = values[a.index()].shape();
             let (rb, cb) = values[b.index()].shape();
-            let ga = grad_slot(grads, pool, *a, ra, ca);
-            grad_out.matmul_acc_with(&values[b.index()], ga, backend);
-            let gb = grad_slot(grads, pool, *b, rb, cb);
-            grad_out.matmul_tn_acc_with(&values[a.index()], gb, backend);
+            if !constant[a.index()] {
+                let ga = grad_slot(grads, pool, *a, ra, ca);
+                grad_out.matmul_acc_with(&values[b.index()], ga, backend);
+            }
+            if !constant[b.index()] {
+                let gb = grad_slot(grads, pool, *b, rb, cb);
+                grad_out.matmul_tn_acc_with(&values[a.index()], gb, backend);
+            }
         }
         Op::Add(a, b) => {
             let (r, c) = grad_out.shape();
@@ -381,12 +395,14 @@ pub(crate) fn backward_step(
             let mut row = 0;
             for p in parts {
                 let (part_rows, cols) = values[p.index()].shape();
-                let gp = grad_slot(grads, pool, *p, part_rows, cols);
-                for r in 0..part_rows {
-                    let src = grad_out.row(row + r);
-                    let dst = gp.row_mut(r);
-                    for c in 0..cols {
-                        dst[c] += src[c];
+                if !constant[p.index()] {
+                    let gp = grad_slot(grads, pool, *p, part_rows, cols);
+                    for r in 0..part_rows {
+                        let src = grad_out.row(row + r);
+                        let dst = gp.row_mut(r);
+                        for c in 0..cols {
+                            dst[c] += src[c];
+                        }
                     }
                 }
                 row += part_rows;
@@ -397,22 +413,26 @@ pub(crate) fn backward_step(
             let mut col = 0;
             for p in parts {
                 let part_cols = values[p.index()].cols();
-                let gp = grad_slot(grads, pool, *p, rows, part_cols);
-                for r in 0..rows {
-                    let src = &grad_out.row(r)[col..col + part_cols];
-                    let dst = gp.row_mut(r);
-                    for c in 0..part_cols {
-                        dst[c] += src[c];
+                if !constant[p.index()] {
+                    let gp = grad_slot(grads, pool, *p, rows, part_cols);
+                    for r in 0..rows {
+                        let src = &grad_out.row(r)[col..col + part_cols];
+                        let dst = gp.row_mut(r);
+                        for c in 0..part_cols {
+                            dst[c] += src[c];
+                        }
                     }
                 }
                 col += part_cols;
             }
         }
         Op::SelectRows(a, indices) => {
-            let (rows, cols) = values[a.index()].shape();
-            let ga = grad_slot(grads, pool, *a, rows, cols);
-            for (i, &idx) in indices.iter().enumerate() {
-                axpy_wide(1.0, grad_out.row(i), ga.row_mut(idx));
+            if !constant[a.index()] {
+                let (rows, cols) = values[a.index()].shape();
+                let ga = grad_slot(grads, pool, *a, rows, cols);
+                for (i, &idx) in indices.iter().enumerate() {
+                    axpy_wide(1.0, grad_out.row(i), ga.row_mut(idx));
+                }
             }
         }
         Op::Sum(a) => {

@@ -81,6 +81,7 @@ struct OpAgg {
     fwd_nanos: u64,
     bwd_nanos: u64,
     flops: u64,
+    lhs_rows: u64,
     bwd_pool_hits: u64,
     bwd_allocs: u64,
     last_in: [(u32, u32); 2],
@@ -113,6 +114,9 @@ impl TapeProfiler {
         agg.n_in = 0;
         for (slot, var) in op.inputs().iter().take(2).enumerate() {
             let v = &values[var.index()];
+            if slot == 0 {
+                agg.lhs_rows += v.rows() as u64;
+            }
             agg.last_in[slot] = (v.rows() as u32, v.cols() as u32);
             agg.n_in = (slot + 1) as u8;
         }
@@ -152,6 +156,7 @@ impl TapeProfiler {
                 fwd_nanos: agg.fwd_nanos,
                 bwd_nanos: agg.bwd_nanos,
                 flops: agg.flops,
+                lhs_rows: agg.lhs_rows,
                 bwd_pool_hits: agg.bwd_pool_hits,
                 bwd_allocs: agg.bwd_allocs,
                 last_shape: shape,
@@ -216,6 +221,10 @@ pub struct OpProfile {
     pub bwd_nanos: u64,
     /// Estimated forward FLOPs (2 per multiply-add).
     pub flops: u64,
+    /// Rows of the first operand, summed over forward executions — for the
+    /// GEMM kinds, how many rows were projected (a row budget can be
+    /// asserted from it without a clock).
+    pub lhs_rows: u64,
     /// Backward gradient buffers served from the tape's pool free lists.
     pub bwd_pool_hits: u64,
     /// Backward gradient buffers that had to heap-allocate.
@@ -269,6 +278,7 @@ impl ProfileReport {
                 mine.fwd_nanos += o.fwd_nanos;
                 mine.bwd_nanos += o.bwd_nanos;
                 mine.flops += o.flops;
+                mine.lhs_rows += o.lhs_rows;
                 mine.bwd_pool_hits += o.bwd_pool_hits;
                 mine.bwd_allocs += o.bwd_allocs;
                 mine.last_shape.clone_from(&o.last_shape);
@@ -345,6 +355,7 @@ mod tests {
             fwd_nanos: fwd,
             bwd_nanos: bwd,
             flops: 100,
+            lhs_rows: 2,
             bwd_pool_hits: 3,
             bwd_allocs: 1,
             last_shape: "2×2→2×2".into(),
@@ -428,6 +439,7 @@ mod tests {
         assert_eq!(a.ops.len(), 2);
         let mm = a.ops.iter().find(|o| o.name == "matmul").unwrap();
         assert_eq!(mm.count, 2);
+        assert_eq!(mm.lhs_rows, 4);
         assert_eq!(mm.fwd_nanos, 15);
         assert_eq!(mm.bwd_nanos, 25);
     }

@@ -35,6 +35,13 @@ impl Var {
 /// Ops, values and gradients live in parallel arrays so the backward sweep
 /// can read values while writing gradients without cloning.
 ///
+/// A leaf is either an input gradients are wanted for ([`Tape::leaf`],
+/// [`Tape::leaf_copy`], [`Tape::leaf_with`]) or a **constant**
+/// ([`Tape::constant_with`] — raw features, relay vectors, a disabled
+/// branch's zeros). A constant has no gradient: the backward rules that
+/// would spend a GEMM or a scatter on one skip it, and [`Tape::grad`] of a
+/// constant is always `None`.
+///
 /// An optional per-op profiler ([`Tape::enable_profiling`]) times every
 /// forward and backward op; when off (the default) the only cost is one
 /// null check per recorded op — no clock reads, no allocation.
@@ -58,6 +65,8 @@ pub struct Tape {
     ops: Vec<Op>,
     values: Vec<Tensor>,
     grads: Vec<Option<Tensor>>,
+    /// Node → "is a constant leaf" ([`Tape::constant_with`]).
+    constant: Vec<bool>,
     profiler: Option<Box<TapeProfiler>>,
     pool: BufferPool,
     backend: BackendKind,
@@ -69,6 +78,7 @@ impl Default for Tape {
             ops: Vec::new(),
             values: Vec::new(),
             grads: Vec::new(),
+            constant: Vec::new(),
             profiler: None,
             pool: BufferPool::default(),
             backend: default_backend(),
@@ -116,6 +126,7 @@ impl Tape {
     /// and counters) and the profiler survive the reset.
     pub fn reset(&mut self) {
         self.ops.clear();
+        self.constant.clear();
         for t in self.values.drain(..) {
             self.pool.recycle(t);
         }
@@ -188,6 +199,7 @@ impl Tape {
         let id = Var(self.ops.len() as u32);
         self.ops.push(op);
         self.values.push(value);
+        self.constant.push(false);
         id
     }
 
@@ -247,13 +259,30 @@ impl Tape {
         self.push(Op::Leaf, value)
     }
 
+    /// Inserts a `rows × cols` **constant** built in place in a pooled
+    /// buffer (`fill` must write every element, as for
+    /// [`Tape::leaf_with`]): an input no gradient is wanted for. Backward
+    /// never computes one — a matmul with a constant operand runs one
+    /// gradient GEMM instead of two — and [`Tape::grad`] returns `None`.
+    pub fn constant_with(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        fill: impl FnOnce(&mut Tensor),
+    ) -> Var {
+        let var = self.leaf_with(rows, cols, fill);
+        self.constant[var.index()] = true;
+        var
+    }
+
     /// Forward value of a node.
     pub fn value(&self, v: Var) -> &Tensor {
         &self.values[v.index()]
     }
 
     /// Gradient of the most recent [`Tape::backward`] target w.r.t. `v`,
-    /// or `None` if the node did not participate / backward has not run.
+    /// or `None` if the node did not participate, is a constant
+    /// ([`Tape::constant_with`]) or backward has not run.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.grads.get(v.index()).and_then(|g| g.as_ref())
     }
@@ -569,6 +598,11 @@ impl Tape {
             let Some(grad_out) = self.grads[idx].take() else {
                 continue;
             };
+            if self.constant[idx] {
+                // Left by a rule that does not skip constant operands.
+                self.pool.recycle(grad_out);
+                continue;
+            }
             let t0 = self.prof_start();
             let pool_before = t0.map(|_| (self.pool.hits(), self.pool.misses()));
             backward_step(
@@ -576,6 +610,7 @@ impl Tape {
                 &self.values[idx],
                 &grad_out,
                 &self.values,
+                &self.constant,
                 &mut self.grads,
                 &mut self.pool,
                 self.backend,
@@ -620,6 +655,45 @@ mod tests {
         tape.backward(loss);
         assert!(tape.grad(unused).is_none());
         assert!(tape.grad(a).is_some());
+    }
+
+    #[test]
+    fn constants_get_no_gradient() {
+        // Through a rule that skips constant operands (matmul, either
+        // side; vstack; select_rows) and one that does not (mul): the
+        // constant's gradient is `None` either way, the other operand's is
+        // what it would be beside an ordinary leaf.
+        let mut tape = Tape::new();
+        tape.enable_profiling();
+        let x = tape.constant_with(2, 2, |t| {
+            t.as_mut_slice().copy_from_slice(&[1.0, 2.0, 3.0, 4.0])
+        });
+        let w = tape.leaf(Tensor::eye(2));
+        let xw = tape.matmul(x, w);
+        let wx = tape.matmul_nt(w, x);
+        let stacked = tape.vstack(&[xw, x]);
+        let picked = tape.select_rows(x, &[1, 1]);
+        let gated = tape.mul(wx, x);
+        let a = tape.sum(stacked);
+        let b = tape.sum(picked);
+        let c = tape.sum(gated);
+        let loss = tape.add_n(&[a, b, c]);
+        tape.backward(loss);
+        assert!(tape.grad(x).is_none());
+        // d(sum X·W)/dW = Xᵀ·1 = [4 4; 6 6]; d(sum (W·Xᵀ) ⊙ X)/dW = X·X.
+        assert_eq!(
+            tape.grad(w).unwrap().as_slice(),
+            &[4.0 + 7.0, 4.0 + 10.0, 6.0 + 15.0, 6.0 + 22.0]
+        );
+        // The skipped sides took no gradient buffer: the two GEMM rules
+        // seeded one slot between them (W's).
+        let report = tape.take_profile().unwrap();
+        let allocs = |name: &str| {
+            let op = report.ops.iter().find(|o| o.name == name).unwrap();
+            op.bwd_pool_hits + op.bwd_allocs
+        };
+        assert_eq!(allocs("matmul") + allocs("matmul_nt"), 1);
+        assert_eq!(allocs("select_rows"), 0);
     }
 
     #[test]
@@ -684,6 +758,7 @@ mod tests {
         assert_eq!(mm.count, 1);
         // (2×2)·(2×2): 2·2·2·2 = 16 FLOPs.
         assert_eq!(mm.flops, 16);
+        assert_eq!(mm.lhs_rows, 2);
         assert!(mm.bwd_nanos > 0, "backward matmul must be timed");
         assert_eq!(mm.last_shape, "2×2·2×2→2×2");
         // take_profile resets counters but keeps profiling on.
