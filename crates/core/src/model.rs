@@ -328,9 +328,12 @@ impl WidenModel {
     /// the short side: the only GEMM on the `U` unique rows is Eq. 4's
     /// query `packs · (W_Q▷ W_K▷ᵀ)`; every other `W_K` is folded into a
     /// one-row-per-node query, every `W_V` applied to a one-row-per-node
-    /// sum. The test-only per-node reference (`model/oracle.rs`) keeps the
-    /// paper's unfolded form; the two agree to f32 round-off (the
-    /// differential tests pin this).
+    /// sum, and Eq. 4's refined rows — only ever Eq. 5's keys — exist as
+    /// attention weights alone, which Eq. 5's scalar scores pass through
+    /// ([`Tape::segment_attention_through`]): no value on the tape is both
+    /// per-position and `d` wide. The test-only per-node reference
+    /// (`model/oracle.rs`) keeps the paper's unfolded form; the two agree
+    /// to f32 round-off (the differential tests pin this).
     ///
     /// The Eq. 4 causal mask needs no mask tensor here: each position's
     /// key span simply *starts at itself* and runs to the end of its walk,
@@ -416,13 +419,10 @@ impl WidenModel {
             // the suffix of its own walk (itself + later positions) with
             // `p_i (W_Q W_Kᵀ) p_jᵀ` — one d×d product of the parameters,
             // then the one projection of the unique rows; keys are the raw
-            // packs under the same index. The refined rows `H = A M W_V`
-            // are only ever Eq. 5's keys, so `W_V▷` moves into Eq. 5's
-            // query and what is kept is `A M`: position-specific, the one
-            // flat matrix of the forward pass, keys under the identity
-            // index. With successive attention off the keys are the raw
-            // packs themselves.
-            let (keys, key_rows) = if variant.successive_attention {
+            // packs under the same index. Its output is kept as weights
+            // only: the refined rows `H = A M W_V` are only ever Eq. 5's
+            // keys, so they are never formed (below).
+            let att = variant.successive_attention.then(|| {
                 let row_spans: Arc<[(usize, usize)]> = walk_spans
                     .iter()
                     .flat_map(|&(start, len)| (0..len).map(move |r| (start + r, len - r)))
@@ -430,28 +430,21 @@ impl WidenModel {
                 let qk = tape.matmul_nt(pv.deep_q1, pv.deep_k1);
                 let q1 = tape.matmul(packs, qk);
                 let (q_rows, k_rows) = (rows.clone(), rows.clone());
-                let att = tape.segment_attention(
-                    q1,
-                    q_rows,
-                    packs,
-                    k_rows,
-                    row_spans.clone(),
-                    inv_sqrt_d,
-                );
-                let refined = tape.segment_weighted_sum(att, packs, rows.clone(), row_spans);
-                (refined, (0..rows.len()).collect())
-            } else {
-                (packs, rows.clone())
-            };
+                tape.segment_attention(q1, q_rows, packs, k_rows, row_spans, inv_sqrt_d)
+            });
 
             // Eq. 5: gather into each walk's target. A node's walks share
             // its m_t▷ row, so the query is projected once per node that
             // has walks and every walk names its node's row. Scores are
             // `(m_t W_Q′)(H W_K′)ᵀ = (((m_t W_Q′) W_K′ᵀ) W_Vᵀ)(A M)ᵀ`: the
-            // key-side projections are applied to the query, never to the
-            // keys. Values are the raw packs M▷; `W_V▷′` is applied after
-            // the Φ-average (Eq. 7; both are linear), one row per node, and
-            // nodes without walks get zero rows.
+            // key-side projections are applied to the query, and `A` to
+            // the query's scalar scores against the raw packs (`⟨q, Σ a·p⟩
+            // = Σ a·⟨q, p⟩`) — one dot per position on the unique rows, no
+            // position-specific row. With successive attention off the keys
+            // are the raw packs themselves. Values are the raw packs M▷;
+            // `W_V▷′` is applied after the Φ-average (Eq. 7; both are
+            // linear), one row per node, and nodes without walks get zero
+            // rows.
             let with_walks = || node_walks.iter().filter(|&&(_, count)| count > 0);
             let m_rows: Vec<usize> = with_walks()
                 .map(|&(first, _)| rows[walk_spans[first].0])
@@ -462,12 +455,15 @@ impl WidenModel {
                 .collect();
             let m_t = tape.select_rows(packs, &m_rows);
             let q2 = tape.matmul(m_t, pv.deep_q2);
-            let mut q2 = tape.matmul_nt(q2, pv.deep_k2);
-            if variant.successive_attention {
-                q2 = tape.matmul_nt(q2, pv.deep_v1);
-            }
-            let attn =
-                tape.segment_attention(q2, q_rows, keys, key_rows, walk_spans.clone(), inv_sqrt_d);
+            let q2 = tape.matmul_nt(q2, pv.deep_k2);
+            let (k_rows, spans, scale) = (rows.clone(), walk_spans.clone(), inv_sqrt_d);
+            let attn = match att {
+                Some(att) => {
+                    let q2 = tape.matmul_nt(q2, pv.deep_v1);
+                    tape.segment_attention_through(q2, q_rows, packs, k_rows, spans, att, scale)
+                }
+                None => tape.segment_attention(q2, q_rows, packs, k_rows, spans, scale),
+            };
             let h_phi = tape.segment_weighted_sum(attn, packs, rows.clone(), walk_spans.clone());
             let phi_spans: Arc<[(usize, usize)]> = node_walks.clone().into();
             let pooled = tape.segment_mean_rows(h_phi, phi_spans);
@@ -1138,9 +1134,20 @@ mod tests {
     /// the successor (what Algorithm 2 + Eq. 8 leave behind late in a fit);
     /// every walk ends with at least one override. Returns their count `R`.
     fn prune_with_relays(states: &mut [NodeState], cfg: &WidenConfig) -> usize {
+        prune_ragged_with_relays(states, cfg, |_| 0)
+    }
+
+    /// [`prune_with_relays`] with the `w`-th walk left `extra(w)` packs
+    /// above `k▷`, so walk lengths differ within one chunk.
+    fn prune_ragged_with_relays(
+        states: &mut [NodeState],
+        cfg: &WidenConfig,
+        extra: impl Fn(usize) -> usize,
+    ) -> usize {
         let mut stamp = 0.0f32;
-        for walk in states.iter_mut().flat_map(|s| s.deeps.iter_mut()) {
-            while walk.len() > cfg.k_deep {
+        let walks = states.iter_mut().flat_map(|s| s.deeps.iter_mut());
+        for (w, walk) in walks.enumerate() {
+            while walk.len() > cfg.k_deep + extra(w) {
                 let s = walk.len() % 2;
                 stamp += 1.0;
                 let relay = (0..cfg.d)
@@ -1175,7 +1182,8 @@ mod tests {
         // smoke graph at `WidenConfig::paper()`, forward + backward under
         // the profiler. The only GEMM allowed on the `U` unique deep rows
         // is Eq. 4's query; a projection that drifts back onto them breaks
-        // the row budget (and the FLOP ceiling) — no clock involved.
+        // the row budget (and the FLOP ceiling), a `refined` that drifts
+        // back fails by name — no clock involved.
         let dataset = widen_data::acm_like(widen_data::Scale::Smoke, 7);
         let g = &dataset.graph;
         let cfg = WidenConfig::paper().with_backend(BackendKind::Optimized);
@@ -1194,7 +1202,8 @@ mod tests {
             ids.dedup();
             ids.len()
         };
-        // `(profile, U_deep, row budget)` of one training step.
+        // `(profile, U_deep, row budget, F, wide positions)` of one
+        // training step.
         let step = |states: &[NodeState]| {
             let mut tape = model.new_tape();
             tape.enable_profiling();
@@ -1203,7 +1212,10 @@ mod tests {
             let fw = model.forward_batch(&mut tape, &pv, g, &refs);
             let loss = tape.softmax_cross_entropy(fw.logits, &labels);
             tape.backward(loss);
-            let u_deep = tape.value(fw.deep.unwrap().unique_packs).rows();
+            let deep = fw.deep.unwrap();
+            let u_deep = tape.value(deep.unique_packs).rows();
+            let positions = deep.flat_index.len();
+            let wide_positions: usize = fw.wide.unwrap().lens.iter().sum();
             let mut wide_ids: Vec<u32> = states
                 .iter()
                 .flat_map(|s| {
@@ -1222,7 +1234,8 @@ mod tests {
                 + distinct(&mut wide_ids)
                 + 2 * cfg.d
                 + 12 * states.len();
-            (tape.take_profile().unwrap(), u_deep, budget)
+            let report = tape.take_profile().unwrap();
+            (report, u_deep, budget, positions, wide_positions)
         };
         let op = |report: &widen_tensor::ProfileReport, name: &str| {
             report.ops.iter().find(|o| o.name == name).cloned()
@@ -1232,21 +1245,41 @@ mod tests {
             rows("matmul") + rows("matmul_nt")
         };
 
-        let (report, u_deep, budget) = step(&states);
+        // No flat `d`-wide value either: Eq. 4's refined rows would be an
+        // `F × d` output (`F` positions) and `2·d` FLOPs per (position,
+        // later position) pair of `segment_weighted_sum`, which now only
+        // runs the two one-row-per-node/-walk sums.
+        let d = cfg.d;
+        let assert_no_flat_rows = |report: &widen_tensor::ProfileReport, f: usize, wide: usize| {
+            for o in &report.ops {
+                assert_ne!(o.largest_out, (f, d), "`{}` put an F × d value", o.name);
+            }
+            let sums = op(report, "segment_weighted_sum").unwrap();
+            assert_eq!((sums.count, sums.flops), (2, (2 * d * (wide + f)) as u64));
+            sums.flops
+        };
+
+        let (report, u_deep, budget, f, wide) = step(&states);
         assert_one_u_row_gemm(gemm_rows(&report), u_deep, budget);
         let gflop = report.total_flops() as f64 / 1e9;
-        assert!(gflop <= 0.20, "{gflop} GFLOP per dense step");
+        assert!(gflop <= 0.15, "{gflop} GFLOP per dense step");
+        let sums = assert_no_flat_rows(&report, f, wide);
+        // Dense walks hold n_d + 1 positions, so the refined rows alone
+        // cost `2·d` FLOPs for each of F·(n_d + 2)/2 pairs.
+        let refined = (d * f * (cfg.n_d + 2)) as f64;
+        assert!(sums as f64 <= 0.15 * (sums as f64 + refined));
 
         // Late in a pruning fit: every walk at k▷ with relay overrides, so
         // `U` is mostly private relay rows. Still one U-row GEMM; the
         // relays cost one R-row constant, one stack and the gather — no
         // mask (`mul`), no re-fill (`add`).
         let relays = prune_with_relays(&mut states, &cfg);
-        let (report, u_deep, budget) = step(&states);
+        let (report, u_deep, budget, f, wide) = step(&states);
         assert!(u_deep > relays);
         assert_one_u_row_gemm(gemm_rows(&report), u_deep, budget);
         let gflop = report.total_flops() as f64 / 1e9;
-        assert!(gflop <= 0.20, "{gflop} GFLOP per pruned step");
+        assert!(gflop <= 0.15, "{gflop} GFLOP per pruned step");
+        assert_no_flat_rows(&report, f, wide);
         assert!(op(&report, "add").is_none());
         // One `v ⊙ e` per branch and nothing else.
         assert_eq!(op(&report, "mul").unwrap().count, 2);
@@ -1309,6 +1342,41 @@ mod tests {
             for i in [1, 4] {
                 let alone = embed(&[&states[i]]);
                 assert_eq!(together.row(i), alone.row(0), "{backend:?}: node {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn scores_through_eq4_match_oracle_on_dense_ragged_and_walkless_chunks() {
+        // Eq. 5's scores reach their softmax through Eq. 4's attention as
+        // scalars; the oracle forms the refined rows and projects them. At
+        // d = 128 on both backends, all 14 gradients: the dense chunk, then
+        // walks pruned to k▷ … k▷ + 2 with relay overrides on every walk (a
+        // different `L` from walk to walk) around a walk-less node.
+        let g = paper_width_graph();
+        for backend in BackendKind::all() {
+            let (cfg, mut states) = paper_width_case(&g, backend, Variant::full());
+            assert_engines_agree(&g, cfg.clone(), &states);
+
+            prune_ragged_with_relays(&mut states, &cfg, |w| w % 3);
+            states[2].deeps.clear();
+            assert_engines_agree(&g, cfg.clone(), &states);
+
+            // What Algorithms 1–3 read: every walk's row is a distribution
+            // over its valid prefix, the padding exact `+0.0`.
+            let model = WidenModel::for_graph(&g, cfg);
+            let mut tape = model.new_tape();
+            let pv = model.insert_params(&mut tape);
+            let refs: Vec<&NodeState> = states.iter().collect();
+            let deep = model.forward_batch(&mut tape, &pv, &g, &refs).deep.unwrap();
+            let attention = tape.value(deep.attention);
+            let lens: Vec<usize> = deep.walk_spans.iter().map(|&(_, len)| len).collect();
+            assert!(lens.iter().min() < lens.iter().max());
+            assert_eq!(attention.cols(), *lens.iter().max().unwrap());
+            for (w, &len) in lens.iter().enumerate() {
+                let (valid, padding) = attention.row(w).split_at(len);
+                assert!((valid.iter().sum::<f32>() - 1.0).abs() <= 1e-5, "walk {w}");
+                assert!(padding.iter().all(|x| x.to_bits() == 0), "walk {w}");
             }
         }
     }

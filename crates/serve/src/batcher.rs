@@ -291,7 +291,8 @@ pub(crate) fn run_worker(
 
 /// Answers every job in `jobs`: expired ones with an error, embed jobs
 /// from the cache when possible, the rest through one fused model call
-/// per distinct [`JobKind`].
+/// per distinct [`JobKind`] — a cache miss counted once per distinct key,
+/// like the row it stands for.
 ///
 /// The whole batch runs under **one** registry read guard, so the digest
 /// and graph version used for cache keys, the weights the forward pass
@@ -319,6 +320,11 @@ fn process_batch(
     // kind → pending jobs grouping. Kinds in a window are few; a Vec scan
     // beats hashing.
     let mut groups: Vec<(JobKind, Vec<Job>)> = Vec::new();
+    // Embed keys this window already looked up and missed: singleflight
+    // starts before the cache, so a miss is a row the model computes,
+    // however many identical jobs wait on it. (Hits stay one lookup per
+    // job — the cheap path, counted as what it is.)
+    let mut missed: Vec<(u32, u64)> = Vec::new();
     for job in jobs {
         stats.queue_wait_us.observe(
             job.pulled_at
@@ -337,7 +343,7 @@ fn process_batch(
             );
             continue;
         }
-        if job.kind == JobKind::Embed {
+        if job.kind == JobKind::Embed && !missed.contains(&(job.node, job.seed)) {
             let key = EmbedKey {
                 node: job.node,
                 checkpoint_hash: ckpt,
@@ -357,6 +363,7 @@ fn process_batch(
                 );
                 continue;
             }
+            missed.push((job.node, job.seed));
         }
         match groups.iter_mut().find(|(k, _)| *k == job.kind) {
             Some((_, group)) => group.push(job),
@@ -642,8 +649,10 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        // 2 duplicate classifies + 1 duplicate embed were fanned out.
+        // 2 duplicate classifies + 1 duplicate embed were fanned out, and
+        // the embed pair fell through to the model once.
         assert_eq!(stats.dedup_hits.get(), 3);
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

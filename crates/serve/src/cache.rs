@@ -143,6 +143,29 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         self.map.insert(key, idx);
         self.push_front(idx);
     }
+
+    /// Drops every entry whose key `keep` rejects; the rest keep their
+    /// recency order. The slab is rebuilt, so what the dropped entries held
+    /// is returned at once.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+        let mut oldest_first = Vec::with_capacity(self.len());
+        let mut idx = self.tail;
+        while idx != NIL {
+            oldest_first.push(idx);
+            idx = self.slab[idx].prev;
+        }
+        let mut slab: Vec<_> = std::mem::take(&mut self.slab)
+            .into_iter()
+            .map(Some)
+            .collect();
+        *self = Self::new(self.cap);
+        for idx in oldest_first {
+            let entry = slab[idx].take().expect("a live entry is linked once");
+            if keep(&entry.key) {
+                self.insert(entry.key, entry.value);
+            }
+        }
+    }
 }
 
 /// Cache key: the complete identity of a served embedding.
@@ -221,17 +244,18 @@ impl EmbedCache {
         self.inner.lock().0.insert(key, value);
     }
 
-    /// Drops every cached embedding, keeping capacity and hit/miss
-    /// counters. Called on checkpoint hot-swap and graph mutation: the
+    /// Drops every cached embedding whose key `keep` rejects, keeping
+    /// capacity and hit/miss counters. Called on checkpoint hot-swap and
+    /// graph mutation with "is of the generation just created": the
     /// digest- and version-keyed entries from the old generation would
     /// already be unreachable, but flushing eagerly returns their memory
-    /// (an O(1) slab replacement, cheap enough to run per ingest) and
-    /// guarantees a stale row can never be served, even by a future key
-    /// collision.
-    pub fn clear(&self) {
-        let mut guard = self.inner.lock();
-        let cap = guard.0.capacity();
-        guard.0 = Lru::new(cap);
+    /// and guarantees a stale row can never be served, even by a future key
+    /// collision. The flush runs after the registry's write guard is
+    /// released, so a batch worker may already have inserted rows of the
+    /// new generation — which is why it selects by key instead of dropping
+    /// everything: those rows are current and must survive.
+    pub fn retain(&self, keep: impl FnMut(&EmbedKey) -> bool) {
+        self.inner.lock().0.retain(keep);
     }
 
     /// Snapshot of the hit/miss counters.
@@ -321,23 +345,57 @@ mod tests {
     }
 
     #[test]
-    fn clear_flushes_entries_but_keeps_capacity_and_counters() {
+    fn retain_preserves_recency_order_and_frees_the_rest() {
+        let mut lru = Lru::new(3);
+        for i in 0..4u32 {
+            lru.insert(i, i); // 0 is evicted; recency 1 < 2 < 3
+        }
+        lru.get(&1); // recency 2 < 3 < 1
+        lru.retain(|&k| k != 3);
+        assert_eq!(lru.len(), 2);
+        assert_eq!(lru.get(&3), None);
+        lru.insert(4, 4);
+        lru.insert(5, 5); // evicts 2, the oldest survivor
+        assert_eq!(lru.get(&2), None);
+        assert_eq!(lru.get(&1), Some(&1));
+    }
+
+    #[test]
+    fn flush_keeps_rows_of_the_new_generation_capacity_and_counters() {
+        // An ingest's flush runs after the write guard is gone: a row a
+        // batch worker inserted under the new graph version in that gap
+        // must survive it, every older row must not.
         let cache = EmbedCache::new(4);
-        let key = EmbedKey {
+        let old = EmbedKey {
             node: 1,
             checkpoint_hash: 1,
             graph_version: 0,
             seed: 1,
         };
-        cache.insert(key, vec![1.0]);
-        assert!(cache.get(&key).is_some());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert!(cache.get(&key).is_none());
-        cache.insert(key, vec![2.0]);
-        assert_eq!(cache.get(&key), Some(vec![2.0]));
+        let new = EmbedKey {
+            graph_version: 1,
+            ..old
+        };
+        cache.insert(old, vec![1.0]);
+        cache.insert(new, vec![2.0]);
+        assert!(cache.get(&old).is_some());
+        cache.retain(|key| key.graph_version >= 1);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get(&old).is_none());
+        assert_eq!(cache.get(&new), Some(vec![2.0]));
+        // Same for a hot swap's digest flush.
+        let swapped = EmbedKey {
+            checkpoint_hash: 2,
+            ..new
+        };
+        cache.insert(swapped, vec![3.0]);
+        cache.retain(|key| key.checkpoint_hash == 2);
+        assert!(cache.get(&new).is_none());
+        assert_eq!(cache.get(&swapped), Some(vec![3.0]));
+        cache.insert(old, vec![4.0]);
+        assert_eq!(cache.len(), 2);
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (2, 1));
+        assert_eq!((stats.hits, stats.misses), (3, 2));
     }
 
     #[test]

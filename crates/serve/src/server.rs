@@ -382,7 +382,11 @@ impl ServerHandle {
     /// is corrupt or mismatched.
     pub fn hot_swap(&self, checkpoint: &[u8]) -> Result<u64, widen_tensor::CheckpointError> {
         let digest = self.shared.registry.hot_swap(checkpoint)?;
-        self.shared.cache.clear();
+        // By key, not wholesale: a batch that started after the swap may
+        // already have cached rows under the new digest.
+        self.shared
+            .cache
+            .retain(|key| key.checkpoint_hash == digest);
         Ok(digest)
     }
 
@@ -476,8 +480,11 @@ fn execute_ingest(shared: &Shared, work: &IngestWork) -> Response {
             // pre-mutation graph — anywhere in the walk radius of the
             // touched peers, not just the peers themselves — are already
             // unreachable. Flush them eagerly so dead rows don't occupy
-            // LRU capacity until eviction.
-            shared.cache.clear();
+            // LRU capacity until eviction — them only: the write guard is
+            // gone, so a batch worker may already have cached rows under
+            // the new version, and those are current.
+            let version = outcome.graph_version;
+            shared.cache.retain(|key| key.graph_version >= version);
             // Warm the cache: a follow-up Embed for (node, seed) under
             // the same generation is answered without a forward pass. The
             // row is keyed by the graph version it was computed under, so

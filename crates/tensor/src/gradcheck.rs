@@ -512,6 +512,69 @@ mod tests {
     }
 
     #[test]
+    fn segment_attention_through_grads() {
+        // `mix` a free variable: repeated indices on both sides, spans that
+        // overlap (positions 4 and 5 mix under two spans at different
+        // offsets), a span of length 1 and a zero-length span.
+        let mut r = rng();
+        let inputs = vec![
+            randn(3, 4, &mut r),
+            randn(4, 4, &mut r),
+            randn(6, 4, &mut r),
+        ];
+        let q_rows = index_list(&[2, 0, 0, 1]);
+        let k_rows = index_list(&[3, 1, 1, 0, 2, 0]);
+        let spans = span_list(&[(0, 2), (2, 4), (4, 1), (1, 0)]);
+        for backend in BackendKind::all() {
+            assert_grads_close_with_backend(
+                &inputs,
+                |t, v| {
+                    let (q_rows, k_rows) = (q_rows.clone(), k_rows.clone());
+                    let spans = spans.clone();
+                    let s =
+                        t.segment_attention_through(v[0], q_rows, v[1], k_rows, spans, v[2], 0.5);
+                    let sq = t.mul(s, s);
+                    t.sum(sq)
+                },
+                2e-2,
+                backend,
+            );
+        }
+    }
+
+    #[test]
+    fn segment_attention_through_grads_over_a_causal_mix_of_its_own_rows() {
+        // The Eq. 4 → Eq. 5 layout on one variable: `mix` is the
+        // causal-suffix attention of the rows over themselves (overlapping
+        // suffix spans over two walks of 4 and 1 positions, rows shared
+        // between positions), and the same variable is the second
+        // attention's query *and* key. Three adjoints land in one slot.
+        let mut r = rng();
+        let inputs = vec![randn(3, 4, &mut r)];
+        let rows = index_list(&[0, 2, 1, 2, 1]);
+        let row_spans = span_list(&[(0, 4), (1, 3), (2, 2), (3, 1), (4, 1)]);
+        let walk_spans = span_list(&[(0, 4), (4, 1)]);
+        for backend in BackendKind::all() {
+            assert_grads_close_with_backend(
+                &inputs,
+                |t, v| {
+                    let x = v[0];
+                    let idx = rows.clone();
+                    let mix =
+                        t.segment_attention(x, idx.clone(), x, idx.clone(), row_spans.clone(), 0.5);
+                    let q_rows = index_list(&[idx[0], idx[4]]);
+                    let spans = walk_spans.clone();
+                    let s = t.segment_attention_through(x, q_rows, x, idx, spans, mix, 0.5);
+                    let sq = t.mul(s, s);
+                    t.sum(sq)
+                },
+                2e-2,
+                backend,
+            );
+        }
+    }
+
+    #[test]
     fn segment_weighted_sum_grads() {
         // Repeated value indices, overlapping spans and a zero-length span.
         let mut r = rng();
@@ -594,11 +657,10 @@ mod tests {
     #[test]
     fn successive_then_gather_attention_grads() {
         // The deep branch's shape (Eq. 4 → Eq. 5): causal-suffix attention
-        // with queries and keys on one index list, its weighted sum (the
-        // position-specific `refined` rows), then a second attention whose
-        // keys are those rows under the identity index. The first
-        // attention's output is the weighted sum's `w`; the weighted sum's
-        // output is the second attention's `k`.
+        // with queries and keys on one index list, then a second attention
+        // *through* it — over the refined rows `Σ a·v` that are never
+        // formed, `W_V▷` folded into the query — whose output weighs the
+        // raw rows.
         let mut r = rng();
         let d = 3;
         let inputs = vec![
@@ -629,16 +691,16 @@ mod tests {
                         row_spans.clone(),
                         scale,
                     );
-                    let v1 = t.matmul(v[0], v[3]);
-                    let refined = t.segment_weighted_sum(att, v1, idx.clone(), row_spans.clone());
                     let m_t = t.select_rows(v[0], &[idx[0], idx[4]]);
                     let q2 = t.matmul(m_t, v[4]);
-                    let attn = t.segment_attention(
+                    let q2 = t.matmul_nt(q2, v[3]);
+                    let attn = t.segment_attention_through(
                         q2,
                         index_list(&[0, 1]),
-                        refined,
-                        index_list(&[0, 1, 2, 3, 4, 5]),
+                        v[0],
+                        idx.clone(),
                         walk_spans.clone(),
+                        att,
                         scale,
                     );
                     let v2 = t.matmul(v[0], v[5]);

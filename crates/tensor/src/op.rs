@@ -68,18 +68,21 @@ pub enum Op {
     /// to the scalar (GTN's soft edge-type selection, HAN's semantic
     /// attention weights).
     MulScalarVar(Var, Var),
-    /// Fused ragged attention `(Q, q_rows, K, k_rows, spans, scale)`
+    /// Fused ragged attention `(Q, q_rows, K, k_rows, spans, mix, scale)`
     /// (batched Eq. 3/4/5): row `i` of the padded output holds
     /// `softmax_j(scale · ⟨q[q_rows[i]], k[k_rows[start_i + j]]⟩)` over
     /// `j < len_i`, `spans[i] = (start_i, len_i)` being a range of positions
     /// into `k_rows`. Padding columns are exactly zero and carry no
-    /// gradient.
+    /// gradient. With a `mix` the raw scores go through it before the
+    /// scaling ([`Tensor::segment_attention_through`], Eq. 5 over Eq. 4's
+    /// refined rows) — an op kind of its own, `segment_attention_through`.
     SegmentAttention(
         Var,
         Arc<[usize]>,
         Var,
         Arc<[usize]>,
         Arc<[(usize, usize)]>,
+        Option<Var>,
         f32,
     ),
     /// `(W, V, v_rows, spans)`: per-row weighted sum
@@ -92,7 +95,7 @@ pub enum Op {
 }
 
 /// Number of [`Op`] kinds — the size of per-kind aggregation tables.
-pub const OP_KIND_COUNT: usize = 27;
+pub const OP_KIND_COUNT: usize = 28;
 
 impl Op {
     /// Stable display name of this op kind (profiler tables, traces).
@@ -122,7 +125,8 @@ impl Op {
             Op::Spmm(..) => "spmm",
             Op::Transpose(..) => "transpose",
             Op::MulScalarVar(..) => "mul_scalar_var",
-            Op::SegmentAttention(..) => "segment_attention",
+            Op::SegmentAttention(.., None, _) => "segment_attention",
+            Op::SegmentAttention(.., Some(_), _) => "segment_attention_through",
             Op::SegmentWeightedSum(..) => "segment_weighted_sum",
             Op::SegmentMeanRows(..) => "segment_mean_rows",
         }
@@ -156,7 +160,8 @@ impl Op {
             Op::Spmm(..) => 21,
             Op::Transpose(..) => 22,
             Op::MulScalarVar(..) => 23,
-            Op::SegmentAttention(..) => 24,
+            Op::SegmentAttention(.., None, _) => 24,
+            Op::SegmentAttention(.., Some(_), _) => 27,
             Op::SegmentWeightedSum(..) => 25,
             Op::SegmentMeanRows(..) => 26,
         }
@@ -188,7 +193,10 @@ impl Op {
             | Op::Transpose(a)
             | Op::SegmentMeanRows(a, _) => vec![*a],
             Op::MulScalarVar(a, s) => vec![*a, *s],
-            Op::SegmentAttention(a, _, b, ..) | Op::SegmentWeightedSum(a, b, ..) => vec![*a, *b],
+            Op::SegmentAttention(q, _, k, _, _, mix, _) => {
+                [*q, *k].into_iter().chain(*mix).collect()
+            }
+            Op::SegmentWeightedSum(a, b, ..) => vec![*a, *b],
             Op::VStack(parts) | Op::HStack(parts) => parts.clone(),
         }
     }
@@ -542,27 +550,64 @@ pub(crate) fn backward_step(
                 }
             }
         }
-        Op::SegmentAttention(q, q_rows, k, k_rows, spans, scale) => {
-            // a = softmax(scale·s), s_j = ⟨q_i, k_j⟩ ⇒ ds_j = a_j (g_j − ⟨a, g⟩);
-            // with t = scale·ds_j: dq_i += t·k_j, dk_j += t·q_i. One sweep
-            // from the stored output alone, straight into the unique-row
-            // gradients; padding (a = 0) contributes nothing.
+        Op::SegmentAttention(q, q_rows, k, k_rows, spans, mix, scale) => {
+            // a = softmax(t), t_j = scale · Σ_{j′ ≥ j} A[j][j′−j] · s_j′ (A = I
+            // without a mixing), s_j = ⟨q_i, k_j⟩ ⇒ dt_j = scale · a_j (g_j −
+            // ⟨a, g⟩), dA[j][j′−j] = dt_j · s_j′, ds_j′ = Σ_{j ≤ j′} A[j][j′−j] ·
+            // dt_j, then dq_i += ds_j · k_j, dk_j += ds_j · q_i. One sweep from
+            // the stored output alone (a mixing's raw scores are recomputed,
+            // one dot per position), straight into the unique-row gradients;
+            // padding (a = 0) contributes nothing.
             let (vq, vk) = (&values[q.index()], &values[k.index()]);
+            // The mixing's slot leaves the table while q's and k's are held.
+            let mut mix = mix.map(|m| {
+                let vm = &values[m.index()];
+                grad_slot(grads, pool, m, vm.rows(), vm.cols());
+                let gm = grads[m.index()].take().expect("grad slot just seeded");
+                (m, vm, gm)
+            });
+            // A span's raw scores `s`, then their gradient `ds`.
+            let width = out_value.cols();
+            let mut scratch = pool.take(2, width);
             let (gq, mut gk) = grad_slot_pair(grads, pool, (*q, vq.shape()), (*k, vk.shape()));
             for (i, &(start, len)) in spans.iter().enumerate() {
                 let a = &out_value.row(i)[..len];
                 let g = &grad_out.row(i)[..len];
                 let inner: f32 = a.iter().zip(g).map(|(&ai, &gi)| ai * gi).sum();
+                let dt = |j: usize| scale * (a[j] * (g[j] - inner));
                 let qi = q_rows[i];
                 let q_row = vq.row(qi);
-                for ((&aj, &gj), &kj) in a.iter().zip(g).zip(&k_rows[start..start + len]) {
-                    let t = scale * (aj * (gj - inner));
+                let keys = &k_rows[start..start + len];
+                let (s, ds) = scratch.as_mut_slice().split_at_mut(width);
+                let (s, ds) = (&mut s[..len], &mut ds[..len]);
+                if let Some((_, vm, gm)) = &mut mix {
+                    for (o, &kj) in s.iter_mut().zip(keys) {
+                        *o = dot_wide(q_row, vk.row(kj));
+                    }
+                    ds.fill(0.0);
+                    for j in 0..len {
+                        let t = dt(j);
+                        if t != 0.0 {
+                            axpy_wide(t, &s[j..], &mut gm.row_mut(start + j)[..len - j]);
+                            axpy_wide(t, &vm.row(start + j)[..len - j], &mut ds[j..]);
+                        }
+                    }
+                } else {
+                    for (j, o) in ds.iter_mut().enumerate() {
+                        *o = dt(j);
+                    }
+                }
+                for (&t, &kj) in ds.iter().zip(keys) {
                     if t == 0.0 {
                         continue;
                     }
                     axpy_wide(t, vk.row(kj), gq.row_mut(qi));
                     axpy_wide(t, q_row, gk.as_deref_mut().unwrap_or(&mut *gq).row_mut(kj));
                 }
+            }
+            pool.recycle(scratch);
+            if let Some((m, _, gm)) = mix {
+                grads[m.index()] = Some(gm);
             }
         }
         Op::SegmentWeightedSum(w, v, v_rows, spans) => {

@@ -57,10 +57,12 @@ pub(crate) fn estimate_flops(op: &Op, values: &[Tensor], out: &Tensor) -> u64 {
         Op::SoftmaxCrossEntropy(a, _) => 5 * n(&values[a.index()]),
         Op::Spmm(csr, b) => 2 * (csr.nnz() as u64) * (values[b.index()].cols() as u64),
         // Per (query, key) pair: a `d`-wide dot product, the scaling and
-        // the softmax's exp + max + sum + div sweeps.
-        Op::SegmentAttention(_, _, k, _, spans, _) => {
+        // the softmax's exp + max + sum + div sweeps; a mixing adds one
+        // multiply-add per (position, later position) pair of a span.
+        Op::SegmentAttention(_, _, k, _, spans, mix, _) => {
             let d = values[k.index()].cols() as u64;
-            (2 * d + 6) * spans.iter().map(|&(_, l)| l as u64).sum::<u64>()
+            let pairs = |l: u64| (2 * d + 6) * l + mix.map_or(0, |_| l * (l + 1));
+            spans.iter().map(|&(_, l)| pairs(l as u64)).sum()
         }
         Op::SegmentWeightedSum(_, v, _, spans) => {
             let d = values[v.index()].cols() as u64;
@@ -87,6 +89,7 @@ struct OpAgg {
     last_in: [(u32, u32); 2],
     n_in: u8,
     last_out: (u32, u32),
+    largest_out: (u32, u32),
 }
 
 /// The tape-attached collector. One instance per [`crate::Tape`]; obtained
@@ -111,6 +114,9 @@ impl TapeProfiler {
         agg.fwd_nanos += nanos;
         agg.flops += estimate_flops(op, values, out);
         agg.last_out = (out.rows() as u32, out.cols() as u32);
+        if out.len() > agg.largest_out.0 as usize * agg.largest_out.1 as usize {
+            agg.largest_out = agg.last_out;
+        }
         agg.n_in = 0;
         for (slot, var) in op.inputs().iter().take(2).enumerate() {
             let v = &values[var.index()];
@@ -159,6 +165,7 @@ impl TapeProfiler {
                 lhs_rows: agg.lhs_rows,
                 bwd_pool_hits: agg.bwd_pool_hits,
                 bwd_allocs: agg.bwd_allocs,
+                largest_out: (agg.largest_out.0 as usize, agg.largest_out.1 as usize),
                 last_shape: shape,
             });
         }
@@ -200,6 +207,7 @@ fn kind_name(kind: usize) -> &'static str {
         "segment_attention",
         "segment_weighted_sum",
         "segment_mean_rows",
+        "segment_attention_through",
     ];
     NAMES[kind]
 }
@@ -229,6 +237,9 @@ pub struct OpProfile {
     pub bwd_pool_hits: u64,
     /// Backward gradient buffers that had to heap-allocate.
     pub bwd_allocs: u64,
+    /// `(rows, cols)` of the largest forward output — what a test asserts a
+    /// value's *absence* from (no `F × d` matrix), without a clock.
+    pub largest_out: (usize, usize),
     /// Shape of the most recent occurrence, e.g. `64×128·128×64→64×64`.
     pub last_shape: String,
 }
@@ -281,6 +292,9 @@ impl ProfileReport {
                 mine.lhs_rows += o.lhs_rows;
                 mine.bwd_pool_hits += o.bwd_pool_hits;
                 mine.bwd_allocs += o.bwd_allocs;
+                if o.largest_out.0 * o.largest_out.1 > mine.largest_out.0 * mine.largest_out.1 {
+                    mine.largest_out = o.largest_out;
+                }
                 mine.last_shape.clone_from(&o.last_shape);
             } else {
                 self.ops.push(o.clone());
@@ -358,6 +372,7 @@ mod tests {
             lhs_rows: 2,
             bwd_pool_hits: 3,
             bwd_allocs: 1,
+            largest_out: (2, 2),
             last_shape: "2×2→2×2".into(),
         }
     }
@@ -395,12 +410,13 @@ mod tests {
             Op::Spmm(Arc::new(CsrMatrix::from_coo(1, 1, &[])), v),
             Op::Transpose(v),
             Op::MulScalarVar(v, v),
-            Op::SegmentAttention(v, rows.clone(), v, rows.clone(), spans.clone(), 1.0),
-            Op::SegmentWeightedSum(v, v, rows, spans.clone()),
-            Op::SegmentMeanRows(v, spans),
+            Op::SegmentAttention(v, rows.clone(), v, rows.clone(), spans.clone(), None, 1.0),
+            Op::SegmentWeightedSum(v, v, rows.clone(), spans.clone()),
+            Op::SegmentMeanRows(v, spans.clone()),
+            Op::SegmentAttention(v, rows.clone(), v, rows, spans, Some(v), 1.0),
         ];
-        // One instance per variant, in `kind_index` order: a variant added
-        // to `Op` without a row here leaves the table short.
+        // One instance per kind, in `kind_index` order: a kind added to
+        // `Op` without a row here leaves the table short.
         assert_eq!(ops.len(), OP_KIND_COUNT);
         for (kind, op) in ops.iter().enumerate() {
             assert_eq!(op.kind_index(), kind, "{}", op.name());
@@ -428,11 +444,12 @@ mod tests {
             fwd_nanos_total: 10,
             bwd_nanos_total: 20,
         };
-        let b = ProfileReport {
+        let mut b = ProfileReport {
             ops: vec![sample("matmul", 5, 5), sample("relu", 1, 1)],
             fwd_nanos_total: 6,
             bwd_nanos_total: 6,
         };
+        b.ops[0].largest_out = (3, 1);
         a.merge(&b);
         assert_eq!(a.fwd_nanos_total, 16);
         assert_eq!(a.bwd_nanos_total, 26);
@@ -440,6 +457,8 @@ mod tests {
         let mm = a.ops.iter().find(|o| o.name == "matmul").unwrap();
         assert_eq!(mm.count, 2);
         assert_eq!(mm.lhs_rows, 4);
+        // 2×2 holds more than 3×1: the larger output survives a merge.
+        assert_eq!(mm.largest_out, (2, 2));
         assert_eq!(mm.fwd_nanos, 15);
         assert_eq!(mm.bwd_nanos, 25);
     }

@@ -440,11 +440,49 @@ impl Tape {
         spans: Arc<[(usize, usize)]>,
         scale: f32,
     ) -> Var {
+        self.push_segment_attention(q, q_rows, k, k_rows, spans, None, scale)
+    }
+
+    /// [`Tape::segment_attention`] over keys that are themselves ragged
+    /// mixtures `Σ_j′ mix[start + j][j′ − j] · k_j′` of the `k` rows,
+    /// without forming them ([`Tensor::segment_attention_through`]): `mix`
+    /// — one row per position of `k_rows`, a causal-suffix
+    /// [`Tape::segment_attention`] over them — weighs each span's raw scores
+    /// instead (Eq. 5 over Eq. 4's refined rows). Gradients reach `q`, `k`
+    /// and `mix`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn segment_attention_through(
+        &mut self,
+        q: Var,
+        q_rows: Arc<[usize]>,
+        k: Var,
+        k_rows: Arc<[usize]>,
+        spans: Arc<[(usize, usize)]>,
+        mix: Var,
+        scale: f32,
+    ) -> Var {
+        assert!(mix != q && mix != k, "the mixing is a variable of its own");
+        self.push_segment_attention(q, q_rows, k, k_rows, spans, Some(mix), scale)
+    }
+
+    /// Records [`Op::SegmentAttention`], with or without a mixing.
+    #[allow(clippy::too_many_arguments)]
+    fn push_segment_attention(
+        &mut self,
+        q: Var,
+        q_rows: Arc<[usize]>,
+        k: Var,
+        k_rows: Arc<[usize]>,
+        spans: Arc<[(usize, usize)]>,
+        mix: Option<Var>,
+        scale: f32,
+    ) -> Var {
         let t0 = self.prof_start();
         let (vq, vk) = (&self.values[q.index()], &self.values[k.index()]);
+        let vm = mix.map(|m| &self.values[m.index()]);
         let mut value = self.pool.take(spans.len(), padded_width(&spans));
-        vq.segment_attention_into(&q_rows, vk, &k_rows, &spans, scale, &mut value);
-        let op = Op::SegmentAttention(q, q_rows, k, k_rows, spans, scale);
+        vq.segment_attention_into(&q_rows, vk, &k_rows, &spans, vm, scale, &mut value);
+        let op = Op::SegmentAttention(q, q_rows, k, k_rows, spans, mix, scale);
         self.push_prof(op, value, t0)
     }
 
@@ -761,6 +799,7 @@ mod tests {
         assert_eq!(mm.lhs_rows, 2);
         assert!(mm.bwd_nanos > 0, "backward matmul must be timed");
         assert_eq!(mm.last_shape, "2×2·2×2→2×2");
+        assert_eq!(mm.largest_out, (2, 2));
         // take_profile resets counters but keeps profiling on.
         assert!(tape.profiling_enabled());
         let empty = tape.take_profile().unwrap();

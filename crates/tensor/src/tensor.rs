@@ -569,18 +569,50 @@ impl Tensor {
         scale: f32,
     ) -> Tensor {
         let mut out = Tensor::zeros(spans.len(), padded_width(spans));
-        self.segment_attention_into(q_rows, keys, k_rows, spans, scale, &mut out);
+        self.segment_attention_into(q_rows, keys, k_rows, spans, None, scale, &mut out);
         out
     }
 
-    /// [`Tensor::segment_attention`] into `out`
+    /// [`Tensor::segment_attention`] whose raw scores go *through* a ragged
+    /// causal mixing before the softmax. `mix` has one row per position of
+    /// `k_rows`: the row of a span's `j`-th position holds, in its first
+    /// `len − j` columns, the weights that position puts on itself and the
+    /// later positions of the span (batched Eq. 4, computed over the suffix
+    /// spans `(start + j, len − j)`). With `s_j = ⟨q, k_j⟩`, output row `i`
+    /// is `softmax_j(scale · Σ_{j′ ≥ j} mix[start + j][j′ − j] · s_j′)` —
+    /// the attention over the mixed *rows* `Σ_j′ mix[·][j′ − j] · k_j′`
+    /// (`⟨q, Σ a·k⟩ = Σ a·⟨q, k⟩`), which are never formed. Each mixed score
+    /// is one lane-split `dot` of a `mix` row prefix with the span's raw
+    /// scores; everything else is as in [`Tensor::segment_attention`].
+    ///
+    /// # Panics
+    /// As [`Tensor::segment_attention`]; also if `mix` has fewer rows than
+    /// `k_rows` has positions or is narrower than the longest span.
+    pub fn segment_attention_through(
+        &self,
+        q_rows: &[usize],
+        keys: &Tensor,
+        k_rows: &[usize],
+        spans: &[(usize, usize)],
+        mix: &Tensor,
+        scale: f32,
+    ) -> Tensor {
+        let mut out = Tensor::zeros(spans.len(), padded_width(spans));
+        self.segment_attention_into(q_rows, keys, k_rows, spans, Some(mix), scale, &mut out);
+        out
+    }
+
+    /// [`Tensor::segment_attention`] (`mix` absent) or
+    /// [`Tensor::segment_attention_through`] into `out`
     /// (`spans.len() × padded_width(spans)`); every element is written.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn segment_attention_into(
         &self,
         q_rows: &[usize],
         keys: &Tensor,
         k_rows: &[usize],
         spans: &[(usize, usize)],
+        mix: Option<&Tensor>,
         scale: f32,
         out: &mut Tensor,
     ) {
@@ -593,11 +625,25 @@ impl Tensor {
         );
         assert_indexed_spans(q_rows, self.rows, &[]);
         assert_indexed_spans(k_rows, keys.rows, spans);
+        if let Some(mix) = mix {
+            assert!(mix.rows >= k_rows.len(), "one mixing row per position");
+        }
         for (i, &(start, len)) in spans.iter().enumerate() {
             let q_row = self.row(q_rows[i]);
             let (valid, padding) = out.row_mut(i).split_at_mut(len);
             for (o, &k) in valid.iter_mut().zip(&k_rows[start..start + len]) {
-                *o = dot_wide(q_row, keys.row(k)) * scale;
+                *o = dot_wide(q_row, keys.row(k));
+            }
+            if let Some(mix) = mix {
+                assert!(len <= mix.cols, "span length exceeds mixing width");
+                // In place, front to back: position `j` reads the raw
+                // scores from `j` on, which no earlier result overwrote.
+                for j in 0..len {
+                    valid[j] = dot_wide(&mix.row(start + j)[..len - j], &valid[j..]);
+                }
+            }
+            for o in valid.iter_mut() {
+                *o *= scale;
             }
             softmax_inplace(valid);
             padding.fill(0.0);
@@ -1036,6 +1082,29 @@ mod tests {
         for &x in s.row(0)[2..].iter().chain(s.row(2)) {
             assert!(x == 0.0 && x.is_sign_positive());
         }
+    }
+
+    #[test]
+    fn segment_attention_through_matches_attention_over_the_mixed_rows() {
+        // Two walks of 4 and 2 positions over 3 shared rows plus an empty
+        // span: scoring through the causal mixing equals forming the mixed
+        // rows `Σ_j′ a_jj′ k_j′` and attending over them.
+        let mut rng = StdRng::seed_from_u64(9);
+        let keys = Tensor::randn(3, 5, 1.0, &mut rng);
+        let q = Tensor::randn(2, 5, 1.0, &mut rng);
+        let rows = [0usize, 2, 1, 2, 1, 0];
+        let suffixes = [(0, 4), (1, 3), (2, 2), (3, 1), (4, 2), (5, 1)];
+        let walks = [(0, 4), (4, 2), (6, 0)];
+        let mix = keys.segment_attention(&rows, &keys, &rows, &suffixes, 0.4);
+        let mixed = mix.segment_weighted_sum(&keys, &rows, &suffixes);
+        let identity: Vec<usize> = (0..rows.len()).collect();
+        let want = q.segment_attention(&[0, 1, 1], &mixed, &identity, &walks, 0.7);
+        let got = q.segment_attention_through(&[0, 1, 1], &keys, &rows, &walks, &mix, 0.7);
+        assert_eq!(got.shape(), (3, 4));
+        assert!(got.max_abs_diff(&want) < 1e-6);
+        // Padding and the empty span hold exact zeros.
+        assert!(got.row(1)[2..].iter().all(|&x| x.to_bits() == 0));
+        assert!(got.row(2).iter().all(|&x| x.to_bits() == 0));
     }
 
     #[test]

@@ -203,6 +203,7 @@ proptest! {
         q in prop::collection::vec(hostile_float_with_nan(), 128),
         rows in prop::collection::vec(hostile_float_with_nan(), 3 * 128),
         w in prop::collection::vec(hostile_float_with_nan(), 3),
+        mix in tensor_of(3, 3, hostile_float_with_nan()),
     ) {
         for len in WIDE_LENS {
             let q = rows_of(&q, 128, 1, len);
@@ -218,6 +219,17 @@ proptest! {
             let want = Tensor::row_vector(&scaled).softmax_rows();
             if let Err(why) = same_bits(attn.row(0), want.row(0)) {
                 prop_assert!(false, "attention, len {len}: {why}");
+            }
+            // Through a mixing, position `j`'s score is the `Reference.dot`
+            // of its weights with the raw scores from `j` on, then scaled.
+            let through = q.segment_attention_through(&[0], &rows, &k_rows, &[(0, 3)], &mix, 0.5);
+            let raw: Vec<f32> =
+                k_rows.iter().map(|&j| Reference.dot(q.row(0), rows.row(j))).collect();
+            let mixed: Vec<f32> =
+                (0..3).map(|j| Reference.dot(&mix.row(j)[..3 - j], &raw[j..]) * 0.5).collect();
+            let want = Tensor::row_vector(&mixed).softmax_rows();
+            if let Err(why) = same_bits(through.row(0), want.row(0)) {
+                prop_assert!(false, "attention through a mixing, len {len}: {why}");
             }
             // The weighted sum is one mul and one add per element, zero
             // weights skipped.
@@ -268,6 +280,71 @@ proptest! {
                 let scaled: Vec<f32> = g.row(0).iter().map(|&x| 0.0 + alpha * x).collect();
                 if let Err(why) = same_bits(drows.row(j), &scaled) {
                     prop_assert!(false, "dv row {j}, len {len}: {why}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn attention_through_adjoints_reproduce_the_scalar_dot_and_axpy(
+        q in prop::collection::vec(-1.0f32..1.0, 128),
+        rows in prop::collection::vec(-1.0f32..1.0, 3 * 128),
+        mix in tensor_of(3, 3, -1.0f32..1.0),
+        g in prop::collection::vec(-3.0f32..3.0, 3),
+    ) {
+        // loss = ⟨g, a⟩ with a = softmax(0.5 · A s), s_j = ⟨q, k_j⟩ over one
+        // span of three distinct rows: dt_j = 0.5 · a_j (g_j − ⟨a, g⟩),
+        // dA[j][c] = dt_j · s_{j+c}, ds_j′ = Σ_{j ≤ j′} dt_j · A[j][j′ − j] in
+        // ascending `j`, dq = Σ ds_j k_j — on either backend, bit for bit.
+        let spans: Arc<[(usize, usize)]> = vec![(0usize, 3usize)].into();
+        let k_rows: Arc<[usize]> = vec![2usize, 0, 1].into();
+        for len in WIDE_LENS {
+            let q = rows_of(&q, 128, 1, len);
+            let rows = rows_of(&rows, 128, 3, len);
+            for backend in BackendKind::all() {
+                let mut tape = Tape::with_backend(backend);
+                let (qv, kv) = (tape.leaf(q.clone()), tape.leaf(rows.clone()));
+                let (mv, gv) = (tape.leaf(mix.clone()), tape.leaf(Tensor::row_vector(&g)));
+                let q_rows: Arc<[usize]> = vec![0usize].into();
+                let attn = tape.segment_attention_through(
+                    qv, q_rows, kv, k_rows.clone(), spans.clone(), mv, 0.5,
+                );
+                let picked = tape.mul(attn, gv);
+                let loss = tape.sum(picked);
+                tape.backward(loss);
+
+                let a = tape.value(attn).row(0).to_vec();
+                let s: Vec<f32> =
+                    k_rows.iter().map(|&j| Reference.dot(q.row(0), rows.row(j))).collect();
+                let inner: f32 = a.iter().zip(&g).map(|(&ai, &gi)| ai * gi).sum();
+                let dt: Vec<f32> = (0..3).map(|j| 0.5 * (a[j] * (g[j] - inner))).collect();
+                let mut ds = [0.0f32; 3];
+                let dmix = tape.grad(mv).expect("the mixing has a gradient");
+                for j in 0..3 {
+                    let want: Vec<f32> =
+                        (0..3).map(|c| if j + c < 3 { 0.0 + dt[j] * s[j + c] } else { 0.0 }).collect();
+                    if let Err(why) = same_bits(dmix.row(j), &want) {
+                        prop_assert!(false, "{backend:?} dmix row {j}, len {len}: {why}");
+                    }
+                    for c in 0..3 - j {
+                        ds[j + c] += dt[j] * mix.get(j, c);
+                    }
+                }
+                let mut dq = vec![0.0f32; len];
+                for (&t, &j) in ds.iter().zip(k_rows.iter()).filter(|(&t, _)| t != 0.0) {
+                    for (y, &x) in dq.iter_mut().zip(rows.row(j)) {
+                        *y += t * x;
+                    }
+                }
+                if let Err(why) = same_bits(tape.grad(qv).expect("q has a gradient").row(0), &dq) {
+                    prop_assert!(false, "{backend:?} dq, len {len}: {why}");
+                }
+                let dk = tape.grad(kv).expect("k has a gradient");
+                for (&t, &j) in ds.iter().zip(k_rows.iter()) {
+                    let want: Vec<f32> = q.row(0).iter().map(|&x| if t != 0.0 { 0.0 + t * x } else { 0.0 }).collect();
+                    if let Err(why) = same_bits(dk.row(j), &want) {
+                        prop_assert!(false, "{backend:?} dk row {j}, len {len}: {why}");
+                    }
                 }
             }
         }
