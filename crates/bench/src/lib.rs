@@ -1,8 +1,7 @@
 //! # widen-bench
 //!
 //! Experiment harnesses that regenerate every table and figure of the
-//! paper's evaluation (§4), plus criterion micro-benchmarks for the hot
-//! kernels. One binary per experiment:
+//! paper's evaluation (§4). One binary per experiment:
 //!
 //! | Binary | Regenerates |
 //! |---|---|

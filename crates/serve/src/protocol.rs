@@ -527,6 +527,12 @@ fn text_body(version: u16, msg_type: u8, id: u64, text: &str) -> BytesMut {
     b
 }
 
+/// The 4-byte words of `raw` (a trailing partial word is dropped; callers
+/// take whole words).
+fn words(raw: &[u8]) -> impl Iterator<Item = [u8; 4]> + '_ {
+    raw.as_chunks().0.iter().copied()
+}
+
 /// Bounds-checked sequential reader over a frame body.
 struct Reader<'a> {
     data: &'a [u8],
@@ -542,20 +548,30 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
+    /// The next `N` bytes as an array: the split's type is the length check.
+    fn read_array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], WireError> {
+        let (head, tail) = self
+            .data
+            .split_first_chunk()
+            .ok_or(WireError::Malformed(what))?;
+        self.data = tail;
+        Ok(*head)
+    }
+
     fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
         Ok(self.take(1, what)?[0])
     }
 
     fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
+        self.read_array(what).map(u16::from_le_bytes)
     }
 
     fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
+        self.read_array(what).map(u32::from_le_bytes)
     }
 
     fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+        self.read_array(what).map(u64::from_le_bytes)
     }
 
     fn u32_vec(&mut self, count: usize, what: &'static str) -> Result<Vec<u32>, WireError> {
@@ -563,10 +579,7 @@ impl<'a> Reader<'a> {
             count.checked_mul(4).ok_or(WireError::Malformed(what))?,
             what,
         )?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        Ok(words(raw).map(u32::from_le_bytes).collect())
     }
 
     fn finish(&self) -> Result<(), WireError> {
@@ -670,10 +683,7 @@ pub fn decode_request_ext(body: &[u8]) -> Result<(Request, Option<TraceContext>)
                     .ok_or(WireError::Malformed("feature size"))?,
                 "feature values",
             )?;
-            let features = raw
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let features = words(raw).map(f32::from_le_bytes).collect();
             let edge_count = r.u32("edge count")? as usize;
             if edge_count > MAX_NODES_PER_REQUEST {
                 return Err(WireError::Malformed("too many edges in one ingest"));
@@ -732,10 +742,7 @@ pub fn decode_response_ext(body: &[u8]) -> Result<(Response, Option<SpanSummary>
                 scalars.checked_mul(4).ok_or(WireError::Malformed("size"))?,
                 "embedding values",
             )?;
-            let values = raw
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let values = words(raw).map(f32::from_le_bytes).collect();
             Response::Embeddings {
                 id,
                 dim: cols as u32,
@@ -794,10 +801,7 @@ pub fn decode_response_ext(body: &[u8]) -> Result<(Response, Option<SpanSummary>
                 dim.checked_mul(4).ok_or(WireError::Malformed("size"))?,
                 "embedding values",
             )?;
-            let values = raw
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let values = words(raw).map(f32::from_le_bytes).collect();
             Response::Ingested {
                 id,
                 node,
@@ -878,18 +882,17 @@ impl FrameReader {
     /// [`MAX_FRAME_LEN`] — the connection should be dropped, since framing
     /// can no longer be trusted.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
+        let Some((prefix, rest)) = self.buf[self.pos..].split_first_chunk() else {
             return Ok(None);
-        }
-        let declared = u32::from_le_bytes(avail[..4].try_into().unwrap()) as usize;
+        };
+        let declared = u32::from_le_bytes(*prefix) as usize;
         if declared > MAX_FRAME_LEN {
             return Err(WireError::Oversized { declared });
         }
-        if avail.len() < 4 + declared {
+        let Some(body) = rest.get(..declared) else {
             return Ok(None);
-        }
-        let body = avail[4..4 + declared].to_vec();
+        };
+        let body = body.to_vec();
         self.pos += 4 + declared;
         Ok(Some(body))
     }

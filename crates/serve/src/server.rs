@@ -264,18 +264,20 @@ impl Server {
             max_batch: config.max_batch,
             max_wait: Duration::from_micros(config.max_wait_us),
         };
-        let workers: Vec<JoinHandle<()>> = (0..config.workers)
-            .map(|i| {
-                let registry = registry.clone();
-                let cache = shared.cache.clone();
-                let rx = job_rx.clone();
-                let stats = shared.worker_stats.clone();
-                std::thread::Builder::new()
-                    .name(format!("widen-batcher-{i}"))
-                    .spawn(move || run_worker(registry, cache, rx, policy, stats))
-                    .expect("spawn worker")
-            })
-            .collect();
+        let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(config.workers);
+        for i in 0..config.workers {
+            let registry = registry.clone();
+            let cache = shared.cache.clone();
+            let rx = job_rx.clone();
+            let stats = shared.worker_stats.clone();
+            match std::thread::Builder::new()
+                .name(format!("widen-batcher-{i}"))
+                .spawn(move || run_worker(registry, cache, rx, policy, stats))
+            {
+                Ok(worker) => workers.push(worker),
+                Err(e) => return Err(abort_spawn(e, job_tx, workers)),
+            }
+        }
         drop(job_rx);
 
         // One completion channel back from every producer (batcher
@@ -295,10 +297,13 @@ impl Server {
         let ingest_worker = {
             let shared = shared.clone();
             let sink = sink.clone();
-            std::thread::Builder::new()
+            match std::thread::Builder::new()
                 .name("widen-ingest".into())
                 .spawn(move || run_ingest_executor(ingest_rx, shared, sink))
-                .expect("spawn ingest executor")
+            {
+                Ok(ingest) => ingest,
+                Err(e) => return Err(abort_spawn(e, job_tx, workers)),
+            }
         };
 
         let reactor = {
@@ -306,7 +311,9 @@ impl Server {
             let wake = wake.clone();
             let max_connections = config.max_connections;
             let queue_depth = config.queue_depth;
-            std::thread::Builder::new()
+            // A failed spawn drops this closure, and with it the job and
+            // ingest senders the other threads are waiting on.
+            let spawned = std::thread::Builder::new()
                 .name("widen-reactor".into())
                 .spawn(move || {
                     Reactor::new(
@@ -321,8 +328,14 @@ impl Server {
                         queue_depth,
                     )
                     .run()
-                })
-                .expect("spawn reactor")
+                });
+            match spawned {
+                Ok(reactor) => reactor,
+                Err(e) => {
+                    workers.push(ingest_worker);
+                    return Err(abort_spawn(e, (), workers));
+                }
+            }
         };
 
         Ok(ServerHandle {
@@ -441,6 +454,18 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Undoes a half-built [`Server::bind`] whose next thread failed to spawn:
+/// drops `senders` — the last handles keeping the spawned threads' channels
+/// open — so each thread drains what is queued and exits, joins them all,
+/// and hands `err` back for the caller to return.
+fn abort_spawn<S>(err: std::io::Error, senders: S, spawned: Vec<JoinHandle<()>>) -> std::io::Error {
+    drop(senders);
+    for thread in spawned {
+        let _ = thread.join();
+    }
+    err
+}
+
 /// Runs ingest requests off the reactor thread: graph mutation + embed
 /// inside one registry critical section, bounded by the request deadline,
 /// completed back to the reactor like any batcher job.
@@ -510,5 +535,42 @@ fn execute_ingest(shared: &Shared, work: &IngestWork) -> Response {
             }
         }
         Some(Err(err)) => Response::from_error(work.id, &ServeError::BadRequest(err.to_string())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn abort_spawn_releases_the_senders_then_joins_every_thread() {
+        // Threads shaped like the batchers: drain a channel until its last
+        // sender goes. Two jobs are still queued when the spawn "fails".
+        let (tx, rx) = bounded::<u32>(4);
+        let drained = Arc::new(AtomicUsize::new(0));
+        let exited = Arc::new(AtomicUsize::new(0));
+        let spawned = (0..3)
+            .map(|_| {
+                let (rx, drained, exited) = (rx.clone(), drained.clone(), exited.clone());
+                std::thread::spawn(move || {
+                    while rx.recv().is_ok() {
+                        drained.fetch_add(1, Ordering::SeqCst);
+                    }
+                    exited.fetch_add(1, Ordering::SeqCst);
+                })
+            })
+            .collect();
+        drop(rx);
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        let err = std::io::Error::new(std::io::ErrorKind::WouldBlock, "no more threads");
+        let err = abort_spawn(err, tx, spawned);
+        // Returning means every thread was joined; each saw the disconnect
+        // only after the queue was empty.
+        assert_eq!(exited.load(Ordering::SeqCst), 3);
+        assert_eq!(drained.load(Ordering::SeqCst), 2);
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+        assert_eq!(err.to_string(), "no more threads");
     }
 }

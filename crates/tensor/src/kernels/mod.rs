@@ -19,9 +19,16 @@
 //!   documented tolerance contract (see `DESIGN.md`).
 //!
 //! The ragged attention ops (`segment_attention`, `segment_weighted_sum`,
-//! `segment_mean_rows`, the row gather and their adjoints) are not behind
-//! the trait: like `spmm` they have one implementation, built on
-//! `dot_wide` / `axpy_wide` below, whatever the backend.
+//! `segment_mean_rows`, the row gather and their adjoints) have one
+//! implementation whatever the backend, on two span kernels below — each an
+//! AVX-512F / AVX2 / portable triple dispatched once per span, bitwise the
+//! portable body. [`dot_rows`] scores a query against blocks of 16, 8 and 4
+//! keys: their 16-lane accumulators are transposed in registers and folded
+//! by 16 vertical adds from `+0.0`, each key's own [`dot`] fold.
+//! [`axpy_gather`] / [`axpy_scatter`] run each element's [`axpy`] sequence
+//! with the accumulator (resp. the shared row) held in registers. An op
+//! whose two operands are one variable keeps per-key order: its adjoints
+//! share a gradient slot.
 //!
 //! The active backend is a per-[`crate::Tape`] property
 //! ([`crate::Tape::set_backend`]); tensors' plain `matmul*` methods use
@@ -184,7 +191,7 @@ pub(crate) fn nonzero(a: f32) -> bool {
 
 /// Lane-split inner product — the shared scalar `dot` kernel: the
 /// [`KernelBackend::dot`] of both backends, [`Reference`]'s `A·Bᵀ`, and
-/// the body [`dot_wide`] recompiles for wider vectors.
+/// what [`dot_rows`] computes per key.
 #[inline(always)]
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -214,67 +221,331 @@ pub(crate) fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// Shortest slice the `*_wide` helpers hand to a wide-vector copy. Such a
-/// copy cannot inline into its baseline caller, and below four lane chunks
-/// the call costs more than the wide lanes save (dispatching at one chunk
-/// ran `d = 16` fits ≈ 1.5× slower).
-const WIDE_MIN_LEN: usize = 4 * DOT_LANES;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 
-/// [`dot`] with runtime dispatch to copies of itself compiled for
-/// AVX-512F and AVX2 (the workspace targets baseline x86-64, so the
-/// compiler cannot use wide vectors on its own) — what the ragged
-/// attention ops call, on either backend. The copies are the same source:
-/// same lanes, same order, nothing fused or reassociated, so every variant
-/// is bit-identical to [`dot`].
+/// `out[j] = dot(q, keys[rows[j]])` over a span, bitwise one [`dot`] per
+/// key (the portable body), dispatched once per call.
+///
+/// # Safety
+/// Every `rows[j]` names a `q.len()`-wide row of `keys`.
 #[inline]
-pub(crate) fn dot_wide(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) unsafe fn dot_rows(q: &[f32], keys: &[f32], rows: &[usize], out: &mut [f32]) {
+    assert_eq!(out.len(), rows.len(), "one output per key");
+    debug_assert!(rows.iter().all(|&r| (r + 1) * q.len() <= keys.len()));
     #[cfg(target_arch = "x86_64")]
-    if a.len() >= WIDE_MIN_LEN {
-        #[target_feature(enable = "avx512f")]
-        unsafe fn avx512(a: &[f32], b: &[f32]) -> f32 {
-            dot(a, b)
-        }
-        #[target_feature(enable = "avx2")]
-        unsafe fn avx2(a: &[f32], b: &[f32]) -> f32 {
-            dot(a, b)
-        }
+    {
+        // SAFETY: a body needs its probed feature and the caller's rows.
         if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: the CPU feature, the copy's one requirement, was
-            // probed; its body is safe code.
-            return unsafe { avx512(a, b) };
+            return dot_rows_avx512(q, keys, rows, out);
         }
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: as above.
-            return unsafe { avx2(a, b) };
+            return dot_rows_avx2(q, keys, rows, out);
         }
     }
-    dot(a, b)
+    dot_rows_portable(q, keys, rows, out)
 }
 
-/// [`axpy`] with the runtime dispatch of [`dot_wide`], bit-identical to
-/// [`axpy`] for the same reason.
+fn dot_rows_portable(q: &[f32], keys: &[f32], rows: &[usize], out: &mut [f32]) {
+    for (o, &r) in out.iter_mut().zip(rows) {
+        *o = dot(q, &keys[r * q.len()..(r + 1) * q.len()]);
+    }
+}
+
+/// One block of `n = min(N, rows.len())` keys, a short block repeating its
+/// last row: `fold` stores each key's folded lane sum (up to 16) from its
+/// row pointer, and [`dot`]'s scalar tail goes on top. Returns `n`.
+#[inline(always)]
+unsafe fn dot_block<const N: usize>(
+    q: &[f32],
+    keys: &[f32],
+    rows: &[usize],
+    out: &mut [f32],
+    fold: impl FnOnce([*const f32; N], *mut f32),
+) -> usize {
+    let (d, n) = (q.len(), rows.len().min(N));
+    let ptrs: [*const f32; N] = std::array::from_fn(|k| keys.as_ptr().add(rows[k.min(n - 1)] * d));
+    let mut sums = [0.0; DOT_LANES];
+    fold(ptrs, sums.as_mut_ptr());
+    for k in 0..n {
+        out[k] = (d - d % DOT_LANES..d).fold(sums[k], |sum, t| sum + q[t] * *ptrs[k].add(t));
+    }
+    n
+}
+
+/// [`dot_rows`] in blocks of 16, 8 and 4 keys, the last one padded.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn dot_rows_avx512(q: &[f32], keys: &[f32], rows: &[usize], out: &mut [f32]) {
+    let (qp, chunks, mut j) = (q.as_ptr(), q.len() / DOT_LANES, 0);
+    while j < rows.len() {
+        let (rows, out) = (&rows[j..], &mut out[j..]);
+        j += match rows.len() {
+            16.. => dot_block::<16>(q, keys, rows, out, |k, s| {
+                fold16_avx512(&lanes_avx512(qp, k, 0, chunks), s)
+            }),
+            8.. => dot_block::<8>(q, keys, rows, out, |k, s| {
+                fold16_avx512(&lanes_avx512(qp, k, 0, chunks), s)
+            }),
+            _ => dot_block::<4>(q, keys, rows, out, |k, s| {
+                fold16_avx512(&lanes_avx512(qp, k, 0, chunks), s)
+            }),
+        };
+    }
+}
+
+/// The transposed fold of 16, 8 or 4 keys' accumulators (a short block's
+/// repeat to fill 16): lane `l` of every key in one vector (key `k` in
+/// element `k`), then 16 vertical adds from `+0.0` — each key's
+/// `((0 + l₀) + l₁) … + l₁₅`, exactly [`dot`]'s fold.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
 #[inline]
-pub(crate) fn axpy_wide(alpha: f32, x: &[f32], y: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if x.len() >= WIDE_MIN_LEN {
-        #[target_feature(enable = "avx512f")]
-        unsafe fn avx512(alpha: f32, x: &[f32], y: &mut [f32]) {
-            axpy(alpha, x, y)
+unsafe fn fold16_avx512(acc: &[__m512], out: *mut f32) {
+    let mut w = [[_mm512_setzero_ps(); 4]; 4];
+    for (g, w) in w.iter_mut().enumerate() {
+        *w = quad_avx512(&acc[4 * g % acc.len()..]);
+    }
+    let mut lane = [_mm512_setzero_ps(); 16];
+    for s in 0..4 {
+        // Block `b` of the four quads, side by side, is lane `4b + s`.
+        let x0 = _mm512_shuffle_f32x4::<0x44>(w[0][s], w[1][s]);
+        let x1 = _mm512_shuffle_f32x4::<0xEE>(w[0][s], w[1][s]);
+        let x2 = _mm512_shuffle_f32x4::<0x44>(w[2][s], w[3][s]);
+        let x3 = _mm512_shuffle_f32x4::<0xEE>(w[2][s], w[3][s]);
+        lane[s] = _mm512_shuffle_f32x4::<0x88>(x0, x2);
+        lane[4 + s] = _mm512_shuffle_f32x4::<0xDD>(x0, x2);
+        lane[8 + s] = _mm512_shuffle_f32x4::<0x88>(x1, x3);
+        lane[12 + s] = _mm512_shuffle_f32x4::<0xDD>(x1, x3);
+    }
+    let mut sum = _mm512_setzero_ps();
+    for l in lane {
+        sum = _mm512_add_ps(sum, l);
+    }
+    _mm512_storeu_ps(out, sum);
+}
+
+/// [`dot_rows`] in blocks of 8 and 4 keys, the last one padded. A key's 16
+/// lanes are two 8-lane halves, each its own pass of one YMM per key (16
+/// accumulators would not fit the register file), folded in turn.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dot_rows_avx2(q: &[f32], keys: &[f32], rows: &[usize], out: &mut [f32]) {
+    let (qp, chunks, mut j) = (q.as_ptr(), q.len() / DOT_LANES, 0);
+    while j < rows.len() {
+        let (rows, out) = (&rows[j..], &mut out[j..]);
+        j += if rows.len() >= 8 {
+            dot_block::<8>(q, keys, rows, out, |k, s| fold8_avx2(qp, k, chunks, s))
+        } else {
+            dot_block::<4>(q, keys, rows, out, |k, s| fold8_avx2(qp, k, chunks, s))
+        };
+    }
+}
+
+/// [`fold16_avx512`] for 8 or 4 keys on YMM.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn fold8_avx2<const N: usize>(
+    q: *const f32,
+    keys: [*const f32; N],
+    chunks: usize,
+    out: *mut f32,
+) {
+    let mut sum = _mm256_setzero_ps();
+    for half in [0, 8] {
+        let acc = lanes_avx2(q, keys, half, chunks);
+        let (lo, hi) = (quad_avx2(&acc), quad_avx2(&acc[4 % N..]));
+        // Halves `b = 0`, then `b = 1`, of the two quads side by side.
+        for s in 0..4 {
+            sum = _mm256_add_ps(sum, _mm256_permute2f128_ps::<0x20>(lo[s], hi[s]));
         }
-        #[target_feature(enable = "avx2")]
-        unsafe fn avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
-            axpy(alpha, x, y)
-        }
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: feature probed; the body is safe code.
-            return unsafe { avx512(alpha, x, y) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: as above.
-            return unsafe { avx2(alpha, x, y) };
+        for s in 0..4 {
+            sum = _mm256_add_ps(sum, _mm256_permute2f128_ps::<0x31>(lo[s], hi[s]));
         }
     }
-    axpy(alpha, x, y)
+    _mm256_storeu_ps(out, sum);
+}
+
+/// `y += α_j · xs[r_j]` for each `(r_j, α_j)` of `terms` in order, zero
+/// weights (either sign) skipped — bitwise the [`axpy`] run, the portable
+/// body — with `y` held in registers across the span.
+///
+/// # Safety
+/// Every `r_j` names a `y.len()`-wide row of `xs`.
+#[inline]
+pub(crate) unsafe fn axpy_gather<I>(xs: &[f32], terms: I, y: &mut [f32])
+where
+    I: Iterator<Item = (usize, f32)> + Clone,
+{
+    debug_assert!(terms.clone().all(|(r, _)| (r + 1) * y.len() <= xs.len()));
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: a body needs its probed feature and the caller's rows.
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return gather_avx512(xs, terms, y);
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return gather_avx2(xs, terms, y);
+        }
+    }
+    gather_cols(xs, 0, terms, y)
+}
+
+/// `ys[r_j] += α_j · x` for each `(r_j, α_j)` of `terms` in order, as
+/// [`axpy_gather`] but with `x` held in registers.
+///
+/// # Safety
+/// Every `r_j` names an `x.len()`-wide row of `ys`.
+#[inline]
+pub(crate) unsafe fn axpy_scatter<I>(x: &[f32], terms: I, ys: &mut [f32])
+where
+    I: Iterator<Item = (usize, f32)> + Clone,
+{
+    debug_assert!(terms.clone().all(|(r, _)| (r + 1) * x.len() <= ys.len()));
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: a body needs its probed feature and the caller's rows.
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return scatter_avx512(x, terms, ys);
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return scatter_avx2(x, terms, ys);
+        }
+    }
+    scatter_cols(x, 0, terms, ys)
+}
+
+/// [`axpy_gather`] on columns `c..` only: one [`axpy`] per term.
+fn gather_cols(xs: &[f32], c: usize, terms: impl Iterator<Item = (usize, f32)>, y: &mut [f32]) {
+    let d = y.len();
+    for (r, alpha) in terms.filter(|&(_, a)| a != 0.0) {
+        axpy(alpha, &xs[r * d + c..(r + 1) * d], &mut y[c..]);
+    }
+}
+
+/// [`axpy_scatter`] on columns `c..` only: one [`axpy`] per term.
+fn scatter_cols(x: &[f32], c: usize, terms: impl Iterator<Item = (usize, f32)>, ys: &mut [f32]) {
+    let d = x.len();
+    for (r, alpha) in terms.filter(|&(_, a)| a != 0.0) {
+        axpy(alpha, &x[c..], &mut ys[r * d + c..(r + 1) * d]);
+    }
+}
+
+/// One vector ISA's register-held bodies — `$v` holds `$l` lanes, a block is
+/// 8 registers, the columns past the last whole block take the `*_cols`
+/// tail. Every lane op is a separate `mul` and `add`, never FMA, so each
+/// element sees exactly [`dot`]'s or [`axpy`]'s operation sequence.
+macro_rules! isa_bodies {
+    ($feature:literal, $v:ty, $l:literal, [$lanes:ident, $gather:ident, $scatter:ident],
+     [$zero:ident, $splat:ident, $load:ident, $store:ident, $add:ident, $mul:ident],
+     [$quad:ident, $lo_ps:ident, $hi_ps:ident, $lo_pd:ident, $hi_pd:ident, $to_pd:ident, $to_ps:ident]) => {
+        /// 4 × 4 transposes inside each 128-bit block: block `b` of `w[s]`
+        /// holds lane `4b + s` of the four keys `r`.
+        #[target_feature(enable = $feature)]
+        #[inline]
+        unsafe fn $quad(r: &[$v]) -> [$v; 4] {
+            let (t0, t1) = ($to_pd($lo_ps(r[0], r[1])), $to_pd($lo_ps(r[2], r[3])));
+            let (u0, u1) = ($to_pd($hi_ps(r[0], r[1])), $to_pd($hi_ps(r[2], r[3])));
+            [
+                $to_ps($lo_pd(t0, t1)),
+                $to_ps($hi_pd(t0, t1)),
+                $to_ps($lo_pd(u0, u1)),
+                $to_ps($hi_pd(u0, u1)),
+            ]
+        }
+
+        /// Lanes `lane0 .. lane0 + $l` of `N` keys' [`dot`] accumulators,
+        /// one register per key, each load of `q` shared.
+        #[target_feature(enable = $feature)]
+        #[inline]
+        unsafe fn $lanes<const N: usize>(
+            q: *const f32,
+            keys: [*const f32; N],
+            lane0: usize,
+            chunks: usize,
+        ) -> [$v; N] {
+            let mut acc = [$zero(); N];
+            for at in (0..chunks).map(|c| c * DOT_LANES + lane0) {
+                let qv = $load(q.add(at));
+                for (a, k) in acc.iter_mut().zip(&keys) {
+                    *a = $add(*a, $mul(qv, $load(k.add(at))));
+                }
+            }
+            acc
+        }
+
+        #[target_feature(enable = $feature)]
+        unsafe fn $gather<I: Iterator<Item = (usize, f32)> + Clone>(
+            xs: &[f32],
+            terms: I,
+            y: &mut [f32],
+        ) {
+            let (d, mut c) = (y.len(), 0);
+            while d - c >= 8 * $l {
+                let (x, yc) = (xs.as_ptr().add(c), y.as_mut_ptr().add(c));
+                let mut acc = [$zero(); 8];
+                for (v, acc) in acc.iter_mut().enumerate() {
+                    *acc = $load(yc.add($l * v));
+                }
+                for (r, alpha) in terms.clone().filter(|&(_, a)| a != 0.0) {
+                    let (a, row) = ($splat(alpha), x.add(r * d));
+                    for (v, acc) in acc.iter_mut().enumerate() {
+                        *acc = $add(*acc, $mul(a, $load(row.add($l * v))));
+                    }
+                }
+                for (v, acc) in acc.into_iter().enumerate() {
+                    $store(yc.add($l * v), acc);
+                }
+                c += 8 * $l;
+            }
+            if c < d {
+                gather_cols(xs, c, terms, y);
+            }
+        }
+
+        #[target_feature(enable = $feature)]
+        unsafe fn $scatter<I: Iterator<Item = (usize, f32)> + Clone>(
+            x: &[f32],
+            terms: I,
+            ys: &mut [f32],
+        ) {
+            let (d, mut c) = (x.len(), 0);
+            while d - c >= 8 * $l {
+                let (xc, yc) = (x.as_ptr().add(c), ys.as_mut_ptr().add(c));
+                let mut xv = [$zero(); 8];
+                for (v, xv) in xv.iter_mut().enumerate() {
+                    *xv = $load(xc.add($l * v));
+                }
+                for (r, alpha) in terms.clone().filter(|&(_, a)| a != 0.0) {
+                    let (a, row) = ($splat(alpha), yc.add(r * d));
+                    for (v, xv) in xv.into_iter().enumerate() {
+                        let y = row.add($l * v);
+                        $store(y, $add($load(y), $mul(a, xv)));
+                    }
+                }
+                c += 8 * $l;
+            }
+            if c < d {
+                scatter_cols(x, c, terms, ys);
+            }
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+isa_bodies! {
+    "avx512f", __m512, 16, [lanes_avx512, gather_avx512, scatter_avx512],
+    [_mm512_setzero_ps, _mm512_set1_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_add_ps, _mm512_mul_ps],
+    [quad_avx512, _mm512_unpacklo_ps, _mm512_unpackhi_ps, _mm512_unpacklo_pd, _mm512_unpackhi_pd,
+     _mm512_castps_pd, _mm512_castpd_ps]
+}
+#[cfg(target_arch = "x86_64")]
+isa_bodies! {
+    "avx2", __m256, 8, [lanes_avx2, gather_avx2, scatter_avx2],
+    [_mm256_setzero_ps, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_add_ps, _mm256_mul_ps],
+    [quad_avx2, _mm256_unpacklo_ps, _mm256_unpackhi_ps, _mm256_unpacklo_pd, _mm256_unpackhi_pd,
+     _mm256_castps_pd, _mm256_castpd_ps]
 }
 
 #[cfg(test)]
@@ -301,5 +572,228 @@ mod tests {
         assert_eq!(default_backend(), BackendKind::Optimized);
         set_default_backend(before);
         assert_eq!(default_backend(), before);
+    }
+}
+
+/// The span kernels' contract: every body the host can run — called
+/// directly, so an AVX-512 runner checks the AVX2 and portable bodies too —
+/// is bit for bit one [`dot`] per key, or the sequential [`axpy`] run with
+/// zero weights skipped. Key counts 0–40 cover every 16/8/4 block split and
+/// padded remainder; widths 16–130 cover one lane chunk to two register
+/// blocks plus a scalar tail.
+#[cfg(test)]
+mod span_kernel_contract {
+    use super::*;
+    use proptest::prelude::*;
+
+    const WIDTHS: [usize; 6] = [16, 32, 48, 64, 128, 130];
+    const MAX_WIDTH: usize = 130;
+    const MAX_KEYS: usize = 40;
+    /// Fewer rows than keys: every span repeats rows, in any order.
+    const ROWS: usize = 12;
+
+    #[derive(Clone, Copy, Debug)]
+    enum Body {
+        Portable,
+        #[cfg(target_arch = "x86_64")]
+        Avx512,
+        #[cfg(target_arch = "x86_64")]
+        Avx2,
+    }
+
+    fn bodies() -> Vec<Body> {
+        #[allow(unused_mut)]
+        let mut bodies = vec![Body::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                bodies.push(Body::Avx512);
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                bodies.push(Body::Avx2);
+            }
+        }
+        bodies
+    }
+
+    type Terms<'a> = std::iter::Zip<
+        std::iter::Copied<std::slice::Iter<'a, usize>>,
+        std::iter::Copied<std::slice::Iter<'a, f32>>,
+    >;
+
+    fn terms<'a>(rows: &'a [usize], alphas: &'a [f32]) -> Terms<'a> {
+        rows.iter().copied().zip(alphas.iter().copied())
+    }
+
+    /// One body of [`dot_rows`]; the caller upholds its safety contract.
+    unsafe fn dot_rows_on(body: Body, q: &[f32], keys: &[f32], rows: &[usize], out: &mut [f32]) {
+        match body {
+            Body::Portable => dot_rows_portable(q, keys, rows, out),
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx512 => dot_rows_avx512(q, keys, rows, out),
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx2 => dot_rows_avx2(q, keys, rows, out),
+        }
+    }
+
+    unsafe fn gather_on(body: Body, xs: &[f32], terms: Terms<'_>, y: &mut [f32]) {
+        match body {
+            Body::Portable => gather_cols(xs, 0, terms, y),
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx512 => gather_avx512(xs, terms, y),
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx2 => gather_avx2(xs, terms, y),
+        }
+    }
+
+    unsafe fn scatter_on(body: Body, x: &[f32], terms: Terms<'_>, ys: &mut [f32]) {
+        match body {
+            Body::Portable => scatter_cols(x, 0, terms, ys),
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx512 => scatter_avx512(x, terms, ys),
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx2 => scatter_avx2(x, terms, ys),
+        }
+    }
+
+    /// Mostly ordinary values, plus zeros of both signs, subnormals and
+    /// magnitudes whose products dominate a sum (so a misordered fold
+    /// rounds differently).
+    fn element() -> impl Strategy<Value = f32> {
+        (0usize..24, -3.0f32..3.0).prop_map(|(pick, x)| match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::MIN_POSITIVE / 2.0,
+            3 => -f32::MIN_POSITIVE / 4.0,
+            4 => 1.0e19,
+            5 => -3.0e18,
+            6 => 1.0e-30,
+            _ => x,
+        })
+    }
+
+    /// A weight: an [`element`], often an exact zero of either sign (to be
+    /// skipped), sometimes non-finite (never skipped).
+    fn weight() -> impl Strategy<Value = f32> {
+        (0usize..12, element()).prop_map(|(pick, x)| match pick {
+            0 | 1 => 0.0,
+            2 | 3 => -0.0,
+            4 => f32::NAN,
+            5 => f32::INFINITY,
+            _ => x,
+        })
+    }
+
+    /// `data` with one element replaced by NaN, +∞ or −∞ (`kind` 1–3).
+    fn poisoned(mut data: Vec<f32>, (kind, at): (usize, usize)) -> Vec<f32> {
+        let at = at % data.len();
+        data[at] = [data[at], f32::NAN, f32::INFINITY, f32::NEG_INFINITY][kind];
+        data
+    }
+
+    /// The first `width` columns of each `MAX_WIDTH`-wide row.
+    fn narrow(data: &[f32], width: usize) -> Vec<f32> {
+        data.chunks(MAX_WIDTH)
+            .flat_map(|row| &row[..width])
+            .copied()
+            .collect()
+    }
+
+    /// "Bit-equal, or both NaN", element by element.
+    fn same_bits(got: &[f32], want: &[f32]) -> Result<(), String> {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            if g.to_bits() != w.to_bits() && !(g.is_nan() && w.is_nan()) {
+                return Err(format!("element {i}: got {g:e}, want {w:e}"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn dot_rows_is_one_dot_per_key(
+            q in prop::collection::vec(element(), MAX_WIDTH),
+            keys in prop::collection::vec(element(), ROWS * MAX_WIDTH),
+            poison in (0usize..4, 0usize..ROWS * MAX_WIDTH),
+            rows in prop::collection::vec(0usize..ROWS, MAX_KEYS),
+        ) {
+            let keys = poisoned(keys, poison);
+            for width in WIDTHS {
+                let (q, keys) = (&q[..width], narrow(&keys, width));
+                for n in 0..=MAX_KEYS {
+                    let rows = &rows[..n];
+                    let want: Vec<f32> =
+                        rows.iter().map(|&r| dot(q, &keys[r * width..(r + 1) * width])).collect();
+                    for body in bodies() {
+                        let mut got = vec![f32::NAN; n];
+                        // SAFETY: every row is below `ROWS`.
+                        unsafe { dot_rows_on(body, q, &keys, rows, &mut got) };
+                        if let Err(why) = same_bits(&got, &want) {
+                            prop_assert!(false, "{body:?}, width {width}, {n} keys: {why}");
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn axpy_gather_is_the_sequential_axpy_run(
+            xs in prop::collection::vec(element(), ROWS * MAX_WIDTH),
+            poison in (0usize..4, 0usize..ROWS * MAX_WIDTH),
+            y0 in prop::collection::vec(element(), MAX_WIDTH),
+            rows in prop::collection::vec(0usize..ROWS, MAX_KEYS),
+            alphas in prop::collection::vec(weight(), MAX_KEYS),
+        ) {
+            let xs = poisoned(xs, poison);
+            for width in WIDTHS {
+                let xs = narrow(&xs, width);
+                for n in 0..=MAX_KEYS {
+                    let (rows, alphas) = (&rows[..n], &alphas[..n]);
+                    let mut want = y0[..width].to_vec();
+                    for (&r, &a) in rows.iter().zip(alphas).filter(|(_, &a)| a != 0.0) {
+                        axpy(a, &xs[r * width..(r + 1) * width], &mut want);
+                    }
+                    for body in bodies() {
+                        let mut got = y0[..width].to_vec();
+                        // SAFETY: every row is below `ROWS`.
+                        unsafe { gather_on(body, &xs, terms(rows, alphas), &mut got) };
+                        if let Err(why) = same_bits(&got, &want) {
+                            prop_assert!(false, "{body:?}, width {width}, {n} terms: {why}");
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn axpy_scatter_is_the_sequential_axpy_run(
+            x in prop::collection::vec(element(), MAX_WIDTH),
+            ys0 in prop::collection::vec(element(), ROWS * MAX_WIDTH),
+            poison in (0usize..4, 0usize..ROWS * MAX_WIDTH),
+            rows in prop::collection::vec(0usize..ROWS, MAX_KEYS),
+            alphas in prop::collection::vec(weight(), MAX_KEYS),
+        ) {
+            let ys0 = poisoned(ys0, poison);
+            for width in WIDTHS {
+                let (x, ys0) = (&x[..width], narrow(&ys0, width));
+                for n in 0..=MAX_KEYS {
+                    let (rows, alphas) = (&rows[..n], &alphas[..n]);
+                    let mut want = ys0.clone();
+                    for (&r, &a) in rows.iter().zip(alphas).filter(|(_, &a)| a != 0.0) {
+                        axpy(a, x, &mut want[r * width..(r + 1) * width]);
+                    }
+                    for body in bodies() {
+                        let mut got = ys0.clone();
+                        // SAFETY: every row is below `ROWS`.
+                        unsafe { scatter_on(body, x, terms(rows, alphas), &mut got) };
+                        if let Err(why) = same_bits(&got, &want) {
+                            prop_assert!(false, "{body:?}, width {width}, {n} terms: {why}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

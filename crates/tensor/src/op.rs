@@ -1,8 +1,9 @@
 //! Differentiable operator definitions and their backward rules.
 
+use std::iter::once;
 use std::sync::Arc;
 
-use crate::kernels::{axpy_wide, dot_wide, BackendKind};
+use crate::kernels::{axpy, axpy_gather, axpy_scatter, dot_rows, BackendKind};
 use crate::pool::BufferPool;
 use crate::sparse::CsrMatrix;
 use crate::tape::Var;
@@ -209,7 +210,8 @@ impl Op {
 /// of allocating a per-op delta tensor and adding it in a second sweep.
 /// When an op's two inputs alias the same [`Var`] the rules below touch
 /// the slot in two sequential borrows, so both contributions accumulate
-/// exactly as the old two-`accumulate` path did.
+/// exactly as the old two-`accumulate` path did. The shape check holds in
+/// release builds: the ragged adjoints write slot rows unchecked.
 fn grad_slot<'a>(
     grads: &'a mut [Option<Tensor>],
     pool: &mut BufferPool,
@@ -222,7 +224,7 @@ fn grad_slot<'a>(
         *slot = Some(pool.take_zeroed(rows, cols));
     }
     let g = slot.as_mut().expect("grad slot just seeded");
-    debug_assert_eq!(g.shape(), (rows, cols), "grad slot shape mismatch");
+    assert_eq!(g.shape(), (rows, cols), "grad slot shape mismatch");
     g
 }
 
@@ -439,7 +441,8 @@ pub(crate) fn backward_step(
                 let (rows, cols) = values[a.index()].shape();
                 let ga = grad_slot(grads, pool, *a, rows, cols);
                 for (i, &idx) in indices.iter().enumerate() {
-                    axpy_wide(1.0, grad_out.row(i), ga.row_mut(idx));
+                    // SAFETY: the forward checked every index against `a`.
+                    unsafe { axpy_scatter(grad_out.row(i), once((idx, 1.0)), ga.as_mut_slice()) };
                 }
             }
         }
@@ -581,15 +584,14 @@ pub(crate) fn backward_step(
                 let (s, ds) = scratch.as_mut_slice().split_at_mut(width);
                 let (s, ds) = (&mut s[..len], &mut ds[..len]);
                 if let Some((_, vm, gm)) = &mut mix {
-                    for (o, &kj) in s.iter_mut().zip(keys) {
-                        *o = dot_wide(q_row, vk.row(kj));
-                    }
+                    // SAFETY: the forward checked every index against `vk`.
+                    unsafe { dot_rows(q_row, vk.as_slice(), keys, s) };
                     ds.fill(0.0);
                     for j in 0..len {
                         let t = dt(j);
                         if t != 0.0 {
-                            axpy_wide(t, &s[j..], &mut gm.row_mut(start + j)[..len - j]);
-                            axpy_wide(t, &vm.row(start + j)[..len - j], &mut ds[j..]);
+                            axpy(t, &s[j..], &mut gm.row_mut(start + j)[..len - j]);
+                            axpy(t, &vm.row(start + j)[..len - j], &mut ds[j..]);
                         }
                     }
                 } else {
@@ -597,12 +599,24 @@ pub(crate) fn backward_step(
                         *o = dt(j);
                     }
                 }
-                for (&t, &kj) in ds.iter().zip(keys) {
-                    if t == 0.0 {
-                        continue;
+                let terms = keys.iter().copied().zip(ds.iter().copied());
+                // SAFETY: the forward checked every index against these
+                // values' rows, whose shapes the gradient slots share.
+                unsafe {
+                    match gk.as_deref_mut() {
+                        Some(gk) => {
+                            axpy_gather(vk.as_slice(), terms.clone(), gq.row_mut(qi));
+                            axpy_scatter(q_row, terms, gk.as_mut_slice());
+                        }
+                        // `q ≡ k`: one slot takes both adjoints and a key row
+                        // may be the query row — keep the per-key order.
+                        None => {
+                            for (kj, t) in terms {
+                                axpy_scatter(vk.row(kj), once((qi, t)), gq.as_mut_slice());
+                                axpy_scatter(q_row, once((kj, t)), gq.as_mut_slice());
+                            }
+                        }
                     }
-                    axpy_wide(t, vk.row(kj), gq.row_mut(qi));
-                    axpy_wide(t, q_row, gk.as_deref_mut().unwrap_or(&mut *gq).row_mut(kj));
                 }
             }
             pool.recycle(scratch);
@@ -614,17 +628,35 @@ pub(crate) fn backward_step(
             // out_i = Σ_j w[i][j]·v_j ⇒ dw[i][j] = ⟨g_i, v_j⟩, dv_j += w[i][j]·g_i,
             // one sweep.
             let (vw, vv) = (&values[w.index()], &values[v.index()]);
+            let mut scratch = pool.take(1, vw.cols());
             let (gw, mut gv) = grad_slot_pair(grads, pool, (*w, vw.shape()), (*v, vv.shape()));
             for (i, &(start, len)) in spans.iter().enumerate() {
-                let g = grad_out.row(i);
-                for (j, &vj) in v_rows[start..start + len].iter().enumerate() {
-                    gw.row_mut(i)[j] += dot_wide(g, vv.row(vj));
-                    let wij = vw.get(i, j);
-                    if wij != 0.0 {
-                        axpy_wide(wij, g, gv.as_deref_mut().unwrap_or(&mut *gw).row_mut(vj));
+                let (g, rows) = (grad_out.row(i), &v_rows[start..start + len]);
+                let dots = &mut scratch.as_mut_slice()[..len];
+                let terms = rows.iter().copied().zip(vw.row(i)[..len].iter().copied());
+                // SAFETY: the forward checked every index against these
+                // values' rows, whose shapes the gradient slots share.
+                unsafe {
+                    dot_rows(g, vv.as_slice(), rows, dots);
+                    match gv.as_deref_mut() {
+                        Some(gv) => {
+                            for (o, &dot) in gw.row_mut(i).iter_mut().zip(&*dots) {
+                                *o += dot;
+                            }
+                            axpy_scatter(g, terms, gv.as_mut_slice());
+                        }
+                        // `w ≡ v`: one slot takes `dw` and `dv` — keep the
+                        // per-key order.
+                        None => {
+                            for (j, term) in terms.enumerate() {
+                                gw.row_mut(i)[j] += dots[j];
+                                axpy_scatter(g, once(term), gw.as_mut_slice());
+                            }
+                        }
                     }
                 }
             }
+            pool.recycle(scratch);
         }
         Op::SegmentMeanRows(a, spans) => {
             let (rows, cols) = values[a.index()].shape();
@@ -633,11 +665,9 @@ pub(crate) fn backward_step(
                 if len == 0 {
                     continue;
                 }
-                let scale = 1.0 / len as f32;
-                let g = grad_out.row(i);
-                for r in start..start + len {
-                    axpy_wide(scale, g, ga.row_mut(r));
-                }
+                let terms = (start..start + len).map(|r| (r, 1.0 / len as f32));
+                // SAFETY: the forward checked the span against these rows.
+                unsafe { axpy_scatter(grad_out.row(i), terms, ga.as_mut_slice()) };
             }
         }
         Op::MulScalarVar(a, s) => {

@@ -3,7 +3,7 @@
 use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
 
-use crate::kernels::{axpy, axpy_wide, default_backend, dot_wide, BackendKind};
+use crate::kernels::{axpy, axpy_gather, default_backend, dot, dot_rows, BackendKind};
 
 /// A dense, row-major matrix of `f32`.
 ///
@@ -551,7 +551,7 @@ impl Tensor {
     /// may overlap (the causal suffix layout of Eq. 4 relies on this) and
     /// indices may repeat.
     ///
-    /// Every score is the lane-split `dot` (`kernels::dot_wide`, whatever
+    /// Every score is the lane-split `dot` (`kernels::dot_rows`, whatever
     /// the backend), then `x * scale`, then the stabilised kernel of
     /// [`Tensor::softmax_rows`] on the valid prefix — bit-identical to the
     /// reference backend's per-segment `softmax(scale · q·Kᵀ)` on the
@@ -629,17 +629,16 @@ impl Tensor {
             assert!(mix.rows >= k_rows.len(), "one mixing row per position");
         }
         for (i, &(start, len)) in spans.iter().enumerate() {
-            let q_row = self.row(q_rows[i]);
             let (valid, padding) = out.row_mut(i).split_at_mut(len);
-            for (o, &k) in valid.iter_mut().zip(&k_rows[start..start + len]) {
-                *o = dot_wide(q_row, keys.row(k));
-            }
+            let k = &k_rows[start..start + len];
+            // SAFETY: every key index was checked against `keys` above.
+            unsafe { dot_rows(self.row(q_rows[i]), &keys.data, k, valid) };
             if let Some(mix) = mix {
                 assert!(len <= mix.cols, "span length exceeds mixing width");
                 // In place, front to back: position `j` reads the raw
                 // scores from `j` on, which no earlier result overwrote.
                 for j in 0..len {
-                    valid[j] = dot_wide(&mix.row(start + j)[..len - j], &valid[j..]);
+                    valid[j] = dot(&mix.row(start + j)[..len - j], &valid[j..]);
                 }
             }
             for o in valid.iter_mut() {
@@ -656,7 +655,7 @@ impl Tensor {
     /// computes `out[i] = Σ_j self[i][j] · values[v_rows[start + j]]`
     /// (`j < len`).
     ///
-    /// Accumulates with the same `axpy` arithmetic (`kernels::axpy_wide`)
+    /// Accumulates with the same `axpy` arithmetic (`kernels::axpy_gather`)
     /// and segment order as the reference backend's row-wise
     /// [`Tensor::matmul`], preserving bitwise parity with the per-segment
     /// `attn · V` products it batches.
@@ -694,11 +693,10 @@ impl Tensor {
             assert!(len <= self.cols, "span length exceeds weight width");
             let out_row = out.row_mut(i);
             out_row.fill(0.0);
-            for (&a, &v) in self.row(i)[..len].iter().zip(&v_rows[start..start + len]) {
-                if a != 0.0 {
-                    axpy_wide(a, values.row(v), out_row);
-                }
-            }
+            let terms = v_rows[start..start + len].iter().copied();
+            let terms = terms.zip(self.row(i)[..len].iter().copied());
+            // SAFETY: every value index was checked against `values` above.
+            unsafe { axpy_gather(&values.data, terms, out_row) };
         }
     }
 
@@ -731,9 +729,8 @@ impl Tensor {
                 continue;
             }
             assert!(start + len <= self.rows, "span overruns matrix");
-            for r in start..start + len {
-                axpy_wide(1.0, self.row(r), out_row);
-            }
+            // SAFETY: the span's rows were just checked against the matrix.
+            unsafe { axpy_gather(&self.data, (start..start + len).map(|r| (r, 1.0)), out_row) };
             let inv = 1.0 / len as f32;
             for x in out_row.iter_mut() {
                 *x *= inv;

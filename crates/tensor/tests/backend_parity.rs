@@ -22,8 +22,9 @@
 //!   and, as the serving forward now runs it, each output row must be
 //!   independent of how many rows share its call.
 //! * the ragged attention ops are one implementation for both backends,
-//!   on `kernels::{dot_wide, axpy_wide}`; whichever SIMD body the length
-//!   and the CPU select, they must reproduce the scalar `dot` / `axpy`.
+//!   on `kernels::{dot_rows, axpy_gather, axpy_scatter}`; whichever SIMD
+//!   body the CPU selects, they must reproduce the scalar `dot` / `axpy`
+//!   (`ragged_paper_width.rs` pins them at paper width).
 //! * the bounds hold under *nested* rayon parallelism too: outer
 //!   `par_iter` tasks each running an internally-parallel GEMM must not
 //!   corrupt one another's pack scratch
