@@ -19,7 +19,6 @@
 use widen_bench::parse_args;
 use widen_core::{ShardParallelism, Trainer, WidenConfig, WidenModel};
 use widen_data::yelp_like;
-use widen_tensor::BackendKind;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const EPOCHS: usize = 1;
@@ -37,19 +36,15 @@ const FIT_REPS: usize = 5;
 fn main() {
     let opts = parse_args();
     let seed = opts.seeds[0];
-    let backend = std::env::var("WIDEN_KERNEL_BACKEND")
-        .ok()
-        .and_then(|v| BackendKind::from_name(&v))
-        .unwrap_or(BackendKind::Optimized);
     let dataset = yelp_like(opts.scale.data_scale(), seed);
     let train = &dataset.transductive.train;
-    let mut cfg = WidenConfig::paper().with_seed(seed).with_backend(backend);
+    let mut cfg = WidenConfig::paper().with_seed(seed);
     cfg.epochs = EPOCHS;
     println!(
         "== bench_shards: {} nodes, {} train nodes, {} backend ==\n",
         dataset.graph.num_nodes(),
         train.len(),
-        backend.name()
+        cfg.backend.name()
     );
 
     // Per shard count: step → shard busy nanos and step → merge nanos,

@@ -42,8 +42,7 @@ pub struct WidenConfig {
     /// Architectural variant (Table 4 ablations); default is the full model.
     pub variant: Variant,
     /// Dense GEMM kernel backend every tape this config spawns dispatches
-    /// through (defaults to the process-wide choice, which honours the
-    /// `WIDEN_KERNEL_BACKEND` environment variable).
+    /// through ([`BackendKind::Optimized`] unless a test pins the oracle).
     pub backend: BackendKind,
 }
 
@@ -65,7 +64,7 @@ impl WidenConfig {
             epochs: 30,
             seed: 0,
             variant: Variant::full(),
-            backend: widen_tensor::default_backend(),
+            backend: BackendKind::default(),
         }
     }
 
@@ -87,7 +86,7 @@ impl WidenConfig {
             epochs: 12,
             seed: 0,
             variant: Variant::full(),
-            backend: widen_tensor::default_backend(),
+            backend: BackendKind::default(),
         }
     }
 
@@ -154,11 +153,11 @@ mod tests {
     }
 
     #[test]
-    fn backend_knob_chains_and_defaults_to_process_choice() {
+    fn backend_knob_chains_and_defaults_to_optimized() {
         let c = WidenConfig::small();
-        assert_eq!(c.backend, widen_tensor::default_backend());
-        let c = c.with_backend(BackendKind::Optimized);
         assert_eq!(c.backend, BackendKind::Optimized);
+        let c = c.with_backend(BackendKind::Reference);
+        assert_eq!(c.backend, BackendKind::Reference);
         c.validate();
     }
 

@@ -42,7 +42,7 @@ pub mod unsupervised;
 
 pub use ablation::{DownsampleStrategy, Variant};
 pub use config::WidenConfig;
-pub use model::WidenModel;
+pub use model::{InferState, WidenModel};
 pub use sharded::ShardParallelism;
 pub use state::{DeepState, NodeState};
 pub use trainer::{EpochStats, TrainReport, Trainer};

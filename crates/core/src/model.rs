@@ -1,7 +1,6 @@
 //! The WIDEN model: parameters, the wide/deep attentive forward pass
 //! (Eq. 3–7), the classification head (Eq. 10) and inductive inference.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -9,13 +8,16 @@ use rand::SeedableRng;
 use widen_graph::{HeteroGraph, NodeId};
 use widen_sampling::{hash_seed, sample_deep_multi, sample_wide};
 use widen_tensor::{
-    he_normal, xavier_uniform, zeros_init, BufferPool, CheckpointError, ParamId, ParamStore, Tape,
-    Tensor, Var,
+    he_normal, xavier_uniform, zeros_init, CheckpointError, ParamId, ParamStore, Tape, Tensor, Var,
 };
 
 use crate::config::WidenConfig;
-use crate::packaging::edge_vocab_size;
+use crate::packaging::{edge_vocab_size, NodeRows};
 use crate::state::NodeState;
+
+mod infer;
+use infer::InferOutput;
+pub use infer::InferState;
 
 /// Handles of every trainable tensor.
 #[derive(Clone, Copy)]
@@ -68,6 +70,11 @@ pub struct ParamVars {
     fuse_w: Var,
     fuse_b: Var,
     classifier: Var,
+    /// Eq. 4's `W_Q▷ W_K▷ᵀ`, when a frozen state folded it once; `None`
+    /// records the product on each tape.
+    qk: Option<Var>,
+    /// Where packaging reads each node's `x·G_node` row.
+    node_rows: NodeRows,
 }
 
 impl ParamVars {
@@ -296,23 +303,33 @@ impl WidenModel {
 
     /// Copies the current parameter values onto a tape (once per tape).
     pub fn insert_params(&self, tape: &mut Tape) -> ParamVars {
+        self.insert_params_with(|t| tape.leaf_copy(t))
+    }
+
+    /// The 14 parameters as `insert` puts them on a tape, in declaration
+    /// order; every weight product is left to the tape and every node
+    /// projection to packaging.
+    fn insert_params_with(&self, mut insert: impl FnMut(&Tensor) -> Var) -> ParamVars {
         let p = &self.params;
         let i = &self.ids;
+        let g_node = insert(p.get(i.g_node));
         ParamVars {
-            g_node: tape.leaf_copy(p.get(i.g_node)),
-            g_edge: tape.leaf_copy(p.get(i.g_edge)),
-            wide_q: tape.leaf_copy(p.get(i.wide_q)),
-            wide_k: tape.leaf_copy(p.get(i.wide_k)),
-            wide_v: tape.leaf_copy(p.get(i.wide_v)),
-            deep_q1: tape.leaf_copy(p.get(i.deep_q1)),
-            deep_k1: tape.leaf_copy(p.get(i.deep_k1)),
-            deep_v1: tape.leaf_copy(p.get(i.deep_v1)),
-            deep_q2: tape.leaf_copy(p.get(i.deep_q2)),
-            deep_k2: tape.leaf_copy(p.get(i.deep_k2)),
-            deep_v2: tape.leaf_copy(p.get(i.deep_v2)),
-            fuse_w: tape.leaf_copy(p.get(i.fuse_w)),
-            fuse_b: tape.leaf_copy(p.get(i.fuse_b)),
-            classifier: tape.leaf_copy(p.get(i.classifier)),
+            g_node,
+            g_edge: insert(p.get(i.g_edge)),
+            wide_q: insert(p.get(i.wide_q)),
+            wide_k: insert(p.get(i.wide_k)),
+            wide_v: insert(p.get(i.wide_v)),
+            deep_q1: insert(p.get(i.deep_q1)),
+            deep_k1: insert(p.get(i.deep_k1)),
+            deep_v1: insert(p.get(i.deep_v1)),
+            deep_q2: insert(p.get(i.deep_q2)),
+            deep_k2: insert(p.get(i.deep_k2)),
+            deep_v2: insert(p.get(i.deep_v2)),
+            fuse_w: insert(p.get(i.fuse_w)),
+            fuse_b: insert(p.get(i.fuse_b)),
+            classifier: insert(p.get(i.classifier)),
+            qk: None,
+            node_rows: NodeRows::Project(g_node),
         }
     }
 
@@ -364,11 +381,11 @@ impl WidenModel {
         let mut wide_batch = None;
         let h_wide = if variant.use_wide {
             let wides: Vec<&widen_sampling::WideSet> = states.iter().map(|s| &s.wide).collect();
-            let batch = crate::packaging::pack_wide_batch(
+            let batch = crate::packaging::pack_wide_with(
                 tape,
                 graph,
                 &wides,
-                pv.g_node,
+                pv.node_rows,
                 pv.g_edge,
                 self.num_edge_types,
             );
@@ -405,11 +422,11 @@ impl WidenModel {
                 node_walks.push((walks.len(), s.deeps.len()));
                 walks.extend(s.deeps.iter());
             }
-            let batch = crate::packaging::pack_deep_batch(
+            let batch = crate::packaging::pack_deep_with(
                 tape,
                 graph,
                 &walks,
-                pv.g_node,
+                pv.node_rows,
                 pv.g_edge,
                 self.num_edge_types,
             );
@@ -417,7 +434,8 @@ impl WidenModel {
 
             // Eq. 4: causal successive attention. Every position queries
             // the suffix of its own walk (itself + later positions) with
-            // `p_i (W_Q W_Kᵀ) p_jᵀ` — one d×d product of the parameters,
+            // `p_i (W_Q W_Kᵀ) p_jᵀ` — one d×d product of the parameters
+            // (folded once per frozen inference state, else once per tape),
             // then the one projection of the unique rows; keys are the raw
             // packs under the same index. Its output is kept as weights
             // only: the refined rows `H = A M W_V` are only ever Eq. 5's
@@ -427,7 +445,10 @@ impl WidenModel {
                     .iter()
                     .flat_map(|&(start, len)| (0..len).map(move |r| (start + r, len - r)))
                     .collect();
-                let qk = tape.matmul_nt(pv.deep_q1, pv.deep_k1);
+                let qk = match pv.qk {
+                    Some(qk) => qk,
+                    None => tape.matmul_nt(pv.deep_q1, pv.deep_k1),
+                };
                 let q1 = tape.matmul(packs, qk);
                 let (q_rows, k_rows) = (rows.clone(), rows.clone());
                 tape.segment_attention(q1, q_rows, packs, k_rows, row_spans, inv_sqrt_d)
@@ -527,14 +548,17 @@ impl WidenModel {
 
     /// Embeds the listed nodes (`len × d`), sampling fresh neighbourhoods
     /// with `seed`. Runs in chunks of [`WidenConfig::batch_size`] nodes;
-    /// each chunk is one fused [`WidenModel::forward_batch`].
+    /// each chunk is one fused [`WidenModel::forward_batch`] through one
+    /// frozen inference state ([`InferState`]) for the whole call.
     pub fn embed_nodes(&self, graph: &HeteroGraph, nodes: &[NodeId], seed: u64) -> Tensor {
-        self.infer(graph, &seeded(nodes, seed), InferOutput::Embedding)
+        let items = seeded(nodes, seed);
+        self.infer(&mut self.freeze(), graph, &items, InferOutput::Embedding)
     }
 
     /// Predicts class labels for the listed nodes.
     pub fn predict(&self, graph: &HeteroGraph, nodes: &[NodeId], seed: u64) -> Vec<usize> {
-        argmax_rows(&self.infer(graph, &seeded(nodes, seed), InferOutput::Logits))
+        let items = seeded(nodes, seed);
+        argmax_rows(&self.infer(&mut self.freeze(), graph, &items, InferOutput::Logits))
     }
 
     /// Predicts by averaging logits over `rounds` independently sampled
@@ -548,7 +572,8 @@ impl WidenModel {
         seed: u64,
         rounds: usize,
     ) -> Vec<usize> {
-        argmax_rows(&self.ensemble_sums(graph, &seeded(nodes, seed), rounds))
+        let items = seeded(nodes, seed);
+        argmax_rows(&self.ensemble_sums(&mut self.freeze(), graph, &items, rounds))
     }
 
     /// Embeds a coalesced batch of serving requests in one fused forward
@@ -562,8 +587,22 @@ impl WidenModel {
     /// # Panics
     /// Panics if `items` is empty.
     pub fn embed_requests(&self, graph: &HeteroGraph, items: &[(NodeId, u64)]) -> Tensor {
+        self.embed_requests_with(&mut self.freeze(), graph, items)
+    }
+
+    /// [`WidenModel::embed_requests`] through a long-lived frozen state of
+    /// this model ([`WidenModel::freeze`]) — bitwise the same rows.
+    ///
+    /// # Panics
+    /// Panics if `items` is empty.
+    pub fn embed_requests_with(
+        &self,
+        state: &mut InferState,
+        graph: &HeteroGraph,
+        items: &[(NodeId, u64)],
+    ) -> Tensor {
         assert!(!items.is_empty(), "embed_requests needs at least one item");
-        self.infer(graph, items, InferOutput::Embedding)
+        self.infer(state, graph, items, InferOutput::Embedding)
     }
 
     /// Ensemble logits for a coalesced batch of serving requests: per item,
@@ -580,13 +619,34 @@ impl WidenModel {
         items: &[(NodeId, u64)],
         rounds: usize,
     ) -> Tensor {
+        self.ensemble_logits_with(&mut self.freeze(), graph, items, rounds)
+    }
+
+    /// [`WidenModel::ensemble_logits`] through a long-lived frozen state of
+    /// this model ([`WidenModel::freeze`]) — bitwise the same rows.
+    ///
+    /// # Panics
+    /// Panics if `items` is empty or `rounds` is zero.
+    pub fn ensemble_logits_with(
+        &self,
+        state: &mut InferState,
+        graph: &HeteroGraph,
+        items: &[(NodeId, u64)],
+        rounds: usize,
+    ) -> Tensor {
         assert!(!items.is_empty(), "ensemble_logits needs at least one item");
-        self.ensemble_sums(graph, items, rounds)
+        self.ensemble_sums(state, graph, items, rounds)
     }
 
     /// Logits summed over `rounds` sampling rounds, round `r` drawing item
     /// seeds from `hash_seed(seed, &[40, r])`.
-    fn ensemble_sums(&self, graph: &HeteroGraph, items: &[(NodeId, u64)], rounds: usize) -> Tensor {
+    fn ensemble_sums(
+        &self,
+        state: &mut InferState,
+        graph: &HeteroGraph,
+        items: &[(NodeId, u64)],
+        rounds: usize,
+    ) -> Tensor {
         assert!(rounds >= 1, "need at least one round");
         let mut sums = Tensor::zeros(items.len(), self.num_classes);
         for r in 0..rounds as u64 {
@@ -594,65 +654,11 @@ impl WidenModel {
                 .iter()
                 .map(|&(node, seed)| (node, hash_seed(seed, &[40, r])))
                 .collect();
-            sums.add_scaled(1.0, &self.infer(graph, &round_items, InferOutput::Logits));
+            let logits = self.infer(state, graph, &round_items, InferOutput::Logits);
+            sums.add_scaled(1.0, &logits);
         }
         sums
     }
-
-    /// The one inference worker behind every entry point above: one
-    /// [`WidenModel::forward_batch`] per chunk of `(node, seed)` items, one
-    /// output row per item. Long lists run in chunks of
-    /// [`WidenConfig::batch_size`] items (a chunk's tape holds about a
-    /// megabyte per node; rows do not depend on what shares their chunk).
-    ///
-    /// Each chunk's tape draws its buffers from the calling thread's
-    /// [`INFER_ARENA`] and returns them to it, so a serving batch worker, an
-    /// evaluation loop or an example that calls in repeatedly stops
-    /// allocating after its first few batches.
-    fn infer(&self, graph: &HeteroGraph, items: &[(NodeId, u64)], output: InferOutput) -> Tensor {
-        use rayon::prelude::*;
-        let width = match output {
-            InferOutput::Embedding => self.config.d,
-            InferOutput::Logits => self.num_classes,
-        };
-        let mut out = Tensor::zeros(items.len(), width);
-        let chunk_len = self.config.batch_size.max(1);
-        items
-            .par_chunks(chunk_len)
-            .zip(out.as_mut_slice().par_chunks_mut(chunk_len * width))
-            .for_each(|(chunk, out_rows)| {
-                let mut tape = self.new_tape();
-                tape.install_pool(INFER_ARENA.take());
-                let pv = self.insert_params(&mut tape);
-                let states: Vec<NodeState> = chunk
-                    .iter()
-                    .map(|&(node, seed)| self.sample_state(graph, node, seed))
-                    .collect();
-                let refs: Vec<&NodeState> = states.iter().collect();
-                let fw = self.forward_batch(&mut tape, &pv, graph, &refs);
-                let var = match output {
-                    InferOutput::Embedding => fw.embeddings,
-                    InferOutput::Logits => fw.logits,
-                };
-                out_rows.copy_from_slice(tape.value(var).as_slice());
-                INFER_ARENA.set(tape.take_pool());
-            });
-        out
-    }
-}
-
-thread_local! {
-    /// The calling thread's buffer arena for inference tapes (see
-    /// [`WidenModel::infer`]); it holds at most what the largest chunk this
-    /// thread has run needed, and dies with the thread.
-    static INFER_ARENA: RefCell<BufferPool> = RefCell::new(BufferPool::new());
-}
-
-/// Which tensor [`WidenModel::infer`] extracts per item.
-#[derive(Clone, Copy)]
-enum InferOutput {
-    Embedding,
-    Logits,
 }
 
 /// `(node, seed)` items sharing one seed.
@@ -690,9 +696,10 @@ pub(crate) mod oracle;
 
 #[cfg(test)]
 mod tests {
+    use super::infer::INFER_ARENA;
     use super::*;
     use crate::ablation::Variant;
-    use widen_graph::GraphBuilder;
+    use widen_graph::{EdgeTypeId, GraphBuilder, NodeTypeId};
     use widen_tensor::BackendKind;
 
     fn toy_graph() -> HeteroGraph {
@@ -1607,6 +1614,82 @@ mod tests {
             let via_requests: Vec<usize> =
                 (0..items.len()).map(|i| argmax(logits.row(i))).collect();
             assert_eq!(serial, via_requests);
+        }
+    }
+
+    /// Whether `state`'s sample reads `node` anywhere.
+    fn reads(state: &NodeState, node: u32) -> bool {
+        let wide =
+            std::iter::once(state.wide.target).chain(state.wide.entries.iter().map(|e| e.node));
+        let deep = state.deeps.iter().flat_map(|w| {
+            std::iter::once(w.set.target).chain(w.set.entries.iter().map(|e| e.node))
+        });
+        wide.chain(deep).any(|n| n == node)
+    }
+
+    #[test]
+    fn a_long_lived_frozen_state_serves_the_one_call_rows_across_graph_growth() {
+        // One state over many calls — the serving worker's life — answers
+        // bitwise what a fresh one-call state does: on both backends, for
+        // embeddings and ensemble logits, and after the graph grew under
+        // it: the new node itself, and an old node whose sample now reads
+        // it (its table row is projected by the chunk that first reads it).
+        let ds = widen_data::acm_like(widen_data::Scale::Smoke, 5);
+        for backend in BackendKind::all() {
+            let mut g = ds.graph.clone();
+            let model = WidenModel::for_graph(&g, serving_config(backend));
+            let mut state = model.freeze();
+            let nodes = g.labeled_nodes();
+            for (round, len) in [32usize, 1, 8, 32].into_iter().enumerate() {
+                let items: Vec<(u32, u64)> = (0..len)
+                    .map(|i| (nodes[(7 * round + i) % nodes.len()], 1000 + i as u64))
+                    .collect();
+                let rows = model.embed_requests_with(&mut state, &g, &items);
+                assert_eq!(rows.as_slice(), model.embed_requests(&g, &items).as_slice());
+                let logits = model.ensemble_logits_with(&mut state, &g, &items, 2);
+                assert_eq!(
+                    logits.as_slice(),
+                    model.ensemble_logits(&g, &items, 2).as_slice()
+                );
+            }
+
+            let peers = [(nodes[0], EdgeTypeId(0)), (nodes[1], EdgeTypeId(0))];
+            let features = vec![0.25; g.feature_dim()];
+            let new = g
+                .add_node_with_edges(NodeTypeId(0), features, None, &peers)
+                .unwrap();
+            let reader = (0..new)
+                .flat_map(|v| (0..16u64).map(move |seed| (v, seed)))
+                .find(|&(v, seed)| reads(&model.sample_state(&g, v, seed), new))
+                .expect("an old node's sample reaches the new one");
+            for items in [vec![(new, 3)], vec![reader], vec![reader, (new, 3)]] {
+                let rows = model.embed_requests_with(&mut state, &g, &items);
+                assert_eq!(rows.as_slice(), model.embed_requests(&g, &items).as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn one_state_shares_its_table_across_the_chunks_of_a_call() {
+        // `embed_nodes` over 2.5 chunks runs one state: later chunks read
+        // rows earlier chunks projected. Every row is still the row of its
+        // chunk alone, and of its node alone.
+        let ds = widen_data::acm_like(widen_data::Scale::Smoke, 5);
+        let g = &ds.graph;
+        let mut cfg = serving_config(BackendKind::Optimized);
+        cfg.batch_size = 16;
+        let model = WidenModel::for_graph(g, cfg);
+        let nodes = &g.labeled_nodes()[..40];
+        let all = model.embed_nodes(g, nodes, 9);
+        for (c, chunk) in nodes.chunks(16).enumerate() {
+            let alone = model.embed_nodes(g, chunk, 9);
+            assert_eq!(
+                &all.as_slice()[c * 16 * 32..][..alone.len()],
+                alone.as_slice()
+            );
+        }
+        for (i, &node) in nodes.iter().enumerate() {
+            assert_eq!(all.row(i), model.embed_nodes(g, &[node], 9).row(0));
         }
     }
 

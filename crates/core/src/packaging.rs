@@ -98,6 +98,15 @@ pub struct PackedBatch {
     pub spans: Arc<[(usize, usize)]>,
 }
 
+/// Where packaging reads a node's row `v = x·G_node` (Eq. 1–2).
+#[derive(Clone, Copy)]
+pub(crate) enum NodeRows {
+    /// Project the batch's distinct nodes through this `G_node`.
+    Project(Var),
+    /// Row `node` of a frozen inference state's node table.
+    Table(Var),
+}
+
 /// Batched `PACK∘` (Eq. 1): assembles the wide packs of a whole chunk — a
 /// single feature gather and one `G_node` projection matmul over the
 /// *unique* `(node, edge-row)` pairs, addressed per node through
@@ -107,6 +116,19 @@ pub fn pack_wide_batch(
     graph: &HeteroGraph,
     wides: &[&WideSet],
     g_node: Var,
+    g_edge: Var,
+    num_edge_types: usize,
+) -> PackedBatch {
+    let node_rows = NodeRows::Project(g_node);
+    pack_wide_with(tape, graph, wides, node_rows, g_edge, num_edge_types)
+}
+
+/// [`pack_wide_batch`] with the node rows read as `node_rows` says.
+pub(crate) fn pack_wide_with(
+    tape: &mut Tape,
+    graph: &HeteroGraph,
+    wides: &[&WideSet],
+    node_rows: NodeRows,
     g_edge: Var,
     num_edge_types: usize,
 ) -> PackedBatch {
@@ -127,7 +149,7 @@ pub fn pack_wide_batch(
             edge_rows.push(edge_index(e.edge_type));
         }
     }
-    let batch = assemble_batch(tape, graph, &ids, &edge_rows, &[], g_node, g_edge, spans);
+    let batch = assemble_batch(tape, graph, &ids, &edge_rows, &[], node_rows, g_edge, spans);
     record_packaging(&sw);
     batch
 }
@@ -143,6 +165,19 @@ pub fn pack_deep_batch(
     graph: &HeteroGraph,
     deeps: &[&DeepState],
     g_node: Var,
+    g_edge: Var,
+    num_edge_types: usize,
+) -> PackedBatch {
+    let node_rows = NodeRows::Project(g_node);
+    pack_deep_with(tape, graph, deeps, node_rows, g_edge, num_edge_types)
+}
+
+/// [`pack_deep_batch`] with the node rows read as `node_rows` says.
+pub(crate) fn pack_deep_with(
+    tape: &mut Tape,
+    graph: &HeteroGraph,
+    deeps: &[&DeepState],
+    node_rows: NodeRows,
     g_edge: Var,
     num_edge_types: usize,
 ) -> PackedBatch {
@@ -172,7 +207,7 @@ pub fn pack_deep_batch(
     }
 
     let batch = assemble_batch(
-        tape, graph, &ids, &edge_rows, &relays, g_node, g_edge, spans,
+        tape, graph, &ids, &edge_rows, &relays, node_rows, g_edge, spans,
     );
     record_packaging(&sw);
     batch
@@ -188,9 +223,12 @@ pub fn pack_deep_batch(
 /// row is private) and records which unique row each position reads
 /// (`flat_index`). Node features repeat even more than pairs do, so the
 /// `d₀`-wide `G_node` projection additionally runs on the distinct node set
-/// only. Every unique row is bitwise the value the undeduplicated assembly
-/// would produce at its positions: identical inputs flow through the
-/// identical kernels, just once per distinct row.
+/// only — or not at all, when a table already holds every node's row.
+/// Every unique row is bitwise the value the undeduplicated assembly would
+/// produce at its positions: identical inputs flow through the identical
+/// kernels, just once per distinct row (a GEMM row does not depend on the
+/// other rows of its call, so a table row is the row this batch's own
+/// projection would give).
 #[allow(clippy::too_many_arguments)]
 fn assemble_batch(
     tape: &mut Tape,
@@ -198,7 +236,7 @@ fn assemble_batch(
     ids: &[u32],
     edge_rows: &[usize],
     relays: &[&[f32]],
-    g_node: Var,
+    node_rows: NodeRows,
     g_edge: Var,
     spans: Vec<(usize, usize)>,
 ) -> PackedBatch {
@@ -217,21 +255,28 @@ fn assemble_batch(
         })
         .collect();
 
-    let mut node_slot: FxHashMap<u32, usize> = FxHashMap::default();
-    let mut unique_nodes: Vec<u32> = Vec::new();
-    let node_of: Vec<usize> = u_ids
-        .iter()
-        .map(|&id| {
-            *node_slot.entry(id).or_insert_with(|| {
-                unique_nodes.push(id);
-                unique_nodes.len() - 1
-            })
-        })
-        .collect();
-
-    let x = features_leaf(tape, graph, &unique_nodes);
-    let projected = tape.matmul(x, g_node);
-    let v = tape.select_rows(projected, &node_of);
+    let v = match node_rows {
+        NodeRows::Table(table) => {
+            let rows: Vec<usize> = u_ids.iter().map(|&id| id as usize).collect();
+            tape.select_rows(table, &rows)
+        }
+        NodeRows::Project(g_node) => {
+            let mut node_slot: FxHashMap<u32, usize> = FxHashMap::default();
+            let mut unique_nodes: Vec<u32> = Vec::new();
+            let node_of: Vec<usize> = u_ids
+                .iter()
+                .map(|&id| {
+                    *node_slot.entry(id).or_insert_with(|| {
+                        unique_nodes.push(id);
+                        unique_nodes.len() - 1
+                    })
+                })
+                .collect();
+            let x = features_leaf(tape, graph, &unique_nodes);
+            let projected = tape.matmul(x, g_node);
+            tape.select_rows(projected, &node_of)
+        }
+    };
 
     // Eq. 8 relays ride under the table as `R` constant rows: one gather
     // serves table and relay positions alike, and a relay row's gradient

@@ -1,7 +1,9 @@
 //! Micro-batching worker: pulls per-node jobs off the shared queue,
 //! coalesces them into chunks (up to `max_batch` jobs or `max_wait_us`
 //! after the first), and answers each chunk with one fused
-//! [`widen_core::WidenModel::forward_batch`]-backed call.
+//! [`widen_core::WidenModel::forward_batch`]-backed call through the
+//! worker's frozen inference state ([`InferState`]), which it keeps for as
+//! long as the checkpoint digest stays the same.
 //!
 //! Correctness rests on the engine's batch-composition invariance (pinned
 //! by a `widen-core` test): a node's output row is bit-identical no matter
@@ -14,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{Receiver, RecvTimeoutError};
-use widen_core::model::argmax;
+use widen_core::model::{argmax, InferState};
 use widen_obs::{buckets, Counter, Gauge, Histogram, Registry};
 
 use parking_lot::Mutex;
@@ -250,6 +252,7 @@ pub(crate) fn run_worker(
     policy: BatchPolicy,
     stats: Arc<WorkerStats>,
 ) {
+    let mut frozen = None;
     loop {
         let mut first = match rx.recv() {
             Ok(job) => job,
@@ -285,14 +288,15 @@ pub(crate) fn run_worker(
         stats
             .batch_wait_us
             .observe(window_start.elapsed().as_micros() as f64);
-        process_batch(&registry, &cache, jobs, &stats);
+        process_batch(&registry, &cache, jobs, &stats, &mut frozen);
     }
 }
 
 /// Answers every job in `jobs`: expired ones with an error, embed jobs
 /// from the cache when possible, the rest through one fused model call
 /// per distinct [`JobKind`] — a cache miss counted once per distinct key,
-/// like the row it stands for.
+/// like the row it stands for. Every model call runs through `frozen`,
+/// bitwise what the offline `embed_requests` / `ensemble_logits` give.
 ///
 /// The whole batch runs under **one** registry read guard, so the digest
 /// and graph version used for cache keys, the weights the forward pass
@@ -308,6 +312,7 @@ fn process_batch(
     cache: &EmbedCache,
     jobs: Vec<Job>,
     stats: &WorkerStats,
+    frozen: &mut Option<(u64, InferState)>,
 ) {
     stats.batches.inc();
     stats.jobs.add(jobs.len() as u64);
@@ -316,6 +321,12 @@ fn process_batch(
     let st = registry.read();
     let ckpt = st.checkpoint_hash();
     let graph_version = st.graph_version();
+    // A new digest (a hot swap) rebuilds the state; the old one drops
+    // first, handing the thread's one inference pool to the new one.
+    if !matches!(frozen, Some((built_for, _)) if *built_for == ckpt) {
+        *frozen = None;
+    }
+    let state = &mut frozen.get_or_insert_with(|| (ckpt, st.model().freeze())).1;
 
     // kind → pending jobs grouping. Kinds in a window are few; a Vec scan
     // beats hashing.
@@ -394,7 +405,7 @@ fn process_batch(
         let forward_start = Instant::now();
         match kind {
             JobKind::Embed => {
-                let rows = st.model().embed_requests(st.graph(), &items);
+                let rows = st.model().embed_requests_with(state, st.graph(), &items);
                 let forward_end = Instant::now();
                 stats.forward_us.observe(
                     forward_end
@@ -431,9 +442,9 @@ fn process_batch(
                 }
             }
             JobKind::Classify { rounds } => {
-                let logits = st
-                    .model()
-                    .ensemble_logits(st.graph(), &items, rounds as usize);
+                let logits =
+                    st.model()
+                        .ensemble_logits_with(state, st.graph(), &items, rounds as usize);
                 let forward_end = Instant::now();
                 stats.forward_us.observe(
                     forward_end
@@ -478,6 +489,8 @@ mod tests {
     use super::*;
     use widen_core::{WidenConfig, WidenModel};
     use widen_data::{acm_like, Scale};
+    use widen_graph::{EdgeTypeId, NodeTypeId};
+    use widen_tensor::Tensor;
 
     fn tiny_registry() -> Arc<ModelRegistry> {
         let dataset = acm_like(Scale::Smoke, 5);
@@ -528,6 +541,7 @@ mod tests {
             &cache,
             vec![job(JobKind::Embed, 0, 7, 0, &tx)],
             &stats,
+            &mut None,
         );
         let stamps = match rx.recv().unwrap() {
             Completion::Job { stamps, .. } => stamps,
@@ -552,7 +566,7 @@ mod tests {
         let trace = Arc::new(RequestTrace::new(0xABCD));
         let mut traced = job(JobKind::Embed, 0, 7, 0, &tx);
         traced.trace = Some(trace.clone());
-        process_batch(&registry, &cache, vec![traced], &stats);
+        process_batch(&registry, &cache, vec![traced], &stats, &mut None);
         take(&rx).1.unwrap();
         let spans = trace.spans.lock();
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
@@ -576,7 +590,7 @@ mod tests {
             job(JobKind::Classify { rounds: 2 }, 1, 7, 1, &tx),
             job(JobKind::Embed, 2, 9, 2, &tx),
         ];
-        process_batch(&registry, &cache, jobs, &stats);
+        process_batch(&registry, &cache, jobs, &stats, &mut None);
         let mut results: Vec<_> = (0..3).map(|_| take(&rx)).collect();
         results.sort_by_key(|(slot, _)| *slot);
 
@@ -606,6 +620,7 @@ mod tests {
             &cache,
             vec![job(JobKind::Embed, 3, 11, 0, &tx)],
             &stats,
+            &mut None,
         );
         let first = take(&rx).1.unwrap();
         process_batch(
@@ -613,6 +628,7 @@ mod tests {
             &cache,
             vec![job(JobKind::Embed, 3, 11, 0, &tx)],
             &stats,
+            &mut None,
         );
         let second = take(&rx).1.unwrap();
         assert_eq!(first, second);
@@ -633,7 +649,7 @@ mod tests {
             job(JobKind::Embed, 6, 13, 3, &tx),
             job(JobKind::Embed, 6, 13, 4, &tx),
         ];
-        process_batch(&registry, &cache, jobs, &stats);
+        process_batch(&registry, &cache, jobs, &stats, &mut None);
         let mut results: Vec<_> = (0..5).map(|_| take(&rx)).collect();
         results.sort_by_key(|(slot, _)| *slot);
 
@@ -656,6 +672,92 @@ mod tests {
     }
 
     #[test]
+    fn the_worker_state_follows_hot_swaps_and_graph_growth_bitwise() {
+        // One worker state across generations, at paper width on the
+        // optimized backend: every row equals the offline `embed_requests`
+        // of the model and graph current at the time. After a hot swap no
+        // row comes from the old table; after an ingest, the new node and
+        // an old node whose sample reads it are served from rows projected
+        // under the grown graph.
+        let dataset = acm_like(Scale::Smoke, 5);
+        let mut cfg = WidenConfig::paper();
+        cfg.phi = 2;
+        let model_a = WidenModel::for_graph(&dataset.graph, cfg.clone());
+        let model_b = WidenModel::for_graph(&dataset.graph, cfg.with_seed(99));
+        let registry = ModelRegistry::from_model(dataset.graph.clone(), model_a);
+        let cache = EmbedCache::new(0);
+        let stats = WorkerStats::new(&Registry::new());
+        let (tx, rx) = mpsc::channel();
+        let mut frozen = None;
+        let mut serve = |kind, items: &[(u32, u64)]| {
+            let jobs = items
+                .iter()
+                .enumerate()
+                .map(|(slot, &(node, seed))| job(kind, node, seed, slot, &tx))
+                .collect();
+            process_batch(&registry, &cache, jobs, &stats, &mut frozen);
+            let mut out = vec![None; items.len()];
+            for _ in items {
+                let (slot, result) = take(&rx);
+                out[slot] = Some(result.unwrap());
+            }
+            out.into_iter().flatten().collect::<Vec<_>>()
+        };
+        let embedded = |rows: &Tensor| {
+            (0..rows.rows())
+                .map(|i| JobOutput::Embedding(rows.row(i).to_vec()))
+                .collect::<Vec<_>>()
+        };
+
+        let items = [(0, 7), (3, 9), (5, 7), (0, 8)];
+        let first = serve(JobKind::Embed, &items);
+        assert_eq!(first, embedded(&current_rows(&registry, &items)));
+        registry.hot_swap(&model_b.save_weights()).unwrap();
+        let swapped = serve(JobKind::Embed, &items);
+        assert_eq!(
+            swapped,
+            embedded(&model_b.embed_requests(&dataset.graph, &items))
+        );
+        assert!(swapped.iter().zip(&first).all(|(b, a)| b != a));
+
+        let mut grown = dataset.graph.clone();
+        let peers = [(0, EdgeTypeId(0)), (3, EdgeTypeId(0))];
+        let features = vec![0.25; grown.feature_dim()];
+        let new = registry
+            .ingest(NodeTypeId(0), features.clone(), None, &peers, 1)
+            .unwrap()
+            .node;
+        grown
+            .add_node_with_edges(NodeTypeId(0), features, None, &peers)
+            .unwrap();
+        let reads_new = |&(v, seed): &(u32, u64)| {
+            let state = model_b.sample_state(&grown, v, seed);
+            let walks = state.deeps.iter().flat_map(|w| &w.set.entries);
+            state.wide.entries.iter().any(|e| e.node == new)
+                || walks.into_iter().any(|e| e.node == new)
+        };
+        let reader = (0..new)
+            .flat_map(|v| (0..16).map(move |seed| (v, seed)))
+            .find(reads_new)
+            .expect("an old node's sample reaches the new one");
+        let items = [(new, 3), reader];
+        let rows = serve(JobKind::Embed, &items);
+        assert_eq!(rows, embedded(&model_b.embed_requests(&grown, &items)));
+
+        let labels = serve(JobKind::Classify { rounds: 3 }, &items);
+        let logits = model_b.ensemble_logits(&grown, &items, 3);
+        for (i, label) in labels.iter().enumerate() {
+            assert_eq!(*label, JobOutput::Label(argmax(logits.row(i)) as u32));
+        }
+    }
+
+    /// The registry's current model's offline rows for `items`.
+    fn current_rows(registry: &ModelRegistry, items: &[(u32, u64)]) -> Tensor {
+        let st = registry.read();
+        st.model().embed_requests(st.graph(), items)
+    }
+
+    #[test]
     fn expired_jobs_get_deadline_errors_without_compute() {
         let registry = tiny_registry();
         let cache = Arc::new(EmbedCache::new(16));
@@ -663,7 +765,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let mut expired = job(JobKind::Embed, 0, 1, 0, &tx);
         expired.deadline = Instant::now() - Duration::from_millis(1);
-        process_batch(&registry, &cache, vec![expired], &stats);
+        process_batch(&registry, &cache, vec![expired], &stats, &mut None);
         assert_eq!(take(&rx).1, Err(ServeError::DeadlineExceeded));
         assert_eq!(stats.deadline_drops.get(), 1);
     }

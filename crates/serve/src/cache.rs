@@ -160,9 +160,12 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
             .collect();
         *self = Self::new(self.cap);
         for idx in oldest_first {
-            let entry = slab[idx].take().expect("a live entry is linked once");
-            if keep(&entry.key) {
-                self.insert(entry.key, entry.value);
+            // A live entry is linked once; a hole would be one already
+            // taken, and is skipped.
+            if let Some(entry) = slab[idx].take() {
+                if keep(&entry.key) {
+                    self.insert(entry.key, entry.value);
+                }
             }
         }
     }

@@ -61,7 +61,7 @@
 //! kind), and both decoders here accept either version, so old and new
 //! binaries interoperate on the same port.
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 use crate::error::ServeError;
 
@@ -324,15 +324,20 @@ pub struct SpanSummary {
     pub spans: Vec<WireSpan>,
 }
 
-fn frame(body: BytesMut) -> Vec<u8> {
-    let mut out = BytesMut::with_capacity(4 + body.len());
-    out.put_u32_le(body.len() as u32);
-    out.put_slice(&body);
-    out.freeze().to_vec()
+/// The finished frame: the buffer itself, the 4-byte length prefix
+/// [`body_header`] reserved patched with the body length.
+fn frame(mut b: Vec<u8>) -> Vec<u8> {
+    let body_len = (b.len() - 4) as u32;
+    b[..4].copy_from_slice(&body_len.to_le_bytes());
+    b
 }
 
-fn body_header(version: u16, msg_type: u8, id: u64, payload_hint: usize) -> BytesMut {
-    let mut b = BytesMut::with_capacity(15 + payload_hint);
+/// A frame buffer holding the reserved length prefix and the body header,
+/// sized for `payload_hint` more bytes: every frame is written once, in
+/// place.
+fn body_header(version: u16, msg_type: u8, id: u64, payload_hint: usize) -> Vec<u8> {
+    let mut b = Vec::with_capacity(4 + 15 + payload_hint);
+    b.put_slice(&[0; 4]);
     b.put_slice(&MAGIC);
     b.put_u16_le(version);
     b.put_slice(&[msg_type]);
@@ -340,7 +345,16 @@ fn body_header(version: u16, msg_type: u8, id: u64, payload_hint: usize) -> Byte
     b
 }
 
-fn request_body(req: &Request, version: u16) -> BytesMut {
+/// Appends `values` as little-endian `f32`s in one sweep.
+fn put_f32s_le(b: &mut Vec<u8>, values: &[f32]) {
+    let start = b.len();
+    b.resize(start + values.len() * 4, 0);
+    for (out, v) in b[start..].chunks_exact_mut(4).zip(values) {
+        out.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+fn request_body(req: &Request, version: u16) -> Vec<u8> {
     match req {
         Request::Embed { id, seed, nodes } => {
             let mut b = body_header(version, TYPE_EMBED, *id, 12 + nodes.len() * 4);
@@ -388,9 +402,7 @@ fn request_body(req: &Request, version: u16) -> BytesMut {
                 None => b.put_slice(&[0]),
             }
             b.put_u32_le(features.len() as u32);
-            for &f in features {
-                b.put_f32_le(f);
-            }
+            put_f32s_le(&mut b, features);
             b.put_u32_le(edges.len() as u32);
             for &(peer, t) in edges {
                 b.put_u32_le(peer);
@@ -433,7 +445,7 @@ pub fn encode_response_traced(resp: &Response, summary: &SpanSummary) -> Vec<u8>
     let mut b = response_body(resp, VERSION_TRACED);
     let count = summary.spans.len().min(MAX_SPANS_PER_SUMMARY);
     let ext_max = 1 + 8 + 2 + count * (1 + 255 + 2 + 8 + 8);
-    if b.len() + ext_max > MAX_FRAME_LEN {
+    if b.len() - 4 + ext_max > MAX_FRAME_LEN {
         return frame(response_body(resp, VERSION));
     }
     b.put_slice(&[EXT_TRACE]);
@@ -457,7 +469,7 @@ pub fn encode_response_traced(resp: &Response, summary: &SpanSummary) -> Vec<u8>
     frame(b)
 }
 
-fn response_body(resp: &Response, version: u16) -> BytesMut {
+fn response_body(resp: &Response, version: u16) -> Vec<u8> {
     match resp {
         Response::Embeddings { id, dim, values } => {
             let mut b = body_header(version, TYPE_EMBEDDINGS, *id, 8 + values.len() * 4);
@@ -468,9 +480,7 @@ fn response_body(resp: &Response, version: u16) -> BytesMut {
             };
             b.put_u32_le(rows);
             b.put_u32_le(*dim);
-            for &v in values {
-                b.put_f32_le(v);
-            }
+            put_f32s_le(&mut b, values);
             b
         }
         Response::Classes { id, labels } => {
@@ -499,9 +509,7 @@ fn response_body(resp: &Response, version: u16) -> BytesMut {
             let mut b = body_header(version, TYPE_INGESTED, *id, 8 + values.len() * 4);
             b.put_u32_le(*node);
             b.put_u32_le(*dim);
-            for &v in values {
-                b.put_f32_le(v);
-            }
+            put_f32s_le(&mut b, values);
             b
         }
     }
@@ -511,7 +519,7 @@ fn response_body(resp: &Response, version: u16) -> BytesMut {
 /// shape). Snapshots are bounded by the (small, fixed) metric population,
 /// but the frame cap is the wire contract — truncate at a char boundary
 /// rather than emit an unsendable frame.
-fn text_body(version: u16, msg_type: u8, id: u64, text: &str) -> BytesMut {
+fn text_body(version: u16, msg_type: u8, id: u64, text: &str) -> Vec<u8> {
     let budget = MAX_FRAME_LEN - 19 - 4;
     let mut text = text;
     if text.len() > budget {
@@ -931,6 +939,52 @@ mod tests {
             assert_eq!(&decode_request(&body).unwrap(), req);
             assert!(fr.next_frame().unwrap().is_none());
         }
+    }
+
+    #[test]
+    fn embeddings_frames_match_their_golden_bytes() {
+        // Byte for byte what the wire carried before the encoder wrote
+        // frames in place: length prefix, header, shape, raw little-endian
+        // floats (a NaN payload and a subnormal included), then the
+        // version-2 span extension.
+        let resp = Response::Embeddings {
+            id: 0x0102_0304_0506_0708,
+            dim: 2,
+            values: [0x3F80_0000, 0x8000_0000, 0x0000_0001, 0x7FC0_0001]
+                .map(f32::from_bits)
+                .to_vec(),
+        };
+        let body: &[&[u8]] = &[
+            b"WSV1\x01\x00\x03",
+            &[8, 7, 6, 5, 4, 3, 2, 1],
+            &[2, 0, 0, 0, 2, 0, 0, 0],
+            &[
+                0, 0, 0x80, 0x3F, 0, 0, 0, 0x80, 1, 0, 0, 0, 1, 0, 0xC0, 0x7F,
+            ],
+        ];
+        let plain: Vec<u8> = [&[39, 0, 0, 0][..]]
+            .iter()
+            .chain(body)
+            .flat_map(|p| p.iter().copied())
+            .collect();
+        assert_eq!(encode_response(&resp), plain);
+
+        let summary = SpanSummary {
+            trace_id: 0x1122_3344_5566_7788,
+            spans: vec![WireSpan {
+                name: "a.b".into(),
+                parent: WireSpan::ROOT,
+                start_ns: 5,
+                dur_ns: 9,
+            }],
+        };
+        let mut traced = plain.clone();
+        traced[..4].copy_from_slice(&72u32.to_le_bytes());
+        traced[8] = 2; // version 2
+        traced.extend_from_slice(&[1, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, 1, 0]);
+        traced.extend_from_slice(b"\x03a.b\xFF\xFF");
+        traced.extend_from_slice(&[5, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(encode_response_traced(&resp, &summary), traced);
     }
 
     #[test]

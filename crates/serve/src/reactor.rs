@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam_channel::{Sender, TrySendError};
 use rustc_hash::FxHashMap;
-use widen_obs::{buckets, Event, FlightRecord, Gauge, Histogram, TelemetrySnapshot};
+use widen_obs::{buckets, Counter, Event, FlightRecord, Gauge, Histogram, TelemetrySnapshot};
 
 use crate::batcher::{Completion, Job, JobKind, JobOutput, JobStamps, ReplySink, RequestTrace};
 use crate::error::ServeError;
@@ -148,8 +148,9 @@ struct Pending {
     kind: PendingKind,
     /// Client-chosen wire id, echoed in the response.
     id: u64,
-    /// Per-slot job outputs (empty for `Direct`).
-    results: Vec<Option<JobOutput>>,
+    /// Per-slot job outcomes, `None` until the slot's completion lands
+    /// (empty for `Direct`).
+    results: Vec<Option<Result<JobOutput, ServeError>>>,
     /// Completions still outstanding.
     remaining: usize,
     /// First error seen (job failure or partial-enqueue failure); wins
@@ -202,6 +203,9 @@ struct ReactorMetrics {
     /// `serve_write_buffer_hwm_bytes` — largest unflushed write buffer
     /// ever observed on any connection (monotone high-water mark).
     write_buffer_hwm: Arc<Gauge>,
+    /// `serve_duplicate_completions_total` — job completions dropped
+    /// because their slot had already answered (or never existed).
+    duplicate_completions: Arc<Counter>,
 }
 
 impl ReactorMetrics {
@@ -216,6 +220,7 @@ impl ReactorMetrics {
             write_flush_us: registry.histogram("serve_write_flush_us", buckets::LATENCY_US_FINE),
             inflight: registry.gauge("serve_inflight_requests"),
             write_buffer_hwm: registry.gauge("serve_write_buffer_hwm_bytes"),
+            duplicate_completions: registry.counter("serve_duplicate_completions_total"),
         }
     }
 }
@@ -847,7 +852,9 @@ impl Reactor {
 
     /// Applies every queued completion. Late completions whose request
     /// was already reaped (or whose connection died) have no pending
-    /// entry and are dropped silently.
+    /// entry and are dropped silently; a second completion for a slot
+    /// that already answered is dropped and counted — it never decides a
+    /// response.
     fn drain_completions(&mut self) {
         while let Ok(completion) = self.completion_rx.try_recv() {
             match completion {
@@ -860,24 +867,22 @@ impl Reactor {
                     let Some(p) = self.pending.get_mut(&req) else {
                         continue;
                     };
+                    let Some(cell) = p.results.get_mut(slot).filter(|cell| cell.is_none()) else {
+                        self.m.duplicate_completions.inc();
+                        continue;
+                    };
+                    if let Err(err) = &result {
+                        p.failure.get_or_insert_with(|| err.clone());
+                    }
+                    *cell = Some(result);
                     // Last completion wins: the request's recorded
                     // timeline is the slot that finished it.
                     p.stamps = Some(stamps);
-                    match result {
-                        Ok(output) => {
-                            if let Some(cell) = p.results.get_mut(slot) {
-                                *cell = Some(output);
-                            }
-                        }
-                        Err(err) => {
-                            if p.failure.is_none() {
-                                p.failure = Some(err);
-                            }
-                        }
-                    }
                     p.remaining = p.remaining.saturating_sub(1);
-                    if p.remaining == 0 {
-                        let p = self.pending.remove(&req).expect("present");
+                    if p.remaining > 0 {
+                        continue;
+                    }
+                    if let Some(p) = self.pending.remove(&req) {
                         self.m.inflight.set(self.pending.len() as i64);
                         let response = assemble(&p);
                         self.finish_pending(p, response);
@@ -1081,10 +1086,11 @@ impl Reactor {
             .map(|(&req, _)| req)
             .collect();
         for req in expired {
-            let p = self.pending.remove(&req).expect("present");
-            self.m.inflight.set(self.pending.len() as i64);
-            let response = Response::from_error(p.id, &ServeError::DeadlineExceeded);
-            self.finish_pending(p, response);
+            if let Some(p) = self.pending.remove(&req) {
+                self.m.inflight.set(self.pending.len() as i64);
+                let response = Response::from_error(p.id, &ServeError::DeadlineExceeded);
+                self.finish_pending(p, response);
+            }
         }
     }
 
@@ -1133,7 +1139,7 @@ fn assemble(p: &Pending) -> Response {
             let mut values = Vec::with_capacity(p.results.len() * p.dim as usize);
             for r in &p.results {
                 match r {
-                    Some(JobOutput::Embedding(row)) => values.extend_from_slice(row),
+                    Some(Ok(JobOutput::Embedding(row))) => values.extend_from_slice(row),
                     _ => {
                         return Response::from_error(
                             p.id,
@@ -1152,7 +1158,7 @@ fn assemble(p: &Pending) -> Response {
             let mut labels = Vec::with_capacity(p.results.len());
             for r in &p.results {
                 match r {
-                    Some(JobOutput::Label(label)) => labels.push(*label),
+                    Some(Ok(JobOutput::Label(label))) => labels.push(*label),
                     _ => {
                         return Response::from_error(
                             p.id,
@@ -1270,4 +1276,114 @@ pub(crate) fn telemetry_text(shared: &Shared) -> String {
         widen_obs::Registry::global().snapshot(),
     ])
     .to_json()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batcher::WorkerStats;
+    use crate::cache::EmbedCache;
+    use crate::registry::ModelRegistry;
+    use widen_core::{WidenConfig, WidenModel};
+
+    #[test]
+    fn a_duplicate_completion_is_counted_and_never_decides_the_response() {
+        let dataset = widen_data::acm_like(widen_data::Scale::Smoke, 3);
+        let mut cfg = WidenConfig::small();
+        cfg.d = 4;
+        let model = WidenModel::for_graph(&dataset.graph, cfg);
+        let registry = Arc::new(ModelRegistry::from_model(dataset.graph, model));
+        let metrics = Arc::new(widen_obs::Registry::new());
+        let shared = Arc::new(Shared {
+            shutdown: Default::default(),
+            requests: metrics.counter("serve_requests_total"),
+            slow_requests: metrics.counter("serve_slow_requests_total"),
+            ingests: metrics.counter("serve_ingests_total"),
+            shed: metrics.counter("serve_shed_total"),
+            accept_errors: metrics.counter("serve_accept_errors_total"),
+            conns_rejected: metrics.counter("serve_conns_rejected_total"),
+            connections_total: metrics.counter("serve_connections_total"),
+            open_connections: metrics.gauge("serve_open_connections"),
+            cache: Arc::new(EmbedCache::new(0)),
+            worker_stats: Arc::new(WorkerStats::new(&metrics)),
+            registry,
+            request_timeout: Duration::from_secs(5),
+            slow_threshold: None,
+            slow_sink: None,
+            recorder: widen_obs::FlightRecorder::new(0),
+            postmortem_dumps: metrics.counter("serve_postmortem_dumps_total"),
+            postmortem: Default::default(),
+            postmortem_path: None,
+            metrics,
+        });
+        let (job_tx, _job_rx) = crossbeam_channel::bounded(4);
+        let (ingest_tx, _ingest_rx) = mpsc::channel();
+        let (tx, completion_rx) = mpsc::channel();
+        let sink = ReplySink {
+            tx: tx.clone(),
+            wake: None,
+        };
+        let mut reactor = Reactor::new(
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+            shared.clone(),
+            job_tx,
+            ingest_tx,
+            completion_rx,
+            sink,
+            Arc::new(WakePipe::new().unwrap()),
+            4,
+            4,
+        );
+        // A two-node embed request, waiting on both of its jobs.
+        let now = Instant::now();
+        reactor.pending.insert(
+            7,
+            Pending {
+                conn: 0,
+                kind: PendingKind::Embed,
+                id: 1,
+                results: vec![None, None],
+                remaining: 2,
+                failure: None,
+                reap_at: now + Duration::from_secs(60),
+                started: now,
+                trace: None,
+                kind_name: "embed",
+                nodes: 2,
+                dim: 1,
+                stamps: None,
+            },
+        );
+        let stamps = JobStamps {
+            enqueued: now,
+            pulled: now,
+            batch_start: now,
+            forward_start: now,
+            forward_end: now,
+        };
+        let done = |slot, x: f32| Completion::Job {
+            req: 7,
+            slot,
+            result: Ok(JobOutput::Embedding(vec![x])),
+            stamps,
+        };
+
+        // Slot 0 answers twice: the second one neither overwrites the row
+        // nor finishes the request with slot 1 still out.
+        tx.send(done(0, 1.0)).unwrap();
+        tx.send(done(0, 2.0)).unwrap();
+        reactor.drain_completions();
+        assert_eq!(reactor.m.duplicate_completions.get(), 1);
+        let p = &reactor.pending[&7];
+        assert_eq!(p.remaining, 1);
+        assert_eq!(p.results[0], Some(Ok(JobOutput::Embedding(vec![1.0]))));
+
+        // Slot 1 finishes it; a completion after that finds no request.
+        tx.send(done(1, 3.0)).unwrap();
+        tx.send(done(1, 4.0)).unwrap();
+        reactor.drain_completions();
+        assert!(reactor.pending.is_empty());
+        assert_eq!(shared.requests.get(), 1);
+        assert_eq!(reactor.m.duplicate_completions.get(), 1);
+    }
 }

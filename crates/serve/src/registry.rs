@@ -14,7 +14,7 @@ use std::time::Duration;
 use parking_lot::{RwLock, RwLockReadGuard};
 use widen_core::{WidenConfig, WidenModel};
 use widen_graph::{EdgeTypeId, HeteroGraph, MutationError, NodeTypeId};
-use widen_tensor::{digest64, BackendKind, CheckpointError};
+use widen_tensor::{digest64, CheckpointError};
 
 /// The consistent snapshot a read guard exposes: model, graph, the
 /// checkpoint digest identifying the model generation, and the graph
@@ -141,22 +141,6 @@ impl ModelRegistry {
         }
     }
 
-    /// Pins the dense GEMM kernel backend every forward pass served from
-    /// this registry dispatches through. The choice is per loaded model —
-    /// two registries in one process can serve on different backends.
-    pub fn with_backend(self, backend: BackendKind) -> Self {
-        let mut state = self.state.into_inner();
-        state.model.config.backend = backend;
-        Self {
-            state: RwLock::new(state),
-        }
-    }
-
-    /// The kernel backend this registry's forward passes run on.
-    pub fn backend(&self) -> BackendKind {
-        self.state.read().model.config.backend
-    }
-
     /// A consistent `(model, graph, digest)` snapshot. Workers take one
     /// guard per batch: everything computed under it belongs to a single
     /// model generation and graph version.
@@ -277,28 +261,6 @@ mod tests {
         drop(st);
         assert!(registry.contains_node(0));
         assert!(!registry.contains_node(u32::MAX));
-    }
-
-    #[test]
-    fn backend_pin_is_per_registry_and_embeddings_agree() {
-        let dataset = acm_like(Scale::Smoke, 3);
-        let model = WidenModel::for_graph(&dataset.graph, tiny_config());
-        let checkpoint = model.save_weights();
-        let reference =
-            ModelRegistry::from_checkpoint(dataset.graph.clone(), tiny_config(), &checkpoint)
-                .expect("valid checkpoint")
-                .with_backend(BackendKind::Reference);
-        let optimized =
-            ModelRegistry::from_checkpoint(dataset.graph.clone(), tiny_config(), &checkpoint)
-                .expect("valid checkpoint")
-                .with_backend(BackendKind::Optimized);
-        assert_eq!(reference.backend(), BackendKind::Reference);
-        assert_eq!(optimized.backend(), BackendKind::Optimized);
-        let (ra, rb) = (reference.read(), optimized.read());
-        let a = ra.model().embed_nodes(ra.graph(), &[0, 1], 5);
-        let b = rb.model().embed_nodes(rb.graph(), &[0, 1], 5);
-        let diff = a.max_abs_diff(&b);
-        assert!(diff <= 1e-5, "backend embeddings diverged: {diff}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! limits attainable precision, so the checker uses a combined
 //! absolute/relative tolerance.
 
-use crate::kernels::{default_backend, BackendKind};
+use crate::kernels::BackendKind;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -30,7 +30,7 @@ pub fn check_gradients(
     build: impl Fn(&mut Tape, &[Var]) -> Var,
     eps: f32,
 ) -> GradCheckReport {
-    check_gradients_with_backend(inputs, build, eps, default_backend())
+    check_gradients_with_backend(inputs, build, eps, BackendKind::default())
 }
 
 /// [`check_gradients`] with the kernel backend pinned — both the analytic
@@ -94,7 +94,7 @@ pub fn check_gradients_with_backend(
 /// # Panics
 /// Panics with a located diagnostic on failure.
 pub fn assert_grads_close(inputs: &[Tensor], build: impl Fn(&mut Tape, &[Var]) -> Var, tol: f32) {
-    assert_grads_close_with_backend(inputs, build, tol, default_backend());
+    assert_grads_close_with_backend(inputs, build, tol, BackendKind::default());
 }
 
 /// [`assert_grads_close`] with the kernel backend pinned.

@@ -31,18 +31,15 @@
 //! share a gradient slot.
 //!
 //! The active backend is a per-[`crate::Tape`] property
-//! ([`crate::Tape::set_backend`]); tensors' plain `matmul*` methods use
-//! the process-wide default, initialised lazily from the
-//! `WIDEN_KERNEL_BACKEND` environment variable (`reference` |
-//! `optimized`, defaulting to `reference`).
+//! ([`crate::Tape::set_backend`]); fresh tapes and tensors' plain `matmul*`
+//! methods run [`BackendKind::default`], which is [`Optimized`].
+//! [`Reference`] is the oracle the parity tests name explicitly.
 
 pub(crate) mod optimized;
 pub(crate) mod reference;
 
 pub use optimized::Optimized;
 pub use reference::Reference;
-
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Work threshold (`m·k·n`) above which GEMM kernels parallelise via rayon.
 pub(crate) const PAR_MATMUL_THRESHOLD: usize = 64 * 64 * 64;
@@ -91,17 +88,17 @@ pub trait KernelBackend: Send + Sync {
 /// Selector for one of the built-in kernel backends.
 ///
 /// `Copy` + 1 byte so it can be threaded through tapes, configs and wire
-/// formats for free. [`BackendKind::Reference`] is the default everywhere
-/// a value is constructed without consulting [`default_backend`].
+/// formats for free. [`BackendKind::Optimized`] is the default: what the
+/// library runs. [`BackendKind::Reference`] is the oracle tests pin it to.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum BackendKind {
     /// Scalar oracle, bit-compatible with the historical inline kernels.
-    #[default]
     Reference = 0,
     /// Packed, register-tiled GEMM (tolerance-bounded vs
     /// [`BackendKind::Reference`] on `A·B` and `A·Bᵀ`; bit-identical on
     /// `Aᵀ·B` and `dot`).
+    #[default]
     Optimized = 1,
 }
 
@@ -123,59 +120,10 @@ impl BackendKind {
         self.dispatch().name()
     }
 
-    /// Parses a backend name as accepted by `WIDEN_KERNEL_BACKEND`.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "reference" => Some(BackendKind::Reference),
-            "optimized" => Some(BackendKind::Optimized),
-            _ => None,
-        }
-    }
-
-    /// Reads `WIDEN_KERNEL_BACKEND`; unset means [`BackendKind::Reference`].
-    ///
-    /// # Panics
-    /// Panics on an unrecognised value — a typo in CI must fail loudly,
-    /// not silently fall back to the oracle.
-    pub fn from_env() -> Self {
-        match std::env::var("WIDEN_KERNEL_BACKEND") {
-            Ok(v) => Self::from_name(&v).unwrap_or_else(|| {
-                panic!("unknown WIDEN_KERNEL_BACKEND value `{v}` (expected `reference` or `optimized`)")
-            }),
-            Err(_) => BackendKind::Reference,
-        }
-    }
-
     /// Both backends, for parameterised tests.
     pub fn all() -> [BackendKind; 2] {
         [BackendKind::Reference, BackendKind::Optimized]
     }
-}
-
-const DEFAULT_UNSET: u8 = u8::MAX;
-static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(DEFAULT_UNSET);
-
-/// The process-wide default backend used by tensors' plain `matmul*`
-/// methods and freshly created tapes.
-///
-/// Lazily initialised from `WIDEN_KERNEL_BACKEND` on first read (so a CI
-/// matrix can flip a whole test binary per run); overridable with
-/// [`set_default_backend`].
-pub fn default_backend() -> BackendKind {
-    match DEFAULT_BACKEND.load(Ordering::Relaxed) {
-        0 => BackendKind::Reference,
-        1 => BackendKind::Optimized,
-        _ => {
-            let kind = BackendKind::from_env();
-            DEFAULT_BACKEND.store(kind as u8, Ordering::Relaxed);
-            kind
-        }
-    }
-}
-
-/// Overrides the process-wide default backend (see [`default_backend`]).
-pub fn set_default_backend(kind: BackendKind) {
-    DEFAULT_BACKEND.store(kind as u8, Ordering::Relaxed);
 }
 
 /// Whether `a` participates in a rank-1 update.
@@ -553,25 +501,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_round_trips_through_names() {
+    fn optimized_is_the_default_and_names_match_their_kernels() {
+        assert_eq!(BackendKind::default(), BackendKind::Optimized);
         for kind in BackendKind::all() {
-            assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
             assert_eq!(kind.dispatch().name(), kind.name());
         }
-        assert_eq!(
-            BackendKind::from_name(" Optimized \n"),
-            Some(BackendKind::Optimized)
-        );
-        assert_eq!(BackendKind::from_name("simd"), None);
-    }
-
-    #[test]
-    fn set_default_backend_overrides_env_choice() {
-        let before = default_backend();
-        set_default_backend(BackendKind::Optimized);
-        assert_eq!(default_backend(), BackendKind::Optimized);
-        set_default_backend(before);
-        assert_eq!(default_backend(), before);
+        assert_ne!(BackendKind::Reference.name(), BackendKind::Optimized.name());
     }
 }
 

@@ -46,9 +46,7 @@ mod tensor;
 pub mod gradcheck;
 
 pub use init::{he_normal, normal, xavier_uniform, zeros_init};
-pub use kernels::{
-    default_backend, set_default_backend, BackendKind, KernelBackend, Optimized, Reference,
-};
+pub use kernels::{BackendKind, KernelBackend, Optimized, Reference};
 pub use op::{Op, OP_KIND_COUNT};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
 pub use params::{ParamId, ParamStore};

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::kernels::{axpy, default_backend, BackendKind};
+use crate::kernels::{axpy, BackendKind};
 use crate::op::{backward_step, Op};
 use crate::pool::{BufferPool, PoolStats};
 use crate::profile::{ProfileReport, TapeProfiler};
@@ -59,8 +59,13 @@ impl Var {
 ///
 /// Every dense matmul the tape records — forward and backward — runs on
 /// the tape's kernel backend ([`Tape::set_backend`]), which defaults to
-/// the process-wide [`default_backend`]. Set it before recording ops; the
-/// profiler labels a tape's whole report with one backend.
+/// [`BackendKind::default`]. Set it before recording ops; the profiler
+/// labels a tape's whole report with one backend.
+///
+/// A tape can also outlive its ops: [`Tape::truncate`] drops every node
+/// recorded after a *prefix* and keeps the prefix's `Var`s live, so an
+/// inference state records each chunk after the same inserted weights.
+#[derive(Default)]
 pub struct Tape {
     ops: Vec<Op>,
     values: Vec<Tensor>,
@@ -72,22 +77,8 @@ pub struct Tape {
     backend: BackendKind,
 }
 
-impl Default for Tape {
-    fn default() -> Self {
-        Self {
-            ops: Vec::new(),
-            values: Vec::new(),
-            grads: Vec::new(),
-            constant: Vec::new(),
-            profiler: None,
-            pool: BufferPool::default(),
-            backend: default_backend(),
-        }
-    }
-}
-
 impl Tape {
-    /// An empty tape on the process-default kernel backend.
+    /// An empty tape on the default kernel backend.
     pub fn new() -> Self {
         Self::default()
     }
@@ -125,20 +116,28 @@ impl Tape {
     /// gradient buffer back to the pool. The pool (with its warm buffers
     /// and counters) and the profiler survive the reset.
     pub fn reset(&mut self) {
-        self.ops.clear();
-        self.constant.clear();
-        for t in self.values.drain(..) {
+        self.truncate(0);
+    }
+
+    /// Drops every node from `len` on, handing its value and gradient
+    /// buffers back to the pool; the first `len` nodes and their `Var`s
+    /// stay as they are.
+    pub fn truncate(&mut self, len: usize) {
+        self.ops.truncate(len);
+        self.constant.truncate(len);
+        for t in self.values.drain(len.min(self.values.len())..) {
             self.pool.recycle(t);
         }
-        for g in self.grads.drain(..).flatten() {
+        for g in self.grads.drain(len.min(self.grads.len())..).flatten() {
             self.pool.recycle(g);
         }
     }
 
-    /// Replaces this tape's buffer pool — pair with [`Tape::take_pool`] to
-    /// thread one pool through a sequence of short-lived tapes.
-    pub fn install_pool(&mut self, pool: BufferPool) {
-        self.pool = pool;
+    /// Replaces this tape's buffer pool and returns the one it had — pair
+    /// with [`Tape::take_pool`] to thread one pool through a sequence of
+    /// short-lived tapes.
+    pub fn install_pool(&mut self, pool: BufferPool) -> BufferPool {
+        std::mem::replace(&mut self.pool, pool)
     }
 
     /// Ends the tape ([`Tape::reset`]: every [`Var`] it issued is dead, so
@@ -278,6 +277,17 @@ impl Tape {
     /// Forward value of a node.
     pub fn value(&self, v: Var) -> &Tensor {
         &self.values[v.index()]
+    }
+
+    /// The value of leaf `v`, to write in place — a lazily filled table in
+    /// a prefix kept across [`Tape::truncate`]. No op recorded after `v`
+    /// may have read it and still be on the tape.
+    ///
+    /// # Panics
+    /// Panics if `v` is not a leaf.
+    pub fn leaf_mut(&mut self, v: Var) -> &mut Tensor {
+        assert!(matches!(self.ops[v.index()], Op::Leaf), "not a leaf");
+        &mut self.values[v.index()]
     }
 
     /// Gradient of the most recent [`Tape::backward`] target w.r.t. `v`,

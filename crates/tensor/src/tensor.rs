@@ -3,7 +3,7 @@
 use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
 
-use crate::kernels::{axpy, axpy_gather, default_backend, dot, dot_rows, BackendKind};
+use crate::kernels::{axpy, axpy_gather, dot, dot_rows, BackendKind};
 
 /// A dense, row-major matrix of `f32`.
 ///
@@ -206,13 +206,13 @@ impl Tensor {
         self.rows += 1;
     }
 
-    /// Matrix product `self · other` on the process-default backend
-    /// ([`crate::default_backend`]).
+    /// Matrix product `self · other` on the default backend
+    /// ([`BackendKind::default`]).
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        self.matmul_with(other, default_backend())
+        self.matmul_with(other, BackendKind::default())
     }
 
     /// Matrix product `self · other` on an explicit kernel backend.
@@ -222,20 +222,13 @@ impl Tensor {
         out
     }
 
-    /// Accumulating matrix product: `out += self · other` on the
-    /// process-default backend.
-    ///
-    /// The kernel behind [`Tensor::matmul`]; calling it directly lets
-    /// backward passes accumulate into an existing gradient buffer instead
-    /// of allocating a product and adding it in a second sweep.
+    /// Accumulating matrix product `out += self · other`: the kernel
+    /// behind [`Tensor::matmul`], which lets backward passes accumulate
+    /// into an existing gradient buffer instead of allocating a product and
+    /// adding it in a second sweep.
     ///
     /// # Panics
     /// Panics on inner-dimension or output-shape mismatch.
-    pub fn matmul_acc(&self, other: &Tensor, out: &mut Tensor) {
-        self.matmul_acc_with(other, out, default_backend());
-    }
-
-    /// [`Tensor::matmul_acc`] on an explicit kernel backend.
     pub fn matmul_acc_with(&self, other: &Tensor, out: &mut Tensor, backend: BackendKind) {
         assert_eq!(
             self.cols,
@@ -252,12 +245,12 @@ impl Tensor {
     }
 
     /// Matrix product with transposed right operand: `self · otherᵀ`, on
-    /// the process-default backend.
+    /// the default backend.
     ///
     /// This is the attention-score kernel `Q · Kᵀ`; computing it directly
     /// avoids materialising the transpose.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        self.matmul_nt_with(other, default_backend())
+        self.matmul_nt_with(other, BackendKind::default())
     }
 
     /// [`Tensor::matmul_nt`] on an explicit kernel backend.
@@ -268,16 +261,10 @@ impl Tensor {
     }
 
     /// Accumulating product with transposed right operand:
-    /// `out += self · otherᵀ` (see [`Tensor::matmul_acc`] for why the
-    /// accumulating form exists).
+    /// `out += self · otherᵀ` (see [`Tensor::matmul_acc_with`]).
     ///
     /// # Panics
     /// Panics on width or output-shape mismatch.
-    pub fn matmul_nt_acc(&self, other: &Tensor, out: &mut Tensor) {
-        self.matmul_nt_acc_with(other, out, default_backend());
-    }
-
-    /// [`Tensor::matmul_nt_acc`] on an explicit kernel backend.
     pub fn matmul_nt_acc_with(&self, other: &Tensor, out: &mut Tensor, backend: BackendKind) {
         assert_eq!(
             self.cols,
@@ -294,13 +281,13 @@ impl Tensor {
     }
 
     /// Matrix product with transposed left operand: `selfᵀ · other`, on
-    /// the process-default backend.
+    /// the default backend.
     ///
     /// This is the gradient kernel `Aᵀ · G` used throughout backward
     /// passes. Bit-identical to `self.transpose().matmul(other)` for every
-    /// thread count — see [`Tensor::matmul_tn_acc`].
+    /// thread count — see [`Tensor::matmul_tn_acc_with`].
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        self.matmul_tn_with(other, default_backend())
+        self.matmul_tn_with(other, BackendKind::default())
     }
 
     /// [`Tensor::matmul_tn`] on an explicit kernel backend.
@@ -322,11 +309,6 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on row-count or output-shape mismatch.
-    pub fn matmul_tn_acc(&self, other: &Tensor, out: &mut Tensor) {
-        self.matmul_tn_acc_with(other, out, default_backend());
-    }
-
-    /// [`Tensor::matmul_tn_acc`] on an explicit kernel backend.
     pub fn matmul_tn_acc_with(&self, other: &Tensor, out: &mut Tensor, backend: BackendKind) {
         assert_eq!(
             self.rows,
@@ -944,20 +926,20 @@ mod tests {
         let bt = b.transpose();
 
         let mut acc = Tensor::full(4, 5, 2.0);
-        a.matmul_acc(&b, &mut acc);
+        a.matmul_acc_with(&b, &mut acc, BackendKind::default());
         let mut expected = a.matmul(&b);
         expected.add_scaled(1.0, &Tensor::full(4, 5, 2.0));
         assert!(acc.max_abs_diff(&expected) < 1e-6);
 
         let mut acc_nt = Tensor::full(4, 5, -1.0);
-        a.matmul_nt_acc(&bt, &mut acc_nt);
+        a.matmul_nt_acc_with(&bt, &mut acc_nt, BackendKind::default());
         let mut expected_nt = a.matmul_nt(&bt);
         expected_nt.add_scaled(1.0, &Tensor::full(4, 5, -1.0));
         assert!(acc_nt.max_abs_diff(&expected_nt) < 1e-6);
 
         let at = a.transpose();
         let mut acc_tn = Tensor::full(4, 5, 0.5);
-        at.matmul_tn_acc(&b, &mut acc_tn);
+        at.matmul_tn_acc_with(&b, &mut acc_tn, BackendKind::default());
         let mut expected_tn = at.matmul_tn(&b);
         expected_tn.add_scaled(1.0, &Tensor::full(4, 5, 0.5));
         assert!(acc_tn.max_abs_diff(&expected_tn) < 1e-6);

@@ -21,6 +21,12 @@
 //!   bit for bit, so it stands under `nn`'s terms against `Reference` —
 //!   and, as the serving forward now runs it, each output row must be
 //!   independent of how many rows share its call.
+//! * on both backends a row of `nn` or `nt` is bitwise the same whatever
+//!   else shares the call — across the packing threshold and at a deep
+//!   chunk's node count, NaN and ±∞ included. A frozen inference state's
+//!   node table projects each node in whichever chunk first reads it, and
+//!   every served row rests on this
+//!   (`gemm_rows_do_not_depend_on_the_other_rows_of_the_call`).
 //! * the ragged attention ops are one implementation for both backends,
 //!   on `kernels::{dot_rows, axpy_gather, axpy_scatter}`; whichever SIMD
 //!   body the CPU selects, they must reproduce the scalar `dot` / `axpy`
@@ -66,6 +72,23 @@ fn tensor_of(
 ) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(elem, rows * cols)
         .prop_map(move |data| Tensor::from_vec(rows, cols, data))
+}
+
+/// A GEMM operand of `len` elements drawn from `pool` in an order fixed by
+/// `seed`, with +∞, −∞ and NaN planted once each.
+fn operand(pool: &[f32], seed: u64, len: usize) -> Vec<f32> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as usize
+    };
+    let mut data: Vec<f32> = (0..len).map(|_| pool[next() % pool.len()]).collect();
+    for special in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+        data[next() % len] = special;
+    }
+    data
 }
 
 /// "Bit-equal, or both NaN", element by element.
@@ -494,6 +517,54 @@ proptest! {
                         + seed.get(i, j).abs() * 1e-5;
                     prop_assert!((r - o).abs() <= tol,
                         "({i},{j}): reference {r}, optimized {o}, tol {tol}");
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    // Each case runs both products on both backends at 15 shapes and 11
+    // row counts.
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    fn gemm_rows_do_not_depend_on_the_other_rows_of_the_call(
+        pool in prop::collection::vec(hostile_float(), 64),
+        seed in any::<u64>(),
+    ) {
+        // Row `i` of an `m`-row call against row `i` alone, for `m` across
+        // the optimized packing threshold (8), an `MR` band tail (33) and
+        // a deep chunk's node count (853); for the last, a sample of rows
+        // in the first, a middle and the last band. `B`'s planted ±∞ and
+        // NaN reach every output row.
+        const M: usize = 853;
+        let checked = |m: usize| {
+            (0..m).filter(move |&i| m <= 33 || i < 9 || (420..426).contains(&i) || i + 5 >= m)
+        };
+        for k in [96usize, 128, 256] {
+            let a = Tensor::from_vec(M, k, operand(&pool, seed ^ k as u64, M * k));
+            for n in [3usize, 8, 16, 128, 130] {
+                let b = Tensor::from_vec(k, n, operand(&pool, seed ^ (k * n) as u64, k * n));
+                let bt = b.transpose();
+                for backend in BackendKind::all() {
+                    for m in (1..=9).chain([33, M]) {
+                        let rows = rows_of(a.as_slice(), k, m, k);
+                        let nn = rows.matmul_with(&b, backend);
+                        let nt = rows.matmul_nt_with(&bt, backend);
+                        for i in checked(m) {
+                            let row = Tensor::row_vector(a.row(i));
+                            for (op, all, alone) in [
+                                ("nn", &nn, row.matmul_with(&b, backend)),
+                                ("nt", &nt, row.matmul_nt_with(&bt, backend)),
+                            ] {
+                                if let Err(why) = same_bits(all.row(i), alone.row(0)) {
+                                    let at = format!("{backend:?} {op}, k={k} n={n}, row {i} of {m}");
+                                    prop_assert!(false, "{at}: {why}");
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Property-based tests of the tensor algebra and autograd invariants.
 
 use proptest::prelude::*;
-use widen_tensor::{load_params, save_params, CsrMatrix, ParamStore, Tape, Tensor};
+use widen_tensor::{load_params, save_params, BackendKind, CsrMatrix, ParamStore, Tape, Tensor};
 
 fn small_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-3.0f32..3.0, rows * cols)
@@ -80,19 +80,19 @@ proptest! {
         b in hostile_tensor(4, 2),
     ) {
         let mut acc = Tensor::zeros(3, 2);
-        a.matmul_acc(&b, &mut acc);
+        a.matmul_acc_with(&b, &mut acc, BackendKind::default());
         let plain = a.matmul(&b);
         prop_assert_eq!(acc.as_slice(), plain.as_slice());
 
         let bt = b.transpose();
         let mut acc_nt = Tensor::zeros(3, 2);
-        a.matmul_nt_acc(&bt, &mut acc_nt);
+        a.matmul_nt_acc_with(&bt, &mut acc_nt, BackendKind::default());
         let plain_nt = a.matmul_nt(&bt);
         prop_assert_eq!(acc_nt.as_slice(), plain_nt.as_slice());
 
         let mut acc_tn = Tensor::zeros(3, 2);
         let at = a.transpose();
-        at.matmul_tn_acc(&b, &mut acc_tn);
+        at.matmul_tn_acc_with(&b, &mut acc_tn, BackendKind::default());
         let plain_tn = at.matmul_tn(&b);
         prop_assert_eq!(acc_tn.as_slice(), plain_tn.as_slice());
     }
