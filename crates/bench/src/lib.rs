@@ -13,7 +13,6 @@
 //! | `fig4_efficiency` | Figure 4 — per-epoch time + F1 after 10 epochs |
 //! | `fig5_scalability` | Figure 5 — training time vs data proportion |
 //! | `fig6_sensitivity` | Figure 6 — hyperparameter sweeps |
-//! | `bench_shards` | Modelled shard-scaling sweep (1 → 8 shards) of `Trainer::with_shards` |
 //!
 //! Every binary accepts `--scale smoke|table` (default `smoke`),
 //! `--seeds N` (default scale-dependent) and `--out DIR` (default

@@ -1,8 +1,9 @@
 //! The chunk-execution engine under [`crate::Trainer`]'s loop: forward +
-//! backward + downsampling decisions over one chunk of a batch, gradient
-//! extraction in canonical [`ParamVars::pairs`] order, the deterministic
-//! chunk-ordered reduction, gradient-health evaluation, and the sequential
-//! application of downsampling outcomes to persistent per-node states.
+//! backward + downsampling decisions over one chunk — a shard's whole
+//! sub-batch of a step — gradient extraction in canonical
+//! [`ParamVars::pairs`] order, the deterministic shard-ordered reduction,
+//! gradient-health evaluation, and the sequential application of
+//! downsampling outcomes to persistent per-node states.
 //!
 //! Everything here is context-parameterised rather than `&self`-bound so
 //! a chunk runs against its own shard's graph and state table — the
@@ -22,8 +23,8 @@ use crate::model::WidenModel;
 use crate::state::NodeState;
 use crate::trainer::{EpochStats, TrainReport};
 
-/// Outcome of one node's epoch visit, produced inside parallel chunks and
-/// applied to the persistent state sequentially.
+/// Outcome of one node's epoch visit, produced inside a chunk (on its
+/// shard's thread) and applied to the persistent state sequentially.
 pub(crate) struct NodeOutcome {
     pub node: NodeId,
     pub wide_attention: Option<Vec<f32>>,
@@ -61,8 +62,8 @@ pub(crate) struct ChunkResult {
 }
 
 /// Where an epoch's child spans go, when the fit is traced: `(tracer,
-/// trace, parent)`. Parenting is explicit, not thread-local, so shard and
-/// rayon workers can open children of the epoch span.
+/// trace, parent)`. Parenting is explicit, not thread-local, so shard
+/// threads can open children of the epoch span.
 pub(crate) type TraceCtx<'a> = Option<(&'a Tracer, TraceId, SpanId)>;
 
 /// Everything a chunk needs, borrowed from the trainer and the shard it runs on.
@@ -259,7 +260,7 @@ fn extract_grads(
 /// relying on (and debug-asserting) the identical canonical ParamId order
 /// every chunk extracts with. The first contribution is moved, not
 /// copied. Callers control determinism by calling this in a fixed order —
-/// chunk order within a shard, shard-major across shards.
+/// shard order.
 pub(crate) fn accumulate_grads(acc: &mut Vec<(ParamId, Tensor)>, next: Vec<(ParamId, Tensor)>) {
     if acc.is_empty() {
         *acc = next;

@@ -42,6 +42,5 @@ pub mod trainer;
 pub use ablation::{DownsampleStrategy, Variant};
 pub use config::WidenConfig;
 pub use model::{InferState, WidenModel};
-pub use sharded::ShardParallelism;
 pub use state::{DeepState, NodeState};
 pub use trainer::{EpochStats, TrainReport, Trainer};

@@ -1,7 +1,9 @@
 //! What the one training loop ([`crate::Trainer`]) iterates over: shards.
 //! A shard is a graph, the persistent wide/deep states of the training
-//! nodes it owns, and a set of warm tape-buffer pools. Which sub-graph a
-//! batch came from is a property of this data feed, not of the loop.
+//! nodes it owns, and a warm tape-buffer pool. Which sub-graph a batch
+//! came from is a property of this data feed, not of the loop. Several
+//! shards run each step on scoped threads, one per shard; a lone shard
+//! runs inline on the caller's thread.
 //!
 //! `Shard::borrowed` wraps the caller's graph as the only shard, with
 //! identity ids and no copy. `partition` cuts the graph with
@@ -11,8 +13,8 @@
 //! paper's efficiency claim.
 //!
 //! Determinism contract: for a fixed seed **and** fixed shard count, runs
-//! are bitwise identical regardless of [`ShardParallelism`] — shard
-//! workers are joined and reduced in shard-major, chunk-major order, and
+//! are bitwise identical on any host — each shard's sub-batch is one
+//! chunk, shard threads are joined and reduced in shard order, and
 //! every random stream (state sampling, epoch shuffle, downsampling) is
 //! keyed by the node's *global* id via [`WidenModel::sample_state_as`],
 //! not its shard-local index. One partitioned shard therefore trains
@@ -20,7 +22,6 @@
 //! differential suite): same code path, two data paths.
 
 use std::borrow::Cow;
-use std::sync::Mutex;
 
 use rustc_hash::FxHashMap;
 use widen_graph::{greedy_bfs_weighted, HeteroGraph, NodeId};
@@ -29,22 +30,6 @@ use widen_tensor::BufferPool;
 
 use crate::model::WidenModel;
 use crate::state::NodeState;
-
-/// How the shards of one global step execute when there is more than one
-/// (a single shard always runs inline on the caller's thread). Both modes
-/// produce bitwise identical results; the reduction order is fixed by
-/// shard index, not by completion order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardParallelism {
-    /// Run shards back to back on the caller's thread, so each shard's
-    /// busy time is measured while it runs alone — what `bench_shards`
-    /// needs for the modelled critical path on a box with fewer cores
-    /// than shards.
-    Sequential,
-    /// One scoped OS thread per shard per step, joined in shard order.
-    /// The default.
-    Threads,
-}
 
 /// Refinement passes handed to [`greedy_bfs_weighted`] when building the shard map.
 const REFINEMENT_PASSES: usize = 2;
@@ -57,12 +42,10 @@ pub(crate) struct Shard<'g> {
     /// Persistent wide/deep states of the shard's core training nodes,
     /// keyed by *shard-local* id.
     pub states: FxHashMap<NodeId, NodeState>,
-    /// Warm tape-buffer pools (forward values, leaves and gradients), one
-    /// checked out per in-flight chunk (rayon workers run a sub-batch's
-    /// chunks concurrently via `&Shard`) and returned holding that chunk's
-    /// buffers. Steady state holds one pool per worker, each no larger
-    /// than the biggest chunk it has run.
-    pub pools: Mutex<Vec<BufferPool>>,
+    /// Warm tape-buffer pool (forward values, leaves and gradients): moved
+    /// into the shard's chunk each step and back out holding its buffers,
+    /// so it is never larger than the biggest chunk the shard has run.
+    pub pool: BufferPool,
     /// Core (pre-halo) member count, for telemetry.
     pub core_size: usize,
 }
@@ -88,7 +71,7 @@ impl<'g> Shard<'g> {
         let shard = Self {
             graph: Cow::Borrowed(graph),
             states,
-            pools: Mutex::default(),
+            pool: BufferPool::default(),
             core_size: graph.num_nodes(),
         };
         (shard, homes)
@@ -148,7 +131,7 @@ pub(crate) fn partition(
         shards.push(Shard {
             graph: Cow::Owned(sub.graph),
             states,
-            pools: Mutex::default(),
+            pool: BufferPool::default(),
             core_size: partition.part(p as u32).len(),
         });
     }

@@ -7,15 +7,10 @@
 //! the wide/deep attention distributions, which (a) feed the KL trigger
 //! (Eq. 9) against last epoch's distributions and (b) locate the
 //! least-contributing neighbour for the argmin drop (Algorithms 1–2).
-//! Each global step runs one sub-batch per shard, cut into chunks that run
-//! through the shared chunk engine; gradients are reduced in
-//! shard-major, chunk-major order, so fixed seeds give bit-stable runs.
-//!
-//! On a host with fewer cores than shards the shards run their steps back
-//! to back, so besides wall time the report keeps the raw samples of the
-//! *modelled distributed critical path*: per global step, the slowest
-//! shard's busy nanos plus the merge/optimizer nanos — what a k-worker
-//! deployment would pay ([`TrainReport::mean_critical_path_secs`]).
+//! Each global step runs one sub-batch per shard, each as one chunk
+//! through the shared chunk engine — several shards on scoped threads,
+//! one per shard, a lone shard inline. Gradients are reduced in shard
+//! order, so a fixed seed gives the same bits on any host.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -26,11 +21,11 @@ use rand::SeedableRng;
 use widen_graph::{HeteroGraph, NodeId};
 use widen_obs::{Counter, Event, JsonlSink, Registry, Stopwatch, Tracer};
 use widen_sampling::hash_seed;
-use widen_tensor::{Adam, Optimizer, ParamId, ProfileReport, Tensor};
+use widen_tensor::{Adam, BufferPool, Optimizer, ParamId, ProfileReport, Tensor};
 
 use crate::engine::{self, ChunkResult, TraceCtx};
 use crate::model::WidenModel;
-use crate::sharded::{self, Homes, Shard, ShardParallelism};
+use crate::sharded::{self, Homes, Shard};
 use crate::state::NodeState;
 
 /// Per-epoch training telemetry.
@@ -51,16 +46,6 @@ pub struct TrainReport {
     pub deep_drops: usize,
     /// Relay edges generated while pruning (Eq. 8), cumulative.
     pub relay_edges: usize,
-    /// Per epoch, per global step, per shard: nanos the shard spent on its
-    /// sub-batch (forward/backward/downsample). The raw samples behind
-    /// [`TrainReport::mean_critical_path_secs`], exposed so a benchmark
-    /// repeating the (deterministic) fit can take per-step minima across
-    /// repetitions — scheduler noise only ever adds time, so the
-    /// elementwise floor is the clean estimate of the true compute.
-    pub step_busy_nanos: Vec<Vec<Vec<u64>>>,
-    /// Per epoch, per global step: nanos of the serial section (gradient
-    /// merge, gradient health, optimizer step).
-    pub step_merge_nanos: Vec<Vec<u64>>,
 }
 
 /// One epoch's downsampling decisions and Eq. 9 trigger values.
@@ -130,24 +115,11 @@ impl TrainReport {
     pub fn total_secs(&self) -> f64 {
         self.epoch_secs.iter().sum()
     }
-
-    /// Mean modelled distributed seconds per epoch: Σ over steps of (max
-    /// over shards of shard busy time) + merge/optimizer time. With one
-    /// shard this is busy + merge time, so the 1-shard / k-shard ratio is
-    /// the parallel speedup a k-worker deployment would see.
-    pub fn mean_critical_path_secs(&self) -> f64 {
-        let busy = self.step_busy_nanos.iter().flatten();
-        let steps = busy.zip(self.step_merge_nanos.iter().flatten());
-        let nanos: u64 = steps
-            .map(|(shards, merge)| shards.iter().copied().max().unwrap_or(0) + merge)
-            .sum();
-        nanos as f64 * 1e-9 / self.step_busy_nanos.len().max(1) as f64
-    }
 }
 
 /// Phase-timing counters, one set per trainer (on its own registry).
-/// Chunk phases accumulate from parallel workers, so forward/backward nanos
-/// are summed-across-threads CPU-ish time rather than wall time.
+/// Chunk phases accumulate from the shard threads, so with several shards
+/// forward/backward nanos are summed across threads rather than wall time.
 struct PhaseCounters {
     forward: Arc<Counter>,
     backward: Arc<Counter>,
@@ -192,7 +164,6 @@ pub struct Trainer<'g> {
     shards: Vec<Shard<'g>>,
     homes: Homes,
     optimizer: Adam,
-    parallelism: ShardParallelism,
     metrics: Registry,
     phase: PhaseCounters,
     sink: Option<JsonlSink>,
@@ -238,7 +209,6 @@ impl<'g> Trainer<'g> {
             shards,
             homes,
             optimizer,
-            parallelism: ShardParallelism::Threads,
             metrics,
             phase,
             sink: None,
@@ -275,8 +245,8 @@ impl<'g> Trainer<'g> {
 
     /// Records per-epoch span trees into `tracer`: one
     /// `core.trainer.epoch` root per epoch with chunk-level
-    /// forward/backward/downsample children (recorded from shard and rayon
-    /// workers), an optimizer-step span, and a synthetic packaging span
+    /// forward/backward/downsample children (recorded from the shard
+    /// threads), an optimizer-step span, and a synthetic packaging span
     /// from the packaging counter delta.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(tracer);
@@ -288,12 +258,6 @@ impl<'g> Trainer<'g> {
     /// JSONL events next to the epoch records).
     pub fn set_profiling(&mut self, on: bool) {
         self.profiling = on;
-    }
-
-    /// Selects how the shards of a step execute when there are several
-    /// (results are identical either way).
-    pub fn set_parallelism(&mut self, parallelism: ShardParallelism) {
-        self.parallelism = parallelism;
     }
 
     /// Number of shards.
@@ -406,14 +370,12 @@ impl<'g> Trainer<'g> {
             let mut epoch_loss = 0.0f64;
             let mut stats = EpochStats::default();
             let mut epoch_profile: Option<ProfileReport> = None;
-            let mut step_busy = Vec::with_capacity(steps);
-            let mut step_merge = Vec::with_capacity(steps);
             for _ in 0..steps {
                 let sub_batches: Vec<&[(NodeId, NodeId)]> = batches
                     .iter_mut()
                     .map(|b| b.next().unwrap_or(&[]))
                     .collect();
-                let (loss, busy, merge) = self.train_step(
+                epoch_loss += self.train_step(
                     &sub_batches,
                     epoch,
                     trace,
@@ -421,9 +383,6 @@ impl<'g> Trainer<'g> {
                     &mut stats,
                     &mut epoch_profile,
                 );
-                epoch_loss += loss;
-                step_busy.push(busy);
-                step_merge.push(merge);
             }
             // Packaging runs inside forward on worker threads and only
             // surfaces as a global counter; synthesise its epoch share as a
@@ -447,8 +406,6 @@ impl<'g> Trainer<'g> {
             report.epoch_losses.push(mean_loss);
             report.epoch_secs.push(secs);
             report.epoch_stats.push(stats);
-            report.step_busy_nanos.push(step_busy);
-            report.step_merge_nanos.push(step_merge);
 
             if let Some((tol, patience)) = convergence {
                 let losses = &report.epoch_losses;
@@ -551,11 +508,10 @@ impl<'g> Trainer<'g> {
     }
 
     /// One global step: one sub-batch per shard (`(local, global)` id
-    /// pairs) runs through the engine, the chunk gradients are reduced in
-    /// shard-major, chunk-major order into one guarded optimizer step, and
-    /// each shard's downsampling outcomes are applied to its states.
-    /// Returns the step's loss, the per-shard busy nanos and the nanos of
-    /// the serial section.
+    /// pairs) runs through the engine, the shard gradients are reduced in
+    /// shard order into one guarded optimizer step, and each shard's
+    /// downsampling outcomes are applied to its states. Returns the step's
+    /// loss.
     fn train_step(
         &mut self,
         sub_batches: &[&[(NodeId, NodeId)]],
@@ -564,19 +520,25 @@ impl<'g> Trainer<'g> {
         report: &mut TrainReport,
         stats: &mut EpochStats,
         epoch_profile: &mut Option<ProfileReport>,
-    ) -> (f64, Vec<u64>, u64) {
+    ) -> f64 {
         let step_total: usize = sub_batches.iter().map(|b| b.len()).sum();
-        let run = |shard, batch| self.run_shard_step(shard, batch, epoch, step_total, trace);
-        let inline = self.shards.len() == 1 || self.parallelism == ShardParallelism::Sequential;
-        let pairs = self.shards.iter().zip(sub_batches);
-        let results: Vec<(Vec<ChunkResult>, u64)> = if inline {
+        let pools: Vec<BufferPool> = self
+            .shards
+            .iter_mut()
+            .map(|shard| std::mem::take(&mut shard.pool))
+            .collect();
+        let run =
+            |shard, batch, pool| self.run_shard_step(shard, batch, pool, epoch, step_total, trace);
+        let jobs = self.shards.iter().zip(sub_batches).zip(pools);
+        let results: Vec<(Option<ChunkResult>, BufferPool, u64)> = if self.shards.len() == 1 {
             // A lone shard never pays a thread spawn per step, nor loses
             // the caller thread's warm GEMM packing scratch.
-            pairs.map(|(shard, batch)| run(shard, batch)).collect()
+            jobs.map(|((shard, batch), pool)| run(shard, batch, pool))
+                .collect()
         } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = pairs
-                    .map(|(shard, batch)| scope.spawn(move || run(shard, batch)))
+                let handles: Vec<_> = jobs
+                    .map(|((shard, batch), pool)| scope.spawn(move || run(shard, batch, pool)))
                     .collect();
                 // Joined in shard order: completion order never leaks
                 // into the reduction.
@@ -586,10 +548,6 @@ impl<'g> Trainer<'g> {
                     .collect()
             })
         };
-        let busy: Vec<u64> = results.iter().map(|(_, busy)| *busy).collect();
-        for (counter, &nanos) in self.phase.shard_busy.iter().zip(&busy) {
-            counter.add(nanos);
-        }
 
         // Serial section: deterministic reduction through the engine's
         // ParamId-ordered accumulator (it asserts the shared canonical
@@ -599,53 +557,51 @@ impl<'g> Trainer<'g> {
         let mut loss = 0.0f64;
         let mut grads: Vec<(ParamId, Tensor)> = Vec::new();
         let mut shard_outcomes = Vec::with_capacity(results.len());
-        for (chunks, _) in results {
-            let mut outcomes = Vec::new();
-            for chunk in chunks {
-                loss += chunk.loss;
-                engine::accumulate_grads(&mut grads, chunk.grads);
-                if let Some(profile) = chunk.profile {
-                    match epoch_profile {
-                        Some(acc) => acc.merge(&profile),
-                        None => *epoch_profile = Some(profile),
-                    }
+        let shards = self.shards.iter_mut().zip(&self.phase.shard_busy);
+        for ((shard, busy), (chunk, pool, nanos)) in shards.zip(results) {
+            shard.pool = pool;
+            busy.add(nanos);
+            let Some(chunk) = chunk else {
+                shard_outcomes.push(Vec::new());
+                continue;
+            };
+            loss += chunk.loss;
+            engine::accumulate_grads(&mut grads, chunk.grads);
+            if let Some(profile) = chunk.profile {
+                match epoch_profile {
+                    Some(acc) => acc.merge(&profile),
+                    None => *epoch_profile = Some(profile),
                 }
-                outcomes.extend(chunk.outcomes);
             }
-            shard_outcomes.push(outcomes);
+            shard_outcomes.push(chunk.outcomes);
         }
         self.step_if_finite(&grads, epoch, step_total, trace, stats);
-        let merge = merge_sw.elapsed_nanos();
-        self.phase.merge.add(merge);
+        self.phase.merge.add(merge_sw.elapsed_nanos());
 
         for (shard, outcomes) in self.shards.iter_mut().zip(shard_outcomes) {
             engine::apply_outcomes(&mut shard.states, outcomes, report, stats);
         }
-        (loss, busy, merge)
+        loss
     }
 
-    /// One shard's share of a global step: the sub-batch is cut into
-    /// chunks (one per rayon worker) and run through the shared engine,
-    /// with each chunk's loss weighted by the *global* step size so the
-    /// cross-shard sum is the step mean. Returns the chunk results in
-    /// order plus the shard's busy nanos.
+    /// One shard's share of a global step: its sub-batch runs as one chunk
+    /// through the shared engine on the shard's warm `pool`, the chunk's
+    /// loss weighted by the *global* step size so the cross-shard sum is
+    /// the step mean. Returns the chunk (none for an empty sub-batch), the
+    /// pool holding its buffers, and the shard's busy nanos.
     fn run_shard_step(
         &self,
         shard: &Shard<'_>,
         batch: &[(NodeId, NodeId)],
+        pool: BufferPool,
         epoch: usize,
         step_total: usize,
         trace: TraceCtx<'_>,
-    ) -> (Vec<ChunkResult>, u64) {
-        use rayon::prelude::*;
+    ) -> (Option<ChunkResult>, BufferPool, u64) {
         if batch.is_empty() {
-            return (Vec::new(), 0);
+            return (None, pool, 0);
         }
         let sw = Stopwatch::start();
-        let chunk_size = batch
-            .len()
-            .div_ceil(rayon::current_num_threads().max(1))
-            .max(1);
         let chunk_ctx = engine::ChunkCtx {
             model: &self.model,
             graph: &shard.graph,
@@ -653,37 +609,21 @@ impl<'g> Trainer<'g> {
             profiling: self.profiling,
             trace,
         };
-        let results = batch
-            .par_chunks(chunk_size)
-            .map(|chunk| {
-                let locals: Vec<NodeId> = chunk.iter().map(|&(local, _)| local).collect();
-                let idents: Vec<NodeId> = chunk.iter().map(|&(_, global)| global).collect();
-                // The warm pool round trip stays inside the worker closure
-                // so a chunk's pool is parked (holding its buffers) before the
-                // next chunk on the same worker checks one out.
-                let pool = shard
-                    .pools
-                    .lock()
-                    .expect("pool lock")
-                    .pop()
-                    .unwrap_or_default();
-                let before = pool.stats();
-                let (result, pool) =
-                    engine::run_chunk(&chunk_ctx, &locals, &idents, epoch, step_total, pool);
-                let after = pool.stats();
-                self.phase.pool_hits.add(after.hits - before.hits);
-                self.phase.pool_misses.add(after.misses - before.misses);
-                self.phase
-                    .pool_bytes_reused
-                    .add(after.bytes_reused - before.bytes_reused);
-                shard.pools.lock().expect("pool lock").push(pool);
-                self.phase.forward.add(result.timings.forward_nanos);
-                self.phase.backward.add(result.timings.backward_nanos);
-                self.phase.downsample.add(result.timings.downsample_nanos);
-                result
-            })
-            .collect();
-        (results, sw.elapsed_nanos())
+        let locals: Vec<NodeId> = batch.iter().map(|&(local, _)| local).collect();
+        let idents: Vec<NodeId> = batch.iter().map(|&(_, global)| global).collect();
+        let before = pool.stats();
+        let (result, pool) =
+            engine::run_chunk(&chunk_ctx, &locals, &idents, epoch, step_total, pool);
+        let after = pool.stats();
+        self.phase.pool_hits.add(after.hits - before.hits);
+        self.phase.pool_misses.add(after.misses - before.misses);
+        self.phase
+            .pool_bytes_reused
+            .add(after.bytes_reused - before.bytes_reused);
+        self.phase.forward.add(result.timings.forward_nanos);
+        self.phase.backward.add(result.timings.backward_nanos);
+        self.phase.downsample.add(result.timings.downsample_nanos);
+        (Some(result), pool, sw.elapsed_nanos())
     }
 
     /// The one non-finite-gradient policy: a reduced gradient holding
@@ -839,9 +779,8 @@ mod tests {
         for epoch in 1..=10 {
             let mut stats = EpochStats::default();
             trainer.train_step(&[&batch], epoch, None, &mut report, &mut stats, &mut None);
-            let pools = trainer.shards[0].pools.lock().unwrap();
-            let resident: u64 = pools.iter().map(|p| p.stats().resident_bytes).sum();
-            let bound: u64 = pools.iter().map(|p| p.stats().peak_live_bytes).sum();
+            let pool = trainer.shards[0].pool.stats();
+            let (resident, bound) = (pool.resident_bytes, pool.peak_live_bytes);
             assert!(
                 resident <= bound,
                 "epoch {epoch}: {resident} parked > {bound}"
@@ -1155,6 +1094,36 @@ mod tests {
             let traced = trainer.into_model().params.snapshot();
             for (a, b) in traced.iter().zip(&plain.into_model().params.snapshot()) {
                 assert_eq!(a.max_abs_diff(b), 0.0);
+            }
+        }
+    }
+
+    /// A shard's sub-batch is one chunk — one tape, one loss op — however
+    /// many CPUs the host has, so a seed trains the same program anywhere.
+    #[test]
+    fn every_shard_step_runs_one_chunk() {
+        let dataset = acm_like(Scale::Smoke, 16);
+        let train: Vec<u32> = dataset.transductive.train[..40].to_vec();
+        let mut cfg = tiny_config();
+        cfg.epochs = 2;
+        for k in [1, 2] {
+            let mut trainer = trainer_over(&dataset, cfg.clone(), &train, k);
+            trainer.set_profiling(true);
+            let report = trainer.fit(&train);
+            let sub_batches: u64 = trainer
+                .shard_sizes()
+                .iter()
+                .map(|&(_, _, nodes)| nodes.div_ceil(cfg.batch_size) as u64)
+                .sum();
+            assert!(sub_batches > k as u64);
+            assert_eq!(report.epoch_profiles.len(), cfg.epochs);
+            for profile in &report.epoch_profiles {
+                let losses = profile
+                    .ops
+                    .iter()
+                    .find(|op| op.name == "softmax_cross_entropy")
+                    .map_or(0, |op| op.count);
+                assert_eq!(losses, sub_batches, "k = {k}: one loss op per sub-batch");
             }
         }
     }

@@ -15,7 +15,7 @@
 //!    hot paths permanently.
 //! 2. **Cheap when enabled.** Finished spans are pushed into one of a
 //!    fixed set of mutex shards selected by thread id, so concurrent
-//!    recorders (rayon chunks, batcher workers) rarely contend.
+//!    recorders (trainer shard threads, batcher workers) rarely contend.
 //! 3. **No wall-clock reads for identity.** Trace and span ids come from a
 //!    seeded SplitMix64 sequence over an atomic counter — deterministic
 //!    under a fixed seed and free of `Date::now`-style syscalls.
@@ -197,8 +197,8 @@ impl Tracer {
     }
 
     /// Opens a span under an explicit parent — the cross-thread form used
-    /// where thread-local nesting cannot see the parent (rayon chunks,
-    /// batcher workers).
+    /// where thread-local nesting cannot see the parent (trainer shard
+    /// threads, batcher workers).
     #[inline]
     pub fn child_span(&self, trace: TraceId, parent: SpanId, name: &'static str) -> Span {
         if !self.is_enabled() {

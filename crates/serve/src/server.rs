@@ -573,4 +573,38 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
         assert_eq!(err.to_string(), "no more threads");
     }
+
+    /// North-star 4, the server-sized slice: every counter, gauge and
+    /// histogram a server emits is a row of DESIGN.md's metric table.
+    #[test]
+    fn every_emitted_serve_metric_is_documented() {
+        let design = include_str!("../../../DESIGN.md");
+        let dataset = widen_data::acm_like(widen_data::Scale::Smoke, 18);
+        let mut cfg = widen_core::WidenConfig::small();
+        cfg.d = 8;
+        let feat_dim = dataset.graph.feature_dim();
+        let model = widen_core::WidenModel::for_graph(&dataset.graph, cfg);
+        let registry = ModelRegistry::from_model(dataset.graph, model);
+        let handle = Server::bind(registry, ServeConfig::default(), "127.0.0.1:0").unwrap();
+        let mut client = crate::Client::connect(handle.local_addr()).unwrap();
+        client.embed(&[0, 1], 1).unwrap();
+        client.classify(&[0, 1], 1, 2).unwrap();
+        client
+            .ingest(0, &vec![0.25; feat_dim], None, &[(0, 0)], 3)
+            .unwrap();
+        client.stats().unwrap();
+
+        let snap = handle.metrics().snapshot();
+        assert_eq!(snap.counter("serve_ingests_total"), Some(1));
+        let counters = snap.counters.iter().map(|(name, _)| name);
+        let gauges = snap.gauges.iter().map(|(name, _)| name);
+        let histograms = snap.histograms.iter().map(|(name, _)| name);
+        for name in counters.chain(gauges).chain(histograms) {
+            assert!(
+                design.contains(&format!("`{name}`")),
+                "{name} is not in DESIGN.md"
+            );
+        }
+        handle.shutdown();
+    }
 }

@@ -6,8 +6,8 @@
 //!
 //! * [`Reference`] — the scalar oracle. Bit-compatible with the kernels
 //!   that historically lived inline in `tensor.rs`; every bitwise-parity
-//!   guarantee in the workspace (batched vs per-node engines, striped
-//!   `tn`, checkpoint restore) is stated against this backend.
+//!   guarantee in the workspace (batched vs per-node engines, checkpoint
+//!   restore) is stated against this backend.
 //! * [`Optimized`] — an output tile held in registers for the whole `k`
 //!   sweep in all three products: `A·B` on packed panels of `B`, `A·Bᵀ` on
 //!   the same panels packed from `Bᵀ` (so the two are one arithmetic), and
@@ -41,13 +41,6 @@ pub(crate) mod reference;
 pub use optimized::Optimized;
 pub use reference::Reference;
 
-/// Work threshold (`m·k·n`) above which GEMM kernels parallelise via rayon.
-pub(crate) const PAR_MATMUL_THRESHOLD: usize = 64 * 64 * 64;
-
-/// Target byte footprint for one `gemm_tn_acc` output stripe (~half a
-/// typical L2 slice), so the accumulating block stays cache-resident.
-pub(crate) const TN_BLOCK_BYTES: usize = 256 * 1024;
-
 /// Lane count for [`dot`]'s split accumulators. 16 f32 lanes give the
 /// autovectoriser room for two 256-bit (or four 128-bit) accumulator
 /// registers, breaking the loop-carried dependency of a scalar reduction
@@ -62,8 +55,9 @@ pub(crate) const DOT_LANES: usize = 16;
 /// **accumulates** into `out` so backward passes can reuse gradient
 /// buffers without a second sweep.
 ///
-/// Implementations must be deterministic for a given input (including
-/// across thread counts) and *row-deterministic*: the value written to an
+/// Implementations run on the calling thread and must be deterministic for
+/// a given input, whichever thread calls them (the shard and serve threads
+/// call concurrently), and *row-deterministic*: the value written to an
 /// output row may depend only on the participating input rows and the
 /// shared operand, never on which other rows happen to be in the batch.
 /// The batched execution engine's dedup/gather equivalence proof relies

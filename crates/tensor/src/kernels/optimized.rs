@@ -45,7 +45,7 @@
 //! operation sequence: all variants of a kernel are bit-identical, and
 //! the parity contract holds on any host.
 
-use super::{dot, nonzero, KernelBackend, PAR_MATMUL_THRESHOLD};
+use super::{dot, nonzero, KernelBackend};
 use crate::pool::with_pack_scratch;
 
 /// Packed, register-tiled GEMM backend.
@@ -82,10 +82,10 @@ impl KernelBackend for Optimized {
             let panels = n.div_ceil(NR);
             with_pack_scratch(panels * k * NR, |packed| {
                 pack_b(k, n, b, packed);
-                nn_driver(m, k, n, a, BSource::Packed(packed), out);
+                nn_block(m, k, n, a, BSource::Packed(packed), out);
             });
         } else {
-            nn_driver(m, k, n, a, BSource::Raw(b), out);
+            nn_block(m, k, n, a, BSource::Raw(b), out);
         }
     }
 
@@ -97,7 +97,7 @@ impl KernelBackend for Optimized {
         // not depend on how many other rows share its batch.
         with_pack_scratch(n.div_ceil(NR) * k * NR, |packed| {
             pack_bt(k, n, b, packed);
-            nn_driver(m, k, n, a, BSource::Packed(packed), out);
+            nn_block(m, k, n, a, BSource::Packed(packed), out);
         });
     }
 
@@ -105,13 +105,7 @@ impl KernelBackend for Optimized {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        let threads = rayon::current_num_threads();
-        let stripe = if m * k * n >= PAR_MATMUL_THRESHOLD && threads > 1 {
-            m.div_ceil(threads).next_multiple_of(TN_ROWS)
-        } else {
-            m
-        };
-        tn_stripes(m, k, n, a, b, out, stripe);
+        tn_block(m, k, n, a, b, out);
     }
 
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
@@ -160,55 +154,13 @@ fn pack_bt(k: usize, n: usize, bt: &[f32], packed: &mut [f32]) {
     }
 }
 
-/// `out += Aᵀ·B` over `stripe`-row blocks of `out`, one rayon task each.
-fn tn_stripes(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32], stripe: usize) {
-    use rayon::prelude::*;
-    out.par_chunks_mut(stripe * n)
-        .enumerate()
-        .for_each(|(ci, out_block)| tn_block(m, k, n, a, b, ci * stripe, out_block));
-}
-
-fn nn_driver(m: usize, k: usize, n: usize, a: &[f32], b: BSource<'_>, out: &mut [f32]) {
-    let work = m * k * n;
-    let threads = rayon::current_num_threads();
-    if work >= PAR_MATMUL_THRESHOLD && m > MR && threads > 1 {
-        use rayon::prelude::*;
-        // Row bands are independent, so any MR-aligned split is
-        // deterministic and bit-identical to the serial sweep.
-        let rows_per = m.div_ceil(threads).div_ceil(MR) * MR;
-        out.par_chunks_mut(rows_per * n)
-            .enumerate()
-            .for_each(|(ci, out_chunk)| {
-                let i0 = ci * rows_per;
-                let rows_here = out_chunk.len() / n;
-                nn_block(
-                    k,
-                    n,
-                    &a[i0 * k..(i0 + rows_here) * k],
-                    rows_here,
-                    b,
-                    out_chunk,
-                );
-            });
-    } else {
-        nn_block(k, n, a, m, b, out);
-    }
-}
-
-/// Tiles `rows` output rows into `MR`-high bands.
-fn nn_block(
-    k: usize,
-    n: usize,
-    a_block: &[f32],
-    rows: usize,
-    b: BSource<'_>,
-    out_block: &mut [f32],
-) {
+/// Tiles `out += A·B` into `MR`-high bands of output rows.
+fn nn_block(m: usize, k: usize, n: usize, a: &[f32], b: BSource<'_>, out: &mut [f32]) {
     let mut i = 0;
-    while i < rows {
-        let mra = (rows - i).min(MR);
-        let a_sub = &a_block[i * k..(i + mra) * k];
-        let o_sub = &mut out_block[i * n..(i + mra) * n];
+    while i < m {
+        let mra = (m - i).min(MR);
+        let a_sub = &a[i * k..(i + mra) * k];
+        let o_sub = &mut out[i * n..(i + mra) * n];
         match mra {
             4 => row_band::<4>(k, n, a_sub, b, o_sub),
             3 => row_band::<3>(k, n, a_sub, b, o_sub),
@@ -449,15 +401,12 @@ unsafe fn fill_tile_avx2<const MRA: usize>(
     }
 }
 
-/// Tiles `out_block` — output rows `i0 ..` of `Aᵀ·B` — into
-/// `TN_ROWS × NR` register tiles. Each element is independent of how rows
-/// are grouped, so any stripe split of `out` gives the same bits.
-fn tn_block(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], i0: usize, out_block: &mut [f32]) {
-    let rows = out_block.len() / n;
-    for i in (0..rows).step_by(TN_ROWS) {
-        let mra = (rows - i).min(TN_ROWS);
-        let a_cols = &a[i0 + i..];
-        let o_band = &mut out_block[i * n..(i + mra) * n];
+/// Tiles `out += Aᵀ·B` into `TN_ROWS × NR` register tiles.
+fn tn_block(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    for i in (0..m).step_by(TN_ROWS) {
+        let mra = (m - i).min(TN_ROWS);
+        let a_cols = &a[i..];
+        let o_band = &mut out[i * n..(i + mra) * n];
         let mut j0 = 0;
         while j0 + NR <= n {
             tn_tile(k, mra, a_cols, m, &b[j0..], n, &mut o_band[j0..]);
@@ -650,7 +599,7 @@ mod tests {
     use crate::kernels::Reference;
 
     #[test]
-    fn tn_stripes_are_bitwise_the_reference_at_any_stripe_width() {
+    fn tn_is_bitwise_the_reference() {
         // Zeros of both signs, subnormals and ordinary values; 70 rows of
         // 37 × 45 operands: whole tiles, a 5-row edge band, 13 tail columns.
         let (m, k, n) = (37, 70, 45);
@@ -665,11 +614,9 @@ mod tests {
         let seed: Vec<f32> = (0..m * n).map(|i| -hostile(i * 5 + 1)).collect();
         let mut want = seed.clone();
         Reference.gemm_tn_acc(m, k, n, &a, &b, &mut want);
-        for stripe in [1, 5, 16, 21, 32, 37, 100] {
-            let mut got = seed.clone();
-            tn_stripes(m, k, n, &a, &b, &mut got, stripe);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "stripe {stripe}");
-        }
+        let mut got = seed;
+        Optimized.gemm_tn_acc(m, k, n, &a, &b, &mut got);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 }

@@ -2,12 +2,11 @@
 //!
 //! These are the exact kernels that used to live inline in `tensor.rs`,
 //! moved behind the [`KernelBackend`] seam unchanged: same loop orders,
-//! same `+0.0`-only zero skip, same rayon thresholds and stripe sizing.
-//! Everything downstream that promises bitwise reproducibility (batched
-//! vs per-node engine parity, checkpoint restore, the striped-`tn`
-//! any-thread-count guarantee) is promised *against this backend*.
+//! same `+0.0`-only zero skip, one thread — the caller's. Everything
+//! downstream that promises bitwise reproducibility (batched vs per-node
+//! engine parity, checkpoint restore) is promised *against this backend*.
 
-use super::{axpy, dot, nonzero, KernelBackend, PAR_MATMUL_THRESHOLD, TN_BLOCK_BYTES};
+use super::{axpy, dot, nonzero, KernelBackend};
 
 /// Scalar oracle backend — bit-compatible with the historical kernels.
 #[derive(Clone, Copy, Debug, Default)]
@@ -19,69 +18,33 @@ impl KernelBackend for Reference {
     }
 
     fn gemm_nn_acc(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let work = m * k * n;
-        if work >= PAR_MATMUL_THRESHOLD && m > 1 && rayon::current_num_threads() > 1 {
-            use rayon::prelude::*;
-            out.par_chunks_mut(n).enumerate().for_each(|(i, out_row)| {
-                matmul_row(&a[i * k..(i + 1) * k], b, n, out_row);
-            });
-        } else {
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let out_row = &mut out[i * n..(i + 1) * n];
-                matmul_row(a_row, b, n, out_row);
-            }
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let out_row = &mut out[i * n..(i + 1) * n];
+            matmul_row(a_row, b, n, out_row);
         }
     }
 
-    fn gemm_nt_acc(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let work = m * k * n;
-        if work >= PAR_MATMUL_THRESHOLD && m > 1 && rayon::current_num_threads() > 1 {
-            use rayon::prelude::*;
-            out.par_chunks_mut(n).enumerate().for_each(|(i, out_row)| {
-                let a_row = &a[i * k..(i + 1) * k];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    *o += dot(a_row, &b[j * k..(j + 1) * k]);
-                }
-            });
-        } else {
-            let a_rows = a.chunks_exact(k.max(1));
-            let out_rows = out.chunks_exact_mut(n.max(1));
-            for (a_row, out_row) in a_rows.zip(out_rows) {
-                let b_rows = b.chunks_exact(k.max(1));
-                for (o, b_row) in out_row.iter_mut().zip(b_rows) {
-                    *o += dot(a_row, b_row);
-                }
+    fn gemm_nt_acc(&self, _m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        let a_rows = a.chunks_exact(k.max(1));
+        let out_rows = out.chunks_exact_mut(n.max(1));
+        for (a_row, out_row) in a_rows.zip(out_rows) {
+            let b_rows = b.chunks_exact(k.max(1));
+            for (o, b_row) in out_row.iter_mut().zip(b_rows) {
+                *o += dot(a_row, b_row);
             }
         }
     }
 
     fn gemm_tn_acc(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        let work = m * k * n;
-        let threads = rayon::current_num_threads();
-        // A single worker gains nothing from striping and would pay the
-        // fork-join dispatch on every backward matmul, so fall through to
-        // the serial rank-1 kernel when the pool has one thread.
-        if work >= PAR_MATMUL_THRESHOLD && m > 1 && threads > 1 {
-            // Stripe width: enough stripes to feed every thread, but each
-            // stripe's output block capped near L2 size (bytes below are
-            // f32 counts × 4). Clamped to ≥1 row.
-            let cache_rows = (TN_BLOCK_BYTES / 4 / n.max(1)).max(1);
-            let stripe = m.div_ceil(threads).clamp(1, cache_rows);
-            gemm_tn_acc_striped(m, k, n, a, b, out, stripe);
-        } else {
-            // Serial rank-1 accumulation; row-major friendly for `b`.
-            for p in 0..k {
-                let a_row = &a[p * m..(p + 1) * m];
-                let b_row = &b[p * n..(p + 1) * n];
-                for (i, &av) in a_row.iter().enumerate() {
-                    if nonzero(av) {
-                        let out_row = &mut out[i * n..(i + 1) * n];
-                        axpy(av, b_row, out_row);
-                    }
+        // Rank-1 accumulation; row-major friendly for `b`.
+        for p in 0..k {
+            let a_row = &a[p * m..(p + 1) * m];
+            let b_row = &b[p * n..(p + 1) * n];
+            for (i, &av) in a_row.iter().enumerate() {
+                if nonzero(av) {
+                    let out_row = &mut out[i * n..(i + 1) * n];
+                    axpy(av, b_row, out_row);
                 }
             }
         }
@@ -103,38 +66,4 @@ pub(crate) fn matmul_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]
             axpy(a, b_row, out_row);
         }
     }
-}
-
-/// Column-striped body of [`Reference::gemm_tn_acc`]: one rayon task per
-/// `stripe`-row block of the output, each walking the shared `k`
-/// dimension in increasing order so every element accumulates its rank-1
-/// terms in exactly the serial order (bit-identical results for any
-/// stripe width or thread count). Factored out so tests can pin the
-/// stripe width regardless of the host's core count.
-pub(crate) fn gemm_tn_acc_striped(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    stripe: usize,
-) {
-    use rayon::prelude::*;
-    out.par_chunks_mut(stripe * n)
-        .enumerate()
-        .for_each(|(chunk_idx, out_block)| {
-            let i0 = chunk_idx * stripe;
-            let rows_here = out_block.len() / n;
-            for p in 0..k {
-                let a_row = &a[p * m..(p + 1) * m];
-                let b_row = &b[p * n..(p + 1) * n];
-                let a_stripe = a_row[i0..i0 + rows_here].iter();
-                for (&av, out_row) in a_stripe.zip(out_block.chunks_mut(n)) {
-                    if nonzero(av) {
-                        axpy(av, b_row, out_row);
-                    }
-                }
-            }
-        });
 }

@@ -113,32 +113,13 @@ impl CsrMatrix {
             (self.rows, n),
             "spmm_acc output shape mismatch"
         );
-        use rayon::prelude::*;
-        if self.nnz() * n >= 1 << 18 {
-            let indptr = &self.indptr;
-            let indices = &self.indices;
-            let values = &self.values;
-            out.as_mut_slice()
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(r, out_row)| {
-                    for k in indptr[r]..indptr[r + 1] {
-                        let src = dense.row(indices[k] as usize);
-                        let v = values[k];
-                        for (o, &s) in out_row.iter_mut().zip(src) {
-                            *o += v * s;
-                        }
-                    }
-                });
-        } else {
-            for r in 0..self.rows {
-                for k in self.indptr[r]..self.indptr[r + 1] {
-                    let src = dense.row(self.indices[k] as usize);
-                    let v = self.values[k];
-                    let out_row = out.row_mut(r);
-                    for (o, &s) in out_row.iter_mut().zip(src) {
-                        *o += v * s;
-                    }
+        for r in 0..self.rows {
+            for k in self.indptr[r]..self.indptr[r + 1] {
+                let src = dense.row(self.indices[k] as usize);
+                let v = self.values[k];
+                let out_row = out.row_mut(r);
+                for (o, &s) in out_row.iter_mut().zip(src) {
+                    *o += v * s;
                 }
             }
         }

@@ -284,8 +284,8 @@ impl Tensor {
     /// the default backend.
     ///
     /// This is the gradient kernel `Aᵀ · G` used throughout backward
-    /// passes. Bit-identical to `self.transpose().matmul(other)` for every
-    /// thread count — see [`Tensor::matmul_tn_acc_with`].
+    /// passes. Bit-identical to `self.transpose().matmul(other)` — see
+    /// [`Tensor::matmul_tn_acc_with`].
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
         self.matmul_tn_with(other, BackendKind::default())
     }
@@ -302,10 +302,10 @@ impl Tensor {
     /// pass, accumulating straight into the gradient buffer.
     ///
     /// Both backends add each element's terms in increasing `k` order
-    /// with the same `+0.0` skip — the reference in column stripes of
-    /// `out`, the optimized backend in register tiles seeded from it — so
-    /// results are bit-identical across backends, stripe widths and thread
-    /// counts, and to `transpose().matmul(other)` on the reference backend.
+    /// with the same `+0.0` skip — the reference one rank-1 update at a
+    /// time, the optimized backend in register tiles seeded from `out` — so
+    /// results are bit-identical across backends, and to
+    /// `transpose().matmul(other)` on the reference backend.
     ///
     /// # Panics
     /// Panics on row-count or output-shape mismatch.
@@ -889,31 +889,13 @@ mod tests {
     }
 
     #[test]
-    fn large_matmul_tn_parallel_is_bitwise_serial() {
-        // The striped path must agree bit-for-bit with the explicit
-        // transpose (the serial k-order) for any stripe width — including
-        // uneven tails. Stripe widths are pinned so the striped body is
-        // exercised even on single-core hosts, where the public entry
-        // point would fall back to serial.
+    fn large_matmul_tn_is_bitwise_the_explicit_transpose() {
+        // `Aᵀ·B` adds each element's terms in the serial k-order, so it
+        // agrees bit-for-bit with the explicit transpose.
         let mut rng = StdRng::seed_from_u64(7);
         let a = Tensor::randn(70, 80, 0.5, &mut rng);
         let b = Tensor::randn(70, 90, 0.5, &mut rng);
-        const { assert!((80 * 70 * 90) >= crate::kernels::PAR_MATMUL_THRESHOLD) };
         let explicit = a.transpose().matmul(&b);
-        for stripe in [1, 7, 32, 80, 100] {
-            let mut striped = Tensor::zeros(80, 90);
-            crate::kernels::reference::gemm_tn_acc_striped(
-                80,
-                70,
-                90,
-                a.as_slice(),
-                b.as_slice(),
-                striped.as_mut_slice(),
-                stripe,
-            );
-            assert_eq!(striped.as_slice(), explicit.as_slice(), "stripe {stripe}");
-        }
-        // And the public entry point, whichever path it picks here.
         let direct = a.matmul_tn(&b);
         assert_eq!(direct.as_slice(), explicit.as_slice());
     }

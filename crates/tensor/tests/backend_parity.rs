@@ -4,8 +4,8 @@
 //! The parity contract (see `kernels::optimized` and DESIGN.md):
 //!
 //! * `tn` (`Aᵀ·B`) is **bitwise** identical across backends on every
-//!   non-NaN element — ±0.0, subnormal and huge inputs, nonzero `out` and
-//!   any stripe width included — because the optimized tile adds the
+//!   non-NaN element — ±0.0, subnormal and huge inputs and nonzero `out`
+//!   included — because the optimized tile adds the
 //!   reference's terms in the reference's order with the reference's
 //!   `+0.0` skip. Where one backend produces NaN the other does too, but
 //!   NaN *payloads* are not compared anywhere in this file: x86 returns the
@@ -31,10 +31,9 @@
 //!   on `kernels::{dot_rows, axpy_gather, axpy_scatter}`; whichever SIMD
 //!   body the CPU selects, they must reproduce the scalar `dot` / `axpy`
 //!   (`ragged_paper_width.rs` pins them at paper width).
-//! * the bounds hold under *nested* rayon parallelism too: outer
-//!   `par_iter` tasks each running an internally-parallel GEMM must not
-//!   corrupt one another's pack scratch
-//!   (`nn_inside_outer_par_iter_matches_reference`).
+//! * GEMMs on concurrent threads — the shard and serve threads — each
+//!   give the bits the same call gives alone: every thread packs into its
+//!   own scratch (`gemms_on_concurrent_threads_match_the_calling_thread`).
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -439,59 +438,6 @@ proptest! {
     }
 
     #[test]
-    fn nn_inside_outer_par_iter_matches_reference(
-        rounds in 1usize..3,
-    ) {
-        // Regression for a work-stealing hazard: an outer rayon par_iter
-        // (mimicking trainer::train_batch / model::infer_rows) whose tasks
-        // each run a large optimized matmul that parallelises internally
-        // (work ≥ 64³, m > MR). A task stolen onto a pool thread mid-GEMM
-        // must not corrupt another task's pack scratch — every concurrent
-        // result must equal the single-threaded reference answer.
-        use rayon::prelude::*;
-        let grid = |rows: usize, cols: usize, f: fn(usize, usize) -> f32| {
-            let data = (0..rows)
-                .flat_map(|i| (0..cols).map(move |j| f(i, j)))
-                .collect();
-            Tensor::from_vec(rows, cols, data)
-        };
-        let a = grid(64, 128, |i, j| ((i * 131 + j * 17) % 97) as f32 * 0.01);
-        let b = grid(128, 128, |i, j| ((i * 29 + j * 13) % 89) as f32 * 0.01);
-        let reference = a.matmul_with(&b, BackendKind::Reference);
-        // Tolerances depend only on the inputs; compute them once, not per
-        // concurrent task.
-        let tol: Vec<f32> = (0..reference.rows())
-            .flat_map(|i| (0..reference.cols()).map(move |j| (i, j)))
-            .map(|(i, j)| nn_tolerance(&a, &b, i, j))
-            .collect();
-        let tasks: Vec<usize> = (0..64).collect();
-        for _round in 0..rounds {
-            let failures: Vec<String> = tasks
-                .par_iter()
-                .filter_map(|&task| {
-                    let c = a.matmul_with(&b, BackendKind::Optimized);
-                    for i in 0..reference.rows() {
-                        for j in 0..reference.cols() {
-                            let r = reference.get(i, j);
-                            let o = c.get(i, j);
-                            let t = tol[i * reference.cols() + j];
-                            // NaN-safe: a NaN difference must also report.
-                            let d = (r - o).abs();
-                            if d.is_nan() || d > t {
-                                return Some(format!(
-                                    "task {task} ({i},{j}): reference {r}, optimized {o}, tol {t}"
-                                ));
-                            }
-                        }
-                    }
-                    None
-                })
-                .collect();
-            prop_assert!(failures.is_empty(), "{}", failures.join("; "));
-        }
-    }
-
-    #[test]
     fn nn_acc_into_nonzero_out_is_tolerance_bounded(
         a in tensor_of(10, 4, hostile_float()),
         b in tensor_of(4, 9, hostile_float()),
@@ -569,4 +515,48 @@ proptest! {
             }
         }
     }
+}
+
+/// Four threads run `Optimized` nn, nt and tn side by side, each at its own
+/// inner dimension, so their thread-local pack scratch is sized differently
+/// and grows while the others pack; every result must be bitwise the same
+/// call made on the test thread. The trainer's shard threads and the serve
+/// workers run GEMMs exactly so.
+#[test]
+fn gemms_on_concurrent_threads_match_the_calling_thread() {
+    const ROUNDS: usize = 8;
+    let pool: Vec<f32> = (0..64)
+        .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.03)
+        .collect();
+    let products = |k: usize| {
+        let (m, n) = (40, 24);
+        let a = Tensor::from_vec(m, k, operand(&pool, k as u64, m * k));
+        let b = Tensor::from_vec(k, n, operand(&pool, 3 * k as u64, k * n));
+        let at = Tensor::from_vec(k, m, operand(&pool, 5 * k as u64, k * m));
+        [
+            a.matmul_with(&b, BackendKind::Optimized),
+            a.matmul_nt_with(&b.transpose(), BackendKind::Optimized),
+            at.matmul_tn_with(&b, BackendKind::Optimized),
+        ]
+    };
+    let ks = [16usize, 37, 128, 200];
+    let alone: Vec<_> = ks.iter().map(|&k| products(k)).collect();
+    let start = std::sync::Barrier::new(ks.len());
+    std::thread::scope(|scope| {
+        for (&k, want) in ks.iter().zip(&alone) {
+            let (start, products) = (&start, &products);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..ROUNDS {
+                    for (op, (got, want)) in
+                        ["nn", "nt", "tn"].iter().zip(products(k).iter().zip(want))
+                    {
+                        if let Err(why) = same_bits(got.as_slice(), want.as_slice()) {
+                            panic!("{op}, k = {k}, round {round}: {why}");
+                        }
+                    }
+                }
+            });
+        }
+    });
 }
