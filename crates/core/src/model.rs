@@ -450,6 +450,9 @@ impl WidenModel {
             // `H = A M W_V` are only ever Eq. 5's keys, so they are never
             // formed (below).
             let att = variant.successive_attention.then(|| {
+                // Walk by walk, so the tensor crate's whole-walk kernel takes
+                // every span (pinned by widen-tensor's
+                // `eq4_row_spans_are_whole_walks_the_walk_kernel_takes`).
                 let row_spans: Arc<[(usize, usize)]> = walk_spans
                     .iter()
                     .flat_map(|&(start, len)| (0..len).map(move |r| (start + r, len - r)))

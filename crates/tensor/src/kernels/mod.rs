@@ -20,23 +20,29 @@
 //!
 //! The ragged attention ops (`segment_attention`, `segment_weighted_sum`,
 //! `segment_mean_rows`, the row gather and their adjoints) have one
-//! implementation whatever the backend, on two span kernels below — each an
-//! AVX-512F / AVX2 / portable triple dispatched once per span, bitwise the
-//! portable body. [`dot_rows`] scores a query against blocks of 16, 8 and 4
-//! keys: their 16-lane accumulators are transposed in registers and folded
-//! by 16 vertical adds from `+0.0`, each key's own [`dot`] fold.
+//! implementation whatever the backend, on the span kernels below — each
+//! dispatched once per span or walk to SIMD bodies bitwise its portable
+//! body. [`dot_rows`] scores a query against blocks of 16, 8 and 4 keys:
+//! their 16-lane accumulators are transposed in registers and folded by 16
+//! vertical adds from `+0.0`, each key's own [`dot`] fold.
+//! [`walk_attention`] scores and soft-maxes a whole causal walk of Eq. 4 in
+//! 4 × 4 tiles of the same accumulators, the walk's positions as lanes.
 //! [`axpy_gather`] / [`axpy_scatter`] run each element's [`axpy`] sequence
 //! with the accumulator (resp. the shared row) held in registers. An op
 //! whose two operands are one variable keeps per-key order: its adjoints
-//! share a gradient slot.
+//! share a gradient slot. Every softmax runs the crate's one `exp`
+//! (`exp.rs`).
 //!
 //! The active backend is a per-[`crate::Tape`] property
 //! ([`crate::Tape::set_backend`]); fresh tapes and tensors' plain `matmul*`
 //! methods run [`BackendKind::default`], which is [`Optimized`].
 //! [`Reference`] is the oracle the parity tests name explicitly.
 
+mod exp;
 pub(crate) mod optimized;
 pub(crate) mod reference;
+
+pub(crate) use exp::{exp, exp_inplace};
 
 pub use optimized::Optimized;
 pub use reference::Reference;
@@ -265,6 +271,163 @@ unsafe fn fold16_avx512(acc: &[__m512], out: *mut f32) {
         sum = _mm512_add_ps(sum, l);
     }
     _mm512_storeu_ps(out, sum);
+}
+
+/// The longest walk [`walk_attention`] takes: two 16-lane halves.
+const WALK_MAX: usize = 32;
+
+/// The length `L` of the causal walk `spans` opens with — the spans
+/// `(s, L), (s + 1, L − 1), …, (s + L − 1, 1)` of Eq. 4's `row_spans`, each
+/// position querying its own suffix — or 0 if it opens with none.
+pub(crate) fn walk_len(spans: &[(usize, usize)]) -> usize {
+    match spans.first() {
+        Some(&(start, len))
+            if len > 0
+                && len <= spans.len()
+                && (0..len).all(|r| spans[r] == (start + r, len - r)) =>
+        {
+            len
+        }
+        _ => 0,
+    }
+}
+
+/// One whole causal walk's attention: output row `r` of the `L =
+/// q_rows.len()` rows of `out` (each `out.len() / L` wide) is the softmax,
+/// over keys `c ≥ r`, of `scale · dot(q[q_rows[r]], keys[k_rows[c]])`, then
+/// `+0.0` padding — bitwise the per-span [`dot_rows`], scale and softmax it
+/// stands for. Returns `false`, with `out` untouched, where that path must
+/// run instead: no AVX-512F, a width not a multiple of 16, a walk longer
+/// than [`WALK_MAX`] or a score that is not finite.
+///
+/// # Safety
+/// Every `q_rows[r]` / `k_rows[c]` names a `d`-wide row of `q` / `keys`.
+#[inline]
+pub(crate) unsafe fn walk_attention(
+    q: &[f32],
+    q_rows: &[usize],
+    keys: &[f32],
+    k_rows: &[usize],
+    d: usize,
+    scale: f32,
+    out: &mut [f32],
+) -> bool {
+    assert_eq!(q_rows.len(), k_rows.len(), "one query per position");
+    assert_eq!(out.len() % q_rows.len().max(1), 0, "whole output rows");
+    debug_assert!(q_rows.iter().all(|&r| (r + 1) * d <= q.len()));
+    debug_assert!(k_rows.iter().all(|&r| (r + 1) * d <= keys.len()));
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: the body needs its probed feature and the caller's rows.
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return walk_avx512(q, q_rows, keys, k_rows, d, scale, out);
+        }
+    }
+    false
+}
+
+/// A walk's scores, key-major: `0[c][r]` is query `r` on key `c`, so the
+/// positions of one key's column are the lanes of one or two vectors.
+#[cfg(target_arch = "x86_64")]
+#[repr(C, align(64))]
+struct WalkBlock([[f32; WALK_MAX]; WALK_MAX]);
+
+/// [`walk_attention`]: the upper triangle in 4 × 4 tiles of [`dot`]'s
+/// accumulators, then the softmax with query `r` in lane `r` — per lane the
+/// max, `exp(x − max)` in key order summed from `+0.0` (lanes before their
+/// diagonal add `+0.0`, which leaves the sum `+0.0`), then the division.
+///
+/// # Safety
+/// As [`walk_attention`], on a host with AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn walk_avx512(
+    q: &[f32],
+    q_rows: &[usize],
+    keys: &[f32],
+    k_rows: &[usize],
+    d: usize,
+    scale: f32,
+    out: &mut [f32],
+) -> bool {
+    let n = q_rows.len();
+    if n == 0 || n > WALK_MAX || !d.is_multiple_of(DOT_LANES) {
+        return false;
+    }
+    let mut block = WalkBlock([[0.0; WALK_MAX]; WALK_MAX]);
+    // A short tile repeats the walk's last query or key.
+    let row = |m: &[f32], rows: &[usize], at: usize| m.as_ptr().add(rows[at.min(n - 1)] * d);
+    for r0 in (0..n).step_by(4) {
+        let qs = std::array::from_fn(|i| row(q, q_rows, r0 + i));
+        for c0 in (r0..n).step_by(4) {
+            let ks = std::array::from_fn(|k| row(keys, k_rows, c0 + k));
+            let mut sums = [0.0; DOT_LANES];
+            fold16_avx512(&tile_avx512(qs, ks, d / DOT_LANES), sums.as_mut_ptr());
+            for (k, sums) in sums.chunks_exact(4).enumerate() {
+                block.0[c0 + k][r0..r0 + 4].copy_from_slice(sums);
+            }
+        }
+    }
+    for lane0 in (0..n).step_by(16) {
+        // Key `c` scores the queries `lane0 ..= c` of this half.
+        let valid = |c: usize| (2u32 << (c - lane0).min(15)).wrapping_sub(1) as __mmask16;
+        let column = |block: &mut WalkBlock, c: usize| block.0[c].as_mut_ptr().add(lane0);
+        let mut max = _mm512_set1_ps(f32::NEG_INFINITY);
+        for c in lane0..n {
+            let (at, m) = (column(&mut block, c), valid(c));
+            let x = _mm512_mul_ps(_mm512_load_ps(at), _mm512_set1_ps(scale));
+            let finite =
+                _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_abs_ps(x), _mm512_set1_ps(f32::INFINITY));
+            if finite & m != m {
+                return false;
+            }
+            _mm512_store_ps(at, x);
+            max = _mm512_mask_max_ps(max, m, max, x);
+        }
+        let mut sum = _mm512_setzero_ps();
+        for c in lane0..n {
+            let at = column(&mut block, c);
+            let e = exp::exp16_avx512(_mm512_sub_ps(_mm512_load_ps(at), max));
+            let e = _mm512_maskz_mov_ps(valid(c), e);
+            sum = _mm512_add_ps(sum, e);
+            _mm512_store_ps(at, e);
+        }
+        for c in lane0..n {
+            let at = column(&mut block, c);
+            _mm512_store_ps(at, _mm512_div_ps(_mm512_load_ps(at), sum));
+        }
+    }
+    for (r, row) in out.chunks_exact_mut(out.len() / n).enumerate() {
+        let (valid, padding) = row.split_at_mut(n - r);
+        for (j, o) in valid.iter_mut().enumerate() {
+            *o = block.0[r + j][r];
+        }
+        padding.fill(0.0);
+    }
+    true
+}
+
+/// [`dot`]'s 16-lane accumulators of 4 queries on 4 keys, key-major
+/// (`acc[4k + i]` is query `i` on key `k`), every load shared by a row or
+/// column of the tile.
+///
+/// # Safety
+/// Each pointer starts `chunks · 16` readable values; the host has AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn tile_avx512(qs: [*const f32; 4], ks: [*const f32; 4], chunks: usize) -> [__m512; 16] {
+    let mut acc = [_mm512_setzero_ps(); 16];
+    for at in (0..chunks).map(|c| c * DOT_LANES) {
+        let qv: [__m512; 4] = std::array::from_fn(|i| _mm512_loadu_ps(qs[i].add(at)));
+        for (k, key) in ks.iter().enumerate() {
+            let kv = _mm512_loadu_ps(key.add(at));
+            for (i, &qv) in qv.iter().enumerate() {
+                acc[4 * k + i] = _mm512_add_ps(acc[4 * k + i], _mm512_mul_ps(qv, kv));
+            }
+        }
+    }
+    acc
 }
 
 /// [`dot_rows`] in blocks of 8 and 4 keys, the last one padded. A key's 16
@@ -502,17 +665,55 @@ mod tests {
         }
         assert_ne!(BackendKind::Reference.name(), BackendKind::Optimized.name());
     }
+
+    /// `widen-core`'s `forward_chunk` lays Eq. 4 out as every walk's suffix
+    /// spans, walks back to back and grouped by node: walks of 21 (`n_d =
+    /// 20`), pruned walks of 1–11, an empty walk, a node with none. Every
+    /// span must fall in a whole walk that [`walk_attention`] takes, or a
+    /// layout change silently sends Eq. 4 down the per-span path.
+    #[test]
+    fn eq4_row_spans_are_whole_walks_the_walk_kernel_takes() {
+        let pruned: Vec<usize> = (1..=11).collect();
+        let nodes: [&[usize]; 4] = [&[21; 10], &[], &pruned, &[0, 21, 5]];
+        let mut walk_spans = Vec::new();
+        for &len in nodes.iter().flat_map(|walks| walks.iter()) {
+            let start = walk_spans.last().map_or(0, |&(start, len)| start + len);
+            walk_spans.push((start, len));
+        }
+        let row_spans: Vec<(usize, usize)> = walk_spans
+            .iter()
+            .flat_map(|&(start, len)| (0..len).map(move |r| (start + r, len - r)))
+            .collect();
+        let (mut at, mut walks) = (0, Vec::new());
+        while at < row_spans.len() {
+            let len = walk_len(&row_spans[at..]);
+            assert!(
+                (1..=WALK_MAX).contains(&len),
+                "span {at} {:?}",
+                row_spans[at]
+            );
+            walks.push(len);
+            at += len;
+        }
+        let nonempty = walk_spans
+            .iter()
+            .map(|&(_, len)| len)
+            .filter(|&len| len > 0);
+        assert_eq!(walks, nonempty.collect::<Vec<_>>());
+    }
 }
 
 /// The span kernels' contract: every body the host can run — called
 /// directly, so an AVX-512 runner checks the AVX2 and portable bodies too —
 /// is bit for bit one [`dot`] per key, or the sequential [`axpy`] run with
-/// zero weights skipped. Key counts 0–40 cover every 16/8/4 block split and
-/// padded remainder; widths 16–130 cover one lane chunk to two register
-/// blocks plus a scalar tail.
+/// zero weights skipped, or the portable [`exp`]; [`walk_attention`] is the
+/// per-span path, or declines. Key counts 0–40 cover every 16/8/4 block
+/// split and padded remainder; widths 16–130 cover one lane chunk to two
+/// register blocks plus a scalar tail.
 #[cfg(test)]
 mod span_kernel_contract {
     use super::*;
+    use crate::tensor::Tensor;
     use proptest::prelude::*;
 
     const WIDTHS: [usize; 6] = [16, 32, 48, 64, 128, 130];
@@ -638,6 +839,116 @@ mod span_kernel_contract {
         Ok(())
     }
 
+    /// `exp`'s edges: zeros, subnormals, the thresholds of its special
+    /// cases and their neighbours, the extremes, ±∞ and NaN.
+    fn exp_edges() -> Vec<f32> {
+        let mut edges = vec![0.0, -0.0, f32::MIN_POSITIVE, -f32::MIN_POSITIVE];
+        edges.extend([
+            1e-45,
+            -1e-45,
+            f32::MIN_POSITIVE / 3.0,
+            -f32::MIN_POSITIVE / 7.0,
+        ]);
+        edges.extend([
+            -87.33, -88.72, -103.28, -103.97, -104.0, 88.0, -88.0, 88.72, 88.73,
+        ]);
+        edges.extend([
+            f32::MIN,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ]);
+        for bits in [0x42b1_7217u32, 0xc2cf_f1b4, 0x42b0_0000, 0xc2b0_0000] {
+            edges.extend([bits - 1, bits, bits + 1].map(f32::from_bits));
+        }
+        edges
+    }
+
+    /// A score element: mostly ordinary, sometimes ±30 (so `x − max` falls
+    /// far below −104 and `exp` underflows), zeros and subnormals.
+    fn walk_element() -> impl Strategy<Value = f32> {
+        (0usize..16, -3.0f32..3.0).prop_map(|(pick, x)| match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::MIN_POSITIVE / 2.0,
+            3 => 30.0,
+            4 => -30.0,
+            _ => x,
+        })
+    }
+
+    /// One piece of a span list: a causal walk (lengths 1–33, 21 and 33
+    /// often), the same walk cut short of its last span, a span that opens
+    /// no walk, or an empty span.
+    #[derive(Clone, Copy, Debug)]
+    enum Piece {
+        Walk(usize),
+        Cut(usize),
+        Plain(usize),
+        Empty,
+    }
+
+    fn piece() -> impl Strategy<Value = Piece> {
+        (0usize..8, 1usize..34).prop_map(|(kind, len)| match kind {
+            0 | 1 => Piece::Walk(21),
+            2 => Piece::Walk(33),
+            3 | 4 => Piece::Walk(len),
+            5 => Piece::Cut(len.max(2)),
+            6 => Piece::Plain(len.clamp(2, 9)),
+            _ => Piece::Empty,
+        })
+    }
+
+    /// The spans of `pieces`, with each walk's first span and length, and
+    /// the number of positions they cover.
+    #[allow(clippy::type_complexity)]
+    fn layout(pieces: &[Piece]) -> (Vec<(usize, usize)>, Vec<(usize, usize)>, usize) {
+        let (mut spans, mut walks, mut at) = (Vec::new(), Vec::new(), 0);
+        for &piece in pieces {
+            match piece {
+                Piece::Walk(len) | Piece::Cut(len) => {
+                    let whole = matches!(piece, Piece::Walk(_));
+                    if whole {
+                        walks.push((spans.len(), len));
+                    }
+                    let kept = if whole { len } else { len - 1 };
+                    spans.extend((0..kept).map(|r| (at + r, len - r)));
+                    at += len;
+                }
+                Piece::Plain(len) => {
+                    spans.push((at, len));
+                    at += len;
+                }
+                Piece::Empty => spans.push((at / 2, 0)),
+            }
+        }
+        (spans, walks, at)
+    }
+
+    /// The test's own per-span attention row: [`dot`] and the scale per
+    /// key, then the scalar max, [`exp`], sum in key order and division.
+    fn attention_row(q: &[f32], keys: &[f32], k: &[usize], scale: f32, width: usize) -> Vec<f32> {
+        let d = q.len();
+        let x: Vec<f32> = k
+            .iter()
+            .map(|&r| dot(q, &keys[r * d..(r + 1) * d]) * scale)
+            .collect();
+        let mut row = vec![0.0; width];
+        let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        if max == f32::NEG_INFINITY {
+            row[..x.len()].fill(1.0 / x.len() as f32);
+            return row;
+        }
+        let e: Vec<f32> = x.iter().map(|&x| exp(x - max)).collect();
+        let sum = e.iter().fold(0.0f32, |sum, &e| sum + e);
+        for (o, e) in row.iter_mut().zip(e) {
+            *o = e / sum;
+        }
+        row
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -719,6 +1030,99 @@ mod span_kernel_contract {
                         unsafe { scatter_on(body, x, terms(rows, alphas), &mut got) };
                         if let Err(why) = same_bits(&got, &want) {
                             prop_assert!(false, "{body:?}, width {width}, {n} terms: {why}");
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn exp_bodies_are_the_portable_exp(
+            seeded in prop::collection::vec(
+                (any::<bool>(), any::<u32>(), -110.0f32..95.0)
+                    .prop_map(|(raw, bits, x)| if raw { f32::from_bits(bits) } else { x }),
+                0..70,
+            ),
+        ) {
+            let mut xs = exp_edges();
+            xs.extend(seeded);
+            let want: Vec<f32> = xs.iter().map(|&x| exp(x)).collect();
+            // Every suffix length, so each body's tail handling is hit.
+            for from in 0..16.min(xs.len()) {
+                for (name, body) in exp::bodies() {
+                    let mut got = xs[from..].to_vec();
+                    // SAFETY: `bodies` lists only what the host runs.
+                    unsafe { body(&mut got) };
+                    for (i, (g, w)) in got.iter().zip(&want[from..]).enumerate() {
+                        let x = xs[from + i];
+                        prop_assert!(g.to_bits() == w.to_bits(), "{name} exp({x:e}): {g:e}, want {w:e}");
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn walk_attention_is_the_per_span_path(
+            keys in prop::collection::vec(walk_element(), ROWS * MAX_WIDTH),
+            queries in prop::collection::vec(walk_element(), ROWS * MAX_WIDTH),
+            q_is_keys in any::<bool>(),
+            poison in (0usize..10, 0usize..ROWS * MAX_WIDTH),
+            pieces in prop::collection::vec(piece(), 2..10),
+            rows in prop::collection::vec(0usize..ROWS, 64),
+            scale in (0usize..3).prop_map(|pick| [0.088f32, 0.5, 4.0][pick]),
+        ) {
+            // `f32::MAX` times an ordinary value overflows a score.
+            let mut keys = keys;
+            let poisons = [f32::MAX, f32::NAN, f32::INFINITY];
+            keys[poison.1] = poisons.get(poison.0).copied().unwrap_or(keys[poison.1]);
+            let (spans, walks, positions) = layout(&pieces);
+            let k_rows: Vec<usize> = (0..positions).map(|p| rows[p % rows.len()]).collect();
+            let q_rows: Vec<usize> = (0..spans.len()).map(|i| rows[(7 * i + 3) % rows.len()]).collect();
+            let width = crate::tensor::padded_width(&spans);
+            for d in WIDTHS {
+                let keys = narrow(&keys, d);
+                let queries = if q_is_keys { keys.clone() } else { narrow(&queries, d) };
+                let want: Vec<Vec<f32>> = spans
+                    .iter()
+                    .zip(&q_rows)
+                    .map(|(&(start, len), &q)| {
+                        let k = &k_rows[start..start + len];
+                        attention_row(&queries[q * d..(q + 1) * d], &keys, k, scale, width)
+                    })
+                    .collect();
+                let check = |got: &[f32], i: usize, path: &str| -> Result<(), proptest::test_runner::TestCaseError> {
+                    if let Err(why) = same_bits(got, &want[i]) {
+                        prop_assert!(false, "{path}, width {d}, span {i} {:?}: {why}", spans[i]);
+                    }
+                    Ok(())
+                };
+                let (qt, kt) = (Tensor::from_vec(ROWS, d, queries.clone()), Tensor::from_vec(ROWS, d, keys.clone()));
+                let dispatched = qt.segment_attention(&q_rows, &kt, &k_rows, &spans, scale);
+                for i in 0..spans.len() {
+                    check(dispatched.row(i), i, "dispatched")?;
+                    let mut row = vec![f32::NAN; width];
+                    // SAFETY: every key row is below `ROWS`.
+                    unsafe { qt.span_attention(q_rows[i], &kt, &k_rows, spans[i], None, scale, &mut row) };
+                    check(&row, i, "per span")?;
+                }
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    for &(i, len) in &walks {
+                        let (q, k) = (&q_rows[i..i + len], &k_rows[spans[i].0..][..len]);
+                        let finite = (0..len).all(|r| {
+                            let q = &queries[q[r] * d..(q[r] + 1) * d];
+                            k[r..].iter().all(|&c| (dot(q, &keys[c * d..(c + 1) * d]) * scale).is_finite())
+                        });
+                        let mut rows = vec![f32::NAN; len * width];
+                        // SAFETY: every row is below `ROWS`.
+                        let ran = unsafe { walk_avx512(&queries, q, &keys, k, d, scale, &mut rows) };
+                        prop_assert_eq!(ran, len <= WALK_MAX && d % DOT_LANES == 0 && finite);
+                        if ran {
+                            for (r, row) in rows.chunks(width).enumerate() {
+                                check(row, i + r, "avx512 walk")?;
+                            }
+                        } else {
+                            prop_assert!(rows.iter().all(|x| x.is_nan()), "a declined walk wrote");
                         }
                     }
                 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::kernels::{axpy, BackendKind};
+use crate::kernels::{axpy, exp, BackendKind};
 use crate::op::{backward_step, Op};
 use crate::pool::{BufferPool, PoolStats};
 use crate::profile::{ProfileReport, TapeProfiler};
@@ -570,7 +570,7 @@ impl Tape {
             assert!(label < v.cols(), "label {label} out of range");
             let row = v.row(r);
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let logsum: f32 = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
+            let logsum: f32 = row.iter().map(|&x| exp(x - max)).sum::<f32>().ln() + max;
             total += f64::from(logsum - row[label]);
         }
         let value = self.scalar((total / labels.len() as f64) as f32);

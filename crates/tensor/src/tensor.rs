@@ -3,7 +3,9 @@
 use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
 
-use crate::kernels::{axpy, axpy_gather, dot, dot_rows, BackendKind};
+use crate::kernels::{
+    axpy, axpy_gather, dot, dot_rows, exp_inplace, walk_attention, walk_len, BackendKind,
+};
 
 /// A dense, row-major matrix of `f32`.
 ///
@@ -537,7 +539,9 @@ impl Tensor {
     /// the backend), then `x * scale`, then the stabilised kernel of
     /// [`Tensor::softmax_rows`] on the valid prefix — bit-identical to the
     /// reference backend's per-segment `softmax(scale · q·Kᵀ)` on the
-    /// gathered key rows.
+    /// gathered key rows. A run of spans that is one whole causal walk
+    /// (Eq. 4's layout) goes through `kernels::walk_attention`, to the
+    /// same bits.
     ///
     /// # Panics
     /// Panics if `q_rows.len() != spans.len()`, the widths differ, an index
@@ -610,25 +614,69 @@ impl Tensor {
         if let Some(mix) = mix {
             assert!(mix.rows >= k_rows.len(), "one mixing row per position");
         }
-        for (i, &(start, len)) in spans.iter().enumerate() {
-            let (valid, padding) = out.row_mut(i).split_at_mut(len);
-            let k = &k_rows[start..start + len];
-            // SAFETY: every key index was checked against `keys` above.
-            unsafe { dot_rows(self.row(q_rows[i]), &keys.data, k, valid) };
-            if let Some(mix) = mix {
-                assert!(len <= mix.cols, "span length exceeds mixing width");
-                // In place, front to back: position `j` reads the raw
-                // scores from `j` on, which no earlier result overwrote.
-                for j in 0..len {
-                    valid[j] = dot(&mix.row(start + j)[..len - j], &valid[j..]);
+        let (d, width) = (self.cols, out.cols);
+        let mut i = 0;
+        while i < spans.len() {
+            // Eq. 4 (unmixed): a whole causal walk at a time where one opens
+            // here, with the per-span path as its portable body.
+            let walk = if mix.is_none() {
+                walk_len(&spans[i..])
+            } else {
+                0
+            };
+            let end = i + walk.max(1);
+            let whole = walk > 0 && {
+                let (q, k) = (&q_rows[i..end], &k_rows[spans[i].0..][..walk]);
+                let rows = &mut out.data[i * width..end * width];
+                // SAFETY: every query and key index was checked above.
+                unsafe { walk_attention(&self.data, q, &keys.data, k, d, scale, rows) }
+            };
+            if !whole {
+                for i in i..end {
+                    let row = out.row_mut(i);
+                    // SAFETY: every key index was checked above.
+                    unsafe {
+                        self.span_attention(q_rows[i], keys, k_rows, spans[i], mix, scale, row)
+                    };
                 }
             }
-            for o in valid.iter_mut() {
-                *o *= scale;
-            }
-            softmax_inplace(valid);
-            padding.fill(0.0);
+            i = end;
         }
+    }
+
+    /// One span of [`Tensor::segment_attention_into`] into its output row:
+    /// [`dot_rows`], the causal mixing if any, the scale, the softmax and
+    /// `+0.0` padding.
+    ///
+    /// # Safety
+    /// Every key index of the span names a row of `keys`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn span_attention(
+        &self,
+        q_row: usize,
+        keys: &Tensor,
+        k_rows: &[usize],
+        (start, len): (usize, usize),
+        mix: Option<&Tensor>,
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        let (valid, padding) = out.split_at_mut(len);
+        let k = &k_rows[start..start + len];
+        dot_rows(self.row(q_row), &keys.data, k, valid);
+        if let Some(mix) = mix {
+            assert!(len <= mix.cols, "span length exceeds mixing width");
+            // In place, front to back: position `j` reads the raw scores
+            // from `j` on, which no earlier result overwrote.
+            for j in 0..len {
+                valid[j] = dot(&mix.row(start + j)[..len - j], &valid[j..]);
+            }
+        }
+        for o in valid.iter_mut() {
+            *o *= scale;
+        }
+        softmax_inplace(valid);
+        padding.fill(0.0);
     }
 
     /// Per-row weighted sum of value rows addressed **by row index**:
@@ -806,11 +854,11 @@ pub(crate) fn softmax_inplace(row: &mut [f32]) {
         }
         return;
     }
-    let mut sum = 0.0;
     for x in row.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
+        *x -= max;
     }
+    exp_inplace(row);
+    let sum = row.iter().fold(0.0, |sum, &x| sum + x);
     for x in row.iter_mut() {
         *x /= sum;
     }
