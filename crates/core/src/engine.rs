@@ -1,14 +1,13 @@
 //! The chunk-execution engine under [`crate::Trainer`]'s loop: forward +
-//! backward + downsampling decisions over one chunk — a shard's whole
-//! sub-batch of a step — gradient extraction in canonical
-//! [`ParamVars::pairs`] order, the deterministic shard-ordered reduction,
-//! gradient-health evaluation, and the sequential application of
-//! downsampling outcomes to persistent per-node states.
+//! backward + downsampling decisions over one chunk — one part of a
+//! step's nodes — gradient extraction in canonical [`ParamVars::pairs`]
+//! order, the deterministic part-ordered reduction, gradient-health
+//! evaluation, and the sequential application of downsampling outcomes to
+//! persistent per-node states.
 //!
 //! Everything here is context-parameterised rather than `&self`-bound so
-//! a chunk runs against its own shard's graph and state table — the
-//! caller's graph or a halo subgraph — through the same numeric path; the
-//! bitwise borrowed ≡ 1-shard parity test rests on that.
+//! the k parts of a step run on their own threads against the one graph
+//! and state table, which they only read.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +23,7 @@ use crate::state::NodeState;
 use crate::trainer::{EpochStats, TrainReport};
 
 /// Outcome of one node's epoch visit, produced inside a chunk (on its
-/// shard's thread) and applied to the persistent state sequentially.
+/// part's thread) and applied to the persistent state sequentially.
 pub(crate) struct NodeOutcome {
     pub node: NodeId,
     pub wide_attention: Option<Vec<f32>>,
@@ -62,11 +61,11 @@ pub(crate) struct ChunkResult {
 }
 
 /// Where an epoch's child spans go, when the fit is traced: `(tracer,
-/// trace, parent)`. Parenting is explicit, not thread-local, so shard
+/// trace, parent)`. Parenting is explicit, not thread-local, so part
 /// threads can open children of the epoch span.
 pub(crate) type TraceCtx<'a> = Option<(&'a Tracer, TraceId, SpanId)>;
 
-/// Everything a chunk needs, borrowed from the trainer and the shard it runs on.
+/// Everything a chunk needs, borrowed from the trainer.
 pub(crate) struct ChunkCtx<'a> {
     pub model: &'a WidenModel,
     pub graph: &'a HeteroGraph,
@@ -83,12 +82,10 @@ impl ChunkCtx<'_> {
 }
 
 /// Forward + backward over one chunk on its own tape: one fused
-/// [`WidenModel::forward_batch`] for the whole chunk. `chunk` holds
-/// graph-local node ids; `idents[i]` is the identity keying node `i`'s
-/// downsampling rng stream (the global id under sharding, the node itself
-/// otherwise). The chunk's loss is scaled by `chunk.len() / batch_len` so
-/// summing chunk losses across the whole (possibly cross-shard) step yields
-/// the step mean.
+/// [`WidenModel::forward_batch`] for the whole chunk; each node's
+/// downsampling rng stream is keyed by its id. The chunk's loss is scaled
+/// by `chunk.len() / batch_len` so summing chunk losses across the step's
+/// parts yields the step mean.
 ///
 /// Downsampling still sees exactly the per-node artefacts it needs —
 /// attention rows come out of the padded matrices via the node→range maps,
@@ -97,12 +94,10 @@ impl ChunkCtx<'_> {
 pub(crate) fn run_chunk(
     ctx: &ChunkCtx<'_>,
     chunk: &[NodeId],
-    idents: &[NodeId],
     epoch: usize,
     batch_len: usize,
     pool: BufferPool,
 ) -> (ChunkResult, BufferPool) {
-    debug_assert_eq!(chunk.len(), idents.len());
     let config = &ctx.model.config;
     let mut timings = ChunkTimings::default();
     let span = ctx.trace_span("core.trainer.forward");
@@ -142,10 +137,8 @@ pub(crate) fn run_chunk(
     let mut outcomes = Vec::with_capacity(chunk.len());
     for (i, &node) in chunk.iter().enumerate() {
         let state = states[i];
-        let mut rng = StdRng::seed_from_u64(hash_seed(
-            config.seed,
-            &[3, epoch as u64, u64::from(idents[i])],
-        ));
+        let mut rng =
+            StdRng::seed_from_u64(hash_seed(config.seed, &[3, epoch as u64, u64::from(node)]));
 
         let (wide_attention, wide_decision, wide_kl) = match &fw.wide {
             Some(wb) => {
@@ -260,7 +253,7 @@ fn extract_grads(
 /// relying on (and debug-asserting) the identical canonical ParamId order
 /// every chunk extracts with. The first contribution is moved, not
 /// copied. Callers control determinism by calling this in a fixed order —
-/// shard order.
+/// part order.
 pub(crate) fn accumulate_grads(acc: &mut Vec<(ParamId, Tensor)>, next: Vec<(ParamId, Tensor)>) {
     if acc.is_empty() {
         *acc = next;
@@ -319,8 +312,7 @@ pub(crate) fn grad_health(grads: &[(ParamId, Tensor)]) -> GradHealth {
 
 /// Applies downsampling outcomes to the persistent per-node states,
 /// folding each decision (and any evaluated Eq. 9 value) into the epoch's
-/// telemetry. `outcomes[i].node` indexes `states` — graph-local under
-/// sharding.
+/// telemetry. `outcomes[i].node` indexes `states`.
 pub(crate) fn apply_outcomes(
     states: &mut FxHashMap<NodeId, NodeState>,
     outcomes: Vec<NodeOutcome>,

@@ -549,23 +549,7 @@ impl WidenModel {
     /// downsampling) — this is what makes WIDEN inductive: unseen nodes are
     /// embedded purely from their sampled context and the trained weights.
     pub fn sample_state(&self, graph: &HeteroGraph, node: NodeId, seed: u64) -> NodeState {
-        self.sample_state_as(graph, node, node, seed)
-    }
-
-    /// Like [`WidenModel::sample_state`], but keys the per-node rng stream
-    /// by `ident` instead of `node`. Used when `node` is a shard-local
-    /// index: keeping the stream keyed by the node's *global* identity
-    /// makes sampling on a halo-expanded shard subgraph reproduce the
-    /// full-graph stream bit-for-bit (the subgraph preserves relative
-    /// neighbour order and every draw is index-based).
-    pub fn sample_state_as(
-        &self,
-        graph: &HeteroGraph,
-        node: NodeId,
-        ident: NodeId,
-        seed: u64,
-    ) -> NodeState {
-        let mut rng = StdRng::seed_from_u64(hash_seed(seed, &[u64::from(ident)]));
+        let mut rng = StdRng::seed_from_u64(hash_seed(seed, &[u64::from(node)]));
         let wide = sample_wide(graph, node, self.config.n_w, &mut rng);
         let deeps = sample_deep_multi(graph, node, self.config.n_d, self.config.phi, &mut rng);
         NodeState::new(wide, deeps)

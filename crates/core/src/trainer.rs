@@ -1,16 +1,18 @@
 //! Training WIDEN (Algorithm 3): mini-batch semi-supervised cross-entropy
-//! with active downsampling — the one training loop, over `k ≥ 1` shards
-//! of the graph ([`crate::sharded`]) with a shared model and one optimizer
-//! step per global batch.
+//! with active downsampling — the one training loop, with a shared model
+//! and one optimizer step per global batch.
 //!
 //! Per epoch, every training node is visited once; its forward pass records
 //! the wide/deep attention distributions, which (a) feed the KL trigger
 //! (Eq. 9) against last epoch's distributions and (b) locate the
 //! least-contributing neighbour for the argmin drop (Algorithms 1–2).
-//! Each global step runs one sub-batch per shard, each as one chunk
-//! through the shared chunk engine — several shards on scoped threads,
-//! one per shard, a lone shard inline. Gradients are reduced in shard
-//! order, so a fixed seed gives the same bits on any host.
+//! With `k` shards, each global step takes the next `k · batch_size` nodes
+//! of the epoch's order and cuts them into `k` contiguous parts
+//! ([`split_even`]). Every non-empty part runs as one chunk through the
+//! shared chunk engine — several on scoped threads over the one borrowed
+//! graph, a lone part inline. A shard is a thread slot with its own warm
+//! buffer pool, not a sub-graph. Gradients are reduced in part order, so a
+//! fixed seed and `k` give the same bits on any host.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -18,6 +20,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use rustc_hash::FxHashMap;
 use widen_graph::{HeteroGraph, NodeId};
 use widen_obs::{Counter, Event, JsonlSink, Registry, Stopwatch, Tracer};
 use widen_sampling::hash_seed;
@@ -25,7 +28,6 @@ use widen_tensor::{Adam, BufferPool, Optimizer, ParamId, ProfileReport, Tensor};
 
 use crate::engine::{self, ChunkResult, TraceCtx};
 use crate::model::WidenModel;
-use crate::sharded::{self, Homes, Shard};
 use crate::state::NodeState;
 
 /// Per-epoch training telemetry.
@@ -118,7 +120,7 @@ impl TrainReport {
 }
 
 /// Phase-timing counters, one set per trainer (on its own registry).
-/// Chunk phases accumulate from the shard threads, so with several shards
+/// Chunk phases accumulate from the part threads, so with several shards
 /// forward/backward nanos are summed across threads rather than wall time.
 struct PhaseCounters {
     forward: Arc<Counter>,
@@ -130,7 +132,7 @@ struct PhaseCounters {
     pool_hits: Arc<Counter>,
     pool_misses: Arc<Counter>,
     pool_bytes_reused: Arc<Counter>,
-    /// Per shard: wall nanos spent on its sub-batches.
+    /// Per shard: wall nanos spent on its parts.
     shard_busy: Vec<Arc<Counter>>,
     /// Wall nanos of the serial section of every global step.
     merge: Arc<Counter>,
@@ -156,13 +158,19 @@ impl PhaseCounters {
     }
 }
 
-/// Drives Algorithm 3 over a training node set: one loop over `k ≥ 1`
-/// shards of the graph, a shared model, one optimizer step per global
-/// batch.
+/// Drives Algorithm 3 over a training node set: one loop over one graph,
+/// a shared model, one optimizer step per global batch whose `k ≥ 1`
+/// parts run on threads.
 pub struct Trainer<'g> {
     model: WidenModel,
-    shards: Vec<Shard<'g>>,
-    homes: Homes,
+    graph: &'g HeteroGraph,
+    /// Persistent wide/deep states of the training nodes.
+    states: FxHashMap<NodeId, NodeState>,
+    /// One warm tape-buffer pool (forward values, leaves and gradients)
+    /// per shard: moved into the shard's chunk each step and back out
+    /// holding its buffers, so it is never larger than the biggest chunk
+    /// the shard has run.
+    pools: Vec<BufferPool>,
     optimizer: Adam,
     metrics: Registry,
     phase: PhaseCounters,
@@ -172,42 +180,53 @@ pub struct Trainer<'g> {
 }
 
 impl<'g> Trainer<'g> {
-    /// Prepares training on `graph` as it stands — one shard that borrows
-    /// it, no copy: samples every node's initial wide/deep neighbourhoods
-    /// (Algorithm 3 line 3) and sets up Adam with the configured learning
-    /// rate and L2 strength.
+    /// Prepares training on `graph`: samples every training node's initial
+    /// wide/deep neighbourhoods (Algorithm 3 line 3) and sets up Adam with
+    /// the configured learning rate and L2 strength. One shard.
     pub fn new(model: WidenModel, graph: &'g HeteroGraph, train_nodes: &[NodeId]) -> Self {
-        let (shard, homes) = Shard::borrowed(&model, graph, train_nodes);
-        Self::over(model, vec![shard], homes)
+        Self::with_shards(model, graph, train_nodes, 1)
     }
 
-    /// Prepares data-parallel training over `k` halo-expanded partitions of
-    /// `graph` (see [`crate::sharded`]); every training node's
-    /// neighbourhoods are sampled *inside its shard*, keyed by its global
-    /// id. With `k = 1` the fit is bitwise [`Trainer::new`]'s, through an
-    /// induced copy and an id mapping instead of the borrowed graph.
+    /// [`Trainer::new`] with `k` shards: each global step takes `k ·
+    /// batch_size` nodes and runs its `k` parts on scoped threads, each
+    /// with its own warm buffer pool, over the one borrowed graph. With
+    /// `k = 1` this is [`Trainer::new`]. A fixed seed and `k` give the same
+    /// bits on any host.
+    ///
+    /// ```no_run
+    /// use widen_core::{Trainer, WidenConfig, WidenModel};
+    /// use widen_data::{acm_like, Scale};
+    ///
+    /// let dataset = acm_like(Scale::Table, 1);
+    /// let train = &dataset.transductive.train;
+    /// let model = WidenModel::for_graph(&dataset.graph, WidenConfig::paper());
+    /// let mut trainer = Trainer::with_shards(model, &dataset.graph, train, 4);
+    /// let report = trainer.fit(train);
+    /// println!("final loss {:.4}", report.final_loss());
+    /// ```
     ///
     /// # Panics
-    /// Panics if `k` is zero, exceeds the node count, or if a shard ends
-    /// up empty.
+    /// Panics if `k` is zero.
     pub fn with_shards(
         model: WidenModel,
-        graph: &HeteroGraph,
+        graph: &'g HeteroGraph,
         train_nodes: &[NodeId],
         k: usize,
     ) -> Self {
-        let (shards, homes) = sharded::partition(&model, graph, train_nodes, k);
-        Self::over(model, shards, homes)
-    }
-
-    fn over(model: WidenModel, shards: Vec<Shard<'g>>, homes: Homes) -> Self {
+        assert!(k >= 1, "a trainer needs at least one shard");
+        let seed = hash_seed(model.config.seed, &[1]);
+        let states = train_nodes
+            .iter()
+            .map(|&node| (node, model.sample_state(graph, node, seed)))
+            .collect();
         let optimizer = Adam::with_lr(model.config.learning_rate, model.config.weight_decay);
         let metrics = Registry::new();
-        let phase = PhaseCounters::new(&metrics, shards.len());
+        let phase = PhaseCounters::new(&metrics, k);
         Self {
             model,
-            shards,
-            homes,
+            graph,
+            states,
+            pools: (0..k).map(|_| BufferPool::default()).collect(),
             optimizer,
             metrics,
             phase,
@@ -245,7 +264,7 @@ impl<'g> Trainer<'g> {
 
     /// Records per-epoch span trees into `tracer`: one
     /// `core.trainer.epoch` root per epoch with chunk-level
-    /// forward/backward/downsample children (recorded from the shard
+    /// forward/backward/downsample children (recorded from the part
     /// threads), an optimizer-step span, and a synthetic packaging span
     /// from the packaging counter delta.
     pub fn set_tracer(&mut self, tracer: Tracer) {
@@ -262,24 +281,12 @@ impl<'g> Trainer<'g> {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per shard `(core nodes, nodes incl. halo, core training nodes)`.
-    pub fn shard_sizes(&self) -> Vec<(usize, usize, usize)> {
-        self.shards
-            .iter()
-            .map(|s| (s.core_size, s.graph.num_nodes(), s.states.len()))
-            .collect()
+        self.pools.len()
     }
 
     /// Consumes the trainer, returning the trained model.
     pub fn into_model(self) -> WidenModel {
         self.model
-    }
-
-    fn states(&self) -> impl Iterator<Item = &NodeState> {
-        self.shards.iter().flat_map(|s| s.states.values())
     }
 
     /// Current neighbour-set sizes `(Σ|W|, Σ|D| over walks)` across all
@@ -288,7 +295,7 @@ impl<'g> Trainer<'g> {
     pub fn neighbor_volume(&self) -> (usize, usize) {
         let mut wide = 0;
         let mut deep = 0;
-        for state in self.states() {
+        for state in self.states.values() {
             wide += state.wide.len();
             deep += state.deeps.iter().map(|d| d.len()).sum::<usize>();
         }
@@ -331,15 +338,16 @@ impl<'g> Trainer<'g> {
         // each epoch (epoch z shuffles the epoch z-1 permutation).
         let mut order: Vec<NodeId> = train_nodes.to_vec();
         for &node in &order {
-            let &(p, local) = self
-                .homes
-                .get(&node)
-                .unwrap_or_else(|| panic!("node {node} missing from trainer"));
             assert!(
-                self.shards[p].graph.label(local).is_some(),
+                self.states.contains_key(&node),
+                "node {node} missing from trainer"
+            );
+            assert!(
+                self.graph.label(node).is_some(),
                 "training node {node} is unlabelled"
             );
         }
+        let step_len = self.pools.len() * config.batch_size;
 
         for epoch in 1..=config.epochs {
             let start = Stopwatch::start();
@@ -349,34 +357,16 @@ impl<'g> Trainer<'g> {
                 .as_ref()
                 .and_then(|s| Some((tracer.as_ref()?, s.trace()?, s.id()?)));
             let epoch_start_ns = trace.map(|(t, ..)| t.now_ns());
-            // One global shuffle, then a per-shard order-preserving filter
-            // into `(local, global)` pairs: which shard a node trains in
-            // never changes the order it is visited in.
             let mut shuffle_rng = StdRng::seed_from_u64(hash_seed(config.seed, &[2, epoch as u64]));
             order.shuffle(&mut shuffle_rng);
-            let mut shard_orders: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); self.shards.len()];
-            for &global in &order {
-                let (p, local) = self.homes[&global];
-                shard_orders[p].push((local, global));
-            }
-            let mut batches: Vec<_> = shard_orders
-                .iter()
-                .map(|o| o.chunks(config.batch_size))
-                .collect();
-            // The largest shard sets the step count, so every step has at
-            // least one non-empty sub-batch.
-            let steps = batches.iter().map(|b| b.len()).max().unwrap_or(0);
+            let steps = order.len().div_ceil(step_len);
 
             let mut epoch_loss = 0.0f64;
             let mut stats = EpochStats::default();
             let mut epoch_profile: Option<ProfileReport> = None;
-            for _ in 0..steps {
-                let sub_batches: Vec<&[(NodeId, NodeId)]> = batches
-                    .iter_mut()
-                    .map(|b| b.next().unwrap_or(&[]))
-                    .collect();
+            for step in order.chunks(step_len) {
                 epoch_loss += self.train_step(
-                    &sub_batches,
+                    &split_even(step, self.pools.len()),
                     epoch,
                     trace,
                     &mut report,
@@ -507,40 +497,41 @@ impl<'g> Trainer<'g> {
         }
     }
 
-    /// One global step: one sub-batch per shard (`(local, global)` id
-    /// pairs) runs through the engine, the shard gradients are reduced in
-    /// shard order into one guarded optimizer step, and each shard's
-    /// downsampling outcomes are applied to its states. Returns the step's
-    /// loss.
+    /// One global step: each non-empty part runs through the engine on
+    /// its shard's pool, the part gradients are reduced in part order into
+    /// one guarded optimizer step, and the downsampling outcomes are
+    /// applied to the state table in part order. Returns the step's loss.
     fn train_step(
         &mut self,
-        sub_batches: &[&[(NodeId, NodeId)]],
+        parts: &[&[NodeId]],
         epoch: usize,
         trace: TraceCtx<'_>,
         report: &mut TrainReport,
         stats: &mut EpochStats,
         epoch_profile: &mut Option<ProfileReport>,
     ) -> f64 {
-        let step_total: usize = sub_batches.iter().map(|b| b.len()).sum();
-        let pools: Vec<BufferPool> = self
-            .shards
-            .iter_mut()
-            .map(|shard| std::mem::take(&mut shard.pool))
+        let step_total: usize = parts.iter().map(|p| p.len()).sum();
+        let jobs: Vec<(usize, &[NodeId], BufferPool)> = parts
+            .iter()
+            .enumerate()
+            .filter(|(_, part)| !part.is_empty())
+            .map(|(slot, &part)| (slot, part, std::mem::take(&mut self.pools[slot])))
             .collect();
-        let run =
-            |shard, batch, pool| self.run_shard_step(shard, batch, pool, epoch, step_total, trace);
-        let jobs = self.shards.iter().zip(sub_batches).zip(pools);
-        let results: Vec<(Option<ChunkResult>, BufferPool, u64)> = if self.shards.len() == 1 {
-            // A lone shard never pays a thread spawn per step, nor loses
+        let run = |(slot, part, pool)| {
+            let (chunk, pool, nanos) = self.run_part(part, pool, epoch, step_total, trace);
+            (slot, chunk, pool, nanos)
+        };
+        let results: Vec<(usize, ChunkResult, BufferPool, u64)> = if jobs.len() == 1 {
+            // A lone part never pays a thread spawn per step, nor loses
             // the caller thread's warm GEMM packing scratch.
-            jobs.map(|((shard, batch), pool)| run(shard, batch, pool))
-                .collect()
+            jobs.into_iter().map(run).collect()
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = jobs
-                    .map(|((shard, batch), pool)| scope.spawn(move || run(shard, batch, pool)))
+                    .into_iter()
+                    .map(|job| scope.spawn(move || run(job)))
                     .collect();
-                // Joined in shard order: completion order never leaks
+                // Joined in part order: completion order never leaks
                 // into the reduction.
                 handles
                     .into_iter()
@@ -556,15 +547,10 @@ impl<'g> Trainer<'g> {
         let merge_sw = Stopwatch::start();
         let mut loss = 0.0f64;
         let mut grads: Vec<(ParamId, Tensor)> = Vec::new();
-        let mut shard_outcomes = Vec::with_capacity(results.len());
-        let shards = self.shards.iter_mut().zip(&self.phase.shard_busy);
-        for ((shard, busy), (chunk, pool, nanos)) in shards.zip(results) {
-            shard.pool = pool;
-            busy.add(nanos);
-            let Some(chunk) = chunk else {
-                shard_outcomes.push(Vec::new());
-                continue;
-            };
+        let mut outcomes = Vec::with_capacity(step_total);
+        for (slot, chunk, pool, nanos) in results {
+            self.pools[slot] = pool;
+            self.phase.shard_busy[slot].add(nanos);
             loss += chunk.loss;
             engine::accumulate_grads(&mut grads, chunk.grads);
             if let Some(profile) = chunk.profile {
@@ -573,47 +559,37 @@ impl<'g> Trainer<'g> {
                     None => *epoch_profile = Some(profile),
                 }
             }
-            shard_outcomes.push(chunk.outcomes);
+            outcomes.extend(chunk.outcomes);
         }
         self.step_if_finite(&grads, epoch, step_total, trace, stats);
         self.phase.merge.add(merge_sw.elapsed_nanos());
 
-        for (shard, outcomes) in self.shards.iter_mut().zip(shard_outcomes) {
-            engine::apply_outcomes(&mut shard.states, outcomes, report, stats);
-        }
+        engine::apply_outcomes(&mut self.states, outcomes, report, stats);
         loss
     }
 
-    /// One shard's share of a global step: its sub-batch runs as one chunk
-    /// through the shared engine on the shard's warm `pool`, the chunk's
-    /// loss weighted by the *global* step size so the cross-shard sum is
-    /// the step mean. Returns the chunk (none for an empty sub-batch), the
-    /// pool holding its buffers, and the shard's busy nanos.
-    fn run_shard_step(
+    /// One part of a global step: it runs as one chunk through the shared
+    /// engine on its shard's warm `pool`, the chunk's loss weighted by the
+    /// *global* step size so the sum over parts is the step mean. Returns
+    /// the chunk, the pool holding its buffers, and the part's wall nanos.
+    fn run_part(
         &self,
-        shard: &Shard<'_>,
-        batch: &[(NodeId, NodeId)],
+        part: &[NodeId],
         pool: BufferPool,
         epoch: usize,
         step_total: usize,
         trace: TraceCtx<'_>,
-    ) -> (Option<ChunkResult>, BufferPool, u64) {
-        if batch.is_empty() {
-            return (None, pool, 0);
-        }
+    ) -> (ChunkResult, BufferPool, u64) {
         let sw = Stopwatch::start();
         let chunk_ctx = engine::ChunkCtx {
             model: &self.model,
-            graph: &shard.graph,
-            states: &shard.states,
+            graph: self.graph,
+            states: &self.states,
             profiling: self.profiling,
             trace,
         };
-        let locals: Vec<NodeId> = batch.iter().map(|&(local, _)| local).collect();
-        let idents: Vec<NodeId> = batch.iter().map(|&(_, global)| global).collect();
         let before = pool.stats();
-        let (result, pool) =
-            engine::run_chunk(&chunk_ctx, &locals, &idents, epoch, step_total, pool);
+        let (result, pool) = engine::run_chunk(&chunk_ctx, part, epoch, step_total, pool);
         let after = pool.stats();
         self.phase.pool_hits.add(after.hits - before.hits);
         self.phase.pool_misses.add(after.misses - before.misses);
@@ -623,7 +599,7 @@ impl<'g> Trainer<'g> {
         self.phase.forward.add(result.timings.forward_nanos);
         self.phase.backward.add(result.timings.backward_nanos);
         self.phase.downsample.add(result.timings.downsample_nanos);
-        (Some(result), pool, sw.elapsed_nanos())
+        (result, pool, sw.elapsed_nanos())
     }
 
     /// The one non-finite-gradient policy: a reduced gradient holding
@@ -667,6 +643,21 @@ impl<'g> Trainer<'g> {
     }
 }
 
+/// Cuts a step's nodes into `k` contiguous parts whose sizes differ by at
+/// most one (the first `n mod k` parts are the longer ones); in order, the
+/// parts concatenate back to `nodes`. A part is empty only when `n < k`.
+fn split_even(nodes: &[NodeId], k: usize) -> Vec<&[NodeId]> {
+    let (base, extra) = (nodes.len() / k, nodes.len() % k);
+    let mut rest = nodes;
+    (0..k)
+        .map(|p| {
+            let (part, tail) = rest.split_at(base + usize::from(p < extra));
+            rest = tail;
+            part
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -691,7 +682,7 @@ mod tests {
         c
     }
 
-    /// `k = 1` borrows the graph ([`Trainer::new`]); `k > 1` partitions it.
+    /// `k = 1` is [`Trainer::new`]; `k > 1` runs each step's parts on threads.
     fn trainer_over<'g>(
         dataset: &'g widen_data::Dataset,
         cfg: WidenConfig,
@@ -749,7 +740,7 @@ mod tests {
         let model = WidenModel::for_graph(&dataset.graph, cfg.clone());
         let mut trainer = Trainer::new(model, &dataset.graph, &train);
         trainer.fit(&train);
-        for state in trainer.states() {
+        for state in trainer.states.values() {
             // Sets that started above the bound must not fall below it.
             assert!(state.wide.len() >= state.wide.len().min(cfg.k_wide));
             assert!(state.wide.is_empty() || state.wide.len() >= cfg.k_wide.min(cfg.n_w));
@@ -773,13 +764,12 @@ mod tests {
         let mut trainer = Trainer::new(model, &dataset.graph, &train);
         let before = trainer.neighbor_volume();
         let mut report = TrainReport::default();
-        let batch: Vec<(u32, u32)> = train.iter().map(|&v| (v, v)).collect();
         // Cumulative (takes, misses) and parked bytes after each epoch.
         let mut epochs: Vec<(u64, u64, u64)> = Vec::new();
         for epoch in 1..=10 {
             let mut stats = EpochStats::default();
-            trainer.train_step(&[&batch], epoch, None, &mut report, &mut stats, &mut None);
-            let pool = trainer.shards[0].pool.stats();
+            trainer.train_step(&[&train], epoch, None, &mut report, &mut stats, &mut None);
+            let pool = trainer.pools[0].stats();
             let (resident, bound) = (pool.resident_bytes, pool.peak_live_bytes);
             assert!(
                 resident <= bound,
@@ -855,7 +845,7 @@ mod tests {
             "interior prunes must generate relay edges"
         );
         // Some state should carry overrides.
-        let has_override = trainer.states().any(|s| {
+        let has_override = trainer.states.values().any(|s| {
             s.deeps
                 .iter()
                 .any(|d| d.edge_override.iter().any(Option::is_some))
@@ -1098,24 +1088,49 @@ mod tests {
         }
     }
 
-    /// A shard's sub-batch is one chunk — one tape, one loss op — however
-    /// many CPUs the host has, so a seed trains the same program anywhere.
+    #[test]
+    fn split_even_cuts_contiguous_parts_within_one_of_each_other() {
+        for n in 0..40usize {
+            let nodes: Vec<u32> = (0..n as u32).collect();
+            for k in 1..=9 {
+                let parts = split_even(&nodes, k);
+                assert_eq!(parts.len(), k);
+                for part in &parts {
+                    assert!(part.len() == n / k || part.len() == n.div_ceil(k));
+                    assert!(n < k || !part.is_empty(), "n = {n}, k = {k}");
+                }
+                assert_eq!(parts.concat(), nodes, "n = {n}, k = {k}");
+            }
+        }
+        assert_eq!(
+            split_even(&[1, 2, 3, 4, 5], 3),
+            [&[1, 2][..], &[3, 4], &[5]]
+        );
+        assert_eq!(split_even(&[7], 3), [&[7][..], &[], &[]]);
+    }
+
+    /// A part is one chunk — one tape, one loss op — however many CPUs
+    /// the host has, so a seed trains the same program anywhere; empty
+    /// parts run nothing.
     #[test]
     fn every_shard_step_runs_one_chunk() {
         let dataset = acm_like(Scale::Smoke, 16);
-        let train: Vec<u32> = dataset.transductive.train[..40].to_vec();
+        let train: Vec<u32> = dataset.transductive.train[..34].to_vec();
         let mut cfg = tiny_config();
         cfg.epochs = 2;
-        for k in [1, 2] {
+        cfg.batch_size = 4;
+        for (k, pinned) in [(1, 9), (2, 10), (4, 10)] {
             let mut trainer = trainer_over(&dataset, cfg.clone(), &train, k);
             trainer.set_profiling(true);
             let report = trainer.fit(&train);
-            let sub_batches: u64 = trainer
-                .shard_sizes()
-                .iter()
-                .map(|&(_, _, nodes)| nodes.div_ceil(cfg.batch_size) as u64)
+            // Steps of k · batch_size nodes, each cut into k parts; the
+            // last step of 34 at k = 4 is two nodes, two parts of one.
+            let chunks: u64 = train
+                .chunks(k * cfg.batch_size)
+                .map(|step| split_even(step, k).iter().filter(|p| !p.is_empty()).count() as u64)
                 .sum();
-            assert!(sub_batches > k as u64);
+            assert_eq!(chunks, pinned, "k = {k}");
+            assert!(chunks > k as u64);
             assert_eq!(report.epoch_profiles.len(), cfg.epochs);
             for profile in &report.epoch_profiles {
                 let losses = profile
@@ -1123,7 +1138,7 @@ mod tests {
                     .iter()
                     .find(|op| op.name == "softmax_cross_entropy")
                     .map_or(0, |op| op.count);
-                assert_eq!(losses, sub_batches, "k = {k}: one loss op per sub-batch");
+                assert_eq!(losses, chunks, "k = {k}: one loss op per non-empty part");
             }
         }
     }
@@ -1180,10 +1195,13 @@ mod tests {
         }
     }
 
-    /// North-star 4, the trainer-sized slice: every counter the one loop
-    /// emits is a row of DESIGN.md's metric table.
+    /// North-star 4, the trainer-sized slice, both ways: every counter a
+    /// two-shard fit emits is a row of DESIGN.md's metric table, and every
+    /// `core_*` row is emitted by that fit or is one of the named counters
+    /// on [`Registry::global`].
     #[test]
     fn every_emitted_trainer_metric_is_documented() {
+        const ON_GLOBAL: [&str; 2] = ["core_packaging_nanos_total", "core_packaging_calls_total"];
         let design = include_str!("../../../DESIGN.md");
         let dataset = acm_like(Scale::Smoke, 15);
         let train: Vec<u32> = dataset.transductive.train[..8].to_vec();
@@ -1194,19 +1212,45 @@ mod tests {
         let snap = trainer.metrics().snapshot();
         assert!(snap.gauges.is_empty() && snap.histograms.is_empty());
         assert!(snap.counter("core_shard1_busy_nanos_total").is_some());
-        for (name, _) in &snap.counters {
-            let digit = |c: char| c.is_ascii_digit();
-            let row = match name.strip_prefix("core_shard") {
-                Some(rest) if rest.starts_with(digit) => {
-                    format!("core_shard{{p}}{}", rest.trim_start_matches(digit))
-                }
-                _ => name.clone(),
-            };
+        let row_of = |name: &str| match name.strip_prefix("core_shard") {
+            Some(rest) if rest.starts_with(|c: char| c.is_ascii_digit()) => format!(
+                "core_shard{{p}}{}",
+                rest.trim_start_matches(|c: char| c.is_ascii_digit())
+            ),
+            _ => name.to_string(),
+        };
+        let emitted: Vec<String> = snap.counters.iter().map(|(n, _)| row_of(n)).collect();
+        for row in &emitted {
             assert!(
                 design.contains(&format!("`{row}`")),
                 "{row} is not in DESIGN.md"
             );
         }
+        // The metric table's rows open with a backticked name; a row may
+        // name two or three counters separated by ` / `.
+        let documented: Vec<&str> = design
+            .lines()
+            .filter(|l| l.starts_with("| `core_"))
+            .flat_map(|l| l.split('|').nth(1).unwrap().split('/'))
+            .map(|name| name.trim().trim_matches('`'))
+            .collect();
+        assert!(documented.len() >= emitted.len());
+        for name in documented {
+            assert!(
+                ON_GLOBAL.contains(&name) || emitted.iter().any(|e| e == name),
+                "DESIGN.md documents {name}, which neither a k = 2 fit nor the global registry emits"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "missing from trainer")]
+    fn fit_on_a_node_not_given_to_the_constructor_panics() {
+        let dataset = acm_like(Scale::Smoke, 8);
+        let train = &dataset.transductive.train;
+        let model = WidenModel::for_graph(&dataset.graph, tiny_config());
+        let mut trainer = Trainer::new(model, &dataset.graph, &train[..4]);
+        trainer.fit(&train[..5]);
     }
 
     #[test]

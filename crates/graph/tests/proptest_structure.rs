@@ -1,7 +1,7 @@
-//! Property-based tests of graph construction and partitioning.
+//! Property-based tests of graph construction and induced subgraphs.
 
 use proptest::prelude::*;
-use widen_graph::{partition, GraphBuilder, HeteroGraph};
+use widen_graph::{GraphBuilder, HeteroGraph};
 
 /// Builds a random two-type graph from generated edge pairs.
 fn build(n_a: usize, n_b: usize, pairs: &[(usize, usize)]) -> HeteroGraph {
@@ -64,21 +64,6 @@ proptest! {
             .map(|t| g.adjacency_of_type(widen_graph::EdgeTypeId(t as u16)).nnz())
             .sum();
         prop_assert_eq!(total, g.num_directed_edges());
-    }
-
-    #[test]
-    fn partition_covers_and_respects_k(
-        pairs in prop::collection::vec((0usize..24, 0usize..24), 5..60),
-        k in 1usize..5,
-    ) {
-        let g = build(10, 10, &pairs);
-        let p = partition::greedy_bfs(&g, k, 2);
-        prop_assert_eq!(p.assignment.len(), g.num_nodes());
-        prop_assert!(p.assignment.iter().all(|&a| (a as usize) < k));
-        let sizes = p.sizes();
-        prop_assert_eq!(sizes.iter().sum::<usize>(), g.num_nodes());
-        // Edge cut bounded by total edges.
-        prop_assert!(partition::edge_cut(&g, &p) <= g.num_edges());
     }
 
     #[test]

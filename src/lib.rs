@@ -4,7 +4,7 @@
 //! depend on a single crate:
 //!
 //! * [`tensor`] — dense 2-D tensors + reverse-mode autograd + optimizers.
-//! * [`graph`] — heterogeneous graph storage, subgraphs, partitioning.
+//! * [`graph`] — heterogeneous graph storage, subgraphs.
 //! * [`sampling`] — wide neighbour sets and deep random walks.
 //! * [`data`] — synthetic ACM/DBLP/Yelp-like dataset generators and splits.
 //! * [`core`] — the WIDEN model, downsampling and trainer.

@@ -1,14 +1,12 @@
-//! Differential tests pinning the one training loop's two data paths to
-//! each other: one partitioned shard (induced subgraph + id mapping) trains
-//! bitwise like the borrowed graph, with k shards on threads the run
-//! replays bitwise, halo subgraphs reproduce the full graph's
-//! sampling streams exactly, and k-shard training matches full-graph
-//! micro-F1 at (truncated) paper configuration.
+//! Differential tests of shard-parallel training against the one-thread
+//! loop: one shard trains bitwise like `Trainer::new`, with k shards on
+//! threads the run replays bitwise, and k-shard training matches
+//! `Trainer::new`'s micro-F1 at (truncated) paper configuration and in a
+//! learned regime.
 
 use widen::core::{Trainer, WidenConfig, WidenModel};
-use widen::data::{acm_like, yelp_like, Scale};
+use widen::data::{acm_like, Scale};
 use widen::eval::micro_f1;
-use widen::graph::greedy_bfs;
 
 fn tiny_config() -> WidenConfig {
     let mut c = WidenConfig::small();
@@ -46,8 +44,6 @@ fn one_shard_sharded_trainer_is_bitwise_the_trainer() {
     let base = trainer.fit(train);
     let base_model = trainer.into_model();
 
-    // Same loop, other data path: an induced copy of the graph addressed
-    // through a global → local id mapping.
     let model = WidenModel::for_graph(&dataset.graph, cfg);
     let mut sharded = Trainer::with_shards(model, &dataset.graph, train, 1);
     let report = sharded.fit(train);
@@ -76,67 +72,6 @@ fn two_threaded_k2_fits_replay_bitwise() {
     let (losses_b, model_b) = run();
     assert_eq!(losses_a, losses_b, "same seed must replay bitwise");
     assert_eq!(max_weight_diff(&model_a, &model_b), 0.0);
-}
-
-/// The halo contract behind every other test here: sampling a node inside
-/// its halo-expanded shard (keyed by its global id) reproduces the full
-/// graph's wide set and deep walks exactly, once local ids are mapped back.
-#[test]
-fn halo_subgraph_reproduces_sampling_streams_on_every_core_node() {
-    let dataset = yelp_like(Scale::Smoke, 23);
-    let graph = &dataset.graph;
-    let cfg = tiny_config();
-    let model = WidenModel::for_graph(graph, cfg.clone());
-    let k = 3;
-    let partition = greedy_bfs(graph, k, 2);
-    let radius = cfg.n_d.max(1);
-    let seed = 0xD1FF_u64;
-
-    let mut checked = 0usize;
-    for p in 0..k as u32 {
-        let keep = partition.halo(graph, p, radius);
-        let sub = graph.induced_subgraph(&keep);
-        // Every 7th core node keeps the test fast while still crossing
-        // plenty of shard boundaries.
-        for &global in partition.part(p).iter().step_by(7) {
-            let local = sub.mapping.to_new(global).expect("core node in shard");
-            let full = model.sample_state_as(graph, global, global, seed);
-            let shard = model.sample_state_as(&sub.graph, local, global, seed);
-
-            let full_wide: Vec<(u32, u16)> = full
-                .wide
-                .entries
-                .iter()
-                .map(|e| (e.node, e.edge_type))
-                .collect();
-            let shard_wide: Vec<(u32, u16)> = shard
-                .wide
-                .entries
-                .iter()
-                .map(|e| (sub.mapping.to_old(e.node), e.edge_type))
-                .collect();
-            assert_eq!(full_wide, shard_wide, "wide set diverged at node {global}");
-
-            assert_eq!(full.deeps.len(), shard.deeps.len());
-            for (fd, sd) in full.deeps.iter().zip(&shard.deeps) {
-                let full_walk: Vec<(u32, u16)> = fd
-                    .set
-                    .entries
-                    .iter()
-                    .map(|e| (e.node, e.edge_type))
-                    .collect();
-                let shard_walk: Vec<(u32, u16)> = sd
-                    .set
-                    .entries
-                    .iter()
-                    .map(|e| (sub.mapping.to_old(e.node), e.edge_type))
-                    .collect();
-                assert_eq!(full_walk, shard_walk, "deep walk diverged at node {global}");
-            }
-            checked += 1;
-        }
-    }
-    assert!(checked > 50, "expected a meaningful sample, got {checked}");
 }
 
 #[test]
@@ -168,7 +103,7 @@ fn four_shard_training_matches_full_graph_micro_f1_at_paper_config() {
 
     // Acceptance band from the issue: within 0.5 micro-F1 points. At
     // lr = 1e-4 two epochs leave both models close to initialisation, so
-    // this checks the shard decomposition itself introduces no drift; the
+    // this checks the step decomposition itself introduces no drift; the
     // learned-regime comparison lives in the test below.
     assert!(
         (full_f1 - shard_f1).abs() <= 0.005,
@@ -205,11 +140,6 @@ fn two_shard_training_learns_like_the_full_graph() {
     let model = WidenModel::for_graph(&dataset.graph, cfg);
     let mut sharded = Trainer::with_shards(model, &dataset.graph, train, 2);
     assert_eq!(sharded.num_shards(), 2);
-    let split: Vec<usize> = sharded.shard_sizes().iter().map(|&(_, _, t)| t).collect();
-    assert!(
-        split.iter().all(|&t| t >= 1),
-        "a shard ended up with no training nodes: {split:?}"
-    );
     let loss = sharded.fit(train).final_loss();
     assert!(loss.is_finite() && loss > 0.0, "bad training loss {loss}");
     let shard_f1 = micro_f1(
