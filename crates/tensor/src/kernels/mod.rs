@@ -4,19 +4,18 @@
 //! [`KernelBackend`] trait: `tensor.rs` keeps shape checks and dispatch,
 //! the raw slice arithmetic lives here. Two backends exist:
 //!
-//! * [`Reference`] — the scalar oracle. Bit-compatible with the kernels
-//!   that historically lived inline in `tensor.rs`; every bitwise-parity
-//!   guarantee in the workspace (batched vs per-node engines, checkpoint
-//!   restore) is stated against this backend.
+//! * [`Reference`] — the scalar oracle: the three GEMMs as plain loops, one
+//!   `f32::mul_add` per term. The parity suites name it explicitly.
 //! * [`Optimized`] — an output tile held in registers for the whole `k`
 //!   sweep in all three products: `A·B` on packed panels of `B`, `A·Bᵀ` on
 //!   the same panels packed from `Bᵀ` (so the two are one arithmetic), and
 //!   `Aᵀ·B` on a tile seeded from `out`. Hot inner loops dispatch at
-//!   runtime to AVX-512F / AVX2 intrinsics (the compile target is baseline
-//!   x86-64). `Aᵀ·B` keeps the reference element order and `+0.0` skip, so
-//!   weight gradients are bit-identical across backends (NaN payloads
-//!   aside); `A·B` and `A·Bᵀ` differ from [`Reference`] only by the
-//!   documented tolerance contract (see `DESIGN.md`).
+//!   runtime to AVX-512F / AVX2 + FMA intrinsics (the compile target is
+//!   baseline x86-64), every body one fused multiply-add per term. `Aᵀ·B`
+//!   keeps the reference element order and `+0.0` skip, so weight
+//!   gradients are bit-identical across backends (NaN payloads aside);
+//!   `A·B` and `A·Bᵀ` differ from [`Reference`] only by the documented
+//!   tolerance contract (see `DESIGN.md`).
 //!
 //! The ragged attention ops (`segment_attention`, `segment_weighted_sum`,
 //! `segment_mean_rows`, the row gather and their adjoints) have one
@@ -138,8 +137,8 @@ pub(crate) fn nonzero(a: f32) -> bool {
 }
 
 /// Lane-split inner product — the shared scalar `dot` kernel: the
-/// [`KernelBackend::dot`] of both backends, [`Reference`]'s `A·Bᵀ`, and
-/// what [`dot_rows`] computes per key.
+/// [`KernelBackend::dot`] of both backends and what [`dot_rows`] computes
+/// per key. Separate multiply and add, unlike the fused GEMMs.
 #[inline(always)]
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());

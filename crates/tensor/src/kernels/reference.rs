@@ -1,14 +1,17 @@
 //! The scalar oracle backend.
 //!
-//! These are the exact kernels that used to live inline in `tensor.rs`,
-//! moved behind the [`KernelBackend`] seam unchanged: same loop orders,
-//! same `+0.0`-only zero skip, one thread — the caller's. Everything
-//! downstream that promises bitwise reproducibility (batched vs per-node
-//! engine parity, checkpoint restore) is promised *against this backend*.
+//! Three plain loops, one thread — the caller's: the i-p-j rank-1 `A·B`
+//! and the p-i-j rank-1 `Aᵀ·B`, each rounding every term straight into
+//! `out` with an exact-`+0.0` multiplier skip, and the `A·Bᵀ` row-by-row
+//! dot. Every term is one `f32::mul_add` — a single rounding, as in the
+//! [`super::Optimized`] tiles — so `Aᵀ·B` is bitwise that backend's, and
+//! `A·B` / `A·Bᵀ` differ from it only by the two licensed deviations of
+//! its parity contract. The ragged span kernels (`dot`, `axpy`) are not
+//! GEMMs and keep their separate multiply and add.
 
-use super::{axpy, dot, nonzero, KernelBackend};
+use super::{dot, nonzero, KernelBackend};
 
-/// Scalar oracle backend — bit-compatible with the historical kernels.
+/// Scalar oracle backend: the fused GEMMs in their textbook loop orders.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Reference;
 
@@ -19,9 +22,12 @@ impl KernelBackend for Reference {
 
     fn gemm_nn_acc(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
         for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
             let out_row = &mut out[i * n..(i + 1) * n];
-            matmul_row(a_row, b, n, out_row);
+            for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+                if nonzero(av) {
+                    fused_axpy(av, &b[p * n..(p + 1) * n], out_row);
+                }
+            }
         }
     }
 
@@ -31,20 +37,21 @@ impl KernelBackend for Reference {
         for (a_row, out_row) in a_rows.zip(out_rows) {
             let b_rows = b.chunks_exact(k.max(1));
             for (o, b_row) in out_row.iter_mut().zip(b_rows) {
-                *o += dot(a_row, b_row);
+                let mut acc = 0.0f32;
+                for (&x, &y) in a_row.iter().zip(b_row) {
+                    acc = x.mul_add(y, acc);
+                }
+                *o += acc;
             }
         }
     }
 
     fn gemm_tn_acc(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        // Rank-1 accumulation; row-major friendly for `b`.
         for p in 0..k {
-            let a_row = &a[p * m..(p + 1) * m];
             let b_row = &b[p * n..(p + 1) * n];
-            for (i, &av) in a_row.iter().enumerate() {
+            for (i, &av) in a[p * m..(p + 1) * m].iter().enumerate() {
                 if nonzero(av) {
-                    let out_row = &mut out[i * n..(i + 1) * n];
-                    axpy(av, b_row, out_row);
+                    fused_axpy(av, b_row, &mut out[i * n..(i + 1) * n]);
                 }
             }
         }
@@ -55,15 +62,9 @@ impl KernelBackend for Reference {
     }
 }
 
-/// One output row of `gemm_nn_acc`: `out_row += a_row · B` via rank-1
-/// axpy updates, skipping exact `+0.0` multipliers (see
-/// [`super::nonzero`]).
-#[inline]
-pub(crate) fn matmul_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
-    for (p, &a) in a_row.iter().enumerate() {
-        if nonzero(a) {
-            let b_row = &b[p * n..(p + 1) * n];
-            axpy(a, b_row, out_row);
-        }
+/// `y = fma(alpha, x, y)` element by element.
+fn fused_axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+    for (y, &x) in y.iter_mut().zip(x) {
+        *y = alpha.mul_add(x, *y);
     }
 }

@@ -9,6 +9,16 @@ use crate::sparse::CsrMatrix;
 use crate::tape::Var;
 use crate::tensor::Tensor;
 
+/// `segment_attention`'s backward flushes softmax-adjoint elements below
+/// 2⁻⁶⁴ (≈ 5.4 · 10⁻²⁰) to `+0.0`, so the `axpy` sweeps skip them. A
+/// converged fit's attention rows put near-zero weight on most keys; their
+/// adjoints, multiplied into the query and key gradients and on through
+/// the `matmul` backwards, would produce subnormals, each of which costs a
+/// microcode assist worth tens of ordinary multiplies. Below 2⁻⁶⁴ the
+/// product of two such values is subnormal; against a gradient of any
+/// weight that matters the term is far below one ulp.
+pub(crate) const ADJOINT_FLUSH: f32 = f32::from_bits((127 - 64) << 23);
+
 /// The operator that produced a tape node.
 ///
 /// Each variant stores the [`Var`] handles of its inputs plus any
@@ -557,7 +567,8 @@ pub(crate) fn backward_step(
             // a = softmax(t), t_j = scale · Σ_{j′ ≥ j} A[j][j′−j] · s_j′ (A = I
             // without a mixing), s_j = ⟨q_i, k_j⟩ ⇒ dt_j = scale · a_j (g_j −
             // ⟨a, g⟩), dA[j][j′−j] = dt_j · s_j′, ds_j′ = Σ_{j ≤ j′} A[j][j′−j] ·
-            // dt_j, then dq_i += ds_j · k_j, dk_j += ds_j · q_i. One sweep from
+            // dt_j, then dq_i += ds_j · k_j, dk_j += ds_j · q_i, with |dt_j| <
+            // ADJOINT_FLUSH taken as +0.0 and skipped. One sweep from
             // the stored output alone (a mixing's raw scores are recomputed,
             // one dot per position), straight into the unique-row gradients;
             // padding (a = 0) contributes nothing.
@@ -577,7 +588,14 @@ pub(crate) fn backward_step(
                 let a = &out_value.row(i)[..len];
                 let g = &grad_out.row(i)[..len];
                 let inner: f32 = a.iter().zip(g).map(|(&ai, &gi)| ai * gi).sum();
-                let dt = |j: usize| scale * (a[j] * (g[j] - inner));
+                let dt = |j: usize| {
+                    let t = scale * (a[j] * (g[j] - inner));
+                    if t.abs() < ADJOINT_FLUSH {
+                        0.0
+                    } else {
+                        t
+                    }
+                };
                 let qi = q_rows[i];
                 let q_row = vq.row(qi);
                 let keys = &k_rows[start..start + len];

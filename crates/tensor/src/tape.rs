@@ -840,6 +840,36 @@ mod tests {
     }
 
     #[test]
+    fn segment_attention_flushes_tiny_softmax_adjoints_to_zero() {
+        // Upstream gradients 1e-25 and 3e-25 give softmax adjoints of order
+        // 1e-25, below 2⁻⁶⁴: flushed, so no term reaches q's or k's
+        // gradient and both are `+0.0` — not merely tiny.
+        let mut tape = Tape::new();
+        let q = tape.leaf(Tensor::from_vec(1, 2, vec![0.5, -1.0]));
+        let k = tape.leaf(Tensor::from_vec(2, 2, vec![1.0, 0.25, -0.5, 2.0]));
+        let attn = tape.segment_attention(q, [0].into(), k, [0, 1].into(), [(0, 2)].into(), 1.0);
+        let weights = tape.leaf(Tensor::row_vector(&[1e-25, 3e-25]));
+        let weighted = tape.mul(attn, weights);
+        let loss = tape.sum(weighted);
+        tape.backward(loss);
+        for v in [q, k] {
+            for &g in tape.grad(v).expect("a gradient").as_slice() {
+                assert_eq!(g.to_bits(), 0.0f32.to_bits(), "{g:e}");
+            }
+        }
+        // Adjoints of ordinary size pass through.
+        let mut tape = Tape::new();
+        let q = tape.leaf(Tensor::from_vec(1, 2, vec![0.5, -1.0]));
+        let k = tape.leaf(Tensor::from_vec(2, 2, vec![1.0, 0.25, -0.5, 2.0]));
+        let attn = tape.segment_attention(q, [0].into(), k, [0, 1].into(), [(0, 2)].into(), 1.0);
+        let weights = tape.leaf(Tensor::row_vector(&[1.0, 3.0]));
+        let weighted = tape.mul(attn, weights);
+        let loss = tape.sum(weighted);
+        tape.backward(loss);
+        assert!(tape.grad(q).unwrap().as_slice().iter().all(|&g| g != 0.0));
+    }
+
+    #[test]
     fn profiler_off_records_nothing() {
         let mut tape = Tape::new();
         let a = tape.leaf(Tensor::row_vector(&[1.0]));

@@ -1066,12 +1066,11 @@ mod tests {
         let attn = q.segment_attention(&q_rows, &keys, &k_rows, &spans, scale);
         assert_eq!(attn.shape(), (2, 3));
         for (i, &(start, len)) in spans.iter().enumerate() {
-            let q_i = Tensor::row_vector(q.row(q_rows[i]));
-            let k_seg = keys.select_rows(&k_rows[start..start + len]);
-            let expect = q_i
-                .matmul_nt_with(&k_seg, BackendKind::Reference)
-                .map(|x| x * scale)
-                .softmax_rows();
+            let scores: Vec<f32> = k_rows[start..start + len]
+                .iter()
+                .map(|&j| dot(q.row(q_rows[i]), keys.row(j)) * scale)
+                .collect();
+            let expect = Tensor::row_vector(&scores).softmax_rows();
             assert_eq!(&attn.row(i)[..len], expect.row(0), "row {i}");
         }
         // Row 0's padding column is +0.0 exactly — not merely small.
@@ -1125,10 +1124,14 @@ mod tests {
         let spans = [(0usize, 2usize), (2, 3)];
         let out = w.segment_weighted_sum(&values, &v_rows, &spans);
         for (i, &(start, len)) in spans.iter().enumerate() {
-            let w_i = Tensor::row_vector(&w.row(i)[..len]);
-            let v_seg = values.select_rows(&v_rows[start..start + len]);
-            let expect = w_i.matmul_with(&v_seg, BackendKind::Reference);
-            assert_eq!(out.row(i), expect.row(0), "row {i}");
+            // One sequential `axpy` per term from zeros, zero weights skipped.
+            let mut expect = vec![0.0f32; values.cols()];
+            for (&alpha, &j) in w.row(i)[..len].iter().zip(&v_rows[start..start + len]) {
+                if alpha != 0.0 {
+                    axpy(alpha, values.row(j), &mut expect);
+                }
+            }
+            assert_eq!(out.row(i), &expect[..], "row {i}");
         }
     }
 

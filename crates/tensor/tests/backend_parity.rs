@@ -1,13 +1,15 @@
 //! Kernel-backend parity properties: `Optimized` against the `Reference`
 //! scalar oracle on hostile floats.
 //!
-//! The parity contract (see `kernels::optimized` and DESIGN.md):
+//! The parity contract (see `kernels::optimized` and DESIGN.md). Every GEMM
+//! of both backends rounds once per term — one fused multiply-add — so an
+//! overflowed product stays ±∞ on both sides instead of cancelling to NaN
+//! on one:
 //!
 //! * `tn` (`Aᵀ·B`) is **bitwise** identical across backends on every
 //!   non-NaN element — ±0.0, subnormal and huge inputs and nonzero `out`
-//!   included — because the optimized tile adds the
-//!   reference's terms in the reference's order with the reference's
-//!   `+0.0` skip. Where one backend produces NaN the other does too, but
+//!   included — because the optimized tile takes the reference's fused
+//!   terms in the reference's order with the reference's `+0.0` skip. Where one backend produces NaN the other does too, but
 //!   NaN *payloads* are not compared anywhere in this file: x86 returns the
 //!   first NaN operand and a compiler may commute a vector add, so they
 //!   already differed between the two builds of one kernel.
@@ -21,6 +23,9 @@
 //!   bit for bit, so it stands under `nn`'s terms against `Reference` —
 //!   and, as the serving forward now runs it, each output row must be
 //!   independent of how many rows share its call.
+//! * every SIMD body of `nn`, `nt` and `tn` is bitwise the portable body
+//!   (the `gemm_body_contract` unit tests in `kernels::optimized`, which
+//!   can call each body the host supports).
 //! * on both backends a row of `nn` or `nt` is bitwise the same whatever
 //!   else shares the call — across the packing threshold and at a deep
 //!   chunk's node count, NaN and ±∞ included. A frozen inference state's
@@ -386,9 +391,8 @@ proptest! {
 
     #[test]
     fn nn_is_tolerance_bounded_on_finite_inputs(
-        // 9 rows crosses the optimized backend's packing threshold (8), so
-        // both the packed and the raw-B drivers are exercised; k = 5 keeps
-        // it off the shape-specialised micro kernels.
+        // 9 rows: a whole packed band of 8 (the optimized backend's packing
+        // threshold) and a 1-row edge band; 17 columns: a partial panel.
         a in tensor_of(9, 5, hostile_float()),
         b in tensor_of(5, 17, hostile_float()),
     ) {
@@ -406,8 +410,8 @@ proptest! {
         a in tensor_of(12, 128, hostile_float()),
         b in tensor_of(128, 16, hostile_float()),
     ) {
-        // d = 128 routes through the shape-specialised fast path for the
-        // paper config; it must obey the same bound as the generic kernel.
+        // d = 128, the paper config's width: a long fused chain must obey
+        // the same bound as a short one.
         let reference = a.matmul_with(&b, BackendKind::Reference);
         let optimized = a.matmul_with(&b, BackendKind::Optimized);
         if let Err(why) = within_nn_terms(&a, &b, &reference, &optimized) {
