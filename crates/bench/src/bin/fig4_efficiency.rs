@@ -1,7 +1,8 @@
 //! Regenerates **Figure 4** — training efficiency: mean wall-clock time per
 //! training epoch and micro-F1 after exactly 10 epochs, for every method on
 //! the ACM-like and DBLP-like graphs (the paper restricts this test to the
-//! two smaller graphs; most baselines cannot mini-batch Yelp).
+//! two smaller graphs; most baselines cannot mini-batch Yelp). Each WIDEN
+//! epoch's stage times (`EpochStats`) land beside its wall clock.
 
 use std::time::Instant;
 
@@ -60,10 +61,6 @@ fn main() {
         let model = WidenModel::for_graph(&dataset.graph, widen_cfg);
         let mut trainer = Trainer::new(model, &dataset.graph, train);
         trainer.set_profiling(true);
-        if let Some(path) = opts.metrics_out_for(&dataset.name) {
-            trainer.set_metrics_out(&path).expect("open metrics trace");
-            println!("             (per-epoch metrics -> {})", path.display());
-        }
         let report = trainer.fit(train);
         let secs_per_epoch = report.total_secs() / EPOCHS as f64;
         let model = trainer.into_model();
@@ -74,6 +71,29 @@ fn main() {
             "             (downsampling: {} wide drops, {} deep prunes, {} relay edges)\n",
             report.wide_drops, report.deep_drops, report.relay_edges
         );
+        println!(
+            "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+            "epoch", "wall ms", "fwd ms", "bwd ms", "optim ms", "down ms", "pack ms"
+        );
+        let ms = |nanos: u64| nanos as f64 / 1e6;
+        for (i, (secs, s)) in report
+            .epoch_secs
+            .iter()
+            .zip(&report.epoch_stats)
+            .enumerate()
+        {
+            println!(
+                "{:>5} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1}",
+                i + 1,
+                secs * 1e3,
+                ms(s.forward_nanos),
+                ms(s.backward_nanos),
+                ms(s.optim_nanos),
+                ms(s.downsample_nanos),
+                ms(s.packaging_nanos)
+            );
+        }
+        println!();
         // Per-op autograd breakdown across all profiled epochs — where the
         // WIDEN epoch time above actually goes.
         let mut profile = ProfileReport::default();
@@ -90,6 +110,13 @@ fn main() {
             "secs_per_epoch": secs_per_epoch,
             "f1_after_10_epochs": f1,
             "per_epoch_secs": report.epoch_secs,
+            "per_epoch_stages": report.epoch_stats.iter().map(|s| serde_json::json!({
+                "forward_nanos": s.forward_nanos,
+                "backward_nanos": s.backward_nanos,
+                "optim_nanos": s.optim_nanos,
+                "downsample_nanos": s.downsample_nanos,
+                "packaging_nanos": s.packaging_nanos,
+            })).collect::<Vec<_>>(),
             "wide_drops": report.wide_drops,
             "deep_drops": report.deep_drops,
             "profile": {

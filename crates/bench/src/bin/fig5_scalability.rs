@@ -2,6 +2,12 @@
 //! Yelp-like graph as the node proportion grows through
 //! {0.2, 0.4, 0.6, 0.8, 1.0}, with a least-squares linearity check
 //! (the paper concludes "approximately linear" dependence).
+//!
+//! Each point is the quietest of [`FITS`] identical fits: on a shared host
+//! one fit scatters by ±10 %, which is noise, not shape. The fits run in
+//! rounds over all five points, so a slow spell of the host costs one
+//! round, not one point. The binary exits non-zero when the fit is less
+//! linear than R² [`MIN_R2`], so the figure is a gate, not only a plot.
 
 use widen_bench::parse_args;
 use widen_bench::runners::{datasets, table_widen_config};
@@ -10,6 +16,10 @@ use widen_data::subsample_nodes;
 use widen_eval::timing::linear_fit;
 
 const RATIOS: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
+/// Fits per point; the quietest (fastest) one is the point.
+const FITS: usize = 5;
+/// The linearity gate.
+const MIN_R2: f64 = 0.98;
 
 fn main() {
     let opts = parse_args();
@@ -23,6 +33,26 @@ fn main() {
         .nth(2)
         .expect("yelp dataset");
 
+    let cfg = table_widen_config(opts.scale).with_seed(seed);
+    let points: Vec<_> = RATIOS
+        .iter()
+        .map(|&ratio| {
+            let graph = subsample_nodes(&yelp.graph, ratio, seed ^ 0x5CA1E).graph;
+            // Training nodes: same labelled fraction as the full protocol.
+            let labeled = graph.labeled_nodes();
+            let take = (labeled.len() as f64 * 0.2).round() as usize;
+            let train: Vec<u32> = labeled.iter().copied().take(take).collect();
+            (ratio, graph, train)
+        })
+        .collect();
+    let mut fits = vec![Vec::with_capacity(FITS); points.len()];
+    for _ in 0..FITS {
+        for ((_, graph, train), secs) in points.iter().zip(&mut fits) {
+            let model = WidenModel::for_graph(graph, cfg.clone());
+            secs.push(Trainer::new(model, graph, train).fit(train).total_secs());
+        }
+    }
+
     println!(
         "{:>8} {:>10} {:>12} {:>14}",
         "ratio", "nodes", "train nodes", "train secs"
@@ -30,21 +60,8 @@ fn main() {
     let mut xs = Vec::new();
     let mut ys = Vec::new();
     let mut json_rows = Vec::new();
-    for &ratio in &RATIOS {
-        let sub = subsample_nodes(&yelp.graph, ratio, seed ^ 0x5CA1E);
-        let graph = sub.graph;
-        // Training nodes: same labelled fraction as the full protocol.
-        let labeled = graph.labeled_nodes();
-        let train: Vec<u32> = labeled
-            .iter()
-            .copied()
-            .take((labeled.len() as f64 * 0.2).round() as usize)
-            .collect();
-        let cfg = table_widen_config(opts.scale).with_seed(seed);
-        let model = WidenModel::for_graph(&graph, cfg);
-        let mut trainer = Trainer::new(model, &graph, &train);
-        let report = trainer.fit(&train);
-        let secs = report.total_secs();
+    for ((ratio, graph, train), fits) in points.iter().zip(&fits) {
+        let secs = fits.iter().copied().fold(f64::INFINITY, f64::min);
         println!(
             "{:>8.1} {:>10} {:>12} {:>14.3}",
             ratio,
@@ -52,13 +69,14 @@ fn main() {
             train.len(),
             secs
         );
-        xs.push(ratio);
+        xs.push(*ratio);
         ys.push(secs);
         json_rows.push(serde_json::json!({
             "ratio": ratio,
             "nodes": graph.num_nodes(),
             "train_nodes": train.len(),
             "train_secs": secs,
+            "fit_secs": fits,
         }));
     }
 
@@ -72,6 +90,11 @@ fn main() {
         &serde_json::json!({
             "points": json_rows,
             "fit": { "slope": slope, "intercept": intercept, "r2": r2 },
+            "min_r2": MIN_R2,
         }),
     );
+    if r2 < MIN_R2 {
+        eprintln!("fig5_scalability: R² {r2:.4} is below the {MIN_R2} gate");
+        std::process::exit(1);
+    }
 }

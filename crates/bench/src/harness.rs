@@ -42,36 +42,9 @@ pub struct HarnessOpts {
     pub seeds: Vec<u64>,
     /// Output directory for JSON dumps.
     pub out_dir: PathBuf,
-    /// Base path for per-epoch JSONL metric traces
-    /// (`Trainer::set_metrics_out`); `None` disables tracing.
-    pub metrics_out: Option<PathBuf>,
 }
 
 impl HarnessOpts {
-    /// Metrics-trace path for one named run: `<stem>-<tag>.jsonl` next to
-    /// the requested `--metrics-out` file, so harnesses that train several
-    /// models do not overwrite each other's traces. Creates the parent
-    /// directory so the caller can open the sink directly. `None` when
-    /// tracing is off.
-    ///
-    /// # Panics
-    /// Panics if the parent directory cannot be created — harnesses should
-    /// fail loudly.
-    pub fn metrics_out_for(&self, tag: &str) -> Option<PathBuf> {
-        let base = self.metrics_out.as_ref()?;
-        if let Some(dir) = base.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).expect("create metrics dir");
-        }
-        let stem = base
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("metrics");
-        let tag: String = tag
-            .chars()
-            .map(|c| if c.is_alphanumeric() { c } else { '-' })
-            .collect();
-        Some(base.with_file_name(format!("{stem}-{tag}.jsonl")))
-    }
     /// Writes a JSON value to `<out_dir>/<name>.json`, creating the
     /// directory if needed.
     ///
@@ -89,8 +62,7 @@ impl HarnessOpts {
     }
 }
 
-/// Parses `--scale smoke|table`, `--seeds N`, `--out DIR`,
-/// `--metrics-out FILE` from argv.
+/// Parses `--scale smoke|table`, `--seeds N`, `--out DIR` from argv.
 ///
 /// # Panics
 /// Panics with a usage message on malformed arguments.
@@ -103,7 +75,6 @@ pub fn parse_args_from(args: Vec<String>) -> HarnessOpts {
     let mut scale = RunScale::Smoke;
     let mut seeds: Option<usize> = None;
     let mut out_dir = PathBuf::from("results");
-    let mut metrics_out = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -125,14 +96,7 @@ pub fn parse_args_from(args: Vec<String>) -> HarnessOpts {
             "--out" => {
                 out_dir = PathBuf::from(it.next().expect("--out needs a value"));
             }
-            "--metrics-out" => {
-                metrics_out = Some(PathBuf::from(
-                    it.next().expect("--metrics-out needs a value"),
-                ));
-            }
-            other => {
-                panic!("unknown argument `{other}` (use --scale/--seeds/--out/--metrics-out)")
-            }
+            other => panic!("unknown argument `{other}` (use --scale/--seeds/--out)"),
         }
     }
     let n_seeds = seeds.unwrap_or_else(|| scale.default_seeds());
@@ -140,7 +104,6 @@ pub fn parse_args_from(args: Vec<String>) -> HarnessOpts {
         scale,
         seeds: (0..n_seeds as u64).map(|s| 1000 + s).collect(),
         out_dir,
-        metrics_out,
     }
 }
 
@@ -190,18 +153,6 @@ mod tests {
     #[should_panic(expected = "bad seed count")]
     fn rejects_zero_seeds() {
         let _ = opts(&["--seeds", "0"]);
-    }
-
-    #[test]
-    fn metrics_out_is_optional_and_tagged_per_run() {
-        assert_eq!(opts(&[]).metrics_out, None);
-        let o = opts(&["--metrics-out", "/tmp/r/trace.jsonl"]);
-        assert_eq!(o.metrics_out, Some(PathBuf::from("/tmp/r/trace.jsonl")));
-        assert_eq!(
-            o.metrics_out_for("ACM like"),
-            Some(PathBuf::from("/tmp/r/trace-ACM-like.jsonl"))
-        );
-        assert_eq!(opts(&[]).metrics_out_for("acm"), None);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! buffer pool, not a sub-graph. Gradients are reduced in part order, so a
 //! fixed seed and `k` give the same bits on any host.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -22,7 +21,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rustc_hash::FxHashMap;
 use widen_graph::{HeteroGraph, NodeId};
-use widen_obs::{Counter, Event, JsonlSink, Registry, Stopwatch, Tracer};
+use widen_obs::{Counter, Registry, Stopwatch, Tracer};
 use widen_sampling::hash_seed;
 use widen_tensor::{Adam, BufferPool, Optimizer, ParamId, ProfileReport, Tensor};
 
@@ -30,14 +29,14 @@ use crate::engine::{self, ChunkResult, TraceCtx};
 use crate::model::WidenModel;
 use crate::state::NodeState;
 
-/// Per-epoch training telemetry.
+/// Per-epoch training telemetry: the one record of a fit, epoch by epoch.
 #[derive(Clone, Debug, Default)]
 pub struct TrainReport {
     /// Mean training cross-entropy per epoch.
     pub epoch_losses: Vec<f64>,
     /// Wall-clock seconds per epoch.
     pub epoch_secs: Vec<f64>,
-    /// Per-epoch downsampling and Eq. 9 trigger telemetry.
+    /// Per-epoch stage times, downsampling and Eq. 9 trigger telemetry.
     pub epoch_stats: Vec<EpochStats>,
     /// Per-epoch aggregated op profiles (one per epoch when
     /// [`Trainer::set_profiling`] is on, empty otherwise).
@@ -50,9 +49,24 @@ pub struct TrainReport {
     pub relay_edges: usize,
 }
 
-/// One epoch's downsampling decisions and Eq. 9 trigger values.
+/// One epoch's stage times, downsampling decisions and Eq. 9 trigger
+/// values.
 #[derive(Clone, Debug, Default)]
 pub struct EpochStats {
+    /// Forward nanos, summed across part threads (so with several shards
+    /// more than the epoch's wall time).
+    pub forward_nanos: u64,
+    /// Backward and gradient-extraction nanos, summed across part threads.
+    pub backward_nanos: u64,
+    /// Optimizer-step nanos.
+    pub optim_nanos: u64,
+    /// Eq. 9 decision-loop nanos, summed across part threads.
+    pub downsample_nanos: u64,
+    /// Message-packaging nanos, a part of `forward_nanos`: the epoch's
+    /// delta of the process-wide [`crate::packaging::packaging_nanos_total`],
+    /// so a fit running beside another in the same process counts the
+    /// other's packaging too.
+    pub packaging_nanos: u64,
     /// Number of Eq. 9 KL evaluations (attentive sets with usable history).
     pub kl_count: u64,
     /// Mean of the evaluated KL trigger values, if any were evaluated.
@@ -174,7 +188,6 @@ pub struct Trainer<'g> {
     optimizer: Adam,
     metrics: Registry,
     phase: PhaseCounters,
-    sink: Option<JsonlSink>,
     tracer: Option<Tracer>,
     profiling: bool,
 }
@@ -230,7 +243,6 @@ impl<'g> Trainer<'g> {
             optimizer,
             metrics,
             phase,
-            sink: None,
             tracer: None,
             profiling: false,
         }
@@ -250,18 +262,6 @@ impl<'g> Trainer<'g> {
         &self.metrics
     }
 
-    /// Streams one JSONL record per epoch (event `"epoch"`: loss, wall
-    /// seconds, Eq. 9 KL trigger stats, keep/drop counts, phase nanos) to
-    /// `path`, truncating any existing file. This is the trainer half of
-    /// the `--metrics-out` flag.
-    ///
-    /// # Errors
-    /// Propagates file-creation failures.
-    pub fn set_metrics_out<P: AsRef<Path>>(&mut self, path: P) -> std::io::Result<()> {
-        self.sink = Some(JsonlSink::create(path)?);
-        Ok(())
-    }
-
     /// Records per-epoch span trees into `tracer`: one
     /// `core.trainer.epoch` root per epoch with chunk-level
     /// forward/backward/downsample children (recorded from the part
@@ -273,8 +273,7 @@ impl<'g> Trainer<'g> {
 
     /// Turns on per-op tape profiling: every chunk's tape records op
     /// timings and FLOP estimates, merged into one [`ProfileReport`] per
-    /// epoch (see [`TrainReport::epoch_profiles`] and the `op_profile`
-    /// JSONL events next to the epoch records).
+    /// epoch (see [`TrainReport::epoch_profiles`]).
     pub fn set_profiling(&mut self, on: bool) {
         self.profiling = on;
     }
@@ -388,11 +387,14 @@ impl<'g> Trainer<'g> {
             let mean_loss = epoch_loss / steps.max(1) as f64;
             let secs = start.elapsed_secs();
             self.phase.epochs.inc();
-            self.emit_epoch_record(epoch, mean_loss, secs, &stats, &phase_before);
-            if let Some(profile) = epoch_profile {
-                self.emit_op_profile(epoch, &profile);
-                report.epoch_profiles.push(profile);
-            }
+            let after = self.phase_snapshot();
+            let delta = |i: usize| after[i].saturating_sub(phase_before[i]);
+            stats.forward_nanos = delta(0);
+            stats.backward_nanos = delta(1);
+            stats.optim_nanos = delta(2);
+            stats.downsample_nanos = delta(3);
+            stats.packaging_nanos = delta(4);
+            report.epoch_profiles.extend(epoch_profile);
             report.epoch_losses.push(mean_loss);
             report.epoch_secs.push(secs);
             report.epoch_stats.push(stats);
@@ -416,7 +418,7 @@ impl<'g> Trainer<'g> {
     }
 
     /// Cumulative `[forward, backward, optim, downsample, packaging]` nanos;
-    /// diffed across an epoch for the per-epoch phase breakdown.
+    /// diffed across an epoch into [`EpochStats`]' stage times.
     fn phase_snapshot(&self) -> [u64; 5] {
         [
             self.phase.forward.get(),
@@ -425,76 +427,6 @@ impl<'g> Trainer<'g> {
             self.phase.downsample.get(),
             crate::packaging::packaging_nanos_total(),
         ]
-    }
-
-    /// Writes the epoch's JSONL record, if a sink is configured. Metric IO
-    /// must never take down training, so failures only warn.
-    fn emit_epoch_record(
-        &self,
-        epoch: usize,
-        loss: f64,
-        secs: f64,
-        stats: &EpochStats,
-        phase_before: &[u64; 5],
-    ) {
-        let Some(sink) = &self.sink else { return };
-        let after = self.phase_snapshot();
-        let delta = |i: usize| after[i].saturating_sub(phase_before[i]);
-        let event = Event::new("epoch")
-            .u64("epoch", epoch as u64)
-            .f64("loss", loss)
-            .f64("secs", secs)
-            .u64("kl_count", stats.kl_count)
-            // Non-finite f64s render as JSON null, so "no KL evaluated"
-            // surfaces as kl_mean/kl_min: null rather than a fake 0.
-            .f64("kl_mean", stats.kl_mean.unwrap_or(f64::NAN))
-            .f64("kl_min", stats.kl_min.unwrap_or(f64::NAN))
-            .u64("wide_keeps", stats.wide_keeps)
-            .u64("wide_drops", stats.wide_drops)
-            .u64("deep_keeps", stats.deep_keeps)
-            .u64("deep_drops", stats.deep_drops)
-            .u64("relay_edges", stats.relay_edges)
-            .u64("packaging_nanos", delta(4))
-            .u64("forward_nanos", delta(0))
-            .u64("backward_nanos", delta(1))
-            .u64("optim_nanos", delta(2))
-            .u64("downsample_nanos", delta(3))
-            // Gradient health: NaN renders as null when no batch was finite.
-            .f64("grad_norm", stats.grad_norm_mean.unwrap_or(f64::NAN))
-            .f64("grad_max_abs", stats.grad_max_abs)
-            .str("grad_max_param", &stats.grad_max_param)
-            .u64("nonfinite_batches", stats.nonfinite_batches);
-        if let Err(e) = sink.emit(&event) {
-            eprintln!(
-                "warning: failed to write metrics record to {}: {e}",
-                sink.path().display()
-            );
-        }
-    }
-
-    /// Writes the epoch's top-k op-profile rows as `op_profile` JSONL
-    /// events next to the epoch record. Same never-fail policy as
-    /// [`Trainer::emit_epoch_record`].
-    fn emit_op_profile(&self, epoch: usize, profile: &ProfileReport) {
-        const TOP_K: usize = 8;
-        let Some(sink) = &self.sink else { return };
-        for op in profile.top_k(TOP_K) {
-            let event = Event::new("op_profile")
-                .u64("epoch", epoch as u64)
-                .str("op", op.name)
-                .u64("count", op.count)
-                .u64("fwd_nanos", op.fwd_nanos)
-                .u64("bwd_nanos", op.bwd_nanos)
-                .u64("flops", op.flops)
-                .str("shape", &op.last_shape);
-            if let Err(e) = sink.emit(&event) {
-                eprintln!(
-                    "warning: failed to write op_profile record to {}: {e}",
-                    sink.path().display()
-                );
-                break;
-            }
-        }
     }
 
     /// One global step: each non-empty part runs through the engine on
@@ -561,7 +493,7 @@ impl<'g> Trainer<'g> {
             }
             outcomes.extend(chunk.outcomes);
         }
-        self.step_if_finite(&grads, epoch, step_total, trace, stats);
+        self.step_if_finite(&grads, trace, stats);
         self.phase.merge.add(merge_sw.elapsed_nanos());
 
         engine::apply_outcomes(&mut self.states, outcomes, report, stats);
@@ -603,15 +535,12 @@ impl<'g> Trainer<'g> {
     }
 
     /// The one non-finite-gradient policy: a reduced gradient holding
-    /// NaN/Inf is counted (stats, counter, `nonfinite_grad` JSONL event)
-    /// and never reaches the optimizer, where it would poison both Adam
+    /// NaN/Inf is counted (stats, counter) and never reaches the optimizer, where it would poison both Adam
     /// moment buffers and every weight for the rest of the fit. A finite
     /// one feeds the epoch's gradient-health stats and is stepped.
     fn step_if_finite(
         &mut self,
         grads: &Vec<(ParamId, Tensor)>,
-        epoch: usize,
-        batch_len: usize,
         trace: TraceCtx<'_>,
         stats: &mut EpochStats,
     ) {
@@ -621,13 +550,6 @@ impl<'g> Trainer<'g> {
         if !health.finite {
             stats.nonfinite_batches += 1;
             self.phase.nonfinite.inc();
-            if let Some(sink) = &self.sink {
-                let _ = sink.emit(
-                    &Event::new("nonfinite_grad")
-                        .u64("epoch", epoch as u64)
-                        .u64("batch_size", batch_len as u64),
-                );
-            }
             return;
         }
         stats.observe_grads(
@@ -935,68 +857,70 @@ mod tests {
         );
     }
 
+    /// `TrainReport` is the one per-epoch record: every epoch's stage
+    /// times, Eq. 9 trigger values, keep/drop counts and gradient health.
     #[test]
-    fn metrics_out_writes_one_record_per_epoch() {
+    fn epoch_stats_carry_one_record_per_epoch() {
         let dataset = acm_like(Scale::Smoke, 12);
         let train: Vec<u32> = dataset.transductive.train[..20].to_vec();
         let cfg = tiny_config();
         let epochs = cfg.epochs;
         for k in [1, 2] {
             let mut trainer = trainer_over(&dataset, cfg.clone(), &train, k);
-            let path = std::env::temp_dir().join(format!(
-                "widen-trainer-metrics-{}-k{k}.jsonl",
-                std::process::id()
-            ));
-            trainer.set_metrics_out(&path).unwrap();
             let report = trainer.fit(&train);
-
-            let text = std::fs::read_to_string(&path).unwrap();
-            std::fs::remove_file(&path).ok();
-            let lines: Vec<&str> = text.lines().collect();
-            assert_eq!(lines.len(), epochs, "k = {k}: one JSONL record per epoch");
-            for (i, line) in lines.iter().enumerate() {
-                assert!(line.starts_with("{\"event\":\"epoch\""));
-                assert!(line.contains(&format!("\"epoch\":{}", i + 1)));
-                for field in [
-                    "\"loss\":",
-                    "\"kl_count\":",
-                    "\"kl_mean\":",
-                    "\"kl_min\":",
-                    "\"wide_keeps\":",
-                    "\"wide_drops\":",
-                    "\"deep_keeps\":",
-                    "\"deep_drops\":",
-                    "\"packaging_nanos\":",
-                    "\"forward_nanos\":",
-                    "\"backward_nanos\":",
-                    "\"optim_nanos\":",
-                    "\"downsample_nanos\":",
-                    "\"grad_norm\":",
-                    "\"grad_max_abs\":",
-                    "\"grad_max_param\":",
-                    "\"nonfinite_batches\":",
+            assert_eq!(report.epoch_losses.len(), epochs);
+            assert_eq!(report.epoch_secs.len(), epochs);
+            assert_eq!(
+                report.epoch_stats.len(),
+                epochs,
+                "k = {k}: one record per epoch"
+            );
+            for (i, s) in report.epoch_stats.iter().enumerate() {
+                assert!(report.epoch_losses[i].is_finite());
+                assert!(report.epoch_secs[i] > 0.0);
+                for (stage, nanos) in [
+                    ("forward", s.forward_nanos),
+                    ("backward", s.backward_nanos),
+                    ("optim", s.optim_nanos),
                 ] {
-                    assert!(line.contains(field), "record {i} missing {field}: {line}");
+                    assert!(nanos > 0, "k = {k}, epoch {}: no {stage} time", i + 1);
                 }
+                assert!(s.packaging_nanos > 0, "k = {k}, epoch {}", i + 1);
+                // Every training node's sets are visited once per epoch.
+                assert!(s.wide_keeps + s.wide_drops > 0);
+                assert!(s.deep_keeps + s.deep_drops > 0);
+                let norm = s.grad_norm_mean.expect("finite batches");
+                assert!(norm.is_finite() && norm > 0.0);
+                assert!(s.grad_max_abs > 0.0 && !s.grad_max_param.is_empty());
+                assert_eq!(s.nonfinite_batches, 0);
             }
-            // The report mirrors the file: per-epoch stats with Eq. 9 values
-            // once history exists (epoch 1 never evaluates KL).
-            assert_eq!(report.epoch_stats.len(), epochs);
+            // Eq. 9 values once history exists (epoch 1 never evaluates KL).
             assert_eq!(report.epoch_stats[0].kl_count, 0);
+            assert!(report.epoch_stats[0].kl_mean.is_none());
             assert!(report.epoch_stats[1..].iter().any(|s| s.kl_count > 0));
             for s in &report.epoch_stats[1..] {
                 if let Some(kl) = s.kl_mean {
                     assert!(kl.is_finite() && kl >= 0.0);
+                    assert!(s.kl_min.unwrap() <= kl);
                 }
             }
             let drops: u64 = report.epoch_stats.iter().map(|s| s.wide_drops).sum();
             assert_eq!(drops as usize, report.wide_drops);
-            // Phase counters accumulated on the trainer's own registry.
+            let relays: u64 = report.epoch_stats.iter().map(|s| s.relay_edges).sum();
+            assert_eq!(relays as usize, report.relay_edges);
+            // The stage times are the epoch deltas of the trainer's own
+            // phase counters, so they sum to them.
             let snap = trainer.metrics().snapshot();
             assert_eq!(snap.counter("core_epochs_total"), Some(epochs as u64));
-            assert!(snap.counter("core_forward_nanos_total").unwrap() > 0);
-            assert!(snap.counter("core_backward_nanos_total").unwrap() > 0);
-            assert!(snap.counter("core_optim_nanos_total").unwrap() > 0);
+            let total = |f: fn(&EpochStats) -> u64| report.epoch_stats.iter().map(f).sum::<u64>();
+            for (name, sum) in [
+                ("core_forward_nanos_total", total(|s| s.forward_nanos)),
+                ("core_backward_nanos_total", total(|s| s.backward_nanos)),
+                ("core_optim_nanos_total", total(|s| s.optim_nanos)),
+                ("core_downsample_nanos_total", total(|s| s.downsample_nanos)),
+            ] {
+                assert_eq!(snap.counter(name), Some(sum), "k = {k}: {name}");
+            }
         }
     }
 
@@ -1012,13 +936,7 @@ mod tests {
             let tracer = Tracer::new(99);
             trainer.set_tracer(tracer.clone());
             trainer.set_profiling(true);
-            let path = std::env::temp_dir().join(format!(
-                "widen-trainer-trace-{}-k{k}.jsonl",
-                std::process::id()
-            ));
-            trainer.set_metrics_out(&path).unwrap();
             let report = trainer.fit(&train);
-            std::fs::remove_file(&path).ok();
 
             // One merged op profile per epoch, naming real tensor ops with
             // time and FLOPs.
@@ -1143,6 +1061,42 @@ mod tests {
         }
     }
 
+    /// A converged fit's attention rows put weights far below 2⁻⁶⁴ on most
+    /// keys; their adjoints, and their products into the value gradients,
+    /// would reach the GEMM backwards as subnormals, each a microcode
+    /// assist. The tensor ops flush them where they are produced
+    /// (`ADJOINT_FLUSH`), so the `matmul*` backwards of a fit driven into
+    /// the converged regime read (almost) none — hundreds per fit with any
+    /// one of the three flushes removed.
+    #[test]
+    fn a_converged_fit_reads_no_subnormal_in_matmul_backward() {
+        const SLACK: u64 = 10;
+        let dataset = acm_like(Scale::Smoke, 19);
+        let train: Vec<u32> = dataset.transductive.train[..40].to_vec();
+        let mut cfg = tiny_config();
+        cfg.epochs = 40;
+        cfg.learning_rate = 5e-2;
+        let mut trainer = trainer_over(&dataset, cfg, &train, 1);
+        trainer.set_profiling(true);
+        let report = trainer.fit(&train);
+        assert!(
+            report.final_loss() < 0.05 * report.epoch_losses[0],
+            "the fit must reach the converged regime: {:?}",
+            report.epoch_losses
+        );
+        let read: u64 = report
+            .epoch_profiles
+            .iter()
+            .flat_map(|p| &p.ops)
+            .filter(|op| op.name.starts_with("matmul"))
+            .map(|op| op.bwd_subnormal)
+            .sum();
+        assert!(
+            read <= SLACK,
+            "matmul backwards read {read} subnormal elements over the fit"
+        );
+    }
+
     /// The tape `debug_assert!`s finite forward values, so the policy is
     /// driven with hand-made gradients rather than a poisoned fit.
     #[test]
@@ -1165,7 +1119,7 @@ mod tests {
         let mut poisoned = grads(trainer.model(), 0.25);
         poisoned[1].1.as_mut_slice()[0] = f32::NAN;
         let mut stats = EpochStats::default();
-        trainer.step_if_finite(&poisoned, 1, train.len(), None, &mut stats);
+        trainer.step_if_finite(&poisoned, None, &mut stats);
         assert_eq!(stats.nonfinite_batches, 1);
         assert_eq!(stats.grad_batches, 0);
         let snap = trainer.metrics().snapshot();
@@ -1177,9 +1131,9 @@ mod tests {
         // The Adam moments are untouched too: the next finite step lands
         // where it lands on a trainer that never saw the NaN.
         let finite = grads(trainer.model(), 0.25);
-        trainer.step_if_finite(&finite, 1, train.len(), None, &mut stats);
+        trainer.step_if_finite(&finite, None, &mut stats);
         let mut untouched = trainer_over(&dataset, tiny_config(), &train, 1);
-        untouched.step_if_finite(&finite, 1, train.len(), None, &mut EpochStats::default());
+        untouched.step_if_finite(&finite, None, &mut EpochStats::default());
         assert_eq!(stats.grad_batches, 1);
         let stepped = trainer.into_model().params.snapshot();
         for ((a, b), c) in stepped

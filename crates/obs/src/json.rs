@@ -1,5 +1,5 @@
-//! Minimal JSON helpers: escape-aware `push` writers shared by snapshots
-//! and the JSONL sink, and [`parse`], the workspace's one JSON reader (the
+//! Minimal JSON helpers: escape-aware `push` writers shared by snapshots,
+//! flight records and the Chrome-trace exporter, and [`parse`], the workspace's one JSON reader (the
 //! vendored `serde_json` stub is write-only) — what the Chrome-trace
 //! validator and the tests that read a dump back go through.
 

@@ -10,13 +10,10 @@
 //!   and sum (fused batch sizes, coalescing waits, sampled set sizes).
 //! * [`Stopwatch`] — wall-clock phase timing, accumulated into counters.
 //! * [`Registry`] — named get-or-create instrument store with
-//!   deterministic, name-sorted [`Snapshot`]s that render to JSON (this is
-//!   what the serving protocol's `Stats` op returns).
-//! * [`JsonlSink`] / [`Event`] — structured trace channel: one event per
-//!   line of JSON, used by `--metrics-out` training runs.
+//!   deterministic, name-sorted [`Snapshot`]s that render to JSON.
 //! * [`Tracer`] / [`Span`] — hierarchical span tracing with RAII guards,
-//!   parent links, and JSONL / Chrome `trace_event` exporters (open the
-//!   latter in Perfetto); zero-cost when disabled.
+//!   parent links, and a Chrome `trace_event` exporter (open it in
+//!   Perfetto); zero-cost when disabled.
 //! * [`SloReport`] / [`TelemetrySnapshot`] — percentile-grade summaries:
 //!   interpolated histogram quantiles (p50/p90/p99/max) and a process-wide
 //!   merge of multiple registries into one JSON view (the serving
@@ -43,7 +40,6 @@ pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod registry;
-pub mod sink;
 pub mod telemetry;
 pub mod timer;
 pub mod trace;
@@ -51,7 +47,6 @@ pub mod trace;
 pub use metrics::{buckets, Counter, Gauge, Histogram, HistogramSnapshot, SloReport};
 pub use recorder::{FlightRecord, FlightRecorder, PhaseStamp};
 pub use registry::{Registry, Snapshot};
-pub use sink::{Event, JsonlSink, Value};
 pub use telemetry::TelemetrySnapshot;
 pub use timer::Stopwatch;
 pub use trace::{

@@ -23,8 +23,7 @@
 //! Span names follow the `layer.component.op` scheme (DESIGN.md):
 //! `core.trainer.forward`, `serve.batcher.queue_wait`, …
 //!
-//! Two exporters ship with the tracer: [`export_jsonl`] (one span per
-//! line, the `--metrics-out` family) and [`chrome_trace_json`] — the
+//! One exporter ships with the tracer: [`chrome_trace_json`] — the
 //! `trace_event` "complete event" format that `chrome://tracing` and
 //! [Perfetto](https://ui.perfetto.dev) open directly.
 
@@ -36,7 +35,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::{self, JsonValue};
-use crate::sink::Event;
 
 /// Identifies one trace (a request, an epoch, a run).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -418,33 +416,6 @@ pub fn render_tree(records: &[SpanRecord], trace: TraceId) -> String {
 // Exporters
 // ---------------------------------------------------------------------------
 
-/// Renders one span as a JSONL [`Event`] (`"event":"span"`).
-pub fn span_event(r: &SpanRecord) -> Event {
-    let mut e = Event::new("span")
-        .str("name", &r.name)
-        .u64("trace", r.trace.0)
-        .u64("span", r.id.0)
-        .u64("start_ns", r.start_ns)
-        .u64("dur_ns", r.dur_ns)
-        .u64("tid", r.tid);
-    if let Some(p) = r.parent {
-        e = e.u64("parent", p.0);
-    }
-    e
-}
-
-/// Writes spans to a JSONL file, one [`span_event`] line each.
-///
-/// # Errors
-/// Propagates IO failures.
-pub fn export_jsonl<P: AsRef<Path>>(path: P, records: &[SpanRecord]) -> std::io::Result<()> {
-    let sink = crate::sink::JsonlSink::create(path)?;
-    for r in records {
-        sink.emit(&span_event(r))?;
-    }
-    Ok(())
-}
-
 /// Renders spans as Chrome `trace_event` JSON: an object with a
 /// `traceEvents` array of complete (`"ph":"X"`) events, start-ordered so
 /// timestamps are monotone. Load the output in `chrome://tracing` or
@@ -702,24 +673,5 @@ mod tests {
         let rendered = render_tree(&records, trace);
         assert!(rendered.contains("serve.request"));
         assert!(rendered.contains("  serve.queue_wait"));
-    }
-
-    #[test]
-    fn jsonl_export_writes_one_line_per_span() {
-        let tracer = Tracer::new(13);
-        {
-            let _a = tracer.span("a");
-        }
-        {
-            let _b = tracer.span("b");
-        }
-        let records = tracer.drain();
-        let path =
-            std::env::temp_dir().join(format!("widen-trace-jsonl-{}.jsonl", std::process::id()));
-        export_jsonl(&path, &records).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.lines().all(|l| l.starts_with("{\"event\":\"span\"")));
     }
 }

@@ -279,36 +279,10 @@ impl Client {
         }
     }
 
-    /// Requests the server's live metrics snapshot: a JSON object with a
-    /// `server` section (request/job/batch/cache counters, batch-size and
-    /// wait histograms) and a `process` section (ambient sampling and
-    /// packaging instruments).
-    ///
-    /// # Errors
-    /// Returns a [`ClientError`] on transport failure or a server-reported
-    /// error.
-    pub fn stats(&mut self) -> Result<String, ClientError> {
-        let id = self.fresh_id();
-        self.send_request(&Request::Stats { id })?;
-        match self.recv_for(id)? {
-            Response::Stats { id: rid, text } => {
-                if rid != id {
-                    return Err(ClientError::Mismatch("response id"));
-                }
-                Ok(text)
-            }
-            Response::Error { code, message, .. } => {
-                Err(ClientError::Server(ServeError::from_code(code, message)))
-            }
-            _ => Err(ClientError::Mismatch("expected stats")),
-        }
-    }
-
     /// Requests the merged process-wide telemetry view: counters and
     /// gauges summed across the server's own registry and the ambient
-    /// global one, plus a per-histogram SLO report (`p50`/`p90`/`p99`/
-    /// `max`/`count`) under the `slo` key — the percentile-grade
-    /// counterpart to [`Client::stats`].
+    /// global one (sampling, packaging), plus a per-histogram SLO report
+    /// (`p50`/`p90`/`p99`/`max`/`count`) under the `slo` key.
     ///
     /// # Errors
     /// Returns a [`ClientError`] on transport failure or a server-reported

@@ -37,17 +37,16 @@
 //!   ([`Client::set_tracing`]); the server opens a request span, records
 //!   queue-wait / coalesce / cache-lookup / forward-batch child spans,
 //!   and returns the span tree on the response
-//!   ([`Client::last_trace`]). Requests slower than
-//!   [`ServeConfig::slow_request_ms`] are counted and logged with their
-//!   span tree. Version-1 peers interoperate unchanged.
+//!   ([`Client::last_trace`]). Version-1 peers interoperate unchanged.
 //! * observability — the reactor and the batch workers stamp every
 //!   request's lifecycle into always-on histograms; the `Telemetry` wire
-//!   op ([`Client::telemetry`]) returns the merged SLO view (interpolated
-//!   p50/p90/p99 per histogram), and a fixed-size flight recorder
-//!   ([`ServeConfig::flight_recorder_capacity`]) keeps recent request
-//!   timelines, frozen as a JSONL post-mortem
+//!   op ([`Client::telemetry`]), the one metrics op, returns the merged
+//!   SLO view (interpolated p50/p90/p99 per histogram), and a fixed-size
+//!   flight recorder ([`ServeConfig::flight_recorder_capacity`]) keeps
+//!   recent request timelines, frozen as a JSONL post-mortem
 //!   ([`ServerHandle::postmortem_dump`]) whenever a shed, deadline drop,
-//!   admission reject, or slow request fires.
+//!   admission reject, or slow request
+//!   ([`ServeConfig::slow_request_ms`]) fires.
 //!
 //! ## Quickstart
 //!

@@ -19,8 +19,7 @@
 //! | 3 | Embeddings       | `rows u32, cols u32, rows·cols × f32` |
 //! | 4 | Classes          | `count u32, count × label u32` |
 //! | 5 | Error            | `code u8, msg_len u32, msg utf-8` |
-//! | 6 | Stats request    | (header only) |
-//! | 7 | Stats            | `msg_len u32, JSON snapshot utf-8` |
+//! | 6, 7 | retired (the old `Stats` op; never reused) | — |
 //! | 8 | Ingest request   | `seed u64, node_type u16, label_flag u8 [, label u16], feat_count u32, feat_count × f32, edge_count u32, edge_count × (peer u32, edge_type u16)` |
 //! | 9 | Ingested         | `node u32, dim u32, dim × f32` |
 //! | 10 | Telemetry request | (header only) |
@@ -32,6 +31,10 @@
 //! assigned id plus its embedding, computed on the mutated graph in the
 //! same round trip. `label_flag` is 0 (unlabelled, no label bytes follow)
 //! or 1; any other value is malformed.
+//!
+//! Types 6 and 7 carried a `Stats` op whose payload `Telemetry` (types
+//! 10/11) subsumes; a frame of either type now decodes as an unknown type,
+//! and no future op takes those numbers.
 //!
 //! Decoding is fully defensive: declared lengths are validated against the
 //! remaining bytes *before* any allocation, oversized frames are rejected
@@ -89,8 +92,6 @@ const TYPE_CLASSIFY: u8 = 2;
 const TYPE_EMBEDDINGS: u8 = 3;
 const TYPE_CLASSES: u8 = 4;
 const TYPE_ERROR: u8 = 5;
-const TYPE_STATS: u8 = 6;
-const TYPE_STATS_TEXT: u8 = 7;
 const TYPE_INGEST: u8 = 8;
 const TYPE_INGESTED: u8 = 9;
 const TYPE_TELEMETRY: u8 = 10;
@@ -155,11 +156,6 @@ pub enum Request {
         /// Nodes to classify.
         nodes: Vec<u32>,
     },
-    /// Fetch the server's live metrics snapshot.
-    Stats {
-        /// Client-chosen id, echoed in the response.
-        id: u64,
-    },
     /// Fetch the merged process-wide telemetry view (counters, gauges and
     /// per-histogram SLO reports across the server and global registries).
     Telemetry {
@@ -190,19 +186,18 @@ impl Request {
         match self {
             Request::Embed { id, .. }
             | Request::Classify { id, .. }
-            | Request::Stats { id }
             | Request::Telemetry { id }
             | Request::Ingest { id, .. } => *id,
         }
     }
 
-    /// The nodes the request touches (empty for `Stats` and `Telemetry`;
+    /// The nodes the request touches (empty for `Telemetry`;
     /// `Ingest` peers are validated by the graph mutation itself, not
     /// here).
     pub fn nodes(&self) -> &[u32] {
         match self {
             Request::Embed { nodes, .. } | Request::Classify { nodes, .. } => nodes,
-            Request::Stats { .. } | Request::Telemetry { .. } | Request::Ingest { .. } => &[],
+            Request::Telemetry { .. } | Request::Ingest { .. } => &[],
         }
     }
 }
@@ -235,13 +230,6 @@ pub enum Response {
         /// Human-readable detail.
         message: String,
     },
-    /// Live metrics snapshot, as the registry's JSON rendering.
-    Stats {
-        /// Echoed request id.
-        id: u64,
-        /// JSON text (see `widen_obs::Snapshot::to_json`).
-        text: String,
-    },
     /// Merged telemetry view with per-histogram SLO reports.
     Telemetry {
         /// Echoed request id.
@@ -272,7 +260,6 @@ impl Response {
             Response::Embeddings { id, .. }
             | Response::Classes { id, .. }
             | Response::Error { id, .. }
-            | Response::Stats { id, .. }
             | Response::Telemetry { id, .. }
             | Response::Ingested { id, .. } => *id,
         }
@@ -380,7 +367,6 @@ fn request_body(req: &Request, version: u16) -> Vec<u8> {
             }
             b
         }
-        Request::Stats { id } => body_header(version, TYPE_STATS, *id, 0),
         Request::Telemetry { id } => body_header(version, TYPE_TELEMETRY, *id, 0),
         Request::Ingest {
             id,
@@ -498,8 +484,7 @@ fn response_body(resp: &Response, version: u16) -> Vec<u8> {
             b.put_slice(message.as_bytes());
             b
         }
-        Response::Stats { id, text } => text_body(version, TYPE_STATS_TEXT, *id, text),
-        Response::Telemetry { id, text } => text_body(version, TYPE_TELEMETRY_TEXT, *id, text),
+        Response::Telemetry { id, text } => telemetry_body(version, *id, text),
         Response::Ingested {
             id,
             node,
@@ -515,11 +500,11 @@ fn response_body(resp: &Response, version: u16) -> Vec<u8> {
     }
 }
 
-/// Length-prefixed UTF-8 text payload (`Stats` and `Telemetry` share the
-/// shape). Snapshots are bounded by the (small, fixed) metric population,
-/// but the frame cap is the wire contract — truncate at a char boundary
-/// rather than emit an unsendable frame.
-fn text_body(version: u16, msg_type: u8, id: u64, text: &str) -> Vec<u8> {
+/// The `Telemetry` payload: length-prefixed UTF-8 JSON. A snapshot is
+/// bounded by the (small, fixed) metric population, but the frame cap is
+/// the wire contract — truncate at a char boundary rather than emit an
+/// unsendable frame.
+fn telemetry_body(version: u16, id: u64, text: &str) -> Vec<u8> {
     let budget = MAX_FRAME_LEN - 19 - 4;
     let mut text = text;
     if text.len() > budget {
@@ -529,7 +514,7 @@ fn text_body(version: u16, msg_type: u8, id: u64, text: &str) -> Vec<u8> {
         }
         text = &text[..cut];
     }
-    let mut b = body_header(version, msg_type, id, 4 + text.len());
+    let mut b = body_header(version, TYPE_TELEMETRY_TEXT, id, 4 + text.len());
     b.put_u32_le(text.len() as u32);
     b.put_slice(text.as_bytes());
     b
@@ -671,7 +656,6 @@ pub fn decode_request_ext(body: &[u8]) -> Result<(Request, Option<TraceContext>)
                 nodes,
             }
         }
-        TYPE_STATS => Request::Stats { id },
         TYPE_TELEMETRY => Request::Telemetry { id },
         TYPE_INGEST => {
             let seed = r.u64("seed")?;
@@ -776,17 +760,6 @@ pub fn decode_response_ext(body: &[u8]) -> Result<(Response, Option<SpanSummary>
                 .map_err(|_| WireError::Malformed("non-utf8 message"))?
                 .to_string();
             Response::Error { id, code, message }
-        }
-        TYPE_STATS_TEXT => {
-            let msg_len = r.u32("stats length")? as usize;
-            if msg_len > MAX_FRAME_LEN {
-                return Err(WireError::Malformed("oversized stats text"));
-            }
-            let raw = r.take(msg_len, "stats text")?;
-            let text = std::str::from_utf8(raw)
-                .map_err(|_| WireError::Malformed("non-utf8 stats text"))?
-                .to_string();
-            Response::Stats { id, text }
         }
         TYPE_TELEMETRY_TEXT => {
             let msg_len = r.u32("telemetry length")? as usize;
@@ -929,7 +902,7 @@ mod tests {
                 rounds: 3,
                 nodes: vec![5],
             },
-            Request::Stats { id: 77 },
+            Request::Telemetry { id: 77 },
         ];
         for req in &reqs {
             let wire = encode_request(req);
@@ -1004,7 +977,7 @@ mod tests {
                 code: 2,
                 message: "deadline exceeded".into(),
             },
-            Response::Stats {
+            Response::Telemetry {
                 id: 4,
                 text: "{\"counters\":{\"serve_jobs_total\":12},\"gauges\":{},\"histograms\":{}}"
                     .into(),
@@ -1159,35 +1132,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_request_rejects_payload_bytes() {
-        let wire = encode_request(&Request::Stats { id: 5 });
-        let mut body = wire[4..].to_vec();
-        body.push(0); // a Stats request is header-only
-        assert_eq!(
-            decode_request(&body),
-            Err(WireError::Malformed("trailing bytes"))
-        );
-    }
-
-    #[test]
-    fn oversized_stats_text_is_truncated_to_fit_the_frame_cap() {
-        let resp = Response::Stats {
-            id: 1,
-            text: "x".repeat(MAX_FRAME_LEN * 2),
-        };
-        let wire = encode_response(&resp);
-        let declared = u32::from_le_bytes(wire[..4].try_into().unwrap()) as usize;
-        assert!(declared <= MAX_FRAME_LEN);
-        let mut fr = FrameReader::new();
-        fr.push(&wire);
-        let body = fr.next_frame().unwrap().expect("frame fits the cap");
-        assert!(matches!(
-            decode_response(&body).unwrap(),
-            Response::Stats { id: 1, .. }
-        ));
-    }
-
-    #[test]
     fn telemetry_frames_round_trip() {
         let req = Request::Telemetry { id: 99 };
         let wire = encode_request(&req);
@@ -1256,22 +1200,21 @@ mod tests {
 
     #[test]
     fn unknown_message_types_still_rejected() {
-        // The two telemetry type codes are the newest; the next code up
-        // must keep erroring out as unknown on both decode paths.
-        let wire = encode_request(&Request::Stats { id: 1 });
-        let mut body = wire[4..].to_vec();
-        body[6] = 12;
-        assert_eq!(decode_request(&body), Err(WireError::BadType(12)));
-        let wire = encode_response(&Response::Stats {
-            id: 1,
-            text: "{}".into(),
-        });
-        let mut body = wire[4..].to_vec();
-        body[6] = 12;
-        assert!(matches!(
-            decode_response(&body),
-            Err(WireError::BadType(12))
-        ));
+        // The retired `Stats` codes (6, 7) and the next code past the
+        // newest (12) error out as unknown on both decode paths.
+        for t in [6, 7, 12] {
+            let wire = encode_request(&Request::Telemetry { id: 1 });
+            let mut body = wire[4..].to_vec();
+            body[6] = t;
+            assert_eq!(decode_request(&body), Err(WireError::BadType(t)));
+            let wire = encode_response(&Response::Telemetry {
+                id: 1,
+                text: "{}".into(),
+            });
+            let mut body = wire[4..].to_vec();
+            body[6] = t;
+            assert_eq!(decode_response(&body), Err(WireError::BadType(t)));
+        }
     }
 
     #[test]
@@ -1327,7 +1270,7 @@ mod tests {
 
     #[test]
     fn plain_frames_stay_bit_identical_version_one() {
-        let wire = encode_request(&Request::Stats { id: 1 });
+        let wire = encode_request(&Request::Telemetry { id: 1 });
         assert_eq!(&wire[4..][4..6], &VERSION.to_le_bytes());
         let wire = encode_response(&Response::Classes {
             id: 1,
@@ -1335,7 +1278,8 @@ mod tests {
         });
         assert_eq!(&wire[4..][4..6], &VERSION.to_le_bytes());
         // And version-1 bodies pass through the ext decoders with no context.
-        let (_, ctx) = decode_request_ext(&encode_request(&Request::Stats { id: 1 })[4..]).unwrap();
+        let (_, ctx) =
+            decode_request_ext(&encode_request(&Request::Telemetry { id: 1 })[4..]).unwrap();
         assert!(ctx.is_none());
         let (_, summary) = decode_response_ext(&wire[4..]).unwrap();
         assert!(summary.is_none());
@@ -1343,7 +1287,7 @@ mod tests {
 
     #[test]
     fn extension_malformations_rejected() {
-        let req = Request::Stats { id: 9 };
+        let req = Request::Telemetry { id: 9 };
         let trace = TraceContext { trace_id: 7 };
         let good = encode_request_traced(&req, &trace);
         let body = good[4..].to_vec();
@@ -1397,8 +1341,8 @@ mod tests {
 
     #[test]
     fn oversized_summary_falls_back_to_a_plain_frame() {
-        // A Stats payload near the frame cap leaves no room for the ext.
-        let resp = Response::Stats {
+        // A Telemetry payload near the frame cap leaves no room for the ext.
+        let resp = Response::Telemetry {
             id: 6,
             text: "y".repeat(MAX_FRAME_LEN),
         };

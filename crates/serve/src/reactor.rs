@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam_channel::{Sender, TrySendError};
 use rustc_hash::FxHashMap;
-use widen_obs::{buckets, Counter, Event, FlightRecord, Gauge, Histogram, TelemetrySnapshot};
+use widen_obs::{buckets, Counter, FlightRecord, Gauge, Histogram, TelemetrySnapshot};
 
 use crate::batcher::{Completion, Job, JobKind, JobOutput, JobStamps, ReplySink, RequestTrace};
 use crate::error::ServeError;
@@ -141,6 +141,18 @@ enum PendingKind {
     Direct,
 }
 
+/// What the answering tail records about a request besides its response.
+struct RequestMeta {
+    /// When the frame was decoded — the origin of the request's latency,
+    /// its flight-record phases and its slow decision.
+    started: Instant,
+    trace: Option<Arc<RequestTrace>>,
+    /// Request kind label for the flight record.
+    kind_name: &'static str,
+    /// Node count for the flight record.
+    nodes: u64,
+}
+
 /// One decoded request waiting on its completions.
 struct Pending {
     /// Owning connection key.
@@ -158,13 +170,7 @@ struct Pending {
     failure: Option<ServeError>,
     /// Backstop reap time (`deadline + REAP_GRACE`).
     reap_at: Instant,
-    /// When the frame was decoded — slow-request accounting origin.
-    started: Instant,
-    trace: Option<Arc<RequestTrace>>,
-    /// Request kind label for the slow log.
-    kind_name: &'static str,
-    /// Node count for the slow log.
-    nodes: u64,
+    meta: RequestMeta,
     /// Embedding dimensionality (embed responses).
     dim: u32,
     /// Lifecycle stamps from the batcher (last completion wins); inline
@@ -591,7 +597,7 @@ impl Reactor {
         }
     }
 
-    /// Decodes one request body and either answers it inline (stats,
+    /// Decodes one request body and either answers it inline (telemetry,
     /// validation errors, shed) or registers a [`Pending`] and dispatches
     /// its work. Returns `false` when the connection should close.
     fn handle_request_frame(&mut self, key: u64, body: &[u8]) -> bool {
@@ -614,23 +620,22 @@ impl Reactor {
             .observe(started.elapsed().as_micros() as f64);
         let id = request.id();
         let deadline = started + self.shared.request_timeout;
+        let meta = |kind_name, nodes: usize| RequestMeta {
+            started,
+            trace,
+            kind_name,
+            nodes: nodes as u64,
+        };
 
         match request {
-            // Stats and Telemetry are answered inline: a metrics snapshot
-            // allocates a string but never blocks.
-            Request::Stats { .. } => {
-                let response = Response::Stats {
-                    id,
-                    text: stats_text(&self.shared),
-                };
-                self.respond(key, &response, started, trace.as_ref(), "stats", 0)
-            }
+            // Telemetry is answered inline: a metrics snapshot allocates a
+            // string but never blocks.
             Request::Telemetry { .. } => {
                 let response = Response::Telemetry {
                     id,
                     text: telemetry_text(&self.shared),
                 };
-                self.respond(key, &response, started, trace.as_ref(), "telemetry", 0)
+                self.answer(key, &response, &meta("telemetry", 0), None)
             }
             Request::Ingest {
                 seed,
@@ -651,9 +656,10 @@ impl Reactor {
                     edges,
                     deadline,
                 };
+                let meta = meta("ingest", 0);
                 if self.ingest_tx.send(work).is_err() {
                     let resp = Response::from_error(id, &ServeError::ShuttingDown);
-                    return self.respond(key, &resp, started, trace.as_ref(), "ingest", 0);
+                    return self.answer(key, &resp, &meta, None);
                 }
                 self.pending.insert(
                     req,
@@ -665,10 +671,7 @@ impl Reactor {
                         remaining: 1,
                         failure: None,
                         reap_at: deadline + REAP_GRACE,
-                        started,
-                        trace,
-                        kind_name: "ingest",
-                        nodes: 0,
+                        meta,
                         dim: 0,
                         stamps: None,
                     },
@@ -679,33 +682,20 @@ impl Reactor {
                 }
                 true
             }
-            Request::Embed { seed, nodes, .. } => self.dispatch_jobs(
-                key,
-                id,
-                JobKind::Embed,
-                seed,
-                nodes,
-                deadline,
-                started,
-                trace,
-                "embed",
-            ),
+            Request::Embed { seed, nodes, .. } => {
+                let meta = meta("embed", nodes.len());
+                self.dispatch_jobs(key, id, JobKind::Embed, seed, nodes, deadline, meta)
+            }
             Request::Classify {
                 seed,
                 rounds,
                 nodes,
                 ..
-            } => self.dispatch_jobs(
-                key,
-                id,
-                JobKind::Classify { rounds },
-                seed,
-                nodes,
-                deadline,
-                started,
-                trace,
-                "classify",
-            ),
+            } => {
+                let meta = meta("classify", nodes.len());
+                let kind = JobKind::Classify { rounds };
+                self.dispatch_jobs(key, id, kind, seed, nodes, deadline, meta)
+            }
         }
     }
 
@@ -722,9 +712,7 @@ impl Reactor {
         seed: u64,
         nodes: Vec<u32>,
         deadline: Instant,
-        started: Instant,
-        trace: Option<Arc<RequestTrace>>,
-        kind_name: &'static str,
+        meta: RequestMeta,
     ) -> bool {
         if let Some(&bad) = nodes
             .iter()
@@ -734,14 +722,7 @@ impl Reactor {
                 id,
                 &ServeError::BadRequest(format!("node {bad} outside the served graph")),
             );
-            return self.respond(
-                key,
-                &resp,
-                started,
-                trace.as_ref(),
-                kind_name,
-                nodes.len() as u64,
-            );
+            return self.answer(key, &resp, &meta, None);
         }
         let d = self.shared.registry.read().model().config.d as u32;
         if nodes.is_empty() {
@@ -756,7 +737,7 @@ impl Reactor {
                     labels: Vec::new(),
                 },
             };
-            return self.respond(key, &resp, started, trace.as_ref(), kind_name, 0);
+            return self.answer(key, &resp, &meta, None);
         }
 
         // Shed before enqueue: either the whole request fits in the queue
@@ -765,14 +746,7 @@ impl Reactor {
         if self.job_tx.len() + nodes.len() > self.queue_depth {
             self.shared.shed.inc();
             let resp = Response::from_error(id, &ServeError::Overloaded);
-            return self.respond(
-                key,
-                &resp,
-                started,
-                trace.as_ref(),
-                kind_name,
-                nodes.len() as u64,
-            );
+            return self.answer(key, &resp, &meta, None);
         }
 
         let req = self.fresh_req();
@@ -789,7 +763,7 @@ impl Reactor {
                 reply: self.sink.clone(),
                 enqueued_at: Instant::now(),
                 pulled_at: Instant::now(),
-                trace: trace.clone(),
+                trace: meta.trace.clone(),
             };
             match self.job_tx.try_send(job) {
                 Ok(()) => enqueued += 1,
@@ -807,14 +781,7 @@ impl Reactor {
         if enqueued == 0 {
             let err = failure.unwrap_or(ServeError::Internal("no jobs enqueued".into()));
             let resp = Response::from_error(id, &err);
-            return self.respond(
-                key,
-                &resp,
-                started,
-                trace.as_ref(),
-                kind_name,
-                nodes.len() as u64,
-            );
+            return self.answer(key, &resp, &meta, None);
         }
         self.pending.insert(
             req,
@@ -829,10 +796,7 @@ impl Reactor {
                 remaining: enqueued,
                 failure,
                 reap_at: deadline + REAP_GRACE,
-                started,
-                trace,
-                kind_name,
-                nodes: nodes.len() as u64,
+                meta,
                 dim: d,
                 stamps: None,
             },
@@ -882,94 +846,87 @@ impl Reactor {
                     if p.remaining > 0 {
                         continue;
                     }
-                    if let Some(p) = self.pending.remove(&req) {
-                        self.m.inflight.set(self.pending.len() as i64);
-                        let response = assemble(&p);
-                        self.finish_pending(p, response);
+                    if let Some(p) = self.take_pending(req) {
+                        self.answer(p.conn, &assemble(&p), &p.meta, p.stamps.as_ref());
                     }
                 }
                 Completion::Direct { req, response } => {
-                    let Some(p) = self.pending.remove(&req) else {
-                        continue;
-                    };
-                    self.m.inflight.set(self.pending.len() as i64);
-                    self.finish_pending(p, response);
+                    if let Some(p) = self.take_pending(req) {
+                        self.answer(p.conn, &response, &p.meta, p.stamps.as_ref());
+                    }
                 }
             }
         }
     }
 
-    /// Writes a completed request's response onto its connection and
-    /// closes the accounting: latency histogram, flight record, anomaly
-    /// dump when the outcome warrants one.
-    fn finish_pending(&mut self, p: Pending, response: Response) {
-        let summary = p.trace.as_ref().map(|t| build_summary(t));
-        self.shared.requests.inc();
-        let wire = match &summary {
-            Some(s) => encode_response_traced(&response, s),
-            None => encode_response(&response),
-        };
-        let write_start = Instant::now();
+    /// Removes a finished request from the pending table and from its
+    /// connection's in-flight count.
+    fn take_pending(&mut self, req: u64) -> Option<Pending> {
+        let p = self.pending.remove(&req)?;
+        self.m.inflight.set(self.pending.len() as i64);
         if let Some(conn) = self.conns.get_mut(&p.conn) {
-            conn.out.extend_from_slice(&wire);
             conn.inflight = conn.inflight.saturating_sub(1);
-            let _ = self.flush_conn(p.conn);
         }
-        let total = p.started.elapsed();
-        self.m.request_latency_us.observe(total.as_micros() as f64);
-        self.record_request(
-            p.id,
-            p.kind_name,
-            p.nodes,
-            &response,
-            p.started,
-            total,
-            p.stamps.as_ref(),
-            write_start,
-        );
-        log_slow_request(
-            &self.shared,
-            p.kind_name,
-            p.id,
-            p.nodes,
-            p.started,
-            write_start,
-            summary.as_ref(),
-        );
+        Some(p)
     }
 
-    /// Writes one request timeline into the flight recorder and fires the
-    /// anomaly dump on a bad outcome (shed/overload, deadline drop) or a
-    /// slow-threshold breach. Steady-state cost is one ring write.
-    #[allow(clippy::too_many_arguments)]
+    /// The one answering tail, inline or pending: encode, buffer, flush,
+    /// then close the accounting from one `total` — latency histogram,
+    /// slow decision, flight record, anomaly dump. Returns `false` when the
+    /// connection should close.
+    fn answer(
+        &mut self,
+        conn: u64,
+        response: &Response,
+        meta: &RequestMeta,
+        stamps: Option<&JobStamps>,
+    ) -> bool {
+        self.shared.requests.inc();
+        let wire = match &meta.trace {
+            Some(trace) => encode_response_traced(response, &build_summary(trace)),
+            None => encode_response(response),
+        };
+        let write_start = Instant::now();
+        let alive = match self.conns.get_mut(&conn) {
+            Some(c) => {
+                c.out.extend_from_slice(&wire);
+                self.flush_conn(conn)
+            }
+            None => false,
+        };
+        let total = meta.started.elapsed();
+        self.m.request_latency_us.observe(total.as_micros() as f64);
+        self.record_request(response, meta, stamps, total, write_start);
+        alive
+    }
+
+    /// The slow decision and the flight record, from the request's one
+    /// `total`. A request answered without error at or over the threshold
+    /// is slow: counted in `serve_slow_requests_total` (recorder or not),
+    /// tagged `slow`, and — like a shed or a deadline drop — fires the
+    /// anomaly dump. Steady-state cost is one ring write.
     fn record_request(
         &self,
-        id: u64,
-        kind: &'static str,
-        nodes: u64,
         response: &Response,
-        started: Instant,
-        total: Duration,
+        meta: &RequestMeta,
         stamps: Option<&JobStamps>,
+        total: Duration,
         write_start: Instant,
     ) {
+        let mut outcome = outcome_of(response);
+        if outcome == "ok" && self.shared.slow_threshold.is_some_and(|t| total >= t) {
+            outcome = "slow";
+            self.shared.slow_requests.inc();
+        }
         if self.shared.recorder.is_disabled() {
             return;
         }
-        let slow = self
-            .shared
-            .slow_threshold
-            .is_some_and(|threshold| total >= threshold);
-        let outcome = match outcome_of(response) {
-            "ok" if slow => "slow",
-            other => other,
-        };
-        let mut rec = FlightRecord::new(id, kind);
-        rec.nodes = nodes.min(u32::MAX as u64) as u32;
+        let off = |t: Instant| t.saturating_duration_since(meta.started).as_micros() as u64;
+        let mut rec = FlightRecord::new(response.id(), meta.kind_name);
+        rec.nodes = meta.nodes.min(u32::MAX as u64) as u32;
         rec.outcome = outcome;
         rec.total_us = total.as_micros() as u64;
         if let Some(s) = stamps {
-            let off = |t: Instant| t.saturating_duration_since(started).as_micros() as u64;
             let span = |a: Instant, b: Instant| b.saturating_duration_since(a).as_micros() as u64;
             rec.push_phase("queue_wait", off(s.enqueued), span(s.enqueued, s.pulled));
             rec.push_phase("coalesce", off(s.pulled), span(s.pulled, s.batch_start));
@@ -979,65 +936,12 @@ impl Reactor {
                 span(s.forward_start, s.forward_end),
             );
         }
-        rec.push_phase(
-            "write",
-            write_start.saturating_duration_since(started).as_micros() as u64,
-            write_start.elapsed().as_micros() as u64,
-        );
+        let write_us = write_start.elapsed().as_micros() as u64;
+        rec.push_phase("write", off(write_start), write_us);
         self.shared.recorder.record(rec);
-        let anomalous = slow || matches!(outcome, "overloaded" | "deadline");
-        if anomalous {
+        if matches!(outcome, "slow" | "overloaded" | "deadline") {
             self.shared.anomaly_dump();
         }
-    }
-
-    /// Answers one request inline (no pending entry): encode, buffer,
-    /// count, flush. Returns `false` when the connection should close.
-    fn respond(
-        &mut self,
-        key: u64,
-        response: &Response,
-        started: Instant,
-        trace: Option<&Arc<RequestTrace>>,
-        kind_name: &'static str,
-        nodes: u64,
-    ) -> bool {
-        let summary = trace.map(|t| build_summary(t));
-        self.shared.requests.inc();
-        let wire = match &summary {
-            Some(s) => encode_response_traced(response, s),
-            None => encode_response(response),
-        };
-        let write_start = Instant::now();
-        let alive = match self.conns.get_mut(&key) {
-            Some(conn) => {
-                conn.out.extend_from_slice(&wire);
-                self.flush_conn(key)
-            }
-            None => false,
-        };
-        let total = started.elapsed();
-        self.m.request_latency_us.observe(total.as_micros() as f64);
-        self.record_request(
-            response.id(),
-            kind_name,
-            nodes,
-            response,
-            started,
-            total,
-            None,
-            write_start,
-        );
-        log_slow_request(
-            &self.shared,
-            kind_name,
-            response.id(),
-            nodes,
-            started,
-            write_start,
-            summary.as_ref(),
-        );
-        alive
     }
 
     /// Writes as much buffered output as the socket will take. Returns
@@ -1086,10 +990,9 @@ impl Reactor {
             .map(|(&req, _)| req)
             .collect();
         for req in expired {
-            if let Some(p) = self.pending.remove(&req) {
-                self.m.inflight.set(self.pending.len() as i64);
+            if let Some(p) = self.take_pending(req) {
                 let response = Response::from_error(p.id, &ServeError::DeadlineExceeded);
-                self.finish_pending(p, response);
+                self.answer(p.conn, &response, &p.meta, p.stamps.as_ref());
             }
         }
     }
@@ -1194,78 +1097,6 @@ fn build_summary(trace: &RequestTrace) -> SpanSummary {
     }
 }
 
-/// Counts and logs the request if it exceeded the slow threshold. The log
-/// record carries the span tree (when the request was traced) plus the
-/// response-write interval measured by the caller.
-pub(crate) fn log_slow_request(
-    shared: &Shared,
-    kind: &'static str,
-    id: u64,
-    nodes: u64,
-    started: Instant,
-    write_start: Instant,
-    summary: Option<&SpanSummary>,
-) {
-    let Some(threshold) = shared.slow_threshold else {
-        return;
-    };
-    let total = started.elapsed();
-    if total < threshold {
-        return;
-    }
-    shared.slow_requests.inc();
-    let mut tree = String::new();
-    if let Some(summary) = summary {
-        for span in &summary.spans {
-            if !tree.is_empty() {
-                tree.push_str(" | ");
-            }
-            if span.parent != WireSpan::ROOT {
-                tree.push_str("> ");
-            }
-            tree.push_str(&format!(
-                "{} @{:.3}ms {:.3}ms",
-                span.name,
-                span.start_ns as f64 / 1e6,
-                span.dur_ns as f64 / 1e6
-            ));
-        }
-        tree.push_str(&format!(
-            " | > serve.server.write_response @{:.3}ms {:.3}ms",
-            write_start.saturating_duration_since(started).as_nanos() as f64 / 1e6,
-            write_start.elapsed().as_nanos() as f64 / 1e6
-        ));
-    }
-    let mut event = Event::new("slow_request")
-        .u64("request_id", id)
-        .str("kind", kind)
-        .u64("nodes", nodes)
-        .f64("total_ms", total.as_nanos() as f64 / 1e6)
-        .u64("threshold_ms", threshold.as_millis() as u64);
-    if let Some(summary) = summary {
-        event = event
-            .str("trace", &format!("{:016x}", summary.trace_id))
-            .str("spans", &tree);
-    }
-    match &shared.slow_sink {
-        Some(sink) => {
-            let _ = sink.emit(&event);
-        }
-        None => eprintln!("[widen-serve] {}", event.to_json()),
-    }
-}
-
-/// Renders the `Stats` payload: the server's own registry plus the
-/// process-global ambient registry (sampling, packaging) as one JSON
-/// object — `{"server":...,"process":...}`.
-pub(crate) fn stats_text(shared: &Shared) -> String {
-    format!(
-        "{{\"server\":{},\"process\":{}}}",
-        shared.metrics.snapshot().to_json(),
-        widen_obs::Registry::global().snapshot().to_json()
-    )
-}
-
 /// Renders the `Telemetry` payload: the server's own registry merged with
 /// the process-global ambient registry into one [`TelemetrySnapshot`] —
 /// counters and gauges summed, every histogram summarised as an SLO
@@ -1309,7 +1140,6 @@ mod tests {
             registry,
             request_timeout: Duration::from_secs(5),
             slow_threshold: None,
-            slow_sink: None,
             recorder: widen_obs::FlightRecorder::new(0),
             postmortem_dumps: metrics.counter("serve_postmortem_dumps_total"),
             postmortem: Default::default(),
@@ -1346,10 +1176,12 @@ mod tests {
                 remaining: 2,
                 failure: None,
                 reap_at: now + Duration::from_secs(60),
-                started: now,
-                trace: None,
-                kind_name: "embed",
-                nodes: 2,
+                meta: RequestMeta {
+                    started: now,
+                    trace: None,
+                    kind_name: "embed",
+                    nodes: 2,
+                },
                 dim: 1,
                 stamps: None,
             },

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam_channel::bounded;
 use parking_lot::Mutex;
-use widen_obs::{Counter, FlightRecorder, Gauge, JsonlSink, Registry as MetricsRegistry};
+use widen_obs::{Counter, FlightRecorder, Gauge, Registry as MetricsRegistry};
 
 use widen_graph::{EdgeTypeId, NodeTypeId};
 
@@ -67,13 +67,11 @@ pub struct ServeConfig {
     pub request_timeout_ms: u64,
     /// LRU embedding-cache entries (0 disables the cache).
     pub cache_capacity: usize,
-    /// Requests slower than this many milliseconds are counted in
-    /// `serve_slow_requests_total` and logged with their span tree.
-    /// `0` disables slow-request logging entirely.
+    /// A request answered without error in this many milliseconds or
+    /// more is slow: counted in `serve_slow_requests_total`, its flight
+    /// record tagged `slow`, and the post-mortem dump fired. `0` disables
+    /// the check.
     pub slow_request_ms: u64,
-    /// Where slow-request records go as JSONL; `None` falls back to
-    /// stderr. Ignored while `slow_request_ms` is 0.
-    pub slow_log_path: Option<PathBuf>,
     /// Admission-control cap on concurrently open connections.
     /// Connections beyond the cap are accepted, answered with a typed
     /// `Overloaded` error frame, and closed — never silently parked in
@@ -100,7 +98,6 @@ impl Default for ServeConfig {
             request_timeout_ms: 5_000,
             cache_capacity: 4096,
             slow_request_ms: 0,
-            slow_log_path: None,
             max_connections: 8192,
             flight_recorder_capacity: 256,
             postmortem_path: None,
@@ -143,12 +140,13 @@ pub struct ServeStats {
 pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
     /// This server's own metric registry (isolated per instance, see the
-    /// scoping convention in `widen-obs`); the `Stats` wire op renders it.
+    /// scoping convention in `widen-obs`); the `Telemetry` wire op renders
+    /// it merged with the global one.
     pub(crate) metrics: Arc<MetricsRegistry>,
     /// `serve_requests_total` — requests fully answered, success or error.
     pub(crate) requests: Arc<Counter>,
-    /// `serve_slow_requests_total` — requests slower than the configured
-    /// threshold.
+    /// `serve_slow_requests_total` — requests answered without error at
+    /// or over the slow threshold (the ones a flight record tags `slow`).
     pub(crate) slow_requests: Arc<Counter>,
     /// `serve_ingests_total` — successful `Ingest` ops (graph mutations).
     pub(crate) ingests: Arc<Counter>,
@@ -168,10 +166,8 @@ pub(crate) struct Shared {
     pub(crate) worker_stats: Arc<WorkerStats>,
     pub(crate) registry: Arc<ModelRegistry>,
     pub(crate) request_timeout: Duration,
-    /// Slow-request threshold; `None` disables detection and logging.
+    /// Slow-request threshold; `None` disables the check.
     pub(crate) slow_threshold: Option<Duration>,
-    /// Slow-request JSONL sink; `None` with a threshold set means stderr.
-    pub(crate) slow_sink: Option<JsonlSink>,
     /// Always-on ring of recent request timelines.
     pub(crate) recorder: FlightRecorder,
     /// `serve_postmortem_dumps_total` — anomaly-triggered dumps taken.
@@ -232,10 +228,6 @@ impl Server {
         let metrics = Arc::new(MetricsRegistry::new());
         let slow_threshold =
             (config.slow_request_ms > 0).then(|| Duration::from_millis(config.slow_request_ms));
-        let slow_sink = match (&slow_threshold, &config.slow_log_path) {
-            (Some(_), Some(path)) => Some(JsonlSink::create(path)?),
-            _ => None,
-        };
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),
             requests: metrics.counter("serve_requests_total"),
@@ -251,7 +243,6 @@ impl Server {
             registry: registry.clone(),
             request_timeout: Duration::from_millis(config.request_timeout_ms),
             slow_threshold,
-            slow_sink,
             recorder: FlightRecorder::new(config.flight_recorder_capacity),
             postmortem_dumps: metrics.counter("serve_postmortem_dumps_total"),
             postmortem: Mutex::new(None),
@@ -541,6 +532,7 @@ fn execute_ingest(shared: &Shared, work: &IngestWork) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -574,17 +566,39 @@ mod tests {
         assert_eq!(err.to_string(), "no more threads");
     }
 
-    /// North-star 4, the server-sized slice: every counter, gauge and
-    /// histogram a server emits is a row of DESIGN.md's metric table.
+    /// North-star 4, both ways: every instrument the server's registry, a
+    /// two-shard fit's registry and the global registry emit is a row of
+    /// DESIGN.md's metric table, and every name in the table's first column
+    /// (`/`-separated, `{p}` expanded over the fit's shards) is emitted.
     #[test]
     fn every_emitted_serve_metric_is_documented() {
+        const SHARDS: usize = 2;
         let design = include_str!("../../../DESIGN.md");
+        let documented: BTreeSet<String> = design
+            .lines()
+            .skip_while(|l| !l.starts_with("| Instrument |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .flat_map(|l| l.split('|').nth(1).unwrap().split('/'))
+            .map(|name| name.trim().trim_matches('`'))
+            .flat_map(|name| match name.split_once("{p}") {
+                Some((head, tail)) => (0..SHARDS).map(|p| format!("{head}{p}{tail}")).collect(),
+                None => vec![name.to_string()],
+            })
+            .collect();
+
         let dataset = widen_data::acm_like(widen_data::Scale::Smoke, 18);
         let mut cfg = widen_core::WidenConfig::small();
         cfg.d = 8;
+        cfg.epochs = 1;
+        let train = &dataset.transductive.train[..8];
+        let model = widen_core::WidenModel::for_graph(&dataset.graph, cfg.clone());
+        let mut trainer = widen_core::Trainer::with_shards(model, &dataset.graph, train, SHARDS);
+        trainer.fit(train);
+
         let feat_dim = dataset.graph.feature_dim();
         let model = widen_core::WidenModel::for_graph(&dataset.graph, cfg);
-        let registry = ModelRegistry::from_model(dataset.graph, model);
+        let registry = ModelRegistry::from_model(dataset.graph.clone(), model);
         let handle = Server::bind(registry, ServeConfig::default(), "127.0.0.1:0").unwrap();
         let mut client = crate::Client::connect(handle.local_addr()).unwrap();
         client.embed(&[0, 1], 1).unwrap();
@@ -592,19 +606,32 @@ mod tests {
         client
             .ingest(0, &vec![0.25; feat_dim], None, &[(0, 0)], 3)
             .unwrap();
-        client.stats().unwrap();
+        client.telemetry().unwrap();
+        assert_eq!(
+            handle.metrics().snapshot().counter("serve_ingests_total"),
+            Some(1)
+        );
 
-        let snap = handle.metrics().snapshot();
-        assert_eq!(snap.counter("serve_ingests_total"), Some(1));
-        let counters = snap.counters.iter().map(|(name, _)| name);
-        let gauges = snap.gauges.iter().map(|(name, _)| name);
-        let histograms = snap.histograms.iter().map(|(name, _)| name);
-        for name in counters.chain(gauges).chain(histograms) {
-            assert!(
-                design.contains(&format!("`{name}`")),
-                "{name} is not in DESIGN.md"
-            );
+        let mut emitted = BTreeSet::new();
+        for snap in [
+            handle.metrics().snapshot(),
+            trainer.metrics().snapshot(),
+            MetricsRegistry::global().snapshot(),
+        ] {
+            emitted.extend(snap.counters.into_iter().map(|(name, _)| name));
+            emitted.extend(snap.gauges.into_iter().map(|(name, _)| name));
+            emitted.extend(snap.histograms.into_iter().map(|(name, _)| name));
         }
         handle.shutdown();
+        let undocumented: Vec<_> = emitted.difference(&documented).collect();
+        assert!(
+            undocumented.is_empty(),
+            "not in DESIGN.md: {undocumented:?}"
+        );
+        let unemitted: Vec<_> = documented.difference(&emitted).collect();
+        assert!(
+            unemitted.is_empty(),
+            "DESIGN.md documents, nothing emits: {unemitted:?}"
+        );
     }
 }

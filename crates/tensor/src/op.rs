@@ -9,14 +9,17 @@ use crate::sparse::CsrMatrix;
 use crate::tape::Var;
 use crate::tensor::Tensor;
 
-/// `segment_attention`'s backward flushes softmax-adjoint elements below
-/// 2⁻⁶⁴ (≈ 5.4 · 10⁻²⁰) to `+0.0`, so the `axpy` sweeps skip them. A
-/// converged fit's attention rows put near-zero weight on most keys; their
-/// adjoints, multiplied into the query and key gradients and on through
-/// the `matmul` backwards, would produce subnormals, each of which costs a
-/// microcode assist worth tens of ordinary multiplies. Below 2⁻⁶⁴ the
-/// product of two such values is subnormal; against a gradient of any
-/// weight that matters the term is far below one ulp.
+/// The attention backwards flush what falls below 2⁻⁶⁴ (≈ 5.4 · 10⁻²⁰) to
+/// `+0.0`, so the `axpy` sweeps skip it: `segment_attention`'s softmax
+/// adjoint (and, with a mixing, the score adjoint it sums through decayed
+/// weights) and `segment_weighted_sum`'s attention weights in the value
+/// gradient. A converged fit's attention rows put near-zero weight on most
+/// keys; those adjoints and weights, multiplied into the query, key and
+/// value gradients and on through the `matmul` backwards, would produce
+/// subnormals, each of which costs a microcode assist worth tens of
+/// ordinary multiplies. Below 2⁻⁶⁴ the product of two such values is
+/// subnormal; against a gradient of any weight that matters the term is
+/// far below one ulp.
 pub(crate) const ADJOINT_FLUSH: f32 = f32::from_bits((127 - 64) << 23);
 
 /// The operator that produced a tape node.
@@ -567,8 +570,8 @@ pub(crate) fn backward_step(
             // a = softmax(t), t_j = scale · Σ_{j′ ≥ j} A[j][j′−j] · s_j′ (A = I
             // without a mixing), s_j = ⟨q_i, k_j⟩ ⇒ dt_j = scale · a_j (g_j −
             // ⟨a, g⟩), dA[j][j′−j] = dt_j · s_j′, ds_j′ = Σ_{j ≤ j′} A[j][j′−j] ·
-            // dt_j, then dq_i += ds_j · k_j, dk_j += ds_j · q_i, with |dt_j| <
-            // ADJOINT_FLUSH taken as +0.0 and skipped. One sweep from
+            // dt_j, then dq_i += ds_j · k_j, dk_j += ds_j · q_i, with |dt_j| and
+            // |ds_j| < ADJOINT_FLUSH taken as +0.0 and skipped. One sweep from
             // the stored output alone (a mixing's raw scores are recomputed,
             // one dot per position), straight into the unique-row gradients;
             // padding (a = 0) contributes nothing.
@@ -612,6 +615,11 @@ pub(crate) fn backward_step(
                             axpy(t, &vm.row(start + j)[..len - j], &mut ds[j..]);
                         }
                     }
+                    // A decayed mixing weight scales an adjoint below the
+                    // threshold too.
+                    for o in ds.iter_mut().filter(|o| o.abs() < ADJOINT_FLUSH) {
+                        *o = 0.0;
+                    }
                 } else {
                     for (j, o) in ds.iter_mut().enumerate() {
                         *o = dt(j);
@@ -651,7 +659,12 @@ pub(crate) fn backward_step(
             for (i, &(start, len)) in spans.iter().enumerate() {
                 let (g, rows) = (grad_out.row(i), &v_rows[start..start + len]);
                 let dots = &mut scratch.as_mut_slice()[..len];
-                let terms = rows.iter().copied().zip(vw.row(i)[..len].iter().copied());
+                // A weight below ADJOINT_FLUSH is skipped like a zero one.
+                let flushed = |&w: &f32| if w.abs() < ADJOINT_FLUSH { 0.0 } else { w };
+                let terms = rows
+                    .iter()
+                    .copied()
+                    .zip(vw.row(i)[..len].iter().map(flushed));
                 // SAFETY: the forward checked every index against these
                 // values' rows, whose shapes the gradient slots share.
                 unsafe {

@@ -870,6 +870,28 @@ mod tests {
     }
 
     #[test]
+    fn segment_weighted_sum_skips_weights_below_the_flush() {
+        // A weight of 1e-25 (below 2⁻⁶⁴) against an upstream gradient of
+        // 1e-15 would write a subnormal into `v`'s gradient: the weight is
+        // skipped like a zero one, so that row stays `+0.0`, while the
+        // ordinary weight's row and `w`'s own gradient pass through.
+        let mut tape = Tape::new();
+        let w = tape.leaf(Tensor::row_vector(&[1e-25, 0.5]));
+        let v = tape.leaf(Tensor::from_vec(2, 2, vec![1.0, -2.0, 0.25, 4.0]));
+        let out = tape.segment_weighted_sum(w, v, [0, 1].into(), [(0, 2)].into());
+        let scale = tape.leaf(Tensor::row_vector(&[1e-15, 1e-15]));
+        let scaled = tape.mul(out, scale);
+        let loss = tape.sum(scaled);
+        tape.backward(loss);
+        let gv = tape.grad(v).expect("a gradient");
+        for &g in gv.row(0) {
+            assert_eq!(g.to_bits(), 0.0f32.to_bits(), "{g:e}");
+        }
+        assert!(gv.row(1).iter().all(|&g| g != 0.0));
+        assert!(tape.grad(w).unwrap().as_slice().iter().all(|&g| g != 0.0));
+    }
+
+    #[test]
     fn profiler_off_records_nothing() {
         let mut tape = Tape::new();
         let a = tape.leaf(Tensor::row_vector(&[1.0]));

@@ -1,8 +1,11 @@
 //! End-to-end trace propagation through the serve path: a traced request
 //! must come back with a structurally sound server-side span summary
 //! (root request span first, children nested inside it), old-style
-//! untraced clients must keep working against the same server, and slow
-//! requests must land in the configured slow-request log.
+//! untraced clients must keep working against the same server, and a
+//! slow request must land in the configured post-mortem as a flight
+//! record tagged `slow`, counted once.
+
+use std::path::{Path, PathBuf};
 
 use widen::core::{WidenConfig, WidenModel};
 use widen::data::{acm_like, Scale};
@@ -102,37 +105,91 @@ fn untraced_clients_interoperate_with_a_tracing_server() {
     handle.shutdown();
 }
 
+/// A 10 ms coalescing window bounds every uncached embed from below (a
+/// few jobs never fill a 32-job batch, so the window runs its full length),
+/// which makes a 1 ms slow threshold deterministic.
+fn slow_config(postmortem: &Path) -> ServeConfig {
+    ServeConfig {
+        slow_request_ms: 1,
+        cache_capacity: 0,
+        max_wait_us: 10_000,
+        postmortem_path: Some(postmortem.to_path_buf()),
+        ..ServeConfig::default()
+    }
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("widen_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
 #[test]
 fn slow_requests_land_in_the_configured_log() {
-    let dir = std::env::temp_dir().join(format!("widen_slow_log_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let log_path = dir.join("slow.jsonl");
-    let config = ServeConfig {
-        slow_request_ms: 1,
-        slow_log_path: Some(log_path.clone()),
-        cache_capacity: 0,
-        // A 10ms coalescing window bounds the request's duration from
-        // below (4 jobs never fill a 32-job batch, so the window runs its
-        // full length), making the 1ms slow threshold deterministic.
-        max_wait_us: 10_000,
-        ..ServeConfig::default()
-    };
-    let handle = Server::bind(registry(17), config, "127.0.0.1:0").expect("bind");
+    let dir = temp_dir("slow_postmortem");
+    let path = dir.join("postmortem.jsonl");
+    let handle = Server::bind(registry(17), slow_config(&path), "127.0.0.1:0").expect("bind");
     let mut client = Client::connect(handle.local_addr()).expect("connect");
-    client.set_tracing(true);
     client.embed(&[0, 1, 2, 3], 5).expect("embed");
-    let stats = handle.shutdown();
+    handle.shutdown();
 
-    let log = std::fs::read_to_string(&log_path).expect("slow log exists");
-    let lines: Vec<&str> = log.lines().collect();
-    assert!(
-        !lines.is_empty(),
-        "a fresh uncached forward takes >1ms and must be logged"
-    );
-    assert!(lines[0].contains("\"event\":\"slow_request\""));
-    assert!(lines[0].contains("\"kind\":\"embed\""));
-    assert!(lines[0].contains("serve.server.request"));
-    assert!(lines[0].contains("serve.server.write_response"));
-    assert!(stats.requests >= 1);
+    // The slow request fired the post-mortem dump: its flight record is in
+    // the configured file, tagged `slow`, with the batcher's lifecycle
+    // phases and the reactor's write.
+    let dump = std::fs::read_to_string(&path).expect("post-mortem written");
+    let line = dump
+        .lines()
+        .find(|l| l.contains("\"outcome\":\"slow\""))
+        .unwrap_or_else(|| panic!("no slow record in {dump}"));
+    assert!(line.contains("\"kind\":\"embed\""), "{line}");
+    assert!(line.contains("\"nodes\":4"), "{line}");
+    for phase in ["queue_wait", "coalesce", "forward", "write"] {
+        assert!(
+            line.contains(&format!("\"name\":\"{phase}\"")),
+            "{phase}: {line}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One slow decision: the counter and the flight record read the same
+/// `total`, so they cannot disagree near the threshold — and the counter
+/// does not depend on the recorder.
+#[test]
+fn slow_counter_matches_the_slow_flight_records() {
+    let dir = temp_dir("slow_count");
+    let path = dir.join("postmortem.jsonl");
+    let handle = Server::bind(registry(19), slow_config(&path), "127.0.0.1:0").expect("bind");
+    let slow = handle.metrics().counter("serve_slow_requests_total");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    for seed in 0..6 {
+        client.embed(&[0, 1], seed).expect("embed");
+    }
+    client.telemetry().expect("telemetry");
+    handle.shutdown();
+    let dump = std::fs::read_to_string(&path).expect("post-mortem written");
+    let tagged = dump
+        .lines()
+        .filter(|l| l.contains("\"outcome\":\"slow\""))
+        .count() as u64;
+    assert!(tagged >= 6, "every windowed embed is slow: {dump}");
+    assert_eq!(slow.get(), tagged);
+
+    // With the recorder off the counter still counts, and nothing dumps.
+    let off = dir.join("off.jsonl");
+    let config = ServeConfig {
+        flight_recorder_capacity: 0,
+        ..slow_config(&off)
+    };
+    let handle = Server::bind(registry(19), config, "127.0.0.1:0").expect("bind");
+    let slow = handle.metrics().counter("serve_slow_requests_total");
+    let dumps = handle.metrics().counter("serve_postmortem_dumps_total");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    client.embed(&[0, 1], 1).expect("embed");
+    assert!(handle.postmortem_dump().is_none());
+    handle.shutdown();
+    assert!(slow.get() >= 1);
+    assert_eq!(dumps.get(), 0);
+    assert!(!off.exists(), "a disabled recorder writes no post-mortem");
     let _ = std::fs::remove_dir_all(&dir);
 }
