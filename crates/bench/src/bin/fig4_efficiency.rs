@@ -8,7 +8,9 @@ use std::time::Instant;
 
 use widen_baselines::all_baselines;
 use widen_bench::parse_args;
-use widen_bench::runners::{datasets, table_baseline_config, table_widen_config};
+use widen_bench::runners::{
+    datasets, table_baseline_config, table_widen_config, EVAL_SAMPLING_SEED,
+};
 use widen_core::{Trainer, WidenModel};
 use widen_eval::micro_f1;
 use widen_tensor::ProfileReport;
@@ -64,7 +66,7 @@ fn main() {
         let report = trainer.fit(train);
         let secs_per_epoch = report.total_secs() / EPOCHS as f64;
         let model = trainer.into_model();
-        let preds = model.predict(&dataset.graph, test, 0xE7A1);
+        let preds = model.predict(&dataset.graph, test, EVAL_SAMPLING_SEED);
         let f1 = micro_f1(&truth, &preds);
         println!("{:<12} {:>16.4} {:>16.4}", "WIDEN", secs_per_epoch, f1);
         println!(

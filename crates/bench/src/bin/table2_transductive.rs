@@ -4,7 +4,7 @@
 //! per column (underscored when p < 0.05, double-underscored when p < 0.01).
 
 use widen_baselines::all_baselines;
-use widen_bench::harness::render_score;
+use widen_bench::harness::{best_baseline, render_score};
 use widen_bench::runners::{
     datasets, run_baseline_transductive, run_widen_transductive, table_baseline_config,
     table_widen_config,
@@ -103,18 +103,4 @@ fn main() {
         }
     }
     opts.write_json("table2_transductive", &serde_json::Value::Array(json_rows));
-}
-
-/// The per-seed scores of the best (by mean) non-WIDEN method in a column.
-fn best_baseline(scores: &[Vec<Vec<f64>>], f_idx: usize, widen_idx: usize) -> Option<Vec<f64>> {
-    scores
-        .iter()
-        .enumerate()
-        .filter(|(m, col)| *m != widen_idx && !col[f_idx].is_empty())
-        .max_by(|(_, a), (_, b)| {
-            let ma = a[f_idx].iter().sum::<f64>() / a[f_idx].len() as f64;
-            let mb = b[f_idx].iter().sum::<f64>() / b[f_idx].len() as f64;
-            ma.partial_cmp(&mb).unwrap()
-        })
-        .map(|(_, col)| col[f_idx].clone())
 }

@@ -5,7 +5,7 @@
 //! full one.
 
 use widen_baselines::all_baselines;
-use widen_bench::harness::render_score;
+use widen_bench::harness::{best_baseline, render_score};
 use widen_bench::parse_args;
 use widen_bench::runners::{
     datasets, run_baseline_inductive, run_widen_inductive, table_baseline_config,
@@ -83,17 +83,4 @@ fn main() {
         println!();
     }
     opts.write_json("table3_inductive", &serde_json::Value::Array(json_rows));
-}
-
-fn best_baseline(scores: &[Vec<Vec<f64>>], d_idx: usize, widen_idx: usize) -> Option<Vec<f64>> {
-    scores
-        .iter()
-        .enumerate()
-        .filter(|(m, col)| *m != widen_idx && !col[d_idx].is_empty())
-        .max_by(|(_, a), (_, b)| {
-            let ma = a[d_idx].iter().sum::<f64>() / a[d_idx].len() as f64;
-            let mb = b[d_idx].iter().sum::<f64>() / b[d_idx].len() as f64;
-            ma.partial_cmp(&mb).unwrap()
-        })
-        .map(|(_, col)| col[d_idx].clone())
 }

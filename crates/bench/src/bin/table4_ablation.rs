@@ -4,7 +4,8 @@
 //! reports transductive micro-F1 on all three datasets.
 
 use widen_bench::parse_args;
-use widen_bench::runners::{datasets, run_widen_transductive, table4_variants, table_widen_config};
+use widen_bench::runners::{datasets, run_widen_transductive, table_widen_config};
+use widen_core::Variant;
 use widen_eval::RunAggregate;
 
 fn main() {
@@ -15,7 +16,7 @@ fn main() {
         opts.seeds.len()
     );
 
-    let variants = table4_variants();
+    let variants = Variant::table4_rows();
     let dataset_names = ["acm-like", "dblp-like", "yelp-like"];
     // scores[variant][dataset] → per-seed F1.
     let mut scores: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); 3]; variants.len()];

@@ -119,6 +119,22 @@ pub fn render_score(mean: f64, p_value: Option<f64>) -> String {
     }
 }
 
+/// The per-seed scores of the baseline with the highest mean in column
+/// `col` of `scores[method][col]` — WIDEN's paired t-test comparator.
+/// The WIDEN row (`widen_idx`) and empty cells are skipped, so `None`
+/// means no baseline ran in that column. Means are ordered by
+/// [`f64::total_cmp`], so a NaN mean cannot panic; a tie goes to the later
+/// method.
+pub fn best_baseline(scores: &[Vec<Vec<f64>>], col: usize, widen_idx: usize) -> Option<Vec<f64>> {
+    let mean = |s: &[f64]| s.iter().sum::<f64>() / s.len() as f64;
+    scores
+        .iter()
+        .enumerate()
+        .filter(|(m, row)| *m != widen_idx && !row[col].is_empty())
+        .max_by(|(_, a), (_, b)| mean(&a[col]).total_cmp(&mean(&b[col])))
+        .map(|(_, row)| row[col].clone())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,5 +177,21 @@ mod tests {
         assert_eq!(render_score(0.9269, Some(0.2)), "0.9269");
         assert_eq!(render_score(0.9269, Some(0.03)), "_0.9269_");
         assert_eq!(render_score(0.9269, Some(0.005)), "__0.9269__");
+    }
+
+    #[test]
+    fn best_baseline_skips_widen_and_empty_cells() {
+        // Rows are methods (WIDEN last), columns are datasets.
+        let scores = vec![
+            vec![vec![0.5, 0.7], vec![], vec![f64::NAN]],
+            vec![vec![0.8, 0.8], vec![], vec![0.4]],
+            vec![vec![0.9, 0.9], vec![0.6], vec![0.9]],
+        ];
+        // WIDEN's higher mean never makes it its own comparator.
+        assert_eq!(best_baseline(&scores, 0, 2), Some(vec![0.8, 0.8]));
+        // A column where only WIDEN ran has no comparator.
+        assert_eq!(best_baseline(&scores, 1, 2), None);
+        // A NaN mean is ordered, not a panic.
+        assert!(best_baseline(&scores, 2, 2).is_some());
     }
 }

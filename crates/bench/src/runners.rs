@@ -2,7 +2,7 @@
 //! the transductive and inductive protocols.
 
 use widen_baselines::{BaselineConfig, NodeClassifier};
-use widen_core::{Trainer, Variant, WidenConfig, WidenModel};
+use widen_core::{Trainer, WidenConfig, WidenModel};
 use widen_data::Dataset;
 use widen_eval::micro_f1;
 use widen_graph::NodeId;
@@ -11,7 +11,7 @@ use crate::harness::RunScale;
 
 /// Fixed neighbourhood-sampling seed used when scoring, so evaluation noise
 /// comes only from training randomness.
-const EVAL_SAMPLING_SEED: u64 = 0xE7A1;
+pub const EVAL_SAMPLING_SEED: u64 = 0xE7A1;
 
 /// WIDEN configuration for a harness scale.
 ///
@@ -93,7 +93,7 @@ pub fn run_widen_inductive(dataset: &Dataset, config: WidenConfig) -> f64 {
 }
 
 fn score_widen(model: &WidenModel, dataset: &Dataset, test: &[NodeId]) -> f64 {
-    // Logit averaging over 5 sampled neighbourhoods: the standard
+    // Logit averaging over 3 sampled neighbourhoods: the standard
     // variance-reduction step for sampling-based GNN inference.
     let preds = model.predict_ensemble(&dataset.graph, test, EVAL_SAMPLING_SEED, 3);
     let truth: Vec<usize> = test
@@ -149,11 +149,6 @@ pub fn datasets(scale: RunScale, seed: u64) -> Vec<Dataset> {
         widen_data::dblp_like(s, seed),
         widen_data::yelp_like(s, seed),
     ]
-}
-
-/// The Table 4 variants in paper order.
-pub fn table4_variants() -> Vec<(&'static str, Variant)> {
-    Variant::table4_rows()
 }
 
 #[cfg(test)]

@@ -351,10 +351,8 @@ impl<'g> Trainer<'g> {
         for epoch in 1..=config.epochs {
             let start = Stopwatch::start();
             let phase_before = self.phase_snapshot();
-            let epoch_span = tracer.as_ref().map(|t| t.span("core.trainer.epoch"));
-            let trace: TraceCtx<'_> = epoch_span
-                .as_ref()
-                .and_then(|s| Some((tracer.as_ref()?, s.trace()?, s.id()?)));
+            let epoch_span = tracer.as_ref().map(|t| (t, t.span("core.trainer.epoch")));
+            let trace: TraceCtx<'_> = epoch_span.as_ref().map(|(t, s)| (*t, s.trace(), s.id()));
             let epoch_start_ns = trace.map(|(t, ..)| t.now_ns());
             let mut shuffle_rng = StdRng::seed_from_u64(hash_seed(config.seed, &[2, epoch as u64]));
             order.shuffle(&mut shuffle_rng);
@@ -926,7 +924,7 @@ mod tests {
 
     #[test]
     fn tracing_and_profiling_capture_epoch_structure() {
-        use widen_obs::{chrome_trace_json, span_tree, validate_chrome_trace, Tracer};
+        use widen_obs::Tracer;
         let dataset = acm_like(Scale::Smoke, 13);
         let train: Vec<u32> = dataset.transductive.train[..20].to_vec();
         let mut cfg = tiny_config();
@@ -962,27 +960,24 @@ mod tests {
             }
 
             // The trace holds one epoch root per epoch, each with
-            // forward/backward/optim children (cross-thread parenting).
+            // forward/backward/downsample/optim children linked explicitly
+            // (cross-thread parenting); every parent is in the drained set.
             let records = tracer.drain();
-            // Real trainer spans (cross-thread, nested) survive the Chrome
-            // export: one valid, ts-ordered event per span.
-            assert_eq!(
-                validate_chrome_trace(&chrome_trace_json(&records)),
-                Ok(records.len())
-            );
-            let epoch_roots: Vec<_> = records
+            let ids: std::collections::HashSet<_> = records.iter().map(|r| r.id).collect();
+            assert!(records
                 .iter()
-                .filter(|r| r.name == "core.trainer.epoch")
-                .collect();
-            assert_eq!(epoch_roots.len(), 2);
-            for root in &epoch_roots {
-                let tree = span_tree(&records, root.trace);
-                assert_eq!(tree.len(), 1, "epoch root is the only root");
-                let child_names: Vec<&str> = tree[0]
-                    .children
+                .filter_map(|r| r.parent)
+                .all(|p| ids.contains(&p)));
+            let roots: Vec<_> = records.iter().filter(|r| r.parent.is_none()).collect();
+            assert_eq!(roots.len(), 2, "one root per epoch");
+            for root in &roots {
+                assert_eq!(root.name, "core.trainer.epoch");
+                let children: Vec<_> = records
                     .iter()
-                    .map(|c| records[c.index].name.as_str())
+                    .filter(|r| r.parent == Some(root.id))
                     .collect();
+                assert!(children.iter().all(|c| c.trace == root.trace));
+                let child_names: Vec<&str> = children.iter().map(|c| c.name.as_str()).collect();
                 for needed in [
                     "core.trainer.forward",
                     "core.trainer.backward",

@@ -1,7 +1,7 @@
-//! Minimal JSON helpers: escape-aware `push` writers shared by snapshots,
-//! flight records and the Chrome-trace exporter, and [`parse`], the workspace's one JSON reader (the
-//! vendored `serde_json` stub is write-only) — what the Chrome-trace
-//! validator and the tests that read a dump back go through.
+//! Minimal JSON helpers: escape-aware `push` writers shared by snapshots
+//! and flight records, and [`parse`], the workspace's one JSON reader (the
+//! vendored `serde_json` stub is write-only) — what the tests that read a
+//! dump back go through.
 
 /// Appends `s` as a JSON string literal (quoted, escaped).
 pub fn push_string(out: &mut String, s: &str) {

@@ -11,9 +11,9 @@
 //! * [`Stopwatch`] — wall-clock phase timing, accumulated into counters.
 //! * [`Registry`] — named get-or-create instrument store with
 //!   deterministic, name-sorted [`Snapshot`]s that render to JSON.
-//! * [`Tracer`] / [`Span`] — hierarchical span tracing with RAII guards,
-//!   parent links, and a Chrome `trace_event` exporter (open it in
-//!   Perfetto); zero-cost when disabled.
+//! * [`Tracer`] / [`Span`] — span tracing with RAII guards and explicit
+//!   parent links; [`Tracer::drain`] hands the start-ordered
+//!   [`SpanRecord`]s to their reader (the trainer's epoch spans).
 //! * [`SloReport`] / [`TelemetrySnapshot`] — percentile-grade summaries:
 //!   interpolated histogram quantiles (p50/p90/p99/max) and a process-wide
 //!   merge of multiple registries into one JSON view (the serving
@@ -49,7 +49,4 @@ pub use recorder::{FlightRecord, FlightRecorder, PhaseStamp};
 pub use registry::{Registry, Snapshot};
 pub use telemetry::TelemetrySnapshot;
 pub use timer::Stopwatch;
-pub use trace::{
-    chrome_trace_json, render_tree, span_tree, validate_chrome_trace, write_chrome_trace, Span,
-    SpanId, SpanRecord, TraceId, Tracer,
-};
+pub use trace::{Span, SpanId, SpanRecord, TraceId, Tracer};

@@ -10,6 +10,11 @@
 //! which other jobs happen to share its chunk, so coalescing is purely a
 //! throughput optimisation and responses equal serial single-request
 //! answers exactly.
+//!
+//! Each job's timing travels back with its completion as [`JobStamps`],
+//! the one per-job timing record: the reactor draws a request's flight
+//! record and, when the client asked, its wire span summary from the
+//! stamps of the slot that finished it.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -19,51 +24,11 @@ use crossbeam_channel::{Receiver, RecvTimeoutError};
 use widen_core::model::{argmax, InferState};
 use widen_obs::{buckets, Counter, Gauge, Histogram, Registry};
 
-use parking_lot::Mutex;
-
 use crate::cache::{EmbedCache, EmbedKey};
 use crate::error::ServeError;
 use crate::poll::WakePipe;
-use crate::protocol::{Response, WireSpan};
+use crate::protocol::Response;
 use crate::registry::ModelRegistry;
-
-/// Per-request tracing state, shared between the connection handler (which
-/// opens the request span and assembles the wire summary) and the batcher
-/// workers (which record child spans as the request's jobs move through
-/// the pipeline). Span times are nanosecond offsets from `start`, matching
-/// the [`WireSpan`] encoding; every recorded span carries `parent == 0`,
-/// the root's index in the final summary.
-pub(crate) struct RequestTrace {
-    /// When the request span opened (frame decoded).
-    pub start: Instant,
-    /// Client-chosen trace id, echoed in the summary.
-    pub trace_id: u64,
-    /// Child spans, in recording order.
-    pub spans: Mutex<Vec<WireSpan>>,
-}
-
-impl RequestTrace {
-    pub fn new(trace_id: u64) -> Self {
-        Self {
-            start: Instant::now(),
-            trace_id,
-            spans: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Records one child span covering `[from, to]`, clamped to the
-    /// request span's own origin.
-    pub fn record(&self, name: &str, from: Instant, to: Instant) {
-        let start_ns = from.saturating_duration_since(self.start).as_nanos() as u64;
-        let dur_ns = to.saturating_duration_since(from).as_nanos() as u64;
-        self.spans.lock().push(WireSpan {
-            name: name.to_string(),
-            parent: 0,
-            start_ns,
-            dur_ns,
-        });
-    }
-}
 
 /// What one coalescable unit of work computes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -87,9 +52,9 @@ pub(crate) enum JobOutput {
 }
 
 /// Monotonic lifecycle instants a job carries back to the reactor on its
-/// completion — the always-on raw material for the request-lifecycle
-/// histograms and the flight recorder. `Copy`, so the hot path moves a
-/// few instants, never allocates.
+/// completion — the one per-job timing record, raw material for the
+/// flight record and the wire span summary alike. `Copy`, so the hot path
+/// moves a few instants, never allocates.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct JobStamps {
     /// When the job entered the shared queue.
@@ -98,23 +63,26 @@ pub(crate) struct JobStamps {
     pub pulled: Instant,
     /// When its coalescing window closed (batch processing began).
     pub batch_start: Instant,
-    /// When its fused forward pass started (== `batch_start` for cache
-    /// hits and deadline drops, which never reach the model).
-    pub forward_start: Instant,
-    /// When its fused forward pass finished.
-    pub forward_end: Instant,
+    /// Start and end of the fused forward pass that computed it; `None`
+    /// for a cache hit or a deadline drop, which never ran the model.
+    pub forward: Option<(Instant, Instant)>,
 }
 
 impl JobStamps {
-    /// Stamps for a job answered at `batch_start` without a forward pass.
-    fn short_circuit(enqueued: Instant, pulled: Instant, batch_start: Instant) -> Self {
-        Self {
-            enqueued,
-            pulled,
-            batch_start,
-            forward_start: batch_start,
-            forward_end: batch_start,
-        }
+    /// The request-lifecycle phases these stamps cover, in order:
+    /// `(flight-record phase, wire span name, from, to)`. The one source
+    /// of both outputs, so they cannot disagree.
+    pub fn phases(&self) -> impl Iterator<Item = (&'static str, &'static str, Instant, Instant)> {
+        let (enqueued, pulled, batch_start) = (self.enqueued, self.pulled, self.batch_start);
+        [
+            ("queue_wait", "serve.batcher.queue_wait", enqueued, pulled),
+            ("coalesce", "serve.batcher.coalesce", pulled, batch_start),
+        ]
+        .into_iter()
+        .chain(
+            self.forward
+                .map(|(from, to)| ("forward", "serve.batcher.forward_batch", from, to)),
+        )
     }
 }
 
@@ -188,9 +156,17 @@ pub(crate) struct Job {
     /// When a worker pulled the job off the queue; initialised to
     /// `enqueued_at` and overwritten by `run_worker` at pull time.
     pub pulled_at: Instant,
-    /// Tracing state of the originating request, if the client asked for
-    /// a span summary. `None` keeps the fast path span-free.
-    pub trace: Option<Arc<RequestTrace>>,
+}
+
+impl Job {
+    fn stamps(&self, batch_start: Instant, forward: Option<(Instant, Instant)>) -> JobStamps {
+        JobStamps {
+            enqueued: self.enqueued_at,
+            pulled: self.pulled_at,
+            batch_start,
+            forward,
+        }
+    }
 }
 
 /// Coalescing knobs.
@@ -275,16 +251,6 @@ pub(crate) fn run_worker(
                 }
             }
         }
-        let window_close = Instant::now();
-        // Per traced job: queue-wait (enqueue → pull), then coalesce
-        // (pull → window close) — sequential by construction, so a
-        // request's child spans never overlap.
-        for job in &jobs {
-            if let Some(trace) = &job.trace {
-                trace.record("serve.batcher.queue_wait", job.enqueued_at, job.pulled_at);
-                trace.record("serve.batcher.coalesce", job.pulled_at, window_close);
-            }
-        }
         stats
             .batch_wait_us
             .observe(window_start.elapsed().as_micros() as f64);
@@ -350,7 +316,7 @@ fn process_batch(
             reply(
                 &job,
                 Err(ServeError::DeadlineExceeded),
-                JobStamps::short_circuit(job.enqueued_at, job.pulled_at, now),
+                job.stamps(now, None),
             );
             continue;
         }
@@ -361,17 +327,8 @@ fn process_batch(
                 graph_version,
                 seed: job.seed,
             };
-            let lookup_start = job.trace.as_ref().map(|_| Instant::now());
-            let hit = cache.get(&key);
-            if let (Some(trace), Some(t0)) = (&job.trace, lookup_start) {
-                trace.record("serve.batcher.cache_lookup", t0, Instant::now());
-            }
-            if let Some(row) = hit {
-                reply(
-                    &job,
-                    Ok(JobOutput::Embedding(row)),
-                    JobStamps::short_circuit(job.enqueued_at, job.pulled_at, now),
-                );
+            if let Some(row) = cache.get(&key) {
+                reply(&job, Ok(JobOutput::Embedding(row)), job.stamps(now, None));
                 continue;
             }
             missed.push((job.node, job.seed));
@@ -412,11 +369,6 @@ fn process_batch(
                         .saturating_duration_since(forward_start)
                         .as_micros() as f64,
                 );
-                for job in &group {
-                    if let Some(trace) = &job.trace {
-                        trace.record("serve.batcher.forward_batch", forward_start, forward_end);
-                    }
-                }
                 for (job, &i) in group.iter().zip(&row_of) {
                     let row = rows.row(i).to_vec();
                     cache.insert(
@@ -431,13 +383,7 @@ fn process_batch(
                     reply(
                         job,
                         Ok(JobOutput::Embedding(row)),
-                        JobStamps {
-                            enqueued: job.enqueued_at,
-                            pulled: job.pulled_at,
-                            batch_start: now,
-                            forward_start,
-                            forward_end,
-                        },
+                        job.stamps(now, Some((forward_start, forward_end))),
                     );
                 }
             }
@@ -451,23 +397,12 @@ fn process_batch(
                         .saturating_duration_since(forward_start)
                         .as_micros() as f64,
                 );
-                for job in &group {
-                    if let Some(trace) = &job.trace {
-                        trace.record("serve.batcher.forward_batch", forward_start, forward_end);
-                    }
-                }
                 for (job, &i) in group.iter().zip(&row_of) {
                     let label = argmax(logits.row(i)) as u32;
                     reply(
                         job,
                         Ok(JobOutput::Label(label)),
-                        JobStamps {
-                            enqueued: job.enqueued_at,
-                            pulled: job.pulled_at,
-                            batch_start: now,
-                            forward_start,
-                            forward_end,
-                        },
+                        job.stamps(now, Some((forward_start, forward_end))),
                     );
                 }
             }
@@ -518,7 +453,6 @@ mod tests {
             },
             enqueued_at,
             pulled_at: enqueued_at,
-            trace: None,
         }
     }
 
@@ -530,53 +464,42 @@ mod tests {
         }
     }
 
+    /// Unwraps the next per-job completion into its stamps.
+    fn stamps_of(rx: &mpsc::Receiver<Completion>) -> JobStamps {
+        match rx.recv().unwrap() {
+            Completion::Job { stamps, .. } => stamps,
+            Completion::Direct { .. } => panic!("unexpected direct completion"),
+        }
+    }
+
     #[test]
     fn completions_carry_ordered_lifecycle_stamps() {
         let registry = tiny_registry();
         let cache = Arc::new(EmbedCache::new(16));
         let stats = WorkerStats::new(&Registry::new());
         let (tx, rx) = mpsc::channel();
-        process_batch(
-            &registry,
-            &cache,
-            vec![job(JobKind::Embed, 0, 7, 0, &tx)],
-            &stats,
-            &mut None,
-        );
-        let stamps = match rx.recv().unwrap() {
-            Completion::Job { stamps, .. } => stamps,
-            Completion::Direct { .. } => panic!("unexpected direct completion"),
+        let serve = |job| {
+            process_batch(&registry, &cache, vec![job], &stats, &mut None);
+            stamps_of(&rx)
         };
-        assert!(stamps.enqueued <= stamps.pulled);
-        assert!(stamps.pulled <= stamps.batch_start);
-        assert!(stamps.batch_start <= stamps.forward_start);
-        assert!(stamps.forward_start <= stamps.forward_end);
-        // The always-on lifecycle histograms saw the job too.
-        assert_eq!(stats.queue_wait_us.snapshot().count, 1);
-        assert_eq!(stats.coalesce_us.snapshot().count, 1);
-        assert_eq!(stats.forward_us.snapshot().count, 1);
-    }
+        let computed = serve(job(JobKind::Embed, 0, 7, 0, &tx));
+        assert!(computed.enqueued <= computed.pulled);
+        assert!(computed.pulled <= computed.batch_start);
+        let (from, to) = computed.forward.expect("a computed job ran the model");
+        assert!(computed.batch_start <= from && from <= to);
 
-    #[test]
-    fn traced_jobs_record_lookup_and_forward_spans() {
-        let registry = tiny_registry();
-        let cache = Arc::new(EmbedCache::new(16));
-        let stats = WorkerStats::new(&Registry::new());
-        let (tx, rx) = mpsc::channel();
-        let trace = Arc::new(RequestTrace::new(0xABCD));
-        let mut traced = job(JobKind::Embed, 0, 7, 0, &tx);
-        traced.trace = Some(trace.clone());
-        process_batch(&registry, &cache, vec![traced], &stats, &mut None);
-        take(&rx).1.unwrap();
-        let spans = trace.spans.lock();
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["serve.batcher.cache_lookup", "serve.batcher.forward_batch"]
-        );
-        // Offsets are relative to the request start and sequential.
-        assert!(spans[0].start_ns + spans[0].dur_ns <= spans[1].start_ns);
-        assert!(spans.iter().all(|s| s.parent == 0));
+        // A cache hit and a deadline drop never reach the model.
+        let hit = serve(job(JobKind::Embed, 0, 7, 0, &tx));
+        assert!(hit.forward.is_none());
+        let mut expired = job(JobKind::Embed, 1, 7, 0, &tx);
+        expired.deadline = Instant::now() - Duration::from_millis(1);
+        assert!(serve(expired).forward.is_none());
+
+        // The always-on lifecycle histograms saw every job; the forward
+        // histogram only the one computed batch.
+        assert_eq!(stats.queue_wait_us.snapshot().count, 3);
+        assert_eq!(stats.coalesce_us.snapshot().count, 3);
+        assert_eq!(stats.forward_us.snapshot().count, 1);
     }
 
     #[test]

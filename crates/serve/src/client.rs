@@ -60,8 +60,8 @@ pub struct Client {
     /// When set, every request carries a trace context (version-2 frames)
     /// and the server's span summary lands in `last_trace`.
     tracing: bool,
-    /// Deterministic trace-id source; disabled so it records nothing
-    /// client-side, it only mints ids.
+    /// Deterministic trace-id source; nothing is recorded into it, it
+    /// only mints ids.
     tracer: Tracer,
     last_trace: Option<SpanSummary>,
     /// Responses received while waiting for a different id (pipelining).
@@ -86,7 +86,7 @@ impl Client {
             reader: FrameReader::new(),
             next_id: 1,
             tracing: false,
-            tracer: Tracer::disabled(0x5EED_7ACE),
+            tracer: Tracer::new(0x5EED_7ACE),
             last_trace: None,
             stash: Vec::new(),
             expected_nodes: HashMap::new(),

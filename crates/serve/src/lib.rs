@@ -34,10 +34,11 @@
 //!   request is answered before threads exit) are preserved from the
 //!   thread-per-connection front end this replaced.
 //! * trace-context extension — version-2 frames carry a client trace id
-//!   ([`Client::set_tracing`]); the server opens a request span, records
-//!   queue-wait / coalesce / cache-lookup / forward-batch child spans,
-//!   and returns the span tree on the response
-//!   ([`Client::last_trace`]). Version-1 peers interoperate unchanged.
+//!   ([`Client::set_tracing`]); the response returns the request's span
+//!   summary ([`Client::last_trace`]): the request root, then the queue
+//!   wait, coalesce and forward of the job that finished it — drawn from
+//!   the same stamps as its flight record. Version-1 peers interoperate
+//!   unchanged.
 //! * observability — the reactor and the batch workers stamp every
 //!   request's lifecycle into always-on histograms; the `Telemetry` wire
 //!   op ([`Client::telemetry`]), the one metrics op, returns the merged

@@ -49,7 +49,7 @@ use crossbeam_channel::{Sender, TrySendError};
 use rustc_hash::FxHashMap;
 use widen_obs::{buckets, Counter, FlightRecord, Gauge, Histogram, TelemetrySnapshot};
 
-use crate::batcher::{Completion, Job, JobKind, JobOutput, JobStamps, ReplySink, RequestTrace};
+use crate::batcher::{Completion, Job, JobKind, JobOutput, JobStamps, ReplySink};
 use crate::error::ServeError;
 use crate::poll::{poll_fds, pollfd, WakePipe, POLL_ERR, POLL_HUP, POLL_IN, POLL_NVAL, POLL_OUT};
 use crate::protocol::{
@@ -143,10 +143,11 @@ enum PendingKind {
 
 /// What the answering tail records about a request besides its response.
 struct RequestMeta {
-    /// When the frame was decoded — the origin of the request's latency,
-    /// its flight-record phases and its slow decision.
+    /// When the frame was complete — the origin of the request's latency,
+    /// its flight-record phases, its slow decision and its wire spans.
     started: Instant,
-    trace: Option<Arc<RequestTrace>>,
+    /// The client's trace id, when it asked for a span summary.
+    trace_id: Option<u64>,
     /// Request kind label for the flight record.
     kind_name: &'static str,
     /// Node count for the flight record.
@@ -614,7 +615,7 @@ impl Reactor {
                 return self.flush_conn(key);
             }
         };
-        let trace = trace_ctx.map(|ctx| Arc::new(RequestTrace::new(ctx.trace_id)));
+        let trace_id = trace_ctx.map(|ctx| ctx.trace_id);
         self.m
             .decode_us
             .observe(started.elapsed().as_micros() as f64);
@@ -622,7 +623,7 @@ impl Reactor {
         let deadline = started + self.shared.request_timeout;
         let meta = |kind_name, nodes: usize| RequestMeta {
             started,
-            trace,
+            trace_id,
             kind_name,
             nodes: nodes as u64,
         };
@@ -763,7 +764,6 @@ impl Reactor {
                 reply: self.sink.clone(),
                 enqueued_at: Instant::now(),
                 pulled_at: Instant::now(),
-                trace: meta.trace.clone(),
             };
             match self.job_tx.try_send(job) {
                 Ok(()) => enqueued += 1,
@@ -870,10 +870,12 @@ impl Reactor {
         Some(p)
     }
 
-    /// The one answering tail, inline or pending: encode, buffer, flush,
-    /// then close the accounting from one `total` — latency histogram,
-    /// slow decision, flight record, anomaly dump. Returns `false` when the
-    /// connection should close.
+    /// The one answering tail, inline or pending: encode (with the wire
+    /// span summary when the client asked for one), buffer, flush, then
+    /// close the accounting from one `total` — latency histogram, slow
+    /// decision, flight record, anomaly dump. The summary and the flight
+    /// record are drawn from the same stamps: the finishing slot's.
+    /// Returns `false` when the connection should close.
     fn answer(
         &mut self,
         conn: u64,
@@ -882,8 +884,10 @@ impl Reactor {
         stamps: Option<&JobStamps>,
     ) -> bool {
         self.shared.requests.inc();
-        let wire = match &meta.trace {
-            Some(trace) => encode_response_traced(response, &build_summary(trace)),
+        let wire = match meta.trace_id {
+            Some(trace_id) => {
+                encode_response_traced(response, &span_summary(trace_id, meta.started, stamps))
+            }
             None => encode_response(response),
         };
         let write_start = Instant::now();
@@ -926,14 +930,11 @@ impl Reactor {
         rec.nodes = meta.nodes.min(u32::MAX as u64) as u32;
         rec.outcome = outcome;
         rec.total_us = total.as_micros() as u64;
-        if let Some(s) = stamps {
-            let span = |a: Instant, b: Instant| b.saturating_duration_since(a).as_micros() as u64;
-            rec.push_phase("queue_wait", off(s.enqueued), span(s.enqueued, s.pulled));
-            rec.push_phase("coalesce", off(s.pulled), span(s.pulled, s.batch_start));
+        for (phase, _, from, to) in stamps.iter().flat_map(|s| s.phases()) {
             rec.push_phase(
-                "forward",
-                off(s.forward_start),
-                span(s.forward_start, s.forward_end),
+                phase,
+                off(from),
+                to.saturating_duration_since(from).as_micros() as u64,
             );
         }
         let write_us = write_start.elapsed().as_micros() as u64;
@@ -1079,21 +1080,30 @@ fn assemble(p: &Pending) -> Response {
     }
 }
 
-/// Assembles the wire summary: the request root span at index 0, then
-/// every child the batcher recorded (all parented to index 0).
-fn build_summary(trace: &RequestTrace) -> SpanSummary {
-    let children = trace.spans.lock().clone();
-    let mut spans = Vec::with_capacity(1 + children.len());
-    spans.push(WireSpan {
+/// The wire span summary: the `serve.server.request` root from `started`
+/// (the latency histogram's origin) to now, the response's encode; then,
+/// as its children, the finishing slot's lifecycle phases — the flight
+/// record's intervals, in nanoseconds from `started`.
+fn span_summary(trace_id: u64, started: Instant, stamps: Option<&JobStamps>) -> SpanSummary {
+    let ns = |from: Instant, to: Instant| to.saturating_duration_since(from).as_nanos() as u64;
+    let root = WireSpan {
         name: "serve.server.request".into(),
         parent: WireSpan::ROOT,
         start_ns: 0,
-        dur_ns: trace.start.elapsed().as_nanos() as u64,
-    });
-    spans.extend(children);
+        dur_ns: ns(started, Instant::now()),
+    };
+    let children = stamps
+        .iter()
+        .flat_map(|s| s.phases())
+        .map(|(_, name, from, to)| WireSpan {
+            name: name.into(),
+            parent: 0,
+            start_ns: ns(started, from),
+            dur_ns: ns(from, to),
+        });
     SpanSummary {
-        trace_id: trace.trace_id,
-        spans,
+        trace_id,
+        spans: std::iter::once(root).chain(children).collect(),
     }
 }
 
@@ -1178,7 +1188,7 @@ mod tests {
                 reap_at: now + Duration::from_secs(60),
                 meta: RequestMeta {
                     started: now,
-                    trace: None,
+                    trace_id: None,
                     kind_name: "embed",
                     nodes: 2,
                 },
@@ -1190,8 +1200,7 @@ mod tests {
             enqueued: now,
             pulled: now,
             batch_start: now,
-            forward_start: now,
-            forward_end: now,
+            forward: None,
         };
         let done = |slot, x: f32| Completion::Job {
             req: 7,

@@ -1,15 +1,17 @@
 //! End-to-end trace propagation through the serve path: a traced request
 //! must come back with a structurally sound server-side span summary
-//! (root request span first, children nested inside it), old-style
-//! untraced clients must keep working against the same server, and a
-//! slow request must land in the configured post-mortem as a flight
-//! record tagged `slow`, counted once.
+//! (root request span first, children nested inside it) drawn from the
+//! same lifecycle stamps as its flight record, old-style untraced clients
+//! must keep working against the same server, and a slow request must
+//! land in the configured post-mortem as a flight record tagged `slow`,
+//! counted once.
 
 use std::path::{Path, PathBuf};
 
 use widen::core::{WidenConfig, WidenModel};
 use widen::data::{acm_like, Scale};
-use widen::serve::{Client, ModelRegistry, ServeConfig, Server, WireSpan};
+use widen::obs::json::{self, JsonValue};
+use widen::serve::{Client, ModelRegistry, ServeConfig, Server, SpanSummary, WireSpan};
 
 fn registry(seed: u64) -> ModelRegistry {
     let dataset = acm_like(Scale::Smoke, seed);
@@ -29,8 +31,8 @@ fn traced_request_returns_nested_span_summary() {
     client.set_tracing(true);
 
     // Single-node request: its pipeline spans (queue-wait → coalesce →
-    // cache-lookup → forward) are sequential, so they must fit inside the
-    // request span both individually and summed.
+    // forward) are sequential, so they must fit inside the request span
+    // both individually and summed.
     let rows = client.embed(&[3], 7).expect("traced embed");
     assert_eq!(rows.len(), 1);
     let summary = client.last_trace().expect("span summary returned").clone();
@@ -192,4 +194,159 @@ fn slow_counter_matches_the_slow_flight_records() {
     assert_eq!(dumps.get(), 0);
     assert!(!off.exists(), "a disabled recorder writes no post-mortem");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The span names of a summary, in order.
+fn names(summary: &SpanSummary) -> Vec<&str> {
+    summary.spans.iter().map(|s| s.name.as_str()).collect()
+}
+
+/// A field of a parsed JSON object.
+fn field<'a>(value: &'a JsonValue, key: &str) -> &'a JsonValue {
+    match value {
+        JsonValue::Object(fields) => fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("no {key} in {value:?}")),
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+fn num(value: &JsonValue) -> u64 {
+    match value {
+        JsonValue::Num(n) => *n as u64,
+        other => panic!("not a number: {other:?}"),
+    }
+}
+
+/// One timeline: every traced request's wire summary is its flight
+/// record, in nanoseconds — the root from the latency histogram's origin,
+/// then the finishing slot's queue wait, coalesce and forward, the very
+/// intervals the record's phases hold in microseconds.
+#[test]
+fn wire_spans_are_the_flight_record_phases() {
+    let dir = temp_dir("one_timeline");
+    let path = dir.join("postmortem.jsonl");
+    let handle = Server::bind(registry(23), slow_config(&path), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    client.set_tracing(true);
+    let nodes: Vec<u32> = (0..8).collect();
+    let mut traced = Vec::new();
+    for seed in 0..4 {
+        let id = client.send_embed(&nodes, seed).expect("send");
+        assert_eq!(client.recv_embed(id).expect("traced embed").len(), 8);
+        traced.push((id, client.last_trace().expect("span summary").clone()));
+    }
+    handle.shutdown();
+
+    // Every request is slow under `slow_config`, so the last dump holds
+    // all of their records.
+    let dump = std::fs::read_to_string(&path).expect("post-mortem written");
+    let records: Vec<JsonValue> = dump
+        .lines()
+        .map(|line| json::parse(line).expect("record parses"))
+        .collect();
+    for (id, summary) in &traced {
+        assert_eq!(
+            names(summary),
+            [
+                "serve.server.request",
+                "serve.batcher.queue_wait",
+                "serve.batcher.coalesce",
+                "serve.batcher.forward_batch",
+            ]
+        );
+        let (root, children) = (&summary.spans[0], &summary.spans[1..]);
+        assert_eq!((root.parent, root.start_ns), (WireSpan::ROOT, 0));
+        let mut end = 0;
+        for child in children {
+            assert_eq!(child.parent, 0);
+            assert!(
+                child.start_ns >= end,
+                "{} overlaps its predecessor",
+                child.name
+            );
+            end = child.start_ns + child.dur_ns;
+        }
+        assert!(end <= root.dur_ns, "children escape the request span");
+
+        let record = records
+            .iter()
+            .find(|r| num(field(r, "id")) == *id)
+            .unwrap_or_else(|| panic!("no flight record for request {id} in {dump}"));
+        let JsonValue::Array(phases) = field(record, "phases") else {
+            panic!("phases is not an array: {record:?}");
+        };
+        for (span, phase) in children.iter().zip(["queue_wait", "coalesce", "forward"]) {
+            let stamp = phases
+                .iter()
+                .find(|p| matches!(field(p, "name"), JsonValue::Str(n) if n == phase))
+                .unwrap_or_else(|| panic!("no {phase} phase in {record:?}"));
+            assert_eq!(
+                span.start_ns / 1000,
+                num(field(stamp, "start_us")),
+                "{phase}"
+            );
+            assert_eq!(span.dur_ns / 1000, num(field(stamp, "dur_us")), "{phase}");
+        }
+        assert!(root.dur_ns <= num(field(record, "total_us")) * 1000 + 999);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A request whose every key hits the cache never ran the model: its
+/// timeline is the finishing slot's queue wait and coalesce, nothing more.
+#[test]
+fn an_all_hit_request_traces_root_queue_wait_and_coalesce() {
+    let handle = Server::bind(registry(29), ServeConfig::default(), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    client.set_tracing(true);
+    let nodes: Vec<u32> = (0..8).collect();
+    let cold = client.embed(&nodes, 5).expect("cold embed");
+    let cold_trace = client.last_trace().expect("cold summary");
+    assert_eq!(
+        names(cold_trace).last(),
+        Some(&"serve.batcher.forward_batch")
+    );
+    let hits = handle.stats().cache_hits;
+    let warm = client.embed(&nodes, 5).expect("warm embed");
+    assert_eq!(cold, warm);
+    assert_eq!(handle.stats().cache_hits, hits + 8, "every key hits");
+    assert_eq!(
+        names(client.last_trace().expect("warm summary")),
+        [
+            "serve.server.request",
+            "serve.batcher.queue_wait",
+            "serve.batcher.coalesce",
+        ]
+    );
+    handle.shutdown();
+}
+
+/// Requests the reactor answers without the batcher — a bad node, an
+/// empty node list, `Telemetry` — and an `Ingest` (answered by the ingest
+/// executor) carry the request root alone, from the histogram's origin.
+#[test]
+fn inline_answers_carry_a_root_only_summary() {
+    let handle = Server::bind(registry(31), ServeConfig::default(), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    client.set_tracing(true);
+    let root_only = |client: &Client, what: &str| {
+        let summary = client.last_trace().expect(what);
+        assert_eq!(names(summary), ["serve.server.request"], "{what}");
+        assert_eq!(summary.spans[0].start_ns, 0, "{what}");
+    };
+    assert!(client.embed(&[u32::MAX], 1).is_err());
+    root_only(&client, "bad node");
+    assert!(client.embed(&[], 1).expect("empty embed").is_empty());
+    root_only(&client, "empty node list");
+    client.telemetry().expect("telemetry");
+    root_only(&client, "telemetry");
+    let feat_dim = acm_like(Scale::Smoke, 31).graph.feature_dim();
+    client
+        .ingest(0, &vec![0.25; feat_dim], None, &[(0, 0), (1, 0)], 3)
+        .expect("ingest");
+    root_only(&client, "ingest");
+    handle.shutdown();
 }
