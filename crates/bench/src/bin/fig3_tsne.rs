@@ -11,6 +11,7 @@ use widen_bench::runners::{datasets, table_widen_config};
 use widen_core::{Trainer, WidenModel};
 use widen_eval::{silhouette_score, tsne, TsneConfig};
 use widen_graph::NodeId;
+use widen_obs::json::JsonValue;
 
 fn main() {
     let opts = parse_args();
@@ -19,7 +20,7 @@ fn main() {
         opts.scale
     );
     let seed = opts.seeds[0];
-    let mut json = serde_json::Map::new();
+    let mut json = Vec::new();
 
     for dataset in datasets(opts.scale, seed) {
         // Inductive training: held-out nodes never seen.
@@ -66,24 +67,24 @@ fn main() {
             sil_2d
         );
 
-        let points: Vec<serde_json::Value> = (0..coords.rows())
+        let points = (0..coords.rows())
             .map(|i| {
-                serde_json::json!({
-                    "x": coords.get(i, 0),
-                    "y": coords.get(i, 1),
-                    "class": labels[i],
-                })
+                JsonValue::object([
+                    ("x", coords.get(i, 0).into()),
+                    ("y", coords.get(i, 1).into()),
+                    ("class", labels[i].into()),
+                ])
             })
             .collect();
-        json.insert(
+        json.push((
             dataset.name.clone(),
-            serde_json::json!({
-                "silhouette_embedding": sil_embedding,
-                "silhouette_2d": sil_2d,
-                "points": points,
-            }),
-        );
+            JsonValue::object([
+                ("silhouette_embedding", sil_embedding.into()),
+                ("silhouette_2d", sil_2d.into()),
+                ("points", JsonValue::Array(points)),
+            ]),
+        ));
     }
     println!("\n(positive silhouettes = same-class nodes cluster; plot the JSON points to reproduce the figure)");
-    opts.write_json("fig3_tsne", &serde_json::Value::Object(json));
+    opts.write_json("fig3_tsne", &JsonValue::Object(json));
 }

@@ -13,6 +13,7 @@ use widen_bench::runners::{
 };
 use widen_core::{Trainer, WidenModel};
 use widen_eval::micro_f1;
+use widen_obs::json::JsonValue;
 use widen_tensor::ProfileReport;
 
 const EPOCHS: usize = 10;
@@ -50,12 +51,12 @@ fn main() {
                 secs_per_epoch,
                 f1
             );
-            json_rows.push(serde_json::json!({
-                "dataset": dataset.name,
-                "method": baseline.name(),
-                "secs_per_epoch": secs_per_epoch,
-                "f1_after_10_epochs": f1,
-            }));
+            json_rows.push(JsonValue::object([
+                ("dataset", dataset.name.as_str().into()),
+                ("method", baseline.name().into()),
+                ("secs_per_epoch", secs_per_epoch.into()),
+                ("f1_after_10_epochs", f1.into()),
+            ]));
         }
 
         let mut widen_cfg = table_widen_config(opts.scale).with_seed(seed);
@@ -106,35 +107,52 @@ fn main() {
             println!("WIDEN per-op profile (top 8 by self-time, all epochs):");
             println!("{}", profile.render_table(8));
         }
-        json_rows.push(serde_json::json!({
-            "dataset": dataset.name,
-            "method": "WIDEN",
-            "secs_per_epoch": secs_per_epoch,
-            "f1_after_10_epochs": f1,
-            "per_epoch_secs": report.epoch_secs,
-            "per_epoch_stages": report.epoch_stats.iter().map(|s| serde_json::json!({
-                "forward_nanos": s.forward_nanos,
-                "backward_nanos": s.backward_nanos,
-                "optim_nanos": s.optim_nanos,
-                "downsample_nanos": s.downsample_nanos,
-                "packaging_nanos": s.packaging_nanos,
-            })).collect::<Vec<_>>(),
-            "wide_drops": report.wide_drops,
-            "deep_drops": report.deep_drops,
-            "profile": {
-                "fwd_ms": profile.fwd_nanos_total as f64 / 1e6,
-                "bwd_ms": profile.bwd_nanos_total as f64 / 1e6,
-                "est_gflop": profile.total_flops() as f64 / 1e9,
-                "top_ops": profile.top_k(8).iter().map(|o| serde_json::json!({
-                    "op": o.name,
-                    "count": o.count,
-                    "fwd_ms": o.fwd_nanos as f64 / 1e6,
-                    "bwd_ms": o.bwd_nanos as f64 / 1e6,
-                    "est_gflop": o.flops as f64 / 1e9,
-                    "last_shape": o.last_shape,
-                })).collect::<Vec<_>>(),
-            },
-        }));
+        let stages: Vec<_> = report
+            .epoch_stats
+            .iter()
+            .map(|s| {
+                JsonValue::object([
+                    ("forward_nanos", s.forward_nanos.into()),
+                    ("backward_nanos", s.backward_nanos.into()),
+                    ("optim_nanos", s.optim_nanos.into()),
+                    ("downsample_nanos", s.downsample_nanos.into()),
+                    ("packaging_nanos", s.packaging_nanos.into()),
+                ])
+            })
+            .collect();
+        let top_ops: Vec<_> = profile
+            .top_k(8)
+            .iter()
+            .map(|o| {
+                JsonValue::object([
+                    ("op", o.name.into()),
+                    ("count", o.count.into()),
+                    ("fwd_ms", (o.fwd_nanos as f64 / 1e6).into()),
+                    ("bwd_ms", (o.bwd_nanos as f64 / 1e6).into()),
+                    ("est_gflop", (o.flops as f64 / 1e9).into()),
+                    ("last_shape", o.last_shape.as_str().into()),
+                ])
+            })
+            .collect();
+        json_rows.push(JsonValue::object([
+            ("dataset", dataset.name.as_str().into()),
+            ("method", "WIDEN".into()),
+            ("secs_per_epoch", secs_per_epoch.into()),
+            ("f1_after_10_epochs", f1.into()),
+            ("per_epoch_secs", report.epoch_secs.as_slice().into()),
+            ("per_epoch_stages", JsonValue::Array(stages)),
+            ("wide_drops", report.wide_drops.into()),
+            ("deep_drops", report.deep_drops.into()),
+            (
+                "profile",
+                JsonValue::object([
+                    ("fwd_ms", (profile.fwd_nanos_total as f64 / 1e6).into()),
+                    ("bwd_ms", (profile.bwd_nanos_total as f64 / 1e6).into()),
+                    ("est_gflop", (profile.total_flops() as f64 / 1e9).into()),
+                    ("top_ops", JsonValue::Array(top_ops)),
+                ]),
+            ),
+        ]));
     }
-    opts.write_json("fig4_efficiency", &serde_json::Value::Array(json_rows));
+    opts.write_json("fig4_efficiency", &JsonValue::Array(json_rows));
 }

@@ -14,6 +14,7 @@ use widen_bench::runners::{datasets, table_widen_config};
 use widen_core::{Trainer, WidenModel};
 use widen_data::subsample_nodes;
 use widen_eval::timing::linear_fit;
+use widen_obs::json::JsonValue;
 
 const RATIOS: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
 /// Fits per point; the quietest (fastest) one is the point.
@@ -71,13 +72,13 @@ fn main() {
         );
         xs.push(*ratio);
         ys.push(secs);
-        json_rows.push(serde_json::json!({
-            "ratio": ratio,
-            "nodes": graph.num_nodes(),
-            "train_nodes": train.len(),
-            "train_secs": secs,
-            "fit_secs": fits,
-        }));
+        json_rows.push(JsonValue::object([
+            ("ratio", (*ratio).into()),
+            ("nodes", graph.num_nodes().into()),
+            ("train_nodes", train.len().into()),
+            ("train_secs", secs.into()),
+            ("fit_secs", fits.as_slice().into()),
+        ]));
     }
 
     let (slope, intercept, r2) = linear_fit(&xs, &ys);
@@ -87,11 +88,18 @@ fn main() {
     );
     opts.write_json(
         "fig5_scalability",
-        &serde_json::json!({
-            "points": json_rows,
-            "fit": { "slope": slope, "intercept": intercept, "r2": r2 },
-            "min_r2": MIN_R2,
-        }),
+        &JsonValue::object([
+            ("points", JsonValue::Array(json_rows)),
+            (
+                "fit",
+                JsonValue::object([
+                    ("slope", slope.into()),
+                    ("intercept", intercept.into()),
+                    ("r2", r2.into()),
+                ]),
+            ),
+            ("min_r2", MIN_R2.into()),
+        ]),
     );
     if r2 < MIN_R2 {
         eprintln!("fig5_scalability: R² {r2:.4} is below the {MIN_R2} gate");

@@ -6,6 +6,7 @@
 use widen_bench::parse_args;
 use widen_bench::runners::{datasets, run_widen_transductive, table_widen_config};
 use widen_bench::RunScale;
+use widen_obs::json::JsonValue;
 
 fn main() {
     let opts = parse_args();
@@ -32,10 +33,10 @@ fn main() {
             ),
         };
 
-    let mut json = serde_json::Map::new();
+    let mut json = Vec::new();
     for dataset in datasets(opts.scale, seed) {
         println!("\n--- {} ---", dataset.name);
-        let mut block = serde_json::Map::new();
+        let mut block = Vec::new();
         for (param, grid) in [
             ("d", &d_grid),
             ("N_w", &nw_grid),
@@ -60,12 +61,15 @@ fn main() {
                     &dataset.transductive.test,
                 );
                 print!("  {value}→{f1:.4}");
-                series.push(serde_json::json!({ "value": value, "f1": f1 }));
+                series.push(JsonValue::object([
+                    ("value", value.into()),
+                    ("f1", f1.into()),
+                ]));
             }
             println!();
-            block.insert(param.to_string(), serde_json::Value::Array(series));
+            block.push((param.to_string(), JsonValue::Array(series)));
         }
-        json.insert(dataset.name.clone(), serde_json::Value::Object(block));
+        json.push((dataset.name.clone(), JsonValue::Object(block)));
     }
-    opts.write_json("fig6_sensitivity", &serde_json::Value::Object(json));
+    opts.write_json("fig6_sensitivity", &JsonValue::Object(json));
 }

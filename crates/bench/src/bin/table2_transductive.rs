@@ -12,6 +12,7 @@ use widen_bench::runners::{
 use widen_bench::{parse_args, RunScale};
 use widen_data::subset_fraction;
 use widen_eval::{paired_t_test, RunAggregate};
+use widen_obs::json::JsonValue;
 
 const FRACTIONS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
 
@@ -90,17 +91,19 @@ fn main() {
             println!();
             for (f_idx, f) in FRACTIONS.iter().enumerate() {
                 if !scores[m_idx][f_idx].is_empty() {
-                    json_rows.push(serde_json::json!({
-                        "dataset": dataset_name,
-                        "method": name,
-                        "fraction": f,
-                        "mean": RunAggregate::new(scores[m_idx][f_idx].clone()).mean(),
-                        "std": RunAggregate::new(scores[m_idx][f_idx].clone()).std(),
-                        "samples": scores[m_idx][f_idx],
-                    }));
+                    let samples = &scores[m_idx][f_idx];
+                    let agg = RunAggregate::new(samples.clone());
+                    json_rows.push(JsonValue::object([
+                        ("dataset", dataset_name.as_str().into()),
+                        ("method", (*name).into()),
+                        ("fraction", (*f).into()),
+                        ("mean", agg.mean().into()),
+                        ("std", agg.std().into()),
+                        ("samples", samples.as_slice().into()),
+                    ]));
                 }
             }
         }
     }
-    opts.write_json("table2_transductive", &serde_json::Value::Array(json_rows));
+    opts.write_json("table2_transductive", &JsonValue::Array(json_rows));
 }

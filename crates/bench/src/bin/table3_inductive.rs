@@ -12,6 +12,7 @@ use widen_bench::runners::{
     table_widen_config,
 };
 use widen_eval::{paired_t_test, RunAggregate};
+use widen_obs::json::JsonValue;
 
 fn main() {
     let opts = parse_args();
@@ -72,15 +73,15 @@ fn main() {
                 None
             };
             print!(" {:>14}", render_score(agg.mean(), p));
-            json_rows.push(serde_json::json!({
-                "dataset": dataset_names[d_idx],
-                "method": name,
-                "mean": agg.mean(),
-                "std": agg.std(),
-                "samples": samples,
-            }));
+            json_rows.push(JsonValue::object([
+                ("dataset", dataset_names[d_idx].into()),
+                ("method", name.as_str().into()),
+                ("mean", agg.mean().into()),
+                ("std", agg.std().into()),
+                ("samples", samples.as_slice().into()),
+            ]));
         }
         println!();
     }
-    opts.write_json("table3_inductive", &serde_json::Value::Array(json_rows));
+    opts.write_json("table3_inductive", &JsonValue::Array(json_rows));
 }

@@ -7,6 +7,7 @@ use widen_bench::parse_args;
 use widen_bench::runners::{datasets, run_widen_transductive, table_widen_config};
 use widen_core::Variant;
 use widen_eval::RunAggregate;
+use widen_obs::json::JsonValue;
 
 fn main() {
     let opts = parse_args();
@@ -55,17 +56,17 @@ fn main() {
             let severe = agg.mean() < default_means[d_idx] * 0.95;
             let marker = if severe { "↓" } else { "" };
             print!(" {:>9}{}", format!("{:.4}", agg.mean()), marker);
-            json_rows.push(serde_json::json!({
-                "variant": name,
-                "dataset": dataset_names[d_idx],
-                "mean": agg.mean(),
-                "std": agg.std(),
-                "severe_drop": severe,
-                "samples": scores[v_idx][d_idx],
-            }));
+            json_rows.push(JsonValue::object([
+                ("variant", (*name).into()),
+                ("dataset", dataset_names[d_idx].into()),
+                ("mean", agg.mean().into()),
+                ("std", agg.std().into()),
+                ("severe_drop", severe.into()),
+                ("samples", scores[v_idx][d_idx].as_slice().into()),
+            ]));
         }
         println!();
     }
     println!("\n(↓ marks a >5% drop relative to the Default row, as in the paper)");
-    opts.write_json("table4_ablation", &serde_json::Value::Array(json_rows));
+    opts.write_json("table4_ablation", &JsonValue::Array(json_rows));
 }

@@ -3,6 +3,7 @@
 use std::path::PathBuf;
 
 use widen_data::Scale;
+use widen_obs::json::{self, JsonValue};
 
 /// Experiment scale: `smoke` finishes in seconds (CI-sized graphs), `table`
 /// is the committed scale whose outputs EXPERIMENTS.md records.
@@ -50,14 +51,10 @@ impl HarnessOpts {
     ///
     /// # Panics
     /// Panics on IO errors — harnesses should fail loudly.
-    pub fn write_json(&self, name: &str, value: &serde_json::Value) {
+    pub fn write_json(&self, name: &str, value: &JsonValue) {
         std::fs::create_dir_all(&self.out_dir).expect("create results dir");
         let path = self.out_dir.join(format!("{name}.json"));
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(value).expect("serialise"),
-        )
-        .expect("write results");
+        std::fs::write(&path, json::pretty(value)).expect("write results");
         println!("\n[results written to {}]", path.display());
     }
 }

@@ -233,7 +233,7 @@ impl WidenModel {
     /// Serialises the trained weights into a checkpoint buffer
     /// (hyperparameters and graph metadata live in code/config, weights in
     /// the checkpoint).
-    pub fn save_weights(&self) -> bytes::Bytes {
+    pub fn save_weights(&self) -> Vec<u8> {
         widen_tensor::save_params(&self.params)
     }
 

@@ -1,7 +1,9 @@
-//! Minimal JSON helpers: escape-aware `push` writers shared by snapshots
-//! and flight records, and [`parse`], the workspace's one JSON reader (the
-//! vendored `serde_json` stub is write-only) — what the tests that read a
-//! dump back go through.
+//! The workspace's one JSON reader and writer. [`JsonValue`] is the tree
+//! both directions share: [`parse`] reads a document into it (the tests
+//! that read a dump back go through it) and [`pretty`] writes one out (the
+//! bench harnesses' result files). The escape-aware `push` writers under
+//! [`pretty`] also serve the snapshots and flight records that stream
+//! their JSON without building a tree.
 
 /// Appends `s` as a JSON string literal (quoted, escaped).
 pub fn push_string(out: &mut String, s: &str) {
@@ -47,6 +49,94 @@ pub enum JsonValue {
     Array(Vec<JsonValue>),
     /// An object as `(key, value)` pairs.
     Object(Vec<(String, JsonValue)>),
+}
+
+impl JsonValue {
+    /// An object holding `fields` in the given order.
+    pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, JsonValue)>) -> Self {
+        JsonValue::Object(
+            fields
+                .into_iter()
+                .map(|(key, value)| (key.to_owned(), value))
+                .collect(),
+        )
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::Str(s.to_owned())
+    }
+}
+
+macro_rules! from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(n: $t) -> Self {
+                JsonValue::Num(n as f64)
+            }
+        }
+    )*};
+}
+from_number!(f32, f64, u64, usize);
+
+impl<T: Clone + Into<JsonValue>> From<&[T]> for JsonValue {
+    fn from(items: &[T]) -> Self {
+        JsonValue::Array(items.iter().cloned().map(Into::into).collect())
+    }
+}
+
+/// Pretty-prints `value`: 2-space indent, `"key": value`, and `[]` / `{}`
+/// for empty containers. Numbers go through [`push_f64`], so a non-finite
+/// one prints as `null`.
+pub fn pretty(value: &JsonValue) -> String {
+    let mut out = String::new();
+    push_pretty(&mut out, value, 0);
+    out
+}
+
+fn push_pretty(out: &mut String, value: &JsonValue, depth: usize) {
+    match value {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        JsonValue::Num(n) => push_f64(out, *n),
+        JsonValue::Str(s) => push_string(out, s),
+        JsonValue::Array(items) if items.is_empty() => out.push_str("[]"),
+        JsonValue::Object(fields) if fields.is_empty() => out.push_str("{}"),
+        JsonValue::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                push_item_break(out, i, depth + 1);
+                push_pretty(out, item, depth + 1);
+            }
+            push_item_break(out, 0, depth);
+            out.push(']');
+        }
+        JsonValue::Object(fields) => {
+            out.push('{');
+            for (i, (key, item)) in fields.iter().enumerate() {
+                push_item_break(out, i, depth + 1);
+                push_string(out, key);
+                out.push_str(": ");
+                push_pretty(out, item, depth + 1);
+            }
+            push_item_break(out, 0, depth);
+            out.push('}');
+        }
+    }
+}
+
+/// The comma after item `i - 1` (none before the first), then a newline
+/// indented to `depth`.
+fn push_item_break(out: &mut String, i: usize, depth: usize) {
+    out.push_str(if i > 0 { ",\n" } else { "\n" });
+    out.push_str(&"  ".repeat(depth));
 }
 
 /// Strict recursive-descent parse of one complete JSON document; the error
@@ -283,6 +373,144 @@ mod tests {
             "{\"n\":01e}",
         ] {
             assert!(parse(bad).is_err(), "accepted `{bad}`");
+        }
+    }
+
+    /// [`golden_doc`] as the vendored `serde_json` printer, which wrote the
+    /// bench result files before [`pretty`], laid it out: byte for byte but
+    /// for one chosen difference, `-0.0` prints `-0`, not `0`. That printer
+    /// sent integral numbers through `i64`, dropping the sign of zero;
+    /// [`push_f64`]'s shortest round-trip form keeps it and stays the one
+    /// number formatter. Every other number prints the same either way.
+    const GOLDEN_PRETTY: &str = r#"{
+  "text": "quote \" backslash \\ newline \n ctrl \u0001 café 图",
+  "ints": [
+    0,
+    7,
+    -3
+  ],
+  "fractions": [
+    0.25,
+    -1.5
+  ],
+  "big": 1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,
+  "neg_zero": -0,
+  "nan": null,
+  "flags": [
+    true,
+    false,
+    null
+  ],
+  "empty_array": [],
+  "empty_object": {},
+  "nested": {
+    "level": {
+      "deeper": [
+        [
+          1,
+          2
+        ],
+        {
+          "k": "v"
+        }
+      ]
+    }
+  }
+}"#;
+
+    fn golden_doc() -> JsonValue {
+        JsonValue::object([
+            (
+                "text",
+                "quote \" backslash \\ newline \n ctrl \u{1} café 图".into(),
+            ),
+            ("ints", [0.0, 7.0, -3.0].as_slice().into()),
+            ("fractions", [0.25, -1.5].as_slice().into()),
+            ("big", 1e300.into()),
+            ("neg_zero", (-0.0).into()),
+            ("nan", f64::NAN.into()),
+            (
+                "flags",
+                JsonValue::Array(vec![true.into(), false.into(), JsonValue::Null]),
+            ),
+            ("empty_array", JsonValue::Array(Vec::new())),
+            ("empty_object", JsonValue::object([])),
+            (
+                "nested",
+                JsonValue::object([(
+                    "level",
+                    JsonValue::object([(
+                        "deeper",
+                        JsonValue::Array(vec![
+                            [1usize, 2].as_slice().into(),
+                            JsonValue::object([("k", "v".into())]),
+                        ]),
+                    )]),
+                )]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn pretty_reproduces_the_golden_layout() {
+        assert_eq!(pretty(&golden_doc()), GOLDEN_PRETTY);
+        // It reads back as the same tree, but for NaN, written as `null`.
+        let JsonValue::Object(mut fields) = golden_doc() else {
+            unreachable!()
+        };
+        fields[5].1 = JsonValue::Null;
+        assert_eq!(parse(GOLDEN_PRETTY), Ok(JsonValue::Object(fields)));
+    }
+
+    /// A finite document drawn from `state`: containers of at most four
+    /// items nested `depth` deep, strings over quotes, escapes, controls
+    /// and non-ASCII (astral included), numbers over every finite bit
+    /// pattern.
+    fn arbitrary_doc(state: &mut u64, depth: usize) -> JsonValue {
+        const CHARS: [char; 10] = ['a', 'Z', '"', '\\', '\n', '\t', '\u{1}', '\u{7f}', 'é', '𝄞'];
+        let mut next = || {
+            // SplitMix64.
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let kinds = if depth == 0 { 4 } else { 6 };
+        let kind = next() % kinds;
+        let len = next() % 5;
+        match kind {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(len % 2 == 0),
+            2 => {
+                let bits = next();
+                let n = f64::from_bits(bits);
+                JsonValue::Num(if n.is_finite() {
+                    n
+                } else {
+                    (bits >> 11) as f64
+                })
+            }
+            3 => JsonValue::Str(
+                (0..len)
+                    .map(|_| CHARS[(next() % CHARS.len() as u64) as usize])
+                    .collect(),
+            ),
+            4 => JsonValue::Array((0..len).map(|_| arbitrary_doc(state, depth - 1)).collect()),
+            _ => JsonValue::Object(
+                (0..len)
+                    .map(|i| (format!("k{i}"), arbitrary_doc(state, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn parse_reads_back_what_pretty_writes(seed in proptest::arbitrary::any::<u64>()) {
+            let mut state = seed;
+            let doc = arbitrary_doc(&mut state, 4);
+            proptest::prop_assert_eq!(parse(&pretty(&doc)), Ok(doc));
         }
     }
 

@@ -21,6 +21,9 @@
 //! * [`FlightRecorder`] — always-on lock-sharded ring of recent request
 //!   timelines ([`FlightRecord`]s), dumped as a JSONL post-mortem when an
 //!   anomaly (shed, deadline drop, slow request) fires.
+//! * [`json`] — the workspace's one JSON reader and writer:
+//!   [`parse`](json::parse) and [`pretty`](json::pretty) over one
+//!   [`JsonValue`](json::JsonValue) tree.
 //!
 //! Two registry scopes exist by convention: subsystems with a clear owner
 //! (one server, one trainer) hold their **own** [`Registry`] so concurrent

@@ -13,9 +13,8 @@
 //! version and every pre-mutation key simply stops being asked for.
 
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 use widen_obs::{Counter, Registry};
 
@@ -225,7 +224,7 @@ impl EmbedCache {
 
     /// Cached embedding for `key`, if present.
     pub fn get(&self, key: &EmbedKey) -> Option<Vec<f32>> {
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let (lru, stats) = &mut *guard;
         let hit = lru.get(key).cloned();
         if hit.is_some() {
@@ -244,7 +243,8 @@ impl EmbedCache {
 
     /// Stores an embedding.
     pub fn insert(&self, key: EmbedKey, value: Vec<f32>) {
-        self.inner.lock().0.insert(key, value);
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        guard.0.insert(key, value);
     }
 
     /// Drops every cached embedding whose key `keep` rejects, keeping
@@ -258,17 +258,19 @@ impl EmbedCache {
     /// new generation — which is why it selects by key instead of dropping
     /// everything: those rows are current and must survive.
     pub fn retain(&self, keep: impl FnMut(&EmbedKey) -> bool) {
-        self.inner.lock().0.retain(keep);
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        guard.0.retain(keep);
     }
 
     /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().1
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).1
     }
 
     /// Live entry count.
     pub fn len(&self) -> usize {
-        self.inner.lock().0.len()
+        let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        guard.0.len()
     }
 
     /// Whether nothing is cached.
@@ -421,5 +423,29 @@ mod tests {
             ..key
         };
         assert!(cache.get(&other).is_none());
+    }
+
+    #[test]
+    fn a_panic_while_holding_the_lock_does_not_wedge_the_cache() {
+        let cache = EmbedCache::new(8);
+        let key = EmbedKey {
+            node: 1,
+            checkpoint_hash: 0xAB,
+            graph_version: 0,
+            seed: 7,
+        };
+        cache.insert(key, vec![1.0]);
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let _guard = cache.inner.lock();
+                panic!("worker dies holding the cache lock");
+            });
+            assert!(worker.join().is_err());
+        });
+        assert!(cache.inner.is_poisoned());
+        assert_eq!(cache.get(&key), Some(vec![1.0]));
+        cache.insert(EmbedKey { node: 2, ..key }, vec![2.0]);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().hits, 1);
     }
 }

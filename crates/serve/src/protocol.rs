@@ -64,8 +64,6 @@
 //! kind), and both decoders here accept either version, so old and new
 //! binaries interoperate on the same port.
 
-use bytes::BufMut;
-
 use crate::error::ServeError;
 
 /// Frame body magic.
@@ -324,11 +322,11 @@ fn frame(mut b: Vec<u8>) -> Vec<u8> {
 /// place.
 fn body_header(version: u16, msg_type: u8, id: u64, payload_hint: usize) -> Vec<u8> {
     let mut b = Vec::with_capacity(4 + 15 + payload_hint);
-    b.put_slice(&[0; 4]);
-    b.put_slice(&MAGIC);
-    b.put_u16_le(version);
-    b.put_slice(&[msg_type]);
-    b.put_u64_le(id);
+    b.extend_from_slice(&[0; 4]);
+    b.extend_from_slice(&MAGIC);
+    b.extend_from_slice(&version.to_le_bytes());
+    b.push(msg_type);
+    b.extend_from_slice(&id.to_le_bytes());
     b
 }
 
@@ -345,10 +343,10 @@ fn request_body(req: &Request, version: u16) -> Vec<u8> {
     match req {
         Request::Embed { id, seed, nodes } => {
             let mut b = body_header(version, TYPE_EMBED, *id, 12 + nodes.len() * 4);
-            b.put_u64_le(*seed);
-            b.put_u32_le(nodes.len() as u32);
+            b.extend_from_slice(&seed.to_le_bytes());
+            b.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
             for &n in nodes {
-                b.put_u32_le(n);
+                b.extend_from_slice(&n.to_le_bytes());
             }
             b
         }
@@ -359,11 +357,11 @@ fn request_body(req: &Request, version: u16) -> Vec<u8> {
             nodes,
         } => {
             let mut b = body_header(version, TYPE_CLASSIFY, *id, 16 + nodes.len() * 4);
-            b.put_u64_le(*seed);
-            b.put_u32_le(*rounds);
-            b.put_u32_le(nodes.len() as u32);
+            b.extend_from_slice(&seed.to_le_bytes());
+            b.extend_from_slice(&rounds.to_le_bytes());
+            b.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
             for &n in nodes {
-                b.put_u32_le(n);
+                b.extend_from_slice(&n.to_le_bytes());
             }
             b
         }
@@ -378,21 +376,21 @@ fn request_body(req: &Request, version: u16) -> Vec<u8> {
         } => {
             let hint = 8 + 3 + 2 + 4 + features.len() * 4 + 4 + edges.len() * 6;
             let mut b = body_header(version, TYPE_INGEST, *id, hint);
-            b.put_u64_le(*seed);
-            b.put_u16_le(*node_type);
+            b.extend_from_slice(&seed.to_le_bytes());
+            b.extend_from_slice(&node_type.to_le_bytes());
             match label {
                 Some(l) => {
-                    b.put_slice(&[1]);
-                    b.put_u16_le(*l);
+                    b.push(1);
+                    b.extend_from_slice(&l.to_le_bytes());
                 }
-                None => b.put_slice(&[0]),
+                None => b.push(0),
             }
-            b.put_u32_le(features.len() as u32);
+            b.extend_from_slice(&(features.len() as u32).to_le_bytes());
             put_f32s_le(&mut b, features);
-            b.put_u32_le(edges.len() as u32);
+            b.extend_from_slice(&(edges.len() as u32).to_le_bytes());
             for &(peer, t) in edges {
-                b.put_u32_le(peer);
-                b.put_u16_le(t);
+                b.extend_from_slice(&peer.to_le_bytes());
+                b.extend_from_slice(&t.to_le_bytes());
             }
             b
         }
@@ -410,8 +408,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// is otherwise identical to the plain one.
 pub fn encode_request_traced(req: &Request, trace: &TraceContext) -> Vec<u8> {
     let mut b = request_body(req, VERSION_TRACED);
-    b.put_slice(&[EXT_TRACE]);
-    b.put_u64_le(trace.trace_id);
+    b.push(EXT_TRACE);
+    b.extend_from_slice(&trace.trace_id.to_le_bytes());
     frame(b)
 }
 
@@ -434,9 +432,9 @@ pub fn encode_response_traced(resp: &Response, summary: &SpanSummary) -> Vec<u8>
     if b.len() - 4 + ext_max > MAX_FRAME_LEN {
         return frame(response_body(resp, VERSION));
     }
-    b.put_slice(&[EXT_TRACE]);
-    b.put_u64_le(summary.trace_id);
-    b.put_u16_le(count as u16);
+    b.push(EXT_TRACE);
+    b.extend_from_slice(&summary.trace_id.to_le_bytes());
+    b.extend_from_slice(&(count as u16).to_le_bytes());
     for span in &summary.spans[..count] {
         let mut name = span.name.as_str();
         if name.len() > 255 {
@@ -446,11 +444,11 @@ pub fn encode_response_traced(resp: &Response, summary: &SpanSummary) -> Vec<u8>
             }
             name = &name[..cut];
         }
-        b.put_slice(&[name.len() as u8]);
-        b.put_slice(name.as_bytes());
-        b.put_u16_le(span.parent);
-        b.put_u64_le(span.start_ns);
-        b.put_u64_le(span.dur_ns);
+        b.push(name.len() as u8);
+        b.extend_from_slice(name.as_bytes());
+        b.extend_from_slice(&span.parent.to_le_bytes());
+        b.extend_from_slice(&span.start_ns.to_le_bytes());
+        b.extend_from_slice(&span.dur_ns.to_le_bytes());
     }
     frame(b)
 }
@@ -464,24 +462,24 @@ fn response_body(resp: &Response, version: u16) -> Vec<u8> {
             } else {
                 values.len() as u32 / dim
             };
-            b.put_u32_le(rows);
-            b.put_u32_le(*dim);
+            b.extend_from_slice(&rows.to_le_bytes());
+            b.extend_from_slice(&dim.to_le_bytes());
             put_f32s_le(&mut b, values);
             b
         }
         Response::Classes { id, labels } => {
             let mut b = body_header(version, TYPE_CLASSES, *id, 4 + labels.len() * 4);
-            b.put_u32_le(labels.len() as u32);
+            b.extend_from_slice(&(labels.len() as u32).to_le_bytes());
             for &l in labels {
-                b.put_u32_le(l);
+                b.extend_from_slice(&l.to_le_bytes());
             }
             b
         }
         Response::Error { id, code, message } => {
             let mut b = body_header(version, TYPE_ERROR, *id, 5 + message.len());
-            b.put_slice(&[*code]);
-            b.put_u32_le(message.len() as u32);
-            b.put_slice(message.as_bytes());
+            b.push(*code);
+            b.extend_from_slice(&(message.len() as u32).to_le_bytes());
+            b.extend_from_slice(message.as_bytes());
             b
         }
         Response::Telemetry { id, text } => telemetry_body(version, *id, text),
@@ -492,8 +490,8 @@ fn response_body(resp: &Response, version: u16) -> Vec<u8> {
             values,
         } => {
             let mut b = body_header(version, TYPE_INGESTED, *id, 8 + values.len() * 4);
-            b.put_u32_le(*node);
-            b.put_u32_le(*dim);
+            b.extend_from_slice(&node.to_le_bytes());
+            b.extend_from_slice(&dim.to_le_bytes());
             put_f32s_le(&mut b, values);
             b
         }
@@ -515,8 +513,8 @@ fn telemetry_body(version: u16, id: u64, text: &str) -> Vec<u8> {
         text = &text[..cut];
     }
     let mut b = body_header(version, TYPE_TELEMETRY_TEXT, id, 4 + text.len());
-    b.put_u32_le(text.len() as u32);
-    b.put_slice(text.as_bytes());
+    b.extend_from_slice(&(text.len() as u32).to_le_bytes());
+    b.extend_from_slice(text.as_bytes());
     b
 }
 

@@ -9,9 +9,10 @@
 //! a consistent `(model, graph, digest)` snapshot — a swap can never land
 //! between reading the digest and running the forward pass.
 
-use std::time::Duration;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, TryLockError};
+use std::thread;
+use std::time::{Duration, Instant};
 
-use parking_lot::{RwLock, RwLockReadGuard};
 use widen_core::{WidenConfig, WidenModel};
 use widen_graph::{EdgeTypeId, HeteroGraph, MutationError, NodeTypeId};
 use widen_tensor::{digest64, CheckpointError};
@@ -145,23 +146,23 @@ impl ModelRegistry {
     /// guard per batch: everything computed under it belongs to a single
     /// model generation and graph version.
     pub fn read(&self) -> RwLockReadGuard<'_, ServingState> {
-        self.state.read()
+        self.state.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// FNV-1a digest of the current checkpoint bytes.
     pub fn checkpoint_hash(&self) -> u64 {
-        self.state.read().checkpoint_hash
+        self.read().checkpoint_hash
     }
 
     /// Current graph mutation counter (see
     /// [`ServingState::graph_version`]).
     pub fn graph_version(&self) -> u64 {
-        self.state.read().graph_version
+        self.read().graph_version
     }
 
     /// Whether `node` exists in the served graph.
     pub fn contains_node(&self, node: u32) -> bool {
-        (node as usize) < self.state.read().graph.num_nodes()
+        (node as usize) < self.read().graph.num_nodes()
     }
 
     /// Streams one never-seen node into the served graph and embeds it in
@@ -184,6 +185,7 @@ impl ModelRegistry {
     ) -> Result<IngestOutcome, MutationError> {
         self.state
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .ingest(node_type, features, label, edges, seed)
     }
 
@@ -191,7 +193,8 @@ impl ModelRegistry {
     /// `timeout` for the write lock (e.g. behind long read-guarded
     /// batches) instead of blocking indefinitely. `None` means the lock
     /// was never acquired and the graph is untouched — the serve path maps
-    /// it to `DeadlineExceeded`.
+    /// it to `DeadlineExceeded`. `std` has no timed lock, so the wait
+    /// polls `try_write` every 100 µs.
     ///
     /// # Errors
     /// `Some(Err(_))` carries the same [`MutationError`]s as
@@ -205,7 +208,20 @@ impl ModelRegistry {
         seed: u64,
         timeout: Duration,
     ) -> Option<Result<IngestOutcome, MutationError>> {
-        let mut st = self.state.try_write_for(timeout)?;
+        const POLL: Duration = Duration::from_micros(100);
+        let deadline = Instant::now() + timeout;
+        let mut st = loop {
+            match self.state.try_write() {
+                Ok(guard) => break guard,
+                Err(TryLockError::Poisoned(poisoned)) => break poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => {}
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            thread::sleep(POLL.min(deadline - now));
+        };
         Some(st.ingest(node_type, features, label, edges, seed))
     }
 
@@ -220,7 +236,7 @@ impl ModelRegistry {
     /// Returns the [`CheckpointError`] and leaves the registry serving the
     /// old weights when the checkpoint is corrupt or mismatched.
     pub fn hot_swap(&self, checkpoint: &[u8]) -> Result<u64, CheckpointError> {
-        let mut st = self.state.write();
+        let mut st = self.state.write().unwrap_or_else(PoisonError::into_inner);
         let config = st.model.config.clone();
         let mut model = WidenModel::for_graph(&st.graph, config);
         model.try_load_weights(checkpoint)?;
@@ -367,6 +383,35 @@ mod tests {
             .expect("valid ingest");
         assert_eq!(out.node, n as u32);
         assert_eq!(out.graph_version, 1);
+    }
+
+    #[test]
+    fn a_panic_while_holding_the_write_guard_does_not_wedge_the_registry() {
+        let dataset = acm_like(Scale::Smoke, 3);
+        let model = WidenModel::for_graph(&dataset.graph, tiny_config());
+        let registry = ModelRegistry::from_model(dataset.graph.clone(), model);
+        let n = dataset.graph.num_nodes();
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| {
+                let _guard = registry.state.write();
+                panic!("writer dies holding the registry lock");
+            });
+            assert!(writer.join().is_err());
+        });
+        assert!(registry.state.is_poisoned());
+        assert_eq!(registry.read().graph().num_nodes(), n);
+        assert_eq!(registry.graph_version(), 0);
+        let out = registry
+            .ingest(
+                NodeTypeId(0),
+                vec![0.1; dataset.graph.feature_dim()],
+                None,
+                &[(0, EdgeTypeId(0))],
+                1,
+            )
+            .expect("valid ingest");
+        assert_eq!(out.node, n as u32);
+        assert_eq!(registry.graph_version(), 1);
     }
 
     #[test]

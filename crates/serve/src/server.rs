@@ -30,12 +30,11 @@
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::bounded;
-use parking_lot::Mutex;
 use widen_obs::{Counter, FlightRecorder, Gauge, Registry as MetricsRegistry};
 
 use widen_graph::{EdgeTypeId, NodeTypeId};
@@ -195,7 +194,10 @@ impl Shared {
         if let Some(path) = &self.postmortem_path {
             let _ = std::fs::write(path, &dump);
         }
-        *self.postmortem.lock() = Some(dump);
+        *self
+            .postmortem
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(dump);
         self.postmortem_dumps.inc();
     }
 }
@@ -405,7 +407,11 @@ impl ServerHandle {
     /// reject, deadline drop, or slow request last fired. `None` until
     /// the first anomaly, or while the recorder is disabled.
     pub fn postmortem_dump(&self) -> Option<String> {
-        self.shared.postmortem.lock().clone()
+        self.shared
+            .postmortem
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Stops accepting, drains every in-flight request to a response, and

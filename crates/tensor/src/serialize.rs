@@ -21,8 +21,6 @@
 //! detectable, including flips inside the f32 payload that would otherwise
 //! parse cleanly into wrong values.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
 
@@ -107,22 +105,31 @@ pub fn digest64(data: &[u8]) -> u64 {
 }
 
 /// Serialises a parameter store into a checkpoint buffer.
-pub fn save_params(params: &ParamStore) -> Bytes {
-    let mut buf = BytesMut::with_capacity(24 + params.scalar_count() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(params.len() as u32);
+pub fn save_params(params: &ParamStore) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(24 + params.scalar_count() * 4);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
     for (_, name, tensor) in params.iter() {
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
-        buf.put_u32_le(tensor.rows() as u32);
-        buf.put_u32_le(tensor.cols() as u32);
+        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        buf.extend_from_slice(name.as_bytes());
+        buf.extend_from_slice(&(tensor.rows() as u32).to_le_bytes());
+        buf.extend_from_slice(&(tensor.cols() as u32).to_le_bytes());
         for &v in tensor.as_slice() {
-            buf.put_f32_le(v);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
     }
     let checksum = digest64(&buf[4..]);
-    buf.put_u64_le(checksum);
-    buf.freeze()
+    buf.extend_from_slice(&checksum.to_le_bytes());
+    buf
+}
+
+/// Reads one little-endian `u32` off the front of `data`.
+fn take_u32(data: &mut &[u8]) -> Result<usize, CheckpointError> {
+    let Some((word, rest)) = data.split_first_chunk() else {
+        return Err(CheckpointError::Truncated);
+    };
+    *data = rest;
+    Ok(u32::from_le_bytes(*word) as usize)
 }
 
 /// Deserialises a checkpoint into a fresh parameter store.
@@ -132,57 +139,53 @@ pub fn save_params(params: &ParamStore) -> Bytes {
 /// are validated with checked arithmetic and the trailing checksum rejects
 /// arbitrary byte corruption before any content is interpreted.
 pub fn load_params(data: &[u8]) -> Result<ParamStore, CheckpointError> {
-    if data.len() < 4 || &data[..4] != MAGIC {
+    let Some((magic, rest)) = data.split_first_chunk::<4>() else {
+        return Err(CheckpointError::BadMagic);
+    };
+    if magic != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    if data.len() < 4 + 4 + FOOTER_LEN {
+    let Some((payload, stored)) = rest.split_last_chunk::<FOOTER_LEN>() else {
         return Err(CheckpointError::Truncated);
-    }
-    let payload = &data[4..data.len() - FOOTER_LEN];
-    let mut stored = [0u8; FOOTER_LEN];
-    stored.copy_from_slice(&data[data.len() - FOOTER_LEN..]);
-    if digest64(payload) != u64::from_le_bytes(stored) {
+    };
+    let mut data = payload;
+    let count = take_u32(&mut data)?;
+    if digest64(payload) != u64::from_le_bytes(*stored) {
         return Err(CheckpointError::Corrupted);
     }
 
-    let mut data = payload;
-    let count = data.get_u32_le() as usize;
     let mut store = ParamStore::new();
     for _ in 0..count {
-        if data.remaining() < 4 {
+        let name_len = take_u32(&mut data)?;
+        let Some((name, rest)) = data.split_at_checked(name_len) else {
             return Err(CheckpointError::Truncated);
-        }
-        let name_len = data.get_u32_le() as usize;
-        if data.remaining() < name_len {
-            return Err(CheckpointError::Truncated);
-        }
-        let name = std::str::from_utf8(&data[..name_len])
+        };
+        let name = std::str::from_utf8(name)
             .map_err(|_| CheckpointError::BadName)?
             .to_string();
-        data.advance(name_len);
-        if data.remaining() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let rows = data.get_u32_le() as usize;
-        let cols = data.get_u32_le() as usize;
+        data = rest;
+        let rows = take_u32(&mut data)?;
+        let cols = take_u32(&mut data)?;
         let byte_len = rows
             .checked_mul(cols)
             .and_then(|scalars| scalars.checked_mul(4))
             .ok_or(CheckpointError::Truncated)?;
-        if data.remaining() < byte_len {
+        let Some((values, rest)) = data.split_at_checked(byte_len) else {
             return Err(CheckpointError::Truncated);
-        }
-        let scalars = rows * cols;
-        let mut values = Vec::with_capacity(scalars);
-        for _ in 0..scalars {
-            values.push(data.get_f32_le());
-        }
+        };
+        data = rest;
+        let values = values
+            .as_chunks()
+            .0
+            .iter()
+            .map(|&word| f32::from_le_bytes(word))
+            .collect();
         if store.id(&name).is_some() {
             return Err(CheckpointError::Corrupted);
         }
         store.register(name, Tensor::from_vec(rows, cols, values));
     }
-    if data.remaining() != 0 {
+    if !data.is_empty() {
         return Err(CheckpointError::Corrupted);
     }
     Ok(store)
@@ -197,6 +200,24 @@ mod tests {
         store.register("alpha", Tensor::from_rows(&[&[1.0, -2.5], &[3.5, 0.0]]));
         store.register("β-weights", Tensor::row_vector(&[0.125]));
         store
+    }
+
+    /// `save_params(&sample_store())`, one field per line: magic and count,
+    /// `alpha`'s header and its four f32s, `β-weights`' header and its one
+    /// f32, the FNV-1a checksum. Checkpoints are a format contract, so the
+    /// writer must reproduce these bytes exactly.
+    const SAMPLE_CHECKPOINT: &[u8] = b"WDN2\x02\0\0\0\
+        \x05\0\0\0alpha\x02\0\0\0\x02\0\0\0\
+        \0\0\x80\x3f\0\0\x20\xc0\0\0\x60\x40\0\0\0\0\
+        \x0a\0\0\0\xce\xb2-weights\x01\0\0\0\x01\0\0\0\
+        \0\0\0\x3e\
+        \xff\x9d\xf3\x24\x5f\x39\xa8\xa9";
+
+    #[test]
+    fn sample_checkpoint_bytes_are_pinned() {
+        assert_eq!(save_params(&sample_store()), SAMPLE_CHECKPOINT);
+        let loaded = load_params(SAMPLE_CHECKPOINT).expect("pinned bytes load");
+        assert_eq!(save_params(&loaded), SAMPLE_CHECKPOINT);
     }
 
     #[test]
@@ -233,7 +254,7 @@ mod tests {
 
     #[test]
     fn truncation_rejected_at_every_boundary() {
-        let bytes = save_params(&sample_store());
+        let bytes = SAMPLE_CHECKPOINT;
         for cut in 0..bytes.len() {
             let result = load_params(&bytes[..cut]);
             assert!(
@@ -246,15 +267,17 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_detected() {
-        let bytes = save_params(&sample_store());
+        let bytes = SAMPLE_CHECKPOINT;
         for offset in 0..bytes.len() {
-            let mut mutated = bytes.to_vec();
-            mutated[offset] ^= 0x40;
-            assert!(
-                load_params(&mutated).is_err(),
-                "flip at {offset} of {} should fail",
-                bytes.len()
-            );
+            for mask in [0x01, 0x40, 0x80, 0xff] {
+                let mut mutated = bytes.to_vec();
+                mutated[offset] ^= mask;
+                assert!(
+                    load_params(&mutated).is_err(),
+                    "flip {mask:#04x} at {offset} of {} should fail",
+                    bytes.len()
+                );
+            }
         }
     }
 
