@@ -19,8 +19,8 @@
 //!    contextualized relay edges (Eq. 8), triggered by the KL-divergence
 //!    rule (Eq. 9).
 //! 6. **Training** ([`trainer`]) — Algorithm 3: mini-batch semi-supervised
-//!    cross-entropy (Eq. 10) with Adam; one loop whose steps split into
-//!    `k ≥ 1` parts run on scoped threads over the one graph.
+//!    cross-entropy (Eq. 10) with Adam; one loop over the one graph, each
+//!    batch one step on the caller's thread.
 //!
 //! Ablation variants ([`ablation::Variant`]) reproduce every row of the
 //! paper's Table 4. Inductive inference ([`WidenModel::embed_nodes`])
@@ -32,7 +32,6 @@
 pub mod ablation;
 pub mod config;
 pub mod downsample;
-mod engine;
 pub mod model;
 pub mod packaging;
 pub mod state;

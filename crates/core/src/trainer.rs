@@ -1,18 +1,16 @@
 //! Training WIDEN (Algorithm 3): mini-batch semi-supervised cross-entropy
 //! with active downsampling — the one training loop, with a shared model
-//! and one optimizer step per global batch.
+//! and one optimizer step per batch.
 //!
 //! Per epoch, every training node is visited once; its forward pass records
 //! the wide/deep attention distributions, which (a) feed the KL trigger
 //! (Eq. 9) against last epoch's distributions and (b) locate the
 //! least-contributing neighbour for the argmin drop (Algorithms 1–2).
-//! With `k` shards, each global step takes the next `k · batch_size` nodes
-//! of the epoch's order and cuts them into `k` contiguous parts
-//! ([`split_even`]). Every non-empty part runs as one chunk through the
-//! shared chunk engine — several on scoped threads over the one borrowed
-//! graph, a lone part inline. A shard is a thread slot with its own warm
-//! buffer pool, not a sub-graph. Gradients are reduced in part order, so a
-//! fixed seed and `k` give the same bits on any host.
+//! Each step takes the next `batch_size` nodes of the epoch's order and
+//! runs them on the caller's thread: one fused forward + backward on one
+//! tape over the borrowed graph, drawing on the trainer's one warm buffer
+//! pool, then one optimizer step. A fixed seed gives the same bits on any
+//! host.
 
 use std::sync::Arc;
 
@@ -21,12 +19,12 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rustc_hash::FxHashMap;
 use widen_graph::{HeteroGraph, NodeId};
-use widen_obs::{Counter, Registry, Stopwatch, Tracer};
+use widen_obs::{Counter, Registry, SpanId, Stopwatch, TraceId, Tracer};
 use widen_sampling::hash_seed;
-use widen_tensor::{Adam, BufferPool, Optimizer, ParamId, ProfileReport, Tensor};
+use widen_tensor::{Adam, BufferPool, Optimizer, ParamId, ProfileReport, Tape, Tensor};
 
-use crate::engine::{self, ChunkResult, TraceCtx};
-use crate::model::WidenModel;
+use crate::downsample::{decide_with_kl, relay_edge, Decision};
+use crate::model::{BatchForward, ParamVars, WidenModel};
 use crate::state::NodeState;
 
 /// Per-epoch training telemetry: the one record of a fit, epoch by epoch.
@@ -53,14 +51,13 @@ pub struct TrainReport {
 /// values.
 #[derive(Clone, Debug, Default)]
 pub struct EpochStats {
-    /// Forward nanos, summed across part threads (so with several shards
-    /// more than the epoch's wall time).
+    /// Forward nanos.
     pub forward_nanos: u64,
-    /// Backward and gradient-extraction nanos, summed across part threads.
+    /// Backward and gradient-extraction nanos.
     pub backward_nanos: u64,
     /// Optimizer-step nanos.
     pub optim_nanos: u64,
-    /// Eq. 9 decision-loop nanos, summed across part threads.
+    /// Eq. 9 decision-loop nanos.
     pub downsample_nanos: u64,
     /// Message-packaging nanos, a part of `forward_nanos`: the epoch's
     /// delta of the process-wide [`crate::packaging::packaging_nanos_total`],
@@ -91,7 +88,7 @@ pub struct EpochStats {
     pub grad_max_abs: f64,
     /// Name of the parameter holding [`EpochStats::grad_max_abs`].
     pub grad_max_param: String,
-    /// Batches whose reduced gradients contained NaN/Inf; their optimizer
+    /// Batches whose gradients contained NaN/Inf; their optimizer
     /// step was skipped.
     pub nonfinite_batches: u64,
 }
@@ -134,8 +131,6 @@ impl TrainReport {
 }
 
 /// Phase-timing counters, one set per trainer (on its own registry).
-/// Chunk phases accumulate from the part threads, so with several shards
-/// forward/backward nanos are summed across threads rather than wall time.
 struct PhaseCounters {
     forward: Arc<Counter>,
     backward: Arc<Counter>,
@@ -146,14 +141,10 @@ struct PhaseCounters {
     pool_hits: Arc<Counter>,
     pool_misses: Arc<Counter>,
     pool_bytes_reused: Arc<Counter>,
-    /// Per shard: wall nanos spent on its parts.
-    shard_busy: Vec<Arc<Counter>>,
-    /// Wall nanos of the serial section of every global step.
-    merge: Arc<Counter>,
 }
 
 impl PhaseCounters {
-    fn new(registry: &Registry, shards: usize) -> Self {
+    fn new(registry: &Registry) -> Self {
         Self {
             forward: registry.counter("core_forward_nanos_total"),
             backward: registry.counter("core_backward_nanos_total"),
@@ -164,27 +155,86 @@ impl PhaseCounters {
             pool_hits: registry.counter("core_grad_pool_hits_total"),
             pool_misses: registry.counter("core_grad_pool_misses_total"),
             pool_bytes_reused: registry.counter("core_grad_pool_bytes_reused_total"),
-            shard_busy: (0..shards)
-                .map(|p| registry.counter(&format!("core_shard{p}_busy_nanos_total")))
-                .collect(),
-            merge: registry.counter("core_shard_merge_nanos_total"),
         }
     }
 }
 
+/// Where an epoch's child spans go, when the fit is traced: `(tracer,
+/// trace, parent)`.
+type TraceCtx<'a> = Option<(&'a Tracer, TraceId, SpanId)>;
+
+/// Outcome of one node's epoch visit, read off the step's tape and applied
+/// to the persistent state after the optimizer step.
+struct NodeOutcome {
+    node: NodeId,
+    wide_attention: Option<Vec<f32>>,
+    wide_decision: Decision,
+    /// Eq. 9 value evaluated for the wide set, when the trigger ran.
+    wide_kl: Option<f64>,
+    deep: Vec<DeepOutcome>,
+}
+
+struct DeepOutcome {
+    attention: Vec<f32>,
+    decision: Decision,
+    /// Eq. 9 value evaluated for this walk, when the trigger ran.
+    kl: Option<f64>,
+    /// `(position, relay vector)` to install before pruning.
+    relay: Option<(usize, Vec<f32>)>,
+}
+
+/// Gradient health evaluated on a step's gradients — the same pass and
+/// order of work as the optimizer step it guards.
+struct GradHealth {
+    /// Global L2 norm (√Σg²).
+    norm: f64,
+    max_abs: f32,
+    /// Parameter holding `max_abs`.
+    max_param: Option<ParamId>,
+    finite: bool,
+}
+
+fn grad_health(grads: &[(ParamId, Tensor)]) -> GradHealth {
+    let mut sq_sum = 0.0f64;
+    let mut max_abs = 0.0f32;
+    let mut max_param: Option<ParamId> = None;
+    let mut finite = true;
+    for (id, g) in grads {
+        let mut local_max = 0.0f32;
+        for &v in g.as_slice() {
+            if !v.is_finite() {
+                finite = false;
+            }
+            let a = v.abs();
+            if a > local_max {
+                local_max = a;
+            }
+            sq_sum += f64::from(v) * f64::from(v);
+        }
+        if local_max > max_abs {
+            max_abs = local_max;
+            max_param = Some(*id);
+        }
+    }
+    GradHealth {
+        norm: sq_sum.sqrt(),
+        max_abs,
+        max_param,
+        finite,
+    }
+}
+
 /// Drives Algorithm 3 over a training node set: one loop over one graph,
-/// a shared model, one optimizer step per global batch whose `k ≥ 1`
-/// parts run on threads.
+/// a shared model, one optimizer step per batch.
 pub struct Trainer<'g> {
     model: WidenModel,
     graph: &'g HeteroGraph,
     /// Persistent wide/deep states of the training nodes.
     states: FxHashMap<NodeId, NodeState>,
-    /// One warm tape-buffer pool (forward values, leaves and gradients)
-    /// per shard: moved into the shard's chunk each step and back out
-    /// holding its buffers, so it is never larger than the biggest chunk
-    /// the shard has run.
-    pools: Vec<BufferPool>,
+    /// The warm tape-buffer pool (forward values, leaves and gradients):
+    /// moved into each step's tape and back out holding its buffers, so it
+    /// is never larger than the biggest step the fit has run.
+    pool: BufferPool,
     optimizer: Adam,
     metrics: Registry,
     phase: PhaseCounters,
@@ -195,16 +245,7 @@ pub struct Trainer<'g> {
 impl<'g> Trainer<'g> {
     /// Prepares training on `graph`: samples every training node's initial
     /// wide/deep neighbourhoods (Algorithm 3 line 3) and sets up Adam with
-    /// the configured learning rate and L2 strength. One shard.
-    pub fn new(model: WidenModel, graph: &'g HeteroGraph, train_nodes: &[NodeId]) -> Self {
-        Self::with_shards(model, graph, train_nodes, 1)
-    }
-
-    /// [`Trainer::new`] with `k` shards: each global step takes `k ·
-    /// batch_size` nodes and runs its `k` parts on scoped threads, each
-    /// with its own warm buffer pool, over the one borrowed graph. With
-    /// `k = 1` this is [`Trainer::new`]. A fixed seed and `k` give the same
-    /// bits on any host.
+    /// the configured learning rate and L2 strength.
     ///
     /// ```no_run
     /// use widen_core::{Trainer, WidenConfig, WidenModel};
@@ -213,20 +254,11 @@ impl<'g> Trainer<'g> {
     /// let dataset = acm_like(Scale::Table, 1);
     /// let train = &dataset.transductive.train;
     /// let model = WidenModel::for_graph(&dataset.graph, WidenConfig::paper());
-    /// let mut trainer = Trainer::with_shards(model, &dataset.graph, train, 4);
+    /// let mut trainer = Trainer::new(model, &dataset.graph, train);
     /// let report = trainer.fit(train);
     /// println!("final loss {:.4}", report.final_loss());
     /// ```
-    ///
-    /// # Panics
-    /// Panics if `k` is zero.
-    pub fn with_shards(
-        model: WidenModel,
-        graph: &'g HeteroGraph,
-        train_nodes: &[NodeId],
-        k: usize,
-    ) -> Self {
-        assert!(k >= 1, "a trainer needs at least one shard");
+    pub fn new(model: WidenModel, graph: &'g HeteroGraph, train_nodes: &[NodeId]) -> Self {
         let seed = hash_seed(model.config.seed, &[1]);
         let states = train_nodes
             .iter()
@@ -234,12 +266,12 @@ impl<'g> Trainer<'g> {
             .collect();
         let optimizer = Adam::with_lr(model.config.learning_rate, model.config.weight_decay);
         let metrics = Registry::new();
-        let phase = PhaseCounters::new(&metrics, k);
+        let phase = PhaseCounters::new(&metrics);
         Self {
             model,
             graph,
             states,
-            pools: (0..k).map(|_| BufferPool::default()).collect(),
+            pool: BufferPool::default(),
             optimizer,
             metrics,
             phase,
@@ -253,34 +285,28 @@ impl<'g> Trainer<'g> {
         &self.model
     }
 
-    /// This trainer's metric registry (phase timings, per-shard busy and
-    /// merge nanos, epoch and non-finite-batch counters). Per-instance so
-    /// concurrent trainers — and tests — never share state; packaging time
-    /// lives on [`Registry::global`] instead (see
+    /// This trainer's metric registry (phase timings, buffer-pool, epoch
+    /// and non-finite-batch counters). Per-instance so concurrent trainers
+    /// — and tests — never share state; packaging time lives on
+    /// [`Registry::global`] instead (see
     /// [`crate::packaging::packaging_nanos_total`]).
     pub fn metrics(&self) -> &Registry {
         &self.metrics
     }
 
     /// Records per-epoch span trees into `tracer`: one
-    /// `core.trainer.epoch` root per epoch with chunk-level
-    /// forward/backward/downsample children (recorded from the part
-    /// threads), an optimizer-step span, and a synthetic packaging span
-    /// from the packaging counter delta.
+    /// `core.trainer.epoch` root per epoch with step-level
+    /// forward/backward/downsample children, an optimizer-step span, and a
+    /// synthetic packaging span from the packaging counter delta.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(tracer);
     }
 
-    /// Turns on per-op tape profiling: every chunk's tape records op
+    /// Turns on per-op tape profiling: every step's tape records op
     /// timings and FLOP estimates, merged into one [`ProfileReport`] per
     /// epoch (see [`TrainReport::epoch_profiles`]).
     pub fn set_profiling(&mut self, on: bool) {
         self.profiling = on;
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.pools.len()
     }
 
     /// Consumes the trainer, returning the trained model.
@@ -346,7 +372,6 @@ impl<'g> Trainer<'g> {
                 "training node {node} is unlabelled"
             );
         }
-        let step_len = self.pools.len() * config.batch_size;
 
         for epoch in 1..=config.epochs {
             let start = Stopwatch::start();
@@ -356,14 +381,14 @@ impl<'g> Trainer<'g> {
             let epoch_start_ns = trace.map(|(t, ..)| t.now_ns());
             let mut shuffle_rng = StdRng::seed_from_u64(hash_seed(config.seed, &[2, epoch as u64]));
             order.shuffle(&mut shuffle_rng);
-            let steps = order.len().div_ceil(step_len);
+            let steps = order.len().div_ceil(config.batch_size);
 
             let mut epoch_loss = 0.0f64;
             let mut stats = EpochStats::default();
             let mut epoch_profile: Option<ProfileReport> = None;
-            for step in order.chunks(step_len) {
+            for step in order.chunks(config.batch_size) {
                 epoch_loss += self.train_step(
-                    &split_even(step, self.pools.len()),
+                    step,
                     epoch,
                     trace,
                     &mut report,
@@ -371,9 +396,9 @@ impl<'g> Trainer<'g> {
                     &mut epoch_profile,
                 );
             }
-            // Packaging runs inside forward on worker threads and only
-            // surfaces as a global counter; synthesise its epoch share as a
-            // span so the trace shows all four phases.
+            // Packaging runs inside forward and only surfaces as a global
+            // counter; synthesise its epoch share as a span so the trace
+            // shows all four phases.
             if let Some(((t, id, parent), start_ns)) = trace.zip(epoch_start_ns) {
                 let pack =
                     crate::packaging::packaging_nanos_total().saturating_sub(phase_before[4]);
@@ -427,113 +452,239 @@ impl<'g> Trainer<'g> {
         ]
     }
 
-    /// One global step: each non-empty part runs through the engine on
-    /// its shard's pool, the part gradients are reduced in part order into
-    /// one guarded optimizer step, and the downsampling outcomes are
-    /// applied to the state table in part order. Returns the step's loss.
+    /// One step over `nodes`: one fused [`WidenModel::forward_batch`] and
+    /// backward on one tape (each node's downsampling rng stream keyed by
+    /// its id), one guarded optimizer step, then the downsampling outcomes
+    /// applied to the state table in node order. Returns the step's mean
+    /// loss.
     fn train_step(
         &mut self,
-        parts: &[&[NodeId]],
+        nodes: &[NodeId],
         epoch: usize,
         trace: TraceCtx<'_>,
         report: &mut TrainReport,
         stats: &mut EpochStats,
         epoch_profile: &mut Option<ProfileReport>,
     ) -> f64 {
-        let step_total: usize = parts.iter().map(|p| p.len()).sum();
-        let jobs: Vec<(usize, &[NodeId], BufferPool)> = parts
-            .iter()
-            .enumerate()
-            .filter(|(_, part)| !part.is_empty())
-            .map(|(slot, &part)| (slot, part, std::mem::take(&mut self.pools[slot])))
-            .collect();
-        let run = |(slot, part, pool)| {
-            let (chunk, pool, nanos) = self.run_part(part, pool, epoch, step_total, trace);
-            (slot, chunk, pool, nanos)
-        };
-        let results: Vec<(usize, ChunkResult, BufferPool, u64)> = if jobs.len() == 1 {
-            // A lone part never pays a thread spawn per step, nor loses
-            // the caller thread's warm GEMM packing scratch.
-            jobs.into_iter().map(run).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .into_iter()
-                    .map(|job| scope.spawn(move || run(job)))
-                    .collect();
-                // Joined in part order: completion order never leaks
-                // into the reduction.
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Serial section: deterministic reduction through the engine's
-        // ParamId-ordered accumulator (it asserts the shared canonical
-        // `ParamVars::pairs` order in debug builds), then one optimizer
-        // step for the whole global batch.
-        let merge_sw = Stopwatch::start();
-        let mut loss = 0.0f64;
-        let mut grads: Vec<(ParamId, Tensor)> = Vec::new();
-        let mut outcomes = Vec::with_capacity(step_total);
-        for (slot, chunk, pool, nanos) in results {
-            self.pools[slot] = pool;
-            self.phase.shard_busy[slot].add(nanos);
-            loss += chunk.loss;
-            engine::accumulate_grads(&mut grads, chunk.grads);
-            if let Some(profile) = chunk.profile {
-                match epoch_profile {
-                    Some(acc) => acc.merge(&profile),
-                    None => *epoch_profile = Some(profile),
-                }
-            }
-            outcomes.extend(chunk.outcomes);
-        }
-        self.step_if_finite(&grads, trace, stats);
-        self.phase.merge.add(merge_sw.elapsed_nanos());
-
-        engine::apply_outcomes(&mut self.states, outcomes, report, stats);
-        loss
-    }
-
-    /// One part of a global step: it runs as one chunk through the shared
-    /// engine on its shard's warm `pool`, the chunk's loss weighted by the
-    /// *global* step size so the sum over parts is the step mean. Returns
-    /// the chunk, the pool holding its buffers, and the part's wall nanos.
-    fn run_part(
-        &self,
-        part: &[NodeId],
-        pool: BufferPool,
-        epoch: usize,
-        step_total: usize,
-        trace: TraceCtx<'_>,
-    ) -> (ChunkResult, BufferPool, u64) {
+        let child = |name| trace.map(|(t, id, parent)| t.child_span(id, parent, name));
+        let span = child("core.trainer.forward");
         let sw = Stopwatch::start();
-        let chunk_ctx = engine::ChunkCtx {
-            model: &self.model,
-            graph: self.graph,
-            states: &self.states,
-            profiling: self.profiling,
-            trace,
-        };
+        let mut tape = self.model.new_tape();
+        if self.profiling {
+            tape.enable_profiling();
+        }
+        let pool = std::mem::take(&mut self.pool);
         let before = pool.stats();
-        let (result, pool) = engine::run_chunk(&chunk_ctx, part, epoch, step_total, pool);
-        let after = pool.stats();
+        tape.install_pool(pool);
+        let pv = self.model.insert_params(&mut tape);
+        let states: Vec<&NodeState> = nodes.iter().map(|node| &self.states[node]).collect();
+        let labels: Vec<usize> = nodes
+            .iter()
+            .map(|&node| self.graph.label(node).expect("labelled") as usize)
+            .collect();
+        let fw = self
+            .model
+            .forward_batch(&mut tape, &pv, self.graph, &states);
+        let loss = tape.softmax_cross_entropy(fw.logits, &labels);
+        sw.record_nanos(&self.phase.forward);
+        drop(span);
+
+        let span = child("core.trainer.backward");
+        let sw = Stopwatch::start();
+        tape.backward(loss);
+        let grads = self.extract_grads(&tape, &pv);
+        sw.record_nanos(&self.phase.backward);
+        drop(span);
+
+        // Downsampling decisions (Algorithm 3 lines 9–14), made here so the
+        // pack/edge values relay edges need are still on the tape.
+        let span = child("core.trainer.downsample");
+        let sw = Stopwatch::start();
+        let outcomes = self.downsampling_outcomes(&tape, &fw, nodes, &states, epoch);
+        sw.record_nanos(&self.phase.downsample);
+        drop(span);
+
+        // Read the loss first: taking the pool back ends the tape.
+        let loss = f64::from(tape.value(loss).get(0, 0));
+        if let Some(profile) = tape.take_profile() {
+            match epoch_profile {
+                Some(acc) => acc.merge(&profile),
+                None => *epoch_profile = Some(profile),
+            }
+        }
+        self.pool = tape.take_pool();
+        let after = self.pool.stats();
         self.phase.pool_hits.add(after.hits - before.hits);
         self.phase.pool_misses.add(after.misses - before.misses);
         self.phase
             .pool_bytes_reused
             .add(after.bytes_reused - before.bytes_reused);
-        self.phase.forward.add(result.timings.forward_nanos);
-        self.phase.backward.add(result.timings.backward_nanos);
-        self.phase.downsample.add(result.timings.downsample_nanos);
-        (result, pool, sw.elapsed_nanos())
+
+        self.step_if_finite(&grads, trace, stats);
+        self.apply_outcomes(outcomes, report, stats);
+        loss
     }
 
-    /// The one non-finite-gradient policy: a reduced gradient holding
-    /// NaN/Inf is counted (stats, counter) and never reaches the optimizer, where it would poison both Adam
+    /// Pulls every parameter gradient off the tape in the canonical
+    /// [`ParamVars::pairs`] order (zero tensors where a parameter was
+    /// unused, e.g. ablated branches).
+    fn extract_grads(&self, tape: &Tape, pv: &ParamVars) -> Vec<(ParamId, Tensor)> {
+        pv.pairs(self.model.ids())
+            .into_iter()
+            .map(|(id, var)| {
+                let shape = self.model.params.get(id).shape();
+                let g = tape
+                    .grad(var)
+                    .cloned()
+                    .unwrap_or_else(|| Tensor::zeros(shape.0, shape.1));
+                (id, g)
+            })
+            .collect()
+    }
+
+    /// Each node's downsampling decisions for this epoch. Downsampling sees
+    /// exactly the per-node artefacts it needs: attention rows come out of
+    /// the padded matrices via the node→range maps, and relay packs/edges
+    /// (Eq. 8) are read from the deduplicated `M▷` and `E▷` through each
+    /// walk's span and the dedup index.
+    fn downsampling_outcomes(
+        &self,
+        tape: &Tape,
+        fw: &BatchForward,
+        nodes: &[NodeId],
+        states: &[&NodeState],
+        epoch: usize,
+    ) -> Vec<NodeOutcome> {
+        let config = &self.model.config;
+        let mut outcomes = Vec::with_capacity(nodes.len());
+        for (i, (&node, &state)) in nodes.iter().zip(states).enumerate() {
+            let mut rng =
+                StdRng::seed_from_u64(hash_seed(config.seed, &[3, epoch as u64, u64::from(node)]));
+
+            let (wide_attention, wide_decision, wide_kl) = match &fw.wide {
+                Some(wb) => {
+                    let attn = tape.value(wb.attention).row(i)[..wb.lens[i]].to_vec();
+                    let (decision, kl) = decide_with_kl(
+                        config.variant.wide_downsampling,
+                        &attn,
+                        state.prev_wide_attention.as_deref(),
+                        state.wide.len(),
+                        config.k_wide,
+                        config.r_wide,
+                        epoch,
+                        &mut rng,
+                    );
+                    (Some(attn), decision, kl)
+                }
+                None => (None, Decision::Keep, None),
+            };
+
+            let mut deep = Vec::new();
+            if let Some(db) = &fw.deep {
+                let (first_walk, walk_count) = db.node_walks[i];
+                deep.reserve(walk_count);
+                for phi in 0..walk_count {
+                    let walk = first_walk + phi;
+                    let (wstart, wlen) = db.walk_spans[walk];
+                    let deep_state = &state.deeps[phi];
+                    let attn = tape.value(db.attention).row(walk)[..wlen].to_vec();
+                    let (decision, kl) = decide_with_kl(
+                        config.variant.deep_downsampling,
+                        &attn,
+                        deep_state.prev_attention.as_deref(),
+                        deep_state.len(),
+                        config.k_deep,
+                        config.r_deep,
+                        epoch,
+                        &mut rng,
+                    );
+                    let relay = match decision {
+                        Decision::Drop(s)
+                            if config.variant.relay_edges && s + 1 < deep_state.len() =>
+                        {
+                            // Eq. 8: maxpool(e_{s'+1,s'}, m_{s'}); within the
+                            // walk, pack row s+1 and edge row s+2 (row 0 is
+                            // the target's self loop) — offset by the walk's
+                            // start position, both read through the dedup
+                            // index.
+                            let packs = tape.value(db.unique_packs);
+                            let edges = db.unique_edges.expect("a training tape assembles edges");
+                            let edges = tape.value(edges);
+                            let relay_vec = relay_edge(
+                                edges.row(db.flat_index[wstart + s + 2]),
+                                packs.row(db.flat_index[wstart + s + 1]),
+                            );
+                            Some((s + 1, relay_vec))
+                        }
+                        _ => None,
+                    };
+                    deep.push(DeepOutcome {
+                        attention: attn,
+                        decision,
+                        kl,
+                        relay,
+                    });
+                }
+            }
+            outcomes.push(NodeOutcome {
+                node,
+                wide_attention,
+                wide_decision,
+                wide_kl,
+                deep,
+            });
+        }
+        outcomes
+    }
+
+    /// Applies downsampling outcomes to the persistent per-node states,
+    /// folding each decision (and any evaluated Eq. 9 value) into the
+    /// epoch's telemetry.
+    fn apply_outcomes(
+        &mut self,
+        outcomes: Vec<NodeOutcome>,
+        report: &mut TrainReport,
+        stats: &mut EpochStats,
+    ) {
+        for outcome in outcomes {
+            let state = self.states.get_mut(&outcome.node).expect("state exists");
+            stats.observe_kl(outcome.wide_kl);
+            match outcome.wide_decision {
+                Decision::Drop(n) => {
+                    state.prune_wide(n);
+                    report.wide_drops += 1;
+                    stats.wide_drops += 1;
+                }
+                Decision::Keep => {
+                    state.prev_wide_attention = outcome.wide_attention;
+                    stats.wide_keeps += 1;
+                }
+            }
+            for (phi, deep_outcome) in outcome.deep.into_iter().enumerate() {
+                let deep_state = &mut state.deeps[phi];
+                stats.observe_kl(deep_outcome.kl);
+                match deep_outcome.decision {
+                    Decision::Drop(s) => {
+                        if let Some((pos, relay)) = deep_outcome.relay {
+                            deep_state.edge_override[pos] = Some(relay);
+                            report.relay_edges += 1;
+                            stats.relay_edges += 1;
+                        }
+                        deep_state.prune(s);
+                        report.deep_drops += 1;
+                        stats.deep_drops += 1;
+                    }
+                    Decision::Keep => {
+                        deep_state.prev_attention = Some(deep_outcome.attention);
+                        stats.deep_keeps += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The one non-finite-gradient policy: a step gradient holding NaN/Inf
+    /// is counted (stats, counter) and never reaches the optimizer, where it would poison both Adam
     /// moment buffers and every weight for the rest of the fit. A finite
     /// one feeds the epoch's gradient-health stats and is stepped.
     fn step_if_finite(
@@ -542,9 +693,9 @@ impl<'g> Trainer<'g> {
         trace: TraceCtx<'_>,
         stats: &mut EpochStats,
     ) {
-        // One pass over the reduced gradients — same order of work as the
+        // One pass over the gradients — same order of work as the
         // optimizer step it guards.
-        let health = engine::grad_health(grads);
+        let health = grad_health(grads);
         if !health.finite {
             stats.nonfinite_batches += 1;
             self.phase.nonfinite.inc();
@@ -561,21 +712,6 @@ impl<'g> Trainer<'g> {
         self.optimizer.step(&mut self.model.params, grads);
         sw.record_nanos(&self.phase.optim);
     }
-}
-
-/// Cuts a step's nodes into `k` contiguous parts whose sizes differ by at
-/// most one (the first `n mod k` parts are the longer ones); in order, the
-/// parts concatenate back to `nodes`. A part is empty only when `n < k`.
-fn split_even(nodes: &[NodeId], k: usize) -> Vec<&[NodeId]> {
-    let (base, extra) = (nodes.len() / k, nodes.len() % k);
-    let mut rest = nodes;
-    (0..k)
-        .map(|p| {
-            let (part, tail) = rest.split_at(base + usize::from(p < extra));
-            rest = tail;
-            part
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -602,18 +738,13 @@ mod tests {
         c
     }
 
-    /// `k = 1` is [`Trainer::new`]; `k > 1` runs each step's parts on threads.
     fn trainer_over<'g>(
         dataset: &'g widen_data::Dataset,
         cfg: WidenConfig,
         train: &[u32],
-        k: usize,
     ) -> Trainer<'g> {
         let model = WidenModel::for_graph(&dataset.graph, cfg);
-        match k {
-            1 => Trainer::new(model, &dataset.graph, train),
-            _ => Trainer::with_shards(model, &dataset.graph, train, k),
-        }
+        Trainer::new(model, &dataset.graph, train)
     }
 
     #[test]
@@ -688,8 +819,8 @@ mod tests {
         let mut epochs: Vec<(u64, u64, u64)> = Vec::new();
         for epoch in 1..=10 {
             let mut stats = EpochStats::default();
-            trainer.train_step(&[&train], epoch, None, &mut report, &mut stats, &mut None);
-            let pool = trainer.pools[0].stats();
+            trainer.train_step(&train, epoch, None, &mut report, &mut stats, &mut None);
+            let pool = trainer.pool.stats();
             let (resident, bound) = (pool.resident_bytes, pool.peak_live_bytes);
             assert!(
                 resident <= bound,
@@ -802,20 +933,18 @@ mod tests {
         let train: Vec<u32> = dataset.transductive.train[..24].to_vec();
         let mut cfg = tiny_config();
         cfg.epochs = 60;
-        for k in [1, 2] {
-            let mut trainer = trainer_over(&dataset, cfg.clone(), &train, k);
-            // Very loose tolerance ⇒ "converged" almost immediately.
-            let report = trainer.fit_until_converged(&train, 0.5, 2);
-            assert!(
-                report.epoch_losses.len() < 60,
-                "k = {k}: should stop before the epoch cap, ran {}",
-                report.epoch_losses.len()
-            );
-            assert!(
-                report.epoch_losses.len() >= 3,
-                "k = {k}: patience must be exhausted first"
-            );
-        }
+        let mut trainer = trainer_over(&dataset, cfg, &train);
+        // Very loose tolerance ⇒ "converged" almost immediately.
+        let report = trainer.fit_until_converged(&train, 0.5, 2);
+        assert!(
+            report.epoch_losses.len() < 60,
+            "should stop before the epoch cap, ran {}",
+            report.epoch_losses.len()
+        );
+        assert!(
+            report.epoch_losses.len() >= 3,
+            "patience must be exhausted first"
+        );
     }
 
     #[test]
@@ -863,62 +992,56 @@ mod tests {
         let train: Vec<u32> = dataset.transductive.train[..20].to_vec();
         let cfg = tiny_config();
         let epochs = cfg.epochs;
-        for k in [1, 2] {
-            let mut trainer = trainer_over(&dataset, cfg.clone(), &train, k);
-            let report = trainer.fit(&train);
-            assert_eq!(report.epoch_losses.len(), epochs);
-            assert_eq!(report.epoch_secs.len(), epochs);
-            assert_eq!(
-                report.epoch_stats.len(),
-                epochs,
-                "k = {k}: one record per epoch"
-            );
-            for (i, s) in report.epoch_stats.iter().enumerate() {
-                assert!(report.epoch_losses[i].is_finite());
-                assert!(report.epoch_secs[i] > 0.0);
-                for (stage, nanos) in [
-                    ("forward", s.forward_nanos),
-                    ("backward", s.backward_nanos),
-                    ("optim", s.optim_nanos),
-                ] {
-                    assert!(nanos > 0, "k = {k}, epoch {}: no {stage} time", i + 1);
-                }
-                assert!(s.packaging_nanos > 0, "k = {k}, epoch {}", i + 1);
-                // Every training node's sets are visited once per epoch.
-                assert!(s.wide_keeps + s.wide_drops > 0);
-                assert!(s.deep_keeps + s.deep_drops > 0);
-                let norm = s.grad_norm_mean.expect("finite batches");
-                assert!(norm.is_finite() && norm > 0.0);
-                assert!(s.grad_max_abs > 0.0 && !s.grad_max_param.is_empty());
-                assert_eq!(s.nonfinite_batches, 0);
-            }
-            // Eq. 9 values once history exists (epoch 1 never evaluates KL).
-            assert_eq!(report.epoch_stats[0].kl_count, 0);
-            assert!(report.epoch_stats[0].kl_mean.is_none());
-            assert!(report.epoch_stats[1..].iter().any(|s| s.kl_count > 0));
-            for s in &report.epoch_stats[1..] {
-                if let Some(kl) = s.kl_mean {
-                    assert!(kl.is_finite() && kl >= 0.0);
-                    assert!(s.kl_min.unwrap() <= kl);
-                }
-            }
-            let drops: u64 = report.epoch_stats.iter().map(|s| s.wide_drops).sum();
-            assert_eq!(drops as usize, report.wide_drops);
-            let relays: u64 = report.epoch_stats.iter().map(|s| s.relay_edges).sum();
-            assert_eq!(relays as usize, report.relay_edges);
-            // The stage times are the epoch deltas of the trainer's own
-            // phase counters, so they sum to them.
-            let snap = trainer.metrics().snapshot();
-            assert_eq!(snap.counter("core_epochs_total"), Some(epochs as u64));
-            let total = |f: fn(&EpochStats) -> u64| report.epoch_stats.iter().map(f).sum::<u64>();
-            for (name, sum) in [
-                ("core_forward_nanos_total", total(|s| s.forward_nanos)),
-                ("core_backward_nanos_total", total(|s| s.backward_nanos)),
-                ("core_optim_nanos_total", total(|s| s.optim_nanos)),
-                ("core_downsample_nanos_total", total(|s| s.downsample_nanos)),
+        let mut trainer = trainer_over(&dataset, cfg.clone(), &train);
+        let report = trainer.fit(&train);
+        assert_eq!(report.epoch_losses.len(), epochs);
+        assert_eq!(report.epoch_secs.len(), epochs);
+        assert_eq!(report.epoch_stats.len(), epochs, "one record per epoch");
+        for (i, s) in report.epoch_stats.iter().enumerate() {
+            assert!(report.epoch_losses[i].is_finite());
+            assert!(report.epoch_secs[i] > 0.0);
+            for (stage, nanos) in [
+                ("forward", s.forward_nanos),
+                ("backward", s.backward_nanos),
+                ("optim", s.optim_nanos),
             ] {
-                assert_eq!(snap.counter(name), Some(sum), "k = {k}: {name}");
+                assert!(nanos > 0, "epoch {}: no {stage} time", i + 1);
             }
+            assert!(s.packaging_nanos > 0, "epoch {}", i + 1);
+            // Every training node's sets are visited once per epoch.
+            assert!(s.wide_keeps + s.wide_drops > 0);
+            assert!(s.deep_keeps + s.deep_drops > 0);
+            let norm = s.grad_norm_mean.expect("finite batches");
+            assert!(norm.is_finite() && norm > 0.0);
+            assert!(s.grad_max_abs > 0.0 && !s.grad_max_param.is_empty());
+            assert_eq!(s.nonfinite_batches, 0);
+        }
+        // Eq. 9 values once history exists (epoch 1 never evaluates KL).
+        assert_eq!(report.epoch_stats[0].kl_count, 0);
+        assert!(report.epoch_stats[0].kl_mean.is_none());
+        assert!(report.epoch_stats[1..].iter().any(|s| s.kl_count > 0));
+        for s in &report.epoch_stats[1..] {
+            if let Some(kl) = s.kl_mean {
+                assert!(kl.is_finite() && kl >= 0.0);
+                assert!(s.kl_min.unwrap() <= kl);
+            }
+        }
+        let drops: u64 = report.epoch_stats.iter().map(|s| s.wide_drops).sum();
+        assert_eq!(drops as usize, report.wide_drops);
+        let relays: u64 = report.epoch_stats.iter().map(|s| s.relay_edges).sum();
+        assert_eq!(relays as usize, report.relay_edges);
+        // The stage times are the epoch deltas of the trainer's own
+        // phase counters, so they sum to them.
+        let snap = trainer.metrics().snapshot();
+        assert_eq!(snap.counter("core_epochs_total"), Some(epochs as u64));
+        let total = |f: fn(&EpochStats) -> u64| report.epoch_stats.iter().map(f).sum::<u64>();
+        for (name, sum) in [
+            ("core_forward_nanos_total", total(|s| s.forward_nanos)),
+            ("core_backward_nanos_total", total(|s| s.backward_nanos)),
+            ("core_optim_nanos_total", total(|s| s.optim_nanos)),
+            ("core_downsample_nanos_total", total(|s| s.downsample_nanos)),
+        ] {
+            assert_eq!(snap.counter(name), Some(sum), "{name}");
         }
     }
 
@@ -929,130 +1052,97 @@ mod tests {
         let train: Vec<u32> = dataset.transductive.train[..20].to_vec();
         let mut cfg = tiny_config();
         cfg.epochs = 2;
-        for k in [1, 2] {
-            let mut trainer = trainer_over(&dataset, cfg.clone(), &train, k);
-            let tracer = Tracer::new(99);
-            trainer.set_tracer(tracer.clone());
-            trainer.set_profiling(true);
-            let report = trainer.fit(&train);
+        let mut trainer = trainer_over(&dataset, cfg.clone(), &train);
+        let tracer = Tracer::new(99);
+        trainer.set_tracer(tracer.clone());
+        trainer.set_profiling(true);
+        let report = trainer.fit(&train);
 
-            // One merged op profile per epoch, naming real tensor ops with
-            // time and FLOPs.
-            assert_eq!(report.epoch_profiles.len(), 2);
-            for profile in &report.epoch_profiles {
-                assert!(!profile.is_empty());
-                assert!(profile.fwd_nanos_total > 0);
-                assert!(profile.bwd_nanos_total > 0);
-                assert!(profile.total_flops() > 0);
-                let top = profile.top_k(3);
-                assert!(!top.is_empty());
-                assert!(profile.ops.iter().any(|o| o.name == "matmul"));
-            }
+        // One merged op profile per epoch, naming real tensor ops with
+        // time and FLOPs.
+        assert_eq!(report.epoch_profiles.len(), 2);
+        for profile in &report.epoch_profiles {
+            assert!(!profile.is_empty());
+            assert!(profile.fwd_nanos_total > 0);
+            assert!(profile.bwd_nanos_total > 0);
+            assert!(profile.total_flops() > 0);
+            let top = profile.top_k(3);
+            assert!(!top.is_empty());
+            assert!(profile.ops.iter().any(|o| o.name == "matmul"));
+        }
 
-            // Gradient health observed on every (finite) batch.
-            for stats in &report.epoch_stats {
-                assert!(stats.grad_batches > 0);
-                let norm = stats.grad_norm_mean.expect("finite batches");
-                assert!(norm.is_finite() && norm > 0.0);
-                assert!(stats.grad_max_abs > 0.0);
-                assert!(!stats.grad_max_param.is_empty());
-                assert_eq!(stats.nonfinite_batches, 0);
-            }
+        // Gradient health observed on every (finite) batch.
+        for stats in &report.epoch_stats {
+            assert!(stats.grad_batches > 0);
+            let norm = stats.grad_norm_mean.expect("finite batches");
+            assert!(norm.is_finite() && norm > 0.0);
+            assert!(stats.grad_max_abs > 0.0);
+            assert!(!stats.grad_max_param.is_empty());
+            assert_eq!(stats.nonfinite_batches, 0);
+        }
 
-            // The trace holds one epoch root per epoch, each with
-            // forward/backward/downsample/optim children linked explicitly
-            // (cross-thread parenting); every parent is in the drained set.
-            let records = tracer.drain();
-            let ids: std::collections::HashSet<_> = records.iter().map(|r| r.id).collect();
-            assert!(records
+        // The trace holds one epoch root per epoch, each with
+        // forward/backward/downsample/optim children linked explicitly;
+        // every parent is in the drained set.
+        let records = tracer.drain();
+        let ids: std::collections::HashSet<_> = records.iter().map(|r| r.id).collect();
+        assert!(records
+            .iter()
+            .filter_map(|r| r.parent)
+            .all(|p| ids.contains(&p)));
+        let roots: Vec<_> = records.iter().filter(|r| r.parent.is_none()).collect();
+        assert_eq!(roots.len(), 2, "one root per epoch");
+        for root in &roots {
+            assert_eq!(root.name, "core.trainer.epoch");
+            let children: Vec<_> = records
                 .iter()
-                .filter_map(|r| r.parent)
-                .all(|p| ids.contains(&p)));
-            let roots: Vec<_> = records.iter().filter(|r| r.parent.is_none()).collect();
-            assert_eq!(roots.len(), 2, "one root per epoch");
-            for root in &roots {
-                assert_eq!(root.name, "core.trainer.epoch");
-                let children: Vec<_> = records
-                    .iter()
-                    .filter(|r| r.parent == Some(root.id))
-                    .collect();
-                assert!(children.iter().all(|c| c.trace == root.trace));
-                let child_names: Vec<&str> = children.iter().map(|c| c.name.as_str()).collect();
-                for needed in [
-                    "core.trainer.forward",
-                    "core.trainer.backward",
-                    "core.trainer.downsample",
-                    "core.trainer.optim",
-                ] {
-                    assert!(
-                        child_names.contains(&needed),
-                        "epoch span missing child {needed}: {child_names:?}"
-                    );
-                }
+                .filter(|r| r.parent == Some(root.id))
+                .collect();
+            assert!(children.iter().all(|c| c.trace == root.trace));
+            let child_names: Vec<&str> = children.iter().map(|c| c.name.as_str()).collect();
+            for needed in [
+                "core.trainer.forward",
+                "core.trainer.backward",
+                "core.trainer.downsample",
+                "core.trainer.optim",
+            ] {
+                assert!(
+                    child_names.contains(&needed),
+                    "epoch span missing child {needed}: {child_names:?}"
+                );
             }
+        }
 
-            // Diagnostics observe the fit, they never steer it.
-            let mut plain = trainer_over(&dataset, cfg.clone(), &train, k);
-            assert_eq!(plain.fit(&train).epoch_losses, report.epoch_losses);
-            let traced = trainer.into_model().params.snapshot();
-            for (a, b) in traced.iter().zip(&plain.into_model().params.snapshot()) {
-                assert_eq!(a.max_abs_diff(b), 0.0);
-            }
+        // Diagnostics observe the fit, they never steer it.
+        let mut plain = trainer_over(&dataset, cfg.clone(), &train);
+        assert_eq!(plain.fit(&train).epoch_losses, report.epoch_losses);
+        let traced = trainer.into_model().params.snapshot();
+        for (a, b) in traced.iter().zip(&plain.into_model().params.snapshot()) {
+            assert_eq!(a.max_abs_diff(b), 0.0);
         }
     }
 
+    /// A step is one chunk — one tape, one loss op — however many CPUs
+    /// the host has, so a seed trains the same program anywhere.
     #[test]
-    fn split_even_cuts_contiguous_parts_within_one_of_each_other() {
-        for n in 0..40usize {
-            let nodes: Vec<u32> = (0..n as u32).collect();
-            for k in 1..=9 {
-                let parts = split_even(&nodes, k);
-                assert_eq!(parts.len(), k);
-                for part in &parts {
-                    assert!(part.len() == n / k || part.len() == n.div_ceil(k));
-                    assert!(n < k || !part.is_empty(), "n = {n}, k = {k}");
-                }
-                assert_eq!(parts.concat(), nodes, "n = {n}, k = {k}");
-            }
-        }
-        assert_eq!(
-            split_even(&[1, 2, 3, 4, 5], 3),
-            [&[1, 2][..], &[3, 4], &[5]]
-        );
-        assert_eq!(split_even(&[7], 3), [&[7][..], &[], &[]]);
-    }
-
-    /// A part is one chunk — one tape, one loss op — however many CPUs
-    /// the host has, so a seed trains the same program anywhere; empty
-    /// parts run nothing.
-    #[test]
-    fn every_shard_step_runs_one_chunk() {
+    fn every_step_runs_one_chunk() {
         let dataset = acm_like(Scale::Smoke, 16);
         let train: Vec<u32> = dataset.transductive.train[..34].to_vec();
         let mut cfg = tiny_config();
         cfg.epochs = 2;
         cfg.batch_size = 4;
-        for (k, pinned) in [(1, 9), (2, 10), (4, 10)] {
-            let mut trainer = trainer_over(&dataset, cfg.clone(), &train, k);
-            trainer.set_profiling(true);
-            let report = trainer.fit(&train);
-            // Steps of k · batch_size nodes, each cut into k parts; the
-            // last step of 34 at k = 4 is two nodes, two parts of one.
-            let chunks: u64 = train
-                .chunks(k * cfg.batch_size)
-                .map(|step| split_even(step, k).iter().filter(|p| !p.is_empty()).count() as u64)
-                .sum();
-            assert_eq!(chunks, pinned, "k = {k}");
-            assert!(chunks > k as u64);
-            assert_eq!(report.epoch_profiles.len(), cfg.epochs);
-            for profile in &report.epoch_profiles {
-                let losses = profile
-                    .ops
-                    .iter()
-                    .find(|op| op.name == "softmax_cross_entropy")
-                    .map_or(0, |op| op.count);
-                assert_eq!(losses, chunks, "k = {k}: one loss op per non-empty part");
-            }
+        let mut trainer = trainer_over(&dataset, cfg.clone(), &train);
+        trainer.set_profiling(true);
+        let report = trainer.fit(&train);
+        assert_eq!(report.epoch_profiles.len(), cfg.epochs);
+        for profile in &report.epoch_profiles {
+            let losses = profile
+                .ops
+                .iter()
+                .find(|op| op.name == "softmax_cross_entropy")
+                .map_or(0, |op| op.count);
+            // Eight steps of four nodes and a last one of two.
+            assert_eq!(losses, 9, "one loss op per step");
         }
     }
 
@@ -1071,7 +1161,7 @@ mod tests {
         let mut cfg = tiny_config();
         cfg.epochs = 40;
         cfg.learning_rate = 5e-2;
-        let mut trainer = trainer_over(&dataset, cfg, &train, 1);
+        let mut trainer = trainer_over(&dataset, cfg, &train);
         trainer.set_profiling(true);
         let report = trainer.fit(&train);
         assert!(
@@ -1109,7 +1199,7 @@ mod tests {
                 .collect()
         };
 
-        let mut trainer = trainer_over(&dataset, tiny_config(), &train, 1);
+        let mut trainer = trainer_over(&dataset, tiny_config(), &train);
         let before = trainer.model().params.snapshot();
         let mut poisoned = grads(trainer.model(), 0.25);
         poisoned[1].1.as_mut_slice()[0] = f32::NAN;
@@ -1127,7 +1217,7 @@ mod tests {
         // where it lands on a trainer that never saw the NaN.
         let finite = grads(trainer.model(), 0.25);
         trainer.step_if_finite(&finite, None, &mut stats);
-        let mut untouched = trainer_over(&dataset, tiny_config(), &train, 1);
+        let mut untouched = trainer_over(&dataset, tiny_config(), &train);
         untouched.step_if_finite(&finite, None, &mut EpochStats::default());
         assert_eq!(stats.grad_batches, 1);
         let stepped = trainer.into_model().params.snapshot();
@@ -1145,9 +1235,9 @@ mod tests {
     }
 
     /// North-star 4, the trainer-sized slice, both ways: every counter a
-    /// two-shard fit emits is a row of DESIGN.md's metric table, and every
-    /// `core_*` row is emitted by that fit or is one of the named counters
-    /// on [`Registry::global`].
+    /// fit emits is a row of DESIGN.md's metric table, and every `core_*`
+    /// row is emitted by that fit or is one of the named counters on
+    /// [`Registry::global`].
     #[test]
     fn every_emitted_trainer_metric_is_documented() {
         const ON_GLOBAL: [&str; 2] = ["core_packaging_nanos_total", "core_packaging_calls_total"];
@@ -1156,19 +1246,11 @@ mod tests {
         let train: Vec<u32> = dataset.transductive.train[..8].to_vec();
         let mut cfg = tiny_config();
         cfg.epochs = 1;
-        let mut trainer = trainer_over(&dataset, cfg, &train, 2);
+        let mut trainer = trainer_over(&dataset, cfg, &train);
         trainer.fit(&train);
         let snap = trainer.metrics().snapshot();
         assert!(snap.gauges.is_empty() && snap.histograms.is_empty());
-        assert!(snap.counter("core_shard1_busy_nanos_total").is_some());
-        let row_of = |name: &str| match name.strip_prefix("core_shard") {
-            Some(rest) if rest.starts_with(|c: char| c.is_ascii_digit()) => format!(
-                "core_shard{{p}}{}",
-                rest.trim_start_matches(|c: char| c.is_ascii_digit())
-            ),
-            _ => name.to_string(),
-        };
-        let emitted: Vec<String> = snap.counters.iter().map(|(n, _)| row_of(n)).collect();
+        let emitted: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
         for row in &emitted {
             assert!(
                 design.contains(&format!("`{row}`")),
@@ -1186,10 +1268,28 @@ mod tests {
         assert!(documented.len() >= emitted.len());
         for name in documented {
             assert!(
-                ON_GLOBAL.contains(&name) || emitted.iter().any(|e| e == name),
-                "DESIGN.md documents {name}, which neither a k = 2 fit nor the global registry emits"
+                ON_GLOBAL.contains(&name) || emitted.contains(&name),
+                "DESIGN.md documents {name}, which neither a fit nor the global registry emits"
             );
         }
+    }
+
+    /// The trainer's bits, pinned: a 2-epoch smoke fit (downsampling fires
+    /// in epoch 2) ends on this loss and these weights on every host, so a
+    /// change that reorders a step's nodes, its gradients or its optimizer
+    /// step fails here.
+    #[test]
+    fn a_smoke_fit_trains_the_pinned_bits() {
+        let dataset = acm_like(Scale::Smoke, 20);
+        let train = &dataset.transductive.train;
+        let mut cfg = tiny_config();
+        cfg.epochs = 2;
+        let mut trainer = trainer_over(&dataset, cfg, train);
+        let report = trainer.fit(train);
+        assert!(report.wide_drops > 0 && report.deep_drops > 0);
+        let digest = widen_tensor::digest64(&trainer.into_model().save_weights());
+        assert_eq!(report.final_loss().to_bits(), 0x3fee_6b75_a800_0000);
+        assert_eq!(digest, 0xf7bd_ac5d_0bb0_edf9);
     }
 
     #[test]

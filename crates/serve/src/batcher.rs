@@ -1,9 +1,9 @@
-//! Micro-batching worker: pulls per-node jobs off the shared queue,
-//! coalesces them into chunks (up to `max_batch` jobs or `max_wait_us`
-//! after the first), and answers each chunk with one fused
-//! [`widen_core::WidenModel::forward_batch`]-backed call through the
-//! worker's frozen inference state ([`InferState`]), which it keeps for as
-//! long as the checkpoint digest stays the same.
+//! The batcher, the server's one model thread: pulls per-node jobs off the
+//! bounded job queue, coalesces them into chunks (up to `max_batch` jobs or
+//! `max_wait_us` after the first), and answers each chunk with one fused
+//! [`widen_core::WidenModel::forward_batch`]-backed call through its
+//! frozen inference state ([`InferState`]), which it keeps for as long as
+//! the checkpoint digest stays the same.
 //!
 //! Correctness rests on the engine's batch-composition invariance (pinned
 //! by a `widen-core` test): a node's output row is bit-identical no matter
@@ -20,7 +20,6 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{Receiver, RecvTimeoutError};
 use widen_core::model::{argmax, InferState};
 use widen_obs::{buckets, Counter, Gauge, Histogram, Registry};
 
@@ -59,7 +58,7 @@ pub(crate) enum JobOutput {
 pub(crate) struct JobStamps {
     /// When the job entered the shared queue.
     pub enqueued: Instant,
-    /// When a worker pulled it off the queue.
+    /// When the batcher pulled it off the queue.
     pub pulled: Instant,
     /// When its coalescing window closed (batch processing began).
     pub batch_start: Instant,
@@ -137,7 +136,7 @@ impl ReplySink {
     }
 }
 
-/// One node of one request, queued for a batcher worker.
+/// One node of one request, queued for the batcher.
 pub(crate) struct Job {
     pub kind: JobKind,
     pub node: u32,
@@ -153,8 +152,8 @@ pub(crate) struct Job {
     pub reply: ReplySink,
     /// When the job entered the queue (queue-wait span start).
     pub enqueued_at: Instant,
-    /// When a worker pulled the job off the queue; initialised to
-    /// `enqueued_at` and overwritten by `run_worker` at pull time.
+    /// When the batcher pulled the job off the queue; initialised to
+    /// `enqueued_at` and overwritten by `run_batcher` at pull time.
     pub pulled_at: Instant,
 }
 
@@ -176,9 +175,9 @@ pub(crate) struct BatchPolicy {
     pub max_wait: Duration,
 }
 
-/// Worker-side throughput instruments: handles into the server's metric
-/// registry, shared by every worker and lock-free to record.
-pub(crate) struct WorkerStats {
+/// Batcher-side throughput instruments: handles into the server's metric
+/// registry, lock-free to record.
+pub(crate) struct BatcherStats {
     pub jobs: Arc<Counter>,
     pub batches: Arc<Counter>,
     pub deadline_drops: Arc<Counter>,
@@ -189,17 +188,19 @@ pub(crate) struct WorkerStats {
     pub batch_size: Arc<Histogram>,
     /// How long the first job of each window waited for company, in µs.
     pub batch_wait_us: Arc<Histogram>,
-    /// Job-queue depth sampled as each coalescing window opens.
+    /// Jobs enqueued and not yet pulled, live: the reactor adds 1 per job
+    /// it enqueues, the batcher subtracts 1 per job it pulls, and the
+    /// reactor's shed check reads it.
     pub queue_depth: Arc<Gauge>,
-    /// Always-on lifecycle: enqueue → worker pull, per job, in µs.
+    /// Always-on lifecycle: enqueue → batcher pull, per job, in µs.
     pub queue_wait_us: Arc<Histogram>,
-    /// Always-on lifecycle: worker pull → window close, per job, in µs.
+    /// Always-on lifecycle: batcher pull → window close, per job, in µs.
     pub coalesce_us: Arc<Histogram>,
     /// Always-on lifecycle: fused forward pass, per batch group, in µs.
     pub forward_us: Arc<Histogram>,
 }
 
-impl WorkerStats {
+impl BatcherStats {
     /// Registers (or re-binds) the `serve_*` instruments in `metrics`.
     pub fn new(metrics: &Registry) -> Self {
         Self {
@@ -217,38 +218,34 @@ impl WorkerStats {
     }
 }
 
-/// Runs one batcher worker until the job channel disconnects. On
-/// shutdown the channel keeps yielding queued jobs until empty — that is
-/// the drain guarantee: every accepted job is answered before the worker
-/// exits.
-pub(crate) fn run_worker(
+/// Runs the batcher until the job channel disconnects. On shutdown the
+/// channel keeps yielding queued jobs until empty — that is the drain
+/// guarantee: every accepted job is answered before the batcher exits.
+pub(crate) fn run_batcher(
     registry: Arc<ModelRegistry>,
     cache: Arc<EmbedCache>,
-    rx: Receiver<Job>,
+    rx: mpsc::Receiver<Job>,
     policy: BatchPolicy,
-    stats: Arc<WorkerStats>,
+    stats: Arc<BatcherStats>,
 ) {
     let mut frozen = None;
-    loop {
-        let mut first = match rx.recv() {
-            Ok(job) => job,
-            Err(_) => return, // disconnected and fully drained
-        };
-        stats.queue_depth.set(rx.len() as i64);
+    // Disconnected and fully drained ends the loop.
+    while let Ok(mut first) = rx.recv() {
+        stats.queue_depth.add(-1);
         let window_start = Instant::now();
         first.pulled_at = window_start;
         let mut jobs = vec![first];
         if policy.max_batch > 1 {
             let window_end = window_start + policy.max_wait;
             while jobs.len() < policy.max_batch {
-                match rx.recv_deadline(window_end) {
-                    Ok(mut job) => {
-                        job.pulled_at = Instant::now();
-                        jobs.push(job);
-                    }
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
+                // A timeout and a disconnect both close the window.
+                let wait = window_end.saturating_duration_since(Instant::now());
+                let Ok(mut job) = rx.recv_timeout(wait) else {
+                    break;
+                };
+                stats.queue_depth.add(-1);
+                job.pulled_at = Instant::now();
+                jobs.push(job);
             }
         }
         stats
@@ -277,7 +274,7 @@ fn process_batch(
     registry: &ModelRegistry,
     cache: &EmbedCache,
     jobs: Vec<Job>,
-    stats: &WorkerStats,
+    stats: &BatcherStats,
     frozen: &mut Option<(u64, InferState)>,
 ) {
     stats.batches.inc();
@@ -476,7 +473,7 @@ mod tests {
     fn completions_carry_ordered_lifecycle_stamps() {
         let registry = tiny_registry();
         let cache = Arc::new(EmbedCache::new(16));
-        let stats = WorkerStats::new(&Registry::new());
+        let stats = BatcherStats::new(&Registry::new());
         let (tx, rx) = mpsc::channel();
         let serve = |job| {
             process_batch(&registry, &cache, vec![job], &stats, &mut None);
@@ -506,7 +503,7 @@ mod tests {
     fn mixed_batch_answers_every_job_correctly() {
         let registry = tiny_registry();
         let cache = Arc::new(EmbedCache::new(16));
-        let stats = WorkerStats::new(&Registry::new());
+        let stats = BatcherStats::new(&Registry::new());
         let (tx, rx) = mpsc::channel();
         let jobs = vec![
             job(JobKind::Embed, 0, 7, 0, &tx),
@@ -536,7 +533,7 @@ mod tests {
     fn second_identical_embed_is_served_from_cache() {
         let registry = tiny_registry();
         let cache = Arc::new(EmbedCache::new(16));
-        let stats = WorkerStats::new(&Registry::new());
+        let stats = BatcherStats::new(&Registry::new());
         let (tx, rx) = mpsc::channel();
         process_batch(
             &registry,
@@ -562,7 +559,7 @@ mod tests {
     fn duplicate_jobs_share_one_computation() {
         let registry = tiny_registry();
         let cache = Arc::new(EmbedCache::new(0));
-        let stats = WorkerStats::new(&Registry::new());
+        let stats = BatcherStats::new(&Registry::new());
         let (tx, rx) = mpsc::channel();
         // Three identical classify jobs + one identical embed pair.
         let jobs = vec![
@@ -609,7 +606,7 @@ mod tests {
         let model_b = WidenModel::for_graph(&dataset.graph, cfg.with_seed(99));
         let registry = ModelRegistry::from_model(dataset.graph.clone(), model_a);
         let cache = EmbedCache::new(0);
-        let stats = WorkerStats::new(&Registry::new());
+        let stats = BatcherStats::new(&Registry::new());
         let (tx, rx) = mpsc::channel();
         let mut frozen = None;
         let mut serve = |kind, items: &[(u32, u64)]| {
@@ -684,7 +681,7 @@ mod tests {
     fn expired_jobs_get_deadline_errors_without_compute() {
         let registry = tiny_registry();
         let cache = Arc::new(EmbedCache::new(16));
-        let stats = WorkerStats::new(&Registry::new());
+        let stats = BatcherStats::new(&Registry::new());
         let (tx, rx) = mpsc::channel();
         let mut expired = job(JobKind::Embed, 0, 1, 0, &tx);
         expired.deadline = Instant::now() - Duration::from_millis(1);

@@ -195,7 +195,8 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// Thread-safe embedding cache shared by all batcher workers.
+/// Thread-safe embedding cache shared by the batcher and the ingest
+/// executor.
 pub struct EmbedCache {
     inner: Mutex<(Lru<EmbedKey, Vec<f32>>, CacheStats)>,
     counters: Option<(Arc<Counter>, Arc<Counter>)>,
@@ -254,7 +255,7 @@ impl EmbedCache {
     /// already be unreachable, but flushing eagerly returns their memory
     /// and guarantees a stale row can never be served, even by a future key
     /// collision. The flush runs after the registry's write guard is
-    /// released, so a batch worker may already have inserted rows of the
+    /// released, so the batcher may already have inserted rows of the
     /// new generation — which is why it selects by key instead of dropping
     /// everything: those rows are current and must survive.
     pub fn retain(&self, keep: impl FnMut(&EmbedKey) -> bool) {
@@ -368,7 +369,7 @@ mod tests {
     #[test]
     fn flush_keeps_rows_of_the_new_generation_capacity_and_counters() {
         // An ingest's flush runs after the write guard is gone: a row a
-        // batch worker inserted under the new graph version in that gap
+        // batch inserted under the new graph version in that gap
         // must survive it, every older row must not.
         let cache = EmbedCache::new(4);
         let old = EmbedKey {

@@ -39,7 +39,7 @@
 //!   wait, coalesce and forward of the job that finished it — drawn from
 //!   the same stamps as its flight record. Version-1 peers interoperate
 //!   unchanged.
-//! * observability — the reactor and the batch workers stamp every
+//! * observability — the reactor and the batcher stamp every
 //!   request's lifecycle into always-on histograms; the `Telemetry` wire
 //!   op ([`Client::telemetry`]), the one metrics op, returns the merged
 //!   SLO view (interpolated p50/p90/p99 per histogram), and a fixed-size

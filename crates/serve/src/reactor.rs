@@ -42,10 +42,10 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, TrySendError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{Sender, TrySendError};
 use rustc_hash::FxHashMap;
 use widen_obs::{buckets, Counter, FlightRecord, Gauge, Histogram, TelemetrySnapshot};
 
@@ -235,10 +235,13 @@ impl ReactorMetrics {
 pub(crate) struct Reactor {
     listener: TcpListener,
     shared: Arc<Shared>,
-    job_tx: Sender<Job>,
+    job_tx: mpsc::SyncSender<Job>,
+    /// Jobs enqueued and not yet pulled — the `serve_queue_depth` gauge,
+    /// which the batcher decrements per pull.
+    queued: Arc<Gauge>,
     ingest_tx: mpsc::Sender<IngestWork>,
     completion_rx: mpsc::Receiver<Completion>,
-    /// Cloned into every job so workers can deliver-and-wake.
+    /// Cloned into every job so the batcher can deliver-and-wake.
     sink: ReplySink,
     wake: Arc<WakePipe>,
     max_connections: usize,
@@ -267,7 +270,7 @@ impl Reactor {
     pub fn new(
         listener: TcpListener,
         shared: Arc<Shared>,
-        job_tx: Sender<Job>,
+        job_tx: mpsc::SyncSender<Job>,
         ingest_tx: mpsc::Sender<IngestWork>,
         completion_rx: mpsc::Receiver<Completion>,
         sink: ReplySink,
@@ -278,6 +281,7 @@ impl Reactor {
         let m = ReactorMetrics::new(&shared.metrics);
         Self {
             listener,
+            queued: shared.batcher_stats.queue_depth.clone(),
             shared,
             job_tx,
             ingest_tx,
@@ -743,8 +747,11 @@ impl Reactor {
 
         // Shed before enqueue: either the whole request fits in the queue
         // budget right now or none of it goes in. The reactor is the only
-        // enqueuer, so a passed check cannot race into a partial enqueue.
-        if self.job_tx.len() + nodes.len() > self.queue_depth {
+        // enqueuer and counts every job it sends, and the batcher uncounts
+        // a job only after pulling it, so here the live count never reads
+        // below the queue's length: a passed check cannot race into a
+        // partial enqueue.
+        if self.queued.get() as usize + nodes.len() > self.queue_depth {
             self.shared.shed.inc();
             let resp = Response::from_error(id, &ServeError::Overloaded);
             return self.answer(key, &resp, &meta, None);
@@ -766,7 +773,10 @@ impl Reactor {
                 pulled_at: Instant::now(),
             };
             match self.job_tx.try_send(job) {
-                Ok(()) => enqueued += 1,
+                Ok(()) => {
+                    self.queued.add(1);
+                    enqueued += 1;
+                }
                 Err(TrySendError::Full(_)) => {
                     self.shared.shed.inc();
                     failure = Some(ServeError::Overloaded);
@@ -1122,7 +1132,7 @@ pub(crate) fn telemetry_text(shared: &Shared) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::WorkerStats;
+    use crate::batcher::BatcherStats;
     use crate::cache::EmbedCache;
     use crate::registry::ModelRegistry;
     use widen_core::{WidenConfig, WidenModel};
@@ -1146,7 +1156,7 @@ mod tests {
             connections_total: metrics.counter("serve_connections_total"),
             open_connections: metrics.gauge("serve_open_connections"),
             cache: Arc::new(EmbedCache::new(0)),
-            worker_stats: Arc::new(WorkerStats::new(&metrics)),
+            batcher_stats: Arc::new(BatcherStats::new(&metrics)),
             registry,
             request_timeout: Duration::from_secs(5),
             slow_threshold: None,
@@ -1156,7 +1166,7 @@ mod tests {
             postmortem_path: None,
             metrics,
         });
-        let (job_tx, _job_rx) = crossbeam_channel::bounded(4);
+        let (job_tx, _job_rx) = mpsc::sync_channel(4);
         let (ingest_tx, _ingest_rx) = mpsc::channel();
         let (tx, completion_rx) = mpsc::channel();
         let sink = ReplySink {

@@ -1,5 +1,5 @@
 //! Checkpoint-backed model registry: the bundle of graph, configuration
-//! and restored weights every worker thread reads from.
+//! and restored weights the batcher and the ingest executor read from.
 //!
 //! Since the streaming-graph work the registry is no longer immutable: the
 //! `Ingest` wire op grows the served graph online, and

@@ -9,21 +9,21 @@
 //!                  └───────┬──────────────────────────▲─────────┘
 //!                    jobs  │                          │ completions
 //!                          ▼                          │ (+ self-pipe wake)
-//!                   bounded MPMC queue ──▶ batcher workers (×W)
+//!                     bounded queue ──────────▶ batcher
 //!                          │                          ▲
-//!                          └── ingest ──▶ ingest executor (×1)
+//!                          └── ingest ──▶ ingest executor
 //! ```
 //!
 //! The reactor (see [`crate::reactor`]) owns every client socket in
-//! nonblocking mode; batcher workers and the ingest executor send results
+//! nonblocking mode; the batcher and the ingest executor send results
 //! back over one completion channel and ring the reactor's self-pipe.
-//! Thread count is `2 + workers` regardless of how many connections are
-//! open.
+//! Thread count is 3 regardless of how many connections are open: the
+//! model runs on the one batcher thread, as a fit runs on one thread.
 //!
 //! Shutdown is graceful by construction and never depends on connecting
 //! to the server's own address: the flag is set, the self-pipe is rung,
 //! the reactor answers and flushes everything pending and exits; dropping
-//! its job sender lets the workers drain the queue and exit, and dropping
+//! its job sender lets the batcher drain the queue and exit, and dropping
 //! its ingest sender stops the ingest executor. An accepted request is
 //! never dropped without a response.
 
@@ -34,12 +34,11 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::bounded;
 use widen_obs::{Counter, FlightRecorder, Gauge, Registry as MetricsRegistry};
 
 use widen_graph::{EdgeTypeId, NodeTypeId};
 
-use crate::batcher::{run_worker, BatchPolicy, Completion, Job, ReplySink, WorkerStats};
+use crate::batcher::{run_batcher, BatchPolicy, BatcherStats, Completion, Job, ReplySink};
 use crate::cache::{EmbedCache, EmbedKey};
 use crate::error::ServeError;
 use crate::poll::WakePipe;
@@ -50,8 +49,6 @@ use crate::registry::ModelRegistry;
 /// Tunables for one server instance.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Batcher worker threads pulling from the shared queue.
-    pub workers: usize,
     /// Maximum jobs coalesced into one fused forward pass. `1` disables
     /// micro-batching (the baseline the throughput bench compares against).
     pub max_batch: usize,
@@ -90,7 +87,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            workers: 1,
             max_batch: 32,
             max_wait_us: 500,
             queue_depth: 1024,
@@ -109,7 +105,7 @@ impl Default for ServeConfig {
 pub struct ServeStats {
     /// Requests fully answered (success or error).
     pub requests: u64,
-    /// Per-node jobs processed by the batchers.
+    /// Per-node jobs processed by the batcher.
     pub jobs: u64,
     /// Fused batches executed; `jobs / batches` is the achieved mean
     /// batch size.
@@ -162,7 +158,7 @@ pub(crate) struct Shared {
     /// `serve_open_connections` — currently registered connections.
     pub(crate) open_connections: Arc<Gauge>,
     pub(crate) cache: Arc<EmbedCache>,
-    pub(crate) worker_stats: Arc<WorkerStats>,
+    pub(crate) batcher_stats: Arc<BatcherStats>,
     pub(crate) registry: Arc<ModelRegistry>,
     pub(crate) request_timeout: Duration,
     /// Slow-request threshold; `None` disables the check.
@@ -207,8 +203,8 @@ pub struct Server;
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port), spawns the
-    /// reactor, the ingest executor, and `config.workers` batcher
-    /// threads, and returns a handle for stats and shutdown.
+    /// batcher, the ingest executor and the reactor, and returns a handle
+    /// for stats and shutdown.
     ///
     /// # Errors
     /// Propagates socket-binding failures (and self-pipe creation under
@@ -218,7 +214,6 @@ impl Server {
         config: ServeConfig,
         addr: &str,
     ) -> std::io::Result<ServerHandle> {
-        assert!(config.workers >= 1, "need at least one worker");
         assert!(config.max_batch >= 1, "max_batch must be ≥ 1");
         assert!(config.max_connections >= 1, "max_connections must be ≥ 1");
         let listener = TcpListener::bind(addr)?;
@@ -241,7 +236,7 @@ impl Server {
             connections_total: metrics.counter("serve_connections_total"),
             open_connections: metrics.gauge("serve_open_connections"),
             cache: Arc::new(EmbedCache::with_metrics(config.cache_capacity, &metrics)),
-            worker_stats: Arc::new(WorkerStats::new(&metrics)),
+            batcher_stats: Arc::new(BatcherStats::new(&metrics)),
             registry: registry.clone(),
             request_timeout: Duration::from_millis(config.request_timeout_ms),
             slow_threshold,
@@ -252,29 +247,22 @@ impl Server {
             metrics,
         });
 
-        let (job_tx, job_rx) = bounded::<Job>(config.queue_depth);
+        let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.queue_depth);
         let policy = BatchPolicy {
             max_batch: config.max_batch,
             max_wait: Duration::from_micros(config.max_wait_us),
         };
-        let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
+        let batcher = {
             let registry = registry.clone();
             let cache = shared.cache.clone();
-            let rx = job_rx.clone();
-            let stats = shared.worker_stats.clone();
-            match std::thread::Builder::new()
-                .name(format!("widen-batcher-{i}"))
-                .spawn(move || run_worker(registry, cache, rx, policy, stats))
-            {
-                Ok(worker) => workers.push(worker),
-                Err(e) => return Err(abort_spawn(e, job_tx, workers)),
-            }
-        }
-        drop(job_rx);
+            let stats = shared.batcher_stats.clone();
+            std::thread::Builder::new()
+                .name("widen-batcher".into())
+                .spawn(move || run_batcher(registry, cache, job_rx, policy, stats))?
+        };
 
-        // One completion channel back from every producer (batcher
-        // workers, ingest executor); each delivery rings the self-pipe so
+        // One completion channel back from every producer (batcher, ingest
+        // executor); each delivery rings the self-pipe so
         // the reactor leaves poll and writes the response.
         let (completion_tx, completion_rx) = mpsc::channel::<Completion>();
         let sink = ReplySink {
@@ -295,7 +283,7 @@ impl Server {
                 .spawn(move || run_ingest_executor(ingest_rx, shared, sink))
             {
                 Ok(ingest) => ingest,
-                Err(e) => return Err(abort_spawn(e, job_tx, workers)),
+                Err(e) => return Err(abort_spawn(e, job_tx, vec![batcher])),
             }
         };
 
@@ -324,10 +312,7 @@ impl Server {
                 });
             match spawned {
                 Ok(reactor) => reactor,
-                Err(e) => {
-                    workers.push(ingest_worker);
-                    return Err(abort_spawn(e, (), workers));
-                }
+                Err(e) => return Err(abort_spawn(e, (), vec![batcher, ingest_worker])),
             }
         };
 
@@ -336,7 +321,7 @@ impl Server {
             shared,
             reactor: Some(reactor),
             ingest_worker: Some(ingest_worker),
-            workers,
+            batcher: Some(batcher),
             wake,
         })
     }
@@ -348,7 +333,7 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     reactor: Option<JoinHandle<()>>,
     ingest_worker: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    batcher: Option<JoinHandle<()>>,
     wake: Arc<WakePipe>,
 }
 
@@ -363,10 +348,10 @@ impl ServerHandle {
         let cache = self.shared.cache.stats();
         ServeStats {
             requests: self.shared.requests.get(),
-            jobs: self.shared.worker_stats.jobs.get(),
-            batches: self.shared.worker_stats.batches.get(),
-            deadline_drops: self.shared.worker_stats.deadline_drops.get(),
-            dedup_hits: self.shared.worker_stats.dedup_hits.get(),
+            jobs: self.shared.batcher_stats.jobs.get(),
+            batches: self.shared.batcher_stats.batches.get(),
+            deadline_drops: self.shared.batcher_stats.deadline_drops.get(),
+            dedup_hits: self.shared.batcher_stats.dedup_hits.get(),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             ingests: self.shared.ingests.get(),
@@ -433,14 +418,14 @@ impl ServerHandle {
         // connect-to-self wake.
         self.wake.wake();
         let _ = reactor.join();
-        // The reactor dropped its job sender on exit; workers drain
-        // whatever is queued, answer it, then see the disconnect and
-        // exit. Same for the ingest executor via its work channel.
-        if let Some(ingest) = self.ingest_worker.take() {
-            let _ = ingest.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        // The reactor dropped its job sender on exit; the batcher drains
+        // whatever is queued, answers it, then sees the disconnect and
+        // exits. Same for the ingest executor via its work channel.
+        for thread in [self.ingest_worker.take(), self.batcher.take()]
+            .into_iter()
+            .flatten()
+        {
+            let _ = thread.join();
         }
     }
 }
@@ -503,7 +488,7 @@ fn execute_ingest(shared: &Shared, work: &IngestWork) -> Response {
             // touched peers, not just the peers themselves — are already
             // unreachable. Flush them eagerly so dead rows don't occupy
             // LRU capacity until eviction — them only: the write guard is
-            // gone, so a batch worker may already have cached rows under
+            // gone, so the batcher may already have cached rows under
             // the new version, and those are current.
             let version = outcome.graph_version;
             shared.cache.retain(|key| key.graph_version >= version);
@@ -539,46 +524,42 @@ fn execute_ingest(shared: &Shared, work: &IngestWork) -> Response {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn abort_spawn_releases_the_senders_then_joins_every_thread() {
-        // Threads shaped like the batchers: drain a channel until its last
-        // sender goes. Two jobs are still queued when the spawn "fails".
-        let (tx, rx) = bounded::<u32>(4);
+        // A thread shaped like the batcher: it drains a channel until its
+        // last sender goes. Two jobs are still queued when the spawn "fails".
+        let (tx, rx) = mpsc::sync_channel::<u32>(4);
         let drained = Arc::new(AtomicUsize::new(0));
-        let exited = Arc::new(AtomicUsize::new(0));
-        let spawned = (0..3)
-            .map(|_| {
-                let (rx, drained, exited) = (rx.clone(), drained.clone(), exited.clone());
-                std::thread::spawn(move || {
-                    while rx.recv().is_ok() {
-                        drained.fetch_add(1, Ordering::SeqCst);
-                    }
-                    exited.fetch_add(1, Ordering::SeqCst);
-                })
+        let exited = Arc::new(AtomicBool::new(false));
+        let batcher = {
+            let (drained, exited) = (drained.clone(), exited.clone());
+            std::thread::spawn(move || {
+                while rx.recv().is_ok() {
+                    drained.fetch_add(1, Ordering::SeqCst);
+                }
+                exited.store(true, Ordering::SeqCst);
             })
-            .collect();
-        drop(rx);
+        };
         tx.send(1).unwrap();
         tx.send(2).unwrap();
         let err = std::io::Error::new(std::io::ErrorKind::WouldBlock, "no more threads");
-        let err = abort_spawn(err, tx, spawned);
-        // Returning means every thread was joined; each saw the disconnect
-        // only after the queue was empty.
-        assert_eq!(exited.load(Ordering::SeqCst), 3);
+        let err = abort_spawn(err, tx, vec![batcher]);
+        // Returning means the thread was joined; it saw the disconnect only
+        // after the queue was empty.
+        assert!(exited.load(Ordering::SeqCst));
         assert_eq!(drained.load(Ordering::SeqCst), 2);
         assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
         assert_eq!(err.to_string(), "no more threads");
     }
 
     /// North-star 4, both ways: every instrument the server's registry, a
-    /// two-shard fit's registry and the global registry emit is a row of
-    /// DESIGN.md's metric table, and every name in the table's first column
-    /// (`/`-separated, `{p}` expanded over the fit's shards) is emitted.
+    /// fit's registry and the global registry emit is a row of DESIGN.md's
+    /// metric table, and every name in the table's first column
+    /// (`/`-separated) is emitted.
     #[test]
     fn every_emitted_serve_metric_is_documented() {
-        const SHARDS: usize = 2;
         let design = include_str!("../../../DESIGN.md");
         let documented: BTreeSet<String> = design
             .lines()
@@ -586,11 +567,7 @@ mod tests {
             .skip(2)
             .take_while(|l| l.starts_with('|'))
             .flat_map(|l| l.split('|').nth(1).unwrap().split('/'))
-            .map(|name| name.trim().trim_matches('`'))
-            .flat_map(|name| match name.split_once("{p}") {
-                Some((head, tail)) => (0..SHARDS).map(|p| format!("{head}{p}{tail}")).collect(),
-                None => vec![name.to_string()],
-            })
+            .map(|name| name.trim().trim_matches('`').to_string())
             .collect();
 
         let dataset = widen_data::acm_like(widen_data::Scale::Smoke, 18);
@@ -599,7 +576,7 @@ mod tests {
         cfg.epochs = 1;
         let train = &dataset.transductive.train[..8];
         let model = widen_core::WidenModel::for_graph(&dataset.graph, cfg.clone());
-        let mut trainer = widen_core::Trainer::with_shards(model, &dataset.graph, train, SHARDS);
+        let mut trainer = widen_core::Trainer::new(model, &dataset.graph, train);
         trainer.fit(train);
 
         let feat_dim = dataset.graph.feature_dim();

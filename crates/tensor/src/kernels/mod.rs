@@ -61,8 +61,8 @@ pub(crate) const DOT_LANES: usize = 16;
 /// buffers without a second sweep.
 ///
 /// Implementations run on the calling thread and must be deterministic for
-/// a given input, whichever thread calls them (the shard and serve threads
-/// call concurrently), and *row-deterministic*: the value written to an
+/// a given input, whichever thread calls them (a fit and a server's batcher
+/// may call concurrently), and *row-deterministic*: the value written to an
 /// output row may depend only on the participating input rows and the
 /// shared operand, never on which other rows happen to be in the batch.
 /// The batched execution engine's dedup/gather equivalence proof relies

@@ -524,8 +524,8 @@ proptest! {
 /// Four threads run `Optimized` nn, nt and tn side by side, each at its own
 /// inner dimension, so their thread-local pack scratch is sized differently
 /// and grows while the others pack; every result must be bitwise the same
-/// call made on the test thread. The trainer's shard threads and the serve
-/// workers run GEMMs exactly so.
+/// call made on the test thread. A fit and a server's batcher in one
+/// process run GEMMs exactly so.
 #[test]
 fn gemms_on_concurrent_threads_match_the_calling_thread() {
     const ROUNDS: usize = 8;

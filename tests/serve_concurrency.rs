@@ -46,7 +46,6 @@ fn concurrent_clients_get_the_serial_answers() {
     let registry = ModelRegistry::from_checkpoint(fx.graph.clone(), tiny_config(), &checkpoint)
         .expect("checkpoint loads");
     let config = ServeConfig {
-        workers: 1,
         max_batch: 16,
         max_wait_us: 2_000,
         ..ServeConfig::default()
@@ -238,10 +237,9 @@ fn shutdown_drains_in_flight_requests() {
     let checkpoint = fx.model.save_weights();
     let registry = ModelRegistry::from_checkpoint(fx.graph.clone(), tiny_config(), &checkpoint)
         .expect("checkpoint loads");
-    // Narrow queue + single worker so requests are genuinely in flight
+    // Narrow batches on the one batcher so requests are genuinely in flight
     // (queued or mid-batch) when shutdown fires.
     let config = ServeConfig {
-        workers: 1,
         max_batch: 8,
         max_wait_us: 500,
         ..ServeConfig::default()

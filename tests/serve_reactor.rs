@@ -52,7 +52,6 @@ fn pipelined_out_of_order_receive_is_bit_identical_to_sequential() {
     let handle = Server::bind(
         registry_for(&fx),
         ServeConfig {
-            workers: 1,
             max_batch: 16,
             max_wait_us: 2_000,
             ..ServeConfig::default()
@@ -155,7 +154,6 @@ fn queue_overflow_sheds_before_enqueue_with_typed_overloaded() {
     let handle = Server::bind(
         registry_for(&fx),
         ServeConfig {
-            workers: 1,
             queue_depth: 8,
             ..ServeConfig::default()
         },
@@ -163,43 +161,64 @@ fn queue_overflow_sheds_before_enqueue_with_typed_overloaded() {
     )
     .unwrap();
     let mut client = Client::connect(handle.local_addr()).expect("connect");
+    // Jobs enqueued and not yet pulled: every job of an answered request
+    // has been pulled, so between requests the live count reads 0.
+    let queued = || handle.metrics().snapshot().gauge("serve_queue_depth");
+    let shed = |client: &mut Client, nodes: &[u32]| match client.embed(nodes, 3) {
+        Err(ClientError::Server(ServeError::Overloaded)) => {}
+        other => panic!("expected shed, got {other:?}"),
+    };
+
+    // The admission boundary: on an idle server a request of exactly the
+    // queue's depth is served, one node more is shed whole.
+    let full: Vec<u32> = (0..8).collect();
+    client
+        .embed(&full, 3)
+        .expect("an 8-node embed fits an idle 8-deep queue");
+    assert_eq!(queued(), Some(0));
+    let jobs = handle.stats().jobs;
+    assert_eq!(jobs, 8);
+    let over: Vec<u32> = (0..9).collect();
+    shed(&mut client, &over);
+    assert_eq!(
+        handle.stats().jobs,
+        jobs,
+        "no job of a shed request enqueues"
+    );
+    assert_eq!(queued(), Some(0));
 
     // 64 jobs can never fit an 8-deep queue: shed deterministically,
     // before any job enqueues (no partial work, no deadline wait).
     let nodes: Vec<u32> = (0..8).cycle().take(64).collect();
     let started = Instant::now();
-    match client.embed(&nodes, 3) {
-        Err(ClientError::Server(ServeError::Overloaded)) => {}
-        other => panic!("expected shed, got {other:?}"),
-    }
+    shed(&mut client, &nodes);
     assert!(
         started.elapsed() < Duration::from_secs(2),
         "shedding must answer immediately, not ride out the deadline"
     );
+    assert_eq!(queued(), Some(0));
 
-    // A request that fits is served on the same connection right after.
+    // A request that fits is served on the same connection right after,
+    // and so is a full one again: a leaked count would shed it.
     client.embed(&[0, 1, 2], 3).expect("small request served");
+    assert_eq!(queued(), Some(0));
+    client
+        .embed(&full, 3)
+        .expect("the queue's depth is served again");
+    assert_eq!(queued(), Some(0));
 
     let stats = handle.shutdown();
-    assert!(stats.shed >= 1, "shed counter must record the rejection");
+    assert_eq!(stats.shed, 2, "shed counter must record both rejections");
     assert_eq!(
-        stats.jobs, 3,
-        "no job of the shed request may reach a worker"
+        stats.jobs, 19,
+        "no job of a shed request may reach the batcher"
     );
 }
 
 #[test]
 fn slow_loris_partial_frames_do_not_starve_other_connections() {
     let fx = fixture(84);
-    let handle = Server::bind(
-        registry_for(&fx),
-        ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .unwrap();
+    let handle = Server::bind(registry_for(&fx), ServeConfig::default(), "127.0.0.1:0").unwrap();
     let addr = handle.local_addr();
 
     // The loris: a valid embed frame dribbled a few bytes at a time with
