@@ -236,11 +236,6 @@ impl HeteroGraph {
         self.features.cols()
     }
 
-    /// Whether edges are stored in both directions.
-    pub fn is_undirected(&self) -> bool {
-        self.undirected
-    }
-
     /// Type of node `v`.
     #[inline]
     pub fn node_type(&self, v: NodeId) -> NodeTypeId {
@@ -277,12 +272,6 @@ impl HeteroGraph {
     pub fn edge_types_of(&self, v: NodeId) -> &[u16] {
         let s = self.spans[v as usize];
         &self.edge_types[s.off..s.off + s.len]
-    }
-
-    /// The edge type connecting `v` to its `k`-th neighbour.
-    #[inline]
-    pub fn edge_type_at(&self, v: NodeId, k: usize) -> EdgeTypeId {
-        EdgeTypeId(self.edge_types_of(v)[k])
     }
 
     /// Whether the half-edge `a → b` with type `t` is stored.

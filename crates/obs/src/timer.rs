@@ -29,11 +29,6 @@ impl Stopwatch {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Elapsed whole microseconds, saturating at `u64::MAX`.
-    pub fn elapsed_micros(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
     /// Adds the elapsed nanoseconds to a counter (the accumulate-then-read
     /// pattern used for phase timings shared across worker threads).
     pub fn record_nanos(&self, counter: &Counter) {
@@ -51,7 +46,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(w.elapsed_secs() >= 0.002);
         assert!(w.elapsed_nanos() >= 2_000_000);
-        assert!(w.elapsed_micros() >= 2_000);
     }
 
     #[test]

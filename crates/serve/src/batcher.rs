@@ -1,27 +1,32 @@
-//! The batcher, the server's one model thread: pulls per-node jobs off the
-//! bounded job queue, coalesces them into chunks (up to `max_batch` jobs or
-//! `max_wait_us` after the first), and answers each chunk with one fused
-//! [`widen_core::WidenModel::forward_batch`]-backed call through its
-//! frozen inference state ([`InferState`]), which it keeps for as long as
-//! the checkpoint digest stays the same.
+//! The batcher, the server's one model thread: pulls whole requests off
+//! the bounded job queue, coalesces them into windows (whole requests until
+//! the window holds `max_batch` node rows, or `max_wait_us` after the
+//! first), and answers each window with one fused
+//! [`widen_core::WidenModel::forward_batch`]-backed call per [`JobKind`]
+//! through its frozen inference state ([`InferState`]), which it keeps for
+//! as long as the checkpoint digest stays the same. An `Ingest` closes the
+//! window it is pulled into and runs right after it, so a request queued
+//! behind an ingest is answered on the grown graph.
 //!
 //! Correctness rests on the engine's batch-composition invariance (pinned
 //! by a `widen-core` test): a node's output row is bit-identical no matter
-//! which other jobs happen to share its chunk, so coalescing is purely a
+//! which other rows happen to share its window, so coalescing is purely a
 //! throughput optimisation and responses equal serial single-request
 //! answers exactly.
 //!
-//! Each job's timing travels back with its completion as [`JobStamps`],
-//! the one per-job timing record: the reactor draws a request's flight
-//! record and, when the client asked, its wire span summary from the
-//! stamps of the slot that finished it.
+//! Each request's timing travels back with its completion as
+//! [`JobStamps`], the one per-request timing record: the reactor draws a
+//! request's flight record and, when the client asked, its wire span
+//! summary from them.
 
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use widen_core::model::{argmax, InferState};
+use widen_graph::{EdgeTypeId, NodeTypeId};
 use widen_obs::{buckets, Counter, Gauge, Histogram, Registry};
+use widen_tensor::Tensor;
 
 use crate::cache::{EmbedCache, EmbedKey};
 use crate::error::ServeError;
@@ -29,7 +34,7 @@ use crate::poll::WakePipe;
 use crate::protocol::Response;
 use crate::registry::ModelRegistry;
 
-/// What one coalescable unit of work computes.
+/// What one row of a coalescable request computes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub(crate) enum JobKind {
     /// One embedding row.
@@ -41,29 +46,21 @@ pub(crate) enum JobKind {
     },
 }
 
-/// The result a job sends back to its connection handler.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum JobOutput {
-    /// Embedding row (`d` values).
-    Embedding(Vec<f32>),
-    /// Predicted class label.
-    Label(u32),
-}
-
-/// Monotonic lifecycle instants a job carries back to the reactor on its
-/// completion — the one per-job timing record, raw material for the
-/// flight record and the wire span summary alike. `Copy`, so the hot path
-/// moves a few instants, never allocates.
+/// Monotonic lifecycle instants a request carries back to the reactor on
+/// its completion — the one per-request timing record, raw material for
+/// the flight record and the wire span summary alike. `Copy`, so the hot
+/// path moves a few instants, never allocates.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct JobStamps {
-    /// When the job entered the shared queue.
+    /// When the request entered the shared queue.
     pub enqueued: Instant,
     /// When the batcher pulled it off the queue.
     pub pulled: Instant,
     /// When its coalescing window closed (batch processing began).
     pub batch_start: Instant,
-    /// Start and end of the fused forward pass that computed it; `None`
-    /// for a cache hit or a deadline drop, which never ran the model.
+    /// Start and end of the fused forward pass that computed its missing
+    /// rows; `None` when every row was a cache hit or the request was a
+    /// deadline drop, which never ran the model.
     pub forward: Option<(Instant, Instant)>,
 }
 
@@ -85,79 +82,96 @@ impl JobStamps {
     }
 }
 
-/// What flows back to the reactor over the single completion channel.
-/// The `req` correlation key (the reactor's internal request sequence
-/// number, not the client-chosen wire id) routes each completion to its
-/// pending request regardless of the order batches finish in — that is
+/// What flows back to the reactor over the single completion channel: one
+/// per request. The `req` correlation key (the reactor's internal request
+/// sequence number, not the client-chosen wire id) routes it to its
+/// pending request regardless of the order windows finish in — that is
 /// what makes pipelined requests on one socket safe to answer out of
 /// order.
 #[derive(Debug)]
-pub(crate) enum Completion {
-    /// One per-node job of a queued request finished.
-    Job {
-        /// Reactor-internal request key.
-        req: u64,
-        /// Slot within the originating request's node list.
-        slot: usize,
-        /// The job's outcome.
-        result: Result<JobOutput, ServeError>,
-        /// Lifecycle instants for telemetry and the flight recorder.
-        stamps: JobStamps,
-    },
-    /// A directly-executed request (ingest) finished with a complete
-    /// response.
-    Direct {
-        /// Reactor-internal request key.
-        req: u64,
-        /// The fully-assembled response.
-        response: Response,
-    },
+pub(crate) struct Completion {
+    /// Reactor-internal request key.
+    pub req: u64,
+    /// The whole response, carrying the client's wire id.
+    pub response: Response,
+    /// The request's lifecycle stamps; `None` for a request no window
+    /// answered (an ingest, or a node outside the served graph).
+    pub stamps: Option<JobStamps>,
 }
 
-/// Sending half of the completion channel, bundled with the reactor's
-/// wake token: every completion delivery also rings the self-pipe so the
-/// event loop leaves `poll` and writes the response. `wake: None` keeps
-/// unit tests (which read the channel directly) pipe-free.
-#[derive(Clone)]
+/// The batcher's sending half of the completion channel, bundled with the
+/// reactor's wake token. `wake: None` keeps unit tests (which read the
+/// channel directly) pipe-free.
 pub(crate) struct ReplySink {
     pub tx: mpsc::Sender<Completion>,
     pub wake: Option<Arc<WakePipe>>,
 }
 
 impl ReplySink {
-    pub fn send(&self, completion: Completion) {
+    /// Hands `job`'s one response to the reactor, which writes it on the
+    /// tick after the next [`ReplySink::wake`].
+    fn answer(&self, job: &Job, response: Response, stamps: Option<JobStamps>) {
         // A dead reactor (server torn down) just means nobody is
         // listening; the send failing is fine.
-        if self.tx.send(completion).is_ok() {
-            if let Some(wake) = &self.wake {
-                wake.wake();
-            }
+        let _ = self.tx.send(Completion {
+            req: job.req,
+            response,
+            stamps,
+        });
+    }
+
+    /// Rings the self-pipe so the event loop leaves `poll` and writes
+    /// every response handed over so far: once per batch of answers, not
+    /// once per answer, so a window's answers cost the reactor one tick.
+    fn wake(&self) {
+        if let Some(wake) = &self.wake {
+            wake.wake();
         }
     }
 }
 
-/// One node of one request, queued for the batcher.
+/// What a queued request asks of the model thread.
+pub(crate) enum Work {
+    /// One row per node, computed as the kind says.
+    Rows(JobKind, Vec<u32>),
+    /// Stream a never-seen node into the served graph and embed it.
+    Ingest {
+        node_type: u16,
+        label: Option<u16>,
+        features: Vec<f32>,
+        /// Typed edges `(existing peer, edge type)`.
+        edges: Vec<(u32, u16)>,
+    },
+}
+
+/// One whole request, queued for the batcher.
 pub(crate) struct Job {
-    pub kind: JobKind,
-    pub node: u32,
+    pub work: Work,
+    /// Client-chosen wire id, echoed in the response.
+    pub id: u64,
     pub seed: u64,
-    /// Absolute deadline; expired jobs are answered with
+    /// Absolute deadline; an expired request is answered with
     /// [`ServeError::DeadlineExceeded`] instead of being computed.
     pub deadline: Instant,
-    /// Reactor-internal key of the originating request.
+    /// Reactor-internal key of the request.
     pub req: u64,
-    /// Position within the originating request.
-    pub slot: usize,
-    /// Completion channel back to the reactor.
-    pub reply: ReplySink,
-    /// When the job entered the queue (queue-wait span start).
+    /// When the request entered the queue (queue-wait span start).
     pub enqueued_at: Instant,
-    /// When the batcher pulled the job off the queue; initialised to
+    /// When the batcher pulled the request off the queue; initialised to
     /// `enqueued_at` and overwritten by `run_batcher` at pull time.
     pub pulled_at: Instant,
 }
 
 impl Job {
+    /// What the request counts against the queue budget: its node rows,
+    /// or 1 for an ingest.
+    pub fn weight(&self) -> usize {
+        match &self.work {
+            Work::Rows(_, nodes) => nodes.len(),
+            Work::Ingest { .. } => 1,
+        }
+    }
+
     fn stamps(&self, batch_start: Instant, forward: Option<(Instant, Instant)>) -> JobStamps {
         JobStamps {
             enqueued: self.enqueued_at,
@@ -171,6 +185,7 @@ impl Job {
 /// Coalescing knobs.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BatchPolicy {
+    /// Node rows that close a window.
     pub max_batch: usize,
     pub max_wait: Duration,
 }
@@ -178,25 +193,29 @@ pub(crate) struct BatchPolicy {
 /// Batcher-side throughput instruments: handles into the server's metric
 /// registry, lock-free to record.
 pub(crate) struct BatcherStats {
+    /// Node rows of the windows answered.
     pub jobs: Arc<Counter>,
     pub batches: Arc<Counter>,
+    /// Node rows of expired requests.
     pub deadline_drops: Arc<Counter>,
-    /// Jobs answered by another identical job's computation (singleflight
-    /// dedup within a coalescing window).
+    /// Node rows answered by another identical row's computation
+    /// (singleflight dedup within a coalescing window).
     pub dedup_hits: Arc<Counter>,
-    /// Fused-batch sizes (jobs per `process_batch` call).
+    /// Successful ingests.
+    pub ingests: Arc<Counter>,
+    /// Node rows per window.
     pub batch_size: Arc<Histogram>,
-    /// How long the first job of each window waited for company, in µs.
+    /// How long the first request of each window waited for company, in µs.
     pub batch_wait_us: Arc<Histogram>,
-    /// Jobs enqueued and not yet pulled, live: the reactor adds 1 per job
-    /// it enqueues, the batcher subtracts 1 per job it pulls, and the
-    /// reactor's shed check reads it.
+    /// Node rows enqueued and not yet pulled, live: the reactor adds a
+    /// request's [`Job::weight`] when it enqueues it, the batcher subtracts
+    /// it when it pulls it, and the reactor's shed check reads it.
     pub queue_depth: Arc<Gauge>,
-    /// Always-on lifecycle: enqueue → batcher pull, per job, in µs.
+    /// Always-on lifecycle: enqueue → batcher pull, per request, in µs.
     pub queue_wait_us: Arc<Histogram>,
-    /// Always-on lifecycle: batcher pull → window close, per job, in µs.
+    /// Always-on lifecycle: batcher pull → window close, per request, in µs.
     pub coalesce_us: Arc<Histogram>,
-    /// Always-on lifecycle: fused forward pass, per batch group, in µs.
+    /// Always-on lifecycle: fused forward pass, per kind group, in µs.
     pub forward_us: Arc<Histogram>,
 }
 
@@ -208,6 +227,7 @@ impl BatcherStats {
             batches: metrics.counter("serve_batches_total"),
             deadline_drops: metrics.counter("serve_deadline_drops_total"),
             dedup_hits: metrics.counter("serve_dedup_hits_total"),
+            ingests: metrics.counter("serve_ingests_total"),
             batch_size: metrics.histogram("serve_batch_size", buckets::SMALL_COUNTS),
             batch_wait_us: metrics.histogram("serve_batch_wait_us", buckets::LATENCY_US),
             queue_depth: metrics.gauge("serve_queue_depth"),
@@ -219,71 +239,104 @@ impl BatcherStats {
 }
 
 /// Runs the batcher until the job channel disconnects. On shutdown the
-/// channel keeps yielding queued jobs until empty — that is the drain
-/// guarantee: every accepted job is answered before the batcher exits.
+/// channel keeps yielding queued requests until empty — that is the drain
+/// guarantee: every accepted request is answered before the batcher exits.
 pub(crate) fn run_batcher(
     registry: Arc<ModelRegistry>,
     cache: Arc<EmbedCache>,
     rx: mpsc::Receiver<Job>,
+    reply: ReplySink,
     policy: BatchPolicy,
     stats: Arc<BatcherStats>,
 ) {
     let mut frozen = None;
     // Disconnected and fully drained ends the loop.
-    while let Ok(mut first) = rx.recv() {
-        stats.queue_depth.add(-1);
+    while let Ok(first) = rx.recv() {
         let window_start = Instant::now();
-        first.pulled_at = window_start;
-        let mut jobs = vec![first];
-        if policy.max_batch > 1 {
-            let window_end = window_start + policy.max_wait;
-            while jobs.len() < policy.max_batch {
-                // A timeout and a disconnect both close the window.
-                let wait = window_end.saturating_duration_since(Instant::now());
-                let Ok(mut job) = rx.recv_timeout(wait) else {
-                    break;
-                };
-                stats.queue_depth.add(-1);
-                job.pulled_at = Instant::now();
-                jobs.push(job);
+        let window_end = window_start + policy.max_wait;
+        let (mut window, mut rows, mut ingest) = (Vec::new(), 0, None);
+        let mut next = Some(first);
+        while let Some(mut job) = next {
+            stats.queue_depth.add(-(job.weight() as i64));
+            job.pulled_at = Instant::now();
+            if let Work::Rows(_, nodes) = &job.work {
+                rows += nodes.len();
+                window.push(job);
+            } else {
+                ingest = Some(job);
+                break;
             }
+            if rows >= policy.max_batch {
+                break;
+            }
+            // A timeout and a disconnect both close the window.
+            let wait = window_end.saturating_duration_since(Instant::now());
+            next = rx.recv_timeout(wait).ok();
         }
-        stats
-            .batch_wait_us
-            .observe(window_start.elapsed().as_micros() as f64);
-        process_batch(&registry, &cache, jobs, &stats, &mut frozen);
+        if !window.is_empty() {
+            stats
+                .batch_wait_us
+                .observe(window_start.elapsed().as_micros() as f64);
+            process_batch(&registry, &cache, window, &reply, &stats, &mut frozen);
+        }
+        // After the window, whose read guard is gone: the write guard
+        // waits on no batch of this thread.
+        if let Some(job) = ingest {
+            run_ingest(&registry, &cache, job, &reply, &stats);
+        }
     }
 }
 
-/// Answers every job in `jobs`: expired ones with an error, embed jobs
-/// from the cache when possible, the rest through one fused model call
-/// per distinct [`JobKind`] — a cache miss counted once per distinct key,
-/// like the row it stands for. Every model call runs through `frozen`,
-/// bitwise what the offline `embed_requests` / `ensemble_logits` give.
+/// Where one node's output row comes from.
+enum Slot {
+    /// A row the embedding cache already held.
+    Cached(Vec<f32>),
+    /// Row `i` of the window's fused call for the request's kind.
+    Computed(usize),
+}
+
+impl Slot {
+    /// The row itself, `out` being the fused call's output.
+    fn row<'a>(&'a self, out: &'a Tensor) -> &'a [f32] {
+        match self {
+            Slot::Cached(row) => row,
+            Slot::Computed(i) => out.row(*i),
+        }
+    }
+}
+
+/// Answers every request in `jobs` (all `Work::Rows`): a node outside the
+/// served graph with `BadRequest`, an expired request with an error, embed
+/// rows from the cache when possible — a request whose every row hits is
+/// answered during the scan, and the reactor woken once before the
+/// forward pass — and the rest through one fused model call per distinct
+/// [`JobKind`], a cache miss counted once per distinct key, like the row
+/// it stands for. Every model call runs through `frozen`, bitwise what the
+/// offline `embed_requests` / `ensemble_logits` give.
 ///
-/// The whole batch runs under **one** registry read guard, so the digest
-/// and graph version used for cache keys, the weights the forward pass
-/// reads, and the graph it samples from are a single consistent
-/// generation — a concurrent ingest or hot-swap lands entirely before or
-/// entirely after this batch. Staleness needs no further ordering
-/// argument: every row is keyed by the `(checkpoint_hash, graph_version)`
-/// it was computed under, and any mutation bumps the version, so a row
-/// from an older graph can never answer a lookup issued under a newer
-/// one, no matter when it was inserted.
+/// The whole window runs under **one** registry read guard, so the node
+/// check, the digest and graph version used for cache keys, the weights
+/// the forward pass reads, and the graph it samples from are a single
+/// consistent generation — a hot-swap lands entirely before or entirely
+/// after this window, and an ingest runs on this thread between windows.
+/// Every row is keyed by the `(checkpoint_hash, graph_version)` it was
+/// computed under, and any mutation bumps the version, so a row from an
+/// older graph can never answer a lookup issued under a newer one.
 fn process_batch(
     registry: &ModelRegistry,
     cache: &EmbedCache,
     jobs: Vec<Job>,
+    reply: &ReplySink,
     stats: &BatcherStats,
     frozen: &mut Option<(u64, InferState)>,
 ) {
-    stats.batches.inc();
-    stats.jobs.add(jobs.len() as u64);
-    stats.batch_size.observe(jobs.len() as f64);
     let now = Instant::now();
+    let pulled = jobs.len();
     let st = registry.read();
     let ckpt = st.checkpoint_hash();
     let graph_version = st.graph_version();
+    let num_nodes = st.graph().num_nodes();
+    let dim = st.model().config.d;
     // A new digest (a hot swap) rebuilds the state; the old one drops
     // first, handing the thread's one inference pool to the new one.
     if !matches!(frozen, Some((built_for, _)) if *built_for == ckpt) {
@@ -291,15 +344,21 @@ fn process_batch(
     }
     let state = &mut frozen.get_or_insert_with(|| (ckpt, st.model().freeze())).1;
 
-    // kind → pending jobs grouping. Kinds in a window are few; a Vec scan
-    // beats hashing.
-    let mut groups: Vec<(JobKind, Vec<Job>)> = Vec::new();
-    // Embed keys this window already looked up and missed: singleflight
-    // starts before the cache, so a miss is a row the model computes,
-    // however many identical jobs wait on it. (Hits stay one lookup per
-    // job — the cheap path, counted as what it is.)
-    let mut missed: Vec<(u32, u64)> = Vec::new();
+    // Per kind: the distinct `(node, seed)` rows its fused call computes,
+    // and the requests waiting on them. Kinds in a window are few; a Vec
+    // scan beats hashing.
+    let mut groups: Vec<(JobKind, Vec<_>, Vec<_>)> = Vec::new();
+    let mut rows = 0;
     for job in jobs {
+        let Work::Rows(kind, nodes) = &job.work else {
+            unreachable!("an ingest closes its window and never enters it");
+        };
+        if let Some(&bad) = nodes.iter().find(|&&n| n as usize >= num_nodes) {
+            let err = ServeError::BadRequest(format!("node {bad} outside the served graph"));
+            reply.answer(&job, Response::from_error(job.id, &err), None);
+            continue;
+        }
+        rows += nodes.len();
         stats.queue_wait_us.observe(
             job.pulled_at
                 .saturating_duration_since(job.enqueued_at)
@@ -309,111 +368,193 @@ fn process_batch(
             .coalesce_us
             .observe(now.saturating_duration_since(job.pulled_at).as_micros() as f64);
         if job.deadline < now {
-            stats.deadline_drops.inc();
-            reply(
-                &job,
-                Err(ServeError::DeadlineExceeded),
-                job.stamps(now, None),
-            );
+            stats.deadline_drops.add(nodes.len() as u64);
+            let response = Response::from_error(job.id, &ServeError::DeadlineExceeded);
+            reply.answer(&job, response, Some(job.stamps(now, None)));
             continue;
         }
-        if job.kind == JobKind::Embed && !missed.contains(&(job.node, job.seed)) {
-            let key = EmbedKey {
-                node: job.node,
-                checkpoint_hash: ckpt,
-                graph_version,
-                seed: job.seed,
-            };
-            if let Some(row) = cache.get(&key) {
-                reply(&job, Ok(JobOutput::Embedding(row)), job.stamps(now, None));
-                continue;
+        let g = match groups.iter().position(|(k, ..)| k == kind) {
+            Some(g) => g,
+            None => {
+                groups.push((*kind, Vec::new(), Vec::new()));
+                groups.len() - 1
             }
-            missed.push((job.node, job.seed));
-        }
-        match groups.iter_mut().find(|(k, _)| *k == job.kind) {
-            Some((_, group)) => group.push(job),
-            None => groups.push((job.kind, vec![job])),
+        };
+        let (_, items, waiting) = &mut groups[g];
+        // Singleflight dedup starts before the cache: a key this window
+        // already computes is a dedup hit, however many rows wait on it,
+        // so a miss is a row the model computes. Hits stay one lookup per
+        // row — the cheap path, counted as what it is.
+        let slots: Vec<Slot> = nodes
+            .iter()
+            .map(|&node| {
+                let key = (node, job.seed);
+                if let Some(i) = items.iter().position(|&u| u == key) {
+                    stats.dedup_hits.inc();
+                    return Slot::Computed(i);
+                }
+                let cached = (*kind == JobKind::Embed).then(|| {
+                    cache.get(&EmbedKey {
+                        node,
+                        checkpoint_hash: ckpt,
+                        graph_version,
+                        seed: job.seed,
+                    })
+                });
+                match cached.flatten() {
+                    Some(row) => Slot::Cached(row),
+                    None => {
+                        items.push(key);
+                        Slot::Computed(items.len() - 1)
+                    }
+                }
+            })
+            .collect();
+        if slots.iter().all(|s| matches!(s, Slot::Cached(_))) {
+            // Every row hit: answered now, before the window's forward.
+            let response = respond(job.id, *kind, dim, &slots, &Tensor::zeros(0, dim));
+            reply.answer(&job, response, Some(job.stamps(now, None)));
+        } else {
+            waiting.push((job, slots));
         }
     }
+    if rows > 0 {
+        stats.batches.inc();
+        stats.jobs.add(rows as u64);
+        stats.batch_size.observe(rows as f64);
+    }
+    if groups
+        .iter()
+        .map(|(.., waiting)| waiting.len())
+        .sum::<usize>()
+        < pulled
+    {
+        reply.wake();
+    }
 
-    for (kind, group) in groups {
-        // Singleflight dedup: identical `(node, seed)` jobs in one window
-        // sample and compute once and fan the row out to every subscriber.
-        // Exact by construction — duplicates would have produced
-        // bit-identical rows anyway (same sampled state, same weights).
-        let mut items: Vec<(u32, u64)> = Vec::with_capacity(group.len());
-        let mut row_of: Vec<usize> = Vec::with_capacity(group.len());
-        for job in &group {
-            let key = (job.node, job.seed);
-            match items.iter().position(|&u| u == key) {
-                Some(i) => {
-                    stats.dedup_hits.inc();
-                    row_of.push(i);
-                }
-                None => {
-                    items.push(key);
-                    row_of.push(items.len() - 1);
-                }
-            }
+    for (kind, items, waiting) in groups {
+        if waiting.is_empty() {
+            continue;
         }
         let forward_start = Instant::now();
-        match kind {
-            JobKind::Embed => {
-                let rows = st.model().embed_requests_with(state, st.graph(), &items);
-                let forward_end = Instant::now();
-                stats.forward_us.observe(
-                    forward_end
-                        .saturating_duration_since(forward_start)
-                        .as_micros() as f64,
-                );
-                for (job, &i) in group.iter().zip(&row_of) {
-                    let row = rows.row(i).to_vec();
-                    cache.insert(
-                        EmbedKey {
-                            node: job.node,
-                            checkpoint_hash: ckpt,
-                            graph_version,
-                            seed: job.seed,
-                        },
-                        row.clone(),
-                    );
-                    reply(
-                        job,
-                        Ok(JobOutput::Embedding(row)),
-                        job.stamps(now, Some((forward_start, forward_end))),
-                    );
-                }
-            }
+        let out = match kind {
+            JobKind::Embed => st.model().embed_requests_with(state, st.graph(), &items),
             JobKind::Classify { rounds } => {
-                let logits =
-                    st.model()
-                        .ensemble_logits_with(state, st.graph(), &items, rounds as usize);
-                let forward_end = Instant::now();
-                stats.forward_us.observe(
-                    forward_end
-                        .saturating_duration_since(forward_start)
-                        .as_micros() as f64,
-                );
-                for (job, &i) in group.iter().zip(&row_of) {
-                    let label = argmax(logits.row(i)) as u32;
-                    reply(
-                        job,
-                        Ok(JobOutput::Label(label)),
-                        job.stamps(now, Some((forward_start, forward_end))),
-                    );
-                }
+                st.model()
+                    .ensemble_logits_with(state, st.graph(), &items, rounds as usize)
+            }
+        };
+        let forward = (forward_start, Instant::now());
+        stats
+            .forward_us
+            .observe(forward.1.saturating_duration_since(forward.0).as_micros() as f64);
+        if kind == JobKind::Embed {
+            for (i, &(node, seed)) in items.iter().enumerate() {
+                let key = EmbedKey {
+                    node,
+                    checkpoint_hash: ckpt,
+                    graph_version,
+                    seed,
+                };
+                cache.insert(key, out.row(i).to_vec());
             }
         }
+        for (job, slots) in waiting {
+            let response = respond(job.id, kind, dim, &slots, &out);
+            reply.answer(&job, response, Some(job.stamps(now, Some(forward))));
+        }
+        reply.wake();
     }
 }
 
-fn reply(job: &Job, result: Result<JobOutput, ServeError>, stamps: JobStamps) {
-    job.reply.send(Completion::Job {
-        req: job.req,
-        slot: job.slot,
-        result,
-        stamps,
-    });
+/// A request's response from its slots: each a cached row or a row of the
+/// fused call's output `out` — an embedding, or logits for `argmax`.
+fn respond(id: u64, kind: JobKind, dim: usize, slots: &[Slot], out: &Tensor) -> Response {
+    match kind {
+        JobKind::Embed => {
+            let mut values = Vec::with_capacity(slots.len() * dim);
+            for slot in slots {
+                values.extend_from_slice(slot.row(out));
+            }
+            Response::Embeddings {
+                id,
+                dim: dim as u32,
+                values,
+            }
+        }
+        JobKind::Classify { .. } => Response::Classes {
+            id,
+            labels: slots.iter().map(|s| argmax(s.row(out)) as u32).collect(),
+        },
+    }
+}
+
+/// Grows the served graph by one node and embeds it in the same write
+/// critical section, then flushes the rows the mutation made unreachable
+/// and warms the cache with the new one. Runs on the batcher thread
+/// between windows, so its write guard waits on no window and no window
+/// caches a row between the mutation and the flush.
+fn run_ingest(
+    registry: &ModelRegistry,
+    cache: &EmbedCache,
+    job: Job,
+    reply: &ReplySink,
+    stats: &BatcherStats,
+) {
+    let Work::Ingest {
+        node_type,
+        label,
+        features,
+        edges,
+    } = &job.work
+    else {
+        unreachable!("only an ingest closes a window");
+    };
+    if job.deadline <= Instant::now() {
+        let response = Response::from_error(job.id, &ServeError::DeadlineExceeded);
+        reply.answer(&job, response, None);
+        return reply.wake();
+    }
+    let typed: Vec<(u32, EdgeTypeId)> = edges
+        .iter()
+        .map(|&(peer, et)| (peer, EdgeTypeId(et)))
+        .collect();
+    let response = match registry.ingest(
+        NodeTypeId(*node_type),
+        features.clone(),
+        *label,
+        &typed,
+        job.seed,
+    ) {
+        Ok(outcome) => {
+            // The mutation bumped the graph version, part of every cache
+            // key: every row computed on the pre-mutation graph — anywhere
+            // in the walk radius of the touched peers, not just the peers
+            // themselves — is already unreachable. Flush them so dead rows
+            // don't occupy LRU capacity until eviction, then warm the
+            // cache: a follow-up `Embed` of `(node, seed)` needs no forward.
+            cache.retain(|key| key.graph_version >= outcome.graph_version);
+            cache.insert(
+                EmbedKey {
+                    node: outcome.node,
+                    checkpoint_hash: outcome.checkpoint_hash,
+                    graph_version: outcome.graph_version,
+                    seed: job.seed,
+                },
+                outcome.embedding.clone(),
+            );
+            stats.ingests.inc();
+            Response::Ingested {
+                id: job.id,
+                node: outcome.node,
+                dim: outcome.embedding.len() as u32,
+                values: outcome.embedding,
+            }
+        }
+        Err(err) => Response::from_error(job.id, &ServeError::BadRequest(err.to_string())),
+    };
+    reply.answer(&job, response, None);
+    reply.wake();
 }
 
 #[cfg(test)]
@@ -421,8 +562,6 @@ mod tests {
     use super::*;
     use widen_core::{WidenConfig, WidenModel};
     use widen_data::{acm_like, Scale};
-    use widen_graph::{EdgeTypeId, NodeTypeId};
-    use widen_tensor::Tensor;
 
     fn tiny_registry() -> Arc<ModelRegistry> {
         let dataset = acm_like(Scale::Smoke, 5);
@@ -435,37 +574,46 @@ mod tests {
         Arc::new(ModelRegistry::from_model(dataset.graph, model))
     }
 
-    fn job(kind: JobKind, node: u32, seed: u64, slot: usize, tx: &mpsc::Sender<Completion>) -> Job {
+    /// One request as the reactor queues it: `req` doubles as its wire id.
+    fn job(work: Work, seed: u64, req: u64) -> Job {
         let enqueued_at = Instant::now();
         Job {
-            kind,
-            node,
+            work,
+            id: req,
             seed,
             deadline: Instant::now() + Duration::from_secs(5),
-            req: 0,
-            slot,
-            reply: ReplySink {
-                tx: tx.clone(),
-                wake: None,
-            },
+            req,
             enqueued_at,
             pulled_at: enqueued_at,
         }
     }
 
-    /// Unwraps the next per-job completion into `(slot, result)`.
-    fn take(rx: &mpsc::Receiver<Completion>) -> (usize, Result<JobOutput, ServeError>) {
-        match rx.recv().unwrap() {
-            Completion::Job { slot, result, .. } => (slot, result),
-            Completion::Direct { .. } => panic!("batcher never sends Direct completions"),
-        }
+    fn embed(nodes: &[u32], seed: u64, req: u64) -> Job {
+        job(Work::Rows(JobKind::Embed, nodes.to_vec()), seed, req)
     }
 
-    /// Unwraps the next per-job completion into its stamps.
-    fn stamps_of(rx: &mpsc::Receiver<Completion>) -> JobStamps {
-        match rx.recv().unwrap() {
-            Completion::Job { stamps, .. } => stamps,
-            Completion::Direct { .. } => panic!("unexpected direct completion"),
+    fn classify(nodes: &[u32], seed: u64, req: u64) -> Job {
+        let kind = JobKind::Classify { rounds: 2 };
+        job(Work::Rows(kind, nodes.to_vec()), seed, req)
+    }
+
+    /// A pipe-free sink and the channel its completions land on.
+    fn sink() -> (ReplySink, mpsc::Receiver<Completion>) {
+        let (tx, rx) = mpsc::channel();
+        (ReplySink { tx, wake: None }, rx)
+    }
+
+    /// The next `n` completions' responses, in request order.
+    fn take(rx: &mpsc::Receiver<Completion>, n: usize) -> Vec<Response> {
+        let mut done: Vec<Completion> = (0..n).map(|_| rx.recv().unwrap()).collect();
+        done.sort_by_key(|c| c.req);
+        done.into_iter().map(|c| c.response).collect()
+    }
+
+    fn embeddings(response: &Response) -> &[f32] {
+        match response {
+            Response::Embeddings { values, .. } => values,
+            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -474,29 +622,33 @@ mod tests {
         let registry = tiny_registry();
         let cache = Arc::new(EmbedCache::new(16));
         let stats = BatcherStats::new(&Registry::new());
-        let (tx, rx) = mpsc::channel();
+        let (reply, rx) = sink();
         let serve = |job| {
-            process_batch(&registry, &cache, vec![job], &stats, &mut None);
-            stamps_of(&rx)
+            process_batch(&registry, &cache, vec![job], &reply, &stats, &mut None);
+            rx.recv()
+                .unwrap()
+                .stamps
+                .expect("a window stamps its requests")
         };
-        let computed = serve(job(JobKind::Embed, 0, 7, 0, &tx));
+        let computed = serve(embed(&[0, 1], 7, 0));
         assert!(computed.enqueued <= computed.pulled);
         assert!(computed.pulled <= computed.batch_start);
-        let (from, to) = computed.forward.expect("a computed job ran the model");
+        let (from, to) = computed.forward.expect("a computed request ran the model");
         assert!(computed.batch_start <= from && from <= to);
 
-        // A cache hit and a deadline drop never reach the model.
-        let hit = serve(job(JobKind::Embed, 0, 7, 0, &tx));
+        // An all-hit request and a deadline drop never reach the model.
+        let hit = serve(embed(&[0, 1], 7, 0));
         assert!(hit.forward.is_none());
-        let mut expired = job(JobKind::Embed, 1, 7, 0, &tx);
+        let mut expired = embed(&[2, 3], 7, 0);
         expired.deadline = Instant::now() - Duration::from_millis(1);
         assert!(serve(expired).forward.is_none());
 
-        // The always-on lifecycle histograms saw every job; the forward
-        // histogram only the one computed batch.
+        // The always-on lifecycle histograms saw every request (not every
+        // node row); the forward histogram only the one computed group.
         assert_eq!(stats.queue_wait_us.snapshot().count, 3);
         assert_eq!(stats.coalesce_us.snapshot().count, 3);
         assert_eq!(stats.forward_us.snapshot().count, 1);
+        assert_eq!(stats.jobs.get(), 6);
     }
 
     #[test]
@@ -504,28 +656,23 @@ mod tests {
         let registry = tiny_registry();
         let cache = Arc::new(EmbedCache::new(16));
         let stats = BatcherStats::new(&Registry::new());
-        let (tx, rx) = mpsc::channel();
-        let jobs = vec![
-            job(JobKind::Embed, 0, 7, 0, &tx),
-            job(JobKind::Classify { rounds: 2 }, 1, 7, 1, &tx),
-            job(JobKind::Embed, 2, 9, 2, &tx),
-        ];
-        process_batch(&registry, &cache, jobs, &stats, &mut None);
-        let mut results: Vec<_> = (0..3).map(|_| take(&rx)).collect();
-        results.sort_by_key(|(slot, _)| *slot);
+        let (reply, rx) = sink();
+        let jobs = vec![embed(&[0], 7, 0), classify(&[1], 7, 1), embed(&[2], 9, 2)];
+        process_batch(&registry, &cache, jobs, &reply, &stats, &mut None);
+        let results = take(&rx, 3);
 
         let st = registry.read();
         let want_emb0 = st.model().embed_requests(st.graph(), &[(0, 7)]);
-        match &results[0].1 {
-            Ok(JobOutput::Embedding(row)) => assert_eq!(row.as_slice(), want_emb0.row(0)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(embeddings(&results[0]), want_emb0.row(0));
         let want_label = st.model().predict_ensemble(st.graph(), &[1], 7, 2)[0] as u32;
-        match &results[1].1 {
-            Ok(JobOutput::Label(l)) => assert_eq!(*l, want_label),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(matches!(&results[2].1, Ok(JobOutput::Embedding(_))));
+        assert_eq!(
+            results[1],
+            Response::Classes {
+                id: 1,
+                labels: vec![want_label]
+            }
+        );
+        assert!(matches!(&results[2], Response::Embeddings { id: 2, .. }));
         assert_eq!(stats.jobs.get(), 3);
     }
 
@@ -534,23 +681,13 @@ mod tests {
         let registry = tiny_registry();
         let cache = Arc::new(EmbedCache::new(16));
         let stats = BatcherStats::new(&Registry::new());
-        let (tx, rx) = mpsc::channel();
-        process_batch(
-            &registry,
-            &cache,
-            vec![job(JobKind::Embed, 3, 11, 0, &tx)],
-            &stats,
-            &mut None,
-        );
-        let first = take(&rx).1.unwrap();
-        process_batch(
-            &registry,
-            &cache,
-            vec![job(JobKind::Embed, 3, 11, 0, &tx)],
-            &stats,
-            &mut None,
-        );
-        let second = take(&rx).1.unwrap();
+        let (reply, rx) = sink();
+        let jobs = vec![embed(&[3], 11, 0)];
+        process_batch(&registry, &cache, jobs, &reply, &stats, &mut None);
+        let first = take(&rx, 1);
+        let jobs = vec![embed(&[3], 11, 0)];
+        process_batch(&registry, &cache, jobs, &reply, &stats, &mut None);
+        let second = take(&rx, 1);
         assert_eq!(first, second);
         assert_eq!(cache.stats().hits, 1);
     }
@@ -560,33 +697,36 @@ mod tests {
         let registry = tiny_registry();
         let cache = Arc::new(EmbedCache::new(0));
         let stats = BatcherStats::new(&Registry::new());
-        let (tx, rx) = mpsc::channel();
-        // Three identical classify jobs + one identical embed pair.
+        let (reply, rx) = sink();
+        // Three identical classify rows over two requests, and one
+        // identical embed row in each of two more.
         let jobs = vec![
-            job(JobKind::Classify { rounds: 2 }, 4, 13, 0, &tx),
-            job(JobKind::Classify { rounds: 2 }, 4, 13, 1, &tx),
-            job(JobKind::Classify { rounds: 2 }, 4, 13, 2, &tx),
-            job(JobKind::Embed, 6, 13, 3, &tx),
-            job(JobKind::Embed, 6, 13, 4, &tx),
+            classify(&[4, 4], 13, 0),
+            classify(&[4], 13, 1),
+            embed(&[6], 13, 2),
+            embed(&[6], 13, 3),
         ];
-        process_batch(&registry, &cache, jobs, &stats, &mut None);
-        let mut results: Vec<_> = (0..5).map(|_| take(&rx)).collect();
-        results.sort_by_key(|(slot, _)| *slot);
+        process_batch(&registry, &cache, jobs, &reply, &stats, &mut None);
+        let results = take(&rx, 4);
 
         let st = registry.read();
         let want_label = st.model().predict_ensemble(st.graph(), &[4], 13, 2)[0] as u32;
-        for (_, r) in &results[..3] {
-            assert_eq!(r, &Ok(JobOutput::Label(want_label)));
+        for (id, n) in [(0, 2), (1, 1)] {
+            let labels = vec![want_label; n];
+            assert_eq!(
+                results[id],
+                Response::Classes {
+                    id: id as u64,
+                    labels
+                }
+            );
         }
         let wanted = st.model().embed_requests(st.graph(), &[(6, 13)]);
-        for (_, r) in &results[3..] {
-            match r {
-                Ok(JobOutput::Embedding(row)) => assert_eq!(row.as_slice(), wanted.row(0)),
-                other => panic!("unexpected {other:?}"),
-            }
+        for r in &results[2..] {
+            assert_eq!(embeddings(r), wanted.row(0));
         }
-        // 2 duplicate classifies + 1 duplicate embed were fanned out, and
-        // the embed pair fell through to the model once.
+        // 2 duplicate classify rows + 1 duplicate embed row were fanned
+        // out, and the embed pair fell through to the model once.
         assert_eq!(stats.dedup_hits.get(), 3);
         assert_eq!(cache.stats().misses, 1);
     }
@@ -607,25 +747,25 @@ mod tests {
         let registry = ModelRegistry::from_model(dataset.graph.clone(), model_a);
         let cache = EmbedCache::new(0);
         let stats = BatcherStats::new(&Registry::new());
-        let (tx, rx) = mpsc::channel();
+        let (reply, rx) = sink();
         let mut frozen = None;
+        // One single-node request per item, all in one window.
         let mut serve = |kind, items: &[(u32, u64)]| {
             let jobs = items
                 .iter()
                 .enumerate()
-                .map(|(slot, &(node, seed))| job(kind, node, seed, slot, &tx))
+                .map(|(i, &(node, seed))| job(Work::Rows(kind, vec![node]), seed, i as u64))
                 .collect();
-            process_batch(&registry, &cache, jobs, &stats, &mut frozen);
-            let mut out = vec![None; items.len()];
-            for _ in items {
-                let (slot, result) = take(&rx);
-                out[slot] = Some(result.unwrap());
-            }
-            out.into_iter().flatten().collect::<Vec<_>>()
+            process_batch(&registry, &cache, jobs, &reply, &stats, &mut frozen);
+            take(&rx, items.len())
         };
         let embedded = |rows: &Tensor| {
             (0..rows.rows())
-                .map(|i| JobOutput::Embedding(rows.row(i).to_vec()))
+                .map(|i| Response::Embeddings {
+                    id: i as u64,
+                    dim: rows.cols() as u32,
+                    values: rows.row(i).to_vec(),
+                })
                 .collect::<Vec<_>>()
         };
 
@@ -667,7 +807,14 @@ mod tests {
         let labels = serve(JobKind::Classify { rounds: 3 }, &items);
         let logits = model_b.ensemble_logits(&grown, &items, 3);
         for (i, label) in labels.iter().enumerate() {
-            assert_eq!(*label, JobOutput::Label(argmax(logits.row(i)) as u32));
+            let want = vec![argmax(logits.row(i)) as u32];
+            assert_eq!(
+                *label,
+                Response::Classes {
+                    id: i as u64,
+                    labels: want
+                }
+            );
         }
     }
 
@@ -682,11 +829,66 @@ mod tests {
         let registry = tiny_registry();
         let cache = Arc::new(EmbedCache::new(16));
         let stats = BatcherStats::new(&Registry::new());
-        let (tx, rx) = mpsc::channel();
-        let mut expired = job(JobKind::Embed, 0, 1, 0, &tx);
+        let (reply, rx) = sink();
+        let mut expired = embed(&[0], 1, 0);
         expired.deadline = Instant::now() - Duration::from_millis(1);
-        process_batch(&registry, &cache, vec![expired], &stats, &mut None);
-        assert_eq!(take(&rx).1, Err(ServeError::DeadlineExceeded));
+        process_batch(&registry, &cache, vec![expired], &reply, &stats, &mut None);
+        assert_eq!(
+            take(&rx, 1)[0],
+            Response::from_error(0, &ServeError::DeadlineExceeded)
+        );
         assert_eq!(stats.deadline_drops.get(), 1);
+    }
+
+    #[test]
+    fn an_ingest_pulled_past_its_deadline_answers_deadline_exceeded_without_mutating() {
+        let registry = tiny_registry();
+        let (nodes, version) = {
+            let st = registry.read();
+            (st.graph().num_nodes(), st.graph_version())
+        };
+        let cache = Arc::new(EmbedCache::new(16));
+        let stats = Arc::new(BatcherStats::new(&Registry::new()));
+        let (reply, rx) = sink();
+        let (job_tx, job_rx) = mpsc::sync_channel(4);
+        let features = vec![0.25; registry.read().graph().feature_dim()];
+        let ingest = |deadline: Instant, req| {
+            let work = Work::Ingest {
+                node_type: 0,
+                label: None,
+                features: features.clone(),
+                edges: vec![(0, 0), (1, 0)],
+            };
+            Job {
+                deadline,
+                ..job(work, 3, req)
+            }
+        };
+        job_tx
+            .send(ingest(Instant::now() - Duration::from_millis(1), 0))
+            .unwrap();
+        drop(job_tx);
+        let policy = BatchPolicy {
+            max_batch: 32,
+            max_wait: Duration::from_micros(500),
+        };
+        run_batcher(
+            registry.clone(),
+            cache,
+            job_rx,
+            reply,
+            policy,
+            stats.clone(),
+        );
+        let done = rx.recv().unwrap();
+        assert_eq!(
+            done.response,
+            Response::from_error(0, &ServeError::DeadlineExceeded)
+        );
+        assert!(done.stamps.is_none());
+        let st = registry.read();
+        assert_eq!(st.graph().num_nodes(), nodes);
+        assert_eq!(st.graph_version(), version);
+        assert_eq!(stats.ingests.get(), 0);
     }
 }

@@ -6,8 +6,8 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// The server shed load — either the request did not fit in the job
-    /// queue's remaining budget (queue-depth shedding, answered before
-    /// any of its jobs enqueue) or the connection itself was rejected by
+    /// queue's remaining budget (queue-depth shedding, answered before it
+    /// enqueues) or the connection itself was rejected by
     /// the `max_connections` admission cap (wire id 0, since no request
     /// was read). Retry with backoff, ideally against another replica.
     Overloaded,

@@ -12,12 +12,14 @@
 //!   fallible `try_load_weights` path; its checkpoint digest doubles as
 //!   the cache generation id.
 //! * micro-batching queue ([`ServeConfig::max_batch`] /
-//!   [`ServeConfig::max_wait_us`]) — concurrent requests from different
-//!   clients coalesce into one fused `forward_batch` /
-//!   ensemble-logits call, so server throughput inherits the batched
-//!   engine's win. Batch-composition invariance (a per-node output is
+//!   [`ServeConfig::max_wait_us`]) — each request is one job on one
+//!   queue, ingest included; concurrent requests from different clients
+//!   coalesce, whole, into one fused `forward_batch` / ensemble-logits
+//!   call per window, so server throughput inherits the batched engine's
+//!   win. Batch-composition invariance (a per-node output is
 //!   bit-identical regardless of its chunk neighbours) makes this purely a
-//!   throughput knob.
+//!   throughput knob, and an ingest runs between windows on the same
+//!   thread, so a request queued after it sees the grown graph.
 //! * [`protocol`] — a length-prefixed binary wire protocol (magic,
 //!   version, request id, node ids, seed) with a defensive incremental
 //!   [`protocol::FrameReader`].
@@ -35,10 +37,9 @@
 //!   thread-per-connection front end this replaced.
 //! * trace-context extension — version-2 frames carry a client trace id
 //!   ([`Client::set_tracing`]); the response returns the request's span
-//!   summary ([`Client::last_trace`]): the request root, then the queue
-//!   wait, coalesce and forward of the job that finished it — drawn from
-//!   the same stamps as its flight record. Version-1 peers interoperate
-//!   unchanged.
+//!   summary ([`Client::last_trace`]): the request root, then its queue
+//!   wait, coalesce and forward — drawn from the same stamps as its
+//!   flight record. Version-1 peers interoperate unchanged.
 //! * observability — the reactor and the batcher stamp every
 //!   request's lifecycle into always-on histograms; the `Telemetry` wire
 //!   op ([`Client::telemetry`]), the one metrics op, returns the merged

@@ -8,9 +8,9 @@
 //! `fcntl`) are declared here directly; std already links libc on every
 //! unix target, making this a zero-dependency binding.
 //!
-//! The [`WakePipe`] is the reactor's cross-thread wake token: the batcher,
-//! the ingest executor and the shutdown path write one byte to the pipe's write end,
-//! which makes the read end readable and pops the reactor out of `poll`.
+//! The [`WakePipe`] is the reactor's cross-thread wake token: the batcher
+//! and the shutdown path write one byte to the pipe's write end, which
+//! makes the read end readable and pops the reactor out of `poll`.
 //! This replaces the old `TcpStream::connect(self.addr)` shutdown wake,
 //! which could itself fail under fd exhaustion or an unconnectable bind
 //! address and leave the acceptor blocked forever — writing to an

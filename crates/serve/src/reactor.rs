@@ -4,13 +4,13 @@
 //! The reactor owns the listener and all client connections. Each
 //! connection is a [`FrameReader`] state machine plus a write buffer; the
 //! reactor reads whatever bytes are available, decodes complete frames
-//! into requests, fans their per-node jobs onto the shared batcher queue,
-//! and — when the last job of a request completes — assembles the
-//! response and flushes it back. Requests are correlated by a
-//! reactor-internal sequence number (`req`), *not* connection identity or
-//! arrival order, so a client may pipeline many requests on one socket
-//! and batches may complete out of order: every response still reaches
-//! the right request slot, and the wire id echoes the client's choice.
+//! into requests, queues each whole request as one job on the shared
+//! batcher queue, and flushes back the response its one completion
+//! carries. Requests are correlated by a reactor-internal sequence number
+//! (`req`), *not* connection identity or arrival order, so a client may
+//! pipeline many requests on one socket and windows may complete out of
+//! order: every response still reaches the right request, and the wire id
+//! echoes the client's choice.
 //!
 //! Cost per idle connection is one `pollfd` entry — no thread, no stack.
 //! That is what lets the soak test hold thousands of open connections
@@ -26,11 +26,10 @@
 //!   request was read), and closed. Accept-then-reject keeps the kernel
 //!   backlog from silently queueing peers that would never be served.
 //!   Counted in `serve_conns_rejected_total`.
-//! * **Queue shedding**: before enqueueing *any* of a request's jobs the
-//!   reactor checks that the whole request fits in the remaining queue
-//!   budget; if not it sheds the request immediately — no partial
-//!   enqueue, no waiting for the deadline to expire. Counted in
-//!   `serve_shed_total`.
+//! * **Queue shedding**: before enqueueing a request the reactor checks
+//!   that its node rows (1 for an ingest) fit in the remaining queue
+//!   budget; if not it sheds the request immediately — no waiting for the
+//!   deadline to expire. Counted in `serve_shed_total`.
 //!
 //! Accept errors (`EMFILE` under fd exhaustion being the canonical one)
 //! neither panic nor busy-spin: the listener's poll interest is simply
@@ -47,9 +46,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rustc_hash::FxHashMap;
-use widen_obs::{buckets, Counter, FlightRecord, Gauge, Histogram, TelemetrySnapshot};
+use widen_obs::{buckets, FlightRecord, Gauge, Histogram, TelemetrySnapshot};
 
-use crate::batcher::{Completion, Job, JobKind, JobOutput, JobStamps, ReplySink};
+use crate::batcher::{Completion, Job, JobKind, JobStamps, Work};
 use crate::error::ServeError;
 use crate::poll::{poll_fds, pollfd, WakePipe, POLL_ERR, POLL_HUP, POLL_IN, POLL_NVAL, POLL_OUT};
 use crate::protocol::{
@@ -64,9 +63,9 @@ use crate::server::Shared;
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Grace period past a request's deadline before the reactor reaps it
-/// unanswered (matches the old handler-side reap margin): the batcher
-/// normally answers expired jobs with `DeadlineExceeded` itself; the reap
-/// is the backstop for jobs that never come back at all.
+/// unanswered: the batcher normally answers expired requests with
+/// `DeadlineExceeded` itself; the reap is the backstop for requests that
+/// never come back at all.
 const REAP_GRACE: Duration = Duration::from_millis(250);
 
 /// Per-connection read budget per poll round. A connection with an
@@ -76,29 +75,6 @@ const REAP_GRACE: Duration = Duration::from_millis(250);
 /// anyone (it just parks bytes in its own `FrameReader`).
 const READ_CHUNK: usize = 16 * 1024;
 const READ_CHUNKS_PER_ROUND: usize = 4;
-
-/// An ingest handed off to the dedicated ingest executor thread. Graph
-/// mutation can block on the registry write lock for up to the request
-/// timeout, which must never stall the event loop — so the reactor ships
-/// the work out and the result comes back as a [`Completion::Direct`].
-pub(crate) struct IngestWork {
-    /// Reactor-internal request key.
-    pub req: u64,
-    /// Client-chosen wire id.
-    pub id: u64,
-    /// Sampling seed for the returned embedding.
-    pub seed: u64,
-    /// The new node's type id.
-    pub node_type: u16,
-    /// Optional class label.
-    pub label: Option<u16>,
-    /// Dense feature row.
-    pub features: Vec<f32>,
-    /// Typed edges to existing nodes.
-    pub edges: Vec<(u32, u16)>,
-    /// Absolute deadline — bounds the write-lock wait.
-    pub deadline: Instant,
-}
 
 /// One open client connection: frame assembly in, buffered bytes out.
 struct Conn {
@@ -131,16 +107,6 @@ impl Conn {
     }
 }
 
-/// What a pending request assembles into once its last completion lands.
-enum PendingKind {
-    /// Concatenate embedding rows in slot order.
-    Embed,
-    /// Collect labels in slot order.
-    Classify,
-    /// The completion carries a ready-made response (ingest).
-    Direct,
-}
-
 /// What the answering tail records about a request besides its response.
 struct RequestMeta {
     /// When the frame was complete — the origin of the request's latency,
@@ -154,29 +120,15 @@ struct RequestMeta {
     nodes: u64,
 }
 
-/// One decoded request waiting on its completions.
+/// One queued request waiting on its completion.
 struct Pending {
     /// Owning connection key.
     conn: u64,
-    kind: PendingKind,
-    /// Client-chosen wire id, echoed in the response.
+    /// Client-chosen wire id, for the reaper's answer.
     id: u64,
-    /// Per-slot job outcomes, `None` until the slot's completion lands
-    /// (empty for `Direct`).
-    results: Vec<Option<Result<JobOutput, ServeError>>>,
-    /// Completions still outstanding.
-    remaining: usize,
-    /// First error seen (job failure or partial-enqueue failure); wins
-    /// over any successful slots.
-    failure: Option<ServeError>,
     /// Backstop reap time (`deadline + REAP_GRACE`).
     reap_at: Instant,
     meta: RequestMeta,
-    /// Embedding dimensionality (embed responses).
-    dim: u32,
-    /// Lifecycle stamps from the batcher (last completion wins); inline
-    /// answers and direct completions never carry any.
-    stamps: Option<JobStamps>,
 }
 
 /// What a poll-set entry refers back to.
@@ -210,9 +162,6 @@ struct ReactorMetrics {
     /// `serve_write_buffer_hwm_bytes` — largest unflushed write buffer
     /// ever observed on any connection (monotone high-water mark).
     write_buffer_hwm: Arc<Gauge>,
-    /// `serve_duplicate_completions_total` — job completions dropped
-    /// because their slot had already answered (or never existed).
-    duplicate_completions: Arc<Counter>,
 }
 
 impl ReactorMetrics {
@@ -227,7 +176,6 @@ impl ReactorMetrics {
             write_flush_us: registry.histogram("serve_write_flush_us", buckets::LATENCY_US_FINE),
             inflight: registry.gauge("serve_inflight_requests"),
             write_buffer_hwm: registry.gauge("serve_write_buffer_hwm_bytes"),
-            duplicate_completions: registry.counter("serve_duplicate_completions_total"),
         }
     }
 }
@@ -236,13 +184,11 @@ pub(crate) struct Reactor {
     listener: TcpListener,
     shared: Arc<Shared>,
     job_tx: mpsc::SyncSender<Job>,
-    /// Jobs enqueued and not yet pulled — the `serve_queue_depth` gauge,
-    /// which the batcher decrements per pull.
+    /// Node rows enqueued and not yet pulled — the `serve_queue_depth`
+    /// gauge, which the batcher decrements per pull.
     queued: Arc<Gauge>,
-    ingest_tx: mpsc::Sender<IngestWork>,
     completion_rx: mpsc::Receiver<Completion>,
-    /// Cloned into every job so the batcher can deliver-and-wake.
-    sink: ReplySink,
+    /// The self-pipe the batcher rings after handing over completions.
     wake: Arc<WakePipe>,
     max_connections: usize,
     queue_depth: usize,
@@ -264,16 +210,13 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    /// Builds the reactor. `sink` must be the sending half of
+    /// Builds the reactor. The batcher holds the sending half of
     /// `completion_rx`, with `wake` attached.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         listener: TcpListener,
         shared: Arc<Shared>,
         job_tx: mpsc::SyncSender<Job>,
-        ingest_tx: mpsc::Sender<IngestWork>,
         completion_rx: mpsc::Receiver<Completion>,
-        sink: ReplySink,
         wake: Arc<WakePipe>,
         max_connections: usize,
         queue_depth: usize,
@@ -284,9 +227,7 @@ impl Reactor {
             queued: shared.batcher_stats.queue_depth.clone(),
             shared,
             job_tx,
-            ingest_tx,
             completion_rx,
-            sink,
             wake,
             max_connections,
             queue_depth,
@@ -632,7 +573,7 @@ impl Reactor {
             nodes: nodes as u64,
         };
 
-        match request {
+        let (seed, work, meta) = match request {
             // Telemetry is answered inline: a metrics snapshot allocates a
             // string but never blocks.
             Request::Telemetry { .. } => {
@@ -640,7 +581,7 @@ impl Reactor {
                     id,
                     text: telemetry_text(&self.shared),
                 };
-                self.answer(key, &response, &meta("telemetry", 0), None)
+                return self.answer(key, &response, &meta("telemetry", 0), None);
             }
             Request::Ingest {
                 seed,
@@ -650,46 +591,17 @@ impl Reactor {
                 edges,
                 ..
             } => {
-                let req = self.fresh_req();
-                let work = IngestWork {
-                    req,
-                    id,
-                    seed,
+                let work = Work::Ingest {
                     node_type,
                     label,
                     features,
                     edges,
-                    deadline,
                 };
-                let meta = meta("ingest", 0);
-                if self.ingest_tx.send(work).is_err() {
-                    let resp = Response::from_error(id, &ServeError::ShuttingDown);
-                    return self.answer(key, &resp, &meta, None);
-                }
-                self.pending.insert(
-                    req,
-                    Pending {
-                        conn: key,
-                        kind: PendingKind::Direct,
-                        id,
-                        results: Vec::new(),
-                        remaining: 1,
-                        failure: None,
-                        reap_at: deadline + REAP_GRACE,
-                        meta,
-                        dim: 0,
-                        stamps: None,
-                    },
-                );
-                self.m.inflight.set(self.pending.len() as i64);
-                if let Some(conn) = self.conns.get_mut(&key) {
-                    conn.inflight += 1;
-                }
-                true
+                (seed, work, meta("ingest", 0))
             }
             Request::Embed { seed, nodes, .. } => {
                 let meta = meta("embed", nodes.len());
-                self.dispatch_jobs(key, id, JobKind::Embed, seed, nodes, deadline, meta)
+                (seed, Work::Rows(JobKind::Embed, nodes), meta)
             }
             Request::Classify {
                 seed,
@@ -698,119 +610,75 @@ impl Reactor {
                 ..
             } => {
                 let meta = meta("classify", nodes.len());
-                let kind = JobKind::Classify { rounds };
-                self.dispatch_jobs(key, id, kind, seed, nodes, deadline, meta)
+                (seed, Work::Rows(JobKind::Classify { rounds }, nodes), meta)
+            }
+        };
+        if let Work::Rows(kind, nodes) = &work {
+            if nodes.is_empty() {
+                let resp = match kind {
+                    JobKind::Embed => Response::Embeddings {
+                        id,
+                        dim: self.shared.registry.read().model().config.d as u32,
+                        values: Vec::new(),
+                    },
+                    JobKind::Classify { .. } => Response::Classes {
+                        id,
+                        labels: Vec::new(),
+                    },
+                };
+                return self.answer(key, &resp, &meta, None);
             }
         }
+        let now = Instant::now();
+        let job = Job {
+            work,
+            id,
+            seed,
+            deadline,
+            req: self.fresh_req(),
+            enqueued_at: now,
+            pulled_at: now,
+        };
+        self.enqueue(key, job, meta)
     }
 
-    /// Validates an embed/classify request, then either answers it inline
-    /// (bad node, empty, shed) or enqueues its per-node jobs and registers
-    /// the pending entry. Returns `false` when the connection should
-    /// close.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_jobs(
-        &mut self,
-        key: u64,
-        id: u64,
-        kind: JobKind,
-        seed: u64,
-        nodes: Vec<u32>,
-        deadline: Instant,
-        meta: RequestMeta,
-    ) -> bool {
-        if let Some(&bad) = nodes
-            .iter()
-            .find(|&&n| !self.shared.registry.contains_node(n))
-        {
-            let resp = Response::from_error(
-                id,
-                &ServeError::BadRequest(format!("node {bad} outside the served graph")),
-            );
-            return self.answer(key, &resp, &meta, None);
-        }
-        let d = self.shared.registry.read().model().config.d as u32;
-        if nodes.is_empty() {
-            let resp = match kind {
-                JobKind::Embed => Response::Embeddings {
-                    id,
-                    dim: d,
-                    values: Vec::new(),
-                },
-                JobKind::Classify { .. } => Response::Classes {
-                    id,
-                    labels: Vec::new(),
-                },
-            };
-            return self.answer(key, &resp, &meta, None);
-        }
-
-        // Shed before enqueue: either the whole request fits in the queue
-        // budget right now or none of it goes in. The reactor is the only
-        // enqueuer and counts every job it sends, and the batcher uncounts
-        // a job only after pulling it, so here the live count never reads
-        // below the queue's length: a passed check cannot race into a
-        // partial enqueue.
-        if self.queued.get() as usize + nodes.len() > self.queue_depth {
+    /// Queues one whole request and registers it as pending, or answers it
+    /// inline when it is shed. Its nodes are checked against the graph by
+    /// the batcher, in queue order, so a request may name a node that an
+    /// ingest queued ahead of it adds. Returns `false` when the connection
+    /// should close.
+    fn enqueue(&mut self, key: u64, job: Job, meta: RequestMeta) -> bool {
+        // Shed before enqueue: either the request's whole weight fits in
+        // the queue budget right now or it does not go in. The reactor is
+        // the only enqueuer and counts every request it sends, and the
+        // batcher uncounts one only after pulling it, so here the live
+        // count never reads below the queue's weight — and since every
+        // queued request weighs at least 1, the channel never fills.
+        let weight = job.weight();
+        let (id, req, reap_at) = (job.id, job.req, job.deadline + REAP_GRACE);
+        if self.queued.get() as usize + weight > self.queue_depth {
             self.shared.shed.inc();
             let resp = Response::from_error(id, &ServeError::Overloaded);
             return self.answer(key, &resp, &meta, None);
         }
-
-        let req = self.fresh_req();
-        let mut enqueued = 0usize;
-        let mut failure: Option<ServeError> = None;
-        for (slot, &node) in nodes.iter().enumerate() {
-            let job = Job {
-                kind,
-                node,
-                seed,
-                deadline,
-                req,
-                slot,
-                reply: self.sink.clone(),
-                enqueued_at: Instant::now(),
-                pulled_at: Instant::now(),
-            };
-            match self.job_tx.try_send(job) {
-                Ok(()) => {
-                    self.queued.add(1);
-                    enqueued += 1;
-                }
-                Err(TrySendError::Full(_)) => {
+        if let Err(err) = self.job_tx.try_send(job) {
+            let err = match err {
+                TrySendError::Full(_) => {
                     self.shared.shed.inc();
-                    failure = Some(ServeError::Overloaded);
-                    break;
+                    ServeError::Overloaded
                 }
-                Err(TrySendError::Disconnected(_)) => {
-                    failure = Some(ServeError::ShuttingDown);
-                    break;
-                }
-            }
+                TrySendError::Disconnected(_) => ServeError::ShuttingDown,
+            };
+            return self.answer(key, &Response::from_error(id, &err), &meta, None);
         }
-        if enqueued == 0 {
-            let err = failure.unwrap_or(ServeError::Internal("no jobs enqueued".into()));
-            let resp = Response::from_error(id, &err);
-            return self.answer(key, &resp, &meta, None);
-        }
-        self.pending.insert(
-            req,
-            Pending {
-                conn: key,
-                kind: match kind {
-                    JobKind::Embed => PendingKind::Embed,
-                    JobKind::Classify { .. } => PendingKind::Classify,
-                },
-                id,
-                results: vec![None; nodes.len()],
-                remaining: enqueued,
-                failure,
-                reap_at: deadline + REAP_GRACE,
-                meta,
-                dim: d,
-                stamps: None,
-            },
-        );
+        self.queued.add(weight as i64);
+        let pending = Pending {
+            conn: key,
+            id,
+            reap_at,
+            meta,
+        };
+        self.pending.insert(req, pending);
         self.m.inflight.set(self.pending.len() as i64);
         if let Some(conn) = self.conns.get_mut(&key) {
             conn.inflight += 1;
@@ -824,47 +692,13 @@ impl Reactor {
         req
     }
 
-    /// Applies every queued completion. Late completions whose request
-    /// was already reaped (or whose connection died) have no pending
-    /// entry and are dropped silently; a second completion for a slot
-    /// that already answered is dropped and counted — it never decides a
-    /// response.
+    /// Answers every queued completion. A completion whose request was
+    /// already answered — reaped, or its connection closed — has no
+    /// pending entry and is dropped: it never answers twice.
     fn drain_completions(&mut self) {
-        while let Ok(completion) = self.completion_rx.try_recv() {
-            match completion {
-                Completion::Job {
-                    req,
-                    slot,
-                    result,
-                    stamps,
-                } => {
-                    let Some(p) = self.pending.get_mut(&req) else {
-                        continue;
-                    };
-                    let Some(cell) = p.results.get_mut(slot).filter(|cell| cell.is_none()) else {
-                        self.m.duplicate_completions.inc();
-                        continue;
-                    };
-                    if let Err(err) = &result {
-                        p.failure.get_or_insert_with(|| err.clone());
-                    }
-                    *cell = Some(result);
-                    // Last completion wins: the request's recorded
-                    // timeline is the slot that finished it.
-                    p.stamps = Some(stamps);
-                    p.remaining = p.remaining.saturating_sub(1);
-                    if p.remaining > 0 {
-                        continue;
-                    }
-                    if let Some(p) = self.take_pending(req) {
-                        self.answer(p.conn, &assemble(&p), &p.meta, p.stamps.as_ref());
-                    }
-                }
-                Completion::Direct { req, response } => {
-                    if let Some(p) = self.take_pending(req) {
-                        self.answer(p.conn, &response, &p.meta, p.stamps.as_ref());
-                    }
-                }
+        while let Ok(done) = self.completion_rx.try_recv() {
+            if let Some(p) = self.take_pending(done.req) {
+                self.answer(p.conn, &done.response, &p.meta, done.stamps.as_ref());
             }
         }
     }
@@ -884,7 +718,7 @@ impl Reactor {
     /// span summary when the client asked for one), buffer, flush, then
     /// close the accounting from one `total` — latency histogram, slow
     /// decision, flight record, anomaly dump. The summary and the flight
-    /// record are drawn from the same stamps: the finishing slot's.
+    /// record are drawn from the same stamps: the request's.
     /// Returns `false` when the connection should close.
     fn answer(
         &mut self,
@@ -1003,13 +837,13 @@ impl Reactor {
         for req in expired {
             if let Some(p) = self.take_pending(req) {
                 let response = Response::from_error(p.id, &ServeError::DeadlineExceeded);
-                self.answer(p.conn, &response, &p.meta, p.stamps.as_ref());
+                self.answer(p.conn, &response, &p.meta, None);
             }
         }
     }
 
     /// Removes a connection and every pending request it owns (their
-    /// in-queue jobs still compute; the completions will be dropped).
+    /// queued jobs still compute; the completions will be dropped).
     fn close_conn(&mut self, key: u64) {
         if self.conns.remove(&key).is_some() {
             self.shared.open_connections.set(self.conns.len() as i64);
@@ -1042,58 +876,10 @@ fn outcome_of(response: &Response) -> &'static str {
     }
 }
 
-/// Concatenates a finished request's slot results into its response, or
-/// its recorded failure into an error.
-fn assemble(p: &Pending) -> Response {
-    if let Some(err) = &p.failure {
-        return Response::from_error(p.id, err);
-    }
-    match p.kind {
-        PendingKind::Embed => {
-            let mut values = Vec::with_capacity(p.results.len() * p.dim as usize);
-            for r in &p.results {
-                match r {
-                    Some(Ok(JobOutput::Embedding(row))) => values.extend_from_slice(row),
-                    _ => {
-                        return Response::from_error(
-                            p.id,
-                            &ServeError::Internal("job answered with wrong output kind".into()),
-                        )
-                    }
-                }
-            }
-            Response::Embeddings {
-                id: p.id,
-                dim: p.dim,
-                values,
-            }
-        }
-        PendingKind::Classify => {
-            let mut labels = Vec::with_capacity(p.results.len());
-            for r in &p.results {
-                match r {
-                    Some(Ok(JobOutput::Label(label))) => labels.push(*label),
-                    _ => {
-                        return Response::from_error(
-                            p.id,
-                            &ServeError::Internal("job answered with wrong output kind".into()),
-                        )
-                    }
-                }
-            }
-            Response::Classes { id: p.id, labels }
-        }
-        PendingKind::Direct => Response::from_error(
-            p.id,
-            &ServeError::Internal("direct request assembled from slots".into()),
-        ),
-    }
-}
-
 /// The wire span summary: the `serve.server.request` root from `started`
 /// (the latency histogram's origin) to now, the response's encode; then,
-/// as its children, the finishing slot's lifecycle phases — the flight
-/// record's intervals, in nanoseconds from `started`.
+/// as its children, the request's lifecycle phases — the flight record's
+/// intervals, in nanoseconds from `started`.
 fn span_summary(trace_id: u64, started: Instant, stamps: Option<&JobStamps>) -> SpanSummary {
     let ns = |from: Instant, to: Instant| to.saturating_duration_since(from).as_nanos() as u64;
     let root = WireSpan {
@@ -1138,7 +924,7 @@ mod tests {
     use widen_core::{WidenConfig, WidenModel};
 
     #[test]
-    fn a_duplicate_completion_is_counted_and_never_decides_the_response() {
+    fn a_second_completion_for_an_answered_request_is_dropped_and_answers_nothing() {
         let dataset = widen_data::acm_like(widen_data::Scale::Smoke, 3);
         let mut cfg = WidenConfig::small();
         cfg.d = 4;
@@ -1149,7 +935,6 @@ mod tests {
             shutdown: Default::default(),
             requests: metrics.counter("serve_requests_total"),
             slow_requests: metrics.counter("serve_slow_requests_total"),
-            ingests: metrics.counter("serve_ingests_total"),
             shed: metrics.counter("serve_shed_total"),
             accept_errors: metrics.counter("serve_accept_errors_total"),
             conns_rejected: metrics.counter("serve_conns_rejected_total"),
@@ -1167,74 +952,54 @@ mod tests {
             metrics,
         });
         let (job_tx, _job_rx) = mpsc::sync_channel(4);
-        let (ingest_tx, _ingest_rx) = mpsc::channel();
         let (tx, completion_rx) = mpsc::channel();
-        let sink = ReplySink {
-            tx: tx.clone(),
-            wake: None,
-        };
         let mut reactor = Reactor::new(
             TcpListener::bind("127.0.0.1:0").unwrap(),
             shared.clone(),
             job_tx,
-            ingest_tx,
             completion_rx,
-            sink,
             Arc::new(WakePipe::new().unwrap()),
             4,
             4,
         );
-        // A two-node embed request, waiting on both of its jobs.
+        // A two-node embed request, waiting on its completion.
         let now = Instant::now();
-        reactor.pending.insert(
-            7,
-            Pending {
-                conn: 0,
-                kind: PendingKind::Embed,
-                id: 1,
-                results: vec![None, None],
-                remaining: 2,
-                failure: None,
-                reap_at: now + Duration::from_secs(60),
-                meta: RequestMeta {
-                    started: now,
-                    trace_id: None,
-                    kind_name: "embed",
-                    nodes: 2,
-                },
-                dim: 1,
-                stamps: None,
-            },
-        );
+        let meta = RequestMeta {
+            started: now,
+            trace_id: None,
+            kind_name: "embed",
+            nodes: 2,
+        };
+        let reap_at = now + Duration::from_secs(60);
+        let pending = Pending {
+            conn: 0,
+            id: 1,
+            reap_at,
+            meta,
+        };
+        reactor.pending.insert(7, pending);
         let stamps = JobStamps {
             enqueued: now,
             pulled: now,
             batch_start: now,
             forward: None,
         };
-        let done = |slot, x: f32| Completion::Job {
+        let done = |x: f32| Completion {
             req: 7,
-            slot,
-            result: Ok(JobOutput::Embedding(vec![x])),
-            stamps,
+            response: Response::Embeddings {
+                id: 1,
+                dim: 1,
+                values: vec![x, x],
+            },
+            stamps: Some(stamps),
         };
 
-        // Slot 0 answers twice: the second one neither overwrites the row
-        // nor finishes the request with slot 1 still out.
-        tx.send(done(0, 1.0)).unwrap();
-        tx.send(done(0, 2.0)).unwrap();
-        reactor.drain_completions();
-        assert_eq!(reactor.m.duplicate_completions.get(), 1);
-        let p = &reactor.pending[&7];
-        assert_eq!(p.remaining, 1);
-        assert_eq!(p.results[0], Some(Ok(JobOutput::Embedding(vec![1.0]))));
-
-        // Slot 1 finishes it; a completion after that finds no request.
-        tx.send(done(1, 3.0)).unwrap();
-        tx.send(done(1, 4.0)).unwrap();
+        // The first completion answers the request; the second finds no
+        // pending entry and is dropped without answering again.
+        tx.send(done(1.0)).unwrap();
+        tx.send(done(2.0)).unwrap();
         reactor.drain_completions();
         assert!(reactor.pending.is_empty());
         assert_eq!(shared.requests.get(), 1);
-        assert_eq!(reactor.m.duplicate_completions.get(), 1);
     }
 }

@@ -1,5 +1,5 @@
 //! Checkpoint-backed model registry: the bundle of graph, configuration
-//! and restored weights the batcher and the ingest executor read from.
+//! and restored weights the batcher reads and grows.
 //!
 //! Since the streaming-graph work the registry is no longer immutable: the
 //! `Ingest` wire op grows the served graph online, and
@@ -9,9 +9,7 @@
 //! a consistent `(model, graph, digest)` snapshot — a swap can never land
 //! between reading the digest and running the forward pass.
 
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, TryLockError};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use widen_core::{WidenConfig, WidenModel};
 use widen_graph::{EdgeTypeId, HeteroGraph, MutationError, NodeTypeId};
@@ -51,30 +49,6 @@ impl ServingState {
     /// unreachable without computing receptive fields.
     pub fn graph_version(&self) -> u64 {
         self.graph_version
-    }
-
-    /// The body of [`ModelRegistry::ingest`], under the write guard.
-    fn ingest(
-        &mut self,
-        node_type: NodeTypeId,
-        features: Vec<f32>,
-        label: Option<u16>,
-        edges: &[(u32, EdgeTypeId)],
-        seed: u64,
-    ) -> Result<IngestOutcome, MutationError> {
-        let node = self
-            .graph
-            .add_node_with_edges(node_type, features, label, edges)?;
-        // Bump before embedding so the outcome's version is exactly the
-        // version the embedding was computed under.
-        self.graph_version += 1;
-        let rows = self.model.embed_requests(&self.graph, &[(node, seed)]);
-        Ok(IngestOutcome {
-            node,
-            embedding: rows.row(0).to_vec(),
-            checkpoint_hash: self.checkpoint_hash,
-            graph_version: self.graph_version,
-        })
     }
 }
 
@@ -160,11 +134,6 @@ impl ModelRegistry {
         self.read().graph_version
     }
 
-    /// Whether `node` exists in the served graph.
-    pub fn contains_node(&self, node: u32) -> bool {
-        (node as usize) < self.read().graph.num_nodes()
-    }
-
     /// Streams one never-seen node into the served graph and embeds it in
     /// the same critical section: the node, its typed edges, and the
     /// returned embedding all belong to one graph version, and the
@@ -183,46 +152,20 @@ impl ModelRegistry {
         edges: &[(u32, EdgeTypeId)],
         seed: u64,
     ) -> Result<IngestOutcome, MutationError> {
-        self.state
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .ingest(node_type, features, label, edges, seed)
-    }
-
-    /// Like [`ModelRegistry::ingest`], but gives up after waiting
-    /// `timeout` for the write lock (e.g. behind long read-guarded
-    /// batches) instead of blocking indefinitely. `None` means the lock
-    /// was never acquired and the graph is untouched — the serve path maps
-    /// it to `DeadlineExceeded`. `std` has no timed lock, so the wait
-    /// polls `try_write` every 100 µs.
-    ///
-    /// # Errors
-    /// `Some(Err(_))` carries the same [`MutationError`]s as
-    /// [`ModelRegistry::ingest`].
-    pub fn try_ingest_for(
-        &self,
-        node_type: NodeTypeId,
-        features: Vec<f32>,
-        label: Option<u16>,
-        edges: &[(u32, EdgeTypeId)],
-        seed: u64,
-        timeout: Duration,
-    ) -> Option<Result<IngestOutcome, MutationError>> {
-        const POLL: Duration = Duration::from_micros(100);
-        let deadline = Instant::now() + timeout;
-        let mut st = loop {
-            match self.state.try_write() {
-                Ok(guard) => break guard,
-                Err(TryLockError::Poisoned(poisoned)) => break poisoned.into_inner(),
-                Err(TryLockError::WouldBlock) => {}
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            thread::sleep(POLL.min(deadline - now));
-        };
-        Some(st.ingest(node_type, features, label, edges, seed))
+        let mut st = self.state.write().unwrap_or_else(PoisonError::into_inner);
+        let node = st
+            .graph
+            .add_node_with_edges(node_type, features, label, edges)?;
+        // Bump before embedding so the outcome's version is exactly the
+        // version the embedding was computed under.
+        st.graph_version += 1;
+        let rows = st.model.embed_requests(&st.graph, &[(node, seed)]);
+        Ok(IngestOutcome {
+            node,
+            embedding: rows.row(0).to_vec(),
+            checkpoint_hash: st.checkpoint_hash,
+            graph_version: st.graph_version,
+        })
     }
 
     /// Replaces the serving weights with `checkpoint`, keyed by its
@@ -274,9 +217,7 @@ mod tests {
         let st = registry.read();
         let b = st.model().embed_nodes(st.graph(), &[0, 1], 5);
         assert_eq!(a.max_abs_diff(&b), 0.0);
-        drop(st);
-        assert!(registry.contains_node(0));
-        assert!(!registry.contains_node(u32::MAX));
+        assert_eq!(st.graph().num_nodes(), dataset.graph.num_nodes());
     }
 
     #[test]
@@ -317,7 +258,7 @@ mod tests {
             )
             .expect("valid ingest");
         assert_eq!(out.node, before);
-        assert!(registry.contains_node(before));
+        assert_eq!(registry.read().graph().num_nodes(), before as usize + 1);
         // Bit-identical to embedding the node again on the mutated graph.
         let st = registry.read();
         let again = st.model().embed_requests(st.graph(), &[(out.node, 42)]);
@@ -347,42 +288,6 @@ mod tests {
         let ckpt = registry.read().model().save_weights();
         registry.hot_swap(&ckpt).expect("valid checkpoint");
         assert_eq!(registry.graph_version(), 1);
-    }
-
-    #[test]
-    fn try_ingest_times_out_behind_a_held_guard_without_mutating() {
-        let dataset = acm_like(Scale::Smoke, 3);
-        let model = WidenModel::for_graph(&dataset.graph, tiny_config());
-        let registry = ModelRegistry::from_model(dataset.graph.clone(), model);
-        let n = dataset.graph.num_nodes();
-        let feat = vec![0.1; dataset.graph.feature_dim()];
-        let guard = registry.read();
-        let attempt = registry.try_ingest_for(
-            NodeTypeId(0),
-            feat.clone(),
-            None,
-            &[(0, EdgeTypeId(0))],
-            1,
-            std::time::Duration::from_millis(10),
-        );
-        assert!(attempt.is_none(), "write lock must not be granted");
-        drop(guard);
-        assert_eq!(registry.read().graph().num_nodes(), n);
-        assert_eq!(registry.graph_version(), 0);
-        // With the guard gone the same call succeeds within the deadline.
-        let out = registry
-            .try_ingest_for(
-                NodeTypeId(0),
-                feat,
-                None,
-                &[(0, EdgeTypeId(0))],
-                1,
-                std::time::Duration::from_millis(500),
-            )
-            .expect("lock acquired")
-            .expect("valid ingest");
-        assert_eq!(out.node, n as u32);
-        assert_eq!(out.graph_version, 1);
     }
 
     #[test]

@@ -7,58 +7,56 @@
 //!                  ┌────────────────────────────────────────────┐
 //!   clients ──TCP──▶ reactor (one thread, poll(2) over all fds) │
 //!                  └───────┬──────────────────────────▲─────────┘
-//!                    jobs  │                          │ completions
+//!                requests  │                          │ completions
 //!                          ▼                          │ (+ self-pipe wake)
 //!                     bounded queue ──────────▶ batcher
-//!                          │                          ▲
-//!                          └── ingest ──▶ ingest executor
 //! ```
 //!
 //! The reactor (see [`crate::reactor`]) owns every client socket in
-//! nonblocking mode; the batcher and the ingest executor send results
-//! back over one completion channel and ring the reactor's self-pipe.
-//! Thread count is 3 regardless of how many connections are open: the
-//! model runs on the one batcher thread, as a fit runs on one thread.
+//! nonblocking mode and queues each request whole — embed, classify or
+//! ingest; the batcher answers each with one completion and rings the
+//! reactor's self-pipe once per batch of answers. Thread count is 2
+//! regardless of how many connections are open: the model and every
+//! graph mutation run on the one batcher thread, as a fit runs on one
+//! thread.
 //!
 //! Shutdown is graceful by construction and never depends on connecting
 //! to the server's own address: the flag is set, the self-pipe is rung,
 //! the reactor answers and flushes everything pending and exits; dropping
-//! its job sender lets the batcher drain the queue and exit, and dropping
-//! its ingest sender stops the ingest executor. An accepted request is
-//! never dropped without a response.
+//! its job sender lets the batcher drain the queue and exit. An accepted
+//! request is never dropped without a response.
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use widen_obs::{Counter, FlightRecorder, Gauge, Registry as MetricsRegistry};
 
-use widen_graph::{EdgeTypeId, NodeTypeId};
-
 use crate::batcher::{run_batcher, BatchPolicy, BatcherStats, Completion, Job, ReplySink};
-use crate::cache::{EmbedCache, EmbedKey};
-use crate::error::ServeError;
+use crate::cache::EmbedCache;
 use crate::poll::WakePipe;
-use crate::protocol::Response;
-use crate::reactor::{IngestWork, Reactor};
+use crate::reactor::Reactor;
 use crate::registry::ModelRegistry;
 
 /// Tunables for one server instance.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Maximum jobs coalesced into one fused forward pass. `1` disables
-    /// micro-batching (the baseline the throughput bench compares against).
+    /// Node rows that close a coalescing window: the batcher pulls whole
+    /// requests until the window holds at least this many, so a window may
+    /// overshoot by one request. `1` disables micro-batching (one request
+    /// per window).
     pub max_batch: usize,
-    /// How long the first job in a window waits for company, in µs.
+    /// How long the first request in a window waits for company, in µs.
     pub max_wait_us: u64,
-    /// Bounded job-queue depth; a request that does not fit in the
-    /// remaining budget is shed with `Overloaded` before any of its jobs
-    /// enqueue (backpressure) instead of buffering without limit.
+    /// Queue budget in node rows (an `Ingest` counts 1): a request that
+    /// does not fit in the remaining budget is shed with `Overloaded`
+    /// before it enqueues (backpressure) instead of buffering without
+    /// limit.
     pub queue_depth: usize,
-    /// Per-request deadline in ms; jobs not answered in time get
+    /// Per-request deadline in ms; requests not answered in time get
     /// `DeadlineExceeded`.
     pub request_timeout_ms: u64,
     /// LRU embedding-cache entries (0 disables the cache).
@@ -105,15 +103,16 @@ impl Default for ServeConfig {
 pub struct ServeStats {
     /// Requests fully answered (success or error).
     pub requests: u64,
-    /// Per-node jobs processed by the batcher.
+    /// Node rows of the requests the batcher's windows answered.
     pub jobs: u64,
     /// Fused batches executed; `jobs / batches` is the achieved mean
-    /// batch size.
+    /// batch size in node rows.
     pub batches: u64,
-    /// Jobs answered with `DeadlineExceeded` instead of being computed.
+    /// Node rows of requests answered with `DeadlineExceeded` instead of
+    /// being computed.
     pub deadline_drops: u64,
-    /// Jobs answered by an identical job's computation in the same window
-    /// (singleflight dedup).
+    /// Node rows answered by an identical row's computation in the same
+    /// window (singleflight dedup).
     pub dedup_hits: u64,
     /// Embedding-cache hits.
     pub cache_hits: u64,
@@ -122,8 +121,8 @@ pub struct ServeStats {
     /// Nodes streamed into the served graph over the wire (`Ingest` ops
     /// that succeeded).
     pub ingests: u64,
-    /// Requests shed with `Overloaded` before any of their jobs enqueued
-    /// (queue-depth load shedding).
+    /// Requests shed with `Overloaded` before they enqueued (queue-depth
+    /// load shedding).
     pub shed: u64,
     /// Connections rejected by the `max_connections` admission cap.
     pub conns_rejected: u64,
@@ -143,8 +142,6 @@ pub(crate) struct Shared {
     /// `serve_slow_requests_total` — requests answered without error at
     /// or over the slow threshold (the ones a flight record tags `slow`).
     pub(crate) slow_requests: Arc<Counter>,
-    /// `serve_ingests_total` — successful `Ingest` ops (graph mutations).
-    pub(crate) ingests: Arc<Counter>,
     /// `serve_shed_total` — requests shed before enqueue.
     pub(crate) shed: Arc<Counter>,
     /// `serve_accept_errors_total` — accept failures (each starts a
@@ -203,8 +200,8 @@ pub struct Server;
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port), spawns the
-    /// batcher, the ingest executor and the reactor, and returns a handle
-    /// for stats and shutdown.
+    /// batcher and the reactor, and returns a handle for stats and
+    /// shutdown.
     ///
     /// # Errors
     /// Propagates socket-binding failures (and self-pipe creation under
@@ -229,7 +226,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             requests: metrics.counter("serve_requests_total"),
             slow_requests: metrics.counter("serve_slow_requests_total"),
-            ingests: metrics.counter("serve_ingests_total"),
             shed: metrics.counter("serve_shed_total"),
             accept_errors: metrics.counter("serve_accept_errors_total"),
             conns_rejected: metrics.counter("serve_conns_rejected_total"),
@@ -248,6 +244,14 @@ impl Server {
         });
 
         let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.queue_depth);
+        // One completion channel back from the batcher, which rings the
+        // self-pipe after handing over answers so the reactor leaves poll
+        // and writes them.
+        let (completion_tx, completion_rx) = mpsc::channel::<Completion>();
+        let reply = ReplySink {
+            tx: completion_tx,
+            wake: Some(wake.clone()),
+        };
         let policy = BatchPolicy {
             max_batch: config.max_batch,
             max_wait: Duration::from_micros(config.max_wait_us),
@@ -258,33 +262,7 @@ impl Server {
             let stats = shared.batcher_stats.clone();
             std::thread::Builder::new()
                 .name("widen-batcher".into())
-                .spawn(move || run_batcher(registry, cache, job_rx, policy, stats))?
-        };
-
-        // One completion channel back from every producer (batcher, ingest
-        // executor); each delivery rings the self-pipe so
-        // the reactor leaves poll and writes the response.
-        let (completion_tx, completion_rx) = mpsc::channel::<Completion>();
-        let sink = ReplySink {
-            tx: completion_tx,
-            wake: Some(wake.clone()),
-        };
-
-        // Ingest mutates the graph under the registry write lock, which
-        // can wait up to the request timeout — far too long for the event
-        // loop. A dedicated executor runs those and completes them like
-        // any other job.
-        let (ingest_tx, ingest_rx) = mpsc::channel::<IngestWork>();
-        let ingest_worker = {
-            let shared = shared.clone();
-            let sink = sink.clone();
-            match std::thread::Builder::new()
-                .name("widen-ingest".into())
-                .spawn(move || run_ingest_executor(ingest_rx, shared, sink))
-            {
-                Ok(ingest) => ingest,
-                Err(e) => return Err(abort_spawn(e, job_tx, vec![batcher])),
-            }
+                .spawn(move || run_batcher(registry, cache, job_rx, reply, policy, stats))?
         };
 
         let reactor = {
@@ -292,8 +270,8 @@ impl Server {
             let wake = wake.clone();
             let max_connections = config.max_connections;
             let queue_depth = config.queue_depth;
-            // A failed spawn drops this closure, and with it the job and
-            // ingest senders the other threads are waiting on.
+            // A failed spawn drops this closure, and with it the job sender
+            // the batcher is waiting on.
             let spawned = std::thread::Builder::new()
                 .name("widen-reactor".into())
                 .spawn(move || {
@@ -301,9 +279,7 @@ impl Server {
                         listener,
                         shared,
                         job_tx,
-                        ingest_tx,
                         completion_rx,
-                        sink,
                         wake,
                         max_connections,
                         queue_depth,
@@ -312,7 +288,7 @@ impl Server {
                 });
             match spawned {
                 Ok(reactor) => reactor,
-                Err(e) => return Err(abort_spawn(e, (), vec![batcher, ingest_worker])),
+                Err(e) => return Err(abort_spawn(e, (), vec![batcher])),
             }
         };
 
@@ -320,7 +296,6 @@ impl Server {
             addr: local_addr,
             shared,
             reactor: Some(reactor),
-            ingest_worker: Some(ingest_worker),
             batcher: Some(batcher),
             wake,
         })
@@ -332,7 +307,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     reactor: Option<JoinHandle<()>>,
-    ingest_worker: Option<JoinHandle<()>>,
     batcher: Option<JoinHandle<()>>,
     wake: Arc<WakePipe>,
 }
@@ -354,7 +328,7 @@ impl ServerHandle {
             dedup_hits: self.shared.batcher_stats.dedup_hits.get(),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
-            ingests: self.shared.ingests.get(),
+            ingests: self.shared.batcher_stats.ingests.get(),
             shed: self.shared.shed.get(),
             conns_rejected: self.shared.conns_rejected.get(),
             accept_errors: self.shared.accept_errors.get(),
@@ -420,12 +394,9 @@ impl ServerHandle {
         let _ = reactor.join();
         // The reactor dropped its job sender on exit; the batcher drains
         // whatever is queued, answers it, then sees the disconnect and
-        // exits. Same for the ingest executor via its work channel.
-        for thread in [self.ingest_worker.take(), self.batcher.take()]
-            .into_iter()
-            .flatten()
-        {
-            let _ = thread.join();
+        // exits.
+        if let Some(batcher) = self.batcher.take() {
+            let _ = batcher.join();
         }
     }
 }
@@ -446,78 +417,6 @@ fn abort_spawn<S>(err: std::io::Error, senders: S, spawned: Vec<JoinHandle<()>>)
         let _ = thread.join();
     }
     err
-}
-
-/// Runs ingest requests off the reactor thread: graph mutation + embed
-/// inside one registry critical section, bounded by the request deadline,
-/// completed back to the reactor like any batcher job.
-fn run_ingest_executor(rx: mpsc::Receiver<IngestWork>, shared: Arc<Shared>, sink: ReplySink) {
-    while let Ok(work) = rx.recv() {
-        let response = execute_ingest(&shared, &work);
-        sink.send(Completion::Direct {
-            req: work.req,
-            response,
-        });
-    }
-}
-
-fn execute_ingest(shared: &Shared, work: &IngestWork) -> Response {
-    let budget = work.deadline.saturating_duration_since(Instant::now());
-    if budget.is_zero() {
-        return Response::from_error(work.id, &ServeError::DeadlineExceeded);
-    }
-    let typed: Vec<(u32, EdgeTypeId)> = work
-        .edges
-        .iter()
-        .map(|&(peer, et)| (peer, EdgeTypeId(et)))
-        .collect();
-    let attempt = shared.registry.try_ingest_for(
-        NodeTypeId(work.node_type),
-        work.features.clone(),
-        work.label,
-        &typed,
-        work.seed,
-        budget,
-    );
-    match attempt {
-        None => Response::from_error(work.id, &ServeError::DeadlineExceeded),
-        Some(Ok(outcome)) => {
-            // The mutation bumped the registry's graph version, which is
-            // part of every cache key: all rows computed on the
-            // pre-mutation graph — anywhere in the walk radius of the
-            // touched peers, not just the peers themselves — are already
-            // unreachable. Flush them eagerly so dead rows don't occupy
-            // LRU capacity until eviction — them only: the write guard is
-            // gone, so the batcher may already have cached rows under
-            // the new version, and those are current.
-            let version = outcome.graph_version;
-            shared.cache.retain(|key| key.graph_version >= version);
-            // Warm the cache: a follow-up Embed for (node, seed) under
-            // the same generation is answered without a forward pass. The
-            // row is keyed by the graph version it was computed under, so
-            // even if another ingest lands between our write guard's
-            // release and this insert, the row can never answer a lookup
-            // under the newer version — it is merely a dead entry, not a
-            // stale serve.
-            shared.cache.insert(
-                EmbedKey {
-                    node: outcome.node,
-                    checkpoint_hash: outcome.checkpoint_hash,
-                    graph_version: outcome.graph_version,
-                    seed: work.seed,
-                },
-                outcome.embedding.clone(),
-            );
-            shared.ingests.inc();
-            Response::Ingested {
-                id: work.id,
-                node: outcome.node,
-                dim: outcome.embedding.len() as u32,
-                values: outcome.embedding,
-            }
-        }
-        Some(Err(err)) => Response::from_error(work.id, &ServeError::BadRequest(err.to_string())),
-    }
 }
 
 #[cfg(test)]

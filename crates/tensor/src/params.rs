@@ -94,25 +94,9 @@ impl ParamStore {
             .map(|(i, (n, t))| (ParamId(i), n.as_str(), t))
     }
 
-    /// Deep copy of all parameter tensors (snapshot for best-model keeping).
+    /// Deep copy of all parameter tensors.
     pub fn snapshot(&self) -> Vec<Tensor> {
         self.tensors.clone()
-    }
-
-    /// Restores a snapshot taken with [`ParamStore::snapshot`].
-    ///
-    /// # Panics
-    /// Panics if the snapshot does not match the store's layout.
-    pub fn restore(&mut self, snapshot: &[Tensor]) {
-        assert_eq!(
-            snapshot.len(),
-            self.tensors.len(),
-            "snapshot layout mismatch"
-        );
-        for (dst, src) in self.tensors.iter_mut().zip(snapshot) {
-            assert_eq!(dst.shape(), src.shape(), "snapshot shape mismatch");
-            *dst = src.clone();
-        }
     }
 }
 
@@ -137,17 +121,6 @@ mod tests {
         let mut store = ParamStore::new();
         store.register("w", Tensor::zeros(1, 1));
         store.register("w", Tensor::zeros(1, 1));
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips() {
-        let mut store = ParamStore::new();
-        let w = store.register("w", Tensor::full(1, 2, 1.0));
-        let snap = store.snapshot();
-        store.get_mut(w).scale_inplace(5.0);
-        assert_eq!(store.get(w).as_slice(), &[5.0, 5.0]);
-        store.restore(&snap);
-        assert_eq!(store.get(w).as_slice(), &[1.0, 1.0]);
     }
 
     #[test]

@@ -166,11 +166,6 @@ impl Tape {
         }
     }
 
-    /// Whether per-op profiling is active.
-    pub fn profiling_enabled(&self) -> bool {
-        self.profiler.is_some()
-    }
-
     /// Extracts the profile recorded so far, leaving profiling enabled with
     /// fresh counters. `None` if profiling was never enabled.
     pub fn take_profile(&mut self) -> Option<ProfileReport> {
@@ -813,7 +808,6 @@ mod tests {
         assert_eq!(mm.last_shape, "2×2·2×2→2×2");
         assert_eq!(mm.largest_out, (2, 2));
         // take_profile resets counters but keeps profiling on.
-        assert!(tape.profiling_enabled());
         let empty = tape.take_profile().unwrap();
         assert!(empty.is_empty());
     }

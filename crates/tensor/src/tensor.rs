@@ -433,18 +433,6 @@ impl Tensor {
         best
     }
 
-    /// Index of the minimum entry in row `r`.
-    pub fn argmin_row(&self, r: usize) -> usize {
-        let row = self.row(r);
-        let mut best = 0;
-        for (i, &v) in row.iter().enumerate() {
-            if v < row[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Gathers the listed rows into a new tensor (duplicates allowed).
     ///
     /// # Panics
@@ -1043,7 +1031,6 @@ mod tests {
     fn argminmax_rows() {
         let t = Tensor::from_rows(&[&[0.3, 0.1, 0.6]]);
         assert_eq!(t.argmax_row(0), 2);
-        assert_eq!(t.argmin_row(0), 1);
     }
 
     #[test]

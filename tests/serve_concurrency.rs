@@ -218,6 +218,39 @@ fn embedding_lru_serves_sequential_repeats_under_concurrency() {
     );
 }
 
+#[test]
+fn a_request_wider_than_max_batch_is_one_window_and_one_response() {
+    // A window pulls whole requests: 40 nodes at `max_batch: 16` are not
+    // split, so they come back as one response from one 40-row batch.
+    let fx = fixture(64);
+    let checkpoint = fx.model.save_weights();
+    let registry = ModelRegistry::from_checkpoint(fx.graph.clone(), tiny_config(), &checkpoint)
+        .expect("checkpoint loads");
+    let config = ServeConfig {
+        max_batch: 16,
+        ..ServeConfig::default()
+    };
+    let handle = Server::bind(registry, config, "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+
+    let nodes: Vec<u32> = (0..40).collect();
+    let rows = client.embed(&nodes, 21).expect("embed succeeds");
+    let items: Vec<(u32, u64)> = nodes.iter().map(|&n| (n, 21)).collect();
+    let want = fx.model.embed_requests(&fx.graph, &items);
+    assert_eq!(rows.len(), nodes.len());
+    for (i, row) in rows.iter().enumerate() {
+        let got_bits: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+        let want_bits: Vec<u32> = want.row(i).iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got_bits, want_bits, "row {i} not bit-identical");
+    }
+
+    let snap = handle.metrics().snapshot();
+    let sizes = snap.histogram("serve_batch_size").expect("histogram");
+    assert_eq!((sizes.count, sizes.sum, sizes.max), (1, 40.0, 40.0));
+    let stats = handle.shutdown();
+    assert_eq!((stats.requests, stats.jobs, stats.batches), (1, 40, 1));
+}
+
 /// Distinct, overlapping node sets so concurrent requests share cache and
 /// batch space without being identical.
 fn nodes_for(thread: usize, request: usize) -> Vec<u32> {

@@ -5,9 +5,13 @@
 //! serving generation in place and flushes the embedding cache, so a row
 //! computed under the old digest is never served again.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
+
 use widen::core::{WidenConfig, WidenModel};
 use widen::data::{acm_like, Scale};
 use widen::graph::{EdgeTypeId, NodeTypeId};
+use widen::serve::protocol::{decode_response, encode_request, FrameReader, Request, Response};
 use widen::serve::{Client, ClientError, ModelRegistry, ServeConfig, ServeError, Server};
 
 fn tiny_config() -> WidenConfig {
@@ -147,7 +151,7 @@ fn non_finite_features_are_rejected_before_the_graph_is_touched() {
     assert_eq!(bits(&again[0]), bits(&warm[0]));
     assert_eq!(handle.stats().cache_hits, hits + 1);
 
-    // The ingest executor is still alive: the next clean arrival gets the
+    // The batcher is still alive: the next clean arrival gets the
     // id the poisoned ones did not, and a unit-norm row.
     let (node, row) = client
         .ingest(0, &vec![0.25; feat_dim], None, &[(0, 0), (1, 0)], 5)
@@ -296,4 +300,83 @@ fn hot_swap_invalidates_cache_and_serves_the_new_generation() {
     assert_eq!(bits(&row), bits(want_row.row(0)));
 
     handle.shutdown();
+}
+
+/// The next response frame on a raw connection.
+fn next_response(stream: &mut TcpStream, reader: &mut FrameReader) -> Response {
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(body) = reader.next_frame().expect("clean frame") {
+            return decode_response(&body).expect("decodes");
+        }
+        let n = stream.read(&mut buf).expect("read response");
+        assert!(n > 0, "server closed the connection");
+        reader.push(&buf[..n]);
+    }
+}
+
+#[test]
+fn an_embed_pipelined_behind_an_ingest_reads_the_grown_graph() {
+    // One queue, in order: an `Embed` sent right behind an `Ingest` on the
+    // same socket, before the ack is read, names the node the ingest adds
+    // and one of its peers — and is answered on the post-ingest graph.
+    const ROUNDS: u32 = 20;
+    let dataset = acm_like(Scale::Smoke, 73);
+    let model = WidenModel::for_graph(&dataset.graph, tiny_config());
+    let checkpoint = model.save_weights();
+    let registry =
+        ModelRegistry::from_checkpoint(dataset.graph.clone(), tiny_config(), &checkpoint)
+            .expect("checkpoint loads");
+    let handle = Server::bind(registry, ServeConfig::default(), "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    let mut reader = FrameReader::new();
+
+    let mut replayed = dataset.graph.clone();
+    let feat_dim = replayed.feature_dim();
+    for round in 0..ROUNDS {
+        let (peer, seed) = (round, 500 + u64::from(round));
+        let features = vec![0.125 * (round + 1) as f32; feat_dim];
+        let edges = vec![(peer, 0u16), (peer + 1, 0)];
+        let typed: Vec<(u32, EdgeTypeId)> =
+            edges.iter().map(|&(p, t)| (p, EdgeTypeId(t))).collect();
+        let new = replayed
+            .add_node_with_edges(NodeTypeId(0), features.clone(), None, &typed)
+            .expect("valid node");
+        let want = model.embed_requests(&replayed, &[(new, seed), (peer, seed)]);
+
+        let (ingest_id, embed_id) = (2 * u64::from(round), 2 * u64::from(round) + 1);
+        let mut frames = encode_request(&Request::Ingest {
+            id: ingest_id,
+            seed,
+            node_type: 0,
+            label: None,
+            features,
+            edges,
+        });
+        frames.extend(encode_request(&Request::Embed {
+            id: embed_id,
+            seed,
+            nodes: vec![new, peer],
+        }));
+        stream.write_all(&frames).expect("send both frames");
+
+        let (mut acked, mut embedded) = (false, false);
+        for _ in 0..2 {
+            match next_response(&mut stream, &mut reader) {
+                Response::Ingested { id, node, .. } => {
+                    assert_eq!((id, node), (ingest_id, new), "round {round}");
+                    acked = true;
+                }
+                Response::Embeddings { id, values, .. } => {
+                    assert_eq!(id, embed_id, "round {round}");
+                    assert_eq!(bits(&values), bits(want.as_slice()), "round {round}");
+                    embedded = true;
+                }
+                other => panic!("round {round}: unexpected {other:?}"),
+            }
+        }
+        assert!(acked && embedded, "round {round}");
+    }
+
+    assert_eq!(handle.shutdown().ingests, u64::from(ROUNDS));
 }

@@ -1,8 +1,8 @@
-//! The idle-connection soak: 1024 open connections cost the server poll
-//! entries, not threads. It asserts on the process-wide `Threads:` count of
-//! `/proc/self/status`, so it is the only test in this binary — any sibling
-//! test starting or stopping a server in the same process would move the
-//! count under it.
+//! The idle-connection soak: a server is two threads, reactor and batcher,
+//! and 1024 open connections cost it poll entries, not threads. It asserts
+//! on the process-wide `Threads:` count of `/proc/self/status`, so it is
+//! the only test in this binary — any sibling test starting or stopping a
+//! server in the same process would move the count under it.
 
 use std::net::TcpStream;
 use std::thread;
@@ -40,7 +40,13 @@ fn soak_1024_idle_connections_leave_thread_count_flat() {
     let registry =
         ModelRegistry::from_checkpoint(dataset.graph, tiny_config(), &model.save_weights())
             .expect("checkpoint loads");
+    let threads_unbound = process_threads();
     let handle = Server::bind(registry, ServeConfig::default(), "127.0.0.1:0").unwrap();
+    assert_eq!(
+        process_threads(),
+        threads_unbound + 2,
+        "a server runs exactly two threads: reactor and batcher"
+    );
     let addr = handle.local_addr();
 
     // Warm up one real request, then measure the thread baseline.

@@ -324,9 +324,10 @@ fn an_all_hit_request_traces_root_queue_wait_and_coalesce() {
     handle.shutdown();
 }
 
-/// Requests the reactor answers without the batcher — a bad node, an
-/// empty node list, `Telemetry` — and an `Ingest` (answered by the ingest
-/// executor) carry the request root alone, from the histogram's origin.
+/// Requests no window answers — an empty node list and `Telemetry`
+/// (answered by the reactor), a bad node and an `Ingest` (answered by the
+/// batcher outside a window) — carry the request root alone, from the
+/// histogram's origin.
 #[test]
 fn inline_answers_carry_a_root_only_summary() {
     let handle = Server::bind(registry(31), ServeConfig::default(), "127.0.0.1:0").expect("bind");
