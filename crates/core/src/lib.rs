@@ -30,6 +30,7 @@
 #![warn(clippy::all)]
 
 pub mod ablation;
+mod arena;
 pub mod config;
 pub mod downsample;
 pub mod model;

@@ -12,7 +12,7 @@ use widen_tensor::{
 };
 
 use crate::config::WidenConfig;
-use crate::packaging::{edge_vocab_size, pack_deep_batch, pack_wide_batch};
+use crate::packaging::{edge_vocab_size, pack_deep_batch, pack_wide_batch, EdgeRows};
 use crate::state::NodeState;
 
 mod infer;
@@ -129,11 +129,11 @@ pub struct DeepBatch {
     /// Deduplicated raw pack matrix: row `flat_index[r]` is the `M▷` row at
     /// position `r` (all walks concatenated).
     pub unique_packs: Var,
-    /// Deduplicated edge-representation matrix: row `flat_index[r]` is the
+    /// Each unique row's edge row: `edges.row(tape, flat_index[r])` is the
     /// `E▷` row at position `r`. `None` on a frozen pair table
-    /// ([`PackedBatch::unique_edges`](crate::packaging::PackedBatch)).
-    pub unique_edges: Option<Var>,
-    /// Position → row of `unique_packs` / `unique_edges`.
+    /// ([`PackedBatch::edges`](crate::packaging::PackedBatch)).
+    pub edges: Option<EdgeRows>,
+    /// Position → row of `unique_packs` / `edges`.
     pub flat_index: Arc<[usize]>,
     /// Walk → `(start, len)` range of positions into `flat_index`.
     pub walk_spans: Arc<[(usize, usize)]>,
@@ -516,7 +516,7 @@ impl WidenModel {
             deep_batch = Some(DeepBatch {
                 attention: attn,
                 unique_packs: packs,
-                unique_edges: batch.unique_edges,
+                edges: batch.edges,
                 flat_index: rows,
                 walk_spans,
                 node_walks,
@@ -705,7 +705,6 @@ pub(crate) mod oracle;
 
 #[cfg(test)]
 mod tests {
-    use super::infer::INFER_ARENA;
     use super::*;
     use crate::ablation::Variant;
     use widen_graph::{EdgeTypeId, GraphBuilder, NodeTypeId};
@@ -988,7 +987,7 @@ mod tests {
             // So must what Eq. 8 reads when a drop installs a relay: walk
             // row `r`'s pack and edge rows, through the dedup index.
             let unique_packs = tape_b.value(db.unique_packs);
-            let unique_edges = tape_b.value(db.unique_edges.unwrap());
+            let unique_edges = db.edges.as_ref().unwrap();
             let close = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| (x - y).abs() <= 1e-5);
             for (walk, &(start, len)) in deep_walks.iter().zip(db.walk_spans.iter()) {
                 let packs = tape_a.value(walk.packs);
@@ -1001,7 +1000,7 @@ mod tests {
                         "pack {r}"
                     );
                     assert!(
-                        close(edges.row(r), unique_edges.row(unique_row)),
+                        close(edges.row(r), unique_edges.row(&tape_b, unique_row)),
                         "edge {r}"
                     );
                 }
@@ -1287,8 +1286,8 @@ mod tests {
 
         // Late in a pruning fit: every walk at k▷ with relay overrides, so
         // `U` is mostly private relay rows. Still one U-row GEMM; the
-        // relays cost one R-row constant, one stack and the gather — no
-        // mask (`mul`), no re-fill (`add`).
+        // relays cost one R-row constant, read in place by the pack — no
+        // stack under the table, no mask (`mul`), no re-fill (`add`).
         let relays = prune_with_relays(&mut states, &cfg);
         let (report, u_deep, budget, f, wide) = step(&states);
         assert!(u_deep > relays);
@@ -1296,15 +1295,18 @@ mod tests {
         let gflop = report.total_flops() as f64 / 1e9;
         assert!(gflop <= 0.15, "{gflop} GFLOP per pruned step");
         assert_no_flat_rows(&report, f, wide);
-        assert!(op(&report, "add").is_none());
-        // One `v ⊙ e` per branch and nothing else.
-        assert_eq!(op(&report, "mul").unwrap().count, 2);
+        for name in ["add", "mul", "vstack"] {
+            assert!(op(&report, name).is_none(), "`{name}` in a pruned step");
+        }
+        // One `v ⊙ e` per branch, the deep one over the table alone.
         let vocab = edge_vocab_size(g.num_edge_types(), g.num_node_types());
-        let stack = op(&report, "vstack").unwrap();
-        assert_eq!(stack.count, 1);
-        assert_eq!(
-            stack.last_shape,
-            format!("{vocab}×{d}·{relays}×{d}→{}×{d}", vocab + relays, d = cfg.d)
+        let pack = op(&report, "pack_rows").unwrap();
+        assert_eq!(pack.count, 2);
+        let table_to_unique = format!("·{vocab}×{d}→{u_deep}×{d}", d = cfg.d);
+        assert!(
+            pack.last_shape.ends_with(&table_to_unique),
+            "{}",
+            pack.last_shape
         );
     }
 
@@ -1414,13 +1416,13 @@ mod tests {
             let pv = model.insert_params(&mut tape);
             let refs: Vec<&NodeState> = states.iter().collect();
             let deep = model.forward_batch(&mut tape, &pv, &g, &refs).deep.unwrap();
-            let edges = tape.value(deep.unique_edges.unwrap());
+            let edges = deep.edges.unwrap();
             let table = tape.value(pv.g_edge);
             let walks = states.iter().flat_map(|s| &s.deeps);
             let mut seen = 0;
             for (walk, &(start, _)) in walks.zip(deep.walk_spans.iter()) {
                 for (s, entry) in walk.set.entries.iter().enumerate() {
-                    let got = edges.row(deep.flat_index[start + s + 1]);
+                    let got = edges.row(&tape, deep.flat_index[start + s + 1]);
                     match &walk.edge_override[s] {
                         Some(relay) => {
                             assert_eq!(got, &relay[..]);
@@ -1593,11 +1595,11 @@ mod tests {
                         .iter()
                         .map(|items| {
                             let out = serve(items);
-                            INFER_ARENA.with_borrow_mut(|arena| arena.fill_parked(f32::NAN));
+                            crate::arena::with(|arena| arena.fill_parked(f32::NAN));
                             out
                         })
                         .collect();
-                    let stats = INFER_ARENA.with_borrow(|arena| arena.stats());
+                    let stats = crate::arena::with(|arena| arena.stats());
                     assert!(stats.hits > stats.misses, "the arena must be reused");
                     served
                 })

@@ -1,22 +1,16 @@
 //! Frozen inference (DESIGN.md, "Inference"): every inference entry point
 //! runs its chunks through one [`InferState`].
 
-use std::cell::RefCell;
 use std::iter::once;
 use std::sync::Arc;
 
 use widen_graph::{HeteroGraph, NodeId};
-use widen_tensor::{BufferPool, Tape, Tensor, Var};
+use widen_tensor::{BufferPool, PoolStats, Tape, Tensor, Var};
 
 use super::{ParamVars, WidenModel};
+use crate::arena;
 use crate::packaging::{assemble_batch, deep_pairs, self_pair, wide_pairs, PackedBatch, Pair};
 use crate::state::NodeState;
-
-thread_local! {
-    /// The thread's one inference buffer pool, held by the thread's live
-    /// [`InferState`]: repeated calls stop allocating after a few chunks.
-    pub(super) static INFER_ARENA: RefCell<BufferPool> = RefCell::new(BufferPool::new());
-}
 
 /// Which tensor [`WidenModel::infer`] extracts per item.
 #[derive(Clone, Copy)]
@@ -86,7 +80,7 @@ impl WidenModel {
     /// A frozen inference state of this model ([`InferState`]).
     pub fn freeze(&self) -> InferState {
         let mut tape = self.new_tape();
-        tape.install_pool(INFER_ARENA.take());
+        tape.install_pool(arena::take());
         let pv = self.insert_params_with(|t| tape.leaf(t.clone()));
         let variant = self.config.variant;
         let qk = (variant.use_deep && variant.successive_attention).then(|| {
@@ -158,6 +152,12 @@ impl WidenModel {
 }
 
 impl InferState {
+    /// Counters of the state's buffer pool: the thread's arena, while the
+    /// state lives.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.tape.pool_stats()
+    }
+
     /// Fills the table rows `states` read that no earlier chunk did — their
     /// fresh pairs through packaging's own assembly and Eq. 4's query GEMM,
     /// their fresh targets' queries from the targets' packs — and returns
@@ -239,7 +239,7 @@ impl InferState {
         }
         let packs = |flat_index, spans: Vec<_>| PackedBatch {
             unique_packs: table.packs,
-            unique_edges: None,
+            edges: None,
             flat_index,
             spans: spans.into(),
         };
@@ -284,7 +284,6 @@ impl Drop for InferState {
     /// Hands the pool back to the thread; the prefix goes with the tape.
     fn drop(&mut self) {
         self.tape.truncate(self.prefix);
-        let pool = self.tape.install_pool(BufferPool::new());
-        let _ = INFER_ARENA.try_with(|arena| arena.replace(pool));
+        arena::give_back(self.tape.install_pool(BufferPool::new()));
     }
 }

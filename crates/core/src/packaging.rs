@@ -84,12 +84,12 @@ pub struct PackedBatch {
     /// so relay-overridden rows are never shared). Read from a frozen pair
     /// table, it is the whole table, whose rows outnumber the chunk's.
     pub unique_packs: Var,
-    /// Deduplicated edge-representation matrix (`U × d`, same row order as
-    /// `unique_packs`): position `r`'s edge representation — unit-local
-    /// position `s+1` is that of local position `s` (Eq. 8 relays) — is row
-    /// `flat_index[r]`. `None` when the packs come from a frozen pair table,
-    /// which keeps no edge rows: only training reads them.
-    pub unique_edges: Option<Var>,
+    /// Each unique row's edge row: position `r`'s edge representation —
+    /// unit-local position `s+1` is that of local position `s` (Eq. 8
+    /// relays) — is `edges.row(tape, flat_index[r])`. `None` when the
+    /// packs come from a frozen pair table, which keeps no edge rows: only
+    /// training reads them.
+    pub edges: Option<EdgeRows>,
     /// Position → unique row (`Σ(|set_i|+1)` entries): the pack at
     /// position `r` is `unique_packs[flat_index[r]]`. Shared, as it stands,
     /// by every ragged attention op of the forward pass.
@@ -99,6 +99,31 @@ pub struct PackedBatch {
     /// that keeps downsampling outcomes extractable per node from the
     /// batched tensors.
     pub spans: Arc<[(usize, usize)]>,
+}
+
+/// Where each unique pack row's edge representation lives — `G_edge`, or
+/// the chunk's Eq. 8 relay rows — for Eq. 8 to read when a drop installs
+/// a relay. Nothing is gathered: a row is read in place.
+#[derive(Clone)]
+pub struct EdgeRows {
+    /// `G_edge`, `vocab` rows.
+    pub table: Var,
+    /// The chunk's relay vectors (`R × d` constant), edge rows
+    /// `vocab..vocab + R`; `None` when no position is overridden.
+    pub relays: Option<Var>,
+    /// Unique row → edge row.
+    pub rows: Arc<[usize]>,
+}
+
+impl EdgeRows {
+    /// The edge representation of unique row `u`.
+    pub fn row<'t>(&self, tape: &'t Tape, u: usize) -> &'t [f32] {
+        let table = tape.value(self.table);
+        match (self.rows[u].checked_sub(table.rows()), self.relays) {
+            (Some(j), Some(relays)) => tape.value(relays).row(j),
+            _ => table.row(self.rows[u]),
+        }
+    }
 }
 
 /// A `(node, edge-row)` pair, which determines a pack row.
@@ -187,9 +212,9 @@ pub fn pack_wide_batch(
 
 /// Batched `PACK▷` (Eq. 2) over many walks (typically walk-major, grouped
 /// by target node). Relay-edge overrides are honoured without splitting
-/// the batch: the `R` relay vectors are stacked under the `G_edge` table as
-/// constant rows `vocab..vocab + R`, and an overridden position gathers its
-/// own row there instead of a table row — so no gradient reaches the table
+/// the batch: the `R` relay vectors are one constant whose rows count as
+/// edge rows `vocab..vocab + R`, and an overridden position reads its own
+/// row there instead of a table row — so no gradient reaches the table
 /// from it.
 pub fn pack_deep_batch(
     tape: &mut Tape,
@@ -216,7 +241,9 @@ pub fn pack_deep_batch(
 /// position's pair is its own, so its unique row is private) and records
 /// which unique row each position reads (`flat_index`). Node features
 /// repeat even more than pairs do, so the `d₀`-wide `G_node` projection
-/// additionally runs on the distinct node set only. Every unique row is
+/// additionally runs on the distinct node set only, and one
+/// [`Tape::pack_rows`] multiplies its rows into the unique packs — no
+/// gathered `v` or `e` matrix is held. Every unique row is
 /// bitwise the value the undeduplicated assembly would produce at its
 /// positions: identical inputs flow through the identical kernels, just
 /// once per distinct row (a GEMM row does not depend on the other rows of
@@ -258,27 +285,25 @@ pub(crate) fn assemble_batch(
         .collect();
     let x = features_leaf(tape, graph, &unique_nodes);
     let projected = tape.matmul(x, g_node);
-    let v = tape.select_rows(projected, &node_of);
 
-    // Eq. 8 relays ride under the table as `R` constant rows: one gather
-    // serves table and relay positions alike, and a relay row's gradient
-    // ends at the constant.
-    let edge_table = if relays.is_empty() {
-        g_edge
-    } else {
+    // Eq. 8 relays are one constant read past the table's end: a relay
+    // row's gradient ends there.
+    let relays = (!relays.is_empty()).then(|| {
         let d = tape.value(g_edge).cols();
-        let relay_rows = tape.constant_with(relays.len(), d, |rows| {
+        tape.constant_with(relays.len(), d, |rows| {
             for (j, relay) in relays.iter().enumerate() {
                 rows.set_row(j, relay);
             }
-        });
-        tape.vstack(&[g_edge, relay_rows])
-    };
-    let unique_edges = tape.select_rows(edge_table, &u_edge_rows);
-    let unique_packs = tape.mul(v, unique_edges);
+        })
+    });
+    let unique_packs = tape.pack_rows(projected, &node_of, g_edge, &u_edge_rows, relays);
     PackedBatch {
         unique_packs,
-        unique_edges: Some(unique_edges),
+        edges: Some(EdgeRows {
+            table: g_edge,
+            relays,
+            rows: u_edge_rows.into(),
+        }),
         flat_index: flat_index.into(),
         spans: spans.into(),
     }
@@ -463,20 +488,19 @@ mod tests {
         let flat_packs = tape
             .value(batch.unique_packs)
             .select_rows(&batch.flat_index);
-        let flat_edges = tape
-            .value(batch.unique_edges.unwrap())
-            .select_rows(&batch.flat_index);
+        let edges = batch.edges.unwrap();
+        let flat_edge = |tape: &Tape, r: usize| edges.row(tape, batch.flat_index[r]).to_vec();
         for (deep, &(start, len)) in [&d0, &d1].iter().zip(batch.spans.iter()) {
             let single = pack_deep(&mut tape, &g, deep, g_node, g_edge, 1);
             let m = tape.value(single.packs);
             let e = tape.value(single.edges);
             for r in 0..len {
                 assert_eq!(flat_packs.row(start + r), m.row(r));
-                assert_eq!(flat_edges.row(start + r), e.row(r));
+                assert_eq!(flat_edge(&tape, start + r), e.row(r));
             }
         }
         // The override row shows the relay vector, not the table row.
-        assert_eq!(flat_edges.row(2), &[100.0, 100.0]);
+        assert_eq!(flat_edge(&tape, 2), [100.0, 100.0]);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! least-contributing neighbour for the argmin drop (Algorithms 1–2).
 //! Each step takes the next `batch_size` nodes of the epoch's order and
 //! runs them on the caller's thread: one fused forward + backward on one
-//! tape over the borrowed graph, drawing on the trainer's one warm buffer
-//! pool, then one optimizer step. A fixed seed gives the same bits on any
-//! host.
+//! tape over the borrowed graph, drawing on the thread's one warm buffer
+//! pool (`arena`), then one optimizer step. A fixed seed gives the same
+//! bits on any host.
 
 use std::sync::Arc;
 
@@ -23,6 +23,7 @@ use widen_obs::{Counter, Registry, SpanId, Stopwatch, TraceId, Tracer};
 use widen_sampling::hash_seed;
 use widen_tensor::{Adam, BufferPool, Optimizer, ParamId, ProfileReport, Tape, Tensor};
 
+use crate::arena;
 use crate::downsample::{decide_with_kl, relay_edge, Decision};
 use crate::model::{BatchForward, ParamVars, WidenModel};
 use crate::state::NodeState;
@@ -231,10 +232,6 @@ pub struct Trainer<'g> {
     graph: &'g HeteroGraph,
     /// Persistent wide/deep states of the training nodes.
     states: FxHashMap<NodeId, NodeState>,
-    /// The warm tape-buffer pool (forward values, leaves and gradients):
-    /// moved into each step's tape and back out holding its buffers, so it
-    /// is never larger than the biggest step the fit has run.
-    pool: BufferPool,
     optimizer: Adam,
     metrics: Registry,
     phase: PhaseCounters,
@@ -271,7 +268,6 @@ impl<'g> Trainer<'g> {
             model,
             graph,
             states,
-            pool: BufferPool::default(),
             optimizer,
             metrics,
             phase,
@@ -372,6 +368,11 @@ impl<'g> Trainer<'g> {
                 "training node {node} is unlabelled"
             );
         }
+        // The thread's warm tape buffers (forward values, leaves and
+        // gradients), moved into each step's tape and back out holding its
+        // buffers, so they never outgrow the biggest step run on the
+        // thread; handed back to the thread when the fit returns.
+        let mut pool = arena::take();
 
         for epoch in 1..=config.epochs {
             let start = Stopwatch::start();
@@ -388,6 +389,7 @@ impl<'g> Trainer<'g> {
             let mut epoch_profile: Option<ProfileReport> = None;
             for step in order.chunks(config.batch_size) {
                 epoch_loss += self.train_step(
+                    &mut pool,
                     step,
                     epoch,
                     trace,
@@ -437,6 +439,7 @@ impl<'g> Trainer<'g> {
                 }
             }
         }
+        arena::give_back(pool);
         report
     }
 
@@ -453,12 +456,14 @@ impl<'g> Trainer<'g> {
     }
 
     /// One step over `nodes`: one fused [`WidenModel::forward_batch`] and
-    /// backward on one tape (each node's downsampling rng stream keyed by
-    /// its id), one guarded optimizer step, then the downsampling outcomes
-    /// applied to the state table in node order. Returns the step's mean
-    /// loss.
+    /// backward on one tape drawing on `pool` (each node's downsampling rng
+    /// stream keyed by its id), one guarded optimizer step, then the
+    /// downsampling outcomes applied to the state table in node order.
+    /// Returns the step's mean loss.
+    #[allow(clippy::too_many_arguments)]
     fn train_step(
         &mut self,
+        pool: &mut BufferPool,
         nodes: &[NodeId],
         epoch: usize,
         trace: TraceCtx<'_>,
@@ -473,9 +478,8 @@ impl<'g> Trainer<'g> {
         if self.profiling {
             tape.enable_profiling();
         }
-        let pool = std::mem::take(&mut self.pool);
         let before = pool.stats();
-        tape.install_pool(pool);
+        tape.install_pool(std::mem::take(pool));
         let pv = self.model.insert_params(&mut tape);
         let states: Vec<&NodeState> = nodes.iter().map(|node| &self.states[node]).collect();
         let labels: Vec<usize> = nodes
@@ -512,8 +516,8 @@ impl<'g> Trainer<'g> {
                 None => *epoch_profile = Some(profile),
             }
         }
-        self.pool = tape.take_pool();
-        let after = self.pool.stats();
+        *pool = tape.take_pool();
+        let after = pool.stats();
         self.phase.pool_hits.add(after.hits - before.hits);
         self.phase.pool_misses.add(after.misses - before.misses);
         self.phase
@@ -545,8 +549,8 @@ impl<'g> Trainer<'g> {
     /// Each node's downsampling decisions for this epoch. Downsampling sees
     /// exactly the per-node artefacts it needs: attention rows come out of
     /// the padded matrices via the node→range maps, and relay packs/edges
-    /// (Eq. 8) are read from the deduplicated `M▷` and `E▷` through each
-    /// walk's span and the dedup index.
+    /// (Eq. 8) are read from the deduplicated `M▷` and each unique row's
+    /// edge row through each walk's span and the dedup index.
     fn downsampling_outcomes(
         &self,
         tape: &Tape,
@@ -606,12 +610,11 @@ impl<'g> Trainer<'g> {
                             // walk, pack row s+1 and edge row s+2 (row 0 is
                             // the target's self loop) — offset by the walk's
                             // start position, both read through the dedup
-                            // index.
+                            // index, the edge from `G_edge` or its relay row.
                             let packs = tape.value(db.unique_packs);
-                            let edges = db.unique_edges.expect("a training tape assembles edges");
-                            let edges = tape.value(edges);
+                            let edges = db.edges.as_ref().expect("a training tape assembles edges");
                             let relay_vec = relay_edge(
-                                edges.row(db.flat_index[wstart + s + 2]),
+                                edges.row(tape, db.flat_index[wstart + s + 2]),
                                 packs.row(db.flat_index[wstart + s + 1]),
                             );
                             Some((s + 1, relay_vec))
@@ -818,9 +821,14 @@ mod tests {
         // Cumulative (takes, misses) and parked bytes after each epoch.
         let mut epochs: Vec<(u64, u64, u64)> = Vec::new();
         for epoch in 1..=10 {
+            // One epoch as a fit runs it: on the thread's arena, handed
+            // back when it ends.
             let mut stats = EpochStats::default();
-            trainer.train_step(&train, epoch, None, &mut report, &mut stats, &mut None);
-            let pool = trainer.pool.stats();
+            let mut pool = arena::take();
+            let (report, stats) = (&mut report, &mut stats);
+            trainer.train_step(&mut pool, &train, epoch, None, report, stats, &mut None);
+            arena::give_back(pool);
+            let pool = arena::with(|arena| arena.stats());
             let (resident, bound) = (pool.resident_bytes, pool.peak_live_bytes);
             assert!(
                 resident <= bound,
@@ -851,6 +859,76 @@ mod tests {
             largest * 4 <= first_resident * 5,
             "parked bytes must stay near epoch 1's {first_resident}: {epochs:?}"
         );
+    }
+
+    /// A fit of `variant` on `train` at the settings of
+    /// `pruning_fit_keeps_the_pool_warm_and_bounded`: each epoch's loss
+    /// bits, and the fit's pool `(takes, misses)`.
+    fn arena_fit(
+        dataset: &widen_data::Dataset,
+        train: &[u32],
+        variant: Variant,
+    ) -> (Vec<u64>, (u64, u64)) {
+        let mut cfg = tiny_config().with_variant(variant);
+        cfg.n_w = 12;
+        cfg.n_d = 12;
+        cfg.batch_size = 32;
+        cfg.r_wide = 10.0;
+        cfg.r_deep = 10.0;
+        let mut trainer = trainer_over(dataset, cfg, train);
+        let report = trainer.fit(train);
+        assert_eq!(report.relay_edges > 0, variant == Variant::full());
+        let losses = report.epoch_losses.iter().map(|l| l.to_bits()).collect();
+        let misses = trainer.phase.pool_misses.get();
+        (losses, (trainer.phase.pool_hits.get() + misses, misses))
+    }
+
+    #[test]
+    fn a_second_fit_on_one_thread_runs_in_the_first_fits_buffers() {
+        // Two identical fits in a row on one thread: the second draws its
+        // buffers from the arena the first handed back, and trains the
+        // bits a fit on a fresh thread (an empty arena) trains. It is as
+        // warm as the first fit's later epochs (≥ 95 % of takes hit):
+        // even a dense step, whose shapes repeat, swaps two sub-30-element
+        // buffers with the pool at this size.
+        let dataset = acm_like(Scale::Smoke, 6);
+        let train = &dataset.transductive.train[..32];
+        for variant in [Variant::no_downsampling(), Variant::full()] {
+            let fit = || arena_fit(&dataset, train, variant);
+            let (fresh, (first, second)) = std::thread::scope(|s| {
+                let fresh = s.spawn(fit).join().unwrap();
+                (fresh, s.spawn(|| (fit(), fit())).join().unwrap())
+            });
+            let (takes, misses) = second.1;
+            assert!(misses * 20 <= takes, "{misses} of {takes} takes missed");
+            assert!(misses * 5 < fresh.1 .1, "{:?} vs {:?}", second.1, fresh.1);
+            assert_eq!(first.0, fresh.0);
+            assert_eq!(second.0, fresh.0);
+        }
+    }
+
+    #[test]
+    fn a_poisoned_arena_never_leaks_into_a_fit() {
+        // The training twin of `dirty_arena_never_leaks_into_another_requests_rows`:
+        // a pruning fit on a thread whose parked buffers hold NaN trains
+        // the bits of a fit on a fresh thread.
+        let dataset = acm_like(Scale::Smoke, 6);
+        let train = &dataset.transductive.train[..32];
+        let fit = || arena_fit(&dataset, train, Variant::full());
+        let (fresh, poisoned) = std::thread::scope(|s| {
+            let fresh = s.spawn(fit).join().unwrap();
+            let poisoned = s.spawn(|| {
+                fit();
+                let parked = arena::with(|arena| {
+                    arena.fill_parked(f32::NAN);
+                    arena.stats().resident_buffers
+                });
+                assert!(parked > 0, "nothing parked to poison");
+                fit()
+            });
+            (fresh, poisoned.join().unwrap())
+        });
+        assert_eq!(poisoned.0, fresh.0);
     }
 
     #[test]

@@ -282,7 +282,7 @@ pub(crate) fn run_batcher(
         // After the window, whose read guard is gone: the write guard
         // waits on no batch of this thread.
         if let Some(job) = ingest {
-            run_ingest(&registry, &cache, job, &reply, &stats);
+            run_ingest(&registry, &cache, job, &reply, &stats, &mut frozen);
         }
     }
 }
@@ -337,12 +337,8 @@ fn process_batch(
     let graph_version = st.graph_version();
     let num_nodes = st.graph().num_nodes();
     let dim = st.model().config.d;
-    // A new digest (a hot swap) rebuilds the state; the old one drops
-    // first, handing the thread's one inference pool to the new one.
-    if !matches!(frozen, Some((built_for, _)) if *built_for == ckpt) {
-        *frozen = None;
-    }
-    let state = &mut frozen.get_or_insert_with(|| (ckpt, st.model().freeze())).1;
+    // A new digest (a hot swap) rebuilds the state.
+    let state = st.frozen(frozen);
 
     // Per kind: the distinct `(node, seed)` rows its fused call computes,
     // and the requests waiting on them. Kinds in a window are few; a Vec
@@ -490,16 +486,18 @@ fn respond(id: u64, kind: JobKind, dim: usize, slots: &[Slot], out: &Tensor) -> 
 }
 
 /// Grows the served graph by one node and embeds it in the same write
-/// critical section, then flushes the rows the mutation made unreachable
-/// and warms the cache with the new one. Runs on the batcher thread
-/// between windows, so its write guard waits on no window and no window
-/// caches a row between the mutation and the flush.
+/// critical section, through the windows' frozen state `frozen`, then
+/// flushes the rows the mutation made unreachable and warms the cache
+/// with the new one. Runs on the batcher thread between windows, so its
+/// write guard waits on no window and no window caches a row between the
+/// mutation and the flush.
 fn run_ingest(
     registry: &ModelRegistry,
     cache: &EmbedCache,
     job: Job,
     reply: &ReplySink,
     stats: &BatcherStats,
+    frozen: &mut Option<(u64, InferState)>,
 ) {
     let Work::Ingest {
         node_type,
@@ -519,7 +517,8 @@ fn run_ingest(
         .iter()
         .map(|&(peer, et)| (peer, EdgeTypeId(et)))
         .collect();
-    let response = match registry.ingest(
+    let response = match registry.ingest_through(
+        frozen,
         NodeTypeId(*node_type),
         features.clone(),
         *label,
@@ -816,6 +815,59 @@ mod tests {
                 }
             );
         }
+    }
+
+    #[test]
+    fn an_ingest_embeds_through_the_windows_frozen_state() {
+        // The batcher's ingest freezes no second state: the new node's row
+        // is computed on the state the window before it froze — its pool
+        // counters move — and is bitwise the offline row of the grown graph.
+        let registry = tiny_registry();
+        let cache = EmbedCache::new(16);
+        let stats = BatcherStats::new(&Registry::new());
+        let (reply, rx) = sink();
+        let mut frozen = None;
+        process_batch(
+            &registry,
+            &cache,
+            vec![embed(&[0, 1, 2], 7, 0)],
+            &reply,
+            &stats,
+            &mut frozen,
+        );
+        take(&rx, 1);
+        let ckpt = registry.checkpoint_hash();
+        let takes = |frozen: &Option<(u64, InferState)>| {
+            let (built_for, state) = frozen.as_ref().expect("the window froze a state");
+            assert_eq!(*built_for, ckpt);
+            let pool = state.pool_stats();
+            pool.hits + pool.misses
+        };
+        let before = takes(&frozen);
+        let features = vec![0.25; registry.read().graph().feature_dim()];
+        let work = Work::Ingest {
+            node_type: 0,
+            label: None,
+            features,
+            edges: vec![(0, 0), (1, 0)],
+        };
+        run_ingest(
+            &registry,
+            &cache,
+            job(work, 3, 1),
+            &reply,
+            &stats,
+            &mut frozen,
+        );
+        assert!(
+            takes(&frozen) > before,
+            "the ingest ran on a state of its own"
+        );
+        let Response::Ingested { node, values, .. } = take(&rx, 1).remove(0) else {
+            panic!("the ingest failed");
+        };
+        assert_eq!(values, current_rows(&registry, &[(node, 3)]).row(0));
+        assert_eq!(stats.ingests.get(), 1);
     }
 
     /// The registry's current model's offline rows for `items`.

@@ -147,8 +147,9 @@ struct ReactorMetrics {
     /// `serve_reactor_ready_fds` — descriptors ready per non-empty poll
     /// return.
     ready_fds: Arc<Histogram>,
-    /// `serve_reactor_dispatch_us` — time spent dispatching one tick's
-    /// ready events.
+    /// `serve_reactor_dispatch_us` — one request frame, decoded and
+    /// dispatched: queued, or answered inline (telemetry, a validation
+    /// error, a shed). One sample per frame, however many a tick reads.
     dispatch_us: Arc<Histogram>,
     /// `serve_request_decode_us` — frame-complete → request decoded.
     decode_us: Arc<Histogram>,
@@ -273,7 +274,7 @@ impl Reactor {
                     0
                 }
             };
-            let dispatch_start = Instant::now();
+            let events_start = Instant::now();
             if n > 0 {
                 self.m.ready_fds.observe(n as f64);
                 let mut dead: Vec<u64> = Vec::new();
@@ -300,9 +301,8 @@ impl Reactor {
                 }
             }
             self.reap_expired();
-            let dispatch_us = dispatch_start.elapsed().as_micros() as u64;
-            self.m.dispatch_us.observe(dispatch_us as f64);
-            self.m.tick_us.observe((pre_poll_us + dispatch_us) as f64);
+            let events_us = events_start.elapsed().as_micros() as u64;
+            self.m.tick_us.observe((pre_poll_us + events_us) as f64);
         }
     }
 
@@ -537,7 +537,12 @@ impl Reactor {
                     }
                 }
             };
-            if !self.handle_request_frame(key, &frame) {
+            let dispatch_start = Instant::now();
+            let open = self.handle_request_frame(key, &frame);
+            // Fractional: a frame takes a few microseconds.
+            let dispatch_us = dispatch_start.elapsed().as_secs_f64() * 1e6;
+            self.m.dispatch_us.observe(dispatch_us);
+            if !open {
                 return false;
             }
         }

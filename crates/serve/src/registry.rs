@@ -11,7 +11,7 @@
 
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
-use widen_core::{WidenConfig, WidenModel};
+use widen_core::{InferState, WidenConfig, WidenModel};
 use widen_graph::{EdgeTypeId, HeteroGraph, MutationError, NodeTypeId};
 use widen_tensor::{digest64, CheckpointError};
 
@@ -49,6 +49,20 @@ impl ServingState {
     /// unreachable without computing receptive fields.
     pub fn graph_version(&self) -> u64 {
         self.graph_version
+    }
+
+    /// The frozen inference state of this generation's model, kept in
+    /// `slot` beside the digest it was frozen for: the one there when the
+    /// digest is this generation's, else a new one (the old one drops
+    /// first, handing the thread's arena to the new one). A graph mutation
+    /// invalidates no row of it.
+    pub(crate) fn frozen<'s>(&self, slot: &'s mut Option<(u64, InferState)>) -> &'s mut InferState {
+        if !matches!(slot, Some((built_for, _)) if *built_for == self.checkpoint_hash) {
+            *slot = None;
+        }
+        &mut slot
+            .get_or_insert_with(|| (self.checkpoint_hash, self.model.freeze()))
+            .1
     }
 }
 
@@ -152,6 +166,22 @@ impl ModelRegistry {
         edges: &[(u32, EdgeTypeId)],
         seed: u64,
     ) -> Result<IngestOutcome, MutationError> {
+        self.ingest_through(&mut None, node_type, features, label, edges, seed)
+    }
+
+    /// [`ModelRegistry::ingest`], embedding the new node through the
+    /// caller's frozen state `slot` ([`ServingState::frozen`]) — the
+    /// batcher's own, so an ingest freezes nothing while the checkpoint
+    /// stays the same. The bits are [`WidenModel::embed_requests`]'.
+    pub(crate) fn ingest_through(
+        &self,
+        slot: &mut Option<(u64, InferState)>,
+        node_type: NodeTypeId,
+        features: Vec<f32>,
+        label: Option<u16>,
+        edges: &[(u32, EdgeTypeId)],
+        seed: u64,
+    ) -> Result<IngestOutcome, MutationError> {
         let mut st = self.state.write().unwrap_or_else(PoisonError::into_inner);
         let node = st
             .graph
@@ -159,7 +189,10 @@ impl ModelRegistry {
         // Bump before embedding so the outcome's version is exactly the
         // version the embedding was computed under.
         st.graph_version += 1;
-        let rows = st.model.embed_requests(&st.graph, &[(node, seed)]);
+        let state = st.frozen(slot);
+        let rows = st
+            .model
+            .embed_requests_with(state, &st.graph, &[(node, seed)]);
         Ok(IngestOutcome {
             node,
             embedding: rows.row(0).to_vec(),

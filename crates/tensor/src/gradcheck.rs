@@ -447,6 +447,43 @@ mod tests {
         );
     }
 
+    #[test]
+    fn pack_rows_grads() {
+        // Repeated node and edge rows: both scatters accumulate.
+        let mut r = rng();
+        let inputs = vec![randn(3, 4, &mut r), randn(5, 4, &mut r)];
+        assert_grads_close(
+            &inputs,
+            |t, v| {
+                let packs = t.pack_rows(v[0], &[2, 0, 2, 1, 0], v[1], &[4, 4, 1, 0, 3], None);
+                let sq = t.mul(packs, packs);
+                t.sum(sq)
+            },
+            2e-2,
+        );
+    }
+
+    #[test]
+    fn pack_rows_grads_through_relay_rows() {
+        // Edge rows 3 and 4 are rows 0 and 1 of the relay operand, here a
+        // leaf, so its gradient is checked too.
+        let mut r = rng();
+        let inputs = vec![
+            randn(3, 4, &mut r),
+            randn(3, 4, &mut r),
+            randn(2, 4, &mut r),
+        ];
+        assert_grads_close(
+            &inputs,
+            |t, v| {
+                let packs = t.pack_rows(v[0], &[1, 0, 2, 1], v[1], &[3, 0, 4, 0], Some(v[2]));
+                let sq = t.mul(packs, packs);
+                t.sum(sq)
+            },
+            2e-2,
+        );
+    }
+
     fn index_list(rows: &[usize]) -> Arc<[usize]> {
         Arc::from(rows)
     }

@@ -106,10 +106,15 @@ pub enum Op {
     /// Per-span mean of input rows (batched Φ-averaging of Eq. 7);
     /// zero-length spans produce zero rows.
     SegmentMeanRows(Var, Arc<[(usize, usize)]>),
+    /// `(P, node_of, E, edge_rows, R)`: message packaging (Eq. 1–2) over
+    /// deduplicated rows — row `u` is `P[node_of[u]] ⊙ e_u`, `e_u` being
+    /// row `edge_rows[u]` of `E`, or row `edge_rows[u] − |E|` of the relay
+    /// rows `R` (Eq. 8) past `E`'s end.
+    PackRows(Var, Arc<[usize]>, Var, Arc<[usize]>, Option<Var>),
 }
 
 /// Number of [`Op`] kinds — the size of per-kind aggregation tables.
-pub const OP_KIND_COUNT: usize = 28;
+pub const OP_KIND_COUNT: usize = 29;
 
 impl Op {
     /// Stable display name of this op kind (profiler tables, traces).
@@ -143,6 +148,7 @@ impl Op {
             Op::SegmentAttention(.., Some(_), _) => "segment_attention_through",
             Op::SegmentWeightedSum(..) => "segment_weighted_sum",
             Op::SegmentMeanRows(..) => "segment_mean_rows",
+            Op::PackRows(..) => "pack_rows",
         }
     }
 
@@ -178,6 +184,7 @@ impl Op {
             Op::SegmentAttention(.., Some(_), _) => 27,
             Op::SegmentWeightedSum(..) => 25,
             Op::SegmentMeanRows(..) => 26,
+            Op::PackRows(..) => 28,
         }
     }
 
@@ -211,6 +218,7 @@ impl Op {
                 [*q, *k].into_iter().chain(*mix).collect()
             }
             Op::SegmentWeightedSum(a, b, ..) => vec![*a, *b],
+            Op::PackRows(p, _, e, _, relays) => [*p, *e].into_iter().chain(*relays).collect(),
             Op::VStack(parts) | Op::HStack(parts) => parts.clone(),
         }
     }
@@ -699,6 +707,46 @@ pub(crate) fn backward_step(
                 let terms = (start..start + len).map(|r| (r, 1.0 / len as f32));
                 // SAFETY: the forward checked the span against these rows.
                 unsafe { axpy_scatter(grad_out.row(i), terms, ga.as_mut_slice()) };
+            }
+        }
+        Op::PackRows(p, node_of, e, edge_rows, relays) => {
+            // out_u = p[node_of[u]] ⊙ e_u ⇒ dp[node_of[u]] += g_u ⊙ e_u and
+            // de_u += g_u ⊙ p[node_of[u]], each in `u` order: what `mul`
+            // then the gathers' scatters sum, term for term. A relay edge
+            // row's term goes to the relay rows, unless they are constant.
+            let (vp, ve) = (&values[p.index()], &values[e.index()]);
+            let vocab = ve.rows();
+            let relay = |edge: usize| edge.checked_sub(vocab).zip(*relays);
+            let edge_value = |edge: usize| match relay(edge) {
+                Some((j, r)) => values[r.index()].row(j),
+                None => ve.row(edge),
+            };
+            let pairs = || node_of.iter().zip(edge_rows.iter()).enumerate();
+            let acc = |o: &mut [f32], g: &[f32], x: &[f32]| {
+                for ((o, &g), &x) in o.iter_mut().zip(g).zip(x) {
+                    *o += g * x;
+                }
+            };
+            if !constant[p.index()] {
+                let gp = grad_slot(grads, pool, *p, vp.rows(), vp.cols());
+                for (u, (&node, &edge)) in pairs() {
+                    acc(gp.row_mut(node), grad_out.row(u), edge_value(edge));
+                }
+            }
+            if !constant[e.index()] {
+                let ge = grad_slot(grads, pool, *e, vocab, ve.cols());
+                for (u, (&node, &edge)) in pairs().filter(|(_, (_, &edge))| edge < vocab) {
+                    acc(ge.row_mut(edge), grad_out.row(u), vp.row(node));
+                }
+            }
+            if let Some(r) = relays.filter(|r| !constant[r.index()]) {
+                let vr = &values[r.index()];
+                let gr = grad_slot(grads, pool, r, vr.rows(), vr.cols());
+                for (u, (&node, &edge)) in pairs() {
+                    if let Some((j, _)) = relay(edge) {
+                        acc(gr.row_mut(j), grad_out.row(u), vp.row(node));
+                    }
+                }
             }
         }
         Op::MulScalarVar(a, s) => {

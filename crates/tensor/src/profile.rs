@@ -46,7 +46,8 @@ pub(crate) fn estimate_flops(op: &Op, values: &[Tensor], out: &Tensor) -> u64 {
         | Op::Relu(..)
         | Op::LeakyRelu(..)
         | Op::MaxPool2(..)
-        | Op::MulScalarVar(..) => n(out),
+        | Op::MulScalarVar(..)
+        | Op::PackRows(..) => n(out),
         // exp + max + sum + div sweeps.
         Op::SoftmaxRows(..) | Op::MaskedSoftmaxRows(..) => 5 * n(out),
         Op::Tanh(..) => 4 * n(out),
@@ -222,6 +223,7 @@ fn kind_name(kind: usize) -> &'static str {
         "segment_weighted_sum",
         "segment_mean_rows",
         "segment_attention_through",
+        "pack_rows",
     ];
     NAMES[kind]
 }
@@ -436,7 +438,8 @@ mod tests {
             Op::SegmentAttention(v, rows.clone(), v, rows.clone(), spans.clone(), None, 1.0),
             Op::SegmentWeightedSum(v, v, rows.clone(), spans.clone()),
             Op::SegmentMeanRows(v, spans.clone()),
-            Op::SegmentAttention(v, rows.clone(), v, rows, spans, Some(v), 1.0),
+            Op::SegmentAttention(v, rows.clone(), v, rows.clone(), spans, Some(v), 1.0),
+            Op::PackRows(v, rows.clone(), v, rows, None),
         ];
         // One instance per kind, in `kind_index` order: a kind added to
         // `Op` without a row here leaves the table short.

@@ -427,6 +427,62 @@ impl Tape {
         self.push_prof(Op::SelectRows(a, Arc::from(indices)), value, t0)
     }
 
+    /// Message packaging (Eq. 1–2) over deduplicated rows: output row `u`
+    /// is `projected[node_of[u]] ⊙ e_u`, where `e_u` is row
+    /// `edge_rows[u]` of `g_edge` or, for an edge row `vocab + j` past
+    /// `g_edge`'s `vocab` rows, row `j` of `relays` (Eq. 8 overrides).
+    /// Bitwise the `select_rows` / `select_rows` / `mul` composition over
+    /// `g_edge` stacked on `relays`, values and gradients alike, but
+    /// neither gathered operand, nor the stack, nor their gradients is
+    /// ever held: the backward adds `g_u ⊙ e_u` into `projected`'s
+    /// gradient and `g_u ⊙ v_u` into `g_edge`'s (or `relays`'), in `u`
+    /// order.
+    pub fn pack_rows(
+        &mut self,
+        projected: Var,
+        node_of: &[usize],
+        g_edge: Var,
+        edge_rows: &[usize],
+        relays: Option<Var>,
+    ) -> Var {
+        let t0 = self.prof_start();
+        assert_eq!(node_of.len(), edge_rows.len(), "one edge row per pack row");
+        let (vp, ve) = (
+            &self.values[projected.index()],
+            &self.values[g_edge.index()],
+        );
+        let vr = relays.map(|r| &self.values[r.index()]);
+        let (vocab, cols) = ve.shape();
+        assert_eq!(vp.cols(), cols, "pack width mismatch");
+        let relay_rows = vr.map_or(0, |vr| {
+            assert_eq!(vr.cols(), cols, "relay width mismatch");
+            vr.rows()
+        });
+        let mut value = self.pool.take(node_of.len(), cols);
+        for (u, (&node, &edge)) in node_of.iter().zip(edge_rows).enumerate() {
+            assert!(node < vp.rows(), "pack row {u} reads node row {node}");
+            assert!(
+                edge < vocab + relay_rows,
+                "pack row {u} reads edge row {edge}"
+            );
+            let e = match (edge.checked_sub(vocab), vr) {
+                (Some(j), Some(vr)) => vr.row(j),
+                _ => ve.row(edge),
+            };
+            for ((o, &x), &y) in value.row_mut(u).iter_mut().zip(vp.row(node)).zip(e) {
+                *o = x * y;
+            }
+        }
+        let op = Op::PackRows(
+            projected,
+            Arc::from(node_of),
+            g_edge,
+            Arc::from(edge_rows),
+            relays,
+        );
+        self.push_prof(op, value, t0)
+    }
+
     /// Fused ragged attention ([`Tensor::segment_attention`]) with operands
     /// addressed by row index: output row `i` is
     /// `softmax_j(scale · ⟨q[q_rows[i]], k[k_rows[start + j]]⟩)` over the
@@ -739,6 +795,63 @@ mod tests {
         };
         assert_eq!(allocs("matmul") + allocs("matmul_nt"), 1);
         assert_eq!(allocs("select_rows"), 0);
+    }
+
+    #[test]
+    fn pack_rows_is_the_gather_multiply_composition_bitwise() {
+        // `pack_rows` against `select_rows` (node rows) · `select_rows`
+        // (edge rows of the table, stacked on the relay constant when
+        // there is one) · `mul`: values and both gradients, bit for bit,
+        // with node and edge rows repeated so every scatter accumulates.
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
+        let (nodes, vocab, d) = (6, 5, 19);
+        let projected = Tensor::randn(nodes, d, 0.7, &mut rng);
+        let table = Tensor::randn(vocab, d, 1.3, &mut rng);
+        let relay_rows = Tensor::randn(3, d, 0.9, &mut rng);
+        let upstream = Tensor::randn(10, d, 1.1, &mut rng);
+        let node_of = [3, 0, 5, 3, 1, 0, 2, 3, 4, 5];
+        for edge_rows in [
+            [4, 1, 1, 0, 2, 3, 4, 1, 0, 2],
+            [5, 1, 7, 0, 2, 6, 4, 1, 0, 2],
+        ] {
+            let relays = edge_rows.iter().any(|&e| e >= vocab);
+            let run = |fused: bool| {
+                let mut tape = Tape::new();
+                let p = tape.leaf(projected.clone());
+                let e = tape.leaf(table.clone());
+                let r = relays.then(|| {
+                    tape.constant_with(3, d, |t| {
+                        t.as_mut_slice().copy_from_slice(relay_rows.as_slice())
+                    })
+                });
+                let packs = if fused {
+                    tape.pack_rows(p, &node_of, e, &edge_rows, r)
+                } else {
+                    let v = tape.select_rows(p, &node_of);
+                    let table = match r {
+                        Some(r) => tape.vstack(&[e, r]),
+                        None => e,
+                    };
+                    let edges = tape.select_rows(table, &edge_rows);
+                    tape.mul(v, edges)
+                };
+                let g = tape.constant_with(10, d, |t| {
+                    t.as_mut_slice().copy_from_slice(upstream.as_slice())
+                });
+                let weighted = tape.mul(packs, g);
+                let loss = tape.sum(weighted);
+                tape.backward(loss);
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                [
+                    tape.value(packs),
+                    tape.grad(p).unwrap(),
+                    tape.grad(e).unwrap(),
+                ]
+                .map(bits)
+            };
+            assert_eq!(run(true), run(false), "relays: {relays}");
+        }
     }
 
     #[test]

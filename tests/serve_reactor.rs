@@ -293,3 +293,46 @@ fn shutdown_with_idle_connections_is_prompt_and_needs_no_self_connect() {
     assert_eq!(stats.requests, 1);
     drop(idle);
 }
+
+#[test]
+fn a_pipelined_burst_of_n_requests_records_n_dispatch_samples() {
+    // `serve_reactor_dispatch_us` holds one sample per dispatched request
+    // frame: N frames written in one burst, which the reactor reads in
+    // however few ticks, are N samples.
+    const N: usize = 24;
+    let fx = fixture(84);
+    let handle = Server::bind(registry_for(&fx), ServeConfig::default(), "127.0.0.1:0").unwrap();
+    let burst: Vec<u8> = (0..N)
+        .flat_map(|i| {
+            encode_request(&Request::Embed {
+                id: i as u64,
+                seed: 7,
+                nodes: vec![i as u32],
+            })
+        })
+        .collect();
+    let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    stream.write_all(&burst).expect("write the burst");
+    let (mut reader, mut buf, mut answered) = (FrameReader::new(), [0u8; 4096], 0);
+    while answered < N {
+        match reader.next_frame().expect("clean frame") {
+            Some(body) => {
+                let response = decode_response(&body).expect("decodes");
+                assert!(
+                    matches!(response, Response::Embeddings { .. }),
+                    "{response:?}"
+                );
+                answered += 1;
+            }
+            None => {
+                let n = stream.read(&mut buf).expect("read responses");
+                assert!(n > 0, "server closed the connection");
+                reader.push(&buf[..n]);
+            }
+        }
+    }
+    let snapshot = handle.metrics().snapshot();
+    let dispatch = snapshot.histogram("serve_reactor_dispatch_us").unwrap();
+    assert_eq!(dispatch.count, N as u64);
+    handle.shutdown();
+}
