@@ -10,8 +10,7 @@ fn main() {
     let seed = opts.seeds[0];
     // Ensemble-vs-single prediction comparison.
     for dataset in datasets(opts.scale, seed) {
-        let mut cfg = table_widen_config(opts.scale).with_seed(seed);
-        cfg.weight_decay = 0.01;
+        let cfg = table_widen_config(opts.scale).with_seed(seed);
         let model = widen_core::WidenModel::for_graph(&dataset.graph, cfg);
         let mut trainer =
             widen_core::Trainer::new(model, &dataset.graph, &dataset.transductive.train);

@@ -3,6 +3,13 @@
 //! the ACM-like and DBLP-like graphs (the paper restricts this test to the
 //! two smaller graphs; most baselines cannot mini-batch Yelp). Each WIDEN
 //! epoch's stage times (`EpochStats`) land beside its wall clock.
+//!
+//! The binary then checks the paper's claim that downsampling makes
+//! training cheaper. On each graph it fits Default and No Downsampling on
+//! the full schedule, [`FITS`] times each, in interleaved rounds (as
+//! `fig5_scalability` does), and exits non-zero unless the pruned side's
+//! quietest last epoch is at most [`MAX_LAST_EPOCH_RATIO`] × the dense
+//! side's.
 
 use std::time::Instant;
 
@@ -11,12 +18,17 @@ use widen_bench::parse_args;
 use widen_bench::runners::{
     datasets, table_baseline_config, table_widen_config, EVAL_SAMPLING_SEED,
 };
-use widen_core::{Trainer, WidenModel};
+use widen_core::{Trainer, Variant, WidenModel};
 use widen_eval::micro_f1;
 use widen_obs::json::JsonValue;
 use widen_tensor::ProfileReport;
 
 const EPOCHS: usize = 10;
+/// Full-schedule fits per side of the downsampling gate; the quietest
+/// (fastest) last epoch of each side is compared.
+const FITS: usize = 5;
+/// The gate: pruned last epoch ≤ this × the dense one.
+const MAX_LAST_EPOCH_RATIO: f64 = 0.8;
 
 fn main() {
     let opts = parse_args();
@@ -26,8 +38,9 @@ fn main() {
     );
     let seed = opts.seeds[0];
     let mut json_rows = Vec::new();
+    let graphs: Vec<_> = datasets(opts.scale, seed).into_iter().take(2).collect();
 
-    for dataset in datasets(opts.scale, seed).into_iter().take(2) {
+    for dataset in &graphs {
         println!("--- {} ---", dataset.name);
         println!("{:<12} {:>16} {:>16}", "Method", "sec/epoch", "F1@10epochs");
         let train = &dataset.transductive.train;
@@ -154,5 +167,59 @@ fn main() {
             ),
         ]));
     }
-    opts.write_json("fig4_efficiency", &JsonValue::Array(json_rows));
+
+    // The gate: rounds over (graph, side), so a slow spell of the host
+    // costs one round, not one side.
+    let sides = [Variant::full(), Variant::no_downsampling()];
+    let mut last_epochs = vec![[Vec::with_capacity(FITS), Vec::with_capacity(FITS)]; graphs.len()];
+    for _ in 0..FITS {
+        for (dataset, secs) in graphs.iter().zip(&mut last_epochs) {
+            for (variant, secs) in sides.iter().zip(secs.iter_mut()) {
+                let cfg = table_widen_config(opts.scale)
+                    .with_seed(seed)
+                    .with_variant(*variant);
+                let train = &dataset.transductive.train;
+                let model = WidenModel::for_graph(&dataset.graph, cfg);
+                let report = Trainer::new(model, &dataset.graph, train).fit(train);
+                secs.push(*report.epoch_secs.last().expect("at least one epoch"));
+            }
+        }
+    }
+    println!(
+        "Downsampling gate: quietest last epoch of {FITS} full-schedule fits, \
+         pruned ≤ {MAX_LAST_EPOCH_RATIO} × dense"
+    );
+    let quietest = |secs: &[f64]| secs.iter().copied().fold(f64::INFINITY, f64::min);
+    let mut failed = false;
+    let mut gate_rows = Vec::new();
+    for (dataset, [pruned, dense]) in graphs.iter().zip(&last_epochs) {
+        let (pruned_secs, dense_secs) = (quietest(pruned), quietest(dense));
+        let ratio = pruned_secs / dense_secs;
+        let pass = ratio <= MAX_LAST_EPOCH_RATIO;
+        failed |= !pass;
+        println!(
+            "  {:<10} Default {pruned_secs:.4} s, No Downsampling {dense_secs:.4} s, \
+             ratio {ratio:.3}: {}",
+            dataset.name,
+            if pass { "pass" } else { "FAIL" }
+        );
+        gate_rows.push(JsonValue::object([
+            ("dataset", dataset.name.as_str().into()),
+            ("pruned_last_epoch_secs", pruned.as_slice().into()),
+            ("dense_last_epoch_secs", dense.as_slice().into()),
+            ("ratio", ratio.into()),
+        ]));
+    }
+    opts.write_json(
+        "fig4_efficiency",
+        &JsonValue::object([
+            ("methods", JsonValue::Array(json_rows)),
+            ("downsampling_gate", JsonValue::Array(gate_rows)),
+            ("max_last_epoch_ratio", MAX_LAST_EPOCH_RATIO.into()),
+        ]),
+    );
+    if failed {
+        eprintln!("fig4_efficiency: pruned training is not cheaper than the gate asks");
+        std::process::exit(1);
+    }
 }

@@ -13,13 +13,8 @@ use crate::harness::RunScale;
 /// comes only from training randomness.
 pub const EVAL_SAMPLING_SEED: u64 = 0xE7A1;
 
-/// WIDEN configuration for a harness scale.
-///
-/// `Table` uses a CPU-budgeted rendition of §4.4's unified setting
-/// (`d = 64, N_w = 10, N_d = 10, Φ = 3` instead of `128/20/20/10`) so the
-/// full 9-method × 3-dataset × 4-fraction × 5-seed sweep completes on a
-/// laptop-class CPU; relative comparisons are unaffected (every method
-/// shares the same budget). EXPERIMENTS.md records this deviation.
+/// WIDEN configuration for a harness scale: §4.4's unified setting
+/// ([`WidenConfig::paper`]) at `Table`, and a small CPU budget at `Smoke`.
 pub fn table_widen_config(scale: RunScale) -> WidenConfig {
     match scale {
         RunScale::Smoke => {
@@ -31,19 +26,7 @@ pub fn table_widen_config(scale: RunScale) -> WidenConfig {
             c.weight_decay = 0.01;
             c
         }
-        RunScale::Table => {
-            let mut c = WidenConfig::paper();
-            c.d = 64;
-            c.n_w = 10;
-            c.n_d = 10;
-            c.phi = 3;
-            c.epochs = 20;
-            c.learning_rate = 5e-3;
-            c.weight_decay = 0.01;
-            c.k_wide = 5;
-            c.k_deep = 5;
-            c
-        }
+        RunScale::Table => WidenConfig::paper(),
     }
 }
 
@@ -165,6 +148,14 @@ mod tests {
         smoke.validate();
         let b = table_baseline_config(RunScale::Table);
         assert_eq!(b.hidden, table.d);
+    }
+
+    #[test]
+    fn table_scale_is_the_papers_config() {
+        assert_eq!(
+            format!("{:?}", table_widen_config(RunScale::Table)),
+            format!("{:?}", WidenConfig::paper())
+        );
     }
 
     #[test]

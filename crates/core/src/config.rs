@@ -9,8 +9,7 @@ use crate::ablation::Variant;
 /// [`WidenConfig::paper`] reproduces the unified setting of §4.4:
 /// `d = 128, N_w = 20, N_d = 20, Φ = 10`, learning rate `τ = 1e-4`,
 /// downsampling thresholds `r∘ = r▷ = 1e-3`, lower bounds `k∘ = k▷ = 5`,
-/// and L2 strength `γ = 0.01` (pass `0.0` for Yelp-scale graphs, as the
-/// paper does).
+/// and L2 strength `γ = 0.01` on every dataset.
 #[derive(Clone, Debug)]
 pub struct WidenConfig {
     /// Latent dimension `d`.

@@ -19,7 +19,10 @@ pub enum Decision {
     Drop(usize),
 }
 
-/// Decides whether to shrink a neighbour set, per Algorithm 3 lines 9–14.
+/// Decides whether to shrink a neighbour set, per Algorithm 3 lines 9–14,
+/// and returns the Eq. 9 divergence when one was actually evaluated
+/// (`Attentive` strategy with comparable history), so the trainer can
+/// surface per-epoch KL trigger values without recomputing them.
 ///
 /// * `attention` — this epoch's distribution over `[m_t ; packs]`
 ///   (`len + 1` values, target at index 0).
@@ -30,24 +33,16 @@ pub enum Decision {
 /// * `k` — downsampling lower bound (`k∘` / `k▷`).
 /// * `r` — KL threshold (`r∘` / `r▷`).
 /// * `epoch` — 1-based epoch counter; Algorithm 3 requires `z > 1`.
-#[allow(clippy::too_many_arguments)]
-pub fn decide<R: Rng + ?Sized>(
-    strategy: DownsampleStrategy,
-    attention: &[f32],
-    prev_attention: Option<&[f32]>,
-    len: usize,
-    k: usize,
-    r: f64,
-    epoch: usize,
-    rng: &mut R,
-) -> Decision {
-    decide_with_kl(strategy, attention, prev_attention, len, k, r, epoch, rng).0
-}
-
-/// Like [`decide`], but also returns the Eq. 9 divergence when one was
-/// actually evaluated (`Attentive` strategy with comparable history), so
-/// the trainer can surface per-epoch KL trigger values without recomputing
-/// them.
+/// * `rng` — the node's per-epoch stream. The `Random` strategy draws its
+///   victim from it, and Algorithms 1–2 break an exact tie for the minimum
+///   weight with it, uniformly among the tied entries. A unique minimum
+///   draws nothing.
+///
+/// Eq. 9 measures only how far the distribution moved since last epoch, so
+/// it cannot tell a converged attention from a collapsed (uniform) one:
+/// both read KL ≈ 0 and trigger a drop. Under a uniform row every
+/// neighbour ties for the minimum, and the tie rule spreads those drops
+/// over the set instead of always taking the first walk step.
 #[allow(clippy::too_many_arguments)]
 pub fn decide_with_kl<R: Rng + ?Sized>(
     strategy: DownsampleStrategy,
@@ -90,10 +85,22 @@ pub fn decide_with_kl<R: Rng + ?Sized>(
             // Algorithm 1/2 line 3–4: argmin over neighbour weights,
             // excluding the target's own weight a_{t,t}.
             let mut best = 0usize;
+            let mut ties = 1usize;
             for i in 1..len {
                 if attention[i + 1] < attention[best + 1] {
                     best = i;
+                    ties = 1;
+                } else if attention[i + 1] == attention[best + 1] {
+                    ties += 1;
                 }
+            }
+            if ties > 1 {
+                let min = attention[best + 1];
+                let pick = rng.gen_range(0..ties);
+                best = (best..len)
+                    .filter(|&i| attention[i + 1] == min)
+                    .nth(pick)
+                    .expect("pick < ties");
             }
             (Decision::Drop(best), Some(kl))
         }
@@ -125,7 +132,7 @@ mod tests {
     #[test]
     fn keeps_when_at_lower_bound() {
         let attn = vec![0.25; 4];
-        let d = decide(
+        let (d, _) = decide_with_kl(
             DownsampleStrategy::Attentive,
             &attn,
             Some(&attn.clone()),
@@ -141,7 +148,7 @@ mod tests {
     #[test]
     fn keeps_in_first_epoch() {
         let attn = vec![0.2; 5];
-        let d = decide(
+        let (d, _) = decide_with_kl(
             DownsampleStrategy::Attentive,
             &attn,
             Some(&attn.clone()),
@@ -159,7 +166,7 @@ mod tests {
         // Target weight 0.4, neighbours [0.3, 0.05, 0.25]; argmin = local 1.
         let attn = vec![0.4, 0.3, 0.05, 0.25];
         let prev = attn.clone();
-        let d = decide(
+        let (d, _) = decide_with_kl(
             DownsampleStrategy::Attentive,
             &attn,
             Some(&prev),
@@ -173,10 +180,78 @@ mod tests {
     }
 
     #[test]
+    fn a_uniform_row_spreads_its_drops_over_every_tied_index() {
+        // A collapsed attention: target and all five neighbours at 1/6, so
+        // every neighbour ties for the minimum and Eq. 9 reads KL = 0.
+        let attn = vec![1.0 / 6.0; 6];
+        let mut hits = [0usize; 5];
+        for seed in 0..200 {
+            let (d, _) = decide_with_kl(
+                DownsampleStrategy::Attentive,
+                &attn,
+                Some(&attn),
+                5,
+                1,
+                1e-3,
+                3,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            match d {
+                Decision::Drop(i) => hits[i] += 1,
+                Decision::Keep => panic!("KL 0 is below r, so the set shrinks"),
+            }
+        }
+        assert!(hits.iter().all(|&n| n > 0), "drops per index: {hits:?}");
+        assert!(hits[0] < 100, "index 0 took {} of 200 drops", hits[0]);
+        // Only the tied entries compete: the unique larger weight at local
+        // index 1 is never dropped.
+        let attn = vec![0.2, 0.15, 0.35, 0.15, 0.15];
+        let mut hits = [0usize; 4];
+        for seed in 0..100 {
+            if let (Decision::Drop(i), _) = decide_with_kl(
+                DownsampleStrategy::Attentive,
+                &attn,
+                Some(&attn),
+                4,
+                1,
+                1e-3,
+                3,
+                &mut StdRng::seed_from_u64(seed),
+            ) {
+                hits[i] += 1;
+            }
+        }
+        assert_eq!(hits[1], 0, "drops per index: {hits:?}");
+        assert!(
+            [0, 2, 3].iter().all(|&i| hits[i] > 0),
+            "drops per index: {hits:?}"
+        );
+    }
+
+    #[test]
+    fn a_unique_minimum_draws_nothing_from_the_rng() {
+        let attn = vec![0.4, 0.3, 0.05, 0.25];
+        let mut used = rng();
+        let untouched = used.clone();
+        let (d, _) = decide_with_kl(
+            DownsampleStrategy::Attentive,
+            &attn,
+            Some(&attn),
+            3,
+            1,
+            1e-3,
+            3,
+            &mut used,
+        );
+        assert_eq!(d, Decision::Drop(1));
+        assert_eq!(used.gen::<u64>(), untouched.clone().gen::<u64>());
+    }
+
+    #[test]
     fn attentive_keeps_when_kl_large() {
         let attn = vec![0.4, 0.3, 0.05, 0.25];
         let prev = vec![0.1, 0.1, 0.4, 0.4];
-        let d = decide(
+        let (d, _) = decide_with_kl(
             DownsampleStrategy::Attentive,
             &attn,
             Some(&prev),
@@ -192,7 +267,7 @@ mod tests {
     #[test]
     fn attentive_keeps_without_history() {
         let attn = vec![0.4, 0.3, 0.05, 0.25];
-        let d = decide(
+        let (d, _) = decide_with_kl(
             DownsampleStrategy::Attentive,
             &attn,
             None,
@@ -208,7 +283,7 @@ mod tests {
     #[test]
     fn random_drops_without_kl() {
         let attn = vec![0.25; 5];
-        let d = decide(
+        let (d, _) = decide_with_kl(
             DownsampleStrategy::Random,
             &attn,
             None,
@@ -227,7 +302,7 @@ mod tests {
     #[test]
     fn off_never_drops() {
         let attn = vec![0.2; 6];
-        let d = decide(
+        let (d, _) = decide_with_kl(
             DownsampleStrategy::Off,
             &attn,
             Some(&attn.clone()),
@@ -311,7 +386,7 @@ mod tests {
         // wedging the trigger. The smoothed divergence is huge ⇒ Keep.
         let prev = vec![0.25, 0.25, 0.25, 0.25];
         let attn = vec![0.0, 1.0, 0.0, 0.0];
-        let d = decide(
+        let (d, _) = decide_with_kl(
             DownsampleStrategy::Attentive,
             &attn,
             Some(&prev),

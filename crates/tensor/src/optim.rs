@@ -69,7 +69,8 @@ pub struct AdamConfig {
     pub beta2: f32,
     /// Numerical stabiliser.
     pub eps: f32,
-    /// L2 regularisation strength γ (`0.01` on ACM/DBLP, `0` on Yelp).
+    /// L2 regularisation strength γ, coupled: `γ·w` is added to the
+    /// gradient before the moments (§4.4 uses `0.01`).
     pub weight_decay: f32,
 }
 
