@@ -828,12 +828,7 @@ mod tests {
             let (report, stats) = (&mut report, &mut stats);
             trainer.train_step(&mut pool, &train, epoch, None, report, stats, &mut None);
             arena::give_back(pool);
-            let pool = arena::with(|arena| arena.stats());
-            let (resident, bound) = (pool.resident_bytes, pool.peak_live_bytes);
-            assert!(
-                resident <= bound,
-                "epoch {epoch}: {resident} parked > {bound}"
-            );
+            let resident = arena::with(|arena| arena.stats().resident_bytes);
             let misses = trainer.phase.pool_misses.get();
             epochs.push((trainer.phase.pool_hits.get() + misses, misses, resident));
         }
@@ -851,8 +846,8 @@ mod tests {
         let (first_takes, first_misses, first_resident) = epochs[0];
         let (takes, misses, _) = epochs[epochs.len() - 1];
         assert!(
-            (misses - first_misses) * 20 <= takes - first_takes,
-            "epochs 2.. must run ≥ 95 % warm: {epochs:?}"
+            (misses - first_misses) * 100 <= takes - first_takes,
+            "epochs 2.. must run ≥ 99 % warm: {epochs:?}"
         );
         let largest = epochs.iter().map(|e| e.2).max().unwrap();
         assert!(
@@ -887,10 +882,10 @@ mod tests {
     fn a_second_fit_on_one_thread_runs_in_the_first_fits_buffers() {
         // Two identical fits in a row on one thread: the second draws its
         // buffers from the arena the first handed back, and trains the
-        // bits a fit on a fresh thread (an empty arena) trains. It is as
-        // warm as the first fit's later epochs (≥ 95 % of takes hit):
-        // even a dense step, whose shapes repeat, swaps two sub-30-element
-        // buffers with the pool at this size.
+        // bits a fit on a fresh thread (an empty arena) trains. A dense
+        // step repeats its shapes, so the second dense fit allocates
+        // nothing; a pruning one still grows its deduplicated matrices
+        // where relay edges give pruned walks private rows.
         let dataset = acm_like(Scale::Smoke, 6);
         let train = &dataset.transductive.train[..32];
         for variant in [Variant::no_downsampling(), Variant::full()] {
@@ -900,7 +895,10 @@ mod tests {
                 (fresh, s.spawn(|| (fit(), fit())).join().unwrap())
             });
             let (takes, misses) = second.1;
-            assert!(misses * 20 <= takes, "{misses} of {takes} takes missed");
+            if variant == Variant::no_downsampling() {
+                assert_eq!(misses, 0, "{misses} of {takes} takes missed");
+            }
+            assert!(misses * 100 <= takes, "{misses} of {takes} takes missed");
             assert!(misses * 5 < fresh.1 .1, "{:?} vs {:?}", second.1, fresh.1);
             assert_eq!(first.0, fresh.0);
             assert_eq!(second.0, fresh.0);

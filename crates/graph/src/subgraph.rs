@@ -21,11 +21,6 @@ impl NodeMapping {
     pub fn to_new(&self, old: NodeId) -> Option<NodeId> {
         self.old_to_new[old as usize]
     }
-
-    /// Maps a subgraph id back to the parent graph.
-    pub fn to_old(&self, new: NodeId) -> NodeId {
-        self.new_to_old[new as usize]
-    }
 }
 
 /// A subgraph together with its id mapping.
@@ -141,8 +136,7 @@ mod tests {
     fn mapping_round_trips() {
         let g = path_graph(5);
         let sub = g.induced_subgraph(&[3, 0]);
-        assert_eq!(sub.mapping.to_old(0), 3);
-        assert_eq!(sub.mapping.to_old(1), 0);
+        assert_eq!(sub.mapping.new_to_old, [3, 0]);
         assert_eq!(sub.mapping.to_new(3), Some(0));
         assert_eq!(sub.mapping.to_new(0), Some(1));
         assert_eq!(sub.mapping.to_new(2), None);

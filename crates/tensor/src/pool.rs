@@ -10,16 +10,17 @@
 //! `MAX_WASTE × n` elements, and a request nothing fits allocates
 //! `n + n / HEADROOM_DIVISOR` so the next, slightly larger one does fit.
 //!
-//! Residency is bounded by the largest set of buffers that was ever checked
-//! out at once (`peak_live_bytes`, the pool's own high-water mark): when a
-//! returning buffer pushes the parked bytes past it, the buffers parked
-//! longest ago are dropped first. A pool moved from tape to tape
-//! ([`crate::Tape::install_pool`]) therefore never holds more than the
-//! biggest tape needed, however many distinct shapes it has seen. And a
-//! request that outgrew its buffer (a parked one holds between
-//! `n / MAX_WASTE` and `n` elements) frees that buffer as it allocates the
-//! larger one, so a batch a little bigger than any before does not hold two
-//! sets at once.
+//! Residency follows the tapes. When a tape ends — [`crate::Tape::truncate`]
+//! hands its buffers back, as `reset` and `take_pool` do — the pool frees
+//! every buffer parked before that tape began, one the tape neither took
+//! nor handed back. A pool moved from tape to tape
+//! ([`crate::Tape::install_pool`]) therefore holds what its last tape held,
+//! however many distinct shapes it has seen: a pruned epoch's smaller set
+//! replaces the larger one before it, and a tape whose shapes repeat
+//! allocates nothing. Within a tape, a request that outgrew its buffer (a
+//! parked one holds between `n / MAX_WASTE` and `n` elements) frees that
+//! buffer as it allocates the larger one, so a batch a little bigger than
+//! any before does not hold two sets at once.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -85,8 +86,8 @@ pub struct PoolStats {
     pub misses: u64,
     /// Buffers accepted back into the pool.
     pub recycled: u64,
-    /// Buffers freed instead of kept: returned to a disabled pool, or
-    /// evicted to hold the residency bound.
+    /// Buffers freed instead of kept: returned to a disabled pool,
+    /// outgrown by a request, or left untouched by a whole tape.
     pub dropped: u64,
     /// Bytes served from parked buffers (4 × elements over all hits).
     pub bytes_reused: u64,
@@ -94,9 +95,6 @@ pub struct PoolStats {
     pub resident_buffers: u64,
     /// Bytes (of capacity) currently parked.
     pub resident_bytes: u64,
-    /// Most bytes (of capacity) ever checked out at once — the residency
-    /// bound.
-    pub peak_live_bytes: u64,
 }
 
 /// A capacity-keyed recycler of `f32` buffers for tape tensors.
@@ -109,12 +107,10 @@ pub struct BufferPool {
     enabled: bool,
     /// Parked buffers in best-fit order: `(capacity, park stamp)`.
     by_size: BTreeMap<(usize, u64), Vec<f32>>,
-    /// The same buffers oldest first: park stamp → capacity.
-    by_age: BTreeMap<u64, usize>,
     next_stamp: u64,
-    resident_bytes: u64,
-    live_bytes: u64,
-    peak_live_bytes: u64,
+    /// The first stamp of the running tape: a buffer parked under an older
+    /// one has not been touched by it.
+    tape_start: u64,
     hits: u64,
     misses: u64,
     recycled: u64,
@@ -134,11 +130,8 @@ impl BufferPool {
         Self {
             enabled: true,
             by_size: BTreeMap::new(),
-            by_age: BTreeMap::new(),
             next_stamp: 0,
-            resident_bytes: 0,
-            live_bytes: 0,
-            peak_live_bytes: 0,
+            tape_start: 0,
             hits: 0,
             misses: 0,
             recycled: 0,
@@ -193,11 +186,11 @@ impl BufferPool {
     fn take_buffer(&mut self, n: usize) -> Vec<f32> {
         let window = (n, 0)..=(n * MAX_WASTE, u64::MAX);
         let fit = self.by_size.range(window).next().map(|(&key, _)| key);
-        let buf = match fit {
+        match fit {
             Some(key) => {
                 self.hits += 1;
                 self.bytes_reused += n as u64 * F32_BYTES;
-                self.unpark(key)
+                self.by_size.remove(&key).expect("parked under this key")
             }
             None => {
                 self.misses += 1;
@@ -207,7 +200,7 @@ impl BufferPool {
                 // tape ends.
                 let outgrown = (n.div_ceil(MAX_WASTE), 0)..(n, 0);
                 if let Some((&key, _)) = self.by_size.range(outgrown).next_back() {
-                    self.unpark(key);
+                    self.by_size.remove(&key);
                     self.dropped += 1;
                 }
                 // `vec![0.0; _]` is a calloc: the spare capacity costs
@@ -216,48 +209,31 @@ impl BufferPool {
                 buf.truncate(n);
                 buf
             }
-        };
-        self.live_bytes += buf.capacity() as u64 * F32_BYTES;
-        self.peak_live_bytes = self.peak_live_bytes.max(self.live_bytes);
-        buf
-    }
-
-    /// Removes the parked buffer `key = (capacity, stamp)` from both indexes.
-    fn unpark(&mut self, key: (usize, u64)) -> Vec<f32> {
-        self.by_age.remove(&key.1);
-        self.resident_bytes -= key.0 as u64 * F32_BYTES;
-        self.by_size.remove(&key).expect("parked under this key")
+        }
     }
 
     /// Returns a tensor's buffer to the pool (dropping it when the pool is
-    /// disabled), then evicts the longest-parked buffers while the parked
-    /// bytes exceed the residency bound.
-    ///
-    /// Buffers this pool never handed out are welcome; they do not raise
-    /// the bound, so they displace older buffers rather than grow the pool.
+    /// disabled). Buffers this pool never handed out are welcome; like any
+    /// other, they are freed at the end of the first tape that leaves them
+    /// untouched.
     pub fn recycle(&mut self, t: Tensor) {
         let buf = t.into_vec();
-        let capacity = buf.capacity();
-        let bytes = capacity as u64 * F32_BYTES;
-        self.live_bytes = self.live_bytes.saturating_sub(bytes);
-        if !self.enabled || capacity == 0 {
+        if !self.enabled || buf.capacity() == 0 {
             self.dropped += 1;
             return;
         }
-        let stamp = self.next_stamp;
+        self.by_size.insert((buf.capacity(), self.next_stamp), buf);
         self.next_stamp += 1;
-        self.by_size.insert((capacity, stamp), buf);
-        self.by_age.insert(stamp, capacity);
-        self.resident_bytes += bytes;
         self.recycled += 1;
-        while self.resident_bytes > self.peak_live_bytes {
-            let (&stamp, &capacity) = self
-                .by_age
-                .first_key_value()
-                .expect("resident bytes imply a buffer");
-            self.unpark((capacity, stamp));
-            self.dropped += 1;
-        }
+    }
+
+    /// Ends the running tape: frees every buffer parked before it began —
+    /// one it neither took nor handed back — and starts the next.
+    pub(crate) fn end_tape(&mut self) {
+        let (parked, start) = (self.by_size.len(), self.tape_start);
+        self.by_size.retain(|&(_, stamp), _| stamp >= start);
+        self.dropped += (parked - self.by_size.len()) as u64;
+        self.tape_start = self.next_stamp;
     }
 
     /// Overwrites every parked buffer, spare capacity included, with
@@ -279,8 +255,7 @@ impl BufferPool {
             dropped: self.dropped,
             bytes_reused: self.bytes_reused,
             resident_buffers: self.by_size.len() as u64,
-            resident_bytes: self.resident_bytes,
-            peak_live_bytes: self.peak_live_bytes,
+            resident_bytes: self.by_size.keys().map(|&(c, _)| c as u64).sum::<u64>() * F32_BYTES,
         }
     }
 }
@@ -289,12 +264,13 @@ impl BufferPool {
 mod tests {
     use super::*;
 
-    /// One "tape": takes every shape, then hands everything back.
+    /// One tape: takes every shape, hands everything back, and ends.
     fn cycle(pool: &mut BufferPool, shapes: &[(usize, usize)]) {
         let live: Vec<Tensor> = shapes.iter().map(|&(r, c)| pool.take(r, c)).collect();
         for t in live {
             pool.recycle(t);
         }
+        pool.end_tape();
     }
 
     #[test]
@@ -374,7 +350,6 @@ mod tests {
             let s = pool.stats();
             if epoch == 0 {
                 first_epoch_bytes = s.resident_bytes;
-                assert_eq!(s.peak_live_bytes, first_epoch_bytes);
             }
             assert!(
                 s.resident_bytes <= first_epoch_bytes,
@@ -402,16 +377,41 @@ mod tests {
     }
 
     #[test]
-    fn foreign_buffers_do_not_raise_the_bound() {
+    fn a_foreign_buffer_is_freed_at_the_end_of_the_first_tape_that_leaves_it_untouched() {
         let mut pool = BufferPool::new();
-        cycle(&mut pool, &[(4, 4)]);
-        let bound = pool.stats().peak_live_bytes;
+        // A tape hands back ten buffers it never took (caller-built leaves).
         for _ in 0..10 {
-            pool.recycle(Tensor::zeros(4, 4));
+            pool.recycle(Tensor::zeros(64, 64));
         }
+        pool.end_tape();
+        assert_eq!(pool.stats().resident_buffers, 10);
+        // The next tape takes one of them and keeps it; the other nine go
+        // when it ends, and the one it kept goes with the tape after that.
+        cycle(&mut pool, &[(64, 64)]);
         let s = pool.stats();
-        assert_eq!(s.peak_live_bytes, bound);
-        assert!(s.resident_bytes <= bound);
+        assert_eq!((s.hits, s.resident_buffers), (1, 1));
+        assert_eq!(s.resident_bytes, 64 * 64 * F32_BYTES);
+        cycle(&mut pool, &[(4, 4)]);
+        let s = pool.stats();
+        assert_eq!((s.misses, s.resident_buffers), (1, 1));
+        assert_eq!(s.resident_bytes, 17 * F32_BYTES);
+    }
+
+    #[test]
+    fn a_tape_keeps_only_what_it_held() {
+        let mut pool = BufferPool::new();
+        cycle(&mut pool, &[(1000, 128), (1000, 128), (500, 128), (1, 1)]);
+        // Every request falls below a quarter of the large buffers, so the
+        // small tape allocates its own set and the large one goes.
+        let small = [(100, 128), (50, 128), (20, 128)];
+        cycle(&mut pool, &small);
+        let s = pool.stats();
+        let held: usize = small
+            .iter()
+            .map(|&(r, c)| r * c + r * c / HEADROOM_DIVISOR)
+            .sum();
+        assert_eq!(s.resident_buffers, small.len() as u64);
+        assert_eq!(s.resident_bytes, held as u64 * F32_BYTES);
     }
 
     #[test]

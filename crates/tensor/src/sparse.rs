@@ -125,21 +125,11 @@ impl CsrMatrix {
         }
     }
 
-    /// Dense product with the transpose: `selfᵀ · dense`.
-    ///
-    /// Used by the backward pass of [`crate::Tape::spmm`] without
-    /// materialising the transposed matrix.
-    pub fn spmm_transposed(&self, dense: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, dense.cols());
-        self.spmm_transposed_acc(dense, &mut out);
-        out
-    }
-
     /// Accumulating transposed product: `out += selfᵀ · dense`.
     ///
-    /// The backward pass accumulates the sparse-input gradient straight
-    /// into its pooled buffer through this kernel instead of allocating a
-    /// scratch product.
+    /// The backward pass of [`crate::Tape::spmm`] accumulates the
+    /// sparse-input gradient straight into its pooled buffer through this
+    /// kernel, without materialising the transposed matrix.
     pub fn spmm_transposed_acc(&self, dense: &Tensor, out: &mut Tensor) {
         assert_eq!(self.rows, dense.rows(), "spmm_transposed shape mismatch");
         let n = dense.cols();
@@ -347,7 +337,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let m = sample();
         let x = Tensor::randn(3, 4, 1.0, &mut rng);
-        let sparse = m.spmm_transposed(&x);
+        let mut sparse = Tensor::zeros(m.cols(), x.cols());
+        m.spmm_transposed_acc(&x, &mut sparse);
         let dense = m.to_dense().transpose().matmul(&x);
         assert!(sparse.max_abs_diff(&dense) < 1e-5);
     }

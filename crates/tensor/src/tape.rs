@@ -55,7 +55,8 @@ impl Var {
 /// [`Tape::take_pool`] / [`Tape::install_pool`] to carry the warm buffers
 /// across steps: a step whose shapes fit the previous step's buffers
 /// allocates nothing, one whose shapes moved (a differently sampled batch,
-/// a pruned epoch) allocates only what no parked buffer fits.
+/// a pruned epoch) allocates only what no parked buffer fits, and frees
+/// the parked buffers it left untouched as it ends.
 ///
 /// Every dense matmul the tape records — forward and backward — runs on
 /// the tape's kernel backend ([`Tape::set_backend`]), which defaults to
@@ -112,17 +113,20 @@ impl Tape {
         self.ops.is_empty()
     }
 
-    /// Clears ops, values and gradients for reuse, handing every value and
-    /// gradient buffer back to the pool. The pool (with its warm buffers
-    /// and counters) and the profiler survive the reset.
+    /// Clears ops, values and gradients for reuse, ending the tape
+    /// ([`Tape::truncate`] to 0). The pool (with the buffers this tape
+    /// held and its counters) and the profiler survive the reset.
     pub fn reset(&mut self) {
         self.truncate(0);
     }
 
     /// Drops every node from `len` on, handing its value and gradient
     /// buffers back to the pool; the first `len` nodes and their `Var`s
-    /// stay as they are.
+    /// stay as they are. A truncate that hands back a value ends the tape:
+    /// the pool frees every buffer this tape neither took nor handed back.
+    /// One that drops nothing ends nothing.
     pub fn truncate(&mut self, len: usize) {
+        let ends = len < self.values.len();
         self.ops.truncate(len);
         self.constant.truncate(len);
         for t in self.values.drain(len.min(self.values.len())..) {
@@ -130,6 +134,9 @@ impl Tape {
         }
         for g in self.grads.drain(len.min(self.grads.len())..).flatten() {
             self.pool.recycle(g);
+        }
+        if ends {
+            self.pool.end_tape();
         }
     }
 
@@ -141,8 +148,8 @@ impl Tape {
     }
 
     /// Ends the tape ([`Tape::reset`]: every [`Var`] it issued is dead, so
-    /// read results first) and moves the pool out with all of the tape's
-    /// buffers in it; an empty enabled pool takes its place.
+    /// read results first) and moves the pool out holding the buffers this
+    /// tape held; an empty enabled pool takes its place.
     pub fn take_pool(&mut self) -> BufferPool {
         self.reset();
         std::mem::take(&mut self.pool)
