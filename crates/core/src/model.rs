@@ -1262,8 +1262,8 @@ mod tests {
 
         // No flat `d`-wide value either: Eq. 4's refined rows would be an
         // `F × d` output (`F` positions) and `2·d` FLOPs per (position,
-        // later position) pair of `segment_weighted_sum`, which now only
-        // runs the two one-row-per-node/-walk sums.
+        // later position) pair of `segment_weighted_sum`, which runs only
+        // the two one-row-per-node/-walk sums.
         let d = cfg.d;
         let assert_no_flat_rows = |report: &widen_tensor::ProfileReport, f: usize, wide: usize| {
             for o in &report.ops {

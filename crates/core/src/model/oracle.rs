@@ -1,6 +1,6 @@
 //! The reference forward pass: one tape subgraph per node, one `PACK` call
-//! per neighbour set, an explicit causal mask Θ. It is the original
-//! implementation of Eq. 1–7 + 10 and exists only so tests can pin
+//! per neighbour set, an explicit causal mask Θ. It is Eq. 1–7 + 10 in
+//! the paper's own form and exists only so tests can pin
 //! [`WidenModel::forward_batch`] against it — logits, embeddings, attention
 //! rows, relay overrides and all 14 parameter gradients
 //! (`assert_engines_agree` in `model.rs`) and the batched `PACK` layouts

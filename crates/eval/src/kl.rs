@@ -19,11 +19,11 @@ pub const KL_SMOOTHING_EPS: f64 = 1e-6;
 /// never be poisoned):
 ///
 /// * **always finite** — every slot gets [`KL_SMOOTHING_EPS`] added before
-///   renormalising, so `q_i = 0` no longer divides by zero; it just
-///   contributes a large positive term,
+///   renormalising, so `q_i = 0` never divides by zero; it contributes a
+///   large positive term,
 /// * **never negative** — both sides are renormalised to proper
-///   distributions first (unnormalised inputs used to be able to drive the
-///   sum below zero), and the result is clamped at `0` against f32
+///   distributions first (so unnormalised inputs cannot drive the sum
+///   below zero), and the result is clamped at `0` against f32
 ///   round-off,
 /// * **tolerant of garbage** — negative, `NaN` or infinite entries are
 ///   treated as empty slots (mass 0) rather than propagating.

@@ -7,9 +7,9 @@ use crate::graph::{EdgeTypeId, HeteroGraph, NodeId, NodeTypeId};
 
 /// A name lookup against the builder's declared type vocabularies failed.
 ///
-/// Unknown names used to panic, which turned a malformed input file into a
-/// process abort; callers that parse external data (TSV readers, presets)
-/// now get a typed error they can surface with the offending name intact.
+/// An unknown name is an error, not a panic: callers that parse external
+/// data (TSV readers, presets) surface the offending name intact instead
+/// of aborting the process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuilderError {
     /// The node type name was not declared in [`GraphBuilder::new`].

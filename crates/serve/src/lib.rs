@@ -31,10 +31,9 @@
 //!   pipelined on one socket are correlated by id and may complete out of
 //!   order server-side; admission control caps open connections
 //!   ([`ServeConfig::max_connections`]) and queue-depth shedding answers
-//!   `Overloaded` before enqueue. Per-request deadlines
-//!   (`DeadlineExceeded`) and graceful drain-on-shutdown (every accepted
-//!   request is answered before threads exit) are preserved from the
-//!   thread-per-connection front end this replaced.
+//!   `Overloaded` before enqueue. Requests carry deadlines
+//!   (`DeadlineExceeded`), and shutdown drains: every accepted request is
+//!   answered before threads exit.
 //! * trace-context extension — version-2 frames carry a client trace id
 //!   ([`Client::set_tracing`]); the response returns the request's span
 //!   summary ([`Client::last_trace`]): the request root, then its queue

@@ -11,10 +11,9 @@
 //! The [`WakePipe`] is the reactor's cross-thread wake token: the batcher
 //! and the shutdown path write one byte to the pipe's write end, which
 //! makes the read end readable and pops the reactor out of `poll`.
-//! This replaces the old `TcpStream::connect(self.addr)` shutdown wake,
-//! which could itself fail under fd exhaustion or an unconnectable bind
-//! address and leave the acceptor blocked forever — writing to an
-//! already-open pipe allocates nothing and cannot fail that way.
+//! Writing to an already-open pipe allocates no descriptor and needs no
+//! connectable address, so the wake works under fd exhaustion and on any
+//! bind address.
 
 #![allow(non_camel_case_types)]
 

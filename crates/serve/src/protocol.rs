@@ -43,9 +43,9 @@
 //!
 //! ## Trace-context extension (version 2)
 //!
-//! Plain frames carry version 1 and are bit-identical to the original
-//! protocol. A peer that wants distributed tracing emits version 2: the
-//! same body as version 1 followed by a trailing extension block:
+//! Plain frames carry version 1, the base protocol above. A peer that
+//! wants distributed tracing emits version 2: the same body as version 1
+//! followed by a trailing extension block:
 //!
 //! ```text
 //! ext_flags u8              bit 0 = trace extension present; other bits

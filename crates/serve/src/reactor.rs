@@ -430,8 +430,9 @@ impl Reactor {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(_) => {
                     // EMFILE and friends: count it, suppress accept for a
-                    // beat, keep serving everyone already connected. The
-                    // old front end spun on `continue` here at 100% CPU.
+                    // beat, keep serving everyone already connected. A
+                    // retry at once would spin at 100% CPU while the fd
+                    // table stays full.
                     self.shared.accept_errors.inc();
                     self.accept_backoff_until = Some(Instant::now() + ACCEPT_ERROR_BACKOFF);
                     return;

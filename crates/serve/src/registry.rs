@@ -1,13 +1,12 @@
 //! Checkpoint-backed model registry: the bundle of graph, configuration
 //! and restored weights the batcher reads and grows.
 //!
-//! Since the streaming-graph work the registry is no longer immutable: the
-//! `Ingest` wire op grows the served graph online, and
-//! [`ModelRegistry::hot_swap`] replaces the weights with a new checkpoint
-//! without restarting the server. Both go through one `RwLock` over the
-//! whole [`ServingState`], so a batch that takes a single read guard sees
-//! a consistent `(model, graph, digest)` snapshot — a swap can never land
-//! between reading the digest and running the forward pass.
+//! The registry is mutable: the `Ingest` wire op grows the served graph
+//! online, and [`ModelRegistry::hot_swap`] replaces the weights with a new
+//! checkpoint without restarting the server. Both go through one `RwLock`
+//! over the whole [`ServingState`], so a batch that takes a single read
+//! guard sees a consistent `(model, graph, digest)` snapshot — a swap can
+//! never land between reading the digest and running the forward pass.
 
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 

@@ -388,8 +388,7 @@ impl ServerHandle {
             .shutdown
             .store(true, std::sync::atomic::Ordering::SeqCst);
         // Ring the self-pipe: pops the reactor out of poll without
-        // opening any socket — immune to fd exhaustion, unlike the old
-        // connect-to-self wake.
+        // opening any socket, so it works under fd exhaustion.
         self.wake.wake();
         let _ = reactor.join();
         // The reactor dropped its job sender on exit; the batcher drains

@@ -92,7 +92,8 @@ pub trait KernelBackend: Send + Sync {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum BackendKind {
-    /// Scalar oracle, bit-compatible with the historical inline kernels.
+    /// Scalar oracle: plain fused multiply-add loops, the side the parity
+    /// suites compare against.
     Reference = 0,
     /// Packed, register-tiled GEMM (tolerance-bounded vs
     /// [`BackendKind::Reference`] on `A·B` and `A·Bᵀ`; bit-identical on

@@ -231,8 +231,9 @@ impl Op {
 /// of allocating a per-op delta tensor and adding it in a second sweep.
 /// When an op's two inputs alias the same [`Var`] the rules below touch
 /// the slot in two sequential borrows, so both contributions accumulate
-/// exactly as the old two-`accumulate` path did. The shape check holds in
-/// release builds: the ragged adjoints write slot rows unchecked.
+/// into the one slot, the first input's before the second's. The shape
+/// check holds in release builds: the ragged adjoints write slot rows
+/// unchecked.
 fn grad_slot<'a>(
     grads: &'a mut [Option<Tensor>],
     pool: &mut BufferPool,
@@ -530,8 +531,7 @@ pub(crate) fn backward_step(
         }
         Op::MaxPool2(a, b) => {
             // Two separable passes so both slots can borrow sequentially
-            // (covers the a == b aliasing case like the old delta path:
-            // ties route the whole gradient to `a`).
+            // (also when a == b: ties route the whole gradient to `a`).
             let va = &values[a.index()];
             let vb = &values[b.index()];
             let (rows, cols) = va.shape();

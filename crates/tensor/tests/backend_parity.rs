@@ -21,7 +21,7 @@
 //!   zero) difference; NaNs the reference produces must still propagate.
 //! * `nt` (`A·Bᵀ`) on `Optimized` *is* its `nn` on the transposed operand,
 //!   bit for bit, so it stands under `nn`'s terms against `Reference` —
-//!   and, as the serving forward now runs it, each output row must be
+//!   and, as the serving forward runs it, each output row must be
 //!   independent of how many rows share its call.
 //! * every SIMD body of `nn`, `nt` and `tn` is bitwise the portable body
 //!   (the `gemm_body_contract` unit tests in `kernels::optimized`, which
